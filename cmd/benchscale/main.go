@@ -11,8 +11,10 @@
 // path bare and with the observability layer attached, a multicast round
 // and a Vivaldi gossip round (all with their
 // zero-allocs-per-op claims), the netmodel pricing fast path and pair
-// cache, the kernel's typed-event loop, and the 1k-host slice of the s1
-// scale study with its events/sec throughput.
+// cache, the kernel's typed-event loop, the static Meridian ring selection
+// and overlay build (the paper's Section 4 path, which no wire row
+// reaches), and the 1k-host slice of the s1 scale study with its
+// events/sec throughput.
 //
 // Usage:
 //
@@ -124,6 +126,8 @@ func main() {
 	run("tree_one_way_ms", func(b *testing.B) { benchhot.TreeOneWayMs(b, top) })
 	run("rtt_cache_hit", func(b *testing.B) { benchhot.RTTCacheHit(b, top) })
 	run("kernel_handler_cascade", benchhot.KernelHandlerCascade)
+	run("meridian_select", benchhot.MeridianSelect)
+	run("meridian_build", benchhot.MeridianBuild)
 
 	// The s1 smoke slice: 1k hosts, all three algorithms, at kernel shard
 	// counts 1 and 4. events/sec is kernel events executed per wall second

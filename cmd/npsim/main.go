@@ -193,6 +193,10 @@ func main() {
 		mc.Beta = *beta
 		mc.RingSize = *ringSize
 		mc.CandidatesPerNode = len(members)
+		if err := mc.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "npsim:", err)
+			os.Exit(2)
+		}
 		finder = meridian.New(net, members, mc, *seed+2)
 	case "kargerruhl":
 		finder = kargerruhl.New(net, members, kargerruhl.DefaultConfig(), *seed+2)

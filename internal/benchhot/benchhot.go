@@ -15,10 +15,13 @@ import (
 	"time"
 
 	"nearestpeer/internal/latency"
+	"nearestpeer/internal/meridian"
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/obs"
+	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/sim"
+	"nearestpeer/internal/testmat"
 	"nearestpeer/internal/vivaldi"
 )
 
@@ -188,5 +191,38 @@ func KernelHandlerCascade(b *testing.B) {
 		cnt = 0
 		s.AfterHandler(0, h, 0)
 		s.Run()
+	}
+}
+
+// MeridianBuild is static Meridian construction at the Section 4 defaults:
+// 380 members of a 400-point Euclidean space gossip-sample, measure and
+// trim their rings. Allocations per op are the overlay's own storage; a
+// selection or a sampled candidate that allocated would multiply them.
+func MeridianBuild(b *testing.B) {
+	m := testmat.Euclidean(400, 1)
+	members, _ := overlay.Split(400, 20, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meridian.New(overlay.NewNetwork(m), members, meridian.DefaultConfig(), int64(i))
+	}
+}
+
+// MeridianSelect is the hypervolume ring-selection kernel with as little
+// around it as the exported API allows: 65 members and a single ring, so
+// every node trims one over-full ring from a full 64-candidate pool. One op
+// is 65 selections (2,016 pairwise probes and 14 Gram–Schmidt rounds each).
+func MeridianSelect(b *testing.B) {
+	m := testmat.Euclidean(65, 1)
+	members := make([]int, 65)
+	for i := range members {
+		members[i] = i
+	}
+	cfg := meridian.DefaultConfig()
+	cfg.NumRings = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meridian.New(overlay.NewNetwork(m), members, cfg, int64(i))
 	}
 }

@@ -1,0 +1,234 @@
+package meridian
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"nearestpeer/internal/latency"
+	"nearestpeer/internal/overlay"
+	"nearestpeer/internal/rng"
+	"nearestpeer/internal/testmat"
+)
+
+var allSelections = []RingSelection{SelectHypervolume, SelectMaxMin, SelectRandom}
+
+// diffNet is one latency space of the differential tests. nets returns two
+// Networks over it with identical, independent noise streams: they stay in
+// step exactly as long as both sides issue the same probes in the same order.
+type diffNet struct {
+	name  string
+	m     latency.Matrix
+	noisy bool
+}
+
+func (d diffNet) nets() (live, ref *overlay.Network) {
+	live, ref = overlay.NewNetwork(d.m), overlay.NewNetwork(d.m)
+	if d.noisy {
+		live.SetNoise(0.05, 0.3, 77)
+		ref.SetNoise(0.05, 0.3, 77)
+	}
+	return live, ref
+}
+
+func diffNets() []diffNet {
+	// 250 end-networks per cluster is the clustering condition: same-cluster
+	// candidates look alike from everywhere, so their residuals tie and the
+	// first in pool order has to win.
+	clustered, _ := testmat.Clustered(250, 600, 5)
+	euclid := euclideanMatrix(400, 23)
+	// A square lattice is full of mirror-image candidates, whose residuals
+	// are equal in exact arithmetic: rounding alone picks the winner, so this
+	// is the space that catches a change in float operation order.
+	lattice := latency.NewDense(400)
+	for i := 0; i < 400; i++ {
+		for j := i + 1; j < 400; j++ {
+			lattice.Set(i, j, 3*math.Hypot(float64(i%20-j%20), float64(i/20-j/20)))
+		}
+	}
+	return []diffNet{
+		{"lattice", lattice, false},
+		{"euclidean", euclid, false},
+		{"clustered", clustered, false},
+		{"noisy", euclid, true},
+	}
+}
+
+func TestSelectionMatchesReference(t *testing.T) {
+	for _, d := range diffNets() {
+		for _, sel := range allSelections {
+			for _, k := range []int{2, 3, 16} {
+				for _, size := range []int{17, 40, 64, 65, 150} {
+					if size <= k {
+						continue
+					}
+					t.Run(fmt.Sprintf("%s/%v/k%d/pool%d", d.name, sel, k, size), func(t *testing.T) {
+						cfg := DefaultConfig()
+						cfg.Selection, cfg.RingSize = sel, k
+						liveNet, refNet := d.nets()
+						live := &Overlay{cfg: cfg, net: liveNet, src: rng.New(9)}
+						ref := &refOverlay{cfg: cfg, net: refNet, src: rng.New(9)}
+
+						// Node 0 owns the ring; nodes 1..size are its candidates.
+						owner := &refNode{ringLat: map[int]float64{}}
+						ids := make([]int, size)
+						cands := make([]ringEntry, size)
+						for i := range ids {
+							ids[i] = i + 1
+							cands[i] = ringEntry{ids[i], liveNet.MaintProbe(0, ids[i])}
+							owner.ringLat[ids[i]] = refNet.MaintProbe(0, ids[i])
+						}
+
+						want := ref.selectRing(owner, ids)
+						live.selectRing(cands)
+						var got []int
+						for _, e := range live.rings {
+							got = append(got, e.id)
+							if e.lat != owner.ringLat[e.id] {
+								t.Errorf("member %d carries latency %v, owner measured %v", e.id, e.lat, owner.ringLat[e.id])
+							}
+						}
+						if !slices.Equal(got, want) {
+							t.Errorf("selected\n got %v\nwant %v", got, want)
+						}
+						if g, w := liveNet.MaintProbes(), refNet.MaintProbes(); g != w {
+							t.Errorf("maintenance probes: got %d, want %d", g, w)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+func TestOverlayMatchesReference(t *testing.T) {
+	for _, d := range diffNets() {
+		for _, sel := range allSelections {
+			// Everyone as a candidate (Fig. 8's setting: pools beyond the
+			// cap) and a gossip sample smaller than the membership.
+			for _, candidates := range []int{1 << 20, 90} {
+				t.Run(fmt.Sprintf("%s/%v/cands%d", d.name, sel, candidates), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Selection, cfg.CandidatesPerNode = sel, candidates
+					members, targets := overlay.Split(d.m.N(), 30, 3)
+					members = members[:140] // the reference build is slow, more so under -race
+					liveNet, refNet := d.nets()
+					live := New(liveNet, members, cfg, 11)
+					ref := newRefOverlay(refNet, members, cfg, 11)
+
+					if g, w := liveNet.MaintProbes(), refNet.MaintProbes(); g != w {
+						t.Fatalf("maintenance probes: got %d, want %d", g, w)
+					}
+					for _, id := range members {
+						got, want := live.RingsOf(id), ref.RingsOf(id)
+						for r := range want {
+							if !slices.Equal(got[r], want[r]) {
+								t.Fatalf("node %d ring %d\n got %v\nwant %v", id, r, got[r], want[r])
+							}
+							for _, mbr := range want[r] {
+								g, _ := live.RingLatOf(id, mbr)
+								if w, _ := ref.RingLatOf(id, mbr); g != w {
+									t.Fatalf("node %d -> %d latency: got %v, want %v", id, mbr, g, w)
+								}
+							}
+						}
+					}
+					// The walk: same start draws, same probes, same answer.
+					for _, tgt := range append(targets, members[:5]...) {
+						if g, w := live.FindNearest(tgt), ref.FindNearest(tgt); g != w {
+							t.Fatalf("FindNearest(%d): got %+v, want %+v", tgt, g, w)
+						}
+					}
+					if g, w := liveNet.QueryProbes(), refNet.QueryProbes(); g != w {
+						t.Fatalf("query probes: got %d, want %d", g, w)
+					}
+				})
+			}
+		}
+	}
+}
+
+func TestRingNeverExceedsRingSize(t *testing.T) {
+	m := euclideanMatrix(300, 1)
+	members, _ := overlay.Split(300, 20, 2)
+	for _, k := range []int{1, 2, 3, 16} {
+		for _, sel := range allSelections {
+			cfg := DefaultConfig()
+			cfg.RingSize, cfg.Selection = k, sel
+			o := New(overlay.NewNetwork(m), members, cfg, 3)
+			full := 0
+			for _, id := range members {
+				for r, ring := range o.RingsOf(id) {
+					if len(ring) > k {
+						t.Fatalf("RingSize %d, %v: node %d ring %d holds %d members", k, sel, id, r, len(ring))
+					}
+					if len(ring) == k {
+						full++
+					}
+				}
+			}
+			if full == 0 {
+				t.Fatalf("RingSize %d, %v: no ring was ever filled", k, sel)
+			}
+		}
+	}
+}
+
+func TestSelectRingAllocs(t *testing.T) {
+	m := euclideanMatrix(400, 1)
+	members, targets := overlay.Split(400, 20, 2)
+	for _, sel := range allSelections {
+		cfg := DefaultConfig()
+		cfg.Selection = sel
+		o := New(overlay.NewNetwork(m), members, cfg, 3)
+		for _, size := range []int{40, 150} { // under and over the pool cap
+			cands := make([]ringEntry, size)
+			for i := range cands {
+				cands[i] = ringEntry{members[i+1], o.net.MaintProbe(members[0], members[i+1])}
+			}
+			o.selectRing(cands) // grow the permutation storage once
+			// The one allocation allowed is the ring itself; appended to
+			// o.rings' spare capacity it costs none.
+			if avg := testing.AllocsPerRun(20, func() {
+				o.rings = o.rings[:0]
+				o.selectRing(cands)
+			}); avg > 1 {
+				t.Errorf("%v over %d candidates: %v allocs per selection, want <= 1", sel, size, avg)
+			}
+		}
+	}
+
+	o := New(overlay.NewNetwork(m), members, DefaultConfig(), 3)
+	for _, tgt := range targets {
+		o.FindNearest(tgt) // warm the candidate scratch
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		o.FindNearest(targets[i%len(targets)])
+		i++
+	}); avg != 0 {
+		t.Errorf("FindNearest: %v allocs per query, want 0", avg)
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	bad := map[string]func(*Config){
+		"RingBase":          func(c *Config) { c.RingBase = 0 },
+		"RingMult":          func(c *Config) { c.RingMult = 1 },
+		"NumRings":          func(c *Config) { c.NumRings = 0 },
+		"RingSize":          func(c *Config) { c.RingSize = -1 },
+		"CandidatesPerNode": func(c *Config) { c.CandidatesPerNode = -1 },
+	}
+	for field, mutate := range bad {
+		cfg := DefaultConfig()
+		mutate(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("bad %s: got error %v", field, err)
+		}
+	}
+}

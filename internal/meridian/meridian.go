@@ -82,51 +82,107 @@ func DefaultConfig() Config {
 	}
 }
 
-// node is one Meridian overlay member.
-type node struct {
-	id    int
-	rings [][]int // ring index -> member node ids
-	// ringLat caches the measured latency from this node to each ring
-	// member, id -> ms (maintenance measurements).
-	ringLat map[int]float64
+// Validate reports a configuration New cannot build an overlay from, so a
+// front end can turn a bad flag into a message instead of New's panic.
+func (c Config) Validate() error {
+	switch {
+	case !(c.RingBase > 0):
+		return fmt.Errorf("meridian: RingBase %v must be positive", c.RingBase)
+	case !(c.RingMult > 1):
+		return fmt.Errorf("meridian: RingMult %v must exceed 1", c.RingMult)
+	case c.NumRings <= 0:
+		return fmt.Errorf("meridian: NumRings %d must be positive", c.NumRings)
+	case c.RingSize <= 0:
+		return fmt.Errorf("meridian: RingSize %d must be positive", c.RingSize)
+	case c.CandidatesPerNode < 0:
+		return fmt.Errorf("meridian: CandidatesPerNode %d must not be negative", c.CandidatesPerNode)
+	}
+	return nil
 }
 
-// Overlay is a Meridian overlay over a set of members.
+// ringEntry is one ring member as its owner measured it.
+type ringEntry struct {
+	id  int
+	lat float64 // owner -> id, a construction-time maintenance measurement
+}
+
+// Overlay is a Meridian overlay over a set of members. Like its rng and the
+// Network's probe counters, it serves one goroutine.
 type Overlay struct {
 	cfg     Config
 	net     *overlay.Network
 	members []int
-	nodes   map[int]*node
+	// slot maps a node id to its index in members (-1: not a member).
+	slot []int32
+	// rings holds every member's ring entries back to back: node by node in
+	// members order, ring by ring within a node. ringOff[slot*NumRings+r] is
+	// where ring r of that node starts; the next offset is where it ends.
+	rings   []ringEntry
+	ringOff []int
 	src     *rng.Source
 	// maxHops caps query forwarding as a loop backstop.
 	maxHops int
+	scratch
+}
+
+// maxSelectionPool caps the candidate pool diversity selection works over;
+// beyond this the extra pairwise probing buys nothing.
+const maxSelectionPool = 64
+
+// scratch is the working memory construction and the walk reuse, so that
+// neither allocates in steady state. The selection kernel works in pool
+// indices throughout: positions in the (at most maxSelectionPool)
+// candidates handed to it.
+type scratch struct {
+	sample []int         // fillRings: the gossip sample
+	byRing [][]ringEntry // fillRings: the sample split by ring
+	perm   []int         // permutation's storage
+	cands  []int         // findFrom: this hop's probe candidates
+	// seen[id] == gen marks a node the current query (or gossip sample)
+	// has already taken.
+	seen []uint32
+	gen  uint32
+
+	pool   [maxSelectionPool]ringEntry                  // selectRing: the capped pool
+	lat    [maxSelectionPool * maxSelectionPool]float64 // pool×pool pairwise latencies
+	basis  [maxSelectionPool * maxSelectionPool]float64 // orthonormal rows, back to back
+	origin [maxSelectionPool]float64                    // the first selected member's coordinates
+	v      [maxSelectionPool]float64                    // the candidate being scored
+	used   [maxSelectionPool]bool
+	sel    [maxSelectionPool]int // selected, in selection order
+	rest   [maxSelectionPool]int // maxMinSubset: not yet selected
 }
 
 // New builds a Meridian overlay: every member gossip-samples candidates,
 // measures them, and installs them into rings with the configured
 // membership selection. Construction probes are accounted as maintenance.
 func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
-	if cfg.RingSize <= 0 || cfg.NumRings <= 0 || cfg.RingBase <= 0 || cfg.RingMult <= 1 {
-		panic(fmt.Sprintf("meridian: invalid config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	o := &Overlay{
 		cfg:     cfg,
 		net:     net,
 		members: append([]int(nil), members...),
-		nodes:   make(map[int]*node, len(members)),
+		slot:    make([]int32, net.N()),
+		ringOff: make([]int, 0, len(members)*cfg.NumRings+1),
 		src:     rng.New(seed),
 		maxHops: 64,
+		scratch: scratch{
+			byRing: make([][]ringEntry, cfg.NumRings),
+			seen:   make([]uint32, net.N()),
+		},
 	}
-	for _, id := range members {
-		o.nodes[id] = &node{
-			id:      id,
-			rings:   make([][]int, cfg.NumRings),
-			ringLat: make(map[int]float64),
-		}
+	for i := range o.slot {
+		o.slot[i] = -1
 	}
-	for _, id := range members {
-		o.fillRings(o.nodes[id])
+	for i, id := range o.members {
+		o.slot[id] = int32(i)
 	}
+	for _, id := range o.members {
+		o.fillRings(id)
+	}
+	o.ringOff = append(o.ringOff, len(o.rings))
 	return o
 }
 
@@ -142,138 +198,143 @@ func (o *Overlay) ringIndex(ms float64) int {
 	return i
 }
 
-// fillRings populates one node's rings from a gossip sample of members.
-func (o *Overlay) fillRings(n *node) {
-	sample := o.gossipSample(n.id)
-	byRing := make([][]int, o.cfg.NumRings)
-	for _, c := range sample {
-		l := o.net.MaintProbe(n.id, c)
-		n.ringLat[c] = l
-		r := o.ringIndex(l)
-		byRing[r] = append(byRing[r], c)
+// ringOffsets returns a member's NumRings+1 offsets into o.rings: ring r is
+// o.rings[off[r]:off[r+1]].
+func (o *Overlay) ringOffsets(id int) []int {
+	s := int(o.slot[id]) * o.cfg.NumRings
+	return o.ringOff[s : s+o.cfg.NumRings+1]
+}
+
+// fillRings appends one node's rings, built from a gossip sample of
+// members, to o.rings.
+func (o *Overlay) fillRings(id int) {
+	for r := range o.byRing {
+		o.byRing[r] = o.byRing[r][:0]
 	}
-	for r, cands := range byRing {
+	for _, c := range o.gossipSample(id) {
+		l := o.net.MaintProbe(id, c)
+		r := o.ringIndex(l)
+		o.byRing[r] = append(o.byRing[r], ringEntry{c, l})
+	}
+	for _, cands := range o.byRing {
+		o.ringOff = append(o.ringOff, len(o.rings))
 		if len(cands) <= o.cfg.RingSize {
-			n.rings[r] = cands
+			o.rings = append(o.rings, cands...)
 			continue
 		}
-		n.rings[r] = o.selectRing(n, cands)
+		o.selectRing(cands)
 	}
+}
+
+// nextGen starts a fresh seen-set.
+func (o *Overlay) nextGen() uint32 {
+	o.gen++
+	if o.gen == 0 { // wrapped: stale stamps would read as seen
+		clear(o.seen)
+		o.gen = 1
+	}
+	return o.gen
 }
 
 // gossipSample returns the candidate set a node discovers. With a small
 // population the node knows everyone; with a large one it sees a uniform
 // sample, as Meridian's gossip protocol provides.
 func (o *Overlay) gossipSample(self int) []int {
+	out := o.sample[:0]
 	if len(o.members)-1 <= o.cfg.CandidatesPerNode {
-		out := make([]int, 0, len(o.members)-1)
 		for _, m := range o.members {
 			if m != self {
 				out = append(out, m)
 			}
 		}
-		return out
-	}
-	seen := make(map[int]bool, o.cfg.CandidatesPerNode)
-	out := make([]int, 0, o.cfg.CandidatesPerNode)
-	for len(out) < o.cfg.CandidatesPerNode {
-		c := o.members[o.src.Intn(len(o.members))]
-		if c == self || seen[c] {
-			continue
+	} else {
+		gen := o.nextGen()
+		for len(out) < o.cfg.CandidatesPerNode {
+			c := o.members[o.src.Intn(len(o.members))]
+			if c == self || o.seen[c] == gen {
+				continue
+			}
+			o.seen[c] = gen
+			out = append(out, c)
 		}
-		seen[c] = true
-		out = append(out, c)
 	}
+	o.sample = out
 	return out
 }
 
-// maxSelectionPool caps the candidate pool diversity selection works over;
-// beyond this the extra pairwise probing buys nothing.
-const maxSelectionPool = 64
+// permutation is o.src.Perm(n) into reused storage: the same Intn draws in
+// the same order, so the permutation and the stream position both match.
+func (o *Overlay) permutation(n int) []int {
+	if cap(o.perm) < n {
+		o.perm = make([]int, n)
+	}
+	m := o.perm[:n]
+	for i := range m {
+		j := o.src.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
 
-// selectRing trims an over-full candidate list to RingSize members.
-func (o *Overlay) selectRing(n *node, cands []int) []int {
+// selectRing trims an over-full candidate list to RingSize members and
+// appends them to o.rings.
+func (o *Overlay) selectRing(cands []ringEntry) {
 	k := o.cfg.RingSize
 	if len(cands) > maxSelectionPool {
-		perm := o.src.Perm(len(cands))
-		pool := make([]int, maxSelectionPool)
-		for i := range pool {
-			pool[i] = cands[perm[i]]
+		perm := o.permutation(len(cands))
+		for i := range o.pool {
+			o.pool[i] = cands[perm[i]]
 		}
-		cands = pool
+		cands = o.pool[:]
 	}
+	var picked []int
 	switch o.cfg.Selection {
 	case SelectRandom:
-		perm := o.src.Perm(len(cands))
-		out := make([]int, k)
-		for i := 0; i < k; i++ {
-			out[i] = cands[perm[i]]
-		}
-		return out
+		picked = o.permutation(len(cands))[:min(k, len(cands))]
 	case SelectMaxMin:
-		return o.maxMinSubset(n, cands, k)
+		picked = o.maxMinSubset(cands, k)
 	default:
-		return o.hypervolumeSubset(cands, k)
+		picked = o.hypervolumeSubset(cands, k)
+	}
+	for _, i := range picked {
+		o.rings = append(o.rings, cands[i])
 	}
 }
 
-// candCache memoises pairwise latencies among a small candidate pool with a
-// dense index (selection is quadratic in the pool, so map overhead would
-// dominate otherwise). A negative entry means "not yet measured".
-type candCache struct {
-	o     *Overlay
-	index map[int]int // node id -> pool index
-	lat   []float64   // pool×pool, -1 when unmeasured
-	n     int
-}
-
-func (o *Overlay) newCandCache(cands []int) *candCache {
-	c := &candCache{o: o, index: make(map[int]int, len(cands)), n: len(cands)}
-	for i, id := range cands {
-		c.index[id] = i
+// maxMinSubset greedily selects k of pool (as pool indices) maximising the
+// minimum pairwise latency — a k-dispersion diversity proxy for hypervolume
+// — measuring each pair it compares once, as maintenance.
+func (o *Overlay) maxMinSubset(pool []ringEntry, k int) []int {
+	n := len(pool)
+	lat := o.lat[:n*n]
+	for i := range lat {
+		lat[i] = -1 // not yet measured
 	}
-	c.lat = make([]float64, len(cands)*len(cands))
-	for i := range c.lat {
-		c.lat[i] = -1
-	}
-	return c
-}
-
-// get measures (as maintenance, once) the latency between two candidates.
-func (c *candCache) get(a, b int) float64 {
-	if a == b {
-		return 0
-	}
-	i, j := c.index[a], c.index[b]
-	if v := c.lat[i*c.n+j]; v >= 0 {
-		return v
-	}
-	v := c.o.net.MaintProbe(a, b)
-	c.lat[i*c.n+j] = v
-	c.lat[j*c.n+i] = v
-	return v
-}
-
-// maxMinSubset greedily selects k candidates maximising the minimum
-// pairwise latency (a k-dispersion diversity proxy for hypervolume).
-func (o *Overlay) maxMinSubset(n *node, cands []int, k int) []int {
-	cache := o.newCandCache(cands)
 	// Seed with the candidate farthest from the owning node.
 	best := 0
-	for i := 1; i < len(cands); i++ {
-		if n.ringLat[cands[i]] > n.ringLat[cands[best]] {
+	for i := 1; i < n; i++ {
+		if pool[i].lat > pool[best].lat {
 			best = i
 		}
 	}
-	selected := []int{cands[best]}
-	remaining := append([]int(nil), cands[:best]...)
-	remaining = append(remaining, cands[best+1:]...)
-	for len(selected) < k && len(remaining) > 0 {
+	sel, rest := append(o.sel[:0], best), o.rest[:0]
+	for i := range pool {
+		if i != best {
+			rest = append(rest, i)
+		}
+	}
+	for len(sel) < k && len(rest) > 0 {
 		bestIdx, bestScore := -1, -1.0
-		for i, c := range remaining {
+		for i, c := range rest {
 			minD := math.Inf(1)
-			for _, s := range selected {
-				if d := cache.get(c, s); d < minD {
+			for _, s := range sel {
+				d := lat[c*n+s]
+				if d < 0 {
+					d = o.net.MaintProbe(pool[c].id, pool[s].id)
+					lat[c*n+s], lat[s*n+c] = d, d
+				}
+				if d < minD {
 					minD = d
 				}
 			}
@@ -281,119 +342,111 @@ func (o *Overlay) maxMinSubset(n *node, cands []int, k int) []int {
 				bestScore, bestIdx = minD, i
 			}
 		}
-		selected = append(selected, remaining[bestIdx])
-		remaining[bestIdx] = remaining[len(remaining)-1]
-		remaining = remaining[:len(remaining)-1]
+		sel = append(sel, rest[bestIdx])
+		rest[bestIdx] = rest[len(rest)-1]
+		rest = rest[:len(rest)-1]
 	}
-	return selected
+	return sel
 }
 
-// hypervolumeSubset greedily selects k candidates spanning the largest
-// polytope. Each candidate is represented by its latency vector to the
-// already-selected members; the candidate whose vector lies farthest from
-// the affine span of the selected set (Gram–Schmidt residual) adds the most
-// volume. Under the clustering condition all residuals are nearly equal —
-// the geometric fact the paper exploits — so the choice degenerates
+// hypervolumeSubset greedily selects k of pool (as pool indices) spanning
+// the largest polytope. Each candidate is represented by its latency vector
+// to the already-selected members; the candidate whose vector lies farthest
+// from the affine span of the selected set (Gram–Schmidt residual) adds the
+// most volume. Under the clustering condition all residuals are nearly
+// equal — the geometric fact the paper exploits — so the choice degenerates
 // gracefully to arbitrary.
-func (o *Overlay) hypervolumeSubset(cands []int, k int) []int {
-	cache := o.newCandCache(cands)
+//
+// That is also why the arithmetic is pinned: which of several near-tied
+// candidates wins hangs on the last bits of the residuals, so every sum,
+// product and difference keeps the operand order of the original kernel
+// that reference_test.go preserves.
+func (o *Overlay) hypervolumeSubset(pool []ringEntry, k int) []int {
+	n := len(pool)
+	lat := o.lat[:n*n]
 
 	// Start with the farthest pair (exact farthest pair costs O(c²)
 	// probes; Meridian's gossip budget is similar, and the pool is capped).
+	// The sweep measures every pair, so everything after it is a lookup.
 	bestI, bestJ, bestD := 0, 1, -1.0
-	for i := 0; i < len(cands); i++ {
-		for j := i + 1; j < len(cands); j++ {
-			if d := cache.get(cands[i], cands[j]); d > bestD {
+	for i := 0; i < n; i++ {
+		lat[i*n+i] = 0
+		for j := i + 1; j < n; j++ {
+			d := o.net.MaintProbe(pool[i].id, pool[j].id)
+			lat[i*n+j], lat[j*n+i] = d, d
+			if d > bestD {
 				bestI, bestJ, bestD = i, j, d
 			}
 		}
 	}
-	selected := []int{cands[bestI], cands[bestJ]}
-	used := map[int]bool{cands[bestI]: true, cands[bestJ]: true}
+	used := o.used[:n]
+	clear(used)
+	sel := append(o.sel[:0], bestI)
+	used[bestI] = true
+	if k > 1 {
+		sel = append(sel, bestJ)
+		used[bestJ] = true
+	}
 
 	// Gram–Schmidt residual selection: coordinates of candidate c are its
-	// latencies to the selected members.
-	for len(selected) < k {
-		dim := len(selected)
-		// Build the selected members' own coordinate rows.
-		rows := make([][]float64, dim)
-		for i, s := range selected {
-			rows[i] = make([]float64, dim)
-			for j, s2 := range selected {
-				rows[i][j] = cache.get(s, s2)
+	// latencies to the selected members, taken relative to the first's.
+	for len(sel) < k {
+		dim := len(sel)
+		origin, v := o.origin[:dim], o.v[:dim]
+		for j, s := range sel {
+			origin[j] = lat[sel[0]*n+s]
+		}
+		// Orthonormal basis of the selected members' affine span.
+		basis := o.basis[:0]
+		for _, s := range sel[1:] {
+			b := basis[len(basis) : len(basis)+dim]
+			for j, t := range sel {
+				b[j] = lat[s*n+t] - origin[j]
+			}
+			for e := 0; e < len(basis); e += dim {
+				q := basis[e : e+dim]
+				p := dot(b, q)
+				for j := range b {
+					// The conversion rounds the product before the
+					// subtraction, as the original's intermediate
+					// slice did; without it an FMA target may fuse.
+					b[j] -= float64(q[j] * p)
+				}
+			}
+			if nrm := norm(b); nrm > 1e-9 {
+				inv := 1 / nrm
+				for j := range b {
+					b[j] *= inv
+				}
+				basis = basis[:len(basis)+dim]
 			}
 		}
-		basis := orthonormalBasis(rows)
-		bestIdx, bestRes := -1, -1.0
-		v := make([]float64, dim)
-		scratch := make([]float64, dim)
-		for _, c := range cands {
+		best, bestRes := -1, -1.0
+		for c := range pool {
 			if used[c] {
 				continue
 			}
-			for j, s := range selected {
-				v[j] = cache.get(c, s)
+			for j, s := range sel {
+				v[j] = lat[c*n+s] - origin[j]
 			}
-			res := residualNormInto(scratch, v, rows[0], basis)
-			if res > bestRes {
-				bestRes, bestIdx = res, c
+			for e := 0; e < len(basis); e += dim {
+				b := basis[e : e+dim]
+				p := dot(v, b)
+				for j := range v {
+					v[j] -= p * b[j]
+				}
+			}
+			if res := norm(v); res > bestRes {
+				bestRes, best = res, c
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			break
 		}
-		selected = append(selected, bestIdx)
-		used[bestIdx] = true
+		sel = append(sel, best)
+		used[best] = true
 	}
-	return selected
-}
-
-// orthonormalBasis builds an orthonormal basis of the affine span of rows
-// (differences against rows[0]).
-func orthonormalBasis(rows [][]float64) [][]float64 {
-	var basis [][]float64
-	for i := 1; i < len(rows); i++ {
-		v := sub(rows[i], rows[0])
-		for _, b := range basis {
-			v = sub(v, scale(b, dot(v, b)))
-		}
-		if n := norm(v); n > 1e-9 {
-			basis = append(basis, scale(v, 1/n))
-		}
-	}
-	return basis
-}
-
-// residualNormInto computes the distance of v from the affine span through
-// origin with the given orthonormal basis, using scratch (len(v)) as the
-// working buffer to stay allocation-free in the selection hot loop.
-func residualNormInto(scratch, v, origin []float64, basis [][]float64) float64 {
-	for i := range v {
-		scratch[i] = v[i] - origin[i]
-	}
-	for _, b := range basis {
-		p := dot(scratch, b)
-		for i := range scratch {
-			scratch[i] -= p * b[i]
-		}
-	}
-	return norm(scratch)
-}
-
-func sub(a, b []float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-func scale(a []float64, s float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] * s
-	}
-	return out
+	return sel
 }
 
 func dot(a, b []float64) float64 {
@@ -419,7 +472,8 @@ func (o *Overlay) FindNearest(target int) overlay.Result {
 
 func (o *Overlay) findFrom(start, target int) overlay.Result {
 	cur := start
-	visited := map[int]bool{cur: true, target: true}
+	gen := o.nextGen()
+	o.seen[cur], o.seen[target] = gen, gen
 	var probes int64
 	hops := 0
 
@@ -435,20 +489,19 @@ func (o *Overlay) findFrom(start, target int) overlay.Result {
 	}
 
 	for hops < o.maxHops {
-		n := o.nodes[cur]
 		lo, hi := (1-o.cfg.Beta)*d, (1+o.cfg.Beta)*d
 
 		// Collect ring members at about the target's distance. With no
 		// distance estimate yet (the query started at the searcher itself)
 		// every ring member is a candidate.
-		var cands []int
-		for _, ring := range n.rings {
-			for _, m := range ring {
-				if l := n.ringLat[m]; (math.IsInf(d, 1) || (l >= lo && l <= hi)) && !visited[m] {
-					cands = append(cands, m)
-				}
+		cands := o.cands[:0]
+		off := o.ringOffsets(cur)
+		for _, e := range o.rings[off[0]:off[len(off)-1]] {
+			if (math.IsInf(d, 1) || (e.lat >= lo && e.lat <= hi)) && o.seen[e.id] != gen {
+				cands = append(cands, e.id)
 			}
 		}
+		o.cands = cands
 		if len(cands) == 0 {
 			break
 		}
@@ -470,7 +523,7 @@ func (o *Overlay) findFrom(start, target int) overlay.Result {
 			break
 		}
 		cur = minID
-		visited[cur] = true
+		o.seen[cur] = gen
 		d = minLat
 		hops++
 	}
@@ -480,11 +533,27 @@ func (o *Overlay) findFrom(start, target int) overlay.Result {
 // Members returns the overlay membership (for tests and experiments).
 func (o *Overlay) Members() []int { return o.members }
 
-// RingsOf exposes a member's rings (for tests).
-func (o *Overlay) RingsOf(id int) [][]int { return o.nodes[id].rings }
+// RingsOf returns a copy of a member's rings: ring index -> member ids
+// (for tests).
+func (o *Overlay) RingsOf(id int) [][]int {
+	off := o.ringOffsets(id)
+	rings := make([][]int, o.cfg.NumRings)
+	for r := range rings {
+		for _, e := range o.rings[off[r]:off[r+1]] {
+			rings[r] = append(rings[r], e.id)
+		}
+	}
+	return rings
+}
 
-// RingLatOf exposes a member's measured latency to a ring member (tests).
+// RingLatOf returns the latency a member measured to one of its ring
+// members (for tests).
 func (o *Overlay) RingLatOf(id, member int) (float64, bool) {
-	l, ok := o.nodes[id].ringLat[member]
-	return l, ok
+	off := o.ringOffsets(id)
+	for _, e := range o.rings[off[0]:off[len(off)-1]] {
+		if e.id == member {
+			return e.lat, true
+		}
+	}
+	return 0, false
 }
