@@ -47,7 +47,7 @@ func main() {
 	ringSize := flag.Int("ring", 16, "Meridian nodes per ring")
 	noise := flag.Float64("noise", 0, "probe jitter fraction (0 = noiseless, as in the paper's simulations)")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	runtime := flag.Bool("runtime", false, "run over the internal/p2p message runtime (meridian, ucl, ipprefix, chord)")
+	runtime := flag.Bool("runtime", false, "run over the internal/p2p message runtime (any registry scheme; see -algo)")
 	loss := flag.Float64("loss", 0, "one-way packet loss probability (requires -runtime)")
 	churn := flag.Bool("churn", false, "drive membership churn during queries (requires -runtime)")
 	scaleN := flag.Int("scale", 0, "run the s1 scale study at this host population (all three algorithms) and exit")

@@ -152,16 +152,16 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 		q++
 		tgt := targets[src.Intn(len(targets))]
 		oracle := overlay.TrueNearest(m, tgt, mer.LiveMembers())
-		mer.FindNearest(p2p.NodeID(tgt), p2p.NodeID(tgt), func(res p2p.QueryResult) {
-			probes += res.Probes
-			if res.Completed && res.Peer >= 0 {
+		mer.FindNearest(p2p.NodeID(tgt), p2p.NodeID(tgt), func(res p2p.FindResult) {
+			probes += int64(res.Probes)
+			if res.Found {
 				done++
 				hops += int64(res.Hops)
 				elapsedMs += float64(res.Elapsed) / float64(time.Millisecond)
-				if res.Peer == oracle.Peer {
+				if int(res.Peer) == oracle.Peer {
 					exact++
 				}
-				if gt != nil && gt.SameCluster(res.Peer, tgt) {
+				if gt != nil && gt.SameCluster(int(res.Peer), tgt) {
 					inCluster++
 				}
 			}

@@ -7,15 +7,11 @@ import (
 
 	"nearestpeer/internal/engine"
 	"nearestpeer/internal/faults"
-	"nearestpeer/internal/ipprefix"
-	"nearestpeer/internal/latency"
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/p2p"
-	"nearestpeer/internal/rng"
 	"nearestpeer/internal/sim"
-	"nearestpeer/internal/ucl"
 )
 
 // This file re-measures the Section 5 mitigation claims with the network in
@@ -173,7 +169,7 @@ type MitigationRow struct {
 func MitigationPeers(env *Env, n int) []netmodel.HostID {
 	peers := env.ResponsivePeers()
 	if len(peers) > n {
-		peers = peers[:n]
+		peers = peers[:max(n, 0)]
 	}
 	return peers
 }
@@ -191,7 +187,7 @@ func mitigationParams(s Scale) (peers, queries int) {
 // against the true nearest peer. Probes draw from the environment's shared
 // toolkit; see runStaticMitigationTools for a caller-supplied one. An
 // unknown scheme (or one with no static leg) returns an error naming the
-// registry's roster.
+// registry's roster; so do fewer than 2 peers or fewer than 1 query.
 func RunStaticMitigation(env *Env, scheme string, peers []netmodel.HostID, queries int, seed int64) (MitigationRow, error) {
 	return runStaticMitigationTools(env, env.Tools, scheme, peers, queries, seed)
 }
@@ -207,114 +203,101 @@ func runStaticMitigationTools(env *Env, tools *measure.Tools, scheme string, pee
 	if s.Static == nil {
 		return MitigationRow{}, fmt.Errorf("experiments: scheme %q has no static leg", scheme)
 	}
-	return s.Static(env, tools, peers, queries, seed), nil
-}
-
-// staticUCLMitigation is the ucl scheme's registry Static leg.
-func staticUCLMitigation(env *Env, tools *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-	return runStaticHintMitigation(env, tools, "ucl", peers, queries, seed,
-		func(tools *measure.Tools, addrs []string) hintStatic {
-			sys := ucl.New(tools, addrs, env.VantageHosts(), ucl.DefaultConfig())
-			for _, p := range peers {
-				sys.Join(p)
-			}
-			return hintStatic{
-				find: func(p netmodel.HostID) (bool, netmodel.HostID, int, int) {
-					r := sys.FindNearest(p)
-					return r.Peer >= 0, r.Peer, r.Probes, r.Lookups
-				},
-				hops: func() int64 { return sys.Ring().Hops },
-			}
-		})
-}
-
-// staticIPPrefixMitigation is the ipprefix scheme's registry Static leg.
-func staticIPPrefixMitigation(env *Env, tools *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-	return runStaticHintMitigation(env, tools, "ipprefix", peers, queries, seed,
-		func(tools *measure.Tools, addrs []string) hintStatic {
-			sys := ipprefix.New(tools, addrs, ipprefix.DefaultConfig())
-			for _, p := range peers {
-				sys.Join(p)
-			}
-			return hintStatic{
-				find: func(p netmodel.HostID) (bool, netmodel.HostID, int, int) {
-					r := sys.FindNearest(p)
-					return r.Peer >= 0, r.Peer, r.Probes, r.Lookups
-				},
-				hops: func() int64 { return sys.Ring().Hops },
-			}
-		})
-}
-
-// hintStatic is what a hint scheme's static setup returns: run one query;
-// read the ring's cumulative hop counter.
-type hintStatic struct {
-	find func(p netmodel.HostID) (found bool, peer netmodel.HostID, probes, lookups int)
-	hops func() int64
-}
-
-// runStaticHintMitigation is the shared static harness of the DHT hint
-// schemes: setup builds the scheme over the peers' addresses, then one
-// probe-counting query per draw, scored against the close-peer threshold.
-func runStaticHintMitigation(env *Env, tools *measure.Tools, scheme string, peers []netmodel.HostID, queries int, seed int64,
-	setup func(tools *measure.Tools, addrs []string) hintStatic) MitigationRow {
-	addrs := make([]string, len(peers))
-	for i, p := range peers {
-		addrs[i] = env.Top.Host(p).IP.String()
+	if err := validateMitigation(peers, queries); err != nil {
+		return MitigationRow{}, err
 	}
-	row := MitigationRow{Found: 0}
-	hs := setup(tools, addrs)
-	find, hops := hs.find, hs.hops
+	return runStaticFinderMitigation(env, tools, scheme, peers, queries, seed, s.Static), nil
+}
 
-	src := rng.New(seed + 3)
-	hopsAtStart := hops()
-	found, near, nearDenom := 0, 0, 0
-	var probes, lookups int64
-	var foundMs float64
-	alive := func(netmodel.HostID) bool { return true }
-	for q := 0; q < queries; q++ {
-		target := peers[src.Intn(len(peers))]
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		ok, peer, p, l := find(target)
-		probes += int64(p)
-		lookups += int64(l)
-		if ok {
-			found++
-			trueMs := env.Top.RTTms(target, peer)
-			foundMs += trueMs
-			if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-				near++
-			}
+// validateMitigation rejects the populations and query counts the c2
+// harnesses cannot score: a query needs somebody else to find, and a row is
+// a mean over at least one query.
+func validateMitigation(peers []netmodel.HostID, queries int) error {
+	if len(peers) < 2 {
+		return fmt.Errorf("experiments: a mitigation run needs at least 2 peers, got %d", len(peers))
+	}
+	if queries < 1 {
+		return fmt.Errorf("experiments: a mitigation run needs at least 1 query, got %d", queries)
+	}
+	return nil
+}
+
+// mitigationScorer is the one scorer of the c2 methodology, shared by the
+// static and the wire harness: per query it takes the oracle at issue time
+// and the scheme's FindResult at completion, and it renders the means of a
+// MitigationRow. rttMs is the true-RTT oracle (Env.Top.RTTms); peers maps a
+// result's node id back to its host.
+type mitigationScorer struct {
+	rttMs func(a, b netmodel.HostID) float64
+	peers []netmodel.HostID
+
+	found, near, nearDenom             int
+	foundMs                            float64
+	probes, dead, lookups, hops, fails int64
+}
+
+// issue records a query at issue time: it joins p(near)'s denominator iff a
+// live peer under the threshold existed then — whether or not the query
+// ever completes.
+func (s *mitigationScorer) issue(oracleMs float64) {
+	if oracleMs <= mitigationNearMs {
+		s.nearDenom++
+	}
+}
+
+// result scores one completed query from member target against the
+// oracleMs its issue saw. A found peer counts as near only when the oracle was near too:
+// a peer that came up close after issue is luck, not the scheme's doing.
+func (s *mitigationScorer) result(target int, oracleMs float64, r p2p.FindResult) {
+	s.probes += int64(r.Probes)
+	s.dead += int64(r.DeadProbes)
+	s.lookups += int64(r.RPCs)
+	s.hops += int64(r.Hops)
+	s.fails += int64(r.RPCFails)
+	if r.Found {
+		s.found++
+		trueMs := s.rttMs(s.peers[target], s.peers[r.Peer])
+		s.foundMs += trueMs
+		if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
+			s.near++
 		}
 	}
-	n := float64(queries)
-	row.Name = scheme + " static (function calls)"
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
+}
+
+// row renders the scores over the queries actually issued (a wire watchdog
+// may cut the stream short; the unissued remainder must not be scored as
+// failures) and queryMsgs wire messages sent while they ran. Zero issued
+// normalises by 1.
+func (s *mitigationScorer) row(issued int, queryMsgs int64) MitigationRow {
+	n := float64(max(issued, 1))
+	row := MitigationRow{
+		Found:       float64(s.found) / n,
+		NearDenom:   s.nearDenom,
+		MeanProbes:  float64(s.probes) / n,
+		DeadProbes:  s.dead,
+		MeanLookups: float64(s.lookups) / n,
+		MeanHops:    float64(s.hops) / n,
+		LookupFails: s.fails,
+		MeanMsgs:    float64(queryMsgs) / n,
 	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
+	if s.nearDenom > 0 {
+		row.PNear = float64(s.near) / float64(s.nearDenom)
 	}
-	row.MeanProbes = float64(probes) / n
-	row.MeanLookups = float64(lookups) / n
-	row.MeanHops = float64(hops()-hopsAtStart) / n
+	if s.found > 0 {
+		row.MeanFoundMs = s.foundMs / float64(s.found)
+	}
 	return row
 }
 
 // nearestLivePeerMs returns the true RTT to the nearest live peer other
 // than target (the oracle a query is scored against).
-func nearestLivePeerMs(env *Env, peers []netmodel.HostID, target netmodel.HostID, alive func(netmodel.HostID) bool) float64 {
+func nearestLivePeerMs(env *Env, peers []netmodel.HostID, target int, alive func(i int) bool) float64 {
 	best := -1.0
-	for _, p := range peers {
-		if p == target || !alive(p) {
+	for i, p := range peers {
+		if i == target || !alive(i) {
 			continue
 		}
-		if d := env.Top.RTTms(target, p); best < 0 || d < best {
+		if d := env.Top.RTTms(peers[target], p); best < 0 || d < best {
 			best = d
 		}
 	}
@@ -326,12 +309,12 @@ func nearestLivePeerMs(env *Env, peers []netmodel.HostID, target netmodel.HostID
 
 // RunWireMitigation stands a scheme up over the message runtime and runs
 // sequential queries in virtual time under the asked-for loss and churn.
-// Dispatch goes through the scheme registry: the hint schemes publish over
-// a Chord ring of all peers, vivaldi gossips coordinates, the wired
-// finders (guyton, beaconing, tiers, pic, tapestry, azureus, kargerruhl,
-// rendezvous) drive their probes and control RPCs through the shared
-// FindResult harness. An unknown scheme (or one with no wire deployment)
-// returns an error naming the registry's roster.
+// Dispatch goes through the scheme registry: every scheme's deployment —
+// hint publishing over a Chord ring of all peers, coordinate gossip, the
+// wired finders' probes and control RPCs — runs through the one wire
+// harness. An unknown scheme (or one with no wire deployment) returns an
+// error naming the registry's roster; so do fewer than 2 peers or fewer
+// than 1 query.
 func RunWireMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts) (MitigationRow, error) {
 	s, err := schemeFor(opts.Scheme)
 	if err != nil {
@@ -340,215 +323,10 @@ func RunWireMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts) (
 	if s.Wire == nil {
 		return MitigationRow{}, fmt.Errorf("experiments: scheme %q has no wire deployment", opts.Scheme)
 	}
-	return s.Wire(env, peers, opts), nil
-}
-
-// wireUCLMitigation is the ucl scheme's registry Wire leg.
-func wireUCLMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-	return runWireHintMitigation(env, peers, opts,
-		func(tools *measure.Tools, chord *p2p.Chord) hintWire {
-			w := ucl.NewWire(tools, chord, peers, env.VantageHosts(), ucl.DefaultConfig())
-			return hintWire{
-				publish: func(h netmodel.HostID, done func()) {
-					w.Publish(h, func(int) {
-						if done != nil {
-							done()
-						}
-					})
-				},
-				find: func(h netmodel.HostID, done func(hintFindScore)) {
-					w.FindNearest(h, func(r ucl.WireResult) {
-						done(hintFindScore{r.Found, r.Peer, r.Probes, r.DeadProbes, r.Lookups, r.Hops, r.LookupFails})
-					})
-				},
-			}
-		})
-}
-
-// wireIPPrefixMitigation is the ipprefix scheme's registry Wire leg.
-func wireIPPrefixMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-	return runWireHintMitigation(env, peers, opts,
-		func(tools *measure.Tools, chord *p2p.Chord) hintWire {
-			w := ipprefix.NewWire(tools, chord, peers, ipprefix.DefaultConfig())
-			return hintWire{
-				publish: func(h netmodel.HostID, done func()) {
-					w.Publish(h, func(bool) {
-						if done != nil {
-							done()
-						}
-					})
-				},
-				find: func(h netmodel.HostID, done func(hintFindScore)) {
-					w.FindNearest(h, func(r ipprefix.WireResult) {
-						done(hintFindScore{r.Found, r.Peer, r.Probes, r.DeadProbes, r.Lookups, r.Hops, r.LookupFails})
-					})
-				},
-			}
-		})
-}
-
-// hintFindScore is one hint-scheme wire query's outcome — the shared shape
-// of ucl.WireResult and ipprefix.WireResult.
-type hintFindScore struct {
-	found                              bool
-	peer                               netmodel.HostID
-	probes, dead, lookups, hops, fails int
-}
-
-// hintWire is what a hint scheme's wire setup returns: publish one peer's
-// hints; run one query.
-type hintWire struct {
-	publish func(h netmodel.HostID, done func())
-	find    func(h netmodel.HostID, done func(hintFindScore))
-}
-
-// runWireHintMitigation is the shared wire harness of the DHT hint
-// schemes: a Chord ring of all peers, hint publishing as wire Puts, then
-// sequential queries in virtual time — under the asked-for loss and churn.
-// Peers that churn back in republish their hints (soft state); hints of
-// departed peers stay behind and cost dead probes.
-func runWireHintMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts,
-	setup func(tools *measure.Tools, chord *p2p.Chord) hintWire) MitigationRow {
-	if opts.Horizon <= 0 {
-		opts.Horizon = 2 * time.Hour
+	if err := validateMitigation(peers, opts.Queries); err != nil {
+		return MitigationRow{}, err
 	}
-	tools := opts.Tools
-	if tools == nil {
-		tools = env.Tools
-	}
-	kernel := sim.New()
-	// The run owns its matrix, so the RTT cache is private to this kernel;
-	// chord stabilize re-prices the same successor pairs every round and
-	// hits it almost always.
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: opts.Loss}, opts.Seed)
-	if opts.Recorder != nil {
-		rt.AttachRecorder(opts.Recorder)
-	}
-	if opts.Faults != nil {
-		p2p.NewFaultTransport(rt, opts.Faults)
-	}
-	ccfg := p2p.DefaultChordConfig()
-	ccfg.Horizon = opts.Horizon
-	chord := p2p.NewChord(rt, ccfg, opts.Seed+1)
-
-	// Scheme adapters: publish one peer's hints; run one query.
-	hw := setup(tools, chord)
-	publish, find := hw.publish, hw.find
-
-	index := make(map[netmodel.HostID]p2p.NodeID, len(peers))
-	ids := make([]p2p.NodeID, len(peers))
-	for i, h := range peers {
-		index[h] = p2p.NodeID(i)
-		ids[i] = p2p.NodeID(i)
-	}
-	joinEnd := chordJoinRamp(kernel, chord, ids, 0)
-
-	var churn *p2p.Churn
-	if opts.Churn {
-		ccfg := opts.ChurnCfg
-		if ccfg.MeanSession == 0 {
-			ccfg = experimentChurnConfig()
-		}
-		ccfg.Horizon = opts.Horizon
-		churn = p2p.NewChurn(rt, ccfg, opts.Seed+2)
-		churn.OnLeave = func(id p2p.NodeID, graceful bool) { chord.Leave(id, graceful) }
-		churn.OnJoin = func(id p2p.NodeID) {
-			chord.Join(id)
-			publish(peers[int(id)], nil) // soft state: republish on rejoin
-		}
-	}
-
-	row := MitigationRow{}
-	src := rng.New(opts.Seed + 3)
-	alive := func(h netmodel.HostID) bool { return rt.Alive(index[h]) }
-	var pubMsgsStart, queryMsgsStart int64
-	found, near, nearDenom := 0, 0, 0
-	var probes, dead, lookups, hops, fails int64
-	var foundMs float64
-
-	startSeq, issued := sequenceOps(kernel, opts.Queries, func(_ int, _ func() bool, complete func(apply func())) {
-		target := peers[src.Intn(len(peers))]
-		for tries := 0; tries < 20 && !alive(target); tries++ {
-			target = peers[src.Intn(len(peers))]
-		}
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		find(target, func(r hintFindScore) {
-			complete(func() {
-				probes += int64(r.probes)
-				dead += int64(r.dead)
-				lookups += int64(r.lookups)
-				hops += int64(r.hops)
-				fails += int64(r.fails)
-				if r.found {
-					found++
-					trueMs := env.Top.RTTms(target, r.peer)
-					foundMs += trueMs
-					if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-						near++
-					}
-				}
-			})
-		})
-	})
-
-	startQueries := func() {
-		queryMsgsStart = rt.Metrics.MsgsSent
-		startSeq()
-	}
-	afterPublish := func() {
-		row.PubMsgsPerPeer = float64(rt.Metrics.MsgsSent-pubMsgsStart) / float64(len(peers))
-		if churn != nil {
-			churn.Drive(ids)
-			// Let the membership process bite before measuring queries.
-			kernel.After(30*time.Second, startQueries)
-			return
-		}
-		startQueries()
-	}
-	kernel.At(joinEnd+chordSettle, func() {
-		pubMsgsStart = rt.Metrics.MsgsSent
-		var pub func(i int)
-		pub = func(i int) {
-			if i >= len(peers) {
-				afterPublish()
-				return
-			}
-			publish(peers[i], func() { pub(i + 1) })
-		}
-		pub(0)
-	})
-	kernel.At(opts.Horizon, kernel.Stop) // watchdog against a stalled chain
-	kernel.Run()
-
-	// Normalise by the queries actually issued: if the watchdog fired
-	// first, the unissued remainder must not be scored as failures.
-	n := float64(*issued)
-	if *issued == 0 {
-		n = 1
-	}
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanProbes = float64(probes) / n
-	row.DeadProbes = dead
-	row.MeanLookups = float64(lookups) / n
-	row.MeanHops = float64(hops) / n
-	row.LookupFails = fails
-	row.MeanMsgs = float64(rt.Metrics.MsgsSent-queryMsgsStart) / n
-	row.Timeouts = rt.Metrics.Timeouts
-	if churn != nil {
-		row.Leaves, row.Joins = churn.Leaves, churn.Joins
-	}
-	return row
+	return runWireFinderMitigation(env, peers, opts, s.Wire), nil
 }
 
 // MitigationStudyResult compares static and message-level hint schemes

@@ -9,6 +9,7 @@ import (
 	"nearestpeer/internal/azureus"
 	"nearestpeer/internal/beacon"
 	"nearestpeer/internal/dht"
+	"nearestpeer/internal/ipprefix"
 	"nearestpeer/internal/kargerruhl"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/measure"
@@ -22,6 +23,7 @@ import (
 	"nearestpeer/internal/sim"
 	"nearestpeer/internal/tapestry"
 	"nearestpeer/internal/tiers"
+	"nearestpeer/internal/ucl"
 	"nearestpeer/internal/vivaldi"
 )
 
@@ -37,12 +39,13 @@ import (
 // Scheme is one registered nearest-peer scheme: a bundle of study legs,
 // any of which may be nil when the scheme does not support that study.
 type Scheme struct {
-	// Static runs the function-call baseline through the c2 methodology
-	// (one row: probes and hops priced, no wire).
-	Static func(env *Env, tools *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow
-	// Wire runs the message-level deployment through the c2 methodology
-	// (one row: real RPCs over p2p.Runtime under loss/churn/faults).
-	Wire func(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow
+	// Static builds the function-call baseline for the c2 static harness
+	// (runStaticFinderMitigation): the returned closure answers one query
+	// from member idx, probes and hops priced, no wire.
+	Static func(c *schemeCtx) func(idx int) p2p.FindResult
+	// Wire builds the message-level deployment for the c2 wire harness
+	// (runWireFinderMitigation): real RPCs over rt under loss/churn/faults.
+	Wire func(c *schemeCtx, rt *p2p.Runtime) wireDeployment
 	// Lookup stands the scheme up for the cadenced lookup studies (r1/o1):
 	// bring-up on the cell's runtime, returning the query entry point.
 	Lookup func(le *lookupEnv) lookupSetup
@@ -128,8 +131,8 @@ func meridianLookup(le *lookupEnv) lookupSetup {
 		onJoin:     func(id p2p.NodeID) { mer.Join(id) },
 		issue: func(op int, done func(bool, int)) int {
 			tgt := p2p.NodeID(le.targets[le.src.Intn(len(le.targets))])
-			mer.FindNearest(tgt, tgt, func(res p2p.QueryResult) {
-				done(res.Completed && res.Peer >= 0, res.Peer)
+			mer.FindNearest(tgt, tgt, func(res p2p.FindResult) {
+				done(res.Found, int(res.Peer))
 			})
 			return int(tgt)
 		},
@@ -175,7 +178,7 @@ func vivaldiLookup(le *lookupEnv) lookupSetup {
 		onJoin:     func(id p2p.NodeID) { w.Join(id) },
 		issue: func(op int, done func(bool, int)) int {
 			tgt := p2p.NodeID(le.targets[le.src.Intn(len(le.targets))])
-			w.FindNearest(tgt, func(r vivaldi.WireResult) {
+			w.FindNearest(tgt, func(r p2p.FindResult) {
 				done(r.Found, int(r.Peer))
 			})
 			return int(tgt)
@@ -183,96 +186,166 @@ func vivaldiLookup(le *lookupEnv) lookupSetup {
 	}
 }
 
-// runStaticFinderMitigation runs an overlay.Finder scheme's function-call
-// baseline through the c2 methodology: the finder is built over the
-// mitigation peers in matrix-index space (member i is peers[i]), one query
-// per draw, scored against the close-peer threshold. build receives the
-// row's base seed and must derive its own sub-seeds exactly as the
-// scheme's Wire leg does, so the two legs share structure at 0% loss.
-func runStaticFinderMitigation(env *Env, name string, peers []netmodel.HostID, queries int, seed int64,
-	build func(net *overlay.Network, members []int, seed int64) overlay.Finder) MitigationRow {
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	net := overlay.NewNetwork(m)
+// schemeCtx is what the two c2 harnesses hand a scheme's Static and Wire
+// constructors: the peer population in matrix-index space (member i, node
+// id i, is peers[i]) and the row's seeds. Both legs of a scheme build from
+// the same context fields, so they share structure and draws at 0% loss.
+type schemeCtx struct {
+	env   *Env
+	peers []netmodel.HostID
+	// m is the peers' latency matrix, net the noiseless probe-counting
+	// overlay over it, members the identity index list 0..len(peers)-1.
+	m       latency.Matrix
+	net     *overlay.Network
+	members []int
+	// tools is the measurement toolkit the hint schemes draw probe noise
+	// from.
+	tools *measure.Tools
+	// seed is the row's base seed: the harnesses keep seed (runtime), +2
+	// (churn) and +3 (query draws); constructors derive +1 (protocol).
+	seed int64
+	// horizon caps the wire run's virtual time (0 on the static leg).
+	horizon time.Duration
+}
+
+func newSchemeCtx(env *Env, tools *measure.Tools, peers []netmodel.HostID, m latency.Matrix, seed int64, horizon time.Duration) *schemeCtx {
 	members := make([]int, len(peers))
 	for i := range peers {
 		members[i] = i
 	}
-	f := build(net, members, seed)
+	return &schemeCtx{env: env, peers: peers, m: m, net: overlay.NewNetwork(m), members: members,
+		tools: tools, seed: seed, horizon: horizon}
+}
+
+// addrs returns the peers' IP addresses, the node names of a static
+// dht.Ring.
+func (c *schemeCtx) addrs() []string {
+	addrs := make([]string, len(c.peers))
+	for i, p := range c.peers {
+		addrs[i] = c.env.Top.Host(p).IP.String()
+	}
+	return addrs
+}
+
+// runStaticFinderMitigation is the one static harness of the c2
+// methodology: build constructs the scheme's function-call baseline over
+// the mitigation peers, then one query per draw, scored against the
+// close-peer threshold by the shared scorer. build must derive its
+// sub-seeds from the context exactly as the scheme's Wire leg does, so the
+// two legs share structure at 0% loss.
+func runStaticFinderMitigation(env *Env, tools *measure.Tools, name string, peers []netmodel.HostID, queries int, seed int64,
+	build func(c *schemeCtx) func(idx int) p2p.FindResult) MitigationRow {
+	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
+	find := build(newSchemeCtx(env, tools, peers, m, seed, 0))
 	src := rng.New(seed + 3)
-	alive := func(netmodel.HostID) bool { return true }
-	row := MitigationRow{Name: name + " static (function calls)"}
-	found, near, nearDenom := 0, 0, 0
-	var probes, hops int64
-	var foundMs float64
+	alive := func(int) bool { return true }
+	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}
 	for q := 0; q < queries; q++ {
 		idx := src.Intn(len(peers))
-		target := peers[idx]
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		res := f.FindNearest(idx)
-		probes += res.Probes
-		hops += int64(res.Hops)
-		if res.Peer >= 0 {
-			found++
-			trueMs := env.Top.RTTms(target, peers[res.Peer])
-			foundMs += trueMs
-			if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-				near++
-			}
-		}
+		oracleMs := nearestLivePeerMs(env, peers, idx, alive)
+		sc.issue(oracleMs)
+		sc.result(idx, oracleMs, find(idx))
 	}
-	n := float64(queries)
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanProbes = float64(probes) / n
-	row.MeanHops = float64(hops) / n
+	row := sc.row(queries, 0)
+	row.Name = name + " static (function calls)"
 	return row
 }
 
-// wireFinderBringup is when the shared wire harness runs a deployment's
-// registration chain and starts queries: joins all land at t=0 and their
-// traffic drains within virtual seconds.
+// staticFinder adapts an overlay.Finder built over the context's members to
+// the static harness's per-query closure.
+func staticFinder(f overlay.Finder) func(idx int) p2p.FindResult {
+	return func(idx int) p2p.FindResult {
+		res := f.FindNearest(idx)
+		return p2p.FindResult{Peer: p2p.NodeID(res.Peer), RTTms: res.LatencyMs, Found: res.Peer >= 0,
+			Probes: int(res.Probes), Hops: res.Hops}
+	}
+}
+
+// staticHintFind adapts a static DHT hint system (ucl.System,
+// ipprefix.System) to the static harness: find runs one query for a host,
+// and the ring's hop counter is read around it, so the per-query deltas sum
+// to the ring's whole query-phase bill.
+func staticHintFind(c *schemeCtx, ring *dht.Ring, find func(p netmodel.HostID) (peer netmodel.HostID, probes, lookups int)) func(idx int) p2p.FindResult {
+	index := make(map[netmodel.HostID]p2p.NodeID, len(c.peers))
+	for i, p := range c.peers {
+		index[p] = p2p.NodeID(i)
+	}
+	return func(idx int) p2p.FindResult {
+		hops := ring.Hops
+		peer, probes, lookups := find(c.peers[idx])
+		r := p2p.FindResult{Peer: p2p.NoNode, Probes: probes, RPCs: lookups, Hops: int(ring.Hops - hops)}
+		if peer >= 0 {
+			r.Peer, r.Found = index[peer], true
+		}
+		return r
+	}
+}
+
+// wireFinderBringup is when the wire harness runs a deployment's
+// registration chain and starts queries unless the deployment sets its own
+// mark: joins all land at t=0 and their traffic drains within virtual
+// seconds.
 const wireFinderBringup = time.Minute
 
-// wireDeployment is what a scheme's deploy step hands the shared wire
+// wireDeployment is what a scheme's Wire constructor hands the wire
 // harness.
 type wireDeployment struct {
-	// join brings one member up (required); rejoin handles churn re-entry
-	// (nil: join again); leave handles churn exit (nil: no protocol exit —
-	// the member's soft state goes stale, as real directories do).
+	// join brings one member up (required). The harness calls it for every
+	// member in id order at t=0; a deployment that staggers its joins
+	// schedules them from here. rejoin handles churn re-entry (nil: join
+	// again); leave handles churn exit (nil: no protocol exit — the
+	// member's soft state goes stale, as real directories do).
 	join   func(id p2p.NodeID)
 	rejoin func(id p2p.NodeID)
 	leave  func(id p2p.NodeID, graceful bool)
+	// mark is the virtual time bring-up ends: the registration chain runs
+	// there, then churn starts and queries begin (0: wireFinderBringup).
+	mark time.Duration
 	// bringup runs the post-join registration chain (directory Registers,
-	// tracker announces, ...) and must call done exactly once; nil when the
-	// scheme has no standing state beyond its handlers.
+	// tracker announces, hint publishes, ...) and must call done exactly
+	// once; nil when the scheme has no standing state beyond what its joins
+	// and timers build by the mark.
 	bringup func(done func())
 	// find runs one nearest-peer query from a member.
 	find func(client p2p.NodeID, done func(p2p.FindResult))
 }
 
-// runWireFinderMitigation is the shared c2 wire harness for the
-// FindResult-reporting scheme deployments: join everyone at t=0, run the
-// registration chain at the bring-up mark, bill the standing state to the
-// publish column, then the sequential query stream — queries issued by the
-// peers themselves — under the asked-for loss, churn and faults. The
-// deploy builds the scheme's base structure from opts.Seed exactly as the
-// static leg does, so the 0%-loss wire row mirrors the static row's
-// structure and draws.
+// sequentialChain runs step(0), step(1), ... step(n-1), each starting when
+// the previous one calls next, then done — the shape of every registration
+// chain (one publisher at a time, so the bill is contention-free).
+func sequentialChain(n int, step func(i int, next func()), done func()) {
+	var run func(i int)
+	run = func(i int) {
+		if i >= n {
+			done()
+			return
+		}
+		step(i, func() { run(i + 1) })
+	}
+	run(0)
+}
+
+// runWireFinderMitigation is the one wire harness of the c2 methodology:
+// deploy builds the scheme over the runtime, everyone joins at t=0, the
+// registration chain runs at the bring-up mark and the standing state is
+// billed to the publish column, then the sequential query stream — queries
+// issued by the peers themselves — runs under the asked-for loss, churn and
+// faults, scored by the shared scorer. The deploy builds the scheme's base
+// structure from the context exactly as the static leg does, so the
+// 0%-loss wire row mirrors the static row's structure and draws.
 func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts,
-	deploy func(rt *p2p.Runtime, net *overlay.Network, members []int, opts MitigationOpts) wireDeployment) MitigationRow {
+	deploy func(c *schemeCtx, rt *p2p.Runtime) wireDeployment) MitigationRow {
 	if opts.Horizon <= 0 {
 		opts.Horizon = 2 * time.Hour
 	}
+	tools := opts.Tools
+	if tools == nil {
+		tools = env.Tools
+	}
 	kernel := sim.New()
+	// The run owns its matrix, so the RTT cache is private to this kernel;
+	// chord stabilize re-prices the same successor pairs every round and
+	// hits it almost always.
 	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
 	rt := p2p.New(kernel, m, p2p.Config{LossProb: opts.Loss}, opts.Seed)
 	if opts.Recorder != nil {
@@ -281,21 +354,12 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	if opts.Faults != nil {
 		p2p.NewFaultTransport(rt, opts.Faults)
 	}
-	// The deployment's base structure is built over a noiseless overlay of
-	// the same matrix — the identical build the static leg runs.
-	net := overlay.NewNetwork(m)
-	members := make([]int, len(peers))
-	for i := range peers {
-		members[i] = i
-	}
-	d := deploy(rt, net, members, opts)
+	d := deploy(newSchemeCtx(env, tools, peers, m, opts.Seed, opts.Horizon), rt)
 
-	index := make(map[netmodel.HostID]p2p.NodeID, len(peers))
 	ids := make([]p2p.NodeID, len(peers))
 	for i := range peers {
-		index[peers[i]] = p2p.NodeID(i)
 		ids[i] = p2p.NodeID(i)
-		d.join(p2p.NodeID(i))
+		d.join(ids[i])
 	}
 
 	var churn *p2p.Churn
@@ -313,39 +377,21 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 		}
 	}
 
-	row := MitigationRow{}
 	src := rng.New(opts.Seed + 3)
-	alive := func(h netmodel.HostID) bool { return rt.Alive(index[h]) }
-	found, near, nearDenom := 0, 0, 0
-	var probes, dead, hops, lookups, fails int64
-	var foundMs float64
+	alive := func(i int) bool { return rt.Alive(ids[i]) }
+	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}
+	var pubMsgsPerPeer float64
 	var queryMsgsStart int64
 
 	startSeq, issued := sequenceOps(kernel, opts.Queries, func(_ int, _ func() bool, complete func(apply func())) {
-		target := peers[src.Intn(len(peers))]
+		target := src.Intn(len(peers))
 		for tries := 0; tries < 20 && !alive(target); tries++ {
-			target = peers[src.Intn(len(peers))]
+			target = src.Intn(len(peers))
 		}
 		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		d.find(index[target], func(r p2p.FindResult) {
-			complete(func() {
-				probes += int64(r.Probes)
-				dead += int64(r.DeadProbes)
-				hops += int64(r.Hops)
-				lookups += int64(r.RPCs)
-				fails += int64(r.RPCFails)
-				if r.Found {
-					found++
-					trueMs := env.Top.RTTms(target, peers[int(r.Peer)])
-					foundMs += trueMs
-					if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-						near++
-					}
-				}
-			})
+		sc.issue(oracleMs)
+		d.find(ids[target], func(r p2p.FindResult) {
+			complete(func() { sc.result(target, oracleMs, r) })
 		})
 	})
 
@@ -353,11 +399,19 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 		queryMsgsStart = rt.Metrics.MsgsSent
 		startSeq()
 	}
-	kernel.At(wireFinderBringup, func() {
+	mark := d.mark
+	if mark == 0 {
+		mark = wireFinderBringup
+	}
+	kernel.At(mark, func() {
+		// The publish column bills the scheme's standing state. With a
+		// registration chain that is the chain's traffic (what ran before
+		// the mark — a hint scheme's ring joins — is the substrate's);
+		// without one it is everything sent since t=0, the joins and
+		// whatever the scheme's timers built by the mark.
+		var pubMsgsStart int64
 		afterBringup := func() {
-			// Everything sent so far is the scheme's standing-state bill:
-			// registrations and whatever bring-up cost the runtime charged.
-			row.PubMsgsPerPeer = float64(rt.Metrics.MsgsSent) / float64(len(peers))
+			pubMsgsPerPeer = float64(rt.Metrics.MsgsSent-pubMsgsStart) / float64(len(peers))
 			if churn != nil {
 				churn.Drive(ids)
 				// Let the membership process bite before measuring queries.
@@ -367,6 +421,7 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 			startQueries()
 		}
 		if d.bringup != nil {
+			pubMsgsStart = rt.Metrics.MsgsSent
 			d.bringup(afterBringup)
 			return
 		}
@@ -377,24 +432,8 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 
 	// Normalise by the queries actually issued: if the watchdog fired
 	// first, the unissued remainder must not be scored as failures.
-	n := float64(*issued)
-	if *issued == 0 {
-		n = 1
-	}
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanProbes = float64(probes) / n
-	row.DeadProbes = dead
-	row.MeanLookups = float64(lookups) / n
-	row.MeanHops = float64(hops) / n
-	row.LookupFails = fails
-	row.MeanMsgs = float64(rt.Metrics.MsgsSent-queryMsgsStart) / n
+	row := sc.row(*issued, rt.Metrics.MsgsSent-queryMsgsStart)
+	row.PubMsgsPerPeer = pubMsgsPerPeer
 	row.Timeouts = rt.Metrics.Timeouts
 	if churn != nil {
 		row.Leaves, row.Joins = churn.Leaves, churn.Joins
@@ -402,282 +441,53 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	return row
 }
 
-// findResultAdapter converts a static-result-shaped outcome into the
-// FindResult the wire harness scores, for wires whose protocol types
-// predate FindResult (meridian, expanding).
-func findResultAdapter(found bool, peer int, rttMs float64, probes, hops int) p2p.FindResult {
-	fr := p2p.FindResult{Peer: p2p.NoNode, Probes: probes, Hops: hops}
-	if found {
-		fr.Peer, fr.RTTms, fr.Found = p2p.NodeID(peer), rttMs, true
-	}
-	return fr
-}
-
-// runStaticExpandingMitigation is the expanding-ring search's function-call
-// analogue: per query, grow the multicast scope over the matrix until any
-// member sits inside it, charging one copy per in-scope member per round
-// (Runtime.Multicast's scope rule: RTT(target, m) <= radius, self
-// excluded). The answer is the earliest responder — the scope's
-// minimum-RTT member. Copies land in the probes column, rounds in hops.
-func runStaticExpandingMitigation(env *Env, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	cfg := p2p.DefaultExpandConfig()
-	src := rng.New(seed + 3)
-	alive := func(netmodel.HostID) bool { return true }
-	row := MitigationRow{Name: "expanding static (function calls)"}
-	found, near, nearDenom := 0, 0, 0
-	var copies, rounds int64
-	var foundMs float64
-	for q := 0; q < queries; q++ {
-		idx := src.Intn(len(peers))
-		target := peers[idx]
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		best, bestMs := -1, 0.0
-		radius := cfg.InitialRadiusMs
-		for r := 0; r < cfg.Rounds; r++ {
-			rounds++
-			for j := range peers {
-				if j == idx {
-					continue
-				}
-				if d := m.LatencyMs(idx, j); d <= radius {
-					copies++
-					if best < 0 || d < bestMs {
-						best, bestMs = j, d
-					}
-				}
-			}
-			if best >= 0 {
-				break
-			}
-			radius *= cfg.RadiusMult
-		}
-		if best >= 0 {
-			found++
-			trueMs := env.Top.RTTms(target, peers[best])
-			foundMs += trueMs
-			if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-				near++
-			}
-		}
-	}
-	n := float64(queries)
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanProbes = float64(copies) / n
-	row.MeanHops = float64(rounds) / n
-	return row
-}
-
-// runStaticChordMitigation is the substrate-as-finder baseline: a dht.Ring
-// of the peers' addresses, each query one routed resolution of a fresh
-// key. The ring resolves keys, not proximity — a query "finds" whichever
-// peer owns its key, and the row's p(near) reads like random assignment,
-// which is exactly the point the grand table makes about raw DHTs.
-func runStaticChordMitigation(env *Env, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-	addrs := make([]string, len(peers))
-	byAddr := make(map[string]int, len(peers))
-	for i, p := range peers {
-		addrs[i] = env.Top.Host(p).IP.String()
-		byAddr[addrs[i]] = i
-	}
-	ring := dht.New(addrs)
-	src := rng.New(seed + 3)
-	alive := func(netmodel.HostID) bool { return true }
-	row := MitigationRow{Name: "chord static (function calls)"}
-	hopsAtStart, lookupsAtStart := ring.Hops, ring.Lookups
-	found, near, nearDenom := 0, 0, 0
-	var foundMs float64
-	for q := 0; q < queries; q++ {
-		idx := src.Intn(len(peers))
-		target := peers[idx]
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		key := fmt.Sprintf("g1/%d", q)
-		ring.Get(key) // route to the owner, charging the ring's hop bill
-		owner := byAddr[ring.OwnerOf(key)]
-		if owner != idx {
-			found++
-			trueMs := env.Top.RTTms(target, peers[owner])
-			foundMs += trueMs
-			if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-				near++
-			}
-		}
-	}
-	n := float64(queries)
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanLookups = float64(ring.Lookups-lookupsAtStart) / n
-	row.MeanHops = float64(ring.Hops-hopsAtStart) / n
-	return row
-}
-
-// runWireChordMitigation prices the substrate itself through the c2
-// methodology: a wire Chord ring of the peers, each query one iterative
-// Lookup of a fresh key from a live peer, found meaning the owner resolved
-// to somebody else. Same join ramp, settle, churn hooks and scoring as the
-// hint schemes — minus their hints.
-func runWireChordMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-	if opts.Horizon <= 0 {
-		opts.Horizon = 2 * time.Hour
-	}
-	kernel := sim.New()
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: opts.Loss}, opts.Seed)
-	if opts.Recorder != nil {
-		rt.AttachRecorder(opts.Recorder)
-	}
-	if opts.Faults != nil {
-		p2p.NewFaultTransport(rt, opts.Faults)
-	}
+// chordRing deploys the wire Chord ring that the substrate leg and both
+// hint schemes stand on: joins staggered below the stabilize rate (the
+// chordJoinRamp schedule), a settle window before the mark, and the ring's
+// own leave/join as the churn hooks.
+func chordRing(c *schemeCtx, rt *p2p.Runtime) (*p2p.Chord, wireDeployment) {
 	ccfg := p2p.DefaultChordConfig()
-	ccfg.Horizon = opts.Horizon
-	chord := p2p.NewChord(rt, ccfg, opts.Seed+1)
-
-	index := make(map[netmodel.HostID]p2p.NodeID, len(peers))
-	ids := make([]p2p.NodeID, len(peers))
-	for i, h := range peers {
-		index[h] = p2p.NodeID(i)
-		ids[i] = p2p.NodeID(i)
+	ccfg.Horizon = c.horizon
+	chord := p2p.NewChord(rt, ccfg, c.seed+1)
+	return chord, wireDeployment{
+		join: func(id p2p.NodeID) {
+			rt.After(id, time.Duration(id)*chordJoinSpacing, func() { chord.Join(id) })
+		},
+		rejoin: chord.Join,
+		leave:  chord.Leave,
+		mark:   time.Duration(len(c.peers))*chordJoinSpacing + chordSettle,
 	}
-	joinEnd := chordJoinRamp(kernel, chord, ids, 0)
-
-	var churn *p2p.Churn
-	if opts.Churn {
-		ccfg := opts.ChurnCfg
-		if ccfg.MeanSession == 0 {
-			ccfg = experimentChurnConfig()
-		}
-		ccfg.Horizon = opts.Horizon
-		churn = p2p.NewChurn(rt, ccfg, opts.Seed+2)
-		churn.OnLeave = func(id p2p.NodeID, graceful bool) { chord.Leave(id, graceful) }
-		churn.OnJoin = func(id p2p.NodeID) { chord.Join(id) }
-	}
-
-	row := MitigationRow{}
-	src := rng.New(opts.Seed + 3)
-	alive := func(h netmodel.HostID) bool { return rt.Alive(index[h]) }
-	found, near, nearDenom := 0, 0, 0
-	var hops, lookups, fails int64
-	var foundMs float64
-	var queryMsgsStart int64
-
-	startSeq, issued := sequenceOps(kernel, opts.Queries, func(op int, _ func() bool, complete func(apply func())) {
-		target := peers[src.Intn(len(peers))]
-		for tries := 0; tries < 20 && !alive(target); tries++ {
-			target = peers[src.Intn(len(peers))]
-		}
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		chord.Lookup(index[target], fmt.Sprintf("g1/%d", op), func(res p2p.LookupResult) {
-			complete(func() {
-				lookups++
-				hops += int64(res.Hops)
-				if !res.OK {
-					fails++
-				}
-				if res.OK && res.Owner != index[target] {
-					found++
-					trueMs := env.Top.RTTms(target, peers[int(res.Owner)])
-					foundMs += trueMs
-					if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-						near++
-					}
-				}
-			})
-		})
-	})
-
-	startQueries := func() {
-		queryMsgsStart = rt.Metrics.MsgsSent
-		startSeq()
-	}
-	kernel.At(joinEnd+chordSettle, func() {
-		// The ring's bring-up (joins plus stabilization) is its standing
-		// state: there are no hints to publish, the ring IS the state.
-		row.PubMsgsPerPeer = float64(rt.Metrics.MsgsSent) / float64(len(peers))
-		if churn != nil {
-			churn.Drive(ids)
-			kernel.After(30*time.Second, startQueries)
-			return
-		}
-		startQueries()
-	})
-	kernel.At(opts.Horizon, kernel.Stop) // watchdog against a stalled chain
-	kernel.Run()
-
-	n := float64(*issued)
-	if *issued == 0 {
-		n = 1
-	}
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanLookups = float64(lookups) / n
-	row.MeanHops = float64(hops) / n
-	row.LookupFails = fails
-	row.MeanMsgs = float64(rt.Metrics.MsgsSent-queryMsgsStart) / n
-	row.Timeouts = rt.Metrics.Timeouts
-	if churn != nil {
-		row.Leaves, row.Joins = churn.Leaves, churn.Joins
-	}
-	return row
 }
 
-// finderLeg is one finderScheme entry's build/wire pair, kept in
-// finderLegs so the differential tests can drive single queries through
-// the exact legs the studies run.
-type finderLeg struct {
-	build func(net *overlay.Network, members []int, seed int64) overlay.Finder
-	wire  func(rt *p2p.Runtime, base overlay.Finder) wireDeployment
+// hintDeployment is the wire deployment of a DHT hint scheme: the Chord
+// ring of all peers (chordRing's deployment), hint publishing as a
+// sequential chain of wire Puts at the mark, then queries. Peers that churn back in republish their hints (soft
+// state); hints of departed peers stay behind and cost dead probes.
+func hintDeployment(c *schemeCtx, ring wireDeployment,
+	publish func(h netmodel.HostID, done func()),
+	find func(h netmodel.HostID, done func(p2p.FindResult))) wireDeployment {
+	d := ring
+	d.rejoin = func(id p2p.NodeID) {
+		ring.rejoin(id)
+		publish(c.peers[id], func() {})
+	}
+	d.bringup = func(done func()) {
+		sequentialChain(len(c.peers), func(i int, next func()) { publish(c.peers[i], next) }, done)
+	}
+	d.find = func(client p2p.NodeID, done func(p2p.FindResult)) { find(c.peers[client], done) }
+	return d
 }
-
-var finderLegs = map[string]finderLeg{}
 
 // finderScheme builds the common Static+Wire pair for a scheme whose base
-// structure implements overlay.Finder and whose wire deployment reports
-// FindResult: build constructs the base (deriving sub-seeds from the row
-// seed), wire wraps it for the runtime. Both legs call build with the same
-// seed over the same matrix, so they share structure and draws.
-func finderScheme(name string,
-	build func(net *overlay.Network, members []int, seed int64) overlay.Finder,
+// structure implements overlay.Finder: build constructs the base (deriving
+// sub-seeds from the context's seed), wire wraps it for the runtime. Both
+// legs call build with the same seed over the same matrix, so they share
+// structure and draws.
+func finderScheme(build func(c *schemeCtx) overlay.Finder,
 	wire func(rt *p2p.Runtime, base overlay.Finder) wireDeployment) Scheme {
-	finderLegs[name] = finderLeg{build, wire}
 	return Scheme{
-		Static: func(env *Env, _ *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-			return runStaticFinderMitigation(env, name, peers, queries, seed, build)
-		},
-		Wire: func(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-			return runWireFinderMitigation(env, peers, opts,
-				func(rt *p2p.Runtime, net *overlay.Network, members []int, o MitigationOpts) wireDeployment {
-					return wire(rt, build(net, members, o.Seed))
-				})
-		},
+		Static: func(c *schemeCtx) func(int) p2p.FindResult { return staticFinder(build(c)) },
+		Wire:   func(c *schemeCtx, rt *p2p.Runtime) wireDeployment { return wire(rt, build(c)) },
 	}
 }
 
@@ -685,30 +495,21 @@ func finderScheme(name string,
 // golden figures pin row order); this map owns the bring-up.
 var schemes = map[string]Scheme{
 	"meridian": {
-		Static: func(env *Env, _ *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-			return runStaticFinderMitigation(env, "meridian", peers, queries, seed,
-				func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-					mc := meridian.DefaultConfig()
-					mc.CandidatesPerNode = len(members)
-					return meridian.New(net, members, mc, seed+1)
-				})
+		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+			mc := meridian.DefaultConfig()
+			mc.CandidatesPerNode = len(c.members)
+			return staticFinder(meridian.New(c.net, c.members, mc, c.seed+1))
 		},
-		Wire: func(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-			return runWireFinderMitigation(env, peers, opts,
-				func(rt *p2p.Runtime, _ *overlay.Network, _ []int, o MitigationOpts) wireDeployment {
-					mer := p2p.NewMeridian(rt, p2p.DefaultMeridianConfig(), o.Seed+1)
-					return wireDeployment{
-						join:   mer.Join,
-						rejoin: mer.Join,
-						leave:  mer.Leave,
-						find: func(client p2p.NodeID, done func(p2p.FindResult)) {
-							mer.FindNearest(client, client, func(res p2p.QueryResult) {
-								done(findResultAdapter(res.Completed && res.Peer >= 0,
-									res.Peer, res.LatencyMs, int(res.Probes), res.Hops))
-							})
-						},
-					}
-				})
+		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+			mer := p2p.NewMeridian(rt, p2p.DefaultMeridianConfig(), c.seed+1)
+			return wireDeployment{
+				join:   mer.Join,
+				rejoin: mer.Join,
+				leave:  mer.Leave,
+				find: func(client p2p.NodeID, done func(p2p.FindResult)) {
+					mer.FindNearest(client, client, done)
+				},
+			}
 		},
 		Lookup: meridianLookup,
 		Scale: func(top *netmodel.Topology, queries int, seed int64) ScaleCell {
@@ -717,147 +518,243 @@ var schemes = map[string]Scheme{
 		},
 	},
 	"expanding": {
-		Static: func(env *Env, _ *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-			return runStaticExpandingMitigation(env, peers, queries, seed)
-		},
-		Wire: func(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-			return runWireFinderMitigation(env, peers, opts,
-				func(rt *p2p.Runtime, _ *overlay.Network, _ []int, _ MitigationOpts) wireDeployment {
-					ex := p2p.NewExpanding(rt, p2p.DefaultExpandConfig())
-					return wireDeployment{
-						join: ex.Register,
-						find: func(client p2p.NodeID, done func(p2p.FindResult)) {
-							ex.Search(client, func(res p2p.ExpandResult) {
-								done(findResultAdapter(res.Found, res.Peer, res.RTTms,
-									res.Messages, res.Rounds))
-							})
-						},
+		// The expanding-ring search's function-call analogue: per query,
+		// grow the multicast scope over the matrix until any member sits
+		// inside it, charging one copy per in-scope member per round
+		// (Runtime.Multicast's scope rule: RTT(target, m) <= radius, self
+		// excluded). The answer is the earliest responder — the scope's
+		// minimum-RTT member. Copies land in the probes column, rounds in
+		// hops, as the wire search reports them.
+		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+			cfg := p2p.DefaultExpandConfig()
+			return func(idx int) p2p.FindResult {
+				r := p2p.FindResult{Peer: p2p.NoNode}
+				radius := cfg.InitialRadiusMs
+				for round := 0; round < cfg.Rounds && !r.Found; round++ {
+					r.Hops++
+					for j := range c.peers {
+						if j == idx {
+							continue
+						}
+						if d := c.m.LatencyMs(idx, j); d <= radius {
+							r.Probes++
+							if !r.Found || d < r.RTTms {
+								r.Peer, r.RTTms, r.Found = p2p.NodeID(j), d, true
+							}
+						}
 					}
-				})
+					radius *= cfg.RadiusMult
+				}
+				return r
+			}
+		},
+		Wire: func(_ *schemeCtx, rt *p2p.Runtime) wireDeployment {
+			ex := p2p.NewExpanding(rt, p2p.DefaultExpandConfig())
+			return wireDeployment{join: ex.Register, find: ex.Search}
 		},
 		Scale: scaleExpandingCell,
 	},
 	"chord": {
-		Static: func(env *Env, _ *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-			return runStaticChordMitigation(env, peers, queries, seed)
+		// The substrate-as-finder baseline: a dht.Ring of the peers'
+		// addresses, each query one routed resolution of a fresh key. The
+		// ring resolves keys, not proximity — a query "finds" whichever peer
+		// owns its key, and the row's p(near) reads like random assignment,
+		// which is exactly the point the grand table makes about raw DHTs.
+		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+			addrs := c.addrs()
+			byAddr := make(map[string]p2p.NodeID, len(addrs))
+			for i, a := range addrs {
+				byAddr[a] = p2p.NodeID(i)
+			}
+			ring := dht.New(addrs)
+			q := 0
+			return func(idx int) p2p.FindResult {
+				key := fmt.Sprintf("g1/%d", q)
+				q++
+				hops, lookups := ring.Hops, ring.Lookups
+				ring.Get(key) // route to the owner, charging the ring's hop bill
+				r := p2p.FindResult{Peer: p2p.NoNode, RPCs: int(ring.Lookups - lookups), Hops: int(ring.Hops - hops)}
+				if owner := byAddr[ring.OwnerOf(key)]; int(owner) != idx {
+					r.Peer, r.Found = owner, true
+				}
+				return r
+			}
 		},
-		Wire:   runWireChordMitigation,
+		// The substrate itself through the c2 methodology: each query is
+		// one iterative Lookup of a fresh key from a live peer, found
+		// meaning the owner resolved to somebody else. The ring's bring-up
+		// (joins plus stabilization) is its standing state: there are no
+		// hints to publish, the ring IS the state.
+		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+			chord, d := chordRing(c, rt)
+			op := 0
+			d.find = func(client p2p.NodeID, done func(p2p.FindResult)) {
+				op++
+				chord.Lookup(client, fmt.Sprintf("g1/%d", op), func(res p2p.LookupResult) {
+					r := p2p.FindResult{Peer: p2p.NoNode, RPCs: 1, Hops: res.Hops}
+					if !res.OK {
+						r.RPCFails = 1
+					} else if res.Owner != client {
+						r.Peer, r.Found = res.Owner, true
+					}
+					done(r)
+				})
+			}
+			return d
+		},
 		Lookup: chordLookup,
 		Scale:  scaleChordCell,
 	},
 	"ucl": {
-		Static: staticUCLMitigation,
-		Wire:   wireUCLMitigation,
+		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+			sys := ucl.New(c.tools, c.addrs(), c.env.VantageHosts(), ucl.DefaultConfig())
+			for _, p := range c.peers {
+				sys.Join(p)
+			}
+			return staticHintFind(c, sys.Ring(), func(p netmodel.HostID) (netmodel.HostID, int, int) {
+				r := sys.FindNearest(p)
+				return r.Peer, r.Probes, r.Lookups
+			})
+		},
+		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+			chord, d := chordRing(c, rt)
+			w := ucl.NewWire(c.tools, chord, c.peers, c.env.VantageHosts(), ucl.DefaultConfig())
+			return hintDeployment(c, d,
+				func(h netmodel.HostID, done func()) { w.Publish(h, func(int) { done() }) },
+				w.FindNearest)
+		},
 	},
 	"ipprefix": {
-		Static: staticIPPrefixMitigation,
-		Wire:   wireIPPrefixMitigation,
+		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+			sys := ipprefix.New(c.tools, c.addrs(), ipprefix.DefaultConfig())
+			for _, p := range c.peers {
+				sys.Join(p)
+			}
+			return staticHintFind(c, sys.Ring(), func(p netmodel.HostID) (netmodel.HostID, int, int) {
+				r := sys.FindNearest(p)
+				return r.Peer, r.Probes, r.Lookups
+			})
+		},
+		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+			chord, d := chordRing(c, rt)
+			w := ipprefix.NewWire(c.tools, chord, c.peers, ipprefix.DefaultConfig())
+			return hintDeployment(c, d,
+				func(h netmodel.HostID, done func()) { w.Publish(h, func(bool) { done() }) },
+				w.FindNearest)
+		},
 	},
 	"vivaldi": {
-		Static: func(env *Env, _ *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-			// The coordinate scheme has no DHT and no measurement toolkit —
-			// its baseline reads RTTs off the matrix oracle directly.
-			return runStaticVivaldiMitigation(env, peers, queries, seed)
+		// The coordinate scheme has no DHT and no measurement toolkit — its
+		// baseline is a matrix-fed Build read off the noiseless overlay.
+		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+			sys := vivaldi.Build(c.net, c.members, vivaldi.DefaultConfig(), c.seed+1)
+			return staticFinder(&vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8})
 		},
-		Wire:   runWireVivaldiMitigation,
+		// The gossip overlay over the mitigation peers, queries issued by
+		// the peers themselves (members use their own live coordinate — no
+		// placement probes). The warm-up gossip is the scheme's publish
+		// phase: coordinates are the published (and continuously
+		// republished) state. Walk steps land in the hops column and each
+		// search counts as one lookup, so the row reads like its
+		// ucl/ipprefix neighbors.
+		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+			wcfg := vivaldi.DefaultWireConfig()
+			wcfg.Horizon = c.horizon
+			w := vivaldi.NewWire(rt, wcfg, c.seed+1)
+			return wireDeployment{
+				join:  w.Join,
+				leave: w.Leave,
+				mark:  vivaldiWarmup,
+				find: func(client p2p.NodeID, done func(p2p.FindResult)) {
+					w.FindNearest(client, func(r p2p.FindResult) {
+						r.RPCs = 1
+						done(r)
+					})
+				},
+			}
+		},
 		Lookup: vivaldiLookup,
 	},
-	"guyton": finderScheme("guyton",
-		func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-			return &beacon.GuytonSchwartz{Inf: beacon.New(net, members, beacon.DefaultConfig(), seed+1)}
+	"guyton": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			return &beacon.GuytonSchwartz{Inf: beacon.New(c.net, c.members, beacon.DefaultConfig(), c.seed+1)}
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := beacon.NewWire(rt, base.(*beacon.GuytonSchwartz).Inf)
 			return wireDeployment{join: w.Join, find: w.FindNearestGS}
 		}),
-	"beaconing": finderScheme("beaconing",
-		func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-			return &beacon.Beaconing{Inf: beacon.New(net, members, beacon.DefaultConfig(), seed+1)}
+	"beaconing": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			return &beacon.Beaconing{Inf: beacon.New(c.net, c.members, beacon.DefaultConfig(), c.seed+1)}
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := beacon.NewWire(rt, base.(*beacon.Beaconing).Inf)
 			return wireDeployment{join: w.Join, find: w.FindNearestBeaconing}
 		}),
-	"tiers": finderScheme("tiers",
-		func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-			return tiers.New(net, members, tiers.DefaultConfig(), seed+1)
+	"tiers": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			return tiers.New(c.net, c.members, tiers.DefaultConfig(), c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := tiers.NewWire(rt, base.(*tiers.Hierarchy))
 			return wireDeployment{join: w.Join, find: w.FindNearest}
 		}),
-	"pic": finderScheme("pic",
-		func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-			sys := vivaldi.Build(net, members, vivaldi.DefaultConfig(), seed+1)
-			return pic.New(sys, pic.DefaultConfig(), seed+2)
+	"pic": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			sys := vivaldi.Build(c.net, c.members, vivaldi.DefaultConfig(), c.seed+1)
+			return pic.New(sys, pic.DefaultConfig(), c.seed+2)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := pic.NewWire(rt, base.(*pic.Finder))
 			return wireDeployment{join: w.Join, find: w.FindNearest}
 		}),
-	"tapestry": finderScheme("tapestry",
-		func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-			return tapestry.New(net, members, tapestry.DefaultConfig(), seed+1)
+	"tapestry": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			return tapestry.New(c.net, c.members, tapestry.DefaultConfig(), c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := tapestry.NewWire(rt, base.(*tapestry.Overlay))
 			return wireDeployment{join: w.Join, find: w.FindNearest}
 		}),
-	"azureus": finderScheme("azureus",
-		func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-			return azureus.NewFinder(net, members, azureus.DefaultFinderConfig(), seed+1)
+	"azureus": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			return azureus.NewFinder(c.net, c.members, azureus.DefaultFinderConfig(), c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := azureus.NewWire(rt, base.(*azureus.Finder))
 			return wireDeployment{join: w.Join, find: w.FindNearest}
 		}),
-	"kargerruhl": finderScheme("kargerruhl",
-		func(net *overlay.Network, members []int, seed int64) overlay.Finder {
-			return kargerruhl.New(net, members, kargerruhl.DefaultConfig(), seed+1)
+	"kargerruhl": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			return kargerruhl.New(c.net, c.members, kargerruhl.DefaultConfig(), c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := kargerruhl.NewWire(rt, base.(*kargerruhl.Overlay))
 			return wireDeployment{join: w.Join, find: w.FindNearest}
 		}),
-	"rendezvous": {
-		Static: func(env *Env, _ *measure.Tools, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-			return runStaticFinderMitigation(env, "rendezvous", peers, queries, seed,
-				func(net *overlay.Network, members []int, _ int64) overlay.Finder {
-					return rendezvous.NewDirectory(net, members, rendezvousENOf(env, peers))
-				})
+	"rendezvous": finderScheme(
+		func(c *schemeCtx) overlay.Finder {
+			// The directory keys on the member's end-network id on the
+			// measurement topology.
+			return rendezvous.NewDirectory(c.net, c.members,
+				func(m int) int { return int(c.env.Top.Host(c.peers[m]).EN) })
 		},
-		Wire: func(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-			return runWireFinderMitigation(env, peers, opts,
-				func(rt *p2p.Runtime, net *overlay.Network, members []int, _ MitigationOpts) wireDeployment {
-					w := rendezvous.NewWire(rt, rendezvous.NewDirectory(net, members, rendezvousENOf(env, peers)))
-					return wireDeployment{
-						join: w.Join,
-						rejoin: func(id p2p.NodeID) {
-							w.Join(id)
-							w.Register(id, nil) // soft state: re-register on rejoin
-						},
-						bringup: func(done func()) {
-							// Sequential registration chain: every member
-							// records itself with its end network's server.
-							var next func(i int)
-							next = func(i int) {
-								if i >= len(members) {
-									done()
-									return
-								}
-								w.Register(p2p.NodeID(members[i]), func(bool) { next(i + 1) })
-							}
-							next(0)
-						},
-						find: w.FindNearest,
-					}
-				})
-		},
-	},
-}
-
-// rendezvousENOf maps a member index to its end-network id on the
-// measurement topology — the equality the rendezvous directory keys on.
-func rendezvousENOf(env *Env, peers []netmodel.HostID) func(m int) int {
-	return func(m int) int { return int(env.Top.Host(peers[m]).EN) }
+		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
+			w := rendezvous.NewWire(rt, base.(*rendezvous.Directory))
+			return wireDeployment{
+				join: w.Join,
+				rejoin: func(id p2p.NodeID) {
+					w.Join(id)
+					w.Register(id, nil) // soft state: re-register on rejoin
+				},
+				// Sequential registration chain: every member records
+				// itself with its end network's server.
+				bringup: func(done func()) {
+					sequentialChain(rt.Population(), func(i int, next func()) {
+						w.Register(p2p.NodeID(i), func(bool) { next() })
+					}, done)
+				},
+				find: w.FindNearest,
+			}
+		}),
 }

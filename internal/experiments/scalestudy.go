@@ -290,9 +290,9 @@ func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCe
 		q++
 		tgt := targets[src.Intn(len(targets))]
 		rt.Handoff(fromShard, p2p.NodeID(tgt), gap, func() {
-			ex.Search(p2p.NodeID(tgt), func(res p2p.ExpandResult) {
-				copies += int64(res.Messages)
-				if res.Found && res.Peer == oracle[tgt] {
+			ex.Search(p2p.NodeID(tgt), func(res p2p.FindResult) {
+				copies += int64(res.Probes)
+				if res.Found && int(res.Peer) == oracle[tgt] {
 					exact++
 				}
 				step(rt.ShardOf(p2p.NodeID(tgt)))

@@ -169,7 +169,12 @@ func VivaldiStudyAt(sizes []int, queries int, scale Scale, seed int64) *VivaldiS
 	out.MitRows = engine.Map(engine.Config{Seed: seed, Label: "v1-mit"}, vivaldiStudyConditions(),
 		func(_ *engine.Trial, c wireCondition) MitigationRow {
 			if c.static {
-				return runStaticVivaldiMitigation(env, peers, mitQueries, seed)
+				// The static baseline names itself inside the harness.
+				row, err := RunStaticMitigation(env, "vivaldi", peers, mitQueries, seed)
+				if err != nil {
+					panic(err) // "vivaldi" is registry-known
+				}
+				return row
 			}
 			row, err := RunWireMitigation(env, peers, MitigationOpts{
 				Scheme: "vivaldi", Loss: c.loss, Churn: c.churn,
@@ -307,7 +312,7 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 			liveInts[i] = int(id)
 		}
 		oracle := overlay.TrueNearest(m, tgt, liveInts)
-		w.FindNearest(p2p.NodeID(tgt), func(r vivaldi.WireResult) {
+		w.FindNearest(p2p.NodeID(tgt), func(r p2p.FindResult) {
 			if r.Found {
 				found++
 				trueMs := m.LatencyMs(tgt, int(r.Peer))
@@ -368,175 +373,6 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 		cell.MedianErr = math.NaN()
 	}
 	return cell
-}
-
-// runStaticVivaldiMitigation is the c2 methodology's static baseline for
-// the coordinate scheme: a matrix-fed Build over the mitigation peers, the
-// static Finder per query, scored against the close-peer threshold.
-func runStaticVivaldiMitigation(env *Env, peers []netmodel.HostID, queries int, seed int64) MitigationRow {
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	net := overlay.NewNetwork(m)
-	members := make([]int, len(peers))
-	for i := range peers {
-		members[i] = i
-	}
-	sys := vivaldi.Build(net, members, vivaldi.DefaultConfig(), seed+1)
-	f := &vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8}
-	src := rng.New(seed + 3)
-	alive := func(netmodel.HostID) bool { return true }
-	row := MitigationRow{Name: "vivaldi static (function calls)"}
-	found, near, nearDenom := 0, 0, 0
-	var probes int64
-	var foundMs float64
-	for q := 0; q < queries; q++ {
-		idx := src.Intn(len(peers))
-		target := peers[idx]
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		res := f.FindNearest(idx)
-		probes += res.Probes
-		if res.Peer >= 0 {
-			found++
-			trueMs := env.Top.RTTms(target, peers[res.Peer])
-			foundMs += trueMs
-			if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-				near++
-			}
-		}
-	}
-	n := float64(queries)
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanProbes = float64(probes) / n
-	return row
-}
-
-// runWireVivaldiMitigation is the wire leg of the c2 methodology for the
-// coordinate scheme: the gossip overlay over the mitigation peers, queries
-// issued by the peers themselves (members use their own live coordinate —
-// no placement probes), with the warm-up gossip bill reported in the
-// publish column (coordinates ARE the scheme's published state). Walk
-// steps land in the hops column and each search counts as one lookup, so
-// the row reads like its ucl/ipprefix neighbors.
-func runWireVivaldiMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts) MitigationRow {
-	if opts.Horizon <= 0 {
-		opts.Horizon = 2 * time.Hour
-	}
-	kernel := sim.New()
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: opts.Loss}, opts.Seed)
-	if opts.Recorder != nil {
-		rt.AttachRecorder(opts.Recorder)
-	}
-	if opts.Faults != nil {
-		p2p.NewFaultTransport(rt, opts.Faults)
-	}
-	wcfg := vivaldi.DefaultWireConfig()
-	wcfg.Horizon = opts.Horizon
-	w := vivaldi.NewWire(rt, wcfg, opts.Seed+1)
-	index := make(map[netmodel.HostID]p2p.NodeID, len(peers))
-	ids := make([]p2p.NodeID, len(peers))
-	for i := range peers {
-		index[peers[i]] = p2p.NodeID(i)
-		ids[i] = p2p.NodeID(i)
-		w.Join(p2p.NodeID(i))
-	}
-
-	var churn *p2p.Churn
-	if opts.Churn {
-		ccfg := opts.ChurnCfg
-		if ccfg.MeanSession == 0 {
-			ccfg = experimentChurnConfig()
-		}
-		ccfg.Horizon = opts.Horizon
-		churn = p2p.NewChurn(rt, ccfg, opts.Seed+2)
-		churn.OnLeave = func(id p2p.NodeID, graceful bool) { w.Leave(id, graceful) }
-		churn.OnJoin = func(id p2p.NodeID) { w.Join(id) }
-	}
-
-	row := MitigationRow{}
-	src := rng.New(opts.Seed + 3)
-	alive := func(h netmodel.HostID) bool { return rt.Alive(index[h]) }
-	found, near, nearDenom := 0, 0, 0
-	var probes, dead, hops, lookups int64
-	var foundMs float64
-	var queryMsgsStart int64
-
-	startSeq, issued := sequenceOps(kernel, opts.Queries, func(_ int, _ func() bool, complete func(apply func())) {
-		target := peers[src.Intn(len(peers))]
-		for tries := 0; tries < 20 && !alive(target); tries++ {
-			target = peers[src.Intn(len(peers))]
-		}
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
-		if oracleMs <= mitigationNearMs {
-			nearDenom++
-		}
-		w.FindNearest(index[target], func(r vivaldi.WireResult) {
-			complete(func() {
-				probes += int64(r.Probes)
-				dead += int64(r.Dead)
-				hops += int64(r.Hops)
-				lookups++
-				if r.Found {
-					found++
-					trueMs := env.Top.RTTms(target, peers[int(r.Peer)])
-					foundMs += trueMs
-					if trueMs <= mitigationNearMs && oracleMs <= mitigationNearMs {
-						near++
-					}
-				}
-			})
-		})
-	})
-
-	startQueries := func() {
-		queryMsgsStart = rt.Metrics.MsgsSent
-		startSeq()
-	}
-	kernel.At(vivaldiWarmup, func() {
-		// The warm-up gossip is the scheme's publish phase: coordinates
-		// are the published (and continuously republished) state.
-		row.PubMsgsPerPeer = float64(rt.Metrics.MsgsSent) / float64(len(peers))
-		if churn != nil {
-			churn.Drive(ids)
-			kernel.After(30*time.Second, startQueries)
-			return
-		}
-		startQueries()
-	})
-	kernel.At(opts.Horizon, kernel.Stop)
-	kernel.Run()
-
-	n := float64(*issued)
-	if *issued == 0 {
-		n = 1
-	}
-	row.Found = float64(found) / n
-	row.NearDenom = nearDenom
-	if nearDenom > 0 {
-		row.PNear = float64(near) / float64(nearDenom)
-	}
-	if found > 0 {
-		row.MeanFoundMs = foundMs / float64(found)
-	}
-	row.MeanProbes = float64(probes) / n
-	row.DeadProbes = dead
-	row.MeanLookups = float64(lookups) / n
-	row.MeanHops = float64(hops) / n
-	row.MeanMsgs = float64(rt.Metrics.MsgsSent-queryMsgsStart) / n
-	row.Timeouts = rt.Metrics.Timeouts
-	if churn != nil {
-		row.Leaves, row.Joins = churn.Leaves, churn.Joins
-	}
-	return row
 }
 
 // Render prints the deterministic figure (wall-clock lives in

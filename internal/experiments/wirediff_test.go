@@ -2,128 +2,88 @@ package experiments
 
 import (
 	"testing"
-	"time"
 
-	"nearestpeer/internal/latency"
-	"nearestpeer/internal/overlay"
+	"nearestpeer/internal/measure"
 	"nearestpeer/internal/p2p"
-	"nearestpeer/internal/rendezvous"
-	"nearestpeer/internal/rng"
-	"nearestpeer/internal/sim"
 )
 
+// wireDiffSkips names the registry schemes whose wire leg is, by design,
+// not answer-equal to its static leg at 0% loss — each with the reason.
+// Everything else in GrandSchemes() is held to per-query equality below.
+var wireDiffSkips = map[string]string{
+	"meridian": "p2p.Meridian is an independent wire reimplementation (reservoir-sampled rings filled by join pings), not a Wire over the static internal/meridian overlay",
+	"chord":    "the static dht.Ring hashes peer addresses, the wire ring hashes NodeIDs: the same key has different owners",
+	"vivaldi":  "the wire embedding is gossip-built, the static one matrix-fed: different coordinates, different walks",
+}
+
 // TestWireFindersMatchStaticLossless is the differential acceptance test of
-// the wired algorithm zoo: at 0% loss with no churn, every wired finder
-// must return the exact peer its static oracle returns for the same query
-// stream — the wire may charge messages and virtual time, but it must not
-// change the answer. Each scheme gets two same-seed base structures over
-// the same matrix (one queried statically, one driven through its registry
-// wire deployment), so per-query RNG draws align and any divergence is a
-// protocol bug, not noise.
+// the wired algorithm zoo, generated from the scheme registry: at 0% loss
+// with no churn, every scheme's wire leg must return the exact peer its
+// static leg returns for the same query stream — the wire may charge
+// messages and virtual time, but it must not change the answer. Both legs
+// run through the real c2 harnesses with a recording wrapper around the
+// registry's own constructors, so the bring-up, the query draws and the
+// per-leg sub-seeds are the studies', not a re-implementation.
 func TestWireFindersMatchStaticLossless(t *testing.T) {
 	env := SharedEnv(Quick, 1)
 	peers := MitigationPeers(env, 80)
 	const queries = 12
 	const seed = int64(1)
 
-	members := make([]int, len(peers))
-	for i := range peers {
-		members[i] = i
+	type answer struct {
+		from int
+		peer p2p.NodeID // NoNode when nothing was found
 	}
-	targets := make([]int, queries)
-	src := rng.New(seed + 3)
-	for i := range targets {
-		targets[i] = src.Intn(len(peers))
+	record := func(log *[]answer, from int, r p2p.FindResult) {
+		a := answer{from, p2p.NoNode}
+		if r.Found {
+			a.peer = r.Peer
+		}
+		*log = append(*log, a)
 	}
 
-	type diffCase struct {
-		name   string
-		deploy func(m latency.Matrix, rt *p2p.Runtime) (static overlay.Finder, d wireDeployment)
-	}
-	var cases []diffCase
-	for _, name := range []string{"guyton", "beaconing", "tiers", "pic", "tapestry", "azureus", "kargerruhl"} {
-		leg, ok := finderLegs[name]
-		if !ok {
-			t.Fatalf("scheme %q is not a finderScheme entry", name)
-		}
-		cases = append(cases, diffCase{name, func(m latency.Matrix, rt *p2p.Runtime) (overlay.Finder, wireDeployment) {
-			static := leg.build(overlay.NewNetwork(m), members, seed)
-			return static, leg.wire(rt, leg.build(overlay.NewNetwork(m), members, seed))
-		}})
-	}
-	// rendezvous is not a finderScheme (its directory keys on end networks
-	// and its wire has a registration bring-up), so mirror its registry
-	// deploy by hand.
-	cases = append(cases, diffCase{"rendezvous", func(m latency.Matrix, rt *p2p.Runtime) (overlay.Finder, wireDeployment) {
-		static := rendezvous.NewDirectory(overlay.NewNetwork(m), members, rendezvousENOf(env, peers))
-		w := rendezvous.NewWire(rt, rendezvous.NewDirectory(overlay.NewNetwork(m), members, rendezvousENOf(env, peers)))
-		return static, wireDeployment{
-			join: w.Join,
-			bringup: func(done func()) {
-				var next func(i int)
-				next = func(i int) {
-					if i >= len(members) {
-						done()
-						return
-					}
-					w.Register(p2p.NodeID(members[i]), func(bool) { next(i + 1) })
-				}
-				next(0)
-			},
-			find: w.FindNearest,
-		}
-	}})
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-			kernel := sim.New()
-			rt := p2p.New(kernel, m, p2p.Config{}, seed)
-			static, d := tc.deploy(m, rt)
-			for i := range members {
-				d.join(p2p.NodeID(i))
+	for _, name := range GrandSchemes() {
+		t.Run(name, func(t *testing.T) {
+			if why, skip := wireDiffSkips[name]; skip {
+				t.Skip(why)
 			}
+			s, err := schemeFor(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each leg owns a toolkit replaying the same probe-noise
+			// stream, as the study rows do.
+			tools := func() *measure.Tools { return measure.NewTools(env.Top, measure.DefaultConfig(), seed+1) }
 
-			wirePeer := make([]int, queries)
-			q := 0
-			var step func()
-			step = func() {
-				if q >= queries {
-					kernel.Stop()
-					return
-				}
-				slot := q
-				q++
-				d.find(p2p.NodeID(targets[slot]), func(r p2p.FindResult) {
-					wirePeer[slot] = -1
-					if r.Found {
-						wirePeer[slot] = int(r.Peer)
+			var static, wire []answer
+			runStaticFinderMitigation(env, tools(), name, peers, queries, seed,
+				func(c *schemeCtx) func(int) p2p.FindResult {
+					find := s.Static(c)
+					return func(idx int) p2p.FindResult {
+						r := find(idx)
+						record(&static, idx, r)
+						return r
 					}
-					kernel.After(100*time.Millisecond, step)
 				})
+			row := runWireFinderMitigation(env, peers, MitigationOpts{Queries: queries, Seed: seed, Tools: tools()},
+				func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+					d := s.Wire(c, rt)
+					find := d.find
+					d.find = func(client p2p.NodeID, done func(p2p.FindResult)) {
+						find(client, func(r p2p.FindResult) {
+							record(&wire, int(client), r)
+							done(r)
+						})
+					}
+					return d
+				})
+			if len(wire) != queries || row.Timeouts != 0 {
+				t.Fatalf("lossless wire run answered %d/%d queries with %d timeouts", len(wire), queries, row.Timeouts)
 			}
-			kernel.At(wireFinderBringup, func() {
-				if d.bringup != nil {
-					d.bringup(step)
-					return
-				}
-				step()
-			})
-			kernel.At(time.Hour, kernel.Stop) // watchdog
-			kernel.Run()
-			if q < queries {
-				t.Fatalf("wire run stalled after %d/%d queries", q, queries)
-			}
-
-			for i, idx := range targets {
-				res := static.FindNearest(idx)
-				want := -1
-				if res.Peer >= 0 {
-					want = res.Peer
-				}
-				if wirePeer[i] != want {
-					t.Errorf("query %d (from member %d): wire returned peer %d, static oracle returned %d",
-						i, idx, wirePeer[i], want)
+			for i := range static {
+				if wire[i] != static[i] {
+					t.Errorf("query %d: wire leg (from member %d) returned peer %d, static leg (from member %d) returned %d",
+						i, wire[i].from, wire[i].peer, static[i].from, static[i].peer)
 				}
 			}
 		})

@@ -24,7 +24,6 @@ type Wire struct {
 	cfg   Config
 	tools *measure.Tools
 	chord *p2p.Chord
-	hosts []netmodel.HostID
 	index map[netmodel.HostID]p2p.NodeID
 	// PingTimeout bounds each candidate probe; 0 uses the runtime default.
 	PingTimeout time.Duration
@@ -36,7 +35,7 @@ func NewWire(tools *measure.Tools, chord *p2p.Chord, hosts []netmodel.HostID, cf
 	for i, h := range hosts {
 		index[h] = p2p.NodeID(i)
 	}
-	return &Wire{cfg: cfg, tools: tools, chord: chord, hosts: hosts, index: index}
+	return &Wire{cfg: cfg, tools: tools, chord: chord, index: index}
 }
 
 // NodeOf maps a host to its runtime node id.
@@ -53,35 +52,19 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(ok bool)) {
 	})
 }
 
-// WireResult reports a message-level prefix query's outcome and cost.
-type WireResult struct {
-	Peer       netmodel.HostID
-	RTTms      float64
-	Candidates int
-	// Probes counts candidate pings issued; DeadProbes those that timed
-	// out (stale hints or probe loss).
-	Probes     int
-	DeadProbes int
-	// Lookups counts DHT Gets; LookupFails those that failed; Hops and
-	// Retries aggregate their routing cost.
-	Lookups     int
-	LookupFails int
-	Hops        int
-	Retries     int
-	Found       bool
-}
-
 // FindNearest retrieves the querier's prefix bucket over the wire and
-// probes it, closest candidate id first (the static scheme's order). done
-// fires exactly once (the issuing node is assumed to stay up).
-func (w *Wire) FindNearest(peer netmodel.HostID, done func(WireResult)) {
+// probes it, closest candidate id first (the static scheme's order),
+// returning the closest responder as its runtime node id (hosts[Peer] is
+// the host). RPCs counts the one DHT Get, RPCFails whether it failed, Hops
+// its routing cost. done fires exactly once (the issuing node is assumed to
+// stay up).
+func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	ip := w.tools.Top.Host(peer).IP
 	node := w.NodeOf(peer)
-	res := WireResult{Peer: -1, Lookups: 1}
+	res := p2p.FindResult{Peer: p2p.NoNode, RPCs: 1}
 	w.chord.Get(node, prefixKey(ip, w.cfg.PrefixBits), func(r p2p.OpResult) {
 		res.Hops += r.Hops
-		res.Retries += r.Retries
-		res.LookupFails += r.LookupFails
+		res.RPCFails += r.LookupFails
 		seen := make(map[netmodel.HostID]bool)
 		var cands []netmodel.HostID
 		if r.OK {
@@ -100,7 +83,6 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(WireResult)) {
 				cands = append(cands, p)
 			}
 		}
-		res.Candidates = len(cands)
 		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
 		if w.cfg.MaxProbes > 0 && len(cands) > w.cfg.MaxProbes {
 			cands = cands[:w.cfg.MaxProbes]
@@ -111,9 +93,7 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(WireResult)) {
 		}
 		w.chord.Transport().Node(node).SweepPing(ids, w.PingTimeout, func(s p2p.PingSweep) {
 			res.Probes, res.DeadProbes, res.Found = s.Probes, s.Dead, s.Found
-			if s.Found {
-				res.Peer, res.RTTms = w.hosts[int(s.Best)], s.BestRTT
-			}
+			res.Peer, res.RTTms = s.Best, s.BestRTT
 			done(res)
 		})
 	})

@@ -67,11 +67,13 @@ func TestWirePrefixMatchesStaticLossless(t *testing.T) {
 	withCandidates := 0
 	for _, p := range peers[:16] {
 		static := sys.FindNearest(p)
-		var got WireResult
-		wire.FindNearest(p, func(r WireResult) { got = r })
+		var got p2p.FindResult
+		wire.FindNearest(p, func(r p2p.FindResult) { got = r })
 		kernel.Run()
-		if got.Candidates != static.Candidates {
-			t.Errorf("peer %d: wire bucket has %d candidates, static %d", p, got.Candidates, static.Candidates)
+		// MaxProbes exceeds the population, so every bucket candidate is
+		// probed: the probe count is the bucket's candidate count.
+		if got.Probes != static.Candidates {
+			t.Errorf("peer %d: wire probed %d bucket candidates, static bucket has %d", p, got.Probes, static.Candidates)
 		}
 		if got.Found != (static.Peer >= 0) {
 			t.Errorf("peer %d: wire found=%v, static peer=%d", p, got.Found, static.Peer)
@@ -79,7 +81,7 @@ func TestWirePrefixMatchesStaticLossless(t *testing.T) {
 		if got.Found {
 			withCandidates++
 			// Wire pings measure the matrix RTT at nanosecond resolution.
-			if want := top.RTTms(p, got.Peer); math.Abs(got.RTTms-want) > 1e-6 {
+			if want := top.RTTms(p, peers[got.Peer]); math.Abs(got.RTTms-want) > 1e-6 {
 				t.Errorf("peer %d: wire RTT %v to %d, matrix says %v", p, got.RTTms, got.Peer, want)
 			}
 		}
@@ -90,15 +92,15 @@ func TestWirePrefixMatchesStaticLossless(t *testing.T) {
 
 	// Republish must not inflate candidate counts: duplicates collapse.
 	target := peers[0]
-	var before WireResult
-	wire.FindNearest(target, func(r WireResult) { before = r })
+	var before p2p.FindResult
+	wire.FindNearest(target, func(r p2p.FindResult) { before = r })
 	kernel.Run()
 	wire.Publish(target, nil)
 	kernel.Run()
-	var after WireResult
-	wire.FindNearest(target, func(r WireResult) { after = r })
+	var after p2p.FindResult
+	wire.FindNearest(target, func(r p2p.FindResult) { after = r })
 	kernel.Run()
-	if after.Candidates != before.Candidates {
-		t.Fatalf("republish changed candidate count: %d -> %d", before.Candidates, after.Candidates)
+	if after.Probes != before.Probes {
+		t.Fatalf("republish changed candidate count: %d -> %d probes", before.Probes, after.Probes)
 	}
 }

@@ -168,7 +168,7 @@ func diffWorkload(t *testing.T, tr p2p.Transport, d diffDriver) diffOutcome {
 	// coordinate- and timing-dependent, so it is asserted valid, not equal.
 	vdone := false
 	d.do(func() {
-		w.FindNearest(0, func(res vivaldi.WireResult) {
+		w.FindNearest(0, func(res p2p.FindResult) {
 			if !res.Found || res.Peer == 0 || !tr.Alive(res.Peer) {
 				t.Errorf("vivaldi nearest from 0: found=%v peer=%d", res.Found, res.Peer)
 			}

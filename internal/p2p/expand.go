@@ -64,22 +64,6 @@ type foundMsg struct {
 	Round int
 }
 
-// ExpandResult reports one search's outcome.
-type ExpandResult struct {
-	// Peer is the earliest responder (-1 when no round answered).
-	Peer int
-	// RTTms is the measured RTT to Peer (request plus report travel).
-	RTTms float64
-	// Rounds is how many rounds ran before the answer arrived.
-	Rounds int
-	// Messages is the number of multicast copies sent.
-	Messages int
-	// Elapsed is the virtual time from search start to resolution.
-	Elapsed time.Duration
-	// Found reports whether any peer answered.
-	Found bool
-}
-
 // expandSearch is one in-flight search at its searcher.
 type expandSearch struct {
 	sid      uint64
@@ -89,7 +73,7 @@ type expandSearch struct {
 	started  time.Duration
 	sentAt   []time.Duration // sentAt[tag] = virtual time the tagged multicast went out
 	messages int
-	done     func(ExpandResult)
+	done     func(FindResult)
 }
 
 // expandSlot is a client's search state: the active search (nil when idle —
@@ -139,9 +123,11 @@ func (e *Expanding) Deregister(id NodeID) { e.rt.LeaveGroup(ExpandGroup, id) }
 
 // Search runs the expanding search from client. done fires exactly once:
 // with the earliest responder, or unfound after the last round times out.
+// The result's Probes counts the multicast copies sent and Hops the rounds
+// that ran before the answer arrived; RTTms is request plus report travel.
 // Must run as an event at the client (or setup code): a client's slot is
 // home-shard state.
-func (e *Expanding) Search(client NodeID, done func(ExpandResult)) {
+func (e *Expanding) Search(client NodeID, done func(FindResult)) {
 	n := e.rt.AddNode(client)
 	slot := &e.byClient[client]
 	slot.nextSID++
@@ -158,13 +144,13 @@ func (e *Expanding) Search(client NodeID, done func(ExpandResult)) {
 		// Measure against the round that sent the find this answers — a
 		// late answer (allowed: "they still count") must not be timed
 		// against a newer round's start, which would under-report the RTT.
-		sr.done(ExpandResult{
-			Peer:     int(env.From),
-			RTTms:    msOf(now - sr.sentAt[fm.Round]),
-			Rounds:   sr.round, // round counts multicasts already sent
-			Messages: sr.messages,
-			Elapsed:  now - sr.started,
-			Found:    true,
+		sr.done(FindResult{
+			Peer:    env.From,
+			RTTms:   msOf(now - sr.sentAt[fm.Round]),
+			Hops:    sr.round, // round counts multicasts already sent
+			Probes:  sr.messages,
+			Elapsed: now - sr.started,
+			Found:   true,
 		})
 	})
 	e.runRound(s)
@@ -186,7 +172,7 @@ func (e *Expanding) runRound(s *expandSearch) {
 			return
 		}
 		e.byClient[s.client].active = nil
-		s.done(ExpandResult{Peer: -1, Rounds: e.cfg.Rounds, Messages: s.messages, Elapsed: e.rt.Now(s.client) - s.started, Found: false})
+		s.done(FindResult{Peer: NoNode, Hops: e.cfg.Rounds, Probes: s.messages, Elapsed: e.rt.Now(s.client) - s.started})
 		return
 	}
 	radius := e.cfg.InitialRadiusMs

@@ -20,8 +20,8 @@ func TestExpandingFindsNearestRegistered(t *testing.T) {
 	for _, id := range []NodeID{2, 3, 5} {
 		e.Register(id)
 	}
-	var res ExpandResult
-	e.Search(0, func(r ExpandResult) { res = r })
+	var res FindResult
+	e.Search(0, func(r FindResult) { res = r })
 	kernel.Run()
 	if !res.Found || res.Peer != 2 {
 		t.Fatalf("found %v peer %d, want member 2", res.Found, res.Peer)
@@ -30,10 +30,10 @@ func TestExpandingFindsNearestRegistered(t *testing.T) {
 		t.Fatalf("measured %v ms, want 20", res.RTTms)
 	}
 	// Scopes 5, 15, 45: node 2 first reachable in round 3.
-	if res.Rounds != 3 {
-		t.Fatalf("resolved in round %d, want 3", res.Rounds)
+	if res.Hops != 3 {
+		t.Fatalf("resolved in round %d, want 3", res.Hops)
 	}
-	if res.Messages == 0 {
+	if res.Probes == 0 {
 		t.Fatal("no multicast copies counted")
 	}
 }
@@ -46,14 +46,14 @@ func TestExpandingUnfoundAfterAllRounds(t *testing.T) {
 	cfg.InitialRadiusMs = 1 // scopes 1, 4 ms: nobody is that close
 	e := NewExpanding(rt, cfg)
 	e.Register(5)
-	var res ExpandResult
+	var res FindResult
 	called := 0
-	e.Search(0, func(r ExpandResult) { res = r; called++ })
+	e.Search(0, func(r FindResult) { res = r; called++ })
 	kernel.Run()
 	if called != 1 {
 		t.Fatalf("done fired %d times", called)
 	}
-	if res.Found || res.Peer != -1 || res.Rounds != 2 {
+	if res.Found || res.Peer != NoNode || res.Hops != 2 {
 		t.Fatalf("unexpected result %+v", res)
 	}
 }
@@ -73,8 +73,8 @@ func TestExpandingLateAnswerMeasuredAgainstItsRound(t *testing.T) {
 		RoundTimeout:    10 * time.Millisecond, // rounds close long before the answer returns
 	})
 	e.Register(5) // 50 ms from searcher 0: the answer lands in round 5
-	var res ExpandResult
-	e.Search(0, func(r ExpandResult) { res = r })
+	var res FindResult
+	e.Search(0, func(r FindResult) { res = r })
 	kernel.Run()
 	if !res.Found || res.Peer != 5 {
 		t.Fatalf("found=%v peer=%d, want member 5", res.Found, res.Peer)
@@ -84,8 +84,8 @@ func TestExpandingLateAnswerMeasuredAgainstItsRound(t *testing.T) {
 	if res.RTTms != 50 {
 		t.Fatalf("late answer measured as %v ms, want 50 (its own round's send time)", res.RTTms)
 	}
-	if res.Rounds != 5 {
-		t.Fatalf("resolved after %d rounds, want 5", res.Rounds)
+	if res.Hops != 5 {
+		t.Fatalf("resolved after %d rounds, want 5", res.Hops)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestExpandingSkipsCrashedAndDeregistered(t *testing.T) {
 	}
 	rt.Node(1).Stop() // crashed: silent
 	e.Deregister(2)   // graceful: no longer subscribed
-	var res ExpandResult
-	e.Search(0, func(r ExpandResult) { res = r })
+	var res FindResult
+	e.Search(0, func(r FindResult) { res = r })
 	kernel.Run()
 	if res.Peer != 3 {
 		t.Fatalf("peer %d, want 3", res.Peer)

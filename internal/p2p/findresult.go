@@ -1,10 +1,14 @@
 // FindResult — the scheme-independent outcome of a wire nearest-peer
-// query. The per-scheme Wire types under internal/{beacon,tiers,pic,
-// tapestry,azureus,kargerruhl,rendezvous} all report through it, which is
-// what lets the experiments' scheme registry score every scheme with one
-// code path.
+// query, and the only nearest-peer result type on the wire. This package's
+// own Meridian walk and expanding-ring search report it, as does every
+// per-scheme Wire under internal/{ucl,ipprefix,vivaldi,beacon,tiers,pic,
+// tapestry,azureus,kargerruhl,rendezvous} — which is what lets the
+// experiments' scheme registry score all fourteen schemes with one harness
+// and one scorer.
 
 package p2p
+
+import "time"
 
 // FindResult reports a wire nearest-peer query's outcome and cost. Counters
 // follow the overlay package's methodology: Probes is the cost the paper
@@ -27,6 +31,9 @@ type FindResult struct {
 	// Hops counts the scheme's descent/walk steps (same meaning as the
 	// static overlay.Result's Hops).
 	Hops int
+	// Elapsed is the virtual time from issue to report, for the schemes
+	// that time their queries (Meridian, expanding-ring); 0 elsewhere.
+	Elapsed time.Duration
 	// Found reports whether any candidate answered.
 	Found bool
 }

@@ -120,29 +120,11 @@ type doneMsg struct {
 	Hops    int
 }
 
-// QueryResult is the outcome of one message-level closest-node query.
-type QueryResult struct {
-	// Peer is the returned member (-1 when the query failed or timed out).
-	Peer int
-	// LatencyMs is the measured RTT between target and Peer.
-	LatencyMs float64
-	// Probes is the number of query-time pings the query cost. It is
-	// measured as the runtime counter's delta, so it is exact only while
-	// queries do not overlap in virtual time.
-	Probes int64
-	// Hops is the number of members that carried the query.
-	Hops int
-	// Elapsed is the virtual time from issue to report.
-	Elapsed time.Duration
-	// Completed is false when the query deadline expired first.
-	Completed bool
-}
-
 // pendingQuery is origin-side bookkeeping for one outstanding query.
 type pendingQuery struct {
 	started       time.Duration
 	probesAtStart int64
-	done          func(QueryResult)
+	done          func(FindResult)
 }
 
 // Meridian runs the protocol over a Runtime: it tracks live membership,
@@ -371,8 +353,11 @@ func (m *Meridian) handleProbe(n *Node, env Envelope) {
 
 // FindNearest originates a closest-node query for target from the client
 // node (typically the target itself: "find the member closest to me").
-// done fires exactly once, on report or deadline.
-func (m *Meridian) FindNearest(client, target NodeID, done func(QueryResult)) {
+// done fires exactly once, on report or deadline; a query whose deadline
+// expired first, or whose walk met no member, reports Found false. Probes
+// is the runtime query-probe counter's delta, so it is exact only while
+// queries do not overlap in virtual time.
+func (m *Meridian) FindNearest(client, target NodeID, done func(FindResult)) {
 	n := m.rt.AddNode(client)
 	n.Handle(MsgDone, m.handleDone)
 	m.nextQID++
@@ -388,11 +373,10 @@ func (m *Meridian) FindNearest(client, target NodeID, done func(QueryResult)) {
 			return
 		}
 		delete(m.queries, qid)
-		pq.done(QueryResult{
-			Peer:      -1,
-			Probes:    m.rt.SerialMetrics().QueryProbes - pq.probesAtStart,
-			Elapsed:   m.rt.Now(client) - pq.started,
-			Completed: false,
+		pq.done(FindResult{
+			Peer:    NoNode,
+			Probes:  int(m.rt.SerialMetrics().QueryProbes - pq.probesAtStart),
+			Elapsed: m.rt.Now(client) - pq.started,
 		})
 	})
 	q := queryMsg{QID: qid, Origin: client, Target: target, D: -1, BestID: -1, BestLat: math.Inf(1)}
@@ -426,16 +410,14 @@ func (m *Meridian) reportDone(qid uint64, dm doneMsg, now time.Duration) {
 		return // deadline fired, or a duplicate report from a split walk
 	}
 	delete(m.queries, qid)
-	res := QueryResult{
-		Peer:      int(dm.BestID),
-		LatencyMs: dm.BestLat,
-		Probes:    m.rt.SerialMetrics().QueryProbes - pq.probesAtStart,
-		Hops:      dm.Hops,
-		Elapsed:   now - pq.started,
-		Completed: true,
+	res := FindResult{
+		Peer:    NoNode,
+		Probes:  int(m.rt.SerialMetrics().QueryProbes - pq.probesAtStart),
+		Hops:    dm.Hops,
+		Elapsed: now - pq.started,
 	}
-	if dm.BestID < 0 {
-		res.LatencyMs = 0
+	if dm.BestID >= 0 {
+		res.Peer, res.RTTms, res.Found = dm.BestID, dm.BestLat, true
 	}
 	pq.done(res)
 }

@@ -33,8 +33,8 @@ func buildOverlay(t *testing.T, peers int, loss float64, seed int64) (*sim.Sim, 
 }
 
 // runQueries issues queries sequentially in virtual time.
-func runQueries(kernel *sim.Sim, mer *Meridian, targets []int, n int) []QueryResult {
-	var out []QueryResult
+func runQueries(kernel *sim.Sim, mer *Meridian, targets []int, n int) []FindResult {
+	var out []FindResult
 	i := 0
 	var step func()
 	step = func() {
@@ -43,7 +43,7 @@ func runQueries(kernel *sim.Sim, mer *Meridian, targets []int, n int) []QueryRes
 		}
 		tgt := NodeID(targets[i%len(targets)])
 		i++
-		mer.FindNearest(tgt, tgt, func(res QueryResult) {
+		mer.FindNearest(tgt, tgt, func(res FindResult) {
 			out = append(out, res)
 			kernel.After(10*time.Millisecond, step)
 		})
@@ -80,8 +80,8 @@ func TestMeridianQueryLossless(t *testing.T) {
 	}
 	exact := 0
 	for i, res := range results {
-		if !res.Completed {
-			t.Fatalf("query %d did not complete in a lossless network", i)
+		if !res.Found {
+			t.Fatalf("query %d did not complete with a peer in a lossless network", i)
 		}
 		if res.Peer < 0 {
 			t.Fatalf("query %d found no peer", i)
@@ -90,12 +90,12 @@ func TestMeridianQueryLossless(t *testing.T) {
 			t.Fatalf("query %d reports %d probes", i, res.Probes)
 		}
 		tgt := targets[i%len(targets)]
-		if res.Peer == overlay.TrueNearest(m, tgt, members).Peer {
+		if int(res.Peer) == overlay.TrueNearest(m, tgt, members).Peer {
 			exact++
 		}
 		// The reported latency is the true RTT measured on the virtual
 		// clock, which truncates to nanoseconds.
-		if got, want := res.LatencyMs, m.LatencyMs(tgt, res.Peer); math.Abs(got-want) > 1e-3 {
+		if got, want := res.RTTms, m.LatencyMs(tgt, int(res.Peer)); math.Abs(got-want) > 1e-3 {
 			t.Fatalf("query %d latency %v, want %v", i, got, want)
 		}
 	}
@@ -112,7 +112,7 @@ func TestMeridianQueryUnderLoss(t *testing.T) {
 	results := runQueries(kernel, mer, targets, 25)
 	completed := 0
 	for _, res := range results {
-		if res.Completed && res.Peer >= 0 {
+		if res.Found && res.Peer >= 0 {
 			completed++
 		}
 	}
@@ -125,7 +125,7 @@ func TestMeridianQueryUnderLoss(t *testing.T) {
 }
 
 func TestMeridianDeterministicReplay(t *testing.T) {
-	run := func() (Metrics, []QueryResult) {
+	run := func() (Metrics, []FindResult) {
 		kernel, rt, mer, _, _, targets := buildOverlay(t, 200, 0.1, 11)
 		return rt.Metrics, runQueries(kernel, mer, targets, 10)
 	}
@@ -158,9 +158,9 @@ func TestMeridianLeaveEvictsAndQueriesSurvive(t *testing.T) {
 	results := runQueries(kernel, mer, targets, 15)
 	completed := 0
 	for _, res := range results {
-		if res.Completed && res.Peer >= 0 {
+		if res.Found && res.Peer >= 0 {
 			completed++
-			if !mer.isLiveMember(NodeID(res.Peer)) {
+			if !mer.isLiveMember(res.Peer) {
 				t.Fatalf("query returned dead peer %d", res.Peer)
 			}
 		}
@@ -192,7 +192,7 @@ func TestMeridianUnderChurn(t *testing.T) {
 	}
 	completed := 0
 	for _, res := range results {
-		if res.Completed && res.Peer >= 0 {
+		if res.Found && res.Peer >= 0 {
 			completed++
 		}
 	}

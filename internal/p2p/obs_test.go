@@ -130,7 +130,7 @@ func TestMeridianFlightRecorder(t *testing.T) {
 	}
 	kernel.Run()
 	completed := false
-	mer.FindNearest(45, 45, func(res QueryResult) { completed = res.Completed })
+	mer.FindNearest(45, 45, func(res FindResult) { completed = res.Found })
 	kernel.Run()
 	if !completed {
 		t.Fatal("query did not complete")

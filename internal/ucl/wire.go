@@ -25,7 +25,6 @@ type Wire struct {
 	cfg     Config
 	tools   *measure.Tools
 	chord   *p2p.Chord
-	hosts   []netmodel.HostID
 	index   map[netmodel.HostID]p2p.NodeID
 	anchors []netmodel.HostID
 	// PingTimeout bounds each candidate probe; 0 uses the runtime default.
@@ -41,7 +40,7 @@ func NewWire(tools *measure.Tools, chord *p2p.Chord, hosts []netmodel.HostID, an
 	for i, h := range hosts {
 		index[h] = p2p.NodeID(i)
 	}
-	return &Wire{cfg: cfg, tools: tools, chord: chord, hosts: hosts, index: index, anchors: anchors}
+	return &Wire{cfg: cfg, tools: tools, chord: chord, index: index, anchors: anchors}
 }
 
 // NodeOf maps a host to its runtime node id.
@@ -72,41 +71,18 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(stored int)) {
 	next(0)
 }
 
-// WireResult reports a message-level UCL query's outcome and cost.
-type WireResult struct {
-	// Peer is the closest responsive candidate found (-1 if none).
-	Peer netmodel.HostID
-	// RTTms is the wire-measured RTT to Peer.
-	RTTms float64
-	// Candidates is how many distinct peers the DHT returned.
-	Candidates int
-	// Discarded counts candidates dropped by the latency estimate without
-	// probing.
-	Discarded int
-	// Probes counts candidate pings issued (paid whether or not answered).
-	Probes int
-	// DeadProbes counts pings that timed out — stale hints whose publisher
-	// was down, or probe loss.
-	DeadProbes int
-	// Lookups counts DHT Gets issued; LookupFails those that never
-	// resolved an owner; Hops and Retries aggregate their routing cost.
-	Lookups     int
-	LookupFails int
-	Hops        int
-	Retries     int
-	// Found reports whether any candidate answered.
-	Found bool
-}
-
 // FindNearest runs the UCL query for peer over the wire: compute its UCL
 // locally, fetch the peers sharing each of those routers from the DHT,
 // estimate latencies via the shared router, discard the certainly-far,
-// ping the rest over the runtime, return the closest responder. done fires
-// exactly once (the issuing node is assumed to stay up for the query).
-func (w *Wire) FindNearest(peer netmodel.HostID, done func(WireResult)) {
+// ping the rest over the runtime, return the closest responder (as its
+// runtime node id: hosts[Peer] is the host). RPCs counts the DHT Gets
+// issued, RPCFails those that never resolved an owner, Hops their routing
+// cost. done fires exactly once (the issuing node is assumed to stay up
+// for the query).
+func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	own := ComputeUCL(w.tools, w.anchors, w.cfg, peer)
 	node := w.NodeOf(peer)
-	res := WireResult{Peer: -1}
+	res := p2p.FindResult{Peer: p2p.NoNode}
 	best := make(map[netmodel.HostID]float64)
 
 	probe := func(cands []hintCand) {
@@ -116,9 +92,7 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(WireResult)) {
 		}
 		w.chord.Transport().Node(node).SweepPing(ids, w.PingTimeout, func(s p2p.PingSweep) {
 			res.Probes, res.DeadProbes, res.Found = s.Probes, s.Dead, s.Found
-			if s.Found {
-				res.Peer, res.RTTms = w.hosts[int(s.Best)], s.BestRTT
-			}
+			res.Peer, res.RTTms = s.Best, s.BestRTT
 			done(res)
 		})
 	}
@@ -126,9 +100,7 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(WireResult)) {
 	var get func(i int)
 	get = func(i int) {
 		if i >= len(own) {
-			res.Candidates = len(best)
 			kept := rankHintCands(best, w.cfg)
-			res.Discarded = res.Candidates - len(kept)
 			if w.cfg.MaxProbes > 0 && len(kept) > w.cfg.MaxProbes {
 				kept = kept[:w.cfg.MaxProbes]
 			}
@@ -136,11 +108,10 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(WireResult)) {
 			return
 		}
 		p := own[i]
-		res.Lookups++
+		res.RPCs++
 		w.chord.Get(node, routerKey(p.Router), func(r p2p.OpResult) {
 			res.Hops += r.Hops
-			res.Retries += r.Retries
-			res.LookupFails += r.LookupFails
+			res.RPCFails += r.LookupFails
 			if r.OK {
 				for _, v := range r.Vals {
 					e, err := decodeEntry(v)

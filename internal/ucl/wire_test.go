@@ -91,25 +91,29 @@ func TestWireFindNearestMatchesStaticLossless(t *testing.T) {
 	agreeingQueries := 0
 	for _, p := range f.peers[:12] {
 		static := f.sys.FindNearest(p)
-		var got WireResult
-		f.wire.FindNearest(p, func(r WireResult) { got = r })
+		var got p2p.FindResult
+		f.wire.FindNearest(p, func(r p2p.FindResult) { got = r })
 		f.kernel.Run()
-		if got.Candidates != static.Candidates {
-			t.Errorf("peer %d: wire saw %d candidates, static %d", p, got.Candidates, static.Candidates)
+		// Both legs probe every candidate that survives the estimate
+		// cutoff (up to MaxProbes), so equal probe counts mean the wire saw
+		// and discarded what the static system did.
+		if got.Probes != static.Probes {
+			t.Errorf("peer %d: wire probed %d candidates, static %d (of %d, %d discarded)",
+				p, got.Probes, static.Probes, static.Candidates, static.Discarded)
 		}
-		if got.Discarded != static.Discarded {
-			t.Errorf("peer %d: wire discarded %d, static %d", p, got.Discarded, static.Discarded)
+		if got.RPCs != static.Lookups {
+			t.Errorf("peer %d: wire issued %d lookups, static %d", p, got.RPCs, static.Lookups)
 		}
 		if got.Found != (static.Peer >= 0) {
 			t.Errorf("peer %d: wire found=%v, static peer=%d", p, got.Found, static.Peer)
 		}
-		if got.LookupFails != 0 || got.DeadProbes != 0 {
-			t.Errorf("peer %d: lossless run had %d lookup failures, %d dead probes", p, got.LookupFails, got.DeadProbes)
+		if got.RPCFails != 0 || got.DeadProbes != 0 {
+			t.Errorf("peer %d: lossless run had %d lookup failures, %d dead probes", p, got.RPCFails, got.DeadProbes)
 		}
 		if got.Found {
 			agreeingQueries++
 			// Wire pings measure the matrix RTT at nanosecond resolution.
-			if want := f.top.RTTms(p, got.Peer); math.Abs(got.RTTms-want) > 1e-6 {
+			if want := f.top.RTTms(p, f.peers[got.Peer]); math.Abs(got.RTTms-want) > 1e-6 {
 				t.Errorf("peer %d: wire RTT %v to %d, matrix says %v", p, got.RTTms, got.Peer, want)
 			}
 		}
@@ -125,15 +129,15 @@ func TestWireStaleHintCostsDeadProbe(t *testing.T) {
 	// published hints stay in the DHT, so the next query still pays a probe
 	// for it and must fall through to another candidate (or nothing).
 	for _, p := range f.peers[:20] {
-		var first WireResult
-		f.wire.FindNearest(p, func(r WireResult) { first = r })
+		var first p2p.FindResult
+		f.wire.FindNearest(p, func(r p2p.FindResult) { first = r })
 		f.kernel.Run()
 		if !first.Found {
 			continue
 		}
-		f.rt.Node(f.wire.NodeOf(first.Peer)).Stop()
-		var second WireResult
-		f.wire.FindNearest(p, func(r WireResult) { second = r })
+		f.rt.Node(first.Peer).Stop()
+		var second p2p.FindResult
+		f.wire.FindNearest(p, func(r p2p.FindResult) { second = r })
 		f.kernel.Run()
 		if second.DeadProbes == 0 {
 			t.Fatalf("peer %d: stale hint for crashed %d did not cost a dead probe: %+v", p, first.Peer, second)

@@ -628,28 +628,6 @@ func sortWalkCands(cands []walkCand) {
 	}
 }
 
-// WireResult reports one coordinate-guided nearest-peer search.
-type WireResult struct {
-	// Peer is the closest RTT-verified candidate (NoNode if none answered).
-	Peer p2p.NodeID
-	// RTTms is the wire-measured RTT to Peer.
-	RTTms float64
-	// Probes counts query-time RTT measurements issued (placement probes
-	// plus verification pings); Dead the ones that timed out.
-	Probes, Dead int
-	// Hops counts greedy-walk steps taken.
-	Hops int
-	// Candidates is how many distinct members the walk collected before
-	// verification.
-	Candidates int
-	// RingFallback reports that the greedy walk collected no live
-	// candidate and the search degraded to a ring sweep over known
-	// members (only possible with a retry policy enabled).
-	RingFallback bool
-	// Found reports whether any verified candidate answered.
-	Found bool
-}
-
 // walkCand is one candidate the greedy walk collected.
 type walkCand struct {
 	id   p2p.NodeID
@@ -662,11 +640,12 @@ type walkCand struct {
 // rule over the answers, as the static PlaceTarget does), greedy-walk over
 // advertised coordinates toward the client's coordinate, then RTT-verify
 // the VerifyTop best candidates with real pings and return the closest
-// responder. done fires exactly once (the issuing node is assumed to stay
-// up for the query).
-func (w *Wire) FindNearest(client p2p.NodeID, done func(WireResult)) {
+// responder. Probes counts query-time RTT measurements (placement probes
+// plus verification pings), Hops the greedy-walk steps taken. done fires
+// exactly once (the issuing node is assumed to stay up for the query).
+func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	n := w.rt.AddNode(client)
-	res := WireResult{Peer: p2p.NoNode}
+	res := p2p.FindResult{Peer: p2p.NoNode}
 	var lseq uint64
 	if rec := w.rt.FlightRecorder(); rec != nil {
 		lseq = rec.Begin()
@@ -683,7 +662,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(WireResult)) {
 // place positions a non-member: sequential coordinate probes against
 // random members, then the static placement iteration over the collected
 // (coordinate, RTT) observations.
-func (w *Wire) place(n *p2p.Node, client p2p.NodeID, lseq uint64, res *WireResult, done func(WireResult)) {
+func (w *Wire) place(n *p2p.Node, client p2p.NodeID, lseq uint64, res *p2p.FindResult, done func(p2p.FindResult)) {
 	type placeObs struct {
 		from  p2p.NodeID
 		coord *Coord
@@ -743,7 +722,7 @@ func (w *Wire) place(n *p2p.Node, client p2p.NodeID, lseq uint64, res *WireResul
 					rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgProbe,
 						From: int(n.ID), To: int(targets[i]), At: start, Outcome: obs.HopTimeout})
 				}
-				res.Dead++
+				res.DeadProbes++
 				step(i + 1)
 			})
 	}
@@ -762,7 +741,7 @@ func containsID(list []p2p.NodeID, id p2p.NodeID) bool {
 
 // walk runs the greedy descent from start toward the target coordinate tc,
 // collecting every answered candidate, then hands off to verification.
-func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, start p2p.NodeID, res *WireResult, done func(WireResult)) {
+func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, start p2p.NodeID, res *p2p.FindResult, done func(p2p.FindResult)) {
 	var cands []walkCand
 	addCand := func(id p2p.NodeID, pred float64) {
 		if id == client || id == p2p.NoNode {
@@ -827,8 +806,7 @@ func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, star
 // verify ranks the walk's candidates by predicted distance, RTT-verifies
 // the VerifyTop best with real pings, and answers with the closest
 // responder.
-func (w *Wire) verify(n *p2p.Node, cands []walkCand, res *WireResult, done func(WireResult)) {
-	res.Candidates = len(cands)
+func (w *Wire) verify(n *p2p.Node, cands []walkCand, res *p2p.FindResult, done func(p2p.FindResult)) {
 	if len(cands) == 0 && w.cfg.Retry.Enabled() && len(w.members) > 0 {
 		w.ringFallback(n, res, done)
 		return
@@ -864,7 +842,7 @@ func (w *Wire) verify(n *p2p.Node, cands []walkCand, res *WireResult, done func(
 	}
 	n.SweepPing(ids, w.cfg.RPCTimeout, func(s p2p.PingSweep) {
 		res.Probes += s.Probes
-		res.Dead += s.Dead
+		res.DeadProbes += s.Dead
 		if s.Found {
 			res.Found = true
 			res.Peer, res.RTTms = s.Best, s.BestRTT
@@ -878,8 +856,7 @@ func (w *Wire) verify(n *p2p.Node, cands []walkCand, res *WireResult, done func(
 // ping a random sample of known members so the query still answers with
 // the best reachable peer instead of failing outright. Reached only with
 // a retry policy enabled; the probe budget is twice VerifyTop.
-func (w *Wire) ringFallback(n *p2p.Node, res *WireResult, done func(WireResult)) {
-	res.RingFallback = true
+func (w *Wire) ringFallback(n *p2p.Node, res *p2p.FindResult, done func(p2p.FindResult)) {
 	budget := 2 * w.cfg.VerifyTop
 	if budget < 2 {
 		budget = 2
@@ -894,7 +871,7 @@ func (w *Wire) ringFallback(n *p2p.Node, res *WireResult, done func(WireResult))
 	}
 	n.SweepPing(targets, w.cfg.RPCTimeout, func(s p2p.PingSweep) {
 		res.Probes += s.Probes
-		res.Dead += s.Dead
+		res.DeadProbes += s.Dead
 		if s.Found {
 			res.Found = true
 			res.Peer, res.RTTms = s.Best, s.BestRTT

@@ -129,9 +129,9 @@ func TestWireGossipDeterministic(t *testing.T) {
 func TestWireFindNearestNonMember(t *testing.T) {
 	kernel, _, w := newTestWire(64, 0, 3)
 	kernel.RunUntil(10 * time.Minute)
-	var res WireResult
+	var res p2p.FindResult
 	fired := 0
-	w.FindNearest(0, func(r WireResult) { res = r; fired++ })
+	w.FindNearest(0, func(r p2p.FindResult) { res = r; fired++ })
 	// Gossip ticks reschedule forever (no Horizon here), so drive by
 	// deadline instead of draining the queue.
 	kernel.RunUntil(kernel.Now() + 2*time.Minute)
@@ -155,8 +155,8 @@ func TestWireFindNearestNonMember(t *testing.T) {
 func TestWireFindNearestMember(t *testing.T) {
 	kernel, _, w := newTestWire(64, 0, 3)
 	kernel.RunUntil(10 * time.Minute)
-	var res WireResult
-	w.FindNearest(32, func(r WireResult) { res = r })
+	var res p2p.FindResult
+	w.FindNearest(32, func(r p2p.FindResult) { res = r })
 	kernel.RunUntil(kernel.Now() + 2*time.Minute)
 	if !res.Found || res.RTTms != 10 {
 		t.Fatalf("member search found %d at %.0f ms, want an adjacent member at exactly 10 ms (%+v)",
