@@ -46,6 +46,16 @@ type Row struct {
 	// EventsPerSec is kernel events executed per wall-clock second, the
 	// simulator's headline throughput. Only the scale-study row fills it.
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
+	// Windows and EventsPerWindow are the sharded kernel's own telemetry for
+	// one op of a scale-study row (sim.ShardedStats summed over the wire
+	// cells): how many lock-step windows the run took and how much work each
+	// carried — the quantity a window barrier's cost is measured against.
+	Windows         uint64  `json:"windows,omitempty"`
+	EventsPerWindow float64 `json:"events_per_window,omitempty"`
+	// ShardSpeedup is the single-shard row's wall per op over this row's.
+	// Only the multi-shard scale-study row fills it; read it against
+	// gomaxprocs (at 1 it is the sharding overhead, not a speedup).
+	ShardSpeedup float64 `json:"shard_speedup,omitempty"`
 	N            int     `json:"n"`
 }
 
@@ -134,18 +144,25 @@ func main() {
 	// across the wire cells. The two rows are the sharded kernel's
 	// throughput trajectory; the figures they produce are byte-identical
 	// (the determinism tests pin that), so any delta is pure wall-clock.
-	s1Smoke := func(name string, shards int) {
+	s1Smoke := func(name string, shards int) Row {
 		prev := engine.SetShards(shards)
 		defer engine.SetShards(prev)
-		var events uint64
+		// testing.Benchmark calls the body more than once while it sizes
+		// b.N; the accumulators span every call, so per-op figures divide
+		// by their own op count, not by the last call's N.
+		var events, windows, ops uint64
 		var elapsed time.Duration
 		res := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
 				r := experiments.ScaleStudyAt([]int{1000}, 20, 1)
 				elapsed += time.Since(start)
+				ops++
 				for _, c := range r.Cells {
 					events += c.Events
+					if c.Kernel != nil {
+						windows += c.Kernel.Windows
+					}
 				}
 			}
 		})
@@ -153,11 +170,21 @@ func main() {
 		if elapsed > 0 {
 			row.EventsPerSec = float64(events) / elapsed.Seconds()
 		}
-		rows = append(rows, row)
-		fmt.Printf("%-28s %12.1f ns/op %27.0f events/sec\n", row.Name, row.NsPerOp, row.EventsPerSec)
+		if windows > 0 {
+			row.Windows = windows / ops
+			row.EventsPerWindow = float64(events) / float64(windows)
+		}
+		return row
 	}
-	s1Smoke("scale_study_smoke_1k", 1)
-	s1Smoke("scale_study_smoke_1k_sh4", 4)
+	sh1 := s1Smoke("scale_study_smoke_1k", 1)
+	sh4 := s1Smoke("scale_study_smoke_1k_sh4", 4)
+	sh4.ShardSpeedup = sh1.NsPerOp / sh4.NsPerOp
+	for _, row := range []Row{sh1, sh4} {
+		rows = append(rows, row)
+		fmt.Printf("%-28s %12.1f ns/op %12.0f events/sec %8d windows %6.1f events/window\n",
+			row.Name, row.NsPerOp, row.EventsPerSec, row.Windows, row.EventsPerWindow)
+	}
+	fmt.Printf("%-28s %12.2f x at gomaxprocs %d\n", "shard_speedup (sh4 vs sh1)", sh4.ShardSpeedup, goruntime.GOMAXPROCS(0))
 
 	data, err := json.MarshalIndent(Output{
 		Schema:     "nearestpeer/bench_scale/v1",

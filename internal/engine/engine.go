@@ -162,9 +162,13 @@ func Run[T any](cfg Config, n int, fn func(*Trial) T) []T {
 	results := make([]T, n)
 	workers := Workers(cfg.Workers)
 	if s := Shards(); s > 1 {
-		// Sharded cells run s kernel goroutines inside one trial; splitting
-		// the pool keeps total concurrency near the workers budget instead
-		// of multiplying it.
+		// A sharded cell runs min(s, GOMAXPROCS) threads inside one trial:
+		// the sim.Sharded coordinator (this pool worker) plus
+		// min(s, GOMAXPROCS)-1 barrier workers that spin between windows,
+		// so each counts as a busy thread. Splitting the pool keeps the
+		// total at floor(workers/s)·min(s, GOMAXPROCS) <= workers. Only a
+		// budget below the shard count exceeds it — one trial, the
+		// -shards request itself, and still at most GOMAXPROCS threads.
 		workers = workers / s
 		if workers < 1 {
 			workers = 1

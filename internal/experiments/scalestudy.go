@@ -60,6 +60,11 @@ type ScaleCell struct {
 	// -workers — appearing only in RenderTiming.
 	WallMs float64
 	QPS    float64
+	// Kernel is the sharded kernel's self-telemetry for the wire cells (nil
+	// for the static baseline). Window and park counts depend on the shard
+	// count and the scheduler, so like WallMs they appear in RenderTiming
+	// only.
+	Kernel *sim.ShardedStats
 }
 
 // ScaleStudyResult is the figure s1 grid.
@@ -303,6 +308,7 @@ func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCe
 	shk.Run()
 
 	n := float64(queries)
+	stats := shk.Stats()
 	return ScaleCell{
 		Members:      len(members),
 		Queries:      queries,
@@ -310,6 +316,7 @@ func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCe
 		CostPerQuery: float64(copies) / n,
 		MsgsPerQuery: float64(rt.TotalMetrics().MsgsSent) / n,
 		Events:       shk.Executed(),
+		Kernel:       &stats,
 	}
 }
 
@@ -318,11 +325,13 @@ func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCe
 // sharded kernel at the process shard count.
 func scaleChordCell(top *netmodel.Topology, queries int, seed int64) ScaleCell {
 	ccfg, spacing, settle := scaleChordConfig(top.NumHosts())
+	var stats sim.ShardedStats
 	row := RunWireChord(nil, WireChordOpts{
 		Ops: queries, Seed: seed,
 		Chord: ccfg, JoinSpacing: spacing, Settle: settle,
 		Horizon: 4 * time.Hour,
 		Shards:  engine.Shards(), Top: top,
+		Kernel: &stats,
 	})
 	// Queries is the operations actually issued: a run the horizon cut
 	// short reports what it did (possibly 0), never the nominal count.
@@ -333,6 +342,7 @@ func scaleChordCell(top *netmodel.Topology, queries int, seed int64) ScaleCell {
 		CostPerQuery: row.MeanHops,
 		MsgsPerQuery: row.MeanMsgs,
 		Events:       row.Events,
+		Kernel:       &stats,
 	}
 }
 
@@ -359,8 +369,12 @@ func (r *ScaleStudyResult) Render() string {
 }
 
 // RenderTiming prints the wall-clock view: per-cell elapsed time and
-// operation throughput. Non-deterministic by nature; cmd/figures prints it
-// to the terminal but never writes it into the figure file.
+// operation throughput, then the sharded kernel's self-telemetry for the
+// wire cells — how many windows the run took, how many needed the barrier,
+// how much work a window carries, how unevenly the shards were loaded
+// (busiest shard's events over the mean) and how often a waiter slept.
+// Non-deterministic by nature; cmd/figures prints it to the terminal but
+// never writes it into the figure file.
 func (r *ScaleStudyResult) RenderTiming() string {
 	var b strings.Builder
 	b.WriteString("s1 wall-clock (non-deterministic; excluded from the figure):\n")
@@ -368,6 +382,25 @@ func (r *ScaleStudyResult) RenderTiming() string {
 	for _, c := range r.Cells {
 		fmt.Fprintf(&b, "%10s %8d %12s %12.1f\n",
 			c.Algo, c.Nominal, time.Duration(c.WallMs*float64(time.Millisecond)).Round(time.Millisecond), c.QPS)
+	}
+	b.WriteString("s1 sharded-kernel windows (wire cells):\n")
+	fmt.Fprintf(&b, "%10s %8s %7s %10s %10s %10s %10s %8s\n",
+		"algo", "N(req)", "shards", "windows", "multi", "events/win", "imbalance", "parks")
+	for _, c := range r.Cells {
+		k := c.Kernel
+		if k == nil || k.Windows == 0 {
+			continue
+		}
+		var total, busiest uint64
+		for _, e := range k.ShardEvents {
+			total += e
+			busiest = max(busiest, e)
+		}
+		// A window executes at least one event, so total > 0 here.
+		imbalance := float64(busiest) * float64(len(k.ShardEvents)) / float64(total)
+		fmt.Fprintf(&b, "%10s %8d %7d %10d %10d %10.1f %10.2f %8d\n",
+			c.Algo, c.Nominal, len(k.ShardEvents), k.Windows, k.MultiShardWindows,
+			float64(total)/float64(k.Windows), imbalance, k.Parks)
 	}
 	return b.String()
 }

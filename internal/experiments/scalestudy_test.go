@@ -24,13 +24,20 @@ func TestScaleStudyDeterministicAcrossWorkers(t *testing.T) {
 	// The per-cell deterministic fields must match exactly, not just the
 	// formatted table.
 	for i := range serial.Cells {
-		a, b := serial.Cells[i], parallel.Cells[i]
-		a.WallMs, a.QPS = 0, 0
-		b.WallMs, b.QPS = 0, 0
+		a, b := figureFields(serial.Cells[i]), figureFields(parallel.Cells[i])
 		if a != b {
 			t.Fatalf("cell %d differs across worker counts:\n  w=1: %+v\n  w=8: %+v", i, a, b)
 		}
 	}
+}
+
+// figureFields strips what only RenderTiming may print: wall-clock and the
+// kernel's window telemetry (which moves with the shard count and the
+// scheduler). Everything left must be a pure function of (sizes, queries,
+// seed).
+func figureFields(c ScaleCell) ScaleCell {
+	c.WallMs, c.QPS, c.Kernel = 0, 0, nil
+	return c
 }
 
 // TestScaleStudyShardInvariance is the sharded kernel's contract at study
@@ -51,9 +58,7 @@ func TestScaleStudyShardInvariance(t *testing.T) {
 			t.Fatalf("figure differs between -shards=1 and -shards=%d:\n--- k=1 ---\n%s\n--- k=%d ---\n%s", k, a, k, b)
 		}
 		for i := range base.Cells {
-			a, b := base.Cells[i], got.Cells[i]
-			a.WallMs, a.QPS = 0, 0
-			b.WallMs, b.QPS = 0, 0
+			a, b := figureFields(base.Cells[i]), figureFields(got.Cells[i])
 			if a != b {
 				t.Fatalf("cell %d differs across shard counts:\n  k=1: %+v\n  k=%d: %+v", i, a, k, b)
 			}
@@ -96,11 +101,23 @@ func TestScaleStudyCellsWellFormed(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "wall") {
-		t.Fatal("Render leaked wall-clock fields; they belong to RenderTiming only")
+	if strings.Contains(out, "wall") || strings.Contains(out, "windows") {
+		t.Fatal("Render leaked wall-clock or kernel-telemetry fields; they belong to RenderTiming only")
 	}
-	if timing := r.RenderTiming(); !strings.Contains(timing, "ops/sec") {
+	timing := r.RenderTiming()
+	if !strings.Contains(timing, "ops/sec") {
 		t.Fatalf("timing render missing throughput:\n%s", timing)
+	}
+	// The wire cells report the kernel's window telemetry; the static one
+	// has no kernel.
+	if static.Kernel != nil || expand.Kernel == nil || chord.Kernel == nil {
+		t.Fatalf("kernel telemetry on the wrong cells: static %v expanding %v chord %v", static.Kernel, expand.Kernel, chord.Kernel)
+	}
+	if k := chord.Kernel; k.Windows == 0 || len(k.ShardEvents) != engine.Shards() {
+		t.Fatalf("chord kernel telemetry implausible: %+v", *k)
+	}
+	if !strings.Contains(timing, "events/win") {
+		t.Fatalf("timing render missing the window telemetry:\n%s", timing)
 	}
 }
 

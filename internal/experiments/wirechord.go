@@ -64,6 +64,11 @@ type WireChordOpts struct {
 	// whose cross-PoP latency floor sets the lookahead window. Required
 	// when Shards >= 1; the matrix positions must be Top's host IDs.
 	Top *netmodel.Topology
+	// Kernel, when non-nil, receives the sharded kernel's self-telemetry
+	// after the run (Shards >= 1 only). It is an out-parameter rather than a
+	// row field because the row is figure data and this is wall-clock
+	// diagnostics.
+	Kernel *sim.ShardedStats
 }
 
 // WireChordRow reports the run.
@@ -326,6 +331,9 @@ func runWireChordSharded(opts WireChordOpts) WireChordRow {
 	}
 	driver.At(opsStart, func() { step(p2p.DriverShard) })
 	shk.RunUntil(opts.Horizon)
+	if opts.Kernel != nil {
+		*opts.Kernel = shk.Stats()
+	}
 
 	var msgsStart int64
 	for _, v := range msgsStartSh {

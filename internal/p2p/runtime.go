@@ -91,9 +91,12 @@ type shardCtx struct {
 	// shard-private struct for a sharded one, so legacy serial readers and
 	// the lock-free sharded hot path share one increment site.
 	metrics *Metrics
-	// m is the shard's own matrix view. Matrices with an RTT cache are
-	// single-goroutine; each shard pricing through its own cache is what
-	// keeps the cache while shards run concurrently.
+	// m is the shard's own matrix view. Matrices with an RTT cache are not
+	// safe for concurrent use; each shard pricing through its own cache is
+	// what keeps the cache while shards run concurrently. (Which goroutine
+	// runs a shard changes from window to window — the kernel's barrier
+	// orders one window's run before the next, so the cache, like all
+	// shard state, is only ever touched by one goroutine at a time.)
 	m latency.Matrix
 
 	// deliverH + the slab implement the zero-alloc send path.
@@ -171,7 +174,7 @@ func New(kernel *sim.Sim, m latency.Matrix, cfg Config, seed int64) *Runtime {
 // NewSharded creates a runtime over a sharded kernel: hosts are
 // partitioned across shk's shards by shardOf (a PoP-aligned assignment
 // from netmodel.Topology.ShardByPoP), each shard prices through its own
-// matrix view ms[s] (so per-shard RTT caches stay single-goroutine), and
+// matrix view ms[s] (so no RTT cache is shared between running shards), and
 // shk's window must be the matching cross-partition latency floor. The
 // loss model is not supported sharded: a single loss stream cannot draw in
 // a K-invariant order, and the scale trials this kernel exists for are

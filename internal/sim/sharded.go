@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -33,8 +35,8 @@ type Sharded struct {
 	window time.Duration
 
 	// mail[src*K+dst] is the closure mailbox src fills during a window for
-	// dst; only src's worker writes it, only the coordinator (between
-	// windows) reads it. Higher layers with typed payloads (the p2p
+	// dst; only the goroutine running src writes it, only the coordinator
+	// (between windows) reads it. Higher layers with typed payloads (the p2p
 	// runtime's envelope handoff) keep their own mailboxes and drain them
 	// from the onDrain hook under the same ordering rules.
 	mail    [][]crossEntry
@@ -48,10 +50,39 @@ type Sharded struct {
 	// operation completes, a virtual time no one knows in advance).
 	stopAt atomic.Int64
 
-	// workers are lazily started on the first multi-shard window and joined
-	// when the run returns, so an idle sharded kernel holds no goroutines.
-	cmd  []chan time.Duration
-	done chan shardDone
+	// The window barrier. The coordinator fills the descriptor (active,
+	// bound), arms the countdown, and publishes the window with one store of
+	// the claim word; it and the worker goroutines then claim active shards
+	// by CAS on that word. See runWindow for the protocol and
+	// docs/ARCHITECTURE.md ("Window barrier") for the happens-before
+	// argument.
+	active []int32       // shards with an event inside the window
+	bound  time.Duration // the window's RunUntil bound
+	panics []any         // panics[i] is what shard i's window panicked with
+
+	// claim is gen<<claimCountBits | unclaimed: the window's generation and
+	// how many entries of active nobody has taken yet. The generation only
+	// ever grows (across RunUntil calls too), so a CAS prepared against one
+	// window can never succeed in another. Only the coordinator stores it
+	// whole; everyone else decrements the count by CAS.
+	claim atomic.Uint64
+	// unfinished counts claimed-or-unclaimed active shards still to finish.
+	unfinished atomic.Int32
+
+	// Waiters that outspin spinBudget park on cond; sleepers lets the common
+	// case (nobody parked) skip the lock. parks is guarded by mu.
+	mu       sync.Mutex
+	cond     *sync.Cond
+	sleepers atomic.Int32
+	parks    uint64
+
+	// Workers are started on the first multi-shard window of a run and
+	// joined when the run returns, so an idle sharded kernel holds no
+	// goroutines.
+	started bool
+	wg      sync.WaitGroup
+
+	windows, multiWindows uint64
 }
 
 type crossEntry struct {
@@ -59,10 +90,27 @@ type crossEntry struct {
 	fn func()
 }
 
-type shardDone struct {
-	shard int
-	panic any
-}
+const (
+	// claimCountBits is the width of the claim word's unclaimed-count field;
+	// the generation takes the 48 bits above it. A count of claimStop is the
+	// end-of-run word that tells workers to exit.
+	claimCountBits = 16
+	claimCountMask = 1<<claimCountBits - 1
+	claimStop      = claimCountMask
+
+	// spinBudget is how long a waiter polls before it parks. A park/unpark
+	// pair costs about 10µs and a window of the 10k-host chord cell about
+	// 20µs of handler work per shard, so parking inside the steady state
+	// costs more than the window itself: the budget must comfortably outlast
+	// a normal window. It is still bounded, so a driver-sequential phase
+	// (single-shard windows, which never reach the barrier) or one very
+	// long window leaves the other threads asleep, not spinning.
+	spinBudget = time.Millisecond
+	// spinsPerYield is the polls between runtime.Gosched calls: a waiter
+	// must never hold a P against runnable work (other trials of an engine
+	// pool, the GC) when GOMAXPROCS exceeds the idle cores.
+	spinsPerYield = 64
+)
 
 // maxDeadline is the Run() deadline: effectively "drain everything".
 const maxDeadline = time.Duration(1) << 62
@@ -78,6 +126,9 @@ func NewSharded(k int, window time.Duration) *Sharded {
 	if k < 1 {
 		panic(fmt.Sprintf("sim: NewSharded with %d shards", k))
 	}
+	if k >= claimStop {
+		panic(fmt.Sprintf("sim: NewSharded with %d shards, limit %d", k, claimStop-1))
+	}
 	if window <= 0 {
 		panic(fmt.Sprintf("sim: NewSharded with non-positive window %v", window))
 	}
@@ -85,7 +136,10 @@ func NewSharded(k int, window time.Duration) *Sharded {
 		shards: make([]*Sim, k),
 		window: window,
 		mail:   make([][]crossEntry, k*k),
+		active: make([]int32, 0, k),
+		panics: make([]any, k),
 	}
+	p.cond = sync.NewCond(&p.mu)
 	for i := range p.shards {
 		p.shards[i] = New()
 	}
@@ -212,83 +266,184 @@ func (p *Sharded) head() (time.Duration, bool) {
 }
 
 // runWindow executes one window: every shard with a pending event before
-// `end` runs RunUntil(bound) — concurrently when more than one shard is
-// active, inline on the coordinator when one is (the common case during
-// driver-sequential phases, where a barrier would buy nothing).
+// `end` runs RunUntil(bound). One active shard runs inline on the
+// coordinator (the common case during driver-sequential phases, where a
+// barrier would buy nothing and parked workers stay parked). More than one
+// go through the barrier:
+//
+//  1. The coordinator writes the descriptor (active, bound), arms the
+//     countdown and publishes the window with one store of the claim word.
+//  2. It then works: it and the workers each take the next unclaimed shard
+//     by CAS on the claim word until none is left. Assignment is dynamic, so
+//     K shards load-balance over however many threads there are.
+//  3. Whoever finishes a shard decrements the countdown; the coordinator
+//     waits for zero, spinning first and parking only past spinBudget.
+//
+// Which goroutine runs a shard is invisible to the model: a shard's events
+// touch only that shard's state, and everything that crosses shards parks in
+// a mailbox the coordinator drains after the countdown reaches zero.
 func (p *Sharded) runWindow(end, bound time.Duration) {
 	p.windowEnd.Store(int64(end))
-	active := 0
-	var only *Sim
-	for _, s := range p.shards {
-		if h, has := s.Head(); has && h < end {
-			active++
-			only = s
-		}
-	}
-	if active <= 1 {
-		if only != nil {
-			only.RunUntil(bound)
-		}
-		p.windowEnd.Store(0)
-		return
-	}
-	p.startWorkers()
-	launched := 0
+	// Reset on every exit path: a caller that recovers a handler's panic
+	// must not find the kernel still validating against a dead window.
+	defer p.windowEnd.Store(0)
+	p.active = p.active[:0]
 	for i, s := range p.shards {
 		if h, has := s.Head(); has && h < end {
-			p.cmd[i] <- bound
-			launched++
+			p.active = append(p.active, int32(i))
 		}
 	}
-	var firstPanic any
-	firstShard := -1
-	for n := 0; n < launched; n++ {
-		d := <-p.done
-		if d.panic != nil && (firstShard < 0 || d.shard < firstShard) {
-			firstPanic, firstShard = d.panic, d.shard
+	p.windows++
+	if len(p.active) <= 1 {
+		if len(p.active) == 1 {
+			p.shards[p.active[0]].RunUntil(bound)
 		}
+		return
 	}
-	p.windowEnd.Store(0)
-	if firstPanic != nil {
-		// Re-raise the lowest shard's panic on the coordinator, so a
-		// failing event cannot die silently on a worker goroutine.
-		panic(firstPanic)
+	p.multiWindows++
+	p.startWorkers()
+	p.bound = bound
+	p.unfinished.Store(int32(len(p.active)))
+	p.claimAndRun(p.publish(uint64(len(p.active))))
+	p.await(func() bool { return p.unfinished.Load() == 0 })
+	for _, i := range p.active {
+		if r := p.panics[i]; r != nil {
+			// Re-raise the lowest shard's panic on the coordinator, so a
+			// failing event cannot die silently on a worker goroutine.
+			clear(p.panics)
+			panic(r)
+		}
 	}
 }
 
-// startWorkers launches the per-shard worker goroutines on first use.
+// publish starts a new generation of the claim word with the given count,
+// wakes parked waiters and returns the generation. Everything the
+// coordinator wrote before it (the descriptor) happens-before any claim
+// that observes the new generation.
+func (p *Sharded) publish(count uint64) uint64 {
+	gen := p.claim.Load()>>claimCountBits + 1
+	p.claim.Store(gen<<claimCountBits | count)
+	p.wake()
+	return gen
+}
+
+// claimAndRun takes unclaimed shards of window gen, one CAS each, and runs
+// them until none is left or the claim word has moved to another generation.
+// The descriptor is read only after a successful CAS: success proves the
+// window is still gen's and this entry is ours, so the coordinator cannot be
+// rewriting it.
+func (p *Sharded) claimAndRun(gen uint64) {
+	for {
+		w := p.claim.Load()
+		n := w & claimCountMask
+		if w>>claimCountBits != gen || n == 0 {
+			return
+		}
+		if !p.claim.CompareAndSwap(w, w-1) {
+			continue
+		}
+		p.runShard(p.active[n-1])
+		if p.unfinished.Add(-1) == 0 {
+			p.wake()
+		}
+	}
+}
+
+// runShard runs shard i's slice of the window, keeping a handler's panic for
+// the coordinator to re-raise.
+func (p *Sharded) runShard(i int32) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.panics[i] = r
+		}
+	}()
+	p.shards[i].RunUntil(p.bound)
+}
+
+// worker claims shards window after window until the end-of-run word.
+func (p *Sharded) worker() {
+	defer p.wg.Done()
+	for {
+		var w uint64
+		p.await(func() bool {
+			w = p.claim.Load()
+			return w&claimCountMask != 0
+		})
+		if w&claimCountMask == claimStop {
+			return
+		}
+		p.claimAndRun(w >> claimCountBits)
+	}
+}
+
+// await returns once ready() holds. It polls, yielding the P every
+// spinsPerYield polls, and parks on the cond when spinBudget of wall-clock
+// time has passed — whoever makes ready() true calls wake afterwards.
+func (p *Sharded) await(ready func() bool) {
+	var start time.Time
+	for spins := 1; ; spins++ {
+		if ready() {
+			return
+		}
+		if spins%spinsPerYield != 0 {
+			continue
+		}
+		runtime.Gosched()
+		if start.IsZero() {
+			start = time.Now()
+		} else if time.Since(start) > spinBudget {
+			break
+		}
+	}
+	p.mu.Lock()
+	// Announce before the re-check: wake reads sleepers after the state
+	// change, so either this waiter sees the change or the waker sees it.
+	p.sleepers.Add(1)
+	for !ready() {
+		p.parks++
+		p.cond.Wait()
+	}
+	p.sleepers.Add(-1)
+	p.mu.Unlock()
+}
+
+// wake unparks every parked waiter; each re-checks its own condition.
+func (p *Sharded) wake() {
+	if p.sleepers.Load() == 0 {
+		return
+	}
+	p.mu.Lock()
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// startWorkers launches the run's worker goroutines on first use. The
+// coordinator is itself a worker, so min(K, GOMAXPROCS)-1 more saturate the
+// processors: none at GOMAXPROCS=1, where the coordinator claims every
+// shard in turn.
 func (p *Sharded) startWorkers() {
-	if p.cmd != nil {
+	if p.started {
 		return
 	}
-	p.cmd = make([]chan time.Duration, len(p.shards))
-	p.done = make(chan shardDone, len(p.shards))
-	for i := range p.shards {
-		p.cmd[i] = make(chan time.Duration)
-		go func(i int, s *Sim) {
-			for bound := range p.cmd[i] {
-				func() {
-					defer func() {
-						p.done <- shardDone{shard: i, panic: recover()}
-					}()
-					s.RunUntil(bound)
-				}()
-			}
-		}(i, p.shards[i])
+	p.started = true
+	n := min(len(p.shards), runtime.GOMAXPROCS(0)) - 1
+	for i := 0; i < n; i++ {
+		p.wg.Add(1)
+		go p.worker()
 	}
 }
 
-// stopWorkers joins the worker goroutines (if any were started) so a
+// stopWorkers publishes the end-of-run word and joins the workers, so a
 // finished run holds no goroutines — engine trials build thousands of
-// kernels per process.
+// kernels per process. The word carries its own generation: nothing claimed
+// against this run can succeed in the next.
 func (p *Sharded) stopWorkers() {
-	if p.cmd == nil {
+	if !p.started {
 		return
 	}
-	for _, c := range p.cmd {
-		close(c)
-	}
-	p.cmd, p.done = nil, nil
+	p.publish(claimStop)
+	p.wg.Wait()
+	p.started = false
 }
 
 // drainAll moves every parked cross-shard event into its destination
@@ -314,6 +469,37 @@ func (p *Sharded) drainAll() {
 	if p.onDrain != nil {
 		p.onDrain()
 	}
+}
+
+// ShardedStats is the kernel's self-telemetry: how the run decomposed into
+// windows and how the work spread over shards. Wall-clock diagnostics only —
+// MultiShardWindows and Parks depend on the shard count and the scheduler,
+// so none of it may reach figure bytes.
+type ShardedStats struct {
+	// Windows counts executed windows; MultiShardWindows those with more
+	// than one active shard, the ones that went through the barrier.
+	Windows, MultiShardWindows uint64
+	// ShardEvents is each shard's executed-event count.
+	ShardEvents []uint64
+	// Parks counts waits that outlasted the spin budget and slept.
+	Parks uint64
+}
+
+// Stats returns the counters accumulated since NewSharded. Call it between
+// runs, not from an event.
+func (p *Sharded) Stats() ShardedStats {
+	st := ShardedStats{
+		Windows:           p.windows,
+		MultiShardWindows: p.multiWindows,
+		ShardEvents:       make([]uint64, len(p.shards)),
+	}
+	for i, s := range p.shards {
+		st.ShardEvents[i] = s.Executed
+	}
+	p.mu.Lock()
+	st.Parks = p.parks
+	p.mu.Unlock()
+	return st
 }
 
 // Executed sums executed events across shards — the figure-visible cost
