@@ -146,6 +146,10 @@ func main() {
 	cfg.ENsPerCluster = *ens
 	cfg.TotalPeers = *peers
 	cfg.Delta = *delta
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "npsim:", err)
+		os.Exit(2)
+	}
 	m, gt := latency.BuildClustered(cfg, *seed)
 
 	if *runtime {
@@ -154,7 +158,7 @@ func main() {
 			writeTrace(rec, *tracePath)
 			return
 		}
-		members, targets := overlay.Split(m.N(), 100, *seed+1)
+		members, targets := splitTargets(m.N(), *seed+1)
 		fmt.Printf("algo=meridian/p2p peers=%d ENs/cluster=%d (clusters=%d) δ=%.2f queries=%d β=%.2f ring=%d loss=%.0f%% churn=%v\n",
 			m.N(), *ens, gt.NumClusters, *delta, *queries, *beta, *ringSize, *loss*100, *churn)
 		row := experiments.RunMessageMeridian(m, gt, members, targets, experiments.RuntimeOpts{
@@ -184,7 +188,7 @@ func main() {
 	if *noise > 0 {
 		net.SetNoise(*noise, 0.3, *seed+11)
 	}
-	members, targets := overlay.Split(m.N(), 100, *seed+1)
+	members, targets := splitTargets(m.N(), *seed+1)
 
 	var finder overlay.Finder
 	switch *algo {
@@ -249,6 +253,17 @@ func main() {
 	fmt.Printf("P(correct cluster)      = %.3f\n", float64(inCluster)/n)
 	fmt.Printf("mean probes per query   = %.1f\n", float64(probes)/n)
 	fmt.Printf("mean hops per query     = %.1f\n", float64(hops)/n)
+}
+
+// splitTargets holds the query targets out of the population, as the
+// paper's simulations do.
+func splitTargets(n int, seed int64) (members, targets []int) {
+	const nTargets = 100
+	if n <= nTargets {
+		fmt.Fprintf(os.Stderr, "npsim: a population of %d peers cannot hold out %d query targets (raise -peers or -ens)\n", n, nTargets)
+		os.Exit(2)
+	}
+	return overlay.Split(n, nTargets, seed)
 }
 
 // runScaleStudy runs the s1 scale study at one population: the static

@@ -13,7 +13,6 @@ import (
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/rng"
-	"nearestpeer/internal/sim"
 )
 
 // This file re-measures the Section 4 cost claim with the network in the
@@ -87,22 +86,12 @@ func experimentChurnConfig() p2p.ChurnConfig {
 	}
 }
 
-// RunMessageMeridian stands up the message-level overlay on a fresh kernel,
+// RunMessageMeridian stands up the message-level overlay over the members,
 // drives the churn process if asked, runs the queries sequentially in
-// virtual time, and scores each answer against the true nearest *live*
-// member at query issue. gt may be nil (no cluster scoring).
+// virtual time from the held-out targets, and scores each answer against
+// the true nearest *live* member at query issue. gt may be nil (no cluster
+// scoring).
 func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targets []int, opts RuntimeOpts) ChurnRow {
-	if opts.Horizon <= 0 {
-		opts.Horizon = 2 * time.Hour
-	}
-	kernel := sim.New()
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: opts.Loss}, opts.Seed)
-	if opts.Recorder != nil {
-		rt.AttachRecorder(opts.Recorder)
-	}
-	if opts.Faults != nil {
-		p2p.NewFaultTransport(rt, opts.Faults)
-	}
 	merCfg := p2p.DefaultMeridianConfig()
 	if opts.Beta > 0 {
 		merCfg.Beta = opts.Beta
@@ -110,86 +99,55 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 	if opts.RingSize > 0 {
 		merCfg.RingSize = opts.RingSize
 	}
-	mer := p2p.NewMeridian(rt, merCfg, opts.Seed+1)
-	for _, id := range members {
-		mer.Join(p2p.NodeID(id))
-	}
-	for _, id := range targets {
-		rt.AddNode(p2p.NodeID(id))
-	}
-	kernel.Run() // drain join traffic: overlay construction completes
-
-	var churn *p2p.Churn
-	if opts.Churn {
-		ccfg := opts.ChurnCfg
-		if ccfg.MeanSession == 0 {
-			ccfg = experimentChurnConfig()
-		}
-		ccfg.Horizon = opts.Horizon
-		churn = p2p.NewChurn(rt, ccfg, opts.Seed+2)
-		churn.OnLeave = func(id p2p.NodeID, graceful bool) { mer.Leave(id, graceful) }
-		churn.OnJoin = func(id p2p.NodeID) { mer.Join(id) }
-		ids := make([]p2p.NodeID, len(members))
-		for i, id := range members {
-			ids[i] = p2p.NodeID(id)
-		}
-		churn.Drive(ids)
-	}
-
-	row := ChurnRow{}
-	src := rng.New(opts.Seed + 3)
-	msgsAtQueryStart := rt.Metrics.MsgsSent
+	var mer *p2p.Meridian
 	exact, inCluster, done := 0, 0, 0
 	var probes, hops int64
 	var elapsedMs float64
-	q := 0
-	var step func()
-	step = func() {
-		if q >= opts.Queries {
-			kernel.Stop()
-			return
-		}
-		q++
-		tgt := targets[src.Intn(len(targets))]
+	run := runWireCell(newSchemeCtx(m, members, opts.Seed, opts.Horizon), wireCell{
+		cfg: p2p.Config{LossProb: opts.Loss}, heldOut: targets,
+		recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
+		churn: opts.Churn, churnCfg: opts.ChurnCfg,
+		ops: opts.Queries,
+	}, func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+		var d wireDeployment
+		mer, d = meridianDeployment(c, rt, merCfg)
+		return d
+	}, func(run *wireRun, o *wireOp) {
+		tgt := int(o.client)
 		oracle := overlay.TrueNearest(m, tgt, mer.LiveMembers())
-		mer.FindNearest(p2p.NodeID(tgt), p2p.NodeID(tgt), func(res p2p.FindResult) {
+		run.find(o, func(res p2p.FindResult) {
 			probes += int64(res.Probes)
-			if res.Found {
-				done++
-				hops += int64(res.Hops)
-				elapsedMs += float64(res.Elapsed) / float64(time.Millisecond)
-				if int(res.Peer) == oracle.Peer {
-					exact++
-				}
-				if gt != nil && gt.SameCluster(int(res.Peer), tgt) {
-					inCluster++
-				}
+			if !res.Found {
+				return
 			}
-			kernel.After(100*time.Millisecond, step)
+			done++
+			hops += int64(res.Hops)
+			elapsedMs += float64(res.Elapsed) / float64(time.Millisecond)
+			if int(res.Peer) == oracle.Peer {
+				exact++
+			}
+			if gt != nil && gt.SameCluster(int(res.Peer), tgt) {
+				inCluster++
+			}
 		})
-	}
-	kernel.After(0, step)
-	kernel.At(opts.Horizon, kernel.Stop) // watchdog against a stalled chain
-	kernel.Run()
+	})
 
 	// Normalise by the queries actually issued: if the horizon watchdog
 	// fired first, the unissued remainder must not be scored as failures.
-	n := float64(q)
-	if q == 0 {
-		n = 1
+	n := float64(max(run.issued, 1))
+	row := ChurnRow{
+		PExact:     float64(exact) / n,
+		PCluster:   float64(inCluster) / n,
+		Done:       float64(done) / n,
+		MeanProbes: float64(probes) / n,
+		MeanMsgs:   float64(run.rt.Metrics.MsgsSent-run.atStart.MsgsSent) / n,
+		MeanHops:   float64(hops) / n,
+		Timeouts:   run.rt.Metrics.Timeouts,
+		Leaves:     run.leaves,
+		Joins:      run.joins,
 	}
-	row.PExact = float64(exact) / n
-	row.PCluster = float64(inCluster) / n
-	row.Done = float64(done) / n
-	row.MeanProbes = float64(probes) / n
-	row.MeanMsgs = float64(rt.Metrics.MsgsSent-msgsAtQueryStart) / n
-	row.MeanHops = float64(hops) / n
 	if done > 0 {
 		row.MeanMs = elapsedMs / float64(done)
-	}
-	row.Timeouts = rt.Metrics.Timeouts
-	if churn != nil {
-		row.Leaves, row.Joins = churn.Leaves, churn.Joins
 	}
 	return row
 }

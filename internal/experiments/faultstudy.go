@@ -10,8 +10,6 @@ import (
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/p2p"
-	"nearestpeer/internal/rng"
-	"nearestpeer/internal/sim"
 	"nearestpeer/internal/stats"
 )
 
@@ -148,6 +146,17 @@ func faultStudyConditions() []faultCondition {
 // faultStudySchemes is the scheme sweep.
 var faultStudySchemes = []string{"meridian", "chord", "vivaldi"}
 
+// lookupIssuers picks who issues a lookup-study (r1/o1) cell's ops: the
+// held-out targets — the walk and the coordinate search place an outsider —
+// except for chord, whose keys resolve from inside the ring, so live
+// members issue.
+func lookupIssuers(scheme string, targets []int) []int {
+	if scheme == "chord" {
+		return nil
+	}
+	return targets
+}
+
 // FaultStudy runs the study at the scale's default sizing.
 func FaultStudy(scale Scale, seed int64) *FaultStudyResult {
 	p, t, l := faultStudyParams(scale)
@@ -190,7 +199,9 @@ func FaultStudyAt(peers, nTargets, lookups int, seed int64) *FaultStudyResult {
 	out.Cells = engine.Map(engine.Config{Seed: seed, Label: "r1"}, specs,
 		func(_ *engine.Trial, s cellSpec) FaultCell {
 			start := time.Now()
-			cell := faultCell(m, s.scheme, s.cond, s.retry, members, targets, oracleMs, lookups, seed)
+			cell := faultCell(newSchemeCtx(m, members, seed, faultStudyHorizon), must(wireLeg(s.scheme)),
+				s.cond, s.retry, lookupIssuers(s.scheme, targets), oracleMs, lookups)
+			cell.Scheme = s.scheme
 			cell.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
 			return cell
 		})
@@ -210,111 +221,74 @@ func FaultStudyAt(peers, nTargets, lookups int, seed int64) *FaultStudyResult {
 	return out
 }
 
-// faultCell stands one scheme up over the shared matrix, installs the
-// condition's fault plan anchored at the scheme's query start, runs the
-// cadenced query stream and reads the figure's numbers off the per-query
-// records and the transport counters.
-func faultCell(m latency.Matrix, scheme string, cond faultCondition, retry bool,
-	members, targets []int, oracleMs map[int]float64, lookups int, seed int64) FaultCell {
-	kernel := sim.New()
-	rt := p2p.New(kernel, m, p2p.DefaultConfig(), seed)
-
-	var pol p2p.Policy
+// faultCell stands deploy's scheme up over the context's matrix and members,
+// installs the condition's fault plan anchored at the deployment's mark,
+// runs the cadenced query stream from targets (none: from live members) and
+// reads the figure's numbers off the per-query records and the transport
+// counters. oracleMs maps an issuer to its true nearest-member RTT; an
+// issuer without an entry (a member) has no stretch to score.
+func faultCell(c *schemeCtx, deploy wireDeploy, cond faultCondition, retry bool,
+	targets []int, oracleMs map[int]float64, lookups int) FaultCell {
 	if retry {
-		pol = faultRetryPolicy()
+		c.retry = faultRetryPolicy()
 	}
+	c.keyLabel = "r1"
 
-	ids := make([]p2p.NodeID, len(members))
-	for i, id := range members {
-		ids[i] = p2p.NodeID(id)
-	}
-
-	// Scheme bring-up via the registry: setup.issue runs one lookup,
-	// reporting success plus the returned peer (-1 when there is none to
-	// judge) and the issuing target so stretch can be scored against its
-	// oracle; setup.queryStart is when the cadenced stream begins.
-	origin := make([]int, lookups)
-	for i := range origin {
-		origin[i] = -1
-	}
-	s, err := schemeFor(scheme)
-	if err != nil || s.Lookup == nil {
-		panic("faultCell: unknown scheme " + scheme)
-	}
-	setup := s.Lookup(&lookupEnv{
-		kernel: kernel, rt: rt, ids: ids, targets: targets,
-		src: rng.New(seed + 3), horizon: faultStudyHorizon, retry: pol,
-		opLabel: "r1", seed: seed,
-	})
-	queryStart := setup.queryStart
-
-	span := time.Duration(lookups) * faultQueryEvery
-	plan := cond.plan(queryStart, span, m.N(), members)
-	if plan != nil {
-		p2p.NewFaultTransport(rt, plan)
-	}
-
-	// The cadenced query stream. Each op reports exactly once: through the
-	// scheme callback, or through the deadline watchdog (an issuing node
-	// crashed by the plan takes its callbacks down with it — the op then
-	// scores as a failure that burned the whole deadline).
+	// Each op reports exactly once: through the scheme callback, or not at
+	// all (an issuing node crashed by the plan takes its callbacks down with
+	// it) — the op then keeps the record its issue wrote, a failure that
+	// burned the whole deadline.
 	type opRec struct {
-		reported, ok bool
+		ok           bool
 		ms           float64
-		peer         int
+		origin, peer int
 	}
 	recs := make([]opRec, lookups)
-	for op := 0; op < lookups; op++ {
-		op := op
-		kernel.At(queryStart+time.Duration(op)*faultQueryEvery, func() {
-			issueAt := kernel.Now()
-			report := func(ok bool, peer int) {
-				r := &recs[op]
-				if r.reported {
-					return
-				}
-				r.reported, r.ok, r.peer = true, ok, peer
-				r.ms = float64(kernel.Now()-issueAt) / float64(time.Millisecond)
-			}
-			kernel.After(wireOpDeadline, func() { report(false, -1) })
-			origin[op] = setup.issue(op, report)
+	span := time.Duration(lookups) * faultQueryEvery
+	run := runWireCell(c, wireCell{
+		heldOut: targets,
+		faults: func(mark time.Duration) *faults.Plan {
+			return cond.plan(mark, span, c.m.N(), c.members)
+		},
+		ops: lookups, cadence: faultQueryEvery,
+	}, deploy, func(run *wireRun, o *wireOp) {
+		issueAt := run.kernel.Now()
+		rec := &recs[o.n]
+		*rec = opRec{ms: float64(wireOpDeadline) / float64(time.Millisecond), origin: int(o.client), peer: -1}
+		run.find(o, func(r p2p.FindResult) {
+			rec.ok, rec.peer = answered(r), int(r.Peer)
+			rec.ms = float64(run.kernel.Now()-issueAt) / float64(time.Millisecond)
 		})
-	}
-	kernel.At(queryStart+span+2*time.Minute, kernel.Stop)
-	kernel.At(faultStudyHorizon, kernel.Stop)
-	kernel.Run()
+	})
 
 	cell := FaultCell{
-		Scheme: scheme, Cond: cond.name, Retry: retry,
-		Peers: m.N(), Members: len(members), Lookups: lookups,
+		Cond: cond.name, Retry: retry,
+		Peers: c.m.N(), Members: len(c.members), Lookups: run.issued,
 		Stretch: -1,
 	}
 	done := 0
 	var lat, stretches []float64
-	for op, r := range recs {
-		if !r.reported {
-			continue
-		}
+	for _, r := range recs[:run.issued] {
 		lat = append(lat, r.ms)
 		if !r.ok {
 			continue
 		}
 		done++
-		if r.peer < 0 || origin[op] < 0 || r.peer == origin[op] {
-			continue // chord (keys, not proximity) or nothing to judge
+		if r.peer == r.origin {
+			continue // a key that resolved to its own issuer: nothing to judge
 		}
-		if oracle := oracleMs[origin[op]]; oracle > 0 {
-			stretches = append(stretches, m.LatencyMs(origin[op], r.peer)/oracle)
+		if oracle := oracleMs[r.origin]; oracle > 0 {
+			stretches = append(stretches, c.m.LatencyMs(r.origin, r.peer)/oracle)
 		}
 	}
 	if len(stretches) > 0 {
 		cell.Stretch = stats.Median(stretches)
 	}
-	cell.Done = float64(done) / float64(lookups)
+	cell.Done = float64(done) / float64(max(run.issued, 1))
 	cell.P50 = stats.Quantile(lat, 0.50)
 	cell.P99 = stats.Quantile(lat, 0.99)
 
-	tm := rt.TotalMetrics()
+	tm := run.rt.TotalMetrics()
 	cell.Retries = tm.Retries
 	cell.Dropped = tm.FaultDropped
 	cell.Delayed = tm.FaultDelayed

@@ -79,20 +79,16 @@ func GrandStudy(scale Scale, seed int64) *GrandStudyResult {
 			tools := measure.NewTools(env.Top, measure.DefaultConfig(), seed+1)
 			start := time.Now()
 			var row MitigationRow
-			var err error
 			if c.cond.static {
 				// The static baseline names itself "<scheme> static
 				// (function calls)" inside the registry leg.
-				row, err = runStaticMitigationTools(env, tools, c.scheme, peers, queries, seed)
+				row = must(runStaticMitigationTools(env, tools, c.scheme, peers, queries, seed))
 			} else {
-				row, err = RunWireMitigation(env, peers, MitigationOpts{
+				row = must(RunWireMitigation(env, peers, MitigationOpts{
 					Scheme: c.scheme, Loss: c.cond.loss, Churn: c.cond.churn,
 					Queries: queries, Seed: seed, Tools: tools,
-				})
+				}))
 				row.Name = c.scheme + " " + c.cond.name
-			}
-			if err != nil {
-				panic(err) // GrandSchemes is registry-known
 			}
 			return GrandRow{MitigationRow: row,
 				WallMs: float64(time.Since(start)) / float64(time.Millisecond)}

@@ -144,3 +144,38 @@ func TestMitigationRejectsDegenerateInputs(t *testing.T) {
 		t.Fatalf("2-peer, 1-query static row has NaN columns: %+v", row)
 	}
 }
+
+// TestMitigationTinyPopulations: every registered scheme at the smallest
+// legal population, through both entry points. A scheme whose structure
+// wants more peers than it is given (the beacon schemes' dozen beacons
+// panicked for every -peers 2..11) must scale down or say so — a valid row
+// or a descriptive error, never a panic.
+func TestMitigationTinyPopulations(t *testing.T) {
+	env := SharedEnv(Quick, 1)
+	two := MitigationPeers(env, 2)
+	valid := func(t *testing.T, leg string, row MitigationRow, err error) {
+		t.Helper()
+		if err != nil {
+			if len(err.Error()) < 20 {
+				t.Errorf("%s: error %q says too little", leg, err)
+			}
+			return
+		}
+		for _, v := range []float64{row.Found, row.PNear, row.MeanFoundMs, row.MeanProbes, row.MeanLookups, row.MeanHops, row.MeanMsgs} {
+			if math.IsNaN(v) || v < 0 {
+				t.Fatalf("%s: row has a NaN or negative column: %+v", leg, row)
+			}
+		}
+		if row.Found > 1 {
+			t.Fatalf("%s: found rate %v above 1: %+v", leg, row.Found, row)
+		}
+	}
+	for _, name := range GrandSchemes() {
+		t.Run(name, func(t *testing.T) {
+			row, err := RunStaticMitigation(env, name, two, 3, 1)
+			valid(t, "static", row, err)
+			row, err = RunWireMitigation(env, two, MitigationOpts{Scheme: name, Queries: 3, Seed: 1})
+			valid(t, "wire", row, err)
+		})
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/p2p"
-	"nearestpeer/internal/sim"
 )
 
 // This file re-measures the Section 5 mitigation claims with the network in
@@ -27,73 +26,6 @@ import (
 // returned peer's true RTT is under this bound (the Section 5 close-peer
 // threshold used by Figures 10 and 11).
 const mitigationNearMs = 10.0
-
-// The wire studies (this file and wirechord.go) share their bring-up and
-// pacing knobs so the c2 rows and the npsim chord exercise stay
-// comparable: joins staggered below the stabilize rate, a settle window
-// before traffic, and a per-operation deadline that keeps the sequential
-// driver going when an issuing node churns out mid-operation.
-const (
-	chordJoinSpacing = 10 * time.Millisecond
-	chordSettle      = 20 * time.Second
-	wireOpDeadline   = time.Minute
-)
-
-// chordJoinRamp schedules the staggered joins and returns the virtual time
-// of the last one. spacing <= 0 uses the default chordJoinSpacing.
-func chordJoinRamp(kernel *sim.Sim, chord *p2p.Chord, ids []p2p.NodeID, spacing time.Duration) time.Duration {
-	if spacing <= 0 {
-		spacing = chordJoinSpacing
-	}
-	for i := range ids {
-		id := ids[i]
-		kernel.After(time.Duration(i)*spacing, func() { chord.Join(id) })
-	}
-	return time.Duration(len(ids)) * spacing
-}
-
-// sequenceOps is the shared sequential-operation driver of the wire
-// studies: each op is issued with its 1-based index, given wireOpDeadline
-// to complete (an issuing node that churns out mid-operation takes its
-// callbacks with it — the deadline keeps the stream going and the op
-// scores as failed), and the next op starts 100 ms after completion. live
-// reports whether the op is still current (for intermediate accounting);
-// complete(apply) runs apply and advances iff the deadline has not fired.
-// Call the returned start function when the measurement phase begins; the
-// kernel stops after the last op. issued counts ops actually started,
-// which is what results must be normalised by when a watchdog cuts the
-// run short.
-func sequenceOps(kernel *sim.Sim, count int, issue func(op int, live func() bool, complete func(apply func()))) (start func(), issued *int) {
-	issued = new(int)
-	var step func()
-	step = func() {
-		if *issued >= count {
-			kernel.Stop()
-			return
-		}
-		*issued++
-		op := *issued
-		fired := false
-		advance := func() { kernel.After(100*time.Millisecond, step) }
-		kernel.After(wireOpDeadline, func() {
-			if !fired {
-				fired = true
-				advance()
-			}
-		})
-		issue(op, func() bool { return !fired }, func(apply func()) {
-			if fired {
-				return
-			}
-			fired = true
-			if apply != nil {
-				apply()
-			}
-			advance()
-		})
-	}
-	return step, issued
-}
 
 // MitigationOpts configures one wire mitigation run.
 type MitigationOpts struct {
@@ -312,21 +244,18 @@ func nearestLivePeerMs(env *Env, peers []netmodel.HostID, target int, alive func
 // Dispatch goes through the scheme registry: every scheme's deployment —
 // hint publishing over a Chord ring of all peers, coordinate gossip, the
 // wired finders' probes and control RPCs — runs through the one wire
-// harness. An unknown scheme (or one with no wire deployment) returns an
+// cell. An unknown scheme (or one with no wire deployment) returns an
 // error naming the registry's roster; so do fewer than 2 peers or fewer
 // than 1 query.
 func RunWireMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts) (MitigationRow, error) {
-	s, err := schemeFor(opts.Scheme)
+	deploy, err := wireLeg(opts.Scheme)
 	if err != nil {
 		return MitigationRow{}, err
-	}
-	if s.Wire == nil {
-		return MitigationRow{}, fmt.Errorf("experiments: scheme %q has no wire deployment", opts.Scheme)
 	}
 	if err := validateMitigation(peers, opts.Queries); err != nil {
 		return MitigationRow{}, err
 	}
-	return runWireFinderMitigation(env, peers, opts, s.Wire), nil
+	return runWireFinderMitigation(env, peers, opts, deploy), nil
 }
 
 // MitigationStudyResult compares static and message-level hint schemes
@@ -370,19 +299,12 @@ func MitigationStudy(scale Scale, seed int64) *MitigationStudyResult {
 		func(_ *engine.Trial, c mitigationCell) MitigationRow {
 			tools := measure.NewTools(env.Top, measure.DefaultConfig(), seed+1)
 			if c.cond.static {
-				row, err := runStaticMitigationTools(env, tools, c.scheme, peers, queries, seed)
-				if err != nil {
-					panic(err) // the study's roster is registry-known
-				}
-				return row
+				return must(runStaticMitigationTools(env, tools, c.scheme, peers, queries, seed))
 			}
-			row, err := RunWireMitigation(env, peers, MitigationOpts{
+			row := must(RunWireMitigation(env, peers, MitigationOpts{
 				Scheme: c.scheme, Loss: c.cond.loss, Churn: c.cond.churn,
 				Queries: queries, Seed: seed, Tools: tools,
-			})
-			if err != nil {
-				panic(err) // the study's roster is registry-known
-			}
+			}))
 			row.Name = c.scheme + " " + c.cond.name
 			return row
 		})

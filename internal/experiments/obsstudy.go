@@ -10,8 +10,6 @@ import (
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/p2p"
-	"nearestpeer/internal/rng"
-	"nearestpeer/internal/sim"
 	"nearestpeer/internal/stats"
 )
 
@@ -149,97 +147,56 @@ func ObsStudyAt(peers, nTargets, lookups int, seed int64, trace bool) *ObsStudyR
 	out.Cells = engine.Map(engine.Config{Seed: seed, Label: "o1"}, specs,
 		func(_ *engine.Trial, s cellSpec) ObsCell {
 			start := time.Now()
-			cell := obsCell(m, s.scheme, s.cond, members, targets, lookups, seed, trace)
+			cell := obsCell(newSchemeCtx(m, members, seed, obsStudyHorizon), must(wireLeg(s.scheme)),
+				s.cond, lookupIssuers(s.scheme, targets), lookups, trace)
+			cell.Scheme = s.scheme
 			cell.WallMs = float64(time.Since(start)) / float64(time.Millisecond)
 			return cell
 		})
 	return out
 }
 
-// obsCell stands one scheme up over the shared matrix under one wire
-// condition, runs the sequential lookup stream with the obs layer
-// attached, and reads the figure's numbers off the registry, the sampler
-// and the kernel.
-func obsCell(m latency.Matrix, scheme string, cond wireCondition, members, targets []int, lookups int, seed int64, trace bool) ObsCell {
-	kernel := sim.New()
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: cond.loss}, seed)
+// obsCell stands deploy's scheme up over the context's matrix and members under
+// one wire condition, runs the sequential lookup stream from targets (none:
+// from live members) with the obs layer attached, and reads the figure's
+// numbers off the registry, the sampler and the kernel.
+func obsCell(c *schemeCtx, deploy wireDeploy, cond wireCondition, targets []int, lookups int, trace bool) ObsCell {
+	c.keyLabel = "o1"
+	m, members := c.m, c.members
 	reg := obs.NewRegistry(m.N())
-	rt.EnableObs(reg)
 	var rec *obs.Recorder
 	if trace {
 		rec = obs.NewRecorder(obsTraceCapacity)
-		rt.AttachRecorder(rec)
 	}
-
-	ids := make([]p2p.NodeID, len(members))
-	for i, id := range members {
-		ids[i] = p2p.NodeID(id)
-	}
-
-	// Scheme bring-up via the registry: setup.issue runs one lookup and
-	// reports whether it succeeded; setup.queryStart is when the
-	// measurement phase begins.
-	s, err := schemeFor(scheme)
-	if err != nil || s.Lookup == nil {
-		panic("obsCell: unknown scheme " + scheme)
-	}
-	setup := s.Lookup(&lookupEnv{
-		kernel: kernel, rt: rt, ids: ids, targets: targets,
-		src: rng.New(seed + 3), horizon: obsStudyHorizon,
-		opLabel: "o1", seed: seed,
-	})
-	queryStart := setup.queryStart
-
-	var churn *p2p.Churn
-	if cond.churn {
-		ccfg := experimentChurnConfig()
-		ccfg.Horizon = obsStudyHorizon
-		churn = p2p.NewChurn(rt, ccfg, seed+2)
-		churn.OnLeave = setup.onLeave
-		churn.OnJoin = setup.onJoin
-	}
-
 	done := 0
-	startSeq, issued := sequenceOps(kernel, lookups, func(op int, _ func() bool, complete func(apply func())) {
-		issueAt := kernel.Now()
-		setup.issue(op, func(ok bool, _ int) {
-			complete(func() {
-				reg.ObserveLookupMs(float64(kernel.Now()-issueAt) / float64(time.Millisecond))
-				if ok {
-					done++
-				}
-			})
+	var samp *obs.Sampler
+	run := runWireCell(c, wireCell{
+		cfg: p2p.Config{LossProb: cond.loss}, heldOut: targets,
+		registry: reg, recorder: rec,
+		// A minute of churn before measuring: the lookup stream is short,
+		// and an untouched overlay would make the churn rows read like the
+		// loss-only ones.
+		churn: cond.churn, churnLead: time.Minute,
+		ops: lookups,
+		onStart: func(run *wireRun) {
+			samp = run.rt.StartHealthSampler(obsSampleEvery, c.horizon, obsSampleCapacity)
+		},
+	}, deploy, func(run *wireRun, o *wireOp) {
+		issueAt := run.kernel.Now()
+		run.find(o, func(r p2p.FindResult) {
+			reg.ObserveLookupMs(float64(run.kernel.Now()-issueAt) / float64(time.Millisecond))
+			if answered(r) {
+				done++
+			}
 		})
 	})
-	var samp *obs.Sampler
-	startPhase := func() {
-		samp = rt.StartHealthSampler(obsSampleEvery, obsStudyHorizon, obsSampleCapacity)
-		startSeq()
-	}
-	kernel.At(queryStart, func() {
-		if churn != nil {
-			// Let the membership process bite before measuring: the lookup
-			// stream is short, and an untouched overlay would make the churn
-			// rows read like the loss-only ones.
-			churn.Drive(ids)
-			kernel.After(time.Minute, startPhase)
-			return
-		}
-		startPhase()
-	})
-	kernel.At(obsStudyHorizon, kernel.Stop)
-	kernel.Run()
 
 	cell := ObsCell{
-		Scheme: scheme, Cond: cond.name,
-		Peers: m.N(), Members: len(members), Lookups: *issued,
+		Cond:  cond.name,
+		Peers: m.N(), Members: len(members), Lookups: run.issued,
 		Trace: rec,
 	}
-	n := float64(*issued)
-	if *issued == 0 {
-		n = 1
-	}
-	cell.Done = float64(done) / n
+	cell.Done = float64(done) / float64(max(run.issued, 1))
 	cell.P50 = reg.LookupQuantileMs(0.50)
 	cell.P99 = reg.LookupQuantileMs(0.99)
 	cell.P999 = reg.LookupQuantileMs(0.999)
@@ -273,11 +230,9 @@ func obsCell(m latency.Matrix, scheme string, cond wireCondition, members, targe
 			}
 		}
 	}
-	cell.QueueHW = kernel.QueueHighWater()
-	cell.Timeouts = rt.Metrics.Timeouts
-	if churn != nil {
-		cell.Leaves, cell.Joins = churn.Leaves, churn.Joins
-	}
+	cell.QueueHW = run.kernel.QueueHighWater()
+	cell.Timeouts = run.rt.Metrics.Timeouts
+	cell.Leaves, cell.Joins = run.leaves, run.joins
 	return cell
 }
 

@@ -20,7 +20,6 @@ import (
 	"nearestpeer/internal/pic"
 	"nearestpeer/internal/rendezvous"
 	"nearestpeer/internal/rng"
-	"nearestpeer/internal/sim"
 	"nearestpeer/internal/tapestry"
 	"nearestpeer/internal/tiers"
 	"nearestpeer/internal/ucl"
@@ -29,12 +28,11 @@ import (
 
 // This file is the scheme registry: the single dispatch point for every
 // nearest-peer scheme the studies exercise. Each registered Scheme bundles
-// up to four study legs — the c2 static baseline, the c2 wire deployment,
-// the r1/o1 lookup bring-up, and the s1 scale cell — so the study files
-// enumerate scheme NAMES and the registry owns the bring-up. The four
-// copy-pasted scheme switches this replaced (mitigationstudy, faultstudy,
-// obsstudy, scalestudy) each grew independently; a scheme added here is
-// available to every study that asks for a leg it implements.
+// up to three study legs — the static function-call baseline, the wire
+// deployment every serial wire cell runs (c1, c2/g1, v1, o1, r1), and the
+// s1 scale cell — so the study files enumerate scheme NAMES and the
+// registry owns the bring-up: a scheme added here is available to every
+// study that asks for a leg it implements.
 
 // Scheme is one registered nearest-peer scheme: a bundle of study legs,
 // any of which may be nil when the scheme does not support that study.
@@ -43,12 +41,11 @@ type Scheme struct {
 	// (runStaticFinderMitigation): the returned closure answers one query
 	// from member idx, probes and hops priced, no wire.
 	Static func(c *schemeCtx) func(idx int) p2p.FindResult
-	// Wire builds the message-level deployment for the c2 wire harness
-	// (runWireFinderMitigation): real RPCs over rt under loss/churn/faults.
-	Wire func(c *schemeCtx, rt *p2p.Runtime) wireDeployment
-	// Lookup stands the scheme up for the cadenced lookup studies (r1/o1):
-	// bring-up on the cell's runtime, returning the query entry point.
-	Lookup func(le *lookupEnv) lookupSetup
+	// Wire builds the message-level deployment runWireCell drives: real
+	// RPCs over rt under loss/churn/faults. It is the only way a scheme is
+	// deployed on the wire; retry policy, horizon and DHT key label come
+	// from the context.
+	Wire wireDeploy
 	// Scale runs one s1 cell over a (usually large) generated topology.
 	Scale func(top *netmodel.Topology, queries int, seed int64) ScaleCell
 }
@@ -63,6 +60,27 @@ func schemeFor(name string) (Scheme, error) {
 	return s, nil
 }
 
+// wireLeg resolves a scheme's wire deployment constructor.
+func wireLeg(name string) (wireDeploy, error) {
+	s, err := schemeFor(name)
+	if err != nil {
+		return nil, err
+	}
+	if s.Wire == nil {
+		return nil, fmt.Errorf("experiments: scheme %q has no wire deployment", name)
+	}
+	return s.Wire, nil
+}
+
+// must unwraps a registry dispatch inside a study whose scheme roster is a
+// package constant: an error there is a typo in the roster, not an input.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // SchemeNames lists every registered scheme, sorted.
 func SchemeNames() []string {
 	out := make([]string, 0, len(schemes))
@@ -73,148 +91,57 @@ func SchemeNames() []string {
 	return out
 }
 
-// lookupEnv is the per-cell context the lookup studies (r1/o1) hand a
-// scheme's Lookup leg: the cell's kernel and runtime, the member/target
-// split in matrix-index space, the shared query-time RNG, and the cell's
-// horizon and retry policy.
-type lookupEnv struct {
-	kernel  *sim.Sim
-	rt      *p2p.Runtime
-	ids     []p2p.NodeID
-	targets []int
-	src     *rng.Source
-	horizon time.Duration
-	retry   p2p.Policy
-	// opLabel namespaces the DHT keys a lookup scheme writes ("r1", "o1").
-	opLabel string
-	seed    int64
-}
-
-// liveMember draws a member, redrawing up to 20 times while the draw is
-// down (under heavy churn everyone may be down; the caller's op then fails
-// honestly).
-func (le *lookupEnv) liveMember() p2p.NodeID {
-	id := le.ids[le.src.Intn(len(le.ids))]
-	for tries := 0; tries < 20 && !le.rt.Alive(id); tries++ {
-		id = le.ids[le.src.Intn(len(le.ids))]
-	}
-	return id
-}
-
-// lookupSetup is what a Lookup leg returns: when the cadenced stream may
-// begin, how to issue one lookup (reporting success, the returned peer or
-// -1, and the issuing origin or -1 for stretch scoring), and the churn
-// hooks.
-type lookupSetup struct {
-	queryStart time.Duration
-	issue      func(op int, done func(ok bool, peer int)) (origin int)
-	onLeave    func(id p2p.NodeID, graceful bool)
-	onJoin     func(id p2p.NodeID)
-}
-
-// meridianLookup is the r1/o1 bring-up of the message-level Meridian walk.
-func meridianLookup(le *lookupEnv) lookupSetup {
-	mcfg := p2p.DefaultMeridianConfig()
-	mcfg.Retry = le.retry
-	mer := p2p.NewMeridian(le.rt, mcfg, le.seed+1)
-	for _, id := range le.ids {
-		mer.Join(id)
-	}
-	for _, id := range le.targets {
-		le.rt.AddNode(p2p.NodeID(id))
-	}
-	return lookupSetup{
-		// Join traffic drains within virtual seconds; one minute is far
-		// past overlay construction.
-		queryStart: time.Minute,
-		onLeave:    func(id p2p.NodeID, graceful bool) { mer.Leave(id, graceful) },
-		onJoin:     func(id p2p.NodeID) { mer.Join(id) },
-		issue: func(op int, done func(bool, int)) int {
-			tgt := p2p.NodeID(le.targets[le.src.Intn(len(le.targets))])
-			mer.FindNearest(tgt, tgt, func(res p2p.FindResult) {
-				done(res.Found, int(res.Peer))
-			})
-			return int(tgt)
-		},
-	}
-}
-
-// chordLookup is the r1/o1 bring-up of the wire Chord ring: each op is one
-// iterative lookup of a fresh key from a live member.
-func chordLookup(le *lookupEnv) lookupSetup {
-	ccfg := p2p.DefaultChordConfig()
-	ccfg.Horizon = le.horizon
-	ccfg.Retry = le.retry
-	chord := p2p.NewChord(le.rt, ccfg, le.seed+1)
-	joinEnd := chordJoinRamp(le.kernel, chord, le.ids, 0)
-	return lookupSetup{
-		queryStart: joinEnd + chordSettle,
-		onLeave:    func(id p2p.NodeID, graceful bool) { chord.Leave(id, graceful) },
-		onJoin:     func(id p2p.NodeID) { chord.Join(id) },
-		issue: func(op int, done func(bool, int)) int {
-			chord.Lookup(le.liveMember(), fmt.Sprintf("%s/%d", le.opLabel, op), func(res p2p.LookupResult) {
-				done(res.OK, -1)
-			})
-			return -1
-		},
-	}
-}
-
-// vivaldiLookup is the r1/o1 bring-up of the gossip coordinate overlay.
-func vivaldiLookup(le *lookupEnv) lookupSetup {
-	wcfg := vivaldi.DefaultWireConfig()
-	wcfg.Horizon = le.horizon
-	wcfg.Retry = le.retry
-	w := vivaldi.NewWire(le.rt, wcfg, le.seed+1)
-	for _, id := range le.ids {
-		w.Join(id)
-	}
-	for _, id := range le.targets {
-		le.rt.AddNode(p2p.NodeID(id))
-	}
-	return lookupSetup{
-		queryStart: vivaldiWarmup,
-		onLeave:    func(id p2p.NodeID, graceful bool) { w.Leave(id, graceful) },
-		onJoin:     func(id p2p.NodeID) { w.Join(id) },
-		issue: func(op int, done func(bool, int)) int {
-			tgt := p2p.NodeID(le.targets[le.src.Intn(len(le.targets))])
-			w.FindNearest(tgt, func(r p2p.FindResult) {
-				done(r.Found, int(r.Peer))
-			})
-			return int(tgt)
-		},
-	}
-}
-
-// schemeCtx is what the two c2 harnesses hand a scheme's Static and Wire
-// constructors: the peer population in matrix-index space (member i, node
-// id i, is peers[i]) and the row's seeds. Both legs of a scheme build from
-// the same context fields, so they share structure and draws at 0% loss.
+// schemeCtx is what a cell hands a scheme's Static and Wire constructors:
+// the latency matrix, the overlay members as matrix positions, and the
+// cell's seeds and knobs. Both legs of a scheme build from the same context
+// fields, so they share structure and draws at 0% loss.
 type schemeCtx struct {
-	env   *Env
-	peers []netmodel.HostID
-	// m is the peers' latency matrix, net the noiseless probe-counting
-	// overlay over it, members the identity index list 0..len(peers)-1.
+	// m is the cell's latency matrix, net the noiseless probe-counting
+	// overlay over it, members the overlay membership in join order.
 	m       latency.Matrix
 	net     *overlay.Network
 	members []int
-	// tools is the measurement toolkit the hint schemes draw probe noise
-	// from.
+	// env, peers and tools are set by the cells that run on the measurement
+	// topology (c2/g1, the hint schemes' only home): member i is peers[i],
+	// and tools is the measurement toolkit the hint schemes draw probe
+	// noise from. Nil on a synthetic matrix.
+	env   *Env
+	peers []netmodel.HostID
 	tools *measure.Tools
-	// seed is the row's base seed: the harnesses keep seed (runtime), +2
-	// (churn) and +3 (query draws); constructors derive +1 (protocol).
+	// seed is the cell's base seed: the runner keeps seed (runtime), +2
+	// (churn) and +3 (issuer draws); constructors derive +1 (protocol).
 	seed int64
-	// horizon caps the wire run's virtual time (0 on the static leg).
+	// horizon caps the wire run's virtual time and bounds the protocols'
+	// own maintenance schedules (0 on the static leg).
 	horizon time.Duration
+	// retry is the per-RPC retry policy the wire legs arm (zero: none).
+	retry p2p.Policy
+	// keyLabel namespaces the DHT keys a key-resolving leg looks up
+	// ("g1", "o1", "r1"); op is the number of the stream op being issued,
+	// set by the runner before each issue, which the key is named after.
+	keyLabel string
+	op       int
 }
 
-func newSchemeCtx(env *Env, tools *measure.Tools, peers []netmodel.HostID, m latency.Matrix, seed int64, horizon time.Duration) *schemeCtx {
-	members := make([]int, len(peers))
-	for i := range peers {
+func newSchemeCtx(m latency.Matrix, members []int, seed int64, horizon time.Duration) *schemeCtx {
+	return &schemeCtx{m: m, net: overlay.NewNetwork(m), members: members, seed: seed, horizon: horizon}
+}
+
+// envSchemeCtx is the context of a cell on the measurement topology: every
+// peer a member, member i (node id i) being peers[i].
+func envSchemeCtx(env *Env, tools *measure.Tools, peers []netmodel.HostID, m latency.Matrix, seed int64, horizon time.Duration) *schemeCtx {
+	c := newSchemeCtx(m, firstN(len(peers)), seed, horizon)
+	c.env, c.peers, c.tools = env, peers, tools
+	return c
+}
+
+// firstN is the membership 0..n-1: a matrix's first n positions.
+func firstN(n int) []int {
+	members := make([]int, n)
+	for i := range members {
 		members[i] = i
 	}
-	return &schemeCtx{env: env, peers: peers, m: m, net: overlay.NewNetwork(m), members: members,
-		tools: tools, seed: seed, horizon: horizon}
+	return members
 }
 
 // addrs returns the peers' IP addresses, the node names of a static
@@ -236,7 +163,7 @@ func (c *schemeCtx) addrs() []string {
 func runStaticFinderMitigation(env *Env, tools *measure.Tools, name string, peers []netmodel.HostID, queries int, seed int64,
 	build func(c *schemeCtx) func(idx int) p2p.FindResult) MitigationRow {
 	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	find := build(newSchemeCtx(env, tools, peers, m, seed, 0))
+	find := build(envSchemeCtx(env, tools, peers, m, seed, 0))
 	src := rng.New(seed + 3)
 	alive := func(int) bool { return true }
 	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}
@@ -281,181 +208,103 @@ func staticHintFind(c *schemeCtx, ring *dht.Ring, find func(p netmodel.HostID) (
 	}
 }
 
-// wireFinderBringup is when the wire harness runs a deployment's
-// registration chain and starts queries unless the deployment sets its own
-// mark: joins all land at t=0 and their traffic drains within virtual
-// seconds.
-const wireFinderBringup = time.Minute
-
-// wireDeployment is what a scheme's Wire constructor hands the wire
-// harness.
-type wireDeployment struct {
-	// join brings one member up (required). The harness calls it for every
-	// member in id order at t=0; a deployment that staggers its joins
-	// schedules them from here. rejoin handles churn re-entry (nil: join
-	// again); leave handles churn exit (nil: no protocol exit — the
-	// member's soft state goes stale, as real directories do).
-	join   func(id p2p.NodeID)
-	rejoin func(id p2p.NodeID)
-	leave  func(id p2p.NodeID, graceful bool)
-	// mark is the virtual time bring-up ends: the registration chain runs
-	// there, then churn starts and queries begin (0: wireFinderBringup).
-	mark time.Duration
-	// bringup runs the post-join registration chain (directory Registers,
-	// tracker announces, hint publishes, ...) and must call done exactly
-	// once; nil when the scheme has no standing state beyond what its joins
-	// and timers build by the mark.
-	bringup func(done func())
-	// find runs one nearest-peer query from a member.
-	find func(client p2p.NodeID, done func(p2p.FindResult))
-}
-
-// sequentialChain runs step(0), step(1), ... step(n-1), each starting when
-// the previous one calls next, then done — the shape of every registration
-// chain (one publisher at a time, so the bill is contention-free).
-func sequentialChain(n int, step func(i int, next func()), done func()) {
-	var run func(i int)
-	run = func(i int) {
-		if i >= n {
-			done()
-			return
-		}
-		step(i, func() { run(i + 1) })
-	}
-	run(0)
-}
-
-// runWireFinderMitigation is the one wire harness of the c2 methodology:
-// deploy builds the scheme over the runtime, everyone joins at t=0, the
-// registration chain runs at the bring-up mark and the standing state is
-// billed to the publish column, then the sequential query stream — queries
-// issued by the peers themselves — runs under the asked-for loss, churn and
-// faults, scored by the shared scorer. The deploy builds the scheme's base
+// runWireFinderMitigation is the c2 methodology's wire cell: every peer a
+// member, queries issued by the peers themselves one at a time, churn given
+// 30 s to bite, the standing state billed to the publish column, every
+// answer scored by the shared scorer. The deploy builds the scheme's base
 // structure from the context exactly as the static leg does, so the
 // 0%-loss wire row mirrors the static row's structure and draws.
 func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationOpts,
-	deploy func(c *schemeCtx, rt *p2p.Runtime) wireDeployment) MitigationRow {
-	if opts.Horizon <= 0 {
-		opts.Horizon = 2 * time.Hour
-	}
+	deploy wireDeploy) MitigationRow {
 	tools := opts.Tools
 	if tools == nil {
 		tools = env.Tools
 	}
-	kernel := sim.New()
 	// The run owns its matrix, so the RTT cache is private to this kernel;
 	// chord stabilize re-prices the same successor pairs every round and
 	// hits it almost always.
 	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: opts.Loss}, opts.Seed)
-	if opts.Recorder != nil {
-		rt.AttachRecorder(opts.Recorder)
-	}
-	if opts.Faults != nil {
-		p2p.NewFaultTransport(rt, opts.Faults)
-	}
-	d := deploy(newSchemeCtx(env, tools, peers, m, opts.Seed, opts.Horizon), rt)
-
-	ids := make([]p2p.NodeID, len(peers))
-	for i := range peers {
-		ids[i] = p2p.NodeID(i)
-		d.join(ids[i])
-	}
-
-	var churn *p2p.Churn
-	if opts.Churn {
-		ccfg := opts.ChurnCfg
-		if ccfg.MeanSession == 0 {
-			ccfg = experimentChurnConfig()
-		}
-		ccfg.Horizon = opts.Horizon
-		churn = p2p.NewChurn(rt, ccfg, opts.Seed+2)
-		churn.OnLeave = d.leave
-		churn.OnJoin = d.rejoin
-		if churn.OnJoin == nil {
-			churn.OnJoin = d.join
-		}
-	}
-
-	src := rng.New(opts.Seed + 3)
-	alive := func(i int) bool { return rt.Alive(ids[i]) }
+	c := envSchemeCtx(env, tools, peers, m, opts.Seed, opts.Horizon)
+	c.keyLabel = "g1"
 	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}
-	var pubMsgsPerPeer float64
-	var queryMsgsStart int64
-
-	startSeq, issued := sequenceOps(kernel, opts.Queries, func(_ int, _ func() bool, complete func(apply func())) {
-		target := src.Intn(len(peers))
-		for tries := 0; tries < 20 && !alive(target); tries++ {
-			target = src.Intn(len(peers))
-		}
-		oracleMs := nearestLivePeerMs(env, peers, target, alive)
+	run := runWireCell(c, wireCell{
+		cfg: p2p.Config{LossProb: opts.Loss}, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
+		churn: opts.Churn, churnCfg: opts.ChurnCfg, churnLead: 30 * time.Second,
+		ops: opts.Queries,
+	}, deploy, func(run *wireRun, o *wireOp) {
+		target := int(o.client)
+		oracleMs := nearestLivePeerMs(env, peers, target, func(i int) bool { return run.rt.Alive(p2p.NodeID(i)) })
 		sc.issue(oracleMs)
-		d.find(ids[target], func(r p2p.FindResult) {
-			complete(func() { sc.result(target, oracleMs, r) })
-		})
+		run.find(o, func(r p2p.FindResult) { sc.result(target, oracleMs, r) })
 	})
-
-	startQueries := func() {
-		queryMsgsStart = rt.Metrics.MsgsSent
-		startSeq()
-	}
-	mark := d.mark
-	if mark == 0 {
-		mark = wireFinderBringup
-	}
-	kernel.At(mark, func() {
-		// The publish column bills the scheme's standing state. With a
-		// registration chain that is the chain's traffic (what ran before
-		// the mark — a hint scheme's ring joins — is the substrate's);
-		// without one it is everything sent since t=0, the joins and
-		// whatever the scheme's timers built by the mark.
-		var pubMsgsStart int64
-		afterBringup := func() {
-			pubMsgsPerPeer = float64(rt.Metrics.MsgsSent-pubMsgsStart) / float64(len(peers))
-			if churn != nil {
-				churn.Drive(ids)
-				// Let the membership process bite before measuring queries.
-				kernel.After(30*time.Second, startQueries)
-				return
-			}
-			startQueries()
-		}
-		if d.bringup != nil {
-			pubMsgsStart = rt.Metrics.MsgsSent
-			d.bringup(afterBringup)
-			return
-		}
-		afterBringup()
-	})
-	kernel.At(opts.Horizon, kernel.Stop) // watchdog against a stalled chain
-	kernel.Run()
-
-	// Normalise by the queries actually issued: if the watchdog fired
-	// first, the unissued remainder must not be scored as failures.
-	row := sc.row(*issued, rt.Metrics.MsgsSent-queryMsgsStart)
-	row.PubMsgsPerPeer = pubMsgsPerPeer
-	row.Timeouts = rt.Metrics.Timeouts
-	if churn != nil {
-		row.Leaves, row.Joins = churn.Leaves, churn.Joins
-	}
+	row := sc.row(run.issued, run.rt.Metrics.MsgsSent-run.atStart.MsgsSent)
+	row.PubMsgsPerPeer = float64(run.pubMsgs) / float64(len(peers))
+	row.Timeouts = run.rt.Metrics.Timeouts
+	row.Leaves, row.Joins = run.leaves, run.joins
 	return row
 }
 
-// chordRing deploys the wire Chord ring that the substrate leg and both
-// hint schemes stand on: joins staggered below the stabilize rate (the
-// chordJoinRamp schedule), a settle window before the mark, and the ring's
-// own leave/join as the churn hooks.
-func chordRing(c *schemeCtx, rt *p2p.Runtime) (*p2p.Chord, wireDeployment) {
-	ccfg := p2p.DefaultChordConfig()
+// chordRing deploys the wire Chord ring that the substrate leg, both hint
+// schemes and the npsim chord exercise stand on: joins staggered spacing
+// apart by join ordinal (below the stabilize rate), a settle window before
+// the mark, and the ring's own leave/join as the churn hooks.
+func chordRing(c *schemeCtx, rt *p2p.Runtime, ccfg p2p.ChordConfig, spacing, settle time.Duration) (*p2p.Chord, wireDeployment) {
 	ccfg.Horizon = c.horizon
+	ccfg.Retry = c.retry
 	chord := p2p.NewChord(rt, ccfg, c.seed+1)
+	joined := 0
 	return chord, wireDeployment{
 		join: func(id p2p.NodeID) {
-			rt.After(id, time.Duration(id)*chordJoinSpacing, func() { chord.Join(id) })
+			rt.After(id, time.Duration(joined)*spacing, func() { chord.Join(id) })
+			joined++
 		},
 		rejoin: chord.Join,
 		leave:  chord.Leave,
-		mark:   time.Duration(len(c.peers))*chordJoinSpacing + chordSettle,
+		mark:   time.Duration(len(c.members))*spacing + settle,
+	}
+}
+
+// defaultChordRing is chordRing at the studies' shared knobs.
+func defaultChordRing(c *schemeCtx, rt *p2p.Runtime) (*p2p.Chord, wireDeployment) {
+	return chordRing(c, rt, p2p.DefaultChordConfig(), chordJoinSpacing, chordSettle)
+}
+
+// meridianDeployment deploys the message-level Meridian walk; a query
+// searches for the peer nearest its own client.
+func meridianDeployment(c *schemeCtx, rt *p2p.Runtime, mcfg p2p.MeridianConfig) (*p2p.Meridian, wireDeployment) {
+	mcfg.Retry = c.retry
+	mer := p2p.NewMeridian(rt, mcfg, c.seed+1)
+	return mer, wireDeployment{
+		join:   mer.Join,
+		rejoin: mer.Join,
+		leave:  mer.Leave,
+		find: func(client p2p.NodeID, done func(p2p.FindResult)) {
+			mer.FindNearest(client, client, done)
+		},
+	}
+}
+
+// vivaldiDeployment deploys the gossip coordinate overlay. Members search
+// from their own live coordinate, outsiders place themselves with probes
+// first. The warm-up gossip is the scheme's publish phase: coordinates are
+// the published (and continuously republished) state. Walk steps land in
+// the hops column and each search counts as one lookup, so a c2 row reads
+// like its ucl/ipprefix neighbors.
+func vivaldiDeployment(c *schemeCtx, rt *p2p.Runtime) (*vivaldi.Wire, wireDeployment) {
+	wcfg := vivaldi.DefaultWireConfig()
+	wcfg.Horizon = c.horizon
+	wcfg.Retry = c.retry
+	w := vivaldi.NewWire(rt, wcfg, c.seed+1)
+	return w, wireDeployment{
+		join:  w.Join,
+		leave: w.Leave,
+		mark:  vivaldiWarmup,
+		find: func(client p2p.NodeID, done func(p2p.FindResult)) {
+			w.FindNearest(client, func(r p2p.FindResult) {
+				r.RPCs = 1
+				done(r)
+			})
+		},
 	}
 }
 
@@ -476,6 +325,15 @@ func hintDeployment(c *schemeCtx, ring wireDeployment,
 	}
 	d.find = func(client p2p.NodeID, done func(p2p.FindResult)) { find(c.peers[client], done) }
 	return d
+}
+
+// beaconInfrastructure deploys the standing beacons both beacon schemes
+// read: the default dozen, or every member when there are fewer (a -peers 5
+// run is a small deployment, not an invalid one).
+func beaconInfrastructure(c *schemeCtx) *beacon.Infrastructure {
+	cfg := beacon.DefaultConfig()
+	cfg.NumBeacons = min(cfg.NumBeacons, len(c.members))
+	return beacon.New(c.net, c.members, cfg, c.seed+1)
 }
 
 // finderScheme builds the common Static+Wire pair for a scheme whose base
@@ -501,17 +359,9 @@ var schemes = map[string]Scheme{
 			return staticFinder(meridian.New(c.net, c.members, mc, c.seed+1))
 		},
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
-			mer := p2p.NewMeridian(rt, p2p.DefaultMeridianConfig(), c.seed+1)
-			return wireDeployment{
-				join:   mer.Join,
-				rejoin: mer.Join,
-				leave:  mer.Leave,
-				find: func(client p2p.NodeID, done func(p2p.FindResult)) {
-					mer.FindNearest(client, client, done)
-				},
-			}
+			_, d := meridianDeployment(c, rt, p2p.DefaultMeridianConfig())
+			return d
 		},
-		Lookup: meridianLookup,
 		Scale: func(top *netmodel.Topology, queries int, seed int64) ScaleCell {
 			m := (&latency.FullTopologyMatrix{Top: top}).EnableRTTCache(0)
 			return scaleMeridianCell(m, queries, seed)
@@ -580,30 +430,29 @@ var schemes = map[string]Scheme{
 				return r
 			}
 		},
-		// The substrate itself through the c2 methodology: each query is
-		// one iterative Lookup of a fresh key from a live peer, found
-		// meaning the owner resolved to somebody else. The ring's bring-up
-		// (joins plus stabilization) is its standing state: there are no
-		// hints to publish, the ring IS the state.
+		// The substrate itself: each query is one iterative Lookup of a fresh
+		// key (named after the stream's op number) from the issuing member.
+		// A resolved lookup reports the owner as Peer — an answer, which is
+		// what r1/o1 count — and Found only when the owner is somebody else,
+		// which is what the c2 methodology asks of a finder. The ring's
+		// bring-up (joins plus stabilization) is its standing state: there
+		// are no hints to publish, the ring IS the state.
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
-			chord, d := chordRing(c, rt)
-			op := 0
+			chord, d := defaultChordRing(c, rt)
 			d.find = func(client p2p.NodeID, done func(p2p.FindResult)) {
-				op++
-				chord.Lookup(client, fmt.Sprintf("g1/%d", op), func(res p2p.LookupResult) {
+				chord.Lookup(client, fmt.Sprintf("%s/%d", c.keyLabel, c.op), func(res p2p.LookupResult) {
 					r := p2p.FindResult{Peer: p2p.NoNode, RPCs: 1, Hops: res.Hops}
 					if !res.OK {
 						r.RPCFails = 1
-					} else if res.Owner != client {
-						r.Peer, r.Found = res.Owner, true
+					} else {
+						r.Peer, r.Found = res.Owner, res.Owner != client
 					}
 					done(r)
 				})
 			}
 			return d
 		},
-		Lookup: chordLookup,
-		Scale:  scaleChordCell,
+		Scale: scaleChordCell,
 	},
 	"ucl": {
 		Static: func(c *schemeCtx) func(int) p2p.FindResult {
@@ -617,7 +466,7 @@ var schemes = map[string]Scheme{
 			})
 		},
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
-			chord, d := chordRing(c, rt)
+			chord, d := defaultChordRing(c, rt)
 			w := ucl.NewWire(c.tools, chord, c.peers, c.env.VantageHosts(), ucl.DefaultConfig())
 			return hintDeployment(c, d,
 				func(h netmodel.HostID, done func()) { w.Publish(h, func(int) { done() }) },
@@ -636,7 +485,7 @@ var schemes = map[string]Scheme{
 			})
 		},
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
-			chord, d := chordRing(c, rt)
+			chord, d := defaultChordRing(c, rt)
 			w := ipprefix.NewWire(c.tools, chord, c.peers, ipprefix.DefaultConfig())
 			return hintDeployment(c, d,
 				func(h netmodel.HostID, done func()) { w.Publish(h, func(bool) { done() }) },
@@ -650,34 +499,14 @@ var schemes = map[string]Scheme{
 			sys := vivaldi.Build(c.net, c.members, vivaldi.DefaultConfig(), c.seed+1)
 			return staticFinder(&vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8})
 		},
-		// The gossip overlay over the mitigation peers, queries issued by
-		// the peers themselves (members use their own live coordinate — no
-		// placement probes). The warm-up gossip is the scheme's publish
-		// phase: coordinates are the published (and continuously
-		// republished) state. Walk steps land in the hops column and each
-		// search counts as one lookup, so the row reads like its
-		// ucl/ipprefix neighbors.
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
-			wcfg := vivaldi.DefaultWireConfig()
-			wcfg.Horizon = c.horizon
-			w := vivaldi.NewWire(rt, wcfg, c.seed+1)
-			return wireDeployment{
-				join:  w.Join,
-				leave: w.Leave,
-				mark:  vivaldiWarmup,
-				find: func(client p2p.NodeID, done func(p2p.FindResult)) {
-					w.FindNearest(client, func(r p2p.FindResult) {
-						r.RPCs = 1
-						done(r)
-					})
-				},
-			}
+			_, d := vivaldiDeployment(c, rt)
+			return d
 		},
-		Lookup: vivaldiLookup,
 	},
 	"guyton": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			return &beacon.GuytonSchwartz{Inf: beacon.New(c.net, c.members, beacon.DefaultConfig(), c.seed+1)}
+			return &beacon.GuytonSchwartz{Inf: beaconInfrastructure(c)}
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := beacon.NewWire(rt, base.(*beacon.GuytonSchwartz).Inf)
@@ -685,7 +514,7 @@ var schemes = map[string]Scheme{
 		}),
 	"beaconing": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			return &beacon.Beaconing{Inf: beacon.New(c.net, c.members, beacon.DefaultConfig(), c.seed+1)}
+			return &beacon.Beaconing{Inf: beaconInfrastructure(c)}
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := beacon.NewWire(rt, base.(*beacon.Beaconing).Inf)

@@ -12,7 +12,6 @@ import (
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/rng"
-	"nearestpeer/internal/sim"
 	"nearestpeer/internal/stats"
 	"nearestpeer/internal/vivaldi"
 )
@@ -170,19 +169,12 @@ func VivaldiStudyAt(sizes []int, queries int, scale Scale, seed int64) *VivaldiS
 		func(_ *engine.Trial, c wireCondition) MitigationRow {
 			if c.static {
 				// The static baseline names itself inside the harness.
-				row, err := RunStaticMitigation(env, "vivaldi", peers, mitQueries, seed)
-				if err != nil {
-					panic(err) // "vivaldi" is registry-known
-				}
-				return row
+				return must(RunStaticMitigation(env, "vivaldi", peers, mitQueries, seed))
 			}
-			row, err := RunWireMitigation(env, peers, MitigationOpts{
+			row := must(RunWireMitigation(env, peers, MitigationOpts{
 				Scheme: "vivaldi", Loss: c.loss, Churn: c.churn,
 				Queries: mitQueries, Seed: seed,
-			})
-			if err != nil {
-				panic(err) // "vivaldi" is registry-known
-			}
+			}))
 			row.Name = "vivaldi " + c.name
 			return row
 		})
@@ -266,111 +258,67 @@ func vivaldiStaticCell(m latency.Matrix, queries int, seed int64) VivaldiCell {
 // searches from held-out targets under the asked-for loss and churn. The
 // embedding is scored at end of run over the members still live.
 func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int64) VivaldiCell {
-	kernel := sim.New()
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: cond.loss}, seed)
-	wcfg := vivaldi.DefaultWireConfig()
-	wcfg.Horizon = vivaldiStudyHorizon
-	w := vivaldi.NewWire(rt, wcfg, seed+1)
 	members, targets := scaleSplit(m.N(), seed+1)
-	ids := make([]p2p.NodeID, len(members))
-	for i, id := range members {
-		ids[i] = p2p.NodeID(id)
-		w.Join(p2p.NodeID(id))
+	liveMembers := func(w *vivaldi.Wire) []int {
+		live := w.LiveMembers()
+		out := make([]int, len(live))
+		for i, id := range live {
+			out[i] = int(id)
+		}
+		return out
 	}
-	for _, id := range targets {
-		rt.AddNode(p2p.NodeID(id))
-	}
-
-	var churn *p2p.Churn
-	if cond.churn {
-		ccfg := experimentChurnConfig()
-		ccfg.Horizon = vivaldiStudyHorizon
-		churn = p2p.NewChurn(rt, ccfg, seed+2)
-		churn.OnLeave = func(id p2p.NodeID, graceful bool) { w.Leave(id, graceful) }
-		churn.OnJoin = func(id p2p.NodeID) { w.Join(id) }
-	}
-
-	cell := VivaldiCell{Members: len(members)}
-	src := rng.New(seed + 3)
+	var w *vivaldi.Wire
 	exact, found := 0, 0
 	var stretches []float64
-	// queryMsgsStart doubles as the warm-up gossip bill: everything sent
-	// before the first query is maintenance.
-	var queryMsgsStart, queryProbesStart int64
-	q := 0
-	var step func()
-	step = func() {
-		if q >= queries {
-			kernel.Stop()
-			return
-		}
-		q++
-		tgt := targets[src.Intn(len(targets))]
-		live := w.LiveMembers()
-		liveInts := make([]int, len(live))
-		for i, id := range live {
-			liveInts[i] = int(id)
-		}
-		oracle := overlay.TrueNearest(m, tgt, liveInts)
-		w.FindNearest(p2p.NodeID(tgt), func(r p2p.FindResult) {
-			if r.Found {
-				found++
-				trueMs := m.LatencyMs(tgt, int(r.Peer))
-				if int(r.Peer) == oracle.Peer {
-					exact++
-				}
-				if oracle.Peer >= 0 && oracle.LatencyMs > 0 {
-					stretches = append(stretches, trueMs/oracle.LatencyMs)
-				}
+	run := runWireCell(newSchemeCtx(m, members, seed, vivaldiStudyHorizon), wireCell{
+		cfg: p2p.Config{LossProb: cond.loss}, heldOut: targets,
+		churn: cond.churn, churnLead: 30 * time.Second,
+		ops: queries,
+	}, func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+		var d wireDeployment
+		w, d = vivaldiDeployment(c, rt)
+		return d
+	}, func(run *wireRun, o *wireOp) {
+		tgt := int(o.client)
+		oracle := overlay.TrueNearest(m, tgt, liveMembers(w))
+		run.find(o, func(r p2p.FindResult) {
+			if !r.Found {
+				return
 			}
-			kernel.After(100*time.Millisecond, step)
+			found++
+			if int(r.Peer) == oracle.Peer {
+				exact++
+			}
+			if oracle.Peer >= 0 && oracle.LatencyMs > 0 {
+				stretches = append(stretches, m.LatencyMs(tgt, int(r.Peer))/oracle.LatencyMs)
+			}
 		})
-	}
-	startQueries := func() {
-		queryMsgsStart = rt.Metrics.MsgsSent
-		queryProbesStart = rt.Metrics.QueryProbes
-		step()
-	}
-	kernel.At(vivaldiWarmup, func() {
-		if churn != nil {
-			churn.Drive(ids)
-			// Let the membership process bite before measuring queries.
-			kernel.After(30*time.Second, startQueries)
-			return
-		}
-		startQueries()
 	})
-	kernel.At(vivaldiStudyHorizon, kernel.Stop)
-	kernel.Run()
 
-	n := float64(q)
-	if q == 0 {
-		n = 1
+	n := float64(max(run.issued, 1))
+	end := run.rt.Metrics
+	cell := VivaldiCell{
+		Members:    len(members),
+		Queries:    run.issued,
+		PExact:     float64(exact) / n,
+		Found:      float64(found) / n,
+		MeanProbes: float64(end.QueryProbes-run.atStart.QueryProbes) / n,
+		MeanMsgs:   float64(end.MsgsSent-run.atStart.MsgsSent) / n,
+		// Everything sent before the first query is maintenance: the
+		// warm-up gossip bill.
+		GossipMsgsPerNode: float64(run.atStart.MsgsSent) / float64(len(members)),
+		Timeouts:          end.Timeouts,
+		Leaves:            run.leaves,
+		Joins:             run.joins,
+		Events:            run.kernel.Executed,
+		MedianErr:         math.NaN(),
 	}
-	cell.Queries = q
-	cell.PExact = float64(exact) / n
-	cell.Found = float64(found) / n
 	if len(stretches) > 0 {
 		cell.MedianStretch = stats.Median(stretches)
 	}
-	cell.MeanProbes = float64(rt.Metrics.QueryProbes-queryProbesStart) / n
-	cell.MeanMsgs = float64(rt.Metrics.MsgsSent-queryMsgsStart) / n
-	cell.GossipMsgsPerNode = float64(queryMsgsStart) / float64(len(members))
-	cell.Timeouts = rt.Metrics.Timeouts
-	cell.Events = kernel.Executed
-	if churn != nil {
-		cell.Leaves, cell.Joins = churn.Leaves, churn.Joins
-	}
-	live := w.LiveMembers()
-	liveInts := make([]int, len(live))
-	for i, id := range live {
-		liveInts[i] = int(id)
-	}
-	if len(liveInts) > 1 {
-		cell.MedianErr = embeddingMedianErr(rng.New(seed+4), liveInts,
+	if live := liveMembers(w); len(live) > 1 {
+		cell.MedianErr = embeddingMedianErr(rng.New(seed+4), live,
 			func(id int) *vivaldi.Coord { return w.CoordOf(p2p.NodeID(id)) }, m, vivaldiEmbeddingSamples)
-	} else {
-		cell.MedianErr = math.NaN()
 	}
 	return cell
 }

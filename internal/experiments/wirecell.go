@@ -1,0 +1,297 @@
+package experiments
+
+import (
+	"time"
+
+	"nearestpeer/internal/faults"
+	"nearestpeer/internal/obs"
+	"nearestpeer/internal/p2p"
+	"nearestpeer/internal/rng"
+	"nearestpeer/internal/sim"
+)
+
+// This file is the one serial wire cell behind c1, c2/g1, v1, o1, r1 and
+// `npsim -runtime -algo chord`: one deployment type (wireDeployment) and one
+// runner (runWireCell) that owns kernel, runtime, attachments, joins,
+// held-out issuers, churn, the bring-up mark, the op stream and the
+// watchdog. Nothing here names a study: what differs between the cells is
+// data on wireCell, and scoring stays with the caller.
+
+// The wire cells share their bring-up and pacing knobs so every study's
+// rows stay comparable: chord joins staggered below the stabilize rate, a
+// settle window before traffic, a one-minute default mark (joins all land
+// at t=0 and their traffic drains within virtual seconds), and a
+// per-operation deadline that keeps the stream going when an issuing node
+// churns out or crashes mid-operation.
+const (
+	chordJoinSpacing  = 10 * time.Millisecond
+	chordSettle       = 20 * time.Second
+	wireFinderBringup = time.Minute
+	wireOpDeadline    = time.Minute
+	wireOpGap         = 100 * time.Millisecond
+	wireHorizon       = 2 * time.Hour
+)
+
+// wireDeployment is what a scheme's Wire constructor hands the runner.
+type wireDeployment struct {
+	// join brings one member up (required). The runner calls it for every
+	// member in order at t=0; a deployment that staggers its joins
+	// schedules them from here. rejoin handles churn re-entry (nil: join
+	// again); leave handles churn exit (nil: no protocol exit — the
+	// member's soft state goes stale, as real directories do).
+	join   func(id p2p.NodeID)
+	rejoin func(id p2p.NodeID)
+	leave  func(id p2p.NodeID, graceful bool)
+	// mark is the virtual time bring-up ends: the registration chain runs
+	// there, then churn starts and the op stream begins (0:
+	// wireFinderBringup).
+	mark time.Duration
+	// bringup runs the post-join registration chain (directory Registers,
+	// tracker announces, hint publishes, ...) and must call done exactly
+	// once; nil when the scheme has no standing state beyond what its joins
+	// and timers build by the mark.
+	bringup func(done func())
+	// find runs one nearest-peer query from client.
+	find func(client p2p.NodeID, done func(p2p.FindResult))
+}
+
+// wireDeploy is a scheme's Wire leg: it builds the scheme's deployment over
+// a cell's runtime from the cell's context.
+type wireDeploy func(c *schemeCtx, rt *p2p.Runtime) wireDeployment
+
+// answered reports whether a find produced the scheme's positive answer —
+// what the lookup studies (r1/o1) count as done. A finder's answer is a peer
+// (Found); a key-resolving leg's is the owner, which may be the issuer
+// itself (Peer set, Found false).
+func answered(r p2p.FindResult) bool { return r.Peer != p2p.NoNode }
+
+// sequentialChain runs step(0), step(1), ... step(n-1), each starting when
+// the previous one calls next, then done — the shape of every registration
+// chain (one publisher at a time, so the bill is contention-free).
+func sequentialChain(n int, step func(i int, next func()), done func()) {
+	var run func(i int)
+	run = func(i int) {
+		if i >= n {
+			done()
+			return
+		}
+		step(i, func() { run(i + 1) })
+	}
+	run(0)
+}
+
+// wireCell is the data of one cell: everything the studies vary beyond the
+// scheme context (matrix, members, seeds, horizon — see schemeCtx).
+type wireCell struct {
+	cfg p2p.Config
+	// heldOut are matrix positions outside the overlay that issue the ops
+	// (AddNode'd, never churned). Empty: live members issue, a draw that is
+	// down redrawn up to 20 times (under heavy churn everyone may be down;
+	// the op then fails honestly).
+	heldOut []int
+	// recorder and registry, when non-nil, are attached before any traffic;
+	// both are passive. faults, when non-nil, builds the fault plan once the
+	// deployment's mark is known (a nil plan injects nothing).
+	recorder *obs.Recorder
+	registry *obs.Registry
+	faults   func(mark time.Duration) *faults.Plan
+	// churn drives the membership process over the members from the end of
+	// bring-up, with churnCfg (zero: experimentChurnConfig); the op stream
+	// starts churnLead later, so the process bites before measuring.
+	churn     bool
+	churnCfg  p2p.ChurnConfig
+	churnLead time.Duration
+	// ops is the stream length. cadence 0 runs them sequentially (numbered
+	// from 1, the next wireOpGap after the previous ended, the kernel
+	// stopped after the last); cadence > 0 issues op n (numbered from 0) at
+	// n*cadence whatever the others are doing, and stops the kernel two
+	// deadlines after the last issue.
+	ops     int
+	cadence time.Duration
+	// onStart runs as the op stream begins, before the first op.
+	onStart func(run *wireRun)
+}
+
+// fixedFaults is the wireCell.faults of a plan that does not move with the
+// mark (npsim -faults).
+func fixedFaults(plan *faults.Plan) func(time.Duration) *faults.Plan {
+	return func(time.Duration) *faults.Plan { return plan }
+}
+
+// wireRun is the handle runWireCell returns (and hands every op): what a
+// study needs to score its cell.
+type wireRun struct {
+	kernel *sim.Sim
+	rt     *p2p.Runtime
+	d      wireDeployment
+	// issued counts the ops actually started — what results must be
+	// normalised by when the horizon cuts the stream short.
+	issued        int
+	leaves, joins int
+	// pubMsgs is the publish bill: the bring-up chain's traffic, or without
+	// a chain everything sent before the mark (the joins and whatever the
+	// scheme's timers built — a chain scheme's pre-mark traffic is its
+	// substrate's). atStart snapshots the counters as the op stream began.
+	pubMsgs int64
+	atStart p2p.Metrics
+
+	c       *schemeCtx
+	ids     []p2p.NodeID
+	heldOut []int
+	src     *rng.Source
+}
+
+// issuer draws the next op's issuing node (see wireCell.heldOut).
+func (r *wireRun) issuer() p2p.NodeID {
+	if len(r.heldOut) > 0 {
+		return p2p.NodeID(r.heldOut[r.src.Intn(len(r.heldOut))])
+	}
+	id := r.ids[r.src.Intn(len(r.ids))]
+	for tries := 0; tries < 20 && !r.rt.Alive(id); tries++ {
+		id = r.ids[r.src.Intn(len(r.ids))]
+	}
+	return id
+}
+
+// wireOp is one op of the stream. It ends exactly once: through complete,
+// or at wireOpDeadline — the op then scores as failed (it is in issued, and
+// its complete is dead).
+type wireOp struct {
+	n      int
+	client p2p.NodeID
+	ended  bool
+	after  func()
+}
+
+// live reports whether the op is still current (for intermediate
+// accounting in multi-step ops).
+func (o *wireOp) live() bool { return !o.ended }
+
+// complete ends the op and runs apply, unless the deadline got there first.
+func (o *wireOp) complete(apply func()) {
+	if o.ended {
+		return
+	}
+	o.ended = true
+	if apply != nil {
+		apply()
+	}
+	if o.after != nil {
+		o.after()
+	}
+}
+
+// find runs the deployment's query from o's issuer; score sees the answer
+// unless the deadline got there first.
+func (r *wireRun) find(o *wireOp, score func(p2p.FindResult)) {
+	r.d.find(o.client, func(res p2p.FindResult) { o.complete(func() { score(res) }) })
+}
+
+// startOp issues op n from a freshly drawn issuer; after (the sequential
+// driver's advance) runs when it ends.
+func (r *wireRun) startOp(n int, issue func(*wireRun, *wireOp), after func()) {
+	r.issued++
+	r.c.op = n
+	o := &wireOp{n: n, client: r.issuer(), after: after}
+	r.kernel.After(wireOpDeadline, func() { o.complete(nil) })
+	issue(r, o)
+}
+
+// runWireCell runs one wire cell: a fresh kernel and runtime over the
+// context's matrix, the cell's attachments, deploy's deployment with every
+// member joined in order and the held-out issuers added, then — at the
+// deployment's mark — the bring-up chain, churn, and the op stream, issue
+// called once per op. Seeds: c.seed drives the runtime, +1 the protocol (the
+// Wire leg's business), +2 churn, +3 the issuer draws.
+func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run *wireRun, o *wireOp)) *wireRun {
+	if c.horizon <= 0 {
+		c.horizon = wireHorizon
+	}
+	kernel := sim.New()
+	rt := p2p.New(kernel, c.m, cell.cfg, c.seed)
+	if cell.registry != nil {
+		rt.EnableObs(cell.registry)
+	}
+	if cell.recorder != nil {
+		rt.AttachRecorder(cell.recorder)
+	}
+	d := deploy(c, rt)
+	if d.mark == 0 {
+		d.mark = wireFinderBringup
+	}
+	if cell.faults != nil {
+		p2p.NewFaultTransport(rt, cell.faults(d.mark))
+	}
+	run := &wireRun{kernel: kernel, rt: rt, d: d, c: c,
+		ids: make([]p2p.NodeID, len(c.members)), heldOut: cell.heldOut, src: rng.New(c.seed + 3)}
+	for i, id := range c.members {
+		run.ids[i] = p2p.NodeID(id)
+		d.join(run.ids[i])
+	}
+	for _, id := range cell.heldOut {
+		rt.AddNode(p2p.NodeID(id))
+	}
+
+	var churn *p2p.Churn
+	if cell.churn {
+		ccfg := cell.churnCfg
+		if ccfg.MeanSession == 0 {
+			ccfg = experimentChurnConfig()
+		}
+		ccfg.Horizon = c.horizon
+		churn = p2p.NewChurn(rt, ccfg, c.seed+2)
+		churn.OnLeave = d.leave
+		churn.OnJoin = d.rejoin
+		if churn.OnJoin == nil {
+			churn.OnJoin = d.join
+		}
+	}
+
+	start := func() {
+		run.atStart = rt.Metrics
+		if cell.onStart != nil {
+			cell.onStart(run)
+		}
+		if cell.cadence > 0 {
+			for n := 0; n < cell.ops; n++ {
+				kernel.After(time.Duration(n)*cell.cadence, func() { run.startOp(n, issue, nil) })
+			}
+			kernel.After(time.Duration(cell.ops)*cell.cadence+2*wireOpDeadline, kernel.Stop)
+			return
+		}
+		var step func()
+		step = func() {
+			if run.issued >= cell.ops {
+				kernel.Stop()
+				return
+			}
+			run.startOp(run.issued+1, issue, func() { kernel.After(wireOpGap, step) })
+		}
+		step()
+	}
+	kernel.At(d.mark, func() {
+		var pubStart int64
+		afterBringup := func() {
+			run.pubMsgs = rt.Metrics.MsgsSent - pubStart
+			if churn == nil {
+				start()
+				return
+			}
+			churn.Drive(run.ids)
+			kernel.After(cell.churnLead, start)
+		}
+		if d.bringup != nil {
+			pubStart = rt.Metrics.MsgsSent
+			d.bringup(afterBringup)
+			return
+		}
+		afterBringup()
+	})
+	kernel.At(c.horizon, kernel.Stop) // watchdog against a stalled chain
+	kernel.Run()
+
+	if churn != nil {
+		run.leaves, run.joins = churn.Leaves, churn.Joins
+	}
+	return run
+}

@@ -92,12 +92,38 @@ type WireChordRow struct {
 	Events uint64
 }
 
+// knobs resolves the ring's protocol configuration, join spacing and settle
+// window: the caller's, or the wire studies' shared defaults.
+func (o WireChordOpts) knobs() (ccfg p2p.ChordConfig, spacing, settle time.Duration) {
+	ccfg, spacing, settle = o.Chord, o.JoinSpacing, o.Settle
+	if ccfg.StabilizeEvery <= 0 {
+		ccfg = p2p.DefaultChordConfig()
+	}
+	if spacing <= 0 {
+		spacing = chordJoinSpacing
+	}
+	if settle <= 0 {
+		settle = chordSettle
+	}
+	return ccfg, spacing, settle
+}
+
+// chordJoinRamp schedules the sharded path's staggered joins and returns
+// the virtual time of the last one.
+func chordJoinRamp(kernel *sim.Sim, chord *p2p.Chord, ids []p2p.NodeID, spacing time.Duration) time.Duration {
+	for i := range ids {
+		id := ids[i]
+		kernel.After(time.Duration(i)*spacing, func() { chord.Join(id) })
+	}
+	return time.Duration(len(ids)) * spacing
+}
+
 // RunWireChord joins nodes into a ring over the matrix, lets it converge,
 // then drives sequential Put+Get pairs (each from a random live node)
 // under the asked-for loss and churn.
 func RunWireChord(m latency.Matrix, opts WireChordOpts) WireChordRow {
 	if opts.Horizon <= 0 {
-		opts.Horizon = 2 * time.Hour
+		opts.Horizon = wireHorizon
 	}
 	if opts.Shards >= 1 {
 		return runWireChordSharded(opts)
@@ -106,59 +132,24 @@ func RunWireChord(m latency.Matrix, opts WireChordOpts) WireChordRow {
 	if n <= 0 || n > m.N() {
 		n = m.N()
 	}
-	kernel := sim.New()
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: opts.Loss}, opts.Seed)
-	if opts.Faults != nil {
-		p2p.NewFaultTransport(rt, opts.Faults)
-	}
-	if opts.Recorder != nil {
-		rt.AttachRecorder(opts.Recorder)
-	}
-	ccfg := opts.Chord
-	if ccfg.StabilizeEvery <= 0 {
-		ccfg = p2p.DefaultChordConfig()
-	}
-	ccfg.Horizon = opts.Horizon
-	chord := p2p.NewChord(rt, ccfg, opts.Seed+1)
-	ids := make([]p2p.NodeID, n)
-	for i := range ids {
-		ids[i] = p2p.NodeID(i)
-	}
-	joinEnd := chordJoinRamp(kernel, chord, ids, opts.JoinSpacing)
-	settle := opts.Settle
-	if settle <= 0 {
-		settle = chordSettle
-	}
-
-	var churn *p2p.Churn
-	if opts.Churn {
-		cc := opts.ChurnCfg
-		if cc.MeanSession == 0 {
-			cc = experimentChurnConfig()
-		}
-		cc.Horizon = opts.Horizon
-		churn = p2p.NewChurn(rt, cc, opts.Seed+2)
-		churn.OnLeave = func(id p2p.NodeID, graceful bool) { chord.Leave(id, graceful) }
-		churn.OnJoin = func(id p2p.NodeID) { chord.Join(id) }
-	}
+	ccfg, spacing, settle := opts.knobs()
 
 	row := WireChordRow{Nodes: n}
-	src := rng.New(opts.Seed + 3)
 	putOK, getOK := 0, 0
 	var hops, retries int64
-	var msgsStart int64
-	liveNode := func() p2p.NodeID {
-		id := ids[src.Intn(len(ids))]
-		for tries := 0; tries < 20 && !rt.Alive(id); tries++ {
-			id = ids[src.Intn(len(ids))]
-		}
-		return id
-	}
-	startSeq, issued := sequenceOps(kernel, opts.Ops, func(op int, live func() bool, complete func(apply func())) {
-		key := fmt.Sprintf("bench/%d", op)
-		val := []byte(key)
-		chord.Put(liveNode(), key, val, func(pr p2p.OpResult) {
-			if !live() {
+	var chord *p2p.Chord
+	run := runWireCell(newSchemeCtx(m, firstN(n), opts.Seed, opts.Horizon), wireCell{
+		cfg: p2p.Config{LossProb: opts.Loss}, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
+		churn: opts.Churn, churnCfg: opts.ChurnCfg,
+		ops: opts.Ops,
+	}, func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+		var d wireDeployment
+		chord, d = chordRing(c, rt, ccfg, spacing, settle)
+		return d
+	}, func(run *wireRun, o *wireOp) {
+		key := fmt.Sprintf("bench/%d", o.n)
+		chord.Put(o.client, key, []byte(key), func(pr p2p.OpResult) {
+			if !o.live() {
 				return
 			}
 			hops += int64(pr.Hops)
@@ -167,8 +158,8 @@ func RunWireChord(m latency.Matrix, opts WireChordOpts) WireChordRow {
 			if pr.OK {
 				putOK++
 			}
-			chord.Get(liveNode(), key, func(gr p2p.OpResult) {
-				complete(func() {
+			chord.Get(run.issuer(), key, func(gr p2p.OpResult) {
+				o.complete(func() {
 					hops += int64(gr.Hops)
 					retries += int64(gr.Retries)
 					row.LookupFails += int64(gr.LookupFails)
@@ -184,31 +175,17 @@ func RunWireChord(m latency.Matrix, opts WireChordOpts) WireChordRow {
 			})
 		})
 	})
-	kernel.At(joinEnd+settle, func() {
-		if churn != nil {
-			churn.Drive(ids)
-		}
-		msgsStart = rt.Metrics.MsgsSent
-		startSeq()
-	})
-	kernel.At(opts.Horizon, kernel.Stop)
-	kernel.Run()
 
-	nOps := float64(*issued)
-	if *issued == 0 {
-		nOps = 1
-	}
-	row.Ops = *issued
+	nOps := float64(max(run.issued, 1))
+	row.Ops = run.issued
 	row.PutOK = float64(putOK) / nOps
 	row.GetOK = float64(getOK) / nOps
 	row.MeanHops = float64(hops) / nOps
 	row.MeanRetries = float64(retries) / nOps
-	row.MeanMsgs = float64(rt.Metrics.MsgsSent-msgsStart) / nOps
-	row.Timeouts = rt.Metrics.Timeouts
-	row.Events = kernel.Executed
-	if churn != nil {
-		row.Leaves, row.Joins = churn.Leaves, churn.Joins
-	}
+	row.MeanMsgs = float64(run.rt.Metrics.MsgsSent-run.atStart.MsgsSent) / nOps
+	row.Timeouts = run.rt.Metrics.Timeouts
+	row.Events = run.kernel.Executed
+	row.Leaves, row.Joins = run.leaves, run.joins
 	return row
 }
 
@@ -245,10 +222,7 @@ func runWireChordSharded(opts WireChordOpts) WireChordRow {
 	if opts.Faults != nil {
 		p2p.NewFaultTransport(rt, opts.Faults)
 	}
-	ccfg := opts.Chord
-	if ccfg.StabilizeEvery <= 0 {
-		ccfg = p2p.DefaultChordConfig()
-	}
+	ccfg, spacing, settle := opts.knobs()
 	ccfg.Horizon = opts.Horizon
 	chord := p2p.NewChord(rt, ccfg, opts.Seed+1)
 	ids := make([]p2p.NodeID, n)
@@ -256,12 +230,7 @@ func runWireChordSharded(opts WireChordOpts) WireChordRow {
 		ids[i] = p2p.NodeID(i)
 	}
 	driver := shk.Shard(p2p.DriverShard)
-	joinEnd := chordJoinRamp(driver, chord, ids, opts.JoinSpacing)
-	settle := opts.Settle
-	if settle <= 0 {
-		settle = chordSettle
-	}
-	opsStart := joinEnd + settle
+	opsStart := chordJoinRamp(driver, chord, ids, spacing) + settle
 
 	row := WireChordRow{Nodes: n}
 	src := rng.New(opts.Seed + 3)

@@ -91,6 +91,21 @@ func (g *GroundTruth) ClosestPeer(m Matrix, target int, candidates []int) (int, 
 	return best, bestLat
 }
 
+// Validate reports a configuration BuildClustered cannot build a matrix
+// from, so a front end can turn a bad flag into a message instead of
+// BuildClustered's panic.
+func (c ClusteredConfig) Validate() error {
+	switch {
+	case c.PeersPerEN < 1:
+		return fmt.Errorf("latency: PeersPerEN %d must be positive", c.PeersPerEN)
+	case c.ENsPerCluster < 1:
+		return fmt.Errorf("latency: ENsPerCluster %d must be positive", c.ENsPerCluster)
+	case c.TotalPeers < c.PeersPerEN:
+		return fmt.Errorf("latency: TotalPeers %d must cover one end-network of %d peers", c.TotalPeers, c.PeersPerEN)
+	}
+	return nil
+}
+
 // BuildClustered constructs the Section 4 latency matrix: clusters of
 // end-networks around hubs, hub-to-hub distances from a synthetic
 // Meridian-like dataset, two peers per end-network.
@@ -101,8 +116,8 @@ func (g *GroundTruth) ClosestPeer(m Matrix, target int, candidates []int) (int, 
 //   - peers in different end-networks of one cluster: hub(i) + hub(j);
 //   - peers in different clusters: hub(i) + hubDist(ci, cj) + hub(j).
 func BuildClustered(cfg ClusteredConfig, seed int64) (*Dense, *GroundTruth) {
-	if cfg.PeersPerEN < 1 || cfg.ENsPerCluster < 1 || cfg.TotalPeers < cfg.PeersPerEN {
-		panic(fmt.Sprintf("latency: invalid clustered config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	src := rng.New(seed)
 

@@ -1,8 +1,10 @@
 package latency
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"nearestpeer/internal/netmodel"
@@ -232,5 +234,35 @@ func TestRTTCacheTransparent(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClusteredConfigValidate: the configurations BuildClustered cannot
+// build from are errors a front end can print (npsim -peers 1 used to reach
+// BuildClustered's panic), and BuildClustered still refuses them itself.
+func TestClusteredConfigValidate(t *testing.T) {
+	if err := DefaultClusteredConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*ClusteredConfig){
+		"TotalPeers":    func(c *ClusteredConfig) { c.TotalPeers = 1 },
+		"ENsPerCluster": func(c *ClusteredConfig) { c.ENsPerCluster = 0 },
+		"PeersPerEN":    func(c *ClusteredConfig) { c.PeersPerEN = 0 },
+	} {
+		cfg := DefaultClusteredConfig()
+		mutate(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("bad %s: Validate() = %v, want an error naming it", name, err)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); fmt.Sprint(r) != err.Error() {
+					t.Errorf("bad %s: BuildClustered panicked with %v, want %v", name, r, err)
+				}
+			}()
+			BuildClustered(cfg, 1)
+		}()
 	}
 }
