@@ -68,6 +68,18 @@ func TestGoldenQuickFigures(t *testing.T) {
 		}
 		checkGolden(t, "golden_c1_quick.txt", serial)
 	})
+	// fig9, a1 and a3 pin the static held-out-target experiment: fig9 the
+	// Section 4 Meridian simulation including its hub-latency column, a1 the
+	// ablation scorer, a3 the finder roster over a noisy network.
+	t.Run("fig9", func(t *testing.T) {
+		checkGolden(t, "golden_fig9_quick.txt", Fig9(Quick, 1).Render())
+	})
+	t.Run("a1", func(t *testing.T) {
+		checkGolden(t, "golden_a1_quick.txt", AblationHypervolume(Quick, 1).Render())
+	})
+	t.Run("a3", func(t *testing.T) {
+		checkGolden(t, "golden_a3_quick.txt", AblationAlgorithmComparison(Quick, 1).Render())
+	})
 	t.Run("c2", func(t *testing.T) {
 		checkGolden(t, "golden_c2_quick.txt", MitigationStudy(Quick, 1).Render())
 	})
