@@ -18,22 +18,13 @@ import (
 	goruntime "runtime"
 	"runtime/pprof"
 
-	"nearestpeer/internal/azureus"
-	"nearestpeer/internal/beacon"
 	"nearestpeer/internal/engine"
 	"nearestpeer/internal/experiments"
 	"nearestpeer/internal/faults"
-	"nearestpeer/internal/kargerruhl"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/meridian"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/overlay"
-	"nearestpeer/internal/pic"
-	"nearestpeer/internal/rendezvous"
-	"nearestpeer/internal/rng"
-	"nearestpeer/internal/tapestry"
-	"nearestpeer/internal/tiers"
-	"nearestpeer/internal/vivaldi"
 )
 
 func main() {
@@ -168,7 +159,7 @@ func main() {
 		})
 		fmt.Printf("\nP(exact closest peer)   = %.3f\n", row.PExact)
 		fmt.Printf("P(correct cluster)      = %.3f\n", row.PCluster)
-		fmt.Printf("completed before deadline = %.2f\n", row.Done)
+		fmt.Printf("completed before deadline = %.2f\n", row.Found)
 		fmt.Printf("mean probes per query   = %.1f\n", row.MeanProbes)
 		fmt.Printf("mean messages per query = %.1f (maintenance included)\n", row.MeanMsgs)
 		fmt.Printf("mean hops per query     = %.1f\n", row.MeanHops)
@@ -191,8 +182,9 @@ func main() {
 	members, targets := splitTargets(m.N(), *seed+1)
 
 	var finder overlay.Finder
-	switch *algo {
-	case "meridian":
+	if *algo == "meridian" {
+		// -beta and -ring are npsim's own knobs, so its Meridian is built
+		// here; every other algorithm comes from the scheme registry.
 		mc := meridian.DefaultConfig()
 		mc.Beta = *beta
 		mc.RingSize = *ringSize
@@ -202,57 +194,28 @@ func main() {
 			os.Exit(2)
 		}
 		finder = meridian.New(net, members, mc, *seed+2)
-	case "kargerruhl":
-		finder = kargerruhl.New(net, members, kargerruhl.DefaultConfig(), *seed+2)
-	case "tapestry":
-		finder = tapestry.New(net, members, tapestry.DefaultConfig(), *seed+2)
-	case "tiers":
-		finder = tiers.New(net, members, tiers.DefaultConfig(), *seed+2)
-	case "vivaldi":
-		sys := vivaldi.Build(net, members, vivaldi.DefaultConfig(), *seed+2)
-		finder = &vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8}
-	case "pic":
-		sys := vivaldi.Build(net, members, vivaldi.DefaultConfig(), *seed+2)
-		finder = pic.New(sys, pic.DefaultConfig(), *seed+3)
-	case "guyton":
-		finder = &beacon.GuytonSchwartz{Inf: beacon.New(net, members, beacon.DefaultConfig(), *seed+2)}
-	case "beaconing":
-		finder = &beacon.Beaconing{Inf: beacon.New(net, members, beacon.DefaultConfig(), *seed+2)}
-	case "azureus":
-		finder = azureus.NewFinder(net, members, azureus.DefaultFinderConfig(), *seed+2)
-	case "rendezvous":
-		finder = rendezvous.NewDirectory(net, members, func(m int) int { return gt.ENOf[m] })
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q (see -algo usage for the roster)\n", *algo)
-		os.Exit(2)
+	} else {
+		var err error
+		finder, err = experiments.StaticFinder(*algo, net, members, *seed+1, func(m int) int { return gt.ENOf[m] })
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "npsim:", err)
+			os.Exit(2)
+		}
 	}
 
 	fmt.Printf("algo=%s peers=%d ENs/cluster=%d (clusters=%d) δ=%.2f queries=%d noise=%.0f%%\n",
 		*algo, m.N(), *ens, gt.NumClusters, *delta, *queries, *noise*100)
 	fmt.Printf("overlay build: %d maintenance probes\n", net.MaintProbes())
 
-	src := rng.New(*seed + 4)
-	exact, inCluster := 0, 0
-	var probes, hops int64
-	net.ResetQueryProbes()
-	for q := 0; q < *queries; q++ {
-		tgt := targets[src.Intn(len(targets))]
-		res := finder.FindNearest(tgt)
-		probes += res.Probes
-		hops += int64(res.Hops)
-		oracle := overlay.TrueNearest(m, tgt, members)
-		if res.Peer == oracle.Peer {
-			exact++
-		}
-		if res.Peer >= 0 && gt.SameCluster(res.Peer, tgt) {
-			inCluster++
-		}
+	sc, err := experiments.RunStaticTargets(finder, m, gt, members, targets, *queries, *seed+4)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "npsim:", err)
+		os.Exit(2)
 	}
-	n := float64(*queries)
-	fmt.Printf("\nP(exact closest peer)   = %.3f\n", float64(exact)/n)
-	fmt.Printf("P(correct cluster)      = %.3f\n", float64(inCluster)/n)
-	fmt.Printf("mean probes per query   = %.1f\n", float64(probes)/n)
-	fmt.Printf("mean hops per query     = %.1f\n", float64(hops)/n)
+	fmt.Printf("\nP(exact closest peer)   = %.3f\n", sc.PExact)
+	fmt.Printf("P(correct cluster)      = %.3f\n", sc.PCluster)
+	fmt.Printf("mean probes per query   = %.1f\n", sc.MeanProbes)
+	fmt.Printf("mean hops per query     = %.1f\n", sc.MeanHops)
 }
 
 // splitTargets holds the query targets out of the population, as the
@@ -271,6 +234,10 @@ func splitTargets(n int, seed int64) (members, targets []int) {
 // generated topology, fanned out across the engine worker pool.
 func runScaleStudy(hosts, queries int, seed int64) {
 	const maxQueries = 500
+	if queries < 1 {
+		fmt.Fprintf(os.Stderr, "npsim: -scale needs at least 1 query per algorithm, got %d\n", queries)
+		os.Exit(2)
+	}
 	if queries > maxQueries {
 		fmt.Fprintf(os.Stderr, "note: -queries capped at %d for -scale runs (asked for %d)\n", maxQueries, queries)
 		queries = maxQueries

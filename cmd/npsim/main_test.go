@@ -18,9 +18,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadPopulationFlagsExitTwo: a population flag no matrix or deployment
-// can be built from is one line on stderr and exit status 2, never a Go
-// stack trace. `-peers 1` used to die in latency.BuildClustered, and
-// `-runtime -algo guyton -peers 5` in beacon.New.
+// can be built from, or a query count no mean can be taken over, is one line
+// on stderr and exit status 2, never a Go stack trace. `-peers 1` used to die
+// in latency.BuildClustered, `-runtime -algo guyton -peers 5` in beacon.New,
+// and the static `-queries 0` used to print four NaNs and exit 0.
 func TestBadPopulationFlagsExitTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -35,6 +36,9 @@ func TestBadPopulationFlagsExitTwo(t *testing.T) {
 		{"-runtime -algo guyton -peers 5 -queries 3", ""},
 		{"-runtime -algo beaconing -peers 2 -queries 3", ""},
 		{"-runtime -algo guyton -peers 1", "at least 2 peers"},
+		{"-algo tiers -peers 400 -queries 0", "at least 1 query, got 0"},
+		{"-algo tiers -peers 400 -queries -3", "at least 1 query, got -3"},
+		{"-algo chord -peers 400", "no static finder"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)

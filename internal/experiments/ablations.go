@@ -4,36 +4,16 @@ import (
 	"fmt"
 	"strings"
 
-	"nearestpeer/internal/beacon"
 	"nearestpeer/internal/core"
-	"nearestpeer/internal/kargerruhl"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/meridian"
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/overlay"
-	"nearestpeer/internal/pic"
-	"nearestpeer/internal/rng"
-	"nearestpeer/internal/tapestry"
-	"nearestpeer/internal/tiers"
 	"nearestpeer/internal/ucl"
-	"nearestpeer/internal/vivaldi"
 )
 
 // This file implements the ablation benches A1-A6: the
 // design-choice studies the paper motivates but does not tabulate.
-
-// ablationClusterCfg is the shared clustering-condition configuration:
-// strong clustering, the paper's Figure 9 default.
-func ablationClusterCfg(scale Scale) latency.ClusteredConfig {
-	cfg := latency.DefaultClusteredConfig()
-	cfg.ENsPerCluster = 125
-	if scale == Full {
-		cfg.TotalPeers = 2500
-	} else {
-		cfg.TotalPeers = 1200
-	}
-	return cfg
-}
 
 // AblationRow is one configuration's scores.
 type AblationRow struct {
@@ -64,38 +44,44 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// scoreFinder runs nQueries queries of a finder over a clustered matrix and
-// scores exact/cluster hits and probe cost.
-func scoreFinder(f overlay.Finder, m latency.Matrix, gt *latency.GroundTruth, members, targets []int, nQueries int, seed int64) AblationRow {
-	src := rng.New(seed)
-	exact, inCluster := 0, 0
-	var probes int64
-	for q := 0; q < nQueries; q++ {
-		tgt := targets[src.Intn(len(targets))]
-		res := f.FindNearest(tgt)
-		probes += res.Probes
-		oracle := overlay.TrueNearest(m, tgt, members)
-		if res.Peer == oracle.Peer {
-			exact++
-		}
-		if res.Peer >= 0 && gt.SameCluster(res.Peer, tgt) {
-			inCluster++
-		}
-	}
-	return AblationRow{
-		PExact:     float64(exact) / float64(nQueries),
-		PCluster:   float64(inCluster) / float64(nQueries),
-		MeanProbes: float64(probes) / float64(nQueries),
-	}
+// ablationCell is what A1-A3 and A6 share: one clustered matrix under strong
+// clustering (the Figure 9 default, 125 end-networks per cluster), one member
+// split and the scale's query budget.
+type ablationCell struct {
+	m                *latency.Dense
+	gt               *latency.GroundTruth
+	members, targets []int
+	queries          int
+	seed             int64
+}
+
+func newAblationCell(scale Scale, seed int64) ablationCell {
+	peers, _, queries, _ := scaleParams(scale)
+	cfg := latency.DefaultClusteredConfig()
+	cfg.TotalPeers = peers
+	m, gt := latency.BuildClustered(cfg, seed)
+	members, targets := overlay.Split(m.N(), 60, seed+1)
+	return ablationCell{m: m, gt: gt, members: members, targets: targets, queries: queries, seed: seed}
+}
+
+// row scores one finder through the held-out-target cell.
+func (c ablationCell) row(name string, f overlay.Finder, queries int, streamSeed int64) AblationRow {
+	sc := must(RunStaticTargets(f, c.m, c.gt, c.members, c.targets, queries, streamSeed))
+	return AblationRow{Name: name, PExact: sc.PExact, PCluster: sc.PCluster, MeanProbes: sc.MeanProbes}
+}
+
+// meridianRow scores one Meridian configuration on a noiseless network: the
+// configuration is the study's variable, so these overlays are built here,
+// not by the registry.
+func (c ablationCell) meridianRow(name string, mc meridian.Config) AblationRow {
+	o := meridian.New(overlay.NewNetwork(c.m), c.members, mc, c.seed+2)
+	return c.row(name, o, c.queries, c.seed+3)
 }
 
 // AblationHypervolume (A1) compares Meridian's ring-selection strategies
 // under the clustering condition.
 func AblationHypervolume(scale Scale, seed int64) *AblationResult {
-	cfg := ablationClusterCfg(scale)
-	_, _, queries, _ := scaleParams(scale)
-	m, gt := latency.BuildClustered(cfg, seed)
-	members, targets := overlay.Split(m.N(), 60, seed+1)
+	c := newAblationCell(scale, seed)
 	out := &AblationResult{
 		Title: "Ablation A1: Meridian ring-member selection under clustering (125 ENs/cluster)",
 		Note:  "paper §2.3: hypervolume maximisation cannot help when the space is not doubling —\nall selections should score alike here",
@@ -103,21 +89,14 @@ func AblationHypervolume(scale Scale, seed int64) *AblationResult {
 	for _, sel := range []meridian.RingSelection{meridian.SelectHypervolume, meridian.SelectMaxMin, meridian.SelectRandom} {
 		mc := meridian.DefaultConfig()
 		mc.Selection = sel
-		net := overlay.NewNetwork(m)
-		o := meridian.New(net, members, mc, seed+2)
-		row := scoreFinder(o, m, gt, members, targets, queries, seed+3)
-		row.Name = sel.String()
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, c.meridianRow(sel.String(), mc))
 	}
 	return out
 }
 
 // AblationBetaSweep (A2) sweeps Meridian's β threshold: accuracy vs probes.
 func AblationBetaSweep(scale Scale, seed int64) *AblationResult {
-	cfg := ablationClusterCfg(scale)
-	_, _, queries, _ := scaleParams(scale)
-	m, gt := latency.BuildClustered(cfg, seed)
-	members, targets := overlay.Split(m.N(), 60, seed+1)
+	c := newAblationCell(scale, seed)
 	out := &AblationResult{
 		Title: "Ablation A2: Meridian β sweep under clustering",
 		Note:  "β trades probes for accuracy (the paper's footnote 5); no β escapes the\nclustering condition",
@@ -125,21 +104,14 @@ func AblationBetaSweep(scale Scale, seed int64) *AblationResult {
 	for _, beta := range []float64{0.25, 0.5, 0.75, 0.9} {
 		mc := meridian.DefaultConfig()
 		mc.Beta = beta
-		net := overlay.NewNetwork(m)
-		o := meridian.New(net, members, mc, seed+2)
-		row := scoreFinder(o, m, gt, members, targets, queries, seed+3)
-		row.Name = fmt.Sprintf("beta=%.2f", beta)
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, c.meridianRow(fmt.Sprintf("beta=%.2f", beta), mc))
 	}
 	return out
 }
 
 // AblationRingSize (A6) sweeps nodes per ring.
 func AblationRingSize(scale Scale, seed int64) *AblationResult {
-	cfg := ablationClusterCfg(scale)
-	_, _, queries, _ := scaleParams(scale)
-	m, gt := latency.BuildClustered(cfg, seed)
-	members, targets := overlay.Split(m.N(), 60, seed+1)
+	c := newAblationCell(scale, seed)
 	out := &AblationResult{
 		Title: "Ablation A6: Meridian ring size under clustering",
 		Note:  "bigger rings probe more of the cluster per hop — brute force in disguise",
@@ -147,69 +119,41 @@ func AblationRingSize(scale Scale, seed int64) *AblationResult {
 	for _, k := range []int{8, 16, 32} {
 		mc := meridian.DefaultConfig()
 		mc.RingSize = k
-		net := overlay.NewNetwork(m)
-		o := meridian.New(net, members, mc, seed+2)
-		row := scoreFinder(o, m, gt, members, targets, queries, seed+3)
-		row.Name = fmt.Sprintf("ring=%d", k)
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, c.meridianRow(fmt.Sprintf("ring=%d", k), mc))
 	}
 	return out
 }
 
 // AblationAlgorithmComparison (A3) scores every implemented nearest-peer
-// algorithm on one clustered matrix, with realistic probe jitter.
+// algorithm on one clustered matrix, with realistic probe jitter. Every
+// finder gets its own network replaying the same noise stream.
 func AblationAlgorithmComparison(scale Scale, seed int64) *AblationResult {
-	cfg := ablationClusterCfg(scale)
-	_, _, queries, _ := scaleParams(scale)
-	queries /= 2 // several algorithms probe heavily
-	m, gt := latency.BuildClustered(cfg, seed)
-	members, targets := overlay.Split(m.N(), 60, seed+1)
+	c := newAblationCell(scale, seed)
+	queries := c.queries / 2 // several algorithms probe heavily
 	out := &AblationResult{
 		Title: "Ablation A3: all algorithms under the clustering condition (125 ENs/cluster, 3% probe jitter)",
 		Note:  "paper §2.3/§6: every latency-only scheme fails to find the exact (same-EN) peer",
 	}
-
 	mkNet := func() *overlay.Network {
-		net := overlay.NewNetwork(m)
+		net := overlay.NewNetwork(c.m)
 		net.SetNoise(0.03, 0.3, seed+7)
 		return net
 	}
-
-	finders := []struct {
-		name  string
-		build func() overlay.Finder
-	}{
-		{"meridian", func() overlay.Finder {
-			return meridian.New(mkNet(), members, meridian.DefaultConfig(), seed+2)
-		}},
-		{"karger-ruhl", func() overlay.Finder {
-			return kargerruhl.New(mkNet(), members, kargerruhl.DefaultConfig(), seed+2)
-		}},
-		{"tapestry", func() overlay.Finder {
-			return tapestry.New(mkNet(), members, tapestry.DefaultConfig(), seed+2)
-		}},
-		{"tiers", func() overlay.Finder {
-			return tiers.New(mkNet(), members, tiers.DefaultConfig(), seed+2)
-		}},
-		{"vivaldi-coords", func() overlay.Finder {
-			sys := vivaldi.Build(mkNet(), members, vivaldi.DefaultConfig(), seed+2)
-			return &vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8}
-		}},
-		{"pic", func() overlay.Finder {
-			sys := vivaldi.Build(mkNet(), members, vivaldi.DefaultConfig(), seed+2)
-			return pic.New(sys, pic.DefaultConfig(), seed+3)
-		}},
-		{"guyton-schwartz", func() overlay.Finder {
-			return &beacon.GuytonSchwartz{Inf: beacon.New(mkNet(), members, beacon.DefaultConfig(), seed+2)}
-		}},
-		{"beaconing", func() overlay.Finder {
-			return &beacon.Beaconing{Inf: beacon.New(mkNet(), members, beacon.DefaultConfig(), seed+2)}
-		}},
-	}
-	for _, f := range finders {
-		row := scoreFinder(f.build(), m, gt, members, targets, queries, seed+4)
-		row.Name = f.name
-		out.Rows = append(out.Rows, row)
+	// A3's Meridian fills its rings from DefaultConfig's gossip sample; the
+	// registry's sees the full membership, as the Figure 8/9 simulator does.
+	out.Rows = append(out.Rows, c.row("meridian",
+		meridian.New(mkNet(), c.members, meridian.DefaultConfig(), seed+2), queries, seed+4))
+	for _, r := range []struct{ label, scheme string }{
+		{"karger-ruhl", "kargerruhl"},
+		{"tapestry", "tapestry"},
+		{"tiers", "tiers"},
+		{"vivaldi-coords", "vivaldi"},
+		{"pic", "pic"},
+		{"guyton-schwartz", "guyton"},
+		{"beaconing", "beaconing"},
+	} {
+		f := must(StaticFinder(r.scheme, mkNet(), c.members, seed+1, nil))
+		out.Rows = append(out.Rows, c.row(r.label, f, queries, seed+4))
 	}
 	return out
 }

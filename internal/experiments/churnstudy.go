@@ -12,7 +12,6 @@ import (
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/p2p"
-	"nearestpeer/internal/rng"
 )
 
 // This file re-measures the Section 4 cost claim with the network in the
@@ -52,22 +51,14 @@ type RuntimeOpts struct {
 // ChurnRow is one condition's scores, static or message-level.
 type ChurnRow struct {
 	Name string
-	// PExact is P(returned peer is the true closest live member).
-	PExact float64
-	// PCluster is P(returned peer in the target's cluster).
-	PCluster float64
-	// Done is the fraction of queries that completed before deadline
-	// with a peer (always 1 for the static baseline, which cannot fail).
-	Done float64
-	// MeanProbes is query-time RTT measurements per query.
-	MeanProbes float64
+	// TargetScore is the held-out-target score: PExact against the true
+	// closest *live* member, Found the fraction of queries that completed
+	// before deadline with a peer (always 1 for the static baseline, which
+	// cannot fail), MeanProbes query-time RTT measurements per query.
+	TargetScore
 	// MeanMsgs is wire messages per query, maintenance included (the
 	// static baseline has no wire; its entry is 0).
 	MeanMsgs float64
-	// MeanHops is overlay hops per query.
-	MeanHops float64
-	// MeanMs is mean virtual milliseconds per completed query.
-	MeanMs float64
 	// Timeouts is the total RPC timeouts across the run.
 	Timeouts int64
 	// Leaves and Joins count churn events during the run.
@@ -100,9 +91,7 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 		merCfg.RingSize = opts.RingSize
 	}
 	var mer *p2p.Meridian
-	exact, inCluster, done := 0, 0, 0
-	var probes, hops int64
-	var elapsedMs float64
+	sc := targetScorer{gt: gt}
 	run := runWireCell(newSchemeCtx(m, members, opts.Seed, opts.Horizon), wireCell{
 		cfg: p2p.Config{LossProb: opts.Loss}, heldOut: targets,
 		recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
@@ -115,78 +104,27 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 	}, func(run *wireRun, o *wireOp) {
 		tgt := int(o.client)
 		oracle := overlay.TrueNearest(m, tgt, mer.LiveMembers())
-		run.find(o, func(res p2p.FindResult) {
-			probes += int64(res.Probes)
-			if !res.Found {
-				return
-			}
-			done++
-			hops += int64(res.Hops)
-			elapsedMs += float64(res.Elapsed) / float64(time.Millisecond)
-			if int(res.Peer) == oracle.Peer {
-				exact++
-			}
-			if gt != nil && gt.SameCluster(int(res.Peer), tgt) {
-				inCluster++
-			}
-		})
+		run.find(o, func(res p2p.FindResult) { sc.result(tgt, oracle, res) })
 	})
 
-	// Normalise by the queries actually issued: if the horizon watchdog
-	// fired first, the unissued remainder must not be scored as failures.
-	n := float64(max(run.issued, 1))
-	row := ChurnRow{
-		PExact:     float64(exact) / n,
-		PCluster:   float64(inCluster) / n,
-		Done:       float64(done) / n,
-		MeanProbes: float64(probes) / n,
-		MeanMsgs:   float64(run.rt.Metrics.MsgsSent-run.atStart.MsgsSent) / n,
-		MeanHops:   float64(hops) / n,
-		Timeouts:   run.rt.Metrics.Timeouts,
-		Leaves:     run.leaves,
-		Joins:      run.joins,
-	}
-	if done > 0 {
-		row.MeanMs = elapsedMs / float64(done)
-	}
+	row := ChurnRow{TargetScore: sc.score(run.issued)}
+	row.MeanMsgs = float64(run.rt.Metrics.MsgsSent-run.atStart.MsgsSent) / float64(max(run.issued, 1))
+	row.Timeouts = run.rt.Metrics.Timeouts
+	row.Leaves, row.Joins = run.leaves, run.joins
 	return row
 }
 
 // runStaticMeridian is the function-call baseline on the same matrix,
 // membership and query stream.
 func runStaticMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targets []int, queries int, seed int64) ChurnRow {
-	net := overlay.NewNetwork(m)
 	cfg := meridian.DefaultConfig()
 	// The message-level port fills rings by reservoir sampling (there is
 	// no stable candidate pool under churn), so the baseline uses the
 	// matching SelectRandom policy: the comparison isolates the wire,
 	// not the ring-selection heuristic.
 	cfg.Selection = meridian.SelectRandom
-	o := meridian.New(net, members, cfg, seed+1)
-	src := rng.New(seed + 3)
-	exact, inCluster := 0, 0
-	var probes, hops int64
-	net.ResetQueryProbes()
-	for q := 0; q < queries; q++ {
-		tgt := targets[src.Intn(len(targets))]
-		res := o.FindNearest(tgt)
-		probes += res.Probes
-		hops += int64(res.Hops)
-		if res.Peer == overlay.TrueNearest(m, tgt, members).Peer {
-			exact++
-		}
-		if gt != nil && res.Peer >= 0 && gt.SameCluster(res.Peer, tgt) {
-			inCluster++
-		}
-	}
-	n := float64(queries)
-	return ChurnRow{
-		PExact:     float64(exact) / n,
-		PCluster:   float64(inCluster) / n,
-		Done:       1,
-		MeanProbes: float64(probes) / n,
-		MeanHops:   float64(hops) / n,
-	}
+	o := meridian.New(overlay.NewNetwork(m), members, cfg, seed+1)
+	return ChurnRow{TargetScore: must(RunStaticTargets(o, m, gt, members, targets, queries, seed+3))}
 }
 
 // ChurnStudyResult compares static and message-level Meridian across wire
@@ -225,14 +163,7 @@ func ChurnStudy(scale Scale, seed int64) *ChurnStudyResult {
 		ENsPerCluster: cfg.ENsPerCluster,
 		Delta:         cfg.Delta,
 	}
-	conditions := []wireCondition{
-		{name: "static (function calls)", static: true},
-		{name: "messages, loss=0%"},
-		{name: "messages, loss=5%", loss: 0.05},
-		{name: "messages, churn", churn: true},
-		{name: "messages, loss=5% + churn", loss: 0.05, churn: true},
-	}
-	out.Rows = engine.Map(engine.Config{Seed: seed, Label: "churnstudy"}, conditions,
+	out.Rows = engine.Map(engine.Config{Seed: seed, Label: "churnstudy"}, wireConditions(),
 		func(_ *engine.Trial, c wireCondition) ChurnRow {
 			var row ChurnRow
 			if c.static {
@@ -248,13 +179,33 @@ func ChurnStudy(scale Scale, seed int64) *ChurnStudyResult {
 	return out
 }
 
-// wireCondition is one study row's wire setting, shared by the c1 and c2
-// condition tables.
+// wireCondition is one study row's wire setting.
 type wireCondition struct {
 	name   string
 	static bool
 	loss   float64
 	churn  bool
+}
+
+// wireConditions is the condition table c1, c2, v1 and g1 share: the static
+// baseline, then the wire at 0%/5% loss with and without churn.
+func wireConditions() []wireCondition {
+	return []wireCondition{
+		{name: "static (function calls)", static: true},
+		{name: "messages, loss=0%"},
+		{name: "messages, loss=5%", loss: 0.05},
+		{name: "messages, churn", churn: true},
+		{name: "messages, loss=5% + churn", loss: 0.05, churn: true},
+	}
+}
+
+// endChurnRow ends a table row, noting the run's churn events when it had
+// any.
+func endChurnRow(b *strings.Builder, leaves, joins int) {
+	if leaves > 0 || joins > 0 {
+		fmt.Fprintf(b, "  (%d leaves, %d joins)", leaves, joins)
+	}
+	b.WriteByte('\n')
 }
 
 // Render prints the comparison table.
@@ -267,12 +218,9 @@ func (r *ChurnStudyResult) Render() string {
 		"condition", "P(exact)", "P(clust)", "done", "probes/q", "msgs/q", "hops/q", "ms/q", "timeouts")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "%-26s %8.3f %9.3f %6.2f %9.1f %8.1f %6.1f %8.0f %9d",
-			row.Name, row.PExact, row.PCluster, row.Done,
+			row.Name, row.PExact, row.PCluster, row.Found,
 			row.MeanProbes, row.MeanMsgs, row.MeanHops, row.MeanMs, row.Timeouts)
-		if row.Leaves > 0 || row.Joins > 0 {
-			fmt.Fprintf(&b, "  (%d leaves, %d joins)", row.Leaves, row.Joins)
-		}
-		b.WriteByte('\n')
+		endChurnRow(&b, row.Leaves, row.Joins)
 	}
 	b.WriteString("\nreading: under the clustering condition the walk already probes brute-force;\n" +
 		"loss converts probes into timeouts and repeat work, and churn adds re-join\n" +

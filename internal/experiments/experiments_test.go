@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nearestpeer/internal/latency"
-	"nearestpeer/internal/meridian"
 )
 
 // testEnv is a process-shared Quick environment for experiment tests.
@@ -139,11 +138,11 @@ func TestMeridianSimulationScoring(t *testing.T) {
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = 600
 	cfg.ENsPerCluster = 25
-	run := simulateMeridian(cfg, meridian.DefaultConfig(), 40, 200, 7)
-	if run.pExact < 0 || run.pExact > 1 || run.pCluster < run.pExact {
+	run := simulateMeridian(cfg, 40, 200, 7)
+	if run.PExact < 0 || run.PExact > 1 || run.PCluster < run.PExact {
 		t.Fatalf("scores implausible: %+v", run)
 	}
-	if run.meanProbes <= 0 {
+	if run.MeanProbes <= 0 {
 		t.Fatal("no probes accounted")
 	}
 }
@@ -179,11 +178,11 @@ func TestChurnStudy(t *testing.T) {
 		t.Fatalf("%d rows, want 5 (static + 4 wire conditions)", len(r.Rows))
 	}
 	static := r.Rows[0]
-	if static.Done != 1 || static.MeanProbes <= 0 || static.MeanMsgs != 0 {
+	if static.Found != 1 || static.MeanProbes <= 0 || static.MeanMsgs != 0 {
 		t.Fatalf("static baseline implausible: %+v", static)
 	}
 	lossless := r.Rows[1]
-	if lossless.Done != 1 || lossless.Timeouts != 0 {
+	if lossless.Found != 1 || lossless.Timeouts != 0 {
 		t.Fatalf("lossless wire run lost queries: %+v", lossless)
 	}
 	// The lossless message protocol walks the same algorithm: its probe
@@ -192,7 +191,7 @@ func TestChurnStudy(t *testing.T) {
 		t.Fatalf("probe cost diverged from static by %.2fx", ratio)
 	}
 	lossy := r.Rows[2]
-	if lossy.Timeouts == 0 || lossy.Done >= 1 {
+	if lossy.Timeouts == 0 || lossy.Found >= 1 {
 		t.Fatalf("5%% loss run shows no wire effects: %+v", lossy)
 	}
 	for _, row := range r.Rows[3:] {

@@ -10,7 +10,8 @@ import (
 )
 
 // The golden figure files pin the deterministic quick-scale output of the
-// wire studies byte for byte. They exist so that performance work on the
+// wire studies, and of the static held-out-target experiment (fig9, a1, a3),
+// byte for byte. They exist so that performance work on the
 // hot paths underneath them — the event representation in internal/sim,
 // the latency pricing in internal/netmodel, the send path and multicast
 // index in internal/p2p — cannot change a single figure byte without the

@@ -68,7 +68,7 @@ func GrandStudy(scale Scale, seed int64) *GrandStudyResult {
 	}
 	var cells []grandCell
 	for _, scheme := range GrandSchemes() {
-		for _, c := range vivaldiStudyConditions() {
+		for _, c := range wireConditions() {
 			cells = append(cells, grandCell{scheme, c})
 		}
 	}
@@ -106,7 +106,7 @@ func (r *GrandStudyResult) Render() string {
 	fmt.Fprintf(&b, "static rows are the function-call oracle; message rows run real RPCs over internal/p2p\n\n")
 	fmt.Fprintf(&b, "%-38s %6s %8s %8s %9s %10s %7s %8s %10s %9s\n",
 		"scheme / condition", "found", "p(near)", "rtt(ms)", "probes/q", "lookups/q", "hops/q", "msgs/q", "pub-m/peer", "timeouts")
-	perScheme := len(vivaldiStudyConditions())
+	perScheme := len(wireConditions())
 	for i, row := range r.Rows {
 		if i > 0 && i%perScheme == 0 {
 			b.WriteByte('\n')
@@ -114,10 +114,7 @@ func (r *GrandStudyResult) Render() string {
 		fmt.Fprintf(&b, "%-38s %6.2f %8.3f %8.1f %9.1f %10.1f %7.1f %8.1f %10.1f %9d",
 			row.Name, row.Found, row.PNear, row.MeanFoundMs,
 			row.MeanProbes, row.MeanLookups, row.MeanHops, row.MeanMsgs, row.PubMsgsPerPeer, row.Timeouts)
-		if row.Leaves > 0 || row.Joins > 0 {
-			fmt.Fprintf(&b, "  (%d leaves, %d joins)", row.Leaves, row.Joins)
-		}
-		b.WriteByte('\n')
+		endChurnRow(&b, row.Leaves, row.Joins)
 	}
 	b.WriteString("\nreading: no scheme is free — the oracle rows show what each algorithm could do\n" +
 		"with perfect measurements, the wire rows what the same structure earns once every\n" +

@@ -7,9 +7,7 @@ import (
 
 	"nearestpeer/internal/engine"
 	"nearestpeer/internal/latency"
-	"nearestpeer/internal/meridian"
 	"nearestpeer/internal/overlay"
-	"nearestpeer/internal/rng"
 )
 
 // This file reproduces the Section 4 Meridian simulations behind Figures 8
@@ -17,55 +15,13 @@ import (
 // 100 held-out targets, 5,000 closest-peer queries, three runs per
 // configuration, β=0.5 and 16 nodes per ring.
 
-// meridianRun holds one simulation run's scores.
-type meridianRun struct {
-	pExact   float64 // P(found peer is the correct closest peer)
-	pCluster float64 // P(found peer in the target's cluster)
-	// meanHubLat is the mean hub latency of found peers when the exact
-	// peer was missed (Figure 9's second axis).
-	meanHubLat float64
-	meanProbes float64
-}
-
-// simulateMeridian runs one (matrix, overlay, queries) simulation. Ring
-// construction sees the full membership, as the Meridian simulator's gossip
-// effectively does.
-func simulateMeridian(cfg latency.ClusteredConfig, merCfg meridian.Config, nTargets, nQueries int, seed int64) meridianRun {
+// simulateMeridian runs one (matrix, overlay, queries) simulation of the
+// registry's Meridian through the held-out-target cell.
+func simulateMeridian(cfg latency.ClusteredConfig, nTargets, nQueries int, seed int64) TargetScore {
 	m, gt := latency.BuildClustered(cfg, seed)
-	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(m.N(), nTargets, seed+1)
-	merCfg.CandidatesPerNode = len(members)
-	o := meridian.New(net, members, merCfg, seed+2)
-	src := rng.New(seed + 3)
-
-	exact, inCluster := 0, 0
-	var hubLatSum float64
-	hubLatN := 0
-	var probeSum int64
-	for q := 0; q < nQueries; q++ {
-		tgt := targets[src.Intn(len(targets))]
-		res := o.FindNearest(tgt)
-		probeSum += res.Probes
-		oracle := overlay.TrueNearest(m, tgt, members)
-		if res.Peer == oracle.Peer {
-			exact++
-		} else if res.Peer >= 0 {
-			hubLatSum += gt.HubLatMs[res.Peer]
-			hubLatN++
-		}
-		if res.Peer >= 0 && gt.SameCluster(res.Peer, tgt) {
-			inCluster++
-		}
-	}
-	run := meridianRun{
-		pExact:     float64(exact) / float64(nQueries),
-		pCluster:   float64(inCluster) / float64(nQueries),
-		meanProbes: float64(probeSum) / float64(nQueries),
-	}
-	if hubLatN > 0 {
-		run.meanHubLat = hubLatSum / float64(hubLatN)
-	}
-	return run
+	o := must(StaticFinder("meridian", overlay.NewNetwork(m), members, seed+1, nil))
+	return must(RunStaticTargets(o, m, gt, members, targets, nQueries, seed+3))
 }
 
 // scaleParams returns (total peers, targets, queries, runs) per scale.
@@ -85,6 +41,51 @@ func summarize(xs []float64) summary3 {
 	return summary3{med: cp[len(cp)/2], min: cp[0], max: cp[len(cp)-1]}
 }
 
+// meridianSweep is the grid behind Figures 8 and 9: the scale's run count at
+// each of n sweep positions, position i's run configured and seeded by at.
+// Every (position, run) pair is one independent simulation — its matrix,
+// overlay and query stream derive only from its own seed — so the grid fans
+// out across the engine worker pool and the merged figure is identical at
+// any -workers. The scores come back grouped by position.
+func meridianSweep(label string, scale Scale, seed int64, n int, at func(i, run int) (latency.ClusteredConfig, int64)) [][]TargetScore {
+	peers, targets, queries, runs := scaleParams(scale)
+	type cell struct{ i, run int }
+	var cells []cell
+	for i := 0; i < n; i++ {
+		for r := 0; r < runs; r++ {
+			cells = append(cells, cell{i, r})
+		}
+	}
+	flat := engine.Map(engine.Config{Seed: seed, Label: label}, cells, func(_ *engine.Trial, c cell) TargetScore {
+		cfg, runSeed := at(c.i, c.run)
+		cfg.TotalPeers = peers
+		return simulateMeridian(cfg, targets, queries, runSeed)
+	})
+	out := make([][]TargetScore, n)
+	for i := range out {
+		out[i] = flat[i*runs : (i+1)*runs]
+	}
+	return out
+}
+
+// overRuns summarises one score column over a position's runs.
+func overRuns(runs []TargetScore, column func(TargetScore) float64) summary3 {
+	xs := make([]float64, len(runs))
+	for i, run := range runs {
+		xs[i] = column(run)
+	}
+	return summarize(xs)
+}
+
+// meanProbesOver is the mean of the runs' probes-per-query column.
+func meanProbesOver(runs []TargetScore) float64 {
+	var probes float64
+	for _, run := range runs {
+		probes += run.MeanProbes
+	}
+	return probes / float64(len(runs))
+}
+
 // Fig8Point is one x position of Figure 8.
 type Fig8Point struct {
 	ENsPerCluster int
@@ -99,41 +100,22 @@ type Fig8Result struct {
 	Delta  float64
 }
 
-// Fig8 sweeps the number of end-networks per cluster. Every (cluster-size,
-// run) pair is one independent simulation — its matrix, overlay and query
-// stream derive only from its own seed — so the grid fans out across the
-// engine worker pool and the merged figure is identical at any -workers.
+// Fig8 sweeps the number of end-networks per cluster.
 func Fig8(scale Scale, seed int64) *Fig8Result {
-	peers, targets, queries, runs := scaleParams(scale)
 	out := &Fig8Result{Delta: 0.2}
 	ensSweep := []int{5, 25, 50, 125, 250}
-	type cell struct{ ens, run int }
-	var cells []cell
-	for _, ens := range ensSweep {
-		for r := 0; r < runs; r++ {
-			cells = append(cells, cell{ens, r})
-		}
-	}
-	results := engine.Map(engine.Config{Seed: seed, Label: "fig8"}, cells, func(_ *engine.Trial, c cell) meridianRun {
+	sweep := meridianSweep("fig8", scale, seed, len(ensSweep), func(i, run int) (latency.ClusteredConfig, int64) {
 		cfg := latency.DefaultClusteredConfig()
-		cfg.ENsPerCluster = c.ens
-		cfg.TotalPeers = peers
+		cfg.ENsPerCluster = ensSweep[i]
 		cfg.Delta = out.Delta
-		return simulateMeridian(cfg, meridian.DefaultConfig(), targets, queries, seed+int64(1000*c.ens+c.run))
+		return cfg, seed + int64(1000*ensSweep[i]+run)
 	})
-	for i, ens := range ensSweep {
-		var pe, pc []float64
-		var probes float64
-		for _, run := range results[i*runs : (i+1)*runs] {
-			pe = append(pe, run.pExact)
-			pc = append(pc, run.pCluster)
-			probes += run.meanProbes
-		}
+	for i, runs := range sweep {
 		out.Points = append(out.Points, Fig8Point{
-			ENsPerCluster: ens,
-			PExact:        summarize(pe),
-			PCluster:      summarize(pc),
-			MeanProbes:    probes / float64(runs),
+			ENsPerCluster: ensSweep[i],
+			PExact:        overRuns(runs, func(r TargetScore) float64 { return r.PExact }),
+			PCluster:      overRuns(runs, func(r TargetScore) float64 { return r.PCluster }),
+			MeanProbes:    meanProbesOver(runs),
 		})
 	}
 	return out
@@ -169,42 +151,22 @@ type Fig9Result struct {
 	Points        []Fig9Point
 }
 
-// Fig9 sweeps δ at 125 end-networks per cluster, fanning the (δ, run) grid
-// out across the engine pool like Fig8.
+// Fig9 sweeps δ at 125 end-networks per cluster.
 func Fig9(scale Scale, seed int64) *Fig9Result {
-	peers, targets, queries, runs := scaleParams(scale)
 	out := &Fig9Result{ENsPerCluster: 125}
 	deltaSweep := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-	type cell struct {
-		delta float64
-		run   int
-	}
-	var cells []cell
-	for _, delta := range deltaSweep {
-		for r := 0; r < runs; r++ {
-			cells = append(cells, cell{delta, r})
-		}
-	}
-	results := engine.Map(engine.Config{Seed: seed, Label: "fig9"}, cells, func(_ *engine.Trial, c cell) meridianRun {
+	sweep := meridianSweep("fig9", scale, seed, len(deltaSweep), func(i, run int) (latency.ClusteredConfig, int64) {
 		cfg := latency.DefaultClusteredConfig()
 		cfg.ENsPerCluster = out.ENsPerCluster
-		cfg.TotalPeers = peers
-		cfg.Delta = c.delta
-		return simulateMeridian(cfg, meridian.DefaultConfig(), targets, queries, seed+int64(10000*c.delta)+int64(c.run))
+		cfg.Delta = deltaSweep[i]
+		return cfg, seed + int64(10000*deltaSweep[i]) + int64(run)
 	})
-	for i, delta := range deltaSweep {
-		var pe, hl []float64
-		var probes float64
-		for _, run := range results[i*runs : (i+1)*runs] {
-			pe = append(pe, run.pExact)
-			hl = append(hl, run.meanHubLat)
-			probes += run.meanProbes
-		}
+	for i, runs := range sweep {
 		out.Points = append(out.Points, Fig9Point{
-			Delta:      delta,
-			PExact:     summarize(pe),
-			HubLat:     summarize(hl),
-			MeanProbes: probes / float64(runs),
+			Delta:      deltaSweep[i],
+			PExact:     overRuns(runs, func(r TargetScore) float64 { return r.PExact }),
+			HubLat:     overRuns(runs, func(r TargetScore) float64 { return r.MeanHubLat }),
+			MeanProbes: meanProbesOver(runs),
 		})
 	}
 	return out

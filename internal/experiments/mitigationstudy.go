@@ -132,13 +132,14 @@ func runStaticMitigationTools(env *Env, tools *measure.Tools, scheme string, pee
 	if err != nil {
 		return MitigationRow{}, err
 	}
-	if s.Static == nil {
+	build := s.staticLeg()
+	if build == nil {
 		return MitigationRow{}, fmt.Errorf("experiments: scheme %q has no static leg", scheme)
 	}
 	if err := validateMitigation(peers, queries); err != nil {
 		return MitigationRow{}, err
 	}
-	return runStaticFinderMitigation(env, tools, scheme, peers, queries, seed, s.Static), nil
+	return runStaticFinderMitigation(env, tools, scheme, peers, queries, seed, build), nil
 }
 
 // validateMitigation rejects the populations and query counts the c2
@@ -284,14 +285,7 @@ func MitigationStudy(scale Scale, seed int64) *MitigationStudyResult {
 	}
 	var cells []mitigationCell
 	for _, scheme := range []string{"ucl", "ipprefix"} {
-		// The static baseline names itself inside runStaticMitigationTools.
-		cells = append(cells, mitigationCell{scheme, wireCondition{static: true}})
-		for _, c := range []wireCondition{
-			{name: "messages, loss=0%"},
-			{name: "messages, loss=5%", loss: 0.05},
-			{name: "messages, churn", churn: true},
-			{name: "messages, loss=5% + churn", loss: 0.05, churn: true},
-		} {
+		for _, c := range wireConditions() {
 			cells = append(cells, mitigationCell{scheme, c})
 		}
 	}
@@ -299,6 +293,7 @@ func MitigationStudy(scale Scale, seed int64) *MitigationStudyResult {
 		func(_ *engine.Trial, c mitigationCell) MitigationRow {
 			tools := measure.NewTools(env.Top, measure.DefaultConfig(), seed+1)
 			if c.cond.static {
+				// The static baseline names itself inside the harness.
 				return must(runStaticMitigationTools(env, tools, c.scheme, peers, queries, seed))
 			}
 			row := must(RunWireMitigation(env, peers, MitigationOpts{
@@ -311,23 +306,26 @@ func MitigationStudy(scale Scale, seed int64) *MitigationStudyResult {
 	return out
 }
 
+// renderMitigationTable prints the c2 table — sizing line, header, one line
+// per row — for c2 itself and for v1's mitigation companion.
+func renderMitigationTable(b *strings.Builder, peers, queries int, thresholdMs float64, rows []MitigationRow) {
+	fmt.Fprintf(b, "%d peers on the measurement topology, %d queries, near threshold %.0f ms\n\n",
+		peers, queries, thresholdMs)
+	fmt.Fprintf(b, "%-36s %6s %8s %8s %9s %10s %8s %10s %9s\n",
+		"condition", "found", "p(near)", "rtt(ms)", "probes/q", "lookups/q", "msgs/q", "pub-m/peer", "timeouts")
+	for _, row := range rows {
+		fmt.Fprintf(b, "%-36s %6.2f %8.3f %8.1f %9.1f %10.1f %8.1f %10.1f %9d",
+			row.Name, row.Found, row.PNear, row.MeanFoundMs,
+			row.MeanProbes, row.MeanLookups, row.MeanMsgs, row.PubMsgsPerPeer, row.Timeouts)
+		endChurnRow(b, row.Leaves, row.Joins)
+	}
+}
+
 // Render prints the comparison table.
 func (r *MitigationStudyResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Mitigation study: Section 5 hint schemes over the message-level DHT (internal/p2p)\n")
-	fmt.Fprintf(&b, "%d peers on the measurement topology, %d queries, near threshold %.0f ms\n\n",
-		r.Peers, r.Queries, r.ThresholdMs)
-	fmt.Fprintf(&b, "%-36s %6s %8s %8s %9s %10s %8s %10s %9s\n",
-		"condition", "found", "p(near)", "rtt(ms)", "probes/q", "lookups/q", "msgs/q", "pub-m/peer", "timeouts")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-36s %6.2f %8.3f %8.1f %9.1f %10.1f %8.1f %10.1f %9d",
-			row.Name, row.Found, row.PNear, row.MeanFoundMs,
-			row.MeanProbes, row.MeanLookups, row.MeanMsgs, row.PubMsgsPerPeer, row.Timeouts)
-		if row.Leaves > 0 || row.Joins > 0 {
-			fmt.Fprintf(&b, "  (%d leaves, %d joins)", row.Leaves, row.Joins)
-		}
-		b.WriteByte('\n')
-	}
+	renderMitigationTable(&b, r.Peers, r.Queries, r.ThresholdMs, r.Rows)
 	b.WriteString("\nreading: in a lossless static world the hint schemes are cheap; the wire adds\n" +
 		"DHT routing per publish and per query, loss turns hops into timeouts, and churn\n" +
 		"leaves stale hints behind that cost dead probes before a live candidate answers\n")

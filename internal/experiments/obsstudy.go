@@ -251,10 +251,7 @@ func (r *ObsStudyResult) Render() string {
 			c.Scheme, c.Cond, c.Done, c.P50, c.P99, c.P999,
 			c.LoadP50, c.LoadP99, c.LoadMax,
 			c.MaxInflight, c.MaxQueue, c.Samples, c.Timeouts, c.MsgMix)
-		if c.Leaves > 0 || c.Joins > 0 {
-			fmt.Fprintf(&b, "  (%d leaves, %d joins)", c.Leaves, c.Joins)
-		}
-		b.WriteByte('\n')
+		endChurnRow(&b, c.Leaves, c.Joins)
 	}
 	b.WriteString("\nreading: the median lookup hides what the registry's histogram shows — loss pushes the\n" +
 		"p99/p999 out by whole timeout periods, churn adds rejoin maintenance to every node's\n" +

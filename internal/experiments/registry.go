@@ -28,18 +28,25 @@ import (
 
 // This file is the scheme registry: the single dispatch point for every
 // nearest-peer scheme the studies exercise. Each registered Scheme bundles
-// up to three study legs — the static function-call baseline, the wire
-// deployment every serial wire cell runs (c1, c2/g1, v1, o1, r1), and the
-// s1 scale cell — so the study files enumerate scheme NAMES and the
-// registry owns the bring-up: a scheme added here is available to every
-// study that asks for a leg it implements.
+// up to four study legs — the overlay.Finder the held-out-target cells
+// score (fig8/fig9, a3, v1, `npsim -algo`), the static function-call baseline
+// of the c2 methodology, the wire deployment every serial wire cell runs (c1,
+// c2/g1, v1, o1, r1), and the s1 scale cell — so the study files enumerate
+// scheme NAMES and the registry owns the bring-up: a scheme added here is
+// available to every study that asks for a leg it implements.
 
 // Scheme is one registered nearest-peer scheme: a bundle of study legs,
 // any of which may be nil when the scheme does not support that study.
 type Scheme struct {
+	// Finder builds the scheme's base structure over the context's members
+	// as an overlay.Finder, for the schemes that have one: what StaticFinder
+	// hands the held-out-target cells. It may read only the context's net,
+	// members, seed and enOf — all StaticFinder has to give.
+	Finder func(c *schemeCtx) overlay.Finder
 	// Static builds the function-call baseline for the c2 static harness
 	// (runStaticFinderMitigation): the returned closure answers one query
-	// from member idx, probes and hops priced, no wire.
+	// from member idx, probes and hops priced, no wire. Nil on a scheme with
+	// a Finder leg, whose baseline is that finder (see staticLeg).
 	Static func(c *schemeCtx) func(idx int) p2p.FindResult
 	// Wire builds the message-level deployment runWireCell drives: real
 	// RPCs over rt under loss/churn/faults. It is the only way a scheme is
@@ -70,6 +77,33 @@ func wireLeg(name string) (wireDeploy, error) {
 		return nil, fmt.Errorf("experiments: scheme %q has no wire deployment", name)
 	}
 	return s.Wire, nil
+}
+
+// staticLeg is the scheme's c2 function-call baseline: its Finder behind the
+// staticFinder adapter, or its own Static leg (nil: it has neither).
+func (s Scheme) staticLeg() func(c *schemeCtx) func(idx int) p2p.FindResult {
+	if s.Finder != nil {
+		return func(c *schemeCtx) func(int) p2p.FindResult { return staticFinder(s.Finder(c)) }
+	}
+	return s.Static
+}
+
+// StaticFinder builds a registered scheme's overlay.Finder over members, as
+// every static study and `npsim -algo` get theirs: probes go through net (so
+// the caller owns the noise model), seed is the cell seed the wire legs get
+// too (the protocol draws from seed+1), and enOf maps a member to its end
+// network, which the rendezvous directory keys on (the other schemes ignore
+// it). An unknown name returns the roster error; a scheme with no finder (the
+// substrates and hint systems) says so.
+func StaticFinder(name string, net *overlay.Network, members []int, seed int64, enOf func(member int) int) (overlay.Finder, error) {
+	s, err := schemeFor(name)
+	if err != nil {
+		return nil, err
+	}
+	if s.Finder == nil {
+		return nil, fmt.Errorf("experiments: scheme %q has no static finder", name)
+	}
+	return s.Finder(&schemeCtx{net: net, members: members, seed: seed, enOf: enOf}), nil
 }
 
 // must unwraps a registry dispatch inside a study whose scheme roster is a
@@ -108,6 +142,10 @@ type schemeCtx struct {
 	env   *Env
 	peers []netmodel.HostID
 	tools *measure.Tools
+	// enOf maps a member to its end network, the key of the rendezvous
+	// directory: the topology's EN on the measurement topology, the ground
+	// truth's on a clustered matrix (nil where no cell deploys rendezvous).
+	enOf func(member int) int
 	// seed is the cell's base seed: the runner keeps seed (runtime), +2
 	// (churn) and +3 (issuer draws); constructors derive +1 (protocol).
 	seed int64
@@ -132,6 +170,7 @@ func newSchemeCtx(m latency.Matrix, members []int, seed int64, horizon time.Dura
 func envSchemeCtx(env *Env, tools *measure.Tools, peers []netmodel.HostID, m latency.Matrix, seed int64, horizon time.Duration) *schemeCtx {
 	c := newSchemeCtx(m, firstN(len(peers)), seed, horizon)
 	c.env, c.peers, c.tools = env, peers, tools
+	c.enOf = func(m int) int { return int(env.Top.Host(peers[m]).EN) }
 	return c
 }
 
@@ -336,15 +375,15 @@ func beaconInfrastructure(c *schemeCtx) *beacon.Infrastructure {
 	return beacon.New(c.net, c.members, cfg, c.seed+1)
 }
 
-// finderScheme builds the common Static+Wire pair for a scheme whose base
-// structure implements overlay.Finder: build constructs the base (deriving
+// finderScheme builds the common Finder+Wire pair for a scheme whose wire
+// deployment wraps its overlay.Finder: build constructs the base (deriving
 // sub-seeds from the context's seed), wire wraps it for the runtime. Both
 // legs call build with the same seed over the same matrix, so they share
 // structure and draws.
 func finderScheme(build func(c *schemeCtx) overlay.Finder,
 	wire func(rt *p2p.Runtime, base overlay.Finder) wireDeployment) Scheme {
 	return Scheme{
-		Static: func(c *schemeCtx) func(int) p2p.FindResult { return staticFinder(build(c)) },
+		Finder: build,
 		Wire:   func(c *schemeCtx, rt *p2p.Runtime) wireDeployment { return wire(rt, build(c)) },
 	}
 }
@@ -353,19 +392,18 @@ func finderScheme(build func(c *schemeCtx) overlay.Finder,
 // golden figures pin row order); this map owns the bring-up.
 var schemes = map[string]Scheme{
 	"meridian": {
-		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+		// Ring construction sees the full membership, as the Meridian
+		// simulator's gossip effectively does.
+		Finder: func(c *schemeCtx) overlay.Finder {
 			mc := meridian.DefaultConfig()
 			mc.CandidatesPerNode = len(c.members)
-			return staticFinder(meridian.New(c.net, c.members, mc, c.seed+1))
+			return meridian.New(c.net, c.members, mc, c.seed+1)
 		},
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
 			_, d := meridianDeployment(c, rt, p2p.DefaultMeridianConfig())
 			return d
 		},
-		Scale: func(top *netmodel.Topology, queries int, seed int64) ScaleCell {
-			m := (&latency.FullTopologyMatrix{Top: top}).EnableRTTCache(0)
-			return scaleMeridianCell(m, queries, seed)
-		},
+		Scale: scaleMeridianCell,
 	},
 	"expanding": {
 		// The expanding-ring search's function-call analogue: per query,
@@ -495,9 +533,9 @@ var schemes = map[string]Scheme{
 	"vivaldi": {
 		// The coordinate scheme has no DHT and no measurement toolkit — its
 		// baseline is a matrix-fed Build read off the noiseless overlay.
-		Static: func(c *schemeCtx) func(int) p2p.FindResult {
+		Finder: func(c *schemeCtx) overlay.Finder {
 			sys := vivaldi.Build(c.net, c.members, vivaldi.DefaultConfig(), c.seed+1)
-			return staticFinder(&vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8})
+			return &vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8}
 		},
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
 			_, d := vivaldiDeployment(c, rt)
@@ -563,10 +601,7 @@ var schemes = map[string]Scheme{
 		}),
 	"rendezvous": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			// The directory keys on the member's end-network id on the
-			// measurement topology.
-			return rendezvous.NewDirectory(c.net, c.members,
-				func(m int) int { return int(c.env.Top.Host(c.peers[m]).EN) })
+			return rendezvous.NewDirectory(c.net, c.members, c.enOf)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := rendezvous.NewWire(rt, base.(*rendezvous.Directory))

@@ -219,28 +219,18 @@ func ScaleStudyAt(sizes []int, queries int, seed int64) *ScaleStudyResult {
 // is built from a 192-candidate gossip sample per node with the
 // SelectRandom ring policy — the same policy the message-level port uses,
 // and the only one whose build cost stays linear in the population.
-func scaleMeridianCell(m latency.Matrix, queries int, seed int64) ScaleCell {
+func scaleMeridianCell(top *netmodel.Topology, queries int, seed int64) ScaleCell {
+	m := (&latency.FullTopologyMatrix{Top: top}).EnableRTTCache(0)
 	members, targets := scaleSplit(m.N(), seed+1)
-	net := overlay.NewNetwork(m)
 	cfg := meridian.DefaultConfig()
 	cfg.Selection = meridian.SelectRandom
-	o := meridian.New(net, members, cfg, seed+2)
-	src := rng.New(seed + 3)
-	exact := 0
-	net.ResetQueryProbes()
-	for q := 0; q < queries; q++ {
-		tgt := targets[src.Intn(len(targets))]
-		res := o.FindNearest(tgt)
-		if res.Peer == overlay.TrueNearest(m, tgt, members).Peer {
-			exact++
-		}
-	}
-	n := float64(queries)
+	o := meridian.New(overlay.NewNetwork(m), members, cfg, seed+2)
+	sc := must(RunStaticTargets(o, m, nil, members, targets, queries, seed+3))
 	return ScaleCell{
 		Members:      len(members),
 		Queries:      queries,
-		Success:      float64(exact) / n,
-		CostPerQuery: float64(net.QueryProbes()) / n,
+		Success:      sc.PExact,
+		CostPerQuery: sc.MeanProbes,
 	}
 }
 
@@ -269,16 +259,15 @@ func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCe
 		ex.Register(p2p.NodeID(id))
 	}
 	om := (&latency.FullTopologyMatrix{Top: top}).EnableRTTCache(0)
-	oracle := make(map[int]int, len(targets))
+	oracle := make(map[int]overlay.Result, len(targets))
 	for _, id := range targets {
 		rt.AddNode(p2p.NodeID(id))
 		rt.WarmSenderIndex(p2p.ExpandGroup, p2p.NodeID(id))
-		oracle[id] = overlay.TrueNearest(om, id, members).Peer
+		oracle[id] = overlay.TrueNearest(om, id, members)
 	}
 
 	src := rng.New(seed + 3)
-	exact := 0
-	var copies int64
+	var sc targetScorer // no matrix: the shards own theirs
 	q := 0
 	gap := 100 * time.Millisecond
 	if d := rt.HandoffDelay(); gap < d {
@@ -296,10 +285,7 @@ func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCe
 		tgt := targets[src.Intn(len(targets))]
 		rt.Handoff(fromShard, p2p.NodeID(tgt), gap, func() {
 			ex.Search(p2p.NodeID(tgt), func(res p2p.FindResult) {
-				copies += int64(res.Probes)
-				if res.Found && int(res.Peer) == oracle[tgt] {
-					exact++
-				}
+				sc.result(tgt, oracle[tgt], res)
 				step(rt.ShardOf(p2p.NodeID(tgt)))
 			})
 		})
@@ -307,14 +293,14 @@ func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCe
 	shk.Shard(p2p.DriverShard).At(0, func() { step(p2p.DriverShard) })
 	shk.Run()
 
-	n := float64(queries)
+	score := sc.score(queries)
 	stats := shk.Stats()
 	return ScaleCell{
 		Members:      len(members),
 		Queries:      queries,
-		Success:      float64(exact) / n,
-		CostPerQuery: float64(copies) / n,
-		MsgsPerQuery: float64(rt.TotalMetrics().MsgsSent) / n,
+		Success:      score.PExact,
+		CostPerQuery: score.MeanProbes, // multicast copies
+		MsgsPerQuery: float64(rt.TotalMetrics().MsgsSent) / float64(queries),
 		Events:       shk.Executed(),
 		Kernel:       &stats,
 	}

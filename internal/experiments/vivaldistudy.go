@@ -97,17 +97,6 @@ func vivaldiStudyQueries(s Scale) int {
 	return 40
 }
 
-// vivaldiStudyConditions is the shared condition list (the c1/c2 table).
-func vivaldiStudyConditions() []wireCondition {
-	return []wireCondition{
-		{name: "static (function calls)", static: true},
-		{name: "messages, loss=0%"},
-		{name: "messages, loss=5%", loss: 0.05},
-		{name: "messages, churn", churn: true},
-		{name: "messages, loss=5% + churn", loss: 0.05, churn: true},
-	}
-}
-
 // VivaldiStudy runs the study at the scale's default sweep.
 func VivaldiStudy(scale Scale, seed int64) *VivaldiStudyResult {
 	return VivaldiStudyAt(vivaldiStudySizes(scale), vivaldiStudyQueries(scale), scale, seed)
@@ -131,7 +120,7 @@ func VivaldiStudyAt(sizes []int, queries int, scale Scale, seed int64) *VivaldiS
 	}
 	var specs []cellSpec
 	for i, target := range sizes {
-		for _, c := range vivaldiStudyConditions() {
+		for _, c := range wireConditions() {
 			specs = append(specs, cellSpec{c, target, tops[i]})
 		}
 	}
@@ -165,7 +154,7 @@ func VivaldiStudyAt(sizes []int, queries int, scale Scale, seed int64) *VivaldiS
 	nPeers, mitQueries := mitigationParams(scale)
 	peers := MitigationPeers(env, nPeers)
 	out.MitPeers, out.MitQueries, out.MitThresholdMs = len(peers), mitQueries, mitigationNearMs
-	out.MitRows = engine.Map(engine.Config{Seed: seed, Label: "v1-mit"}, vivaldiStudyConditions(),
+	out.MitRows = engine.Map(engine.Config{Seed: seed, Label: "v1-mit"}, wireConditions(),
 		func(_ *engine.Trial, c wireCondition) MitigationRow {
 			if c.static {
 				// The static baseline names itself inside the harness.
@@ -209,54 +198,31 @@ func embeddingMedianErr(src *rng.Source, members []int, coordOf func(int) *vival
 // measurement.
 const vivaldiEmbeddingSamples = 600
 
-// vivaldiStaticCell runs the matrix-fed oracle: Build over the members
-// (maintenance probes), then the static coordinate Finder per query.
+// vivaldiStaticCell runs the matrix-fed oracle: the registry's Build over
+// the members (maintenance probes), then the static coordinate Finder per
+// query.
 func vivaldiStaticCell(m latency.Matrix, queries int, seed int64) VivaldiCell {
 	members, targets := scaleSplit(m.N(), seed+1)
-	net := overlay.NewNetwork(m)
-	sys := vivaldi.Build(net, members, vivaldi.DefaultConfig(), seed+2)
-	f := &vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8}
-	src := rng.New(seed + 3)
-	exact, found := 0, 0
-	var probes int64
-	var stretches []float64
-	net.ResetQueryProbes()
-	for q := 0; q < queries; q++ {
-		tgt := targets[src.Intn(len(targets))]
-		oracle := overlay.TrueNearest(m, tgt, members)
-		res := f.FindNearest(tgt)
-		probes += res.Probes
-		if res.Peer >= 0 {
-			found++
-			trueMs := m.LatencyMs(tgt, res.Peer)
-			if res.Peer == oracle.Peer {
-				exact++
-			}
-			if oracle.LatencyMs > 0 {
-				stretches = append(stretches, trueMs/oracle.LatencyMs)
-			}
-		}
-	}
-	n := float64(queries)
-	cell := VivaldiCell{
-		Members:    len(members),
-		Queries:    queries,
-		PExact:     float64(exact) / n,
-		Found:      float64(found) / n,
-		MeanProbes: float64(probes) / n,
+	f := must(StaticFinder("vivaldi", overlay.NewNetwork(m), members, seed+1, nil)).(*vivaldi.Finder)
+	sc := must(RunStaticTargets(f, m, nil, members, targets, queries, seed+3))
+	return VivaldiCell{
+		Members:       len(members),
+		Queries:       queries,
+		PExact:        sc.PExact,
+		Found:         sc.Found,
+		MedianStretch: sc.MedianStretch,
+		MeanProbes:    sc.MeanProbes,
 		MedianErr: embeddingMedianErr(rng.New(seed+4), members,
-			func(id int) *vivaldi.Coord { return sys.CoordOf(id) }, m, vivaldiEmbeddingSamples),
+			func(id int) *vivaldi.Coord { return f.Sys.CoordOf(id) }, m, vivaldiEmbeddingSamples),
 	}
-	if len(stretches) > 0 {
-		cell.MedianStretch = stats.Median(stretches)
-	}
-	return cell
 }
 
 // vivaldiWireCell runs the gossip deployment: members join the coordinate
 // overlay, gossip through the warm-up, then sequential coordinate-guided
-// searches from held-out targets under the asked-for loss and churn. The
-// embedding is scored at end of run over the members still live.
+// searches from held-out targets under the asked-for loss and churn, each
+// scored against the true nearest member live at issue. Probes are read off
+// the runtime's counter, not the answers. The embedding is scored at end of
+// run over the members still live.
 func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int64) VivaldiCell {
 	members, targets := scaleSplit(m.N(), seed+1)
 	liveMembers := func(w *vivaldi.Wire) []int {
@@ -268,8 +234,7 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 		return out
 	}
 	var w *vivaldi.Wire
-	exact, found := 0, 0
-	var stretches []float64
+	sc := targetScorer{m: m}
 	run := runWireCell(newSchemeCtx(m, members, seed, vivaldiStudyHorizon), wireCell{
 		cfg: p2p.Config{LossProb: cond.loss}, heldOut: targets,
 		churn: cond.churn, churnLead: 30 * time.Second,
@@ -281,29 +246,20 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 	}, func(run *wireRun, o *wireOp) {
 		tgt := int(o.client)
 		oracle := overlay.TrueNearest(m, tgt, liveMembers(w))
-		run.find(o, func(r p2p.FindResult) {
-			if !r.Found {
-				return
-			}
-			found++
-			if int(r.Peer) == oracle.Peer {
-				exact++
-			}
-			if oracle.Peer >= 0 && oracle.LatencyMs > 0 {
-				stretches = append(stretches, m.LatencyMs(tgt, int(r.Peer))/oracle.LatencyMs)
-			}
-		})
+		run.find(o, func(r p2p.FindResult) { sc.result(tgt, oracle, r) })
 	})
 
+	score := sc.score(run.issued)
 	n := float64(max(run.issued, 1))
 	end := run.rt.Metrics
 	cell := VivaldiCell{
-		Members:    len(members),
-		Queries:    run.issued,
-		PExact:     float64(exact) / n,
-		Found:      float64(found) / n,
-		MeanProbes: float64(end.QueryProbes-run.atStart.QueryProbes) / n,
-		MeanMsgs:   float64(end.MsgsSent-run.atStart.MsgsSent) / n,
+		Members:       len(members),
+		Queries:       run.issued,
+		PExact:        score.PExact,
+		Found:         score.Found,
+		MedianStretch: score.MedianStretch,
+		MeanProbes:    float64(end.QueryProbes-run.atStart.QueryProbes) / n,
+		MeanMsgs:      float64(end.MsgsSent-run.atStart.MsgsSent) / n,
 		// Everything sent before the first query is maintenance: the
 		// warm-up gossip bill.
 		GossipMsgsPerNode: float64(run.atStart.MsgsSent) / float64(len(members)),
@@ -312,9 +268,6 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 		Joins:             run.joins,
 		Events:            run.kernel.Executed,
 		MedianErr:         math.NaN(),
-	}
-	if len(stretches) > 0 {
-		cell.MedianStretch = stats.Median(stretches)
 	}
 	if live := liveMembers(w); len(live) > 1 {
 		cell.MedianErr = embeddingMedianErr(rng.New(seed+4), live,
@@ -335,25 +288,10 @@ func (r *VivaldiStudyResult) Render() string {
 		fmt.Fprintf(&b, "%-26s %7d %7d %8d %7.3f %9.3f %8.2f %6.2f %9.1f %8.1f %9.1f %9d",
 			c.Cond, c.Nominal, c.Hosts, c.Members, c.MedianErr, c.PExact, c.MedianStretch, c.Found,
 			c.MeanProbes, c.MeanMsgs, c.GossipMsgsPerNode, c.Timeouts)
-		if c.Leaves > 0 || c.Joins > 0 {
-			fmt.Fprintf(&b, "  (%d leaves, %d joins)", c.Leaves, c.Joins)
-		}
-		b.WriteByte('\n')
+		endChurnRow(&b, c.Leaves, c.Joins)
 	}
 	fmt.Fprintf(&b, "\nmitigation companion: the coordinate search through the c2 methodology, beside ucl/ipprefix\n")
-	fmt.Fprintf(&b, "%d peers on the measurement topology, %d queries, near threshold %.0f ms\n\n",
-		r.MitPeers, r.MitQueries, r.MitThresholdMs)
-	fmt.Fprintf(&b, "%-36s %6s %8s %8s %9s %10s %8s %10s %9s\n",
-		"condition", "found", "p(near)", "rtt(ms)", "probes/q", "lookups/q", "msgs/q", "pub-m/peer", "timeouts")
-	for _, row := range r.MitRows {
-		fmt.Fprintf(&b, "%-36s %6.2f %8.3f %8.1f %9.1f %10.1f %8.1f %10.1f %9d",
-			row.Name, row.Found, row.PNear, row.MeanFoundMs,
-			row.MeanProbes, row.MeanLookups, row.MeanMsgs, row.PubMsgsPerPeer, row.Timeouts)
-		if row.Leaves > 0 || row.Joins > 0 {
-			fmt.Fprintf(&b, "  (%d leaves, %d joins)", row.Leaves, row.Joins)
-		}
-		b.WriteByte('\n')
-	}
+	renderMitigationTable(&b, r.MitPeers, r.MitQueries, r.MitThresholdMs, r.MitRows)
 	b.WriteString("\nreading: the matrix-fed oracle sets the floor; the wire pays a continuous gossip\n" +
 		"bill for the same embedding, loss slows convergence and turns verification pings\n" +
 		"into dead probes, and churn resets coordinates whose rebuild lags the membership —\n" +

@@ -58,7 +58,7 @@ func TestWireFindersMatchStaticLossless(t *testing.T) {
 			var static, wire []answer
 			runStaticFinderMitigation(env, tools(), name, peers, queries, seed,
 				func(c *schemeCtx) func(int) p2p.FindResult {
-					find := s.Static(c)
+					find := s.staticLeg()(c)
 					return func(idx int) p2p.FindResult {
 						r := find(idx)
 						record(&static, idx, r)

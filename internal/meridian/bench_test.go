@@ -3,18 +3,44 @@ package meridian_test
 import (
 	"testing"
 
-	"nearestpeer/internal/benchhot"
 	"nearestpeer/internal/meridian"
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/testmat"
 )
 
-// The build and selection bodies live in internal/benchhot, shared with
-// cmd/benchscale's meridian_build and meridian_select rows.
+// BenchmarkOverlayBuild is static Meridian construction at the Section 4
+// defaults: 380 members of a 400-point Euclidean space gossip-sample, measure
+// and trim their rings. Allocations per op are the overlay's own storage; a
+// selection or a sampled candidate that allocated would multiply them.
+func BenchmarkOverlayBuild(b *testing.B) {
+	m := testmat.Euclidean(400, 1)
+	members, _ := overlay.Split(400, 20, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meridian.New(overlay.NewNetwork(m), members, meridian.DefaultConfig(), int64(i))
+	}
+}
 
-func BenchmarkOverlayBuild(b *testing.B) { benchhot.MeridianBuild(b) }
-
-func BenchmarkHypervolumeSelection(b *testing.B) { benchhot.MeridianSelect(b) }
+// BenchmarkHypervolumeSelection is the hypervolume ring-selection kernel
+// with as little around it as the exported API allows: 65 members and a
+// single ring, so every node trims one over-full ring from a full
+// 64-candidate pool. One op is 65 selections (2,016 pairwise probes and 14
+// Gram–Schmidt rounds each).
+func BenchmarkHypervolumeSelection(b *testing.B) {
+	m := testmat.Euclidean(65, 1)
+	members := make([]int, 65)
+	for i := range members {
+		members[i] = i
+	}
+	cfg := meridian.DefaultConfig()
+	cfg.NumRings = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meridian.New(overlay.NewNetwork(m), members, cfg, int64(i))
+	}
+}
 
 func BenchmarkFindNearest(b *testing.B) {
 	m := testmat.Euclidean(400, 1)

@@ -43,14 +43,6 @@ type Registry struct {
 	typeCounts []int64
 	lookupMs   *stats.Histogram
 	hopMs      *stats.Histogram
-
-	// Fault-plane and retry-layer tallies (plain counters: the runtime's
-	// Metrics carries the per-shard accounting; these are the registry's
-	// run-wide view for figure rendering).
-	faultDrops  int64
-	faultDelays int64
-	faultDups   int64
-	retries     int64
 }
 
 // NewRegistry builds a registry for a population of nodes (ids must stay in
@@ -99,30 +91,6 @@ func (r *Registry) ObserveLookupMs(ms float64) { r.lookupMs.Observe(ms) }
 // ObserveHopMs adds one per-hop RTT (virtual milliseconds) to the hop
 // histogram.
 func (r *Registry) ObserveHopMs(ms float64) { r.hopMs.Observe(ms) }
-
-// NoteFaultDrop records one envelope discarded by the fault plane.
-func (r *Registry) NoteFaultDrop() { r.faultDrops++ }
-
-// NoteFaultDelay records one envelope the fault plane delayed.
-func (r *Registry) NoteFaultDelay() { r.faultDelays++ }
-
-// NoteFaultDup records one duplicate copy the fault plane injected.
-func (r *Registry) NoteFaultDup() { r.faultDups++ }
-
-// NoteRetry records one extra request attempt issued by the retry layer.
-func (r *Registry) NoteRetry() { r.retries++ }
-
-// FaultDrops returns the fault-plane drop tally.
-func (r *Registry) FaultDrops() int64 { return r.faultDrops }
-
-// FaultDelays returns the fault-plane delay tally.
-func (r *Registry) FaultDelays() int64 { return r.faultDelays }
-
-// FaultDups returns the fault-plane duplication tally.
-func (r *Registry) FaultDups() int64 { return r.faultDups }
-
-// Retries returns the retry-layer extra-attempt tally.
-func (r *Registry) Retries() int64 { return r.retries }
 
 // SentByNode returns the per-node sent-message counters, indexed by node
 // id. The slice is the registry's own storage: read-only for callers.

@@ -167,7 +167,7 @@ func (e *Expanding) runRound(s *expandSearch) {
 			// re-run the expansion from the smallest scope.
 			s.attempt++
 			s.round = 0
-			e.rt.metricsAt(s.client).Retries++
+			e.rt.MetricsAt(s.client).Retries++
 			e.rt.After(s.client, e.cfg.Retry.backoff(s.client, s.sid, s.attempt), func() { e.runRound(s) })
 			return
 		}

@@ -261,10 +261,6 @@ func (b *liveBase) HandoffDelay() time.Duration { return 0 }
 // it via Do, or after Close.
 func (b *liveBase) SerialMetrics() *Metrics { return &b.metrics }
 
-// ShardMetrics returns the transport-wide metrics (one shard's worth: the
-// whole transport).
-func (b *liveBase) ShardMetrics(int) *Metrics { return &b.metrics }
-
 // AttachRecorder attaches a lookup flight recorder, as Runtime.
 // AttachRecorder does on the simulator. Attach before traffic flows.
 func (b *liveBase) AttachRecorder(rec *obs.Recorder) { b.obsRec = rec }
@@ -327,9 +323,9 @@ func (b *liveBase) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
 // defaultRPCTimeout is the expiry used when a caller passes none.
 func (b *liveBase) defaultRPCTimeout() time.Duration { return b.cfg.RPCTimeout }
 
-// metricsAt returns the transport-wide metrics (live transports keep one
+// MetricsAt returns the transport-wide metrics (live transports keep one
 // account).
-func (b *liveBase) metricsAt(NodeID) *Metrics { return &b.metrics }
+func (b *liveBase) MetricsAt(NodeID) *Metrics { return &b.metrics }
 
 // noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 func (b *liveBase) noteLive(delta int) { b.live.Add(int64(delta)) }

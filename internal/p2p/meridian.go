@@ -364,7 +364,7 @@ func (m *Meridian) FindNearest(client, target NodeID, done func(FindResult)) {
 	qid := m.nextQID
 	m.queries[qid] = &pendingQuery{
 		started:       m.rt.Now(client),
-		probesAtStart: m.rt.SerialMetrics().QueryProbes,
+		probesAtStart: m.rt.MetricsAt(client).QueryProbes,
 		done:          done,
 	}
 	m.rt.After(client, m.cfg.QueryDeadline, func() {
@@ -375,7 +375,7 @@ func (m *Meridian) FindNearest(client, target NodeID, done func(FindResult)) {
 		delete(m.queries, qid)
 		pq.done(FindResult{
 			Peer:    NoNode,
-			Probes:  int(m.rt.SerialMetrics().QueryProbes - pq.probesAtStart),
+			Probes:  int(m.rt.MetricsAt(client).QueryProbes - pq.probesAtStart),
 			Elapsed: m.rt.Now(client) - pq.started,
 		})
 	})
@@ -390,7 +390,7 @@ func (m *Meridian) startQuery(n *Node, q queryMsg, attempts int) {
 		return // deadline already fired
 	}
 	if attempts <= 0 || len(m.order) == 0 {
-		m.reportDone(q.QID, doneMsg{QID: q.QID, BestID: q.BestID, BestLat: q.BestLat}, m.rt.Now(n.ID))
+		m.reportDone(q.QID, doneMsg{QID: q.QID, BestID: q.BestID, BestLat: q.BestLat}, n.ID)
 		return
 	}
 	start := m.order[m.src.Intn(len(m.order))]
@@ -401,10 +401,11 @@ func (m *Meridian) startQuery(n *Node, q queryMsg, attempts int) {
 
 // handleDone resolves the origin-side pending query.
 func (m *Meridian) handleDone(n *Node, env Envelope) {
-	m.reportDone(env.Payload.(doneMsg).QID, env.Payload.(doneMsg), m.rt.Now(n.ID))
+	m.reportDone(env.Payload.(doneMsg).QID, env.Payload.(doneMsg), n.ID)
 }
 
-func (m *Meridian) reportDone(qid uint64, dm doneMsg, now time.Duration) {
+// reportDone resolves a pending query at its origin.
+func (m *Meridian) reportDone(qid uint64, dm doneMsg, origin NodeID) {
 	pq, ok := m.queries[qid]
 	if !ok {
 		return // deadline fired, or a duplicate report from a split walk
@@ -412,9 +413,9 @@ func (m *Meridian) reportDone(qid uint64, dm doneMsg, now time.Duration) {
 	delete(m.queries, qid)
 	res := FindResult{
 		Peer:    NoNode,
-		Probes:  int(m.rt.SerialMetrics().QueryProbes - pq.probesAtStart),
+		Probes:  int(m.rt.MetricsAt(origin).QueryProbes - pq.probesAtStart),
 		Hops:    dm.Hops,
-		Elapsed: now - pq.started,
+		Elapsed: m.rt.Now(origin) - pq.started,
 	}
 	if dm.BestID >= 0 {
 		res.Peer, res.RTTms, res.Found = dm.BestID, dm.BestLat, true

@@ -136,7 +136,7 @@ func (n *Node) expire(msgID uint64) {
 		return // answered, or we restarted meanwhile
 	}
 	delete(n.inflight, msgID)
-	n.rt.metricsAt(n.ID).Timeouts++
+	n.rt.MetricsAt(n.ID).Timeouts++
 	if c.onTimeout != nil {
 		c.onTimeout()
 	}
@@ -190,7 +190,7 @@ func (n *Node) SweepPing(targets []NodeID, timeout time.Duration, done func(Ping
 // the static Network's accounting, which has no way to fail. done receives
 // (rtt, true) on a pong or (0, false) on timeout.
 func (n *Node) Ping(to NodeID, timeout time.Duration, maint bool, done func(rttMs float64, ok bool)) {
-	met := n.rt.metricsAt(n.ID)
+	met := n.rt.MetricsAt(n.ID)
 	if maint {
 		met.MaintProbes++
 	} else {

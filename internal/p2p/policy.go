@@ -157,10 +157,7 @@ func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Du
 				if n.gen != gen || !n.alive {
 					return // crashed or restarted since: the chain dies here
 				}
-				n.rt.metricsAt(n.ID).Retries++
-				if r, ok := n.rt.(*Runtime); ok && r.obsReg != nil {
-					r.obsReg.NoteRetry()
-				}
+				n.rt.MetricsAt(n.ID).Retries++
 				attempt(k + 1)
 			})
 		})

@@ -671,11 +671,6 @@ func (r *Runtime) PendingExpiries() int {
 	return n
 }
 
-// SerialMetrics returns the runtime-wide metrics struct serial protocols
-// charge directly — the Metrics field. On a sharded runtime the field
-// stays zero (see Metrics); sharded protocols charge ShardMetrics instead.
-func (r *Runtime) SerialMetrics() *Metrics { return &r.Metrics }
-
 // RegisterHandler registers a typed-event handler on the driver kernel
 // (the only kernel of a serial runtime) — the Transport seam's version of
 // sim.Sim.RegisterHandler for serial protocols pacing typed tick chains.
@@ -692,9 +687,9 @@ func (r *Runtime) AfterHandler(d time.Duration, h sim.HandlerID, arg uint64) {
 // defaultRPCTimeout is the configured request expiry fallback.
 func (r *Runtime) defaultRPCTimeout() time.Duration { return r.cfg.RPCTimeout }
 
-// metricsAt returns the metrics struct charged for activity at a node:
-// its home shard's.
-func (r *Runtime) metricsAt(id NodeID) *Metrics { return r.sh[r.shardIdx(id)].metrics }
+// MetricsAt returns the metrics struct charged for activity at a node: its
+// home shard's — on a serial runtime, the Metrics field.
+func (r *Runtime) MetricsAt(id NodeID) *Metrics { return r.sh[r.shardIdx(id)].metrics }
 
 // noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 func (r *Runtime) noteLive(delta int) { r.liveCount += delta }
@@ -724,8 +719,8 @@ func (r *Runtime) TotalMetrics() Metrics {
 	return t
 }
 
-// ShardMetrics returns shard s's private metrics — the increment target for
-// protocol counters charged to a node (use with ShardOf).
+// ShardMetrics returns shard s's private metrics, for a study reading one
+// shard's account from inside that shard's events.
 func (r *Runtime) ShardMetrics(s int) *Metrics { return r.sh[s].metrics }
 
 // StartHealthSampler starts a periodic obs.Sampler over this runtime's
@@ -827,9 +822,6 @@ func (r *Runtime) send(env Envelope) {
 		if fd.Drop {
 			sc.metrics.MsgsLost++
 			sc.metrics.FaultDropped++
-			if r.obsReg != nil {
-				r.obsReg.NoteFaultDrop()
-			}
 			return
 		}
 	}
@@ -843,9 +835,6 @@ func (r *Runtime) send(env Envelope) {
 		// cross-shard lookahead inequality below cannot be violated by it.
 		oneWay += durOf(fd.ExtraMs)
 		sc.metrics.FaultDelayed++
-		if r.obsReg != nil {
-			r.obsReg.NoteFaultDelay()
-		}
 	}
 	r.scheduleDelivery(ss, oneWay, env)
 	if fd.Dup {
@@ -853,7 +842,6 @@ func (r *Runtime) send(env Envelope) {
 		sc.metrics.FaultDuplicated++
 		if r.obsReg != nil {
 			r.obsReg.NoteSend(int(env.From), env.Type)
-			r.obsReg.NoteFaultDup()
 		}
 		r.scheduleDelivery(ss, oneWay, env)
 	}

@@ -92,13 +92,10 @@ type Transport interface {
 	// kernel's lookahead window, 0 otherwise.
 	HandoffDelay() time.Duration
 
-	// SerialMetrics returns the transport-wide metrics struct serial
-	// protocols read and charge directly (Runtime.Metrics on the
-	// simulator). Sharded protocols must use ShardMetrics instead.
-	SerialMetrics() *Metrics
-	// ShardMetrics returns shard s's private metrics — the increment
-	// target for protocol counters charged to a node (use with ShardOf).
-	ShardMetrics(s int) *Metrics
+	// MetricsAt returns the metrics account charged for activity at a node:
+	// its home shard's on the simulator (Runtime.Metrics on a serial one),
+	// the single transport-wide account on the live transports.
+	MetricsAt(id NodeID) *Metrics
 	// FlightRecorder returns the attached lookup flight recorder, or nil.
 	FlightRecorder() *obs.Recorder
 
@@ -120,9 +117,6 @@ type Transport interface {
 	timeoutAt(d time.Duration, node NodeID, msgID uint64)
 	// defaultRPCTimeout is the expiry used when a caller passes none.
 	defaultRPCTimeout() time.Duration
-	// metricsAt returns the metrics struct charged for activity at a node
-	// (its home shard's on the simulator).
-	metricsAt(id NodeID) *Metrics
 	// noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 	noteLive(delta int)
 }

@@ -40,7 +40,24 @@ func BenchmarkDeepQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkHandlerScheduleRun — the typed-payload twin of
-// BenchmarkScheduleRun (same cascade, no closure, allocation-free steady
-// state) — lives in benchhot_test.go, delegating to internal/benchhot so
-// cmd/benchscale measures the same workload.
+// BenchmarkHandlerScheduleRun is the typed-payload twin of
+// BenchmarkScheduleRun: the same 1000-event cascade through a registered
+// handler, no closure — the kernel's allocation-free scheduling loop.
+func BenchmarkHandlerScheduleRun(b *testing.B) {
+	s := New()
+	cnt := 0
+	var h HandlerID
+	h = s.RegisterHandler(func(arg uint64) {
+		cnt++
+		if cnt < 1000 {
+			s.AfterHandler(time.Duration(cnt%7)*time.Millisecond, h, arg+1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cnt = 0
+		s.AfterHandler(0, h, 0)
+		s.Run()
+	}
+}

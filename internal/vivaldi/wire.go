@@ -451,7 +451,7 @@ func (w *Wire) gossipOnce(id p2p.NodeID, st *wireState) {
 	}
 	to := st.nbrs[st.src.Intn(st.nNbrs)].id
 	n := w.rt.Node(id)
-	w.rt.SerialMetrics().MaintProbes++ // a gossip is a maintenance RTT measurement
+	w.rt.MetricsAt(id).MaintProbes++ // a gossip is a maintenance RTT measurement
 	st.pendingMsgID = n.Send(to, MsgGossip, nil)
 	st.pendingTo = to
 	st.sentAt = w.rt.Now(id)
@@ -701,7 +701,7 @@ func (w *Wire) place(n *p2p.Node, client p2p.NodeID, lseq uint64, res *p2p.FindR
 			w.walk(n, client, lseq, tc, best.from, res, done)
 			return
 		}
-		w.rt.SerialMetrics().QueryProbes++
+		w.rt.MetricsAt(n.ID).QueryProbes++
 		res.Probes++
 		start := w.rt.Now(n.ID)
 		n.RequestPolicy(targets[i], MsgProbe, nil, w.cfg.RPCTimeout, w.cfg.Retry,
