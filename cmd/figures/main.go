@@ -7,11 +7,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"nearestpeer/internal/engine"
 	"nearestpeer/internal/experiments"
 )
+
+// maxShards caps -shards: the sharded kernel and the runtime each keep a
+// mailbox per (source, destination) shard pair, and shards beyond the host
+// count's PoPs or the machine's cores buy nothing.
+const maxShards = 256
 
 func main() {
 	full := flag.Bool("full", false, "run at the paper's full population sizes (slow)")
@@ -23,6 +30,10 @@ func main() {
 	flag.Parse()
 
 	engine.SetWorkers(*workers)
+	if *shards < 1 || *shards > maxShards {
+		fmt.Fprintf(os.Stderr, "-shards %d outside [1, %d]\n", *shards, maxShards)
+		os.Exit(2)
+	}
 	engine.SetShards(*shards)
 	scale := experiments.Quick
 	if *full {
@@ -84,6 +95,14 @@ func main() {
 		}},
 	}
 
+	if *only != "" && !slices.ContainsFunc(list, func(e experiment) bool { return e.name == *only }) {
+		names := make([]string, len(list))
+		for i, e := range list {
+			names[i] = e.name
+		}
+		fmt.Fprintf(os.Stderr, "-only %q: no such experiment (experiments: %s)\n", *only, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)

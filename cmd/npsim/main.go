@@ -78,6 +78,10 @@ func main() {
 	}
 
 	engine.SetWorkers(*workers)
+	if *shards < 1 || *shards > maxShards {
+		fmt.Fprintf(os.Stderr, "-shards %d outside [1, %d]\n", *shards, maxShards)
+		os.Exit(2)
+	}
 	engine.SetShards(*shards)
 	if *tracePath != "" && !*runtime {
 		fmt.Fprintln(os.Stderr, "-trace requires -runtime (the flight recorder hooks the message runtime's lookup paths)")
@@ -217,6 +221,11 @@ func main() {
 	fmt.Printf("mean probes per query   = %.1f\n", sc.MeanProbes)
 	fmt.Printf("mean hops per query     = %.1f\n", sc.MeanHops)
 }
+
+// maxShards caps -shards: the sharded kernel and the runtime each keep a
+// mailbox per (source, destination) shard pair, and shards beyond the host
+// count's PoPs or the machine's cores buy nothing.
+const maxShards = 256
 
 // splitTargets holds the query targets out of the population, as the
 // paper's simulations do.

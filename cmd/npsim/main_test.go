@@ -18,8 +18,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadPopulationFlagsExitTwo: a population flag no matrix or deployment
-// can be built from, or a query count no mean can be taken over, is one line
-// on stderr and exit status 2, never a Go stack trace. `-peers 1` used to die
+// can be built from, a query count no mean can be taken over, or a shard
+// count outside [1, maxShards] is one line on stderr and exit status 2,
+// never a Go stack trace. `-peers 1` used to die
 // in latency.BuildClustered, `-runtime -algo guyton -peers 5` in beacon.New,
 // and the static `-queries 0` used to print four NaNs and exit 0.
 func TestBadPopulationFlagsExitTwo(t *testing.T) {
@@ -39,6 +40,12 @@ func TestBadPopulationFlagsExitTwo(t *testing.T) {
 		{"-algo tiers -peers 400 -queries 0", "at least 1 query, got 0"},
 		{"-algo tiers -peers 400 -queries -3", "at least 1 query, got -3"},
 		{"-algo chord -peers 400", "no static finder"},
+		// -shards used to run as 1 below 1, panic in sim.NewSharded past its
+		// limit, and run out of memory on the shard-pair mailboxes between.
+		{"-scale 1000 -queries 5 -shards -3", "-shards -3 outside [1, 256]"},
+		{"-scale 1000 -queries 5 -shards 0", "-shards 0 outside [1, 256]"},
+		{"-scale 1000 -queries 5 -shards 257", "-shards 257 outside [1, 256]"},
+		{"-scale 1000 -queries 5 -shards 70000", "-shards 70000 outside [1, 256]"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)

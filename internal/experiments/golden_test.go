@@ -104,8 +104,8 @@ func TestGoldenQuickFigures(t *testing.T) {
 	// r1 runs at two worker counts as well: the robustness figure is the
 	// acceptance artifact of the fault plane, and every fault decision is
 	// a stateless hash, so the figure must not move by a byte across
-	// -workers (each cell is one serial kernel, so -shards is trivially
-	// invariant too).
+	// -workers (each cell runs the wire cell on a serial kernel, which
+	// -shards does not touch).
 	t.Run("r1", func(t *testing.T) {
 		prev := engine.SetWorkers(1)
 		defer engine.SetWorkers(prev)
@@ -119,9 +119,9 @@ func TestGoldenQuickFigures(t *testing.T) {
 	})
 	// g1 runs at two worker counts as well: the grand table is the
 	// acceptance artifact of the scheme registry — every registered scheme
-	// through one methodology — and each row is one serial kernel, so the
-	// figure must not move by a byte across -workers (or -shards, which
-	// only touches scale-study cells).
+	// through one methodology — and each row runs the wire cell on a serial
+	// kernel, so the figure must not move by a byte across -workers (or
+	// -shards, which only s1's wire cells take).
 	t.Run("g1", func(t *testing.T) {
 		prev := engine.SetWorkers(1)
 		defer engine.SetWorkers(prev)

@@ -30,10 +30,11 @@ import (
 // nearest-peer scheme the studies exercise. Each registered Scheme bundles
 // up to four study legs — the overlay.Finder the held-out-target cells
 // score (fig8/fig9, a3, v1, `npsim -algo`), the static function-call baseline
-// of the c2 methodology, the wire deployment every serial wire cell runs (c1,
-// c2/g1, v1, o1, r1), and the s1 scale cell — so the study files enumerate
-// scheme NAMES and the registry owns the bring-up: a scheme added here is
-// available to every study that asks for a leg it implements.
+// of the c2 methodology, the wire deployment the one wire cell runs (c1,
+// c2/g1, v1, o1, r1, s1's expanding cell), and the s1 scale cell — so the
+// study files enumerate scheme NAMES and the registry owns the bring-up: a
+// scheme added here is available to every study that asks for a leg it
+// implements.
 
 // Scheme is one registered nearest-peer scheme: a bundle of study legs,
 // any of which may be nil when the scheme does not support that study.
@@ -286,7 +287,9 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 // chordRing deploys the wire Chord ring that the substrate leg, both hint
 // schemes and the npsim chord exercise stand on: joins staggered spacing
 // apart by join ordinal (below the stabilize rate), a settle window before
-// the mark, and the ring's own leave/join as the churn hooks.
+// the mark, and the ring's own leave/join as the churn hooks. The join ramp
+// runs on the driver kernel: on a sharded runtime Join hops to the joiner's
+// shard itself.
 func chordRing(c *schemeCtx, rt *p2p.Runtime, ccfg p2p.ChordConfig, spacing, settle time.Duration) (*p2p.Chord, wireDeployment) {
 	ccfg.Horizon = c.horizon
 	ccfg.Retry = c.retry
@@ -294,7 +297,7 @@ func chordRing(c *schemeCtx, rt *p2p.Runtime, ccfg p2p.ChordConfig, spacing, set
 	joined := 0
 	return chord, wireDeployment{
 		join: func(id p2p.NodeID) {
-			rt.After(id, time.Duration(joined)*spacing, func() { chord.Join(id) })
+			rt.Kernel.After(time.Duration(joined)*spacing, func() { chord.Join(id) })
 			joined++
 		},
 		rejoin: chord.Join,
@@ -306,6 +309,14 @@ func chordRing(c *schemeCtx, rt *p2p.Runtime, ccfg p2p.ChordConfig, spacing, set
 // defaultChordRing is chordRing at the studies' shared knobs.
 func defaultChordRing(c *schemeCtx, rt *p2p.Runtime) (*p2p.Chord, wireDeployment) {
 	return chordRing(c, rt, p2p.DefaultChordConfig(), chordJoinSpacing, chordSettle)
+}
+
+// expandingWire deploys the Section 5 expanding-ring search: members
+// subscribe to the well-known group, and a query multicasts growing latency
+// scopes from its client until the first member answers.
+func expandingWire(_ *schemeCtx, rt *p2p.Runtime) wireDeployment {
+	ex := p2p.NewExpanding(rt, p2p.DefaultExpandConfig())
+	return wireDeployment{join: ex.Register, find: ex.Search}
 }
 
 // meridianDeployment deploys the message-level Meridian walk; a query
@@ -436,10 +447,7 @@ var schemes = map[string]Scheme{
 				return r
 			}
 		},
-		Wire: func(_ *schemeCtx, rt *p2p.Runtime) wireDeployment {
-			ex := p2p.NewExpanding(rt, p2p.DefaultExpandConfig())
-			return wireDeployment{join: ex.Register, find: ex.Search}
-		},
+		Wire:  expandingWire,
 		Scale: scaleExpandingCell,
 	},
 	"chord": {

@@ -12,7 +12,6 @@ import (
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/p2p"
-	"nearestpeer/internal/rng"
 	"nearestpeer/internal/sim"
 )
 
@@ -235,73 +234,36 @@ func scaleMeridianCell(top *netmodel.Topology, queries int, seed int64) ScaleCel
 }
 
 // scaleExpandingCell runs the Section 5 expanding-ring search as a message
-// protocol: every member subscribes to the well-known group, each query
-// multicasts growing latency scopes from a held-out target until the first
-// member answers. It runs on the sharded kernel at the process shard count:
-// the query chain is strictly sequential (search q+1 starts only after q
-// resolved), so the target draws and score counters are causally ordered —
-// the window barrier gives the happens-before — and the cell is
-// byte-identical at every -shards value. Oracles and sender indexes are
-// precomputed at setup: both mutate state shared across shards (an RTT
-// cache, the group's sender map), which only the single-threaded setup
-// phase may touch.
+// protocol: the registry's expanding deployment (every member subscribes to
+// the well-known group) on the sharded kernel at the process shard count,
+// each query multicasting growing latency scopes from a held-out target
+// until the first member answers. The oracle is priced at setup, through
+// the cell's own matrix: the shards own theirs, so the scorer has none.
 func scaleExpandingCell(top *netmodel.Topology, queries int, seed int64) ScaleCell {
 	members, targets := scaleSplit(top.NumHosts(), seed+1)
-	k := engine.Shards()
-	shk := sim.NewSharded(k, netmodel.Duration(top.MinCrossPoPOneWayMs()))
-	ms := make([]latency.Matrix, k)
-	for s := range ms {
-		ms[s] = (&latency.FullTopologyMatrix{Top: top}).EnableRTTCache(0)
-	}
-	rt := p2p.NewSharded(shk, ms, p2p.Config{}, seed, top.ShardByPoP(k))
-	ex := p2p.NewExpanding(rt, p2p.DefaultExpandConfig())
-	for _, id := range members {
-		ex.Register(p2p.NodeID(id))
-	}
-	om := (&latency.FullTopologyMatrix{Top: top}).EnableRTTCache(0)
+	m := (&latency.FullTopologyMatrix{Top: top}).EnableRTTCache(0)
 	oracle := make(map[int]overlay.Result, len(targets))
 	for _, id := range targets {
-		rt.AddNode(p2p.NodeID(id))
-		rt.WarmSenderIndex(p2p.ExpandGroup, p2p.NodeID(id))
-		oracle[id] = overlay.TrueNearest(om, id, members)
+		oracle[id] = overlay.TrueNearest(m, id, members)
 	}
+	var sc targetScorer
+	run := runWireCell(newSchemeCtx(m, members, seed, 0), wireCell{
+		heldOut: targets, ops: queries,
+		shards: engine.Shards(), top: top,
+	}, expandingWire, func(run *wireRun, o *wireOp) {
+		tgt := int(o.client)
+		run.find(o, func(res p2p.FindResult) { sc.result(tgt, oracle[tgt], res) })
+	})
 
-	src := rng.New(seed + 3)
-	var sc targetScorer // no matrix: the shards own theirs
-	q := 0
-	gap := 100 * time.Millisecond
-	if d := rt.HandoffDelay(); gap < d {
-		gap = d
-	}
-	// step issues the next search; it runs as an event on fromShard (the
-	// shard the previous search's client lives on, or the driver at start).
-	var step func(fromShard int)
-	step = func(fromShard int) {
-		if q >= queries {
-			shk.StopAt(shk.Shard(fromShard).Now())
-			return
-		}
-		q++
-		tgt := targets[src.Intn(len(targets))]
-		rt.Handoff(fromShard, p2p.NodeID(tgt), gap, func() {
-			ex.Search(p2p.NodeID(tgt), func(res p2p.FindResult) {
-				sc.result(tgt, oracle[tgt], res)
-				step(rt.ShardOf(p2p.NodeID(tgt)))
-			})
-		})
-	}
-	shk.Shard(p2p.DriverShard).At(0, func() { step(p2p.DriverShard) })
-	shk.Run()
-
-	score := sc.score(queries)
-	stats := shk.Stats()
+	score := sc.score(run.issued)
+	stats := run.sharded.Stats()
 	return ScaleCell{
 		Members:      len(members),
-		Queries:      queries,
+		Queries:      run.issued,
 		Success:      score.PExact,
 		CostPerQuery: score.MeanProbes, // multicast copies
-		MsgsPerQuery: float64(rt.TotalMetrics().MsgsSent) / float64(queries),
-		Events:       shk.Executed(),
+		MsgsPerQuery: float64(run.rt.TotalMetrics().MsgsSent-run.atStart.MsgsSent) / float64(max(run.issued, 1)),
+		Events:       run.events,
 		Kernel:       &stats,
 	}
 }

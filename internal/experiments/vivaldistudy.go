@@ -266,7 +266,7 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 		Timeouts:          end.Timeouts,
 		Leaves:            run.leaves,
 		Joins:             run.joins,
-		Events:            run.kernel.Executed,
+		Events:            run.events,
 		MedianErr:         math.NaN(),
 	}
 	if live := liveMembers(w); len(live) > 1 {

@@ -1,21 +1,25 @@
 package experiments
 
 import (
+	"reflect"
 	"time"
 
 	"nearestpeer/internal/faults"
+	"nearestpeer/internal/latency"
+	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/rng"
 	"nearestpeer/internal/sim"
 )
 
-// This file is the one serial wire cell behind c1, c2/g1, v1, o1, r1 and
-// `npsim -runtime -algo chord`: one deployment type (wireDeployment) and one
-// runner (runWireCell) that owns kernel, runtime, attachments, joins,
-// held-out issuers, churn, the bring-up mark, the op stream and the
-// watchdog. Nothing here names a study: what differs between the cells is
-// data on wireCell, and scoring stays with the caller.
+// This file is the one wire cell behind c1, c2/g1, v1, o1, r1, s1's wire
+// cells and `npsim -runtime -algo chord`: one deployment type
+// (wireDeployment) and one runner (runWireCell) that owns the kernel (serial
+// or sharded), runtime, attachments, joins, held-out issuers, churn, the
+// bring-up mark, the op stream and the watchdog. Nothing here names a study:
+// what differs between the cells is data on wireCell, and scoring stays with
+// the caller.
 
 // The wire cells share their bring-up and pacing knobs so every study's
 // rows stay comparable: chord joins staggered below the stabilize rate, a
@@ -110,6 +114,17 @@ type wireCell struct {
 	cadence time.Duration
 	// onStart runs as the op stream begins, before the first op.
 	onStart func(run *wireRun)
+	// shards picks the kernel: 0 a serial sim.Sim over the context's
+	// matrix; >= 1 a sim.Sharded with that many shards over top, whose PoPs
+	// partition the hosts (members and held-out issuers are top's host IDs),
+	// whose cross-PoP floor is the lookahead window, and which gives each
+	// shard its own RTT-cached matrix. Rows are identical at every shards >=
+	// 1 but differ from serial ones: the sequential stream's hops between
+	// issuers take Handoff delays. A sharded cell runs the sequential stream
+	// with no bring-up chain; loss, churn, crash rules and the obs
+	// attachments are serial-only, and p2p rejects them.
+	shards int
+	top    *netmodel.Topology
 }
 
 // fixedFaults is the wireCell.faults of a plan that does not move with the
@@ -121,9 +136,12 @@ func fixedFaults(plan *faults.Plan) func(time.Duration) *faults.Plan {
 // wireRun is the handle runWireCell returns (and hands every op): what a
 // study needs to score its cell.
 type wireRun struct {
-	kernel *sim.Sim
-	rt     *p2p.Runtime
-	d      wireDeployment
+	// kernel is the driver kernel (the serial one, or shard 0 of a sharded
+	// cell); sharded is the sharded kernel, nil on a serial cell.
+	kernel  *sim.Sim
+	sharded *sim.Sharded
+	rt      *p2p.Runtime
+	d       wireDeployment
 	// issued counts the ops actually started — what results must be
 	// normalised by when the horizon cuts the stream short.
 	issued        int
@@ -131,9 +149,12 @@ type wireRun struct {
 	// pubMsgs is the publish bill: the bring-up chain's traffic, or without
 	// a chain everything sent before the mark (the joins and whatever the
 	// scheme's timers built — a chain scheme's pre-mark traffic is its
-	// substrate's). atStart snapshots the counters as the op stream began.
+	// substrate's). atStart snapshots the counters (summed over shards) as
+	// the op stream began.
 	pubMsgs int64
 	atStart p2p.Metrics
+	// events is the kernel events the cell executed over every shard.
+	events uint64
 
 	c       *schemeCtx
 	ids     []p2p.NodeID
@@ -160,7 +181,15 @@ type wireOp struct {
 	n      int
 	client p2p.NodeID
 	ended  bool
-	after  func()
+	after  func(home p2p.NodeID)
+	// home is the node the op's callbacks run at: the client, until hop
+	// moves the op on. The deadline (absolute) is armed on home's shard,
+	// so it and the callbacks it races are ordered by that one kernel;
+	// moved stands the current leg's deadline event down once hop has
+	// armed the next leg's.
+	home     p2p.NodeID
+	deadline time.Duration
+	moved    *bool
 }
 
 // live reports whether the op is still current (for intermediate
@@ -177,7 +206,7 @@ func (o *wireOp) complete(apply func()) {
 		apply()
 	}
 	if o.after != nil {
-		o.after()
+		o.after(o.home)
 	}
 }
 
@@ -187,28 +216,74 @@ func (r *wireRun) find(o *wireOp, score func(p2p.FindResult)) {
 	r.d.find(o.client, func(res p2p.FindResult) { o.complete(func() { score(res) }) })
 }
 
-// startOp issues op n from a freshly drawn issuer; after (the sequential
-// driver's advance) runs when it ends.
-func (r *wireRun) startOp(n int, issue func(*wireRun, *wireOp), after func()) {
-	r.issued++
+// startOp issues op n from client, running as an event at client (or on
+// the driver kernel of a serial cell); after (the sequential driver's
+// advance) runs when the op ends.
+func (r *wireRun) startOp(n int, client p2p.NodeID, issue func(*wireRun, *wireOp), after func(home p2p.NodeID)) {
 	r.c.op = n
-	o := &wireOp{n: n, client: r.issuer(), after: after}
-	r.kernel.After(wireOpDeadline, func() { o.complete(nil) })
+	o := &wireOp{n: n, client: client, home: client, deadline: r.rt.Now(client) + wireOpDeadline, after: after}
+	r.armDeadline(o)
 	issue(r, o)
 }
 
-// runWireCell runs one wire cell: a fresh kernel and runtime over the
-// context's matrix, the cell's attachments, deploy's deployment with every
+// armDeadline schedules the op's deadline on its home's shard.
+func (r *wireRun) armDeadline(o *wireOp) {
+	moved := new(bool)
+	o.moved = moved
+	r.rt.After(o.home, max(o.deadline-r.rt.Now(o.home), 0), func() {
+		if !*moved {
+			o.complete(nil)
+		}
+	})
+}
+
+// hop runs the op's next step at node to, from an event at the op's home:
+// inline on a serial kernel; on a sharded one after a Handoff of
+// HandoffDelay to to's shard, which becomes the op's home and takes its
+// deadline along (the old shard's deadline event stands down).
+func (r *wireRun) hop(o *wireOp, to p2p.NodeID, step func()) {
+	if r.sharded == nil {
+		step()
+		return
+	}
+	*o.moved = true
+	r.rt.Handoff(r.rt.ShardOf(o.home), to, r.rt.HandoffDelay(), func() {
+		o.home = to
+		r.armDeadline(o)
+		step()
+	})
+}
+
+// runWireCell runs one wire cell: a fresh kernel and runtime (see
+// wireCell.shards), the cell's attachments, deploy's deployment with every
 // member joined in order and the held-out issuers added, then — at the
 // deployment's mark — the bring-up chain, churn, and the op stream, issue
 // called once per op. Seeds: c.seed drives the runtime, +1 the protocol (the
 // Wire leg's business), +2 churn, +3 the issuer draws.
+//
+// The sharded kernel's rules live here and nowhere else: every schedule
+// coordinate is a topology constant, never a function of the shard count
+// (the stream hops between issuers with Handoff delays, and the run is cut
+// in virtual time by StopAt); each shard snapshots its own counters at the
+// mark; the held-out issuers' multicast sender indexes are built at setup,
+// the only phase that may mutate state the shards share.
 func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run *wireRun, o *wireOp)) *wireRun {
 	if c.horizon <= 0 {
 		c.horizon = wireHorizon
 	}
-	kernel := sim.New()
-	rt := p2p.New(kernel, c.m, cell.cfg, c.seed)
+	run := &wireRun{c: c, ids: make([]p2p.NodeID, len(c.members)), heldOut: cell.heldOut, src: rng.New(c.seed + 3)}
+	if cell.shards == 0 {
+		run.rt = p2p.New(sim.New(), c.m, cell.cfg, c.seed)
+	} else {
+		run.sharded = sim.NewSharded(cell.shards, netmodel.Duration(cell.top.MinCrossPoPOneWayMs()))
+		ms := make([]latency.Matrix, cell.shards)
+		for s := range ms {
+			ms[s] = (&latency.FullTopologyMatrix{Top: cell.top}).EnableRTTCache(0)
+		}
+		run.rt = p2p.NewSharded(run.sharded, ms, cell.cfg, c.seed, cell.top.ShardByPoP(cell.shards))
+	}
+	rt, kernel := run.rt, run.rt.Kernel
+	run.kernel = kernel
 	if cell.registry != nil {
 		rt.EnableObs(cell.registry)
 	}
@@ -219,17 +294,19 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 	if d.mark == 0 {
 		d.mark = wireFinderBringup
 	}
+	run.d = d
 	if cell.faults != nil {
 		p2p.NewFaultTransport(rt, cell.faults(d.mark))
 	}
-	run := &wireRun{kernel: kernel, rt: rt, d: d, c: c,
-		ids: make([]p2p.NodeID, len(c.members)), heldOut: cell.heldOut, src: rng.New(c.seed + 3)}
 	for i, id := range c.members {
 		run.ids[i] = p2p.NodeID(id)
 		d.join(run.ids[i])
 	}
 	for _, id := range cell.heldOut {
 		rt.AddNode(p2p.NodeID(id))
+		if run.sharded != nil {
+			rt.WarmSenderIndex(p2p.ExpandGroup, p2p.NodeID(id))
+		}
 	}
 
 	var churn *p2p.Churn
@@ -247,6 +324,33 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		}
 	}
 
+	// step advances the sequential stream from an event on shard from: it
+	// ends the run once every op was issued, or draws the next issuer and
+	// starts the op there — at once on a serial kernel (the op after next
+	// follows wireOpGap after it ends), after a Handoff of at least the
+	// lookahead window on a sharded one.
+	var step func(from int)
+	step = func(from int) {
+		if run.issued >= cell.ops {
+			if run.sharded == nil {
+				kernel.Stop()
+			} else {
+				run.sharded.StopAt(run.sharded.Shard(from).Now())
+			}
+			return
+		}
+		run.issued++
+		n, client := run.issued, run.issuer()
+		if run.sharded == nil {
+			run.startOp(n, client, issue, func(p2p.NodeID) {
+				kernel.After(wireOpGap, func() { step(p2p.DriverShard) })
+			})
+			return
+		}
+		rt.Handoff(from, client, max(wireOpGap, rt.HandoffDelay()), func() {
+			run.startOp(n, client, issue, func(home p2p.NodeID) { step(rt.ShardOf(home)) })
+		})
+	}
 	start := func() {
 		run.atStart = rt.Metrics
 		if cell.onStart != nil {
@@ -254,20 +358,25 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		}
 		if cell.cadence > 0 {
 			for n := 0; n < cell.ops; n++ {
-				kernel.After(time.Duration(n)*cell.cadence, func() { run.startOp(n, issue, nil) })
+				kernel.After(time.Duration(n)*cell.cadence, func() {
+					run.issued++
+					run.startOp(n, run.issuer(), issue, nil)
+				})
 			}
 			kernel.After(time.Duration(cell.ops)*cell.cadence+2*wireOpDeadline, kernel.Stop)
 			return
 		}
-		var step func()
-		step = func() {
-			if run.issued >= cell.ops {
-				kernel.Stop()
-				return
-			}
-			run.startOp(run.issued+1, issue, func() { kernel.After(wireOpGap, step) })
+		step(p2p.DriverShard)
+	}
+	// A sharded cell's stream starts at the mark, where each shard reads its
+	// own counters: scheduled at setup, the snapshot sorts before any
+	// same-instant event on its shard.
+	var snaps []p2p.Metrics
+	if run.sharded != nil {
+		snaps = make([]p2p.Metrics, cell.shards)
+		for s := range snaps {
+			run.sharded.Shard(s).At(d.mark, func() { snaps[s] = *rt.ShardMetrics(s) })
 		}
-		step()
 	}
 	kernel.At(d.mark, func() {
 		var pubStart int64
@@ -287,11 +396,35 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		}
 		afterBringup()
 	})
-	kernel.At(c.horizon, kernel.Stop) // watchdog against a stalled chain
-	kernel.Run()
+	if run.sharded == nil {
+		kernel.At(c.horizon, kernel.Stop) // watchdog against a stalled chain
+		kernel.Run()
+		run.events = kernel.Executed
+	} else {
+		run.sharded.RunUntil(c.horizon)
+		run.atStart = sumMetrics(snaps)
+		run.pubMsgs = run.atStart.MsgsSent
+		// The snapshots are measurement scaffolding, not model events:
+		// excluding them keeps the count what the model executed.
+		run.events = run.sharded.Executed() - uint64(cell.shards)
+	}
 
 	if churn != nil {
 		run.leaves, run.joins = churn.Leaves, churn.Joins
 	}
 	return run
+}
+
+// sumMetrics adds per-shard counter snapshots up, field by field: every
+// p2p.Metrics field is an int64 counter.
+func sumMetrics(ms []p2p.Metrics) p2p.Metrics {
+	var sum p2p.Metrics
+	sv := reflect.ValueOf(&sum).Elem()
+	for _, m := range ms {
+		mv := reflect.ValueOf(m)
+		for f := range mv.NumField() {
+			sv.Field(f).SetInt(sv.Field(f).Int() + mv.Field(f).Int())
+		}
+	}
+	return sum
 }

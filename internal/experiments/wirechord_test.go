@@ -8,7 +8,6 @@ import (
 
 	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
-	"nearestpeer/internal/netmodel"
 )
 
 // TestWireChordGolden pins RunWireChord's rows, kernel event counts
@@ -23,7 +22,7 @@ func TestWireChordGolden(t *testing.T) {
 	}
 	var b strings.Builder
 
-	top := netmodel.Generate(scaleTopoConfig(300), 301)
+	top := shardTopo()
 	ccfg, spacing, settle := scaleChordConfig(top.NumHosts())
 	var sharded []WireChordRow
 	for _, k := range []int{1, 2} {
