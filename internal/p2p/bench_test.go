@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"nearestpeer/internal/latency"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/sim"
 )
@@ -119,5 +120,88 @@ func BenchmarkMulticastRoundCold(b *testing.B) {
 		b.StartTimer()
 		rt.Multicast(0, "g", "mc", nil, 160)
 		kernel.Run()
+	}
+}
+
+// settledRing joins n members 10 ms apart and drains the kernel past the
+// maintenance horizon, leaving a converged ring with an empty event queue:
+// every later kernel.Run is exactly the work the caller scheduled. Link
+// RTTs are 2–98 ms, so no exchange comes near the RPC timeout.
+func settledRing(tb testing.TB, n int) (*sim.Sim, *Chord) {
+	tb.Helper()
+	m := latency.NewDense(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Set(i, j, float64(2+(i*31+j*17)%97))
+		}
+	}
+	kernel := sim.New()
+	rt := New(kernel, m, Config{RPCTimeout: time.Second}, 1)
+	cfg := DefaultChordConfig()
+	cfg.StabilizeEvery = 500 * time.Millisecond
+	cfg.Horizon = time.Duration(n)*10*time.Millisecond + 30*time.Second
+	ch := NewChord(rt, cfg, 7)
+	for i := 0; i < n; i++ {
+		id := NodeID(i)
+		kernel.After(time.Duration(i)*10*time.Millisecond, func() { ch.Join(id) })
+	}
+	kernel.Run()
+	if ch.NumMembers() != n {
+		tb.Fatalf("%d of %d members joined", ch.NumMembers(), n)
+	}
+	return kernel, ch
+}
+
+// BenchmarkChordLookup is one iterative lookup on a settled 1k-member ring:
+// the lookup state, every hop's request and reply, the dispatch and the
+// routing step at each hop. Issuers and keys rotate over fixed lists.
+func BenchmarkChordLookup(b *testing.B) {
+	const n = 1000
+	kernel, ch := settledRing(b, n)
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = "bench/" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+	}
+	ok := 0
+	done := func(r LookupResult) {
+		if r.OK {
+			ok++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.Lookup(NodeID(i*37%n), keys[i%len(keys)], done)
+		kernel.Run()
+	}
+	if ok != b.N {
+		b.Fatalf("%d of %d lookups resolved", ok, b.N)
+	}
+}
+
+// TestChordLookupAllocs holds one settled-ring lookup to its allocation
+// budget: the lookup state comes off the shard's free list, the hops
+// reuse bound callbacks, and what is left is each hop's boxed request and
+// reply payloads and the alternates/replica list the reply copies out.
+func TestChordLookupAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 300-member ring")
+	}
+	kernel, ch := settledRing(t, 300)
+	hops := 0
+	done := func(r LookupResult) {
+		if !r.OK {
+			t.Fatal("lookup on a settled ring failed")
+		}
+		hops = r.Hops
+	}
+	lookup := func() {
+		ch.Lookup(17, "alloc/key", done)
+		kernel.Run()
+	}
+	lookup() // warm the free list and the slabs
+	const budget = 13
+	if avg := testing.AllocsPerRun(100, lookup); avg > budget {
+		t.Fatalf("one %d-hop lookup allocates %.1f times, budget %d", hops, avg, budget)
 	}
 }

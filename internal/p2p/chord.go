@@ -121,9 +121,15 @@ type chordState struct {
 	fingers  []NodeID      // fingers[i] ≈ successor(ringID + 2^i); NoNode unknown
 	nextFin  int
 	round    int
-	suspect  map[NodeID]int // consecutive RPC timeouts per peer
-	data     map[string][][]byte
-	src      *rng.Source
+	// suspect tallies consecutive RPC timeouts per peer and data holds the
+	// stored values; both stay nil until first written (most members of a
+	// lossless ring never suspect anyone, and only owners and replicas
+	// store), and reading or deleting from a nil map is a no-op.
+	suspect map[NodeID]int
+	data    map[string][][]byte
+	src     *rng.Source
+	// cp is the member's home-shard scratch (see chordScratch).
+	cp *chordScratch
 }
 
 // Chord runs the protocol over a Runtime.
@@ -141,16 +147,21 @@ type Chord struct {
 	rings   []uint64      // rings[id]; valid iff ringSet[id]
 	ringSet []bool
 
-	// cp holds closestPreceding's reusable scratch buffers, one set per
+	// cp holds the routing steps' reusable scratch buffers, one set per
 	// kernel shard (one on a serial runtime) so routing steps on different
 	// shards never share a buffer.
 	cp []chordScratch
 }
 
-// chordScratch is one shard's closestPreceding scratch.
+// chordScratch is one shard's scratch: closestPreceding's candidate and
+// distance buffers, adoptSuccessors' rebuild buffer, and the free list of
+// finished lookups drive reuses. Every member points at its home shard's,
+// and only events at the member touch it.
 type chordScratch struct {
-	out  []NodeID
-	dist []uint64
+	out     []NodeID
+	dist    []uint64
+	succs   []NodeID
+	lookups []*chordLookup
 }
 
 // NewChord creates the protocol instance (with no members yet). On a
@@ -286,11 +297,11 @@ func (c *Chord) Join(id NodeID) {
 	}
 	st := &chordState{
 		ringID:  c.RingIDOf(id),
+		succs:   make([]NodeID, 0, c.cfg.SuccListLen),
 		pred:    NoNode,
 		fingers: make([]NodeID, 64),
-		suspect: make(map[NodeID]int),
-		data:    make(map[string][][]byte),
 		src:     c.src.SplitN("member", int(id)),
+		cp:      &c.cp[c.rt.ShardOf(id)],
 	}
 	for i := range st.fingers {
 		st.fingers[i] = NoNode
@@ -365,8 +376,7 @@ func (c *Chord) Leave(id NodeID, graceful bool) {
 // learn(), which only ever tightens the pointer. On failure (loss, dead
 // bootstrap) the stabilize loop retries off another member.
 func (c *Chord) bootstrap(n *Node, st *chordState, boot NodeID) {
-	res := &LookupResult{Owner: NoNode}
-	c.drive(n, nil, []NodeID{boot}, st.ringID, res, func(r LookupResult) {
+	c.drive(n, nil, boot, st.ringID, func(r LookupResult) {
 		if c.state(n.ID) != st {
 			return
 		}
@@ -400,15 +410,22 @@ func (c *Chord) bootstrap(n *Node, st *chordState, boot NodeID) {
 				if c.state(n.ID) != st || !n.Alive() {
 					return
 				}
-				mergeValues(st.data, env.Payload.(cHandoffMsg).Data)
+				if m, ok := env.Payload.(cHandoffMsg); ok {
+					st.merge(m.Data)
+				} else {
+					c.dropDead(n)
+				}
 			}, nil)
 	})
 }
 
 // adoptSuccessors rebuilds the successor list as [head] + tail, deduped,
-// self-free, truncated.
+// self-free, truncated. The rebuild runs in the home shard's scratch (tail
+// may be st.succs itself) and is copied back over the member's own list,
+// so a stabilize round's rebuild allocates nothing. Payloads and results
+// that carry a successor list copy it; nothing else holds st.succs.
 func (c *Chord) adoptSuccessors(st *chordState, self, head NodeID, tail []NodeID) {
-	merged := []NodeID{head}
+	merged := append(st.cp.succs[:0], head)
 	for _, s := range tail {
 		if s != NoNode && s != self && !containsNode(merged, s) {
 			merged = append(merged, s)
@@ -417,7 +434,8 @@ func (c *Chord) adoptSuccessors(st *chordState, self, head NodeID, tail []NodeID
 	if len(merged) > c.cfg.SuccListLen {
 		merged = merged[:c.cfg.SuccListLen]
 	}
-	st.succs = merged
+	st.succs = append(st.succs[:0], merged...)
+	st.cp.succs = merged // retain grown capacity
 }
 
 // pickBootstrap selects a re-bootstrap entry point for a member. Serial,
@@ -565,12 +583,30 @@ func (c *Chord) stabilizeSucc(id NodeID, st *chordState, budget int) {
 	}
 	n := c.rt.Node(id)
 	succ := st.succs[0]
+	onTimeout := func() {
+		if c.state(id) != st || !n.Alive() {
+			return
+		}
+		// Possibly dead, possibly one lost exchange: evict only on the
+		// second consecutive timeout, then retry against the next list
+		// entry right away (successor-list repair).
+		if c.suspectPeer(st, succ) {
+			c.stabilizeSucc(id, st, budget-1)
+		}
+	}
 	n.Request(succ, MsgChordState, nil, c.cfg.RPCTimeout,
 		func(env Envelope) {
 			if c.state(id) != st || !n.Alive() {
 				return
 			}
-			sm := env.Payload.(cStateOKMsg)
+			sm, ok := env.Payload.(cStateOKMsg)
+			if !ok || !c.validID(sm.Pred) || !c.validIDs(sm.Succs) {
+				// A forged answer: dropped, and the exchange fails as if
+				// it had been lost.
+				c.dropDead(n)
+				onTimeout()
+				return
+			}
 			delete(st.suspect, succ)
 			// learn() adopts whichever of these lands closest between us
 			// and the current successor — the successor's predecessor (the
@@ -592,17 +628,7 @@ func (c *Chord) stabilizeSucc(id NodeID, st *chordState, budget int) {
 			c.adoptSuccessors(st, id, succ, sm.Succs)
 			n.Send(st.succs[0], MsgChordNotify, nil)
 		},
-		func() {
-			if c.state(id) != st || !n.Alive() {
-				return
-			}
-			// Possibly dead, possibly one lost exchange: evict only on the
-			// second consecutive timeout, then retry against the next list
-			// entry right away (successor-list repair).
-			if c.suspectPeer(st, succ) {
-				c.stabilizeSucc(id, st, budget-1)
-			}
-		})
+		onTimeout)
 }
 
 // fixFinger repairs one finger slot with a full iterative lookup of its
@@ -626,8 +652,7 @@ func (c *Chord) fixFinger(n *Node, st *chordState) {
 	}
 	st.nextFin = (i + 1) % len(st.fingers)
 	target := st.ringID + 1<<uint(i)
-	res := &LookupResult{Owner: NoNode}
-	c.drive(n, st, nil, target, res, func(r LookupResult) {
+	c.drive(n, st, NoNode, target, func(r LookupResult) {
 		if c.state(n.ID) != st {
 			return
 		}
@@ -703,6 +728,9 @@ func (c *Chord) learn(st *chordState, peer NodeID) {
 // puts and gets resolve different owners. Two consecutive timeouts are
 // overwhelmingly a dead peer. Reports whether the peer was evicted.
 func (c *Chord) suspectPeer(st *chordState, peer NodeID) bool {
+	if st.suspect == nil {
+		st.suspect = make(map[NodeID]int)
+	}
 	st.suspect[peer]++
 	if st.suspect[peer] < 2 {
 		return false
@@ -716,7 +744,7 @@ func (c *Chord) suspectPeer(st *chordState, peer NodeID) bool {
 func (c *Chord) evictPeer(st *chordState, peer NodeID) {
 	for i, s := range st.succs {
 		if s == peer {
-			st.succs = append(st.succs[:i:i], st.succs[i+1:]...)
+			st.succs = append(st.succs[:i], st.succs[i+1:]...)
 			break
 		}
 	}
@@ -797,14 +825,17 @@ func (c *Chord) routeStep(self NodeID, st *chordState, key uint64) cFindOKMsg {
 }
 
 // closestPreceding returns the known candidates strictly between self and
-// the key, closest-to-the-key first. The returned slice is the Chord
-// instance's scratch buffer, valid until the next call — the one caller
+// the key, closest-to-the-key first. The returned slice is the member's
+// home-shard scratch buffer, valid until the next call — the one caller
 // (routeStep) copies what it keeps. Candidate sets are small (≤ fingers +
 // successors, with heavy duplication), so dedup is a linear scan over the
 // accepted list and the ordering is an insertion sort on precomputed
-// distances — no map, no sort.Slice closure, no per-call allocation.
+// distances — no map, no sort.Slice closure, no per-call allocation. A run
+// of equal consecutive entries (a sparse ring fills many finger slots with
+// one node) is decided once: the repeats would be rejected by the same
+// dedup or range test as their first occurrence.
 func (c *Chord) closestPreceding(st *chordState, self NodeID, key uint64) []NodeID {
-	cp := &c.cp[c.rt.ShardOf(self)]
+	cp := st.cp
 	out := cp.out[:0]
 	dist := cp.dist[:0]
 	for pass := 0; pass < 2; pass++ {
@@ -812,11 +843,13 @@ func (c *Chord) closestPreceding(st *chordState, self NodeID, key uint64) []Node
 		if pass == 1 {
 			list = st.succs
 		}
+		prev := NodeID(-2) // never a valid entry
 	next:
 		for _, id := range list {
-			if id == NoNode || id == self {
+			if id == prev || id == NoNode || id == self {
 				continue
 			}
+			prev = id
 			for _, x := range out {
 				if x == id {
 					continue next
@@ -848,15 +881,68 @@ func (c *Chord) closestPreceding(st *chordState, self NodeID, key uint64) []Node
 // stays silent, so the asker's per-hop timeout fires and it retries via its
 // fallback candidates.
 func (c *Chord) handleFind(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil {
 		return
 	}
-	n.Reply(env, MsgChordFindOK, c.routeStep(n.ID, st, env.Payload.(cFindMsg).Key))
+	m, ok := env.Payload.(cFindMsg)
+	if !ok {
+		c.dropDead(n)
+		return
+	}
+	n.Reply(env, MsgChordFindOK, c.routeStep(n.ID, st, m.Key))
+}
+
+// recv is every handler's boundary check: it returns the receiving
+// member's state, or nil when the node is not a member (silence, as a
+// departed node) or the sender lies outside the population — a forged
+// datagram, dropped and counted dead before any ring arithmetic indexes
+// by it.
+func (c *Chord) recv(n *Node, env Envelope) *chordState {
+	st := c.state(n.ID)
+	if st == nil {
+		return nil
+	}
+	if env.From < 0 || int(env.From) >= len(c.states) {
+		c.dropDead(n)
+		return nil
+	}
+	return st
+}
+
+// validID reports whether a NodeID carried in a payload is NoNode or
+// inside the population; validIDs checks a whole list.
+func (c *Chord) validID(id NodeID) bool {
+	return id == NoNode || (id >= 0 && int(id) < len(c.states))
+}
+
+func (c *Chord) validIDs(ids []NodeID) bool {
+	for _, id := range ids {
+		if !c.validID(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// validFindOK checks every NodeID a routing answer carries.
+func (c *Chord) validFindOK(m cFindOKMsg) bool {
+	return c.validID(m.Owner) && c.validID(m.Next) && c.validIDs(m.Reps) && c.validIDs(m.Alts)
+}
+
+// dropDead drops a malformed message (wrong payload type, or a NodeID
+// outside the population) at n. The transport counted it delivered when
+// it reached the node; the protocol could not take it, so it moves to the
+// dead count, where an undecodable frame goes, and the accounting
+// identity (sent = delivered + lost + dead) still holds.
+func (c *Chord) dropDead(n *Node) {
+	m := c.rt.MetricsAt(n.ID)
+	m.MsgsDelivered--
+	m.MsgsDead++
 }
 
 func (c *Chord) handleState(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil {
 		return
 	}
@@ -868,7 +954,7 @@ func (c *Chord) handleState(n *Node, env Envelope) {
 // re-notifies every stabilize round), keeping the protocol free of global
 // aliveness peeks.
 func (c *Chord) handleNotify(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil || env.From == n.ID {
 		return
 	}
@@ -882,18 +968,22 @@ func (c *Chord) handleNotify(n *Node, env Envelope) {
 	if len(st.succs) == 0 {
 		// Two-node bootstrap: the first node hears of the second only by
 		// this notify, which makes the notifier its successor too.
-		st.succs = []NodeID{p}
+		st.succs = append(st.succs, p)
 	}
 	c.learn(st, p)
 }
 
 func (c *Chord) handleStore(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil {
 		return
 	}
-	sm := env.Payload.(cStoreMsg)
-	storeValue(st.data, sm.Key, sm.Val)
+	sm, ok := env.Payload.(cStoreMsg)
+	if !ok {
+		c.dropDead(n)
+		return
+	}
+	st.store(sm.Key, sm.Val)
 	reps := sm.Rep
 	for _, s := range st.succs {
 		if reps <= 0 {
@@ -906,33 +996,45 @@ func (c *Chord) handleStore(n *Node, env Envelope) {
 }
 
 func (c *Chord) handleStoreRep(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil {
 		return
 	}
-	sm := env.Payload.(cStoreMsg)
-	storeValue(st.data, sm.Key, sm.Val)
+	sm, ok := env.Payload.(cStoreMsg)
+	if !ok {
+		c.dropDead(n)
+		return
+	}
+	st.store(sm.Key, sm.Val)
 }
 
-// storeValue appends a value under key unless an identical value is
-// already there: hints are soft state refreshed by republish, and without
-// the duplicate check every rejoin's republish would grow the key's value
-// set (and every fetch reply) forever.
-func storeValue(data map[string][][]byte, key string, val []byte) {
-	for _, v := range data[key] {
+// store appends a value under key unless an identical value is already
+// there: hints are soft state refreshed by republish, and without the
+// duplicate check every rejoin's republish would grow the key's value set
+// (and every fetch reply) forever. The data map is made on first store.
+func (st *chordState) store(key string, val []byte) {
+	for _, v := range st.data[key] {
 		if string(v) == string(val) {
 			return
 		}
 	}
-	data[key] = append(data[key], append([]byte(nil), val...))
+	if st.data == nil {
+		st.data = make(map[string][][]byte)
+	}
+	st.data[key] = append(st.data[key], append([]byte(nil), val...))
 }
 
 func (c *Chord) handleFetch(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil {
 		return
 	}
-	vals := st.data[env.Payload.(cFetchMsg).Key]
+	m, ok := env.Payload.(cFetchMsg)
+	if !ok {
+		c.dropDead(n)
+		return
+	}
+	vals := st.data[m.Key]
 	out := make([][]byte, len(vals))
 	for i, v := range vals {
 		out[i] = append([]byte(nil), v...)
@@ -941,11 +1043,16 @@ func (c *Chord) handleFetch(n *Node, env Envelope) {
 }
 
 func (c *Chord) handleHandoff(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil {
 		return
 	}
-	mergeValues(st.data, env.Payload.(cHandoffMsg).Data)
+	m, ok := env.Payload.(cHandoffMsg)
+	if !ok {
+		c.dropDead(n)
+		return
+	}
+	st.merge(m.Data)
 }
 
 // handleMigrate hands a new predecessor the keys it now owns: everything
@@ -957,7 +1064,7 @@ func (c *Chord) handleHandoff(n *Node, env Envelope) {
 // for them; duplicate-skipping merges keep repeated migrations from
 // inflating anything.
 func (c *Chord) handleMigrate(n *Node, env Envelope) {
-	st := c.state(n.ID)
+	st := c.recv(n, env)
 	if st == nil {
 		return
 	}
@@ -975,12 +1082,12 @@ func (c *Chord) handleMigrate(n *Node, env Envelope) {
 	n.Reply(env, MsgChordMigrateOK, cHandoffMsg{Data: moved})
 }
 
-// mergeValues folds src into the data map, skipping values already present
+// merge folds src into the member's data, skipping values already present
 // under their key, so repeated migrations and handoffs stay idempotent.
-func mergeValues(data map[string][][]byte, src map[string][][]byte) {
+func (st *chordState) merge(src map[string][][]byte) {
 	for k, vs := range src {
 		for _, v := range vs {
-			storeValue(data, k, v)
+			st.store(k, v)
 		}
 	}
 }
@@ -1019,26 +1126,71 @@ type OpResult struct {
 // unless the issuing node dies mid-lookup.
 func (c *Chord) Lookup(from NodeID, key string, done func(LookupResult)) {
 	n := c.rt.AddNode(from)
-	res := &LookupResult{Owner: NoNode}
-	c.drive(n, c.state(from), nil, dht.HashKey(key), res, done)
+	c.drive(n, c.state(from), NoNode, dht.HashKey(key), done)
 }
 
-// drive runs one iterative lookup from n: a best-first frontier of
-// candidates ordered by remaining ring distance, asking one at a time,
-// folding each answer's alternates in, and retrying through the frontier
-// when a hop times out. st is n's member state (nil: seed from starts, or
-// a random member).
-func (c *Chord) drive(n *Node, st *chordState, starts []NodeID, key uint64, res *LookupResult, done func(LookupResult)) {
-	visited := map[NodeID]bool{n.ID: true}
-	var frontier []NodeID
-	push := func(ids ...NodeID) {
-		for _, id := range ids {
-			if id != NoNode && !visited[id] {
-				visited[id] = true
-				frontier = append(frontier, id)
-			}
-		}
+// chordLookup is one iterative lookup in flight: a best-first frontier of
+// candidates ordered by remaining ring distance, asked one at a time. A
+// lookup has exactly one hop outstanding, so the hop's identity (cur,
+// hopStart, wasRetry) lives here rather than in per-hop closures, and the
+// reply and timeout callbacks are bound once per struct. A finished lookup
+// goes back to its issuer's home-shard free list before done runs: no
+// callback of it is parked any more (its one hop was just answered or
+// expired), so the next lookup on the shard reuses it with no allocation.
+// A lookup whose issuer crashes mid-flight is simply never finished.
+type chordLookup struct {
+	c    *Chord
+	n    *Node
+	st   *chordState // member state to learn into; nil for none
+	cp   *chordScratch
+	key  uint64
+	res  LookupResult
+	done func(LookupResult)
+
+	// seen lists every candidate ever pushed, in push order, with n itself
+	// first; the frontier is the entries not yet asked. Lookups touch a few
+	// dozen candidates, so dedup is a linear scan and the best pick a scan
+	// of cached distances.
+	seen []lookupCand
+
+	maxTimeouts int
+	rec         *obs.Recorder
+	lseq        uint64
+	// afterTimeout marks the next hop as a re-route after a timeout.
+	afterTimeout bool
+
+	cur      NodeID
+	hopStart time.Duration
+	wasRetry bool
+
+	onReply   func(Envelope)
+	onTimeout func()
+}
+
+// lookupCand is one candidate a lookup has learned of: its clockwise
+// distance to the key and whether it has been asked (or is the issuer).
+// The id is narrowed to 32 bits to keep a candidate at 16 bytes.
+type lookupCand struct {
+	dist  uint64
+	id    int32
+	asked bool
+}
+
+// drive runs one iterative lookup of key from n, folding each answer's
+// alternates into the frontier and retrying through it when a hop times
+// out. st is n's member state (nil: seed from start, or a random member).
+func (c *Chord) drive(n *Node, st *chordState, start NodeID, key uint64, done func(LookupResult)) {
+	cp := &c.cp[c.rt.ShardOf(n.ID)]
+	var l *chordLookup
+	if k := len(cp.lookups); k > 0 {
+		l = cp.lookups[k-1]
+		cp.lookups = cp.lookups[:k-1]
+	} else {
+		l = &chordLookup{c: c, cp: cp}
+		l.onReply, l.onTimeout = l.reply, l.timeout
 	}
+	l.n, l.key, l.res, l.done = n, key, LookupResult{Owner: NoNode}, done
+	l.seen = append(l.seen[:0], lookupCand{id: int32(n.ID), asked: true})
 	ost := st
 	if st != nil && len(st.succs) == 0 && (c.rt.Sharded() || len(c.order) > 1) {
 		// A member that has not (re)discovered its successor yet would
@@ -1049,113 +1201,153 @@ func (c *Chord) drive(n *Node, st *chordState, starts []NodeID, key uint64, res 
 		// simply fails the lookup.)
 		st = nil
 	}
+	l.st = st
 	if st != nil {
 		step := c.routeStep(n.ID, st, key)
 		if step.Done {
-			res.OK, res.Owner, res.Reps = true, step.Owner, step.Reps
-			done(*res)
+			l.res.OK, l.res.Owner, l.res.Reps = true, step.Owner, step.Reps
+			l.finish()
 			return
 		}
-		push(step.Next)
-		push(step.Alts...)
+		l.push(step.Next)
+		l.push(step.Alts...)
 	} else {
-		if len(starts) == 0 {
+		if start == NoNode {
 			if c.rt.Sharded() {
 				if ost != nil {
-					if b := c.pickBootstrap(n.ID, ost); b != NoNode {
-						starts = []NodeID{b}
-					}
+					start = c.pickBootstrap(n.ID, ost)
 				}
-			} else if b := c.randomMember(n.ID); b != NoNode {
-				starts = []NodeID{b}
+			} else {
+				start = c.randomMember(n.ID)
 			}
 		}
-		push(starts...)
+		l.push(start)
 	}
-	memberState := func() *chordState {
-		if st != nil && c.state(n.ID) == st {
-			return st
-		}
-		return nil
-	}
-	maxTimeouts := c.cfg.MaxLookupTimeouts
-	if maxTimeouts <= 0 {
-		maxTimeouts = c.cfg.MaxHops
+	l.maxTimeouts = c.cfg.MaxLookupTimeouts
+	if l.maxTimeouts <= 0 {
+		l.maxTimeouts = c.cfg.MaxHops
 	}
 	// Flight recorder: one trace record per hop request, tagged with a
 	// recorder-unique lookup ID. afterTimeout distinguishes a first-choice
 	// hop (HopOK) from one re-routed after a timeout (HopRetry).
-	rec := c.rt.FlightRecorder()
-	var lseq uint64
-	if rec != nil {
-		lseq = rec.Begin()
+	l.afterTimeout = false
+	if l.rec = c.rt.FlightRecorder(); l.rec != nil {
+		l.lseq = l.rec.Begin()
 	}
-	afterTimeout := false
-	var next func()
-	next = func() {
-		if len(frontier) == 0 || res.Hops >= c.cfg.MaxHops || res.Retries >= maxTimeouts {
-			done(*res)
-			return
+	l.next()
+}
+
+// finish releases the lookup to the free list, then reports its result.
+func (l *chordLookup) finish() {
+	res, done := l.res, l.done
+	l.n, l.st, l.res, l.done = nil, nil, LookupResult{}, nil
+	l.cp.lookups = append(l.cp.lookups, l)
+	done(res)
+}
+
+// push adds candidates the lookup has not seen yet.
+func (l *chordLookup) push(ids ...NodeID) {
+next:
+	for _, id := range ids {
+		if id == NoNode {
+			continue
 		}
-		best := 0
-		for i := 1; i < len(frontier); i++ {
-			if dht.RingDist(c.RingIDOf(frontier[i]), key) < dht.RingDist(c.RingIDOf(frontier[best]), key) {
-				best = i
+		for i := range l.seen {
+			if NodeID(l.seen[i].id) == id {
+				continue next
 			}
 		}
-		cur := frontier[best]
-		frontier = append(frontier[:best], frontier[best+1:]...)
-		res.Hops++
-		hopStart := c.rt.Now(n.ID)
-		wasRetry := afterTimeout
-		afterTimeout = false
-		n.RequestPolicy(cur, MsgChordFind, cFindMsg{Key: key}, c.cfg.RPCTimeout, c.cfg.Retry,
-			func(env Envelope) {
-				if !n.Alive() {
-					return
-				}
-				if rec != nil {
-					out := obs.HopOK
-					if wasRetry {
-						out = obs.HopRetry
-					}
-					rec.Record(obs.Hop{Lookup: lseq, Scheme: "chord", Type: MsgChordFind,
-						From: int(n.ID), To: int(cur), At: hopStart,
-						RTTms: msOf(c.rt.Now(n.ID) - hopStart), Outcome: out})
-				}
-				ok := env.Payload.(cFindOKMsg)
-				if ms := memberState(); ms != nil {
-					delete(ms.suspect, cur)
-					c.learn(ms, cur)
-					c.learn(ms, ok.Owner)
-					c.learn(ms, ok.Next)
-				}
-				if ok.Done {
-					res.OK, res.Owner, res.Reps = true, ok.Owner, ok.Reps
-					done(*res)
-					return
-				}
-				push(ok.Next)
-				push(ok.Alts...)
-				next()
-			},
-			func() {
-				if !n.Alive() {
-					return
-				}
-				if rec != nil {
-					rec.Record(obs.Hop{Lookup: lseq, Scheme: "chord", Type: MsgChordFind,
-						From: int(n.ID), To: int(cur), At: hopStart, Outcome: obs.HopTimeout})
-				}
-				res.Retries++
-				afterTimeout = true
-				if ms := memberState(); ms != nil {
-					c.suspectPeer(ms, cur)
-				}
-				next()
-			})
+		l.seen = append(l.seen, lookupCand{id: int32(id), dist: dht.RingDist(l.c.RingIDOf(id), l.key)})
 	}
-	next()
+}
+
+// memberState is the state replies teach: the issuer's, while it is still
+// the same member incarnation.
+func (l *chordLookup) memberState() *chordState {
+	if l.st != nil && l.c.state(l.n.ID) == l.st {
+		return l.st
+	}
+	return nil
+}
+
+// next asks the closest unasked candidate (the first in push order among
+// equals), or finishes the lookup when the frontier or a budget runs out.
+func (l *chordLookup) next() {
+	c := l.c
+	best := -1
+	for i := range l.seen {
+		if !l.seen[i].asked && (best < 0 || l.seen[i].dist < l.seen[best].dist) {
+			best = i
+		}
+	}
+	if best < 0 || l.res.Hops >= c.cfg.MaxHops || l.res.Retries >= l.maxTimeouts {
+		l.finish()
+		return
+	}
+	l.seen[best].asked = true
+	l.cur = NodeID(l.seen[best].id)
+	l.res.Hops++
+	l.hopStart = c.rt.Now(l.n.ID)
+	l.wasRetry = l.afterTimeout
+	l.afterTimeout = false
+	l.n.RequestPolicy(l.cur, MsgChordFind, cFindMsg{Key: l.key}, c.cfg.RPCTimeout, c.cfg.Retry, l.onReply, l.onTimeout)
+}
+
+// reply folds one routing answer in: learn from it, finish on ownership,
+// otherwise widen the frontier and ask the next candidate.
+func (l *chordLookup) reply(env Envelope) {
+	c, n := l.c, l.n
+	if !n.Alive() {
+		return
+	}
+	ok, valid := env.Payload.(cFindOKMsg)
+	if !valid || !c.validFindOK(ok) {
+		// A forged answer: dropped, and the hop fails as if it had been
+		// lost.
+		c.dropDead(n)
+		l.timeout()
+		return
+	}
+	if l.rec != nil {
+		out := obs.HopOK
+		if l.wasRetry {
+			out = obs.HopRetry
+		}
+		l.rec.Record(obs.Hop{Lookup: l.lseq, Scheme: "chord", Type: MsgChordFind,
+			From: int(n.ID), To: int(l.cur), At: l.hopStart,
+			RTTms: msOf(c.rt.Now(n.ID) - l.hopStart), Outcome: out})
+	}
+	if ms := l.memberState(); ms != nil {
+		delete(ms.suspect, l.cur)
+		c.learn(ms, l.cur)
+		c.learn(ms, ok.Owner)
+		c.learn(ms, ok.Next)
+	}
+	if ok.Done {
+		l.res.OK, l.res.Owner, l.res.Reps = true, ok.Owner, ok.Reps
+		l.finish()
+		return
+	}
+	l.push(ok.Next)
+	l.push(ok.Alts...)
+	l.next()
+}
+
+// timeout charges a hop that went unanswered to its peer and re-routes.
+func (l *chordLookup) timeout() {
+	if !l.n.Alive() {
+		return
+	}
+	if l.rec != nil {
+		l.rec.Record(obs.Hop{Lookup: l.lseq, Scheme: "chord", Type: MsgChordFind,
+			From: int(l.n.ID), To: int(l.cur), At: l.hopStart, Outcome: obs.HopTimeout})
+	}
+	l.res.Retries++
+	l.afterTimeout = true
+	if ms := l.memberState(); ms != nil {
+		l.c.suspectPeer(ms, l.cur)
+	}
+	l.next()
 }
 
 // Put stores value under key from the given node: an iterative lookup,
@@ -1167,7 +1359,10 @@ func (c *Chord) Put(from NodeID, key string, val []byte, done func(OpResult)) {
 	res := &OpResult{}
 	c.opAttempt(c.rt.AddNode(from), key, res, 2,
 		MsgChordStore, cStoreMsg{Key: key, Val: val, Rep: c.cfg.Replicas - 1},
-		func(Envelope) { res.OK = true },
+		func(Envelope) bool {
+			res.OK = true
+			return true
+		},
 		done)
 }
 
@@ -1178,9 +1373,12 @@ func (c *Chord) Get(from NodeID, key string, done func(OpResult)) {
 	res := &OpResult{}
 	c.opAttempt(c.rt.AddNode(from), key, res, 2,
 		MsgChordFetch, cFetchMsg{Key: key},
-		func(env Envelope) {
-			res.OK = true
-			res.Vals = env.Payload.(cFetchOKMsg).Vals
+		func(env Envelope) bool {
+			m, ok := env.Payload.(cFetchOKMsg)
+			if ok {
+				res.OK, res.Vals = true, m.Vals
+			}
+			return ok
 		},
 		done)
 }
@@ -1189,14 +1387,15 @@ func (c *Chord) Get(from NodeID, key string, done func(OpResult)) {
 // owner, issue the operation RPC against the owner and then each replica
 // in turn when targets time out, and re-run the whole attempt (fresh
 // lookup included) when every target is exhausted, up to the attempt
-// budget. onOK consumes the first successful reply before done fires.
-func (c *Chord) opAttempt(n *Node, key string, res *OpResult, attempts int, typ string, payload any, onOK func(Envelope), done func(OpResult)) {
+// budget. onOK consumes the first successful reply before done fires; a
+// reply it rejects as malformed is dropped, counted dead, and fails its
+// target as a timeout would.
+func (c *Chord) opAttempt(n *Node, key string, res *OpResult, attempts int, typ string, payload any, onOK func(Envelope) bool, done func(OpResult)) {
 	if attempts <= 0 {
 		done(*res)
 		return
 	}
-	lr := &LookupResult{Owner: NoNode}
-	c.drive(n, c.state(n.ID), nil, dht.HashKey(key), lr, func(r LookupResult) {
+	c.drive(n, c.state(n.ID), NoNode, dht.HashKey(key), func(r LookupResult) {
 		res.Hops += r.Hops
 		res.Retries += r.Retries
 		if !r.OK {
@@ -1214,15 +1413,20 @@ func (c *Chord) opAttempt(n *Node, key string, res *OpResult, attempts int, typ 
 				c.opAttempt(n, key, res, attempts-1, typ, payload, onOK, done)
 				return
 			}
+			onTimeout := func() {
+				res.Retries++
+				tryNext(ts[1:])
+			}
 			n.RequestPolicy(ts[0], typ, payload, c.cfg.RPCTimeout, c.cfg.Retry,
 				func(env Envelope) {
-					onOK(env)
+					if !onOK(env) {
+						c.dropDead(n)
+						onTimeout()
+						return
+					}
 					done(*res)
 				},
-				func() {
-					res.Retries++
-					tryNext(ts[1:])
-				})
+				onTimeout)
 		}
 		tryNext(targets)
 	})

@@ -4,8 +4,10 @@ package p2p
 // candidate collection, dedup and the insertion sort on precomputed ring
 // distances replaced a sort.Slice over a map-deduped slice in the PR-4
 // de-mapping, and this target pins the two against each other over
-// arbitrary finger/successor contents. The seed corpus under testdata/fuzz
-// replays as ordinary tests in every `go test` run.
+// arbitrary finger/successor contents — including the scan's skip over
+// runs of equal consecutive entries, which runs broken by NoNode or self
+// must not fool. The seed corpus under testdata/fuzz replays as ordinary
+// tests in every `go test` run.
 
 import (
 	"sort"
@@ -89,6 +91,9 @@ func FuzzClosestPreceding(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint8(3))
 	f.Add([]byte{32, 32, 32, 32}, uint64(^uint64(0)), uint8(31))
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 9}, uint64(12345), uint8(7))
+	// Runs of one finger interrupted by NoNode (32) and by self (3), and a
+	// run that resumes after another node.
+	f.Add([]byte{4, 4, 32, 4, 3, 4, 9, 9, 4, 4, 9, 4, 4, 3, 3, 9}, uint64(1<<62), uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, key uint64, selfRaw uint8) {
 		c := fuzzChordInstance()
 		self := NodeID(int(selfRaw) % fuzzChordPop)
@@ -97,6 +102,7 @@ func FuzzClosestPreceding(f *testing.F) {
 			ringID:  c.RingIDOf(self),
 			fingers: decodeNodes(data[:split], 64),
 			succs:   decodeNodes(data[split:], 8),
+			cp:      &c.cp[0],
 		}
 		got := c.closestPreceding(st, self, key)
 		want := refClosestPreceding(c, st, self, key)

@@ -1,8 +1,9 @@
 // Package p2p is a message-level node runtime on the discrete-event kernel:
 // the repository's algorithms, which elsewhere run as synchronous function
 // calls against a probe-counting latency matrix, here run as protocols —
-// typed wire envelopes between per-node inboxes, request/response
-// correlation through an inflight map, per-RPC timeouts, configurable
+// typed wire envelopes between per-node inboxes (dispatch by a linear scan
+// of a few (type, handler) routes), request/response correlation through a
+// per-node inflight table kept in MsgID order, per-RPC timeouts, configurable
 // packet loss, and a churn generator that drives membership over virtual
 // time. The point is to re-measure the paper's cost claims under the
 // dynamics real p2p systems have: under the clustering condition a search

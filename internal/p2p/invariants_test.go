@@ -12,15 +12,16 @@ package p2p
 //     unique per (node, msgID);
 //   - inflight/expiry agreement: every parked request at a live node has
 //     exactly one live expiry record (the reverse need not hold — an
-//     answered request deletes its inflight entry and lets the expiry fire
-//     into nothing; a crashed node's map is inert junk until Restart
-//     replaces it, so only live nodes are held to the invariant);
+//     answered request removes its inflight entry and lets the expiry fire
+//     into nothing; a crashed node's table is inert junk until Restart
+//     forgets it, so only live nodes are held to the invariant), and the
+//     table is in strictly increasing MsgID order;
 //   - multicast sender indexes: (RTT, NodeID)-sorted and exactly equal to
 //     a from-scratch rebuild over the current membership;
 //   - dense node registry: slot i holds node i or nil.
 //
-// At full drain the slabs must be completely free and every inflight map
-// empty — nothing leaks across a quiescent point.
+// At full drain the slabs must be completely free and every live node's
+// inflight table empty — nothing leaks across a quiescent point.
 
 import (
 	"fmt"
@@ -78,7 +79,9 @@ func checkRuntimeInvariants(t *testing.T, rt *Runtime, stage string) {
 		}
 	}
 
-	// Inflight ⊆ live expiry records, and the node registry is dense.
+	// Inflight ⊆ live expiry records, the inflight table is in strictly
+	// increasing MsgID order (unpark's binary search depends on it), and
+	// the node registry is dense.
 	for i, n := range rt.nodes {
 		if n == nil {
 			continue
@@ -87,15 +90,25 @@ func checkRuntimeInvariants(t *testing.T, rt *Runtime, stage string) {
 			t.Fatalf("%s: registry slot %d holds node %d", stage, i, n.ID)
 		}
 		if !n.alive {
-			// A crashed node's inflight map is inert: the op sequence may
+			// A crashed node's inflight table is inert: the op sequence may
 			// have parked requests on it after the crash (their expiries
-			// fire into the !alive guard), and Restart replaces the map
+			// fire into the !alive guard), and Restart forgets the table
 			// wholesale. Only live nodes carry the agreement invariant.
 			continue
 		}
-		for msgID := range n.inflight {
-			if live[timeoutRec{node: n.ID, msgID: msgID}] != 1 {
-				t.Fatalf("%s: node %d has request %d inflight with no live expiry record", stage, n.ID, msgID)
+		for j, c := range n.inflight {
+			if j > 0 && n.inflight[j-1].id >= c.id {
+				t.Fatalf("%s: node %d inflight table out of MsgID order at %d: %d then %d", stage, n.ID, j, n.inflight[j-1].id, c.id)
+			}
+			if live[timeoutRec{node: n.ID, msgID: c.id}] != 1 {
+				t.Fatalf("%s: node %d has request %d inflight with no live expiry record", stage, n.ID, c.id)
+			}
+		}
+		for j, r := range n.handlers {
+			for _, prev := range n.handlers[:j] {
+				if prev.typ == r.typ {
+					t.Fatalf("%s: node %d has two handlers for %q", stage, n.ID, r.typ)
+				}
 			}
 		}
 	}
@@ -229,6 +242,13 @@ func TestRuntimeInvariantsUnderRandomOps(t *testing.T) {
 	// Full drain: every parked envelope delivered or dead, every expiry
 	// fired, every slab slot back on its free list, no inflight leftovers.
 	kernel.Run()
+	checkDrained(t, rt)
+}
+
+// checkDrained is the quiescent-point check: after the kernel drains,
+// every slab slot is free and no live node still has a request parked.
+func checkDrained(t *testing.T, rt *Runtime) {
+	t.Helper()
 	checkRuntimeInvariants(t, rt, "drained")
 	if rt.InflightEnvelopes() != 0 {
 		t.Fatalf("drained: %d envelope slots still parked", rt.InflightEnvelopes())
@@ -241,6 +261,48 @@ func TestRuntimeInvariantsUnderRandomOps(t *testing.T) {
 			t.Fatalf("drained: live node %d still has %d inflight requests", n.ID, len(n.inflight))
 		}
 	}
+}
+
+// TestInvariantsChordUnderLossAndChurn holds a chord ring under 5% loss and
+// churn to the same invariants: checked every simulated second while
+// lookups, stabilize rounds, joins and crashes keep requests parked, then
+// at full drain.
+func TestInvariantsChordUnderLossAndChurn(t *testing.T) {
+	const n = 60
+	kernel := sim.New()
+	rt := New(kernel, lineMatrix(n), Config{LossProb: 0.05, RPCTimeout: time.Second}, 5)
+	ch := NewChord(rt, chordTestConfig(90*time.Second), 5)
+	ids := make([]NodeID, n)
+	for i := range ids {
+		ids[i] = NodeID(i)
+		id := ids[i]
+		kernel.After(time.Duration(i)*20*time.Millisecond, func() { ch.Join(id) })
+	}
+	churn := NewChurn(rt, ChurnConfig{
+		MeanSession:  40 * time.Second,
+		MeanOffline:  10 * time.Second,
+		GracefulProb: 0.5,
+		Horizon:      80 * time.Second,
+	}, 5)
+	churn.OnLeave = func(id NodeID, graceful bool) { ch.Leave(id, graceful) }
+	churn.OnJoin = func(id NodeID) { ch.Join(id) }
+	churn.Drive(ids[1:])
+	for i := 0; i < 40; i++ {
+		key := fmt.Sprintf("inv/%d", i)
+		kernel.At(20*time.Second+time.Duration(i)*time.Second, func() {
+			ch.Put(0, key, []byte(key), func(OpResult) {})
+			ch.Lookup(0, key, func(LookupResult) {})
+		})
+	}
+	for s := 1; s <= 90; s++ {
+		kernel.RunUntil(time.Duration(s) * time.Second)
+		checkRuntimeInvariants(t, rt, fmt.Sprintf("t=%ds", s))
+	}
+	if churn.Leaves == 0 || rt.Metrics.Timeouts == 0 {
+		t.Fatalf("no adversity exercised: %d leaves, %d timeouts", churn.Leaves, rt.Metrics.Timeouts)
+	}
+	kernel.Run()
+	checkDrained(t, rt)
 }
 
 // TestMetricsAccountingUnderLossAndChurn runs a scripted loss+churn

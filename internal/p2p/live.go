@@ -172,11 +172,9 @@ func (b *liveBase) AddNode(id NodeID) *Node {
 		return n
 	}
 	n := &Node{
-		ID:       id,
-		rt:       b.self,
-		alive:    true,
-		handlers: make(map[string]Handler),
-		inflight: make(map[uint64]call),
+		ID:    id,
+		rt:    b.self,
+		alive: true,
 	}
 	n.Handle(MsgPing, func(n *Node, env Envelope) {
 		n.Reply(env, MsgPong, nil)

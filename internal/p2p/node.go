@@ -8,27 +8,44 @@ import "time"
 // callback-driven).
 type Handler func(n *Node, env Envelope)
 
-// call is one outstanding request parked in the inflight map. The timeout
-// event does not cancel; it checks whether the MsgID is still inflight, so
-// a response that arrived first wins the race by deleting the entry.
-// Stored by value — two function words — so parking a request costs no
-// allocation beyond the caller's own callbacks.
+// call is one outstanding request parked in the node's inflight table. The
+// timeout event does not cancel; it checks whether the MsgID is still
+// inflight, so a response that arrived first wins the race by removing the
+// entry. Stored by value — the MsgID and two function words — so parking a
+// request costs no allocation beyond the caller's own callbacks.
 type call struct {
+	id        uint64
 	onReply   func(Envelope)
 	onTimeout func()
 }
 
+// route is one installed handler: a message type and what runs it.
+type route struct {
+	typ string
+	h   Handler
+}
+
 // Node is one runtime endpoint: an inbox dispatching by message type, an
-// inflight map correlating responses to requests, and an up/down flag the
+// inflight table correlating responses to requests, and an up/down flag the
 // churn generator toggles.
+//
+// Both tables are small per-node slices, not maps: dispatch runs once per
+// delivered message, and hashing the type string and the MsgID there was a
+// tenth of a chord trial's CPU. No protocol installs more than about ten
+// handlers, so dispatch is a linear scan (type constants share their
+// backing bytes, so a hit is a pointer compare). The inflight table is kept
+// in MsgID order and binary-searched: a node's MsgIDs come from one
+// counter (its home shard's, or the live transport's) and are allocated in
+// increasing order, so parking a request is an append, while the fan-out
+// schemes that park a couple of hundred probes at once stay logarithmic.
 type Node struct {
 	// ID is the node's matrix index.
 	ID NodeID
 
 	rt       Transport
 	alive    bool
-	handlers map[string]Handler
-	inflight map[uint64]call
+	handlers []route
+	inflight []call
 
 	// retrySeq numbers RequestPolicy calls for deterministic jitter; gen
 	// counts Stop/Restart transitions so parked retry timers from a
@@ -49,7 +66,66 @@ func (n *Node) Transport() Transport { return n.rt }
 // Handle installs the handler for a message type (replacing any previous
 // one). Messages with no handler and no inflight correlation are dropped,
 // as an unknown UDP datagram would be.
-func (n *Node) Handle(typ string, h Handler) { n.handlers[typ] = h }
+func (n *Node) Handle(typ string, h Handler) {
+	for i := range n.handlers {
+		if n.handlers[i].typ == typ {
+			n.handlers[i].h = h
+			return
+		}
+	}
+	n.handlers = append(n.handlers, route{typ: typ, h: h})
+}
+
+// handler returns the handler installed for typ, or nil.
+func (n *Node) handler(typ string) Handler {
+	for i := range n.handlers {
+		if n.handlers[i].typ == typ {
+			return n.handlers[i].h
+		}
+	}
+	return nil
+}
+
+// park inserts a waiter at its MsgID's place in the inflight table: an
+// append, unless a caller off the transport's event order allocated out of
+// sequence.
+func (n *Node) park(c call) {
+	i := len(n.inflight)
+	for i > 0 && n.inflight[i-1].id > c.id {
+		i--
+	}
+	n.inflight = append(n.inflight, call{})
+	copy(n.inflight[i+1:], n.inflight[i:])
+	n.inflight[i] = c
+}
+
+// unpark removes and returns the waiter for msgID, if it is inflight.
+func (n *Node) unpark(msgID uint64) (call, bool) {
+	lo, hi := 0, len(n.inflight)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.inflight[mid].id < msgID {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(n.inflight) || n.inflight[lo].id != msgID {
+		return call{}, false
+	}
+	c := n.inflight[lo]
+	last := len(n.inflight) - 1
+	copy(n.inflight[lo:], n.inflight[lo+1:])
+	n.inflight[last] = call{} // release the callbacks for GC
+	n.inflight = n.inflight[:last]
+	return c, true
+}
+
+// forget drops every parked waiter (Stop/Restart), keeping the capacity.
+func (n *Node) forget() {
+	clear(n.inflight)
+	n.inflight = n.inflight[:0]
+}
 
 // Stop crashes the node: it stops receiving, and every outstanding request
 // it made is forgotten — their timeout events will find nothing to fire.
@@ -58,7 +134,7 @@ func (n *Node) Stop() {
 		n.rt.noteLive(-1)
 	}
 	n.alive = false
-	n.inflight = make(map[uint64]call)
+	n.forget()
 	n.gen++
 	n.suspicion = nil
 }
@@ -70,7 +146,7 @@ func (n *Node) Restart() {
 		n.rt.noteLive(1)
 	}
 	n.alive = true
-	n.inflight = make(map[uint64]call)
+	n.forget()
 	n.gen++
 	n.suspicion = nil
 }
@@ -78,7 +154,7 @@ func (n *Node) Restart() {
 // Send transmits a one-way message (no correlation, no timeout) and
 // returns the envelope's MsgID. The ID lets a protocol correlate a one-way
 // exchange itself — a responder can echo it in its own one-way answer —
-// without parking anything in the inflight map (the Vivaldi gossip protocol
+// without parking anything in the inflight table (the Vivaldi gossip protocol
 // does exactly this to keep its hot path free of per-request closures).
 func (n *Node) Send(to NodeID, typ string, payload any) uint64 {
 	id := n.rt.allocMsgIDFor(n.ID)
@@ -86,7 +162,7 @@ func (n *Node) Send(to NodeID, typ string, payload any) uint64 {
 	return id
 }
 
-// Request transmits a request and parks a waiter in the inflight map.
+// Request transmits a request and parks a waiter in the inflight table.
 // Exactly one of onReply/onTimeout fires (neither, if this node dies
 // first). A non-positive timeout uses the runtime default. The MsgID is
 // returned for tests and tracing.
@@ -99,7 +175,7 @@ func (n *Node) Request(to NodeID, typ string, payload any, timeout time.Duration
 		timeout = n.rt.defaultRPCTimeout()
 	}
 	id := n.rt.allocMsgIDFor(n.ID)
-	n.inflight[id] = call{onReply: onReply, onTimeout: onTimeout}
+	n.park(call{id: id, onReply: onReply, onTimeout: onTimeout})
 	n.rt.send(Envelope{Type: typ, From: n.ID, To: to, MsgID: id, Payload: payload})
 	n.rt.timeoutAt(timeout, n.ID, id)
 	return id
@@ -115,15 +191,12 @@ func (n *Node) Reply(req Envelope, typ string, payload any) {
 // has inflight go to their waiter, everything else to the type handler.
 func (n *Node) deliver(env Envelope) {
 	if env.Resp {
-		if c, ok := n.inflight[env.MsgID]; ok {
-			delete(n.inflight, env.MsgID)
-			if c.onReply != nil {
-				c.onReply(env)
-			}
+		if c, ok := n.unpark(env.MsgID); ok && c.onReply != nil {
+			c.onReply(env)
 		}
 		return
 	}
-	if h, ok := n.handlers[env.Type]; ok {
+	if h := n.handler(env.Type); h != nil {
 		h(n, env)
 	}
 }
@@ -131,11 +204,13 @@ func (n *Node) deliver(env Envelope) {
 // expire fires a request timeout at this node: the mirror of the response
 // path in deliver, reached through the runtime's typed timeout event.
 func (n *Node) expire(msgID uint64) {
-	c, ok := n.inflight[msgID]
-	if !ok || !n.alive {
+	if !n.alive {
+		return // stopped: its table was forgotten, and stays inert until Restart
+	}
+	c, ok := n.unpark(msgID)
+	if !ok {
 		return // answered, or we restarted meanwhile
 	}
-	delete(n.inflight, msgID)
 	n.rt.MetricsAt(n.ID).Timeouts++
 	if c.onTimeout != nil {
 		c.onTimeout()

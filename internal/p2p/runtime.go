@@ -317,7 +317,7 @@ func (r *Runtime) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
 
 // expireSlot is the registered handler completing a timeout: the node
 // decides whether the request is still outstanding (a response that
-// arrived first deleted the inflight entry and wins the race).
+// arrived first removed the inflight entry and wins the race).
 func (r *Runtime) expireSlot(shard int, arg uint64) {
 	sc := &r.sh[shard]
 	sc.metrics.ExpiriesFired++
@@ -353,11 +353,9 @@ func (r *Runtime) AddNode(id NodeID) *Node {
 		return n
 	}
 	n := &Node{
-		ID:       id,
-		rt:       r,
-		alive:    true,
-		handlers: make(map[string]Handler),
-		inflight: make(map[uint64]call),
+		ID:    id,
+		rt:    r,
+		alive: true,
 	}
 	n.Handle(MsgPing, func(n *Node, env Envelope) {
 		n.Reply(env, MsgPong, nil)
