@@ -1,6 +1,10 @@
 package p2p
 
-import "time"
+import (
+	"cmp"
+	"slices"
+	"time"
+)
 
 // Handler processes an incoming request or one-way message at a node.
 // Handlers run as kernel events: they may send, request, and schedule, but
@@ -94,30 +98,17 @@ func (n *Node) park(c call) {
 	for i > 0 && n.inflight[i-1].id > c.id {
 		i--
 	}
-	n.inflight = append(n.inflight, call{})
-	copy(n.inflight[i+1:], n.inflight[i:])
-	n.inflight[i] = c
+	n.inflight = slices.Insert(n.inflight, i, c)
 }
 
 // unpark removes and returns the waiter for msgID, if it is inflight.
 func (n *Node) unpark(msgID uint64) (call, bool) {
-	lo, hi := 0, len(n.inflight)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if n.inflight[mid].id < msgID {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(n.inflight) || n.inflight[lo].id != msgID {
+	i, ok := slices.BinarySearchFunc(n.inflight, msgID, func(c call, id uint64) int { return cmp.Compare(c.id, id) })
+	if !ok {
 		return call{}, false
 	}
-	c := n.inflight[lo]
-	last := len(n.inflight) - 1
-	copy(n.inflight[lo:], n.inflight[lo+1:])
-	n.inflight[last] = call{} // release the callbacks for GC
-	n.inflight = n.inflight[:last]
+	c := n.inflight[i]
+	n.inflight = slices.Delete(n.inflight, i, i+1) // zeroes the freed slot
 	return c, true
 }
 
