@@ -81,6 +81,12 @@ func TestGoldenQuickFigures(t *testing.T) {
 	t.Run("a3", func(t *testing.T) {
 		checkGolden(t, "golden_a3_quick.txt", AblationAlgorithmComparison(Quick, 1).Render())
 	})
+	// a5 pins the composite cascade (core.Service): the in-network
+	// expanding search, the two DHT hint systems and the Meridian fallback
+	// composed in one loop.
+	t.Run("a5", func(t *testing.T) {
+		checkGolden(t, "golden_a5_quick.txt", AblationComposite(Quick, 1).Render())
+	})
 	t.Run("c2", func(t *testing.T) {
 		checkGolden(t, "golden_c2_quick.txt", MitigationStudy(Quick, 1).Render())
 	})
