@@ -22,6 +22,7 @@ import (
 // docCoveredPackages are the directories whose exported symbols must all be
 // documented.
 var docCoveredPackages = []string{
+	"internal/core",
 	"internal/engine",
 	"internal/experiments",
 	"internal/latency",

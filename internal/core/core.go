@@ -16,16 +16,15 @@ import (
 	"math"
 	"sort"
 
+	"nearestpeer/internal/ipprefix"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/meridian"
-	"nearestpeer/internal/multicast"
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/overlay"
+	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/rng"
 	"nearestpeer/internal/ucl"
-
-	"nearestpeer/internal/ipprefix"
 )
 
 // Method identifies which mechanism produced a result.
@@ -50,25 +49,30 @@ type Config struct {
 	// SatisfiedMs stops the cascade early once a peer at or under this
 	// RTT is found (same-extended-LAN latencies are sub-millisecond).
 	SatisfiedMs float64
+	// CrossVLANProb is the probability that an end-network routes
+	// multicast across its VLANs. Where it does not, the in-network search
+	// never leaves the searcher's own VLAN — the paper's caveat that a
+	// multicast "may not reach any other host in large end-networks
+	// composed of multiple LANs or VLANs".
+	CrossVLANProb float64
 
-	Multicast multicast.Config
-	UCL       ucl.Config
-	Prefix    ipprefix.Config
-	Meridian  meridian.Config
+	UCL      ucl.Config
+	Prefix   ipprefix.Config
+	Meridian meridian.Config
 }
 
 // DefaultConfig enables the full cascade.
 func DefaultConfig() Config {
 	return Config{
-		UseMulticast: true,
-		UseUCL:       true,
-		UsePrefix:    true,
-		UseMeridian:  true,
-		SatisfiedMs:  1.0,
-		Multicast:    multicast.DefaultConfig(),
-		UCL:          ucl.DefaultConfig(),
-		Prefix:       ipprefix.DefaultConfig(),
-		Meridian:     meridian.DefaultConfig(),
+		UseMulticast:  true,
+		UseUCL:        true,
+		UsePrefix:     true,
+		UseMeridian:   true,
+		SatisfiedMs:   1.0,
+		CrossVLANProb: 0.4,
+		UCL:           ucl.DefaultConfig(),
+		Prefix:        ipprefix.DefaultConfig(),
+		Meridian:      meridian.DefaultConfig(),
 	}
 }
 
@@ -90,16 +94,19 @@ type Result struct {
 
 // Service is the composite nearest-peer service over a peer population.
 type Service struct {
-	cfg   Config
-	top   *netmodel.Topology
-	tools *measure.Tools
-	peers []netmodel.HostID
+	cfg    Config
+	top    *netmodel.Topology
+	tools  *measure.Tools
+	peers  []netmodel.HostID
+	stages []stage
+}
 
-	searcher *multicast.Searcher
-	uclSys   *ucl.System
-	prefix   *ipprefix.System
-	mer      *meridian.Overlay
-	merNet   *overlay.Network
+// stage is one mechanism of the cascade: the method it reports as, and its
+// search for a target's nearest peer, which fills a Result's Peer (negative
+// for none), RTTms, Probes and Messages.
+type stage struct {
+	method Method
+	find   func(target netmodel.HostID) Result
 }
 
 // NewService deploys the configured mechanisms over the given peers. The
@@ -118,8 +125,7 @@ func NewService(top *netmodel.Topology, tools *measure.Tools, peers []netmodel.H
 	src := rng.New(seed)
 
 	if cfg.UseMulticast {
-		reg := multicast.NewRegistry(top, s.peers)
-		s.searcher = multicast.NewSearcher(top, reg, cfg.Multicast, src.Split("multicast").Seed())
+		s.stages = append(s.stages, stage{MethodMulticast, multicastSearch(top, s.peers, cfg.CrossVLANProb, src.Split("multicast"))})
 	}
 	if cfg.UseUCL || cfg.UsePrefix {
 		// The peers themselves host the DHT.
@@ -129,27 +135,80 @@ func NewService(top *netmodel.Topology, tools *measure.Tools, peers []netmodel.H
 		}
 		anchors := pickAnchors(top, s.peers, 5, src.Split("anchors"))
 		if cfg.UseUCL {
-			s.uclSys = ucl.New(tools, nodes, anchors, cfg.UCL)
+			sys := ucl.New(tools, nodes, anchors, cfg.UCL)
 			for _, p := range s.peers {
-				s.uclSys.Join(p)
+				sys.Join(p)
 			}
+			s.stages = append(s.stages, stage{MethodUCL, func(target netmodel.HostID) Result {
+				r := sys.FindNearest(target)
+				return Result{Peer: r.Peer, RTTms: r.RTTms, Probes: int64(r.Probes), Messages: int64(r.Lookups)}
+			}})
 		}
 		if cfg.UsePrefix {
-			s.prefix = ipprefix.New(tools, nodes, cfg.Prefix)
+			sys := ipprefix.New(tools, nodes, cfg.Prefix)
 			for _, p := range s.peers {
-				s.prefix.Join(p)
+				sys.Join(p)
 			}
+			s.stages = append(s.stages, stage{MethodPrefix, func(target netmodel.HostID) Result {
+				r := sys.FindNearest(target)
+				return Result{Peer: r.Peer, RTTms: r.RTTms, Probes: int64(r.Probes), Messages: int64(r.Lookups)}
+			}})
 		}
 	}
 	if cfg.UseMeridian {
-		s.merNet = overlay.NewNetwork(&latency.FullTopologyMatrix{Top: top})
 		members := make([]int, len(s.peers))
 		for i, p := range s.peers {
 			members[i] = int(p)
 		}
-		s.mer = meridian.New(s.merNet, members, cfg.Meridian, src.Split("meridian").Seed())
+		mer := meridian.New(overlay.NewNetwork(&latency.FullTopologyMatrix{Top: top}), members, cfg.Meridian, src.Split("meridian").Seed())
+		s.stages = append(s.stages, stage{MethodMeridian, func(target netmodel.HostID) Result {
+			r := mer.FindNearest(int(target))
+			return Result{Peer: netmodel.HostID(r.Peer), RTTms: r.LatencyMs, Probes: r.Probes}
+		}})
 	}
 	return s
+}
+
+// multicastSearch is the in-network stage: the expanding-ring rule over the
+// searcher's end-network, with multicast's reach. Every peer subscribes to
+// its end-network's group; round 0 reaches the searcher's own VLAN, round 1
+// the whole end-network where its routing crosses VLANs (decided once per
+// end-network from src). A third round would reach no one new.
+func multicastSearch(top *netmodel.Topology, peers []netmodel.HostID, crossVLANProb float64, src *rng.Source) func(netmodel.HostID) Result {
+	type group struct {
+		members      []netmodel.HostID
+		crossesVLANs bool
+	}
+	groups := make(map[netmodel.ENID]*group)
+	for _, p := range peers {
+		en := top.Host(p).EN
+		g := groups[en]
+		if g == nil {
+			g = &group{crossesVLANs: src.SplitN("crossvlan", int(en)).Bool(crossVLANProb)}
+			groups[en] = g
+		}
+		g.members = append(g.members, p)
+	}
+	return func(target netmodel.HostID) Result {
+		res := Result{Peer: -1, RTTms: math.Inf(1)}
+		from := top.Host(target)
+		g := groups[from.EN]
+		if g == nil {
+			return res
+		}
+		r := p2p.ExpandRing(2, len(g.members), func(round, j int) (float64, bool) {
+			m := g.members[j]
+			if m == target || top.Host(m).VLAN != from.VLAN && (round == 0 || !g.crossesVLANs) {
+				return 0, false
+			}
+			return top.RTTms(target, m), true
+		})
+		res.Messages = int64(r.Probes)
+		if r.Found {
+			res.Peer, res.RTTms = g.members[r.Peer], r.RTTms
+		}
+		return res
+	}
 }
 
 // pickAnchors selects well-spread hosts to serve as traceroute anchors.
@@ -177,49 +236,21 @@ func pickAnchors(top *netmodel.Topology, peers []netmodel.HostID, n int, src *rn
 
 // FindNearest runs the cascade for a joining peer (not necessarily a
 // current member) and returns the best peer found with full cost
-// accounting.
+// accounting: the stages run in order, their bills add, and the first
+// stage after which the best answer is within SatisfiedMs ends it.
 func (s *Service) FindNearest(target netmodel.HostID) Result {
 	res := Result{Peer: -1, RTTms: math.Inf(1), Method: MethodNone}
-	better := func(peer netmodel.HostID, rtt float64, m Method) {
-		if peer >= 0 && peer != target && rtt < res.RTTms {
-			res.Peer, res.RTTms, res.Method = peer, rtt, m
-		}
-	}
-
-	if s.searcher != nil {
-		res.StagesRun = append(res.StagesRun, MethodMulticast)
-		r := s.searcher.Search(target)
-		res.Messages += int64(r.Messages)
-		better(r.Peer, r.RTTms, MethodMulticast)
-		if res.RTTms <= s.cfg.SatisfiedMs {
-			return res
-		}
-	}
-	if s.uclSys != nil {
-		res.StagesRun = append(res.StagesRun, MethodUCL)
-		r := s.uclSys.FindNearest(target)
-		res.Probes += int64(r.Probes)
-		res.Messages += int64(r.Lookups)
-		better(r.Peer, r.RTTms, MethodUCL)
-		if res.RTTms <= s.cfg.SatisfiedMs {
-			return res
-		}
-	}
-	if s.prefix != nil {
-		res.StagesRun = append(res.StagesRun, MethodPrefix)
-		r := s.prefix.FindNearest(target)
-		res.Probes += int64(r.Probes)
-		res.Messages += int64(r.Lookups)
-		better(r.Peer, r.RTTms, MethodPrefix)
-		if res.RTTms <= s.cfg.SatisfiedMs {
-			return res
-		}
-	}
-	if s.mer != nil {
-		res.StagesRun = append(res.StagesRun, MethodMeridian)
-		r := s.mer.FindNearest(int(target))
+	for _, st := range s.stages {
+		res.StagesRun = append(res.StagesRun, st.method)
+		r := st.find(target)
 		res.Probes += r.Probes
-		better(netmodel.HostID(r.Peer), r.LatencyMs, MethodMeridian)
+		res.Messages += r.Messages
+		if r.Peer >= 0 && r.Peer != target && r.RTTms < res.RTTms {
+			res.Peer, res.RTTms, res.Method = r.Peer, r.RTTms, st.method
+		}
+		if res.RTTms <= s.cfg.SatisfiedMs {
+			break
+		}
 	}
 	return res
 }

@@ -141,3 +141,56 @@ func TestEmptyPeersPanics(t *testing.T) {
 	}()
 	NewService(nil, nil, nil, DefaultConfig(), 1)
 }
+
+// The in-network stage against a brute-force oracle, at both extremes of
+// VLAN routing: round 0 reaches the searcher's same-VLAN partners and round
+// 1, only where the end-network routes multicast across VLANs, the rest of
+// its partners. The answer is the nearest partner of the first round that
+// reached anyone, and every reached partner costs one message.
+func TestMulticastStageReach(t *testing.T) {
+	for _, prob := range []float64{0, 1} {
+		cfg := DefaultConfig()
+		cfg.UseUCL, cfg.UsePrefix, cfg.UseMeridian = false, false, false
+		cfg.CrossVLANProb = prob
+		top, svc, peers := fixture(t, cfg)
+		var lone, ownVLAN, otherVLANs int
+		for _, p := range peers {
+			var same, other []netmodel.HostID
+			for _, q := range peers {
+				switch {
+				case q == p || !top.SameEN(p, q):
+				case top.Host(q).VLAN == top.Host(p).VLAN:
+					same = append(same, q)
+				default:
+					other = append(other, q)
+				}
+			}
+			reached := same
+			if len(same) == 0 && prob == 1 {
+				reached = other
+			}
+			want := netmodel.HostID(-1)
+			for _, q := range reached {
+				if want < 0 || top.RTTms(p, q) < top.RTTms(p, want) {
+					want = q
+				}
+			}
+			res := svc.FindNearest(p)
+			if res.Peer != want || res.Messages != int64(len(reached)) {
+				t.Fatalf("CrossVLANProb %v, peer %d (%d same-VLAN, %d other-VLAN partners): found %d with %d messages, want %d with %d",
+					prob, p, len(same), len(other), res.Peer, res.Messages, want, len(reached))
+			}
+			switch {
+			case len(same)+len(other) == 0:
+				lone++
+			case len(same) == 0:
+				otherVLANs++
+			default:
+				ownVLAN++
+			}
+		}
+		if lone == 0 || ownVLAN == 0 || otherVLANs == 0 {
+			t.Fatalf("fixture lacks a case: %d lone, %d with a same-VLAN partner, %d with partners only across VLANs", lone, ownVLAN, otherVLANs)
+		}
+	}
+}

@@ -47,7 +47,7 @@ func TestCascadeDigestGolden(t *testing.T) {
 	multicastOnly := func(crossVLAN float64) Config {
 		c := DefaultConfig()
 		c.UseUCL, c.UsePrefix, c.UseMeridian = false, false, false
-		c.Multicast.CrossVLANProb = crossVLAN
+		c.CrossVLANProb = crossVLAN
 		return c
 	}
 	noMulticast := DefaultConfig()
@@ -59,7 +59,7 @@ func TestCascadeDigestGolden(t *testing.T) {
 		cfg  Config
 	}{
 		{"full-cascade", DefaultConfig()},
-		{"multicast-only", multicastOnly(DefaultConfig().Multicast.CrossVLANProb)},
+		{"multicast-only", multicastOnly(DefaultConfig().CrossVLANProb)},
 		{"multicast-own-vlan", multicastOnly(0)},
 		{"multicast-routed", multicastOnly(1)},
 		{"no-multicast", noMulticast},

@@ -158,6 +158,24 @@ func AblationAlgorithmComparison(scale Scale, seed int64) *AblationResult {
 	return out
 }
 
+// sameENQueriers returns the first limit peers that have a same-EN partner
+// among peers: the queriers a same-LAN mechanism can serve.
+func sameENQueriers(top *netmodel.Topology, peers []netmodel.HostID, limit int) []netmodel.HostID {
+	var queriers []netmodel.HostID
+	for _, p := range peers {
+		for _, q := range peers {
+			if q != p && top.SameEN(p, q) {
+				queriers = append(queriers, p)
+				break
+			}
+		}
+		if len(queriers) >= limit {
+			break
+		}
+	}
+	return queriers
+}
+
 // UCLDepthRow is one tracked-router-count configuration.
 type UCLDepthRow struct {
 	Depth int
@@ -190,26 +208,15 @@ func AblationUCLDepth(scale Scale, seed int64) *UCLDepthResult {
 		nodes[i] = env.Top.Host(p).IP.String()
 	}
 	anchors := env.VantageHosts()
+	tools := env.FreshTools()
 
-	// Queriers: peers that have a same-EN partner among the peers (the
-	// population where the UCL should shine).
-	var queriers []netmodel.HostID
-	for _, p := range peers {
-		for _, q := range peers {
-			if q != p && env.Top.SameEN(p, q) {
-				queriers = append(queriers, p)
-				break
-			}
-		}
-		if len(queriers) >= 120 {
-			break
-		}
-	}
+	// Queriers: the population where the UCL should shine.
+	queriers := sameENQueriers(env.Top, peers, 120)
 	out := &UCLDepthResult{Queries: len(queriers)}
 	for _, depth := range []int{1, 2, 3, 4, 6, 8} {
 		cfg := ucl.DefaultConfig()
 		cfg.TrackDepth = depth
-		sys := ucl.New(env.Tools, nodes, anchors, cfg)
+		sys := ucl.New(tools, nodes, anchors, cfg)
 		for _, p := range peers {
 			sys.Join(p)
 		}
@@ -269,19 +276,9 @@ func AblationComposite(scale Scale, seed int64) *CompositeResult {
 	if len(peers) > 1500 {
 		peers = peers[:1500]
 	}
-	var queriers []netmodel.HostID
-	for _, p := range peers {
-		for _, q := range peers {
-			if q != p && env.Top.SameEN(p, q) {
-				queriers = append(queriers, p)
-				break
-			}
-		}
-		if len(queriers) >= 60 {
-			break
-		}
-	}
+	queriers := sameENQueriers(env.Top, peers, 60)
 	out := &CompositeResult{Queries: len(queriers)}
+	tools := env.FreshTools()
 
 	configs := []struct {
 		name string
@@ -300,7 +297,7 @@ func AblationComposite(scale Scale, seed int64) *CompositeResult {
 		{"full-cascade", core.DefaultConfig()},
 	}
 	for _, cc := range configs {
-		svc := core.NewService(env.Top, env.Tools, peers, cc.cfg, seed+5)
+		svc := core.NewService(env.Top, tools, peers, cc.cfg, seed+5)
 		var sameEN int
 		var probes int64
 		var rtts []float64

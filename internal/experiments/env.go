@@ -80,20 +80,29 @@ func NewEnv(scale Scale, seed int64) *Env {
 		cfg = netmodel.MeasurementConfig()
 	}
 	top := netmodel.Generate(cfg, seed)
-	tools := measure.NewTools(top, measure.DefaultConfig(), seed+1)
 	vs, err := measure.SelectVantages(top, 7)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return &Env{
+	e := &Env{
 		Scale:      scale,
 		Seed:       seed,
 		Top:        top,
-		Tools:      tools,
 		Vantages:   vs,
 		MH:         vs[2].Host, // the Cornell node, as in the paper's DNS study
 		Population: azureus.Sample(top, populationSize(scale), 0.85, seed+2),
 	}
+	e.Tools = e.FreshTools()
+	return e
+}
+
+// FreshTools returns a private measurement toolkit seeded as Tools was.
+// Tools is shared and stateful — every probe advances its noise stream — so
+// a study measuring through it depends on whatever measured before it in
+// the process; one measuring through FreshTools draws the stream Tools
+// starts with, whatever ran first.
+func (e *Env) FreshTools() *measure.Tools {
+	return measure.NewTools(e.Top, measure.DefaultConfig(), e.Seed+1)
 }
 
 // VantageHosts returns the vantage host IDs.

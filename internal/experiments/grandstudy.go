@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nearestpeer/internal/engine"
-	"nearestpeer/internal/measure"
 )
 
 // This file is the grand table (figure g1): every registered scheme through
@@ -76,7 +75,7 @@ func GrandStudy(scale Scale, seed int64) *GrandStudyResult {
 		func(_ *engine.Trial, c grandCell) GrandRow {
 			// Every row owns its measurement toolkit, so rows never contend
 			// for one noise stream and parallel trials stay deterministic.
-			tools := measure.NewTools(env.Top, measure.DefaultConfig(), seed+1)
+			tools := env.FreshTools()
 			start := time.Now()
 			var row MitigationRow
 			if c.cond.static {

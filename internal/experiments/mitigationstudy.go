@@ -291,7 +291,7 @@ func MitigationStudy(scale Scale, seed int64) *MitigationStudyResult {
 	}
 	out.Rows = engine.Map(engine.Config{Seed: seed, Label: "mitigationstudy"}, cells,
 		func(_ *engine.Trial, c mitigationCell) MitigationRow {
-			tools := measure.NewTools(env.Top, measure.DefaultConfig(), seed+1)
+			tools := env.FreshTools()
 			if c.cond.static {
 				// The static baseline names itself inside the harness.
 				return must(runStaticMitigationTools(env, tools, c.scheme, peers, queries, seed))

@@ -417,34 +417,20 @@ var schemes = map[string]Scheme{
 		Scale: scaleMeridianCell,
 	},
 	"expanding": {
-		// The expanding-ring search's function-call analogue: per query,
-		// grow the multicast scope over the matrix until any member sits
-		// inside it, charging one copy per in-scope member per round
-		// (Runtime.Multicast's scope rule: RTT(target, m) <= radius, self
-		// excluded). The answer is the earliest responder — the scope's
-		// minimum-RTT member. Copies land in the probes column, rounds in
-		// hops, as the wire search reports them.
+		// The expanding-ring rule over the matrix, with Runtime.Multicast's
+		// scope as its reach: round r reaches the members within RTT
+		// Radius(r) of the target, self excluded. Copies land in the probes
+		// column, rounds in hops, as the wire search reports them.
 		Static: func(c *schemeCtx) func(int) p2p.FindResult {
 			cfg := p2p.DefaultExpandConfig()
 			return func(idx int) p2p.FindResult {
-				r := p2p.FindResult{Peer: p2p.NoNode}
-				radius := cfg.InitialRadiusMs
-				for round := 0; round < cfg.Rounds && !r.Found; round++ {
-					r.Hops++
-					for j := range c.peers {
-						if j == idx {
-							continue
-						}
-						if d := c.m.LatencyMs(idx, j); d <= radius {
-							r.Probes++
-							if !r.Found || d < r.RTTms {
-								r.Peer, r.RTTms, r.Found = p2p.NodeID(j), d, true
-							}
-						}
+				return p2p.ExpandRing(cfg.Rounds, len(c.peers), func(round, j int) (float64, bool) {
+					if j == idx {
+						return 0, false
 					}
-					radius *= cfg.RadiusMult
-				}
-				return r
+					d := c.m.LatencyMs(idx, j)
+					return d, d <= cfg.Radius(round)
+				})
 			}
 		},
 		Wire:  expandingWire,

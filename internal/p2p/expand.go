@@ -48,6 +48,43 @@ func DefaultExpandConfig() ExpandConfig {
 	return ExpandConfig{InitialRadiusMs: 1, RadiusMult: 4, Rounds: 5, RoundTimeout: 400 * time.Millisecond}
 }
 
+// Radius is a round's latency scope: InitialRadiusMs grown RadiusMult-fold
+// per earlier round.
+func (c ExpandConfig) Radius(round int) float64 {
+	radius := c.InitialRadiusMs
+	for i := 0; i < round; i++ {
+		radius *= c.RadiusMult
+	}
+	return radius
+}
+
+// ExpandRing is the expanding-ring rule as function calls, the one every
+// static expanding search runs (the registry's function-call leg, the
+// composite service's in-network stage). Round r sends one copy to each of
+// the candidates 0..n-1 that reach admits, at the RTT reach prices it; the
+// first round that reaches anyone ends the search, and its answer is the
+// reached candidate with the smallest RTT — the earliest responder, as on
+// the wire whenever answers land inside their round (ties go to the lower
+// index). Peer is a candidate index, Probes the copies sent, Hops the rounds
+// run.
+func ExpandRing(rounds, n int, reach func(round, j int) (rttMs float64, ok bool)) FindResult {
+	r := FindResult{Peer: NoNode}
+	for round := 0; round < rounds && !r.Found; round++ {
+		r.Hops++
+		for j := 0; j < n; j++ {
+			d, ok := reach(round, j)
+			if !ok {
+				continue
+			}
+			r.Probes++
+			if !r.Found || d < r.RTTms {
+				r.Peer, r.RTTms, r.Found = NodeID(j), d, true
+			}
+		}
+	}
+	return r
+}
+
 // findMsg is the multicast query payload. Round identifies the expansion
 // round that sent this copy; responders echo it so the searcher can
 // measure a late answer against the round that actually asked, not
@@ -175,10 +212,7 @@ func (e *Expanding) runRound(s *expandSearch) {
 		s.done(FindResult{Peer: NoNode, Hops: e.cfg.Rounds, Probes: s.messages, Elapsed: e.rt.Now(s.client) - s.started})
 		return
 	}
-	radius := e.cfg.InitialRadiusMs
-	for i := 0; i < s.round; i++ {
-		radius *= e.cfg.RadiusMult
-	}
+	radius := e.cfg.Radius(s.round)
 	// The answer echoes this tag to index sentAt; it is sweep-global (not
 	// the per-sweep round) so a retried sweep's rounds get fresh slots.
 	tag := len(s.sentAt)

@@ -110,3 +110,54 @@ func TestExpandingSkipsCrashedAndDeregistered(t *testing.T) {
 		t.Fatalf("peer %d, want 3", res.Peer)
 	}
 }
+
+// The function-call rule and the message protocol are one search: on a
+// lossless wire whose answers land inside their round, ExpandRing with the
+// multicast scope as its reach returns the wire's peer, RTT, rounds and
+// copies.
+func TestExpandRingMatchesWire(t *testing.T) {
+	cfg := ExpandConfig{InitialRadiusMs: 5, RadiusMult: 3, Rounds: 4, RoundTimeout: 300 * time.Millisecond}
+	m := lineMatrix(6)
+	kernel := sim.New()
+	rt := New(kernel, m, DefaultConfig(), 1)
+	e := NewExpanding(rt, cfg)
+	members := []NodeID{5, 3, 2} // at 50, 30, 20 ms from searcher 0
+	for _, id := range members {
+		e.Register(id)
+	}
+	var wire FindResult
+	e.Search(0, func(r FindResult) { wire = r })
+	kernel.Run()
+
+	static := ExpandRing(cfg.Rounds, len(members), func(round, j int) (float64, bool) {
+		d := m.LatencyMs(0, int(members[j]))
+		return d, d <= cfg.Radius(round)
+	})
+	if !static.Found || members[static.Peer] != wire.Peer || static.RTTms != wire.RTTms ||
+		static.Hops != wire.Hops || static.Probes != wire.Probes {
+		t.Fatalf("rule found %v peer %d (%v ms, %d rounds, %d copies); wire %+v",
+			static.Found, members[static.Peer], static.RTTms, static.Hops, static.Probes, wire)
+	}
+}
+
+func TestExpandRingRule(t *testing.T) {
+	// Candidate RTTs; round r reaches RTTs under 10*(r+1).
+	rtts := []float64{25, 7, 15, 7, 40}
+	reach := func(round, j int) (float64, bool) { return rtts[j], rtts[j] < float64(10*(round+1)) }
+	r := ExpandRing(5, len(rtts), reach)
+	// Round 0 reaches candidates 1 and 3 (a tie at 7 ms: the lower index
+	// wins) and ends the search.
+	if !r.Found || r.Peer != 1 || r.RTTms != 7 || r.Hops != 1 || r.Probes != 2 {
+		t.Fatalf("got %+v, want candidate 1 at 7 ms after 1 round and 2 copies", r)
+	}
+	// Nobody inside 10 ms: round 1 reaches 1, 2 and 3 and picks the nearest.
+	rtts[1], rtts[3] = 12, 11
+	if r := ExpandRing(5, len(rtts), reach); r.Peer != 3 || r.Hops != 2 || r.Probes != 3 {
+		t.Fatalf("got %+v, want candidate 3 after 2 rounds and 3 copies", r)
+	}
+	// Nobody reachable: every round runs, nothing is sent.
+	none := ExpandRing(3, len(rtts), func(int, int) (float64, bool) { return 0, false })
+	if none.Found || none.Peer != NoNode || none.Hops != 3 || none.Probes != 0 {
+		t.Fatalf("unreachable search got %+v", none)
+	}
+}
