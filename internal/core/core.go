@@ -255,9 +255,6 @@ func (s *Service) FindNearest(target netmodel.HostID) Result {
 	return res
 }
 
-// Peers returns the registered population.
-func (s *Service) Peers() []netmodel.HostID { return s.peers }
-
 // TrueNearest returns the ground-truth nearest member to target, which
 // only the simulator can know.
 func (s *Service) TrueNearest(target netmodel.HostID) (netmodel.HostID, float64) {

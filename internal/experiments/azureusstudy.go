@@ -26,14 +26,14 @@ func AzureusStudy(env *Env) *cluster.Result {
 	if r, ok := azCache[env]; ok {
 		return r
 	}
-	r := cluster.Run(env.Tools, env.Vantages, env.Population.Hosts, cluster.DefaultConfig())
+	r := cluster.Run(env.FreshTools(), env.Vantages, env.Population.Hosts, cluster.DefaultConfig())
 	azCache[env] = r
 	return r
 }
 
 // ComputeAzureusStudy runs the pipeline without caching (benchmarks time it).
 func ComputeAzureusStudy(env *Env) *cluster.Result {
-	return cluster.Run(env.Tools, env.Vantages, env.Population.Hosts, cluster.DefaultConfig())
+	return cluster.Run(env.FreshTools(), env.Vantages, env.Population.Hosts, cluster.DefaultConfig())
 }
 
 // Fig6Result is the Figure 6 reproduction: the distribution of cluster

@@ -53,15 +53,16 @@ func runDNSStudy(env *Env) *DNSStudyResult {
 		servers = servers[:4000]
 	}
 	res.Servers = len(servers)
+	tools := env.FreshTools()
 
 	// Step 1: rockettrace every server once from the measurement host,
 	// cache the trace, and map it to its closest upstream PoP.
 	traces := make(map[netmodel.HostID][]measure.AnnotatedHop, len(servers))
 	clusters := make(map[measure.PoPKey][]netmodel.HostID)
 	for _, s := range servers {
-		tr := env.Tools.Rockettrace(env.MH, s)
+		tr := tools.Rockettrace(env.MH, s)
 		traces[s] = tr
-		key, _, _, ok := env.Tools.ClosestUpstreamPoP(env.MH, s)
+		key, _, _, ok := tools.ClosestUpstreamPoP(env.MH, s)
 		if !ok {
 			continue
 		}
@@ -113,7 +114,7 @@ func runDNSStudy(env *Env) *DNSStudyResult {
 		if v, ok := pingCache[h]; ok {
 			return v, v >= 0
 		}
-		d, err := env.Tools.Ping(env.MH, h)
+		d, err := tools.Ping(env.MH, h)
 		if err != nil {
 			pingCache[h] = -1
 			return 0, false
@@ -127,7 +128,7 @@ func runDNSStudy(env *Env) *DNSStudyResult {
 		if v, ok := routerPing[r]; ok {
 			return v, v >= 0
 		}
-		d, err := env.Tools.PingRouter(env.MH, r)
+		d, err := tools.PingRouter(env.MH, r)
 		if err != nil {
 			routerPing[r] = -1
 			return 0, false
@@ -147,7 +148,7 @@ func runDNSStudy(env *Env) *DNSStudyResult {
 		}
 		hopsA := len(ta) - idxA
 		hopsB := len(tb) - idxB
-		sameDom := env.Tools.SameDomain(a, b)
+		sameDom := tools.SameDomain(a, b)
 
 		pa, okA := ping(a)
 		pb, okB := ping(b)
@@ -177,7 +178,7 @@ func runDNSStudy(env *Env) *DNSStudyResult {
 			res.DiscardFar++
 			continue
 		}
-		d, err := env.Tools.King(env.MH, a, b)
+		d, err := tools.King(env.MH, a, b)
 		if err != nil {
 			res.DiscardKing++
 			continue

@@ -35,13 +35,14 @@ func (s Scale) String() string {
 }
 
 // Env is the shared measurement environment for the Section 3 and Section
-// 5 experiments: one generated Internet, the measurement toolkit, seven
-// vantage points and a measurement host.
+// 5 experiments: one generated Internet, seven vantage points and a
+// measurement host. The measurement toolkit is not shared: it is stateful
+// (every probe advances its noise stream), so each study measures through a
+// FreshTools of its own.
 type Env struct {
 	Scale    Scale
 	Seed     int64
 	Top      *netmodel.Topology
-	Tools    *measure.Tools
 	Vantages []measure.Vantage
 	// MH is the single measurement host used for rockettrace and King
 	// (the paper ran those from one machine).
@@ -84,7 +85,7 @@ func NewEnv(scale Scale, seed int64) *Env {
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	e := &Env{
+	return &Env{
 		Scale:      scale,
 		Seed:       seed,
 		Top:        top,
@@ -92,15 +93,12 @@ func NewEnv(scale Scale, seed int64) *Env {
 		MH:         vs[2].Host, // the Cornell node, as in the paper's DNS study
 		Population: azureus.Sample(top, populationSize(scale), 0.85, seed+2),
 	}
-	e.Tools = e.FreshTools()
-	return e
 }
 
-// FreshTools returns a private measurement toolkit seeded as Tools was.
-// Tools is shared and stateful — every probe advances its noise stream — so
-// a study measuring through it depends on whatever measured before it in
-// the process; one measuring through FreshTools draws the stream Tools
-// starts with, whatever ran first.
+// FreshTools returns a new measurement toolkit over the topology, seeded
+// from the environment's seed: every caller draws the same noise stream
+// from its start, so a study's bytes do not depend on what measured before
+// it in the process.
 func (e *Env) FreshTools() *measure.Tools {
 	return measure.NewTools(e.Top, measure.DefaultConfig(), e.Seed+1)
 }

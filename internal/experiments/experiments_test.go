@@ -165,6 +165,19 @@ func TestSharedEnvCached(t *testing.T) {
 	}
 }
 
+// cmd/figures runs every figure on one shared environment, so a study's
+// bytes must not depend on what measured before it. When the environment
+// carried one stateful toolkit, a full run printed different fig6, fig7,
+// fig10, fig11, a4 and a5 bytes than -only did.
+func TestStudiesIndependentOfRunOrder(t *testing.T) {
+	env := SharedEnv(Quick, 1)
+	first := Fig6From(ComputeAzureusStudy(env)).Render()
+	ComputeDNSStudy(env)
+	if again := Fig6From(ComputeAzureusStudy(env)).Render(); again != first {
+		t.Fatalf("fig6 moved after the DNS study measured:\n--- first ---\n%s\n--- after ---\n%s", first, again)
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	s := summarize([]float64{3, 1, 2})
 	if s.min != 1 || s.med != 2 || s.max != 3 {

@@ -83,14 +83,8 @@ func TestGoldenQuickFigures(t *testing.T) {
 	})
 	// a5 pins the composite cascade (core.Service): the in-network
 	// expanding search, the two DHT hint systems and the Meridian fallback
-	// composed in one loop. It measures through a toolkit of its own, so
-	// advancing the shared environment's noise stream first (as every
-	// earlier study in a cmd/figures run may) must not move a byte.
+	// composed in one loop.
 	t.Run("a5", func(t *testing.T) {
-		env := SharedEnv(Quick, 1)
-		for _, p := range env.ResponsivePeers()[:20] {
-			env.Tools.LatencyTo(env.MH, p)
-		}
 		checkGolden(t, "golden_a5_quick.txt", AblationComposite(Quick, 1).Render())
 	})
 	t.Run("c2", func(t *testing.T) {

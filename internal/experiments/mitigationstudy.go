@@ -48,9 +48,8 @@ type MitigationOpts struct {
 	// Horizon caps virtual time as a watchdog (default 2 h).
 	Horizon time.Duration
 	// Tools overrides the measurement toolkit (probe noise stream). Leave
-	// nil to use the environment's shared toolkit; MitigationStudy gives
-	// every row its own so rows never contend for one noise stream and can
-	// run as parallel engine trials.
+	// nil for a fresh one (Env.FreshTools). Every row owning its toolkit is
+	// what lets MitigationStudy run rows as parallel engine trials.
 	Tools *measure.Tools
 	// Recorder, when non-nil, is attached to the runtime as the lookup
 	// flight recorder (npsim -trace). It is passive: results are
@@ -116,12 +115,12 @@ func mitigationParams(s Scale) (peers, queries int) {
 
 // RunStaticMitigation runs the function-call baseline for a scheme on the
 // environment's topology: one probe-counting query per target, scored
-// against the true nearest peer. Probes draw from the environment's shared
-// toolkit; see runStaticMitigationTools for a caller-supplied one. An
+// against the true nearest peer. Probes draw from a fresh toolkit (see
+// Env.FreshTools); runStaticMitigationTools takes a caller-supplied one. An
 // unknown scheme (or one with no static leg) returns an error naming the
 // registry's roster; so do fewer than 2 peers or fewer than 1 query.
 func RunStaticMitigation(env *Env, scheme string, peers []netmodel.HostID, queries int, seed int64) (MitigationRow, error) {
-	return runStaticMitigationTools(env, env.Tools, scheme, peers, queries, seed)
+	return runStaticMitigationTools(env, env.FreshTools(), scheme, peers, queries, seed)
 }
 
 // runStaticMitigationTools is RunStaticMitigation with an explicit

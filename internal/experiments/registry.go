@@ -258,7 +258,7 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	deploy wireDeploy) MitigationRow {
 	tools := opts.Tools
 	if tools == nil {
-		tools = env.Tools
+		tools = env.FreshTools()
 	}
 	// The run owns its matrix, so the RTT cache is private to this kernel;
 	// chord stabilize re-prices the same successor pairs every round and

@@ -28,7 +28,7 @@ func TraceGraph(env *Env) *trace.Graph {
 	if g, ok := graphCache[env]; ok {
 		return g
 	}
-	g := trace.Build(env.Tools, env.VantageHosts(), env.ResponsivePeers())
+	g := trace.Build(env.FreshTools(), env.VantageHosts(), env.ResponsivePeers())
 	graphCache[env] = g
 	return g
 }
