@@ -142,55 +142,137 @@ func TestEmptyPeersPanics(t *testing.T) {
 	NewService(nil, nil, nil, DefaultConfig(), 1)
 }
 
-// The in-network stage against a brute-force oracle, at both extremes of
-// VLAN routing: round 0 reaches the searcher's same-VLAN partners and round
-// 1, only where the end-network routes multicast across VLANs, the rest of
-// its partners. The answer is the nearest partner of the first round that
-// reached anyone, and every reached partner costs one message.
-func TestMulticastStageReach(t *testing.T) {
-	for _, prob := range []float64{0, 1} {
-		cfg := DefaultConfig()
-		cfg.UseUCL, cfg.UsePrefix, cfg.UseMeridian = false, false, false
-		cfg.CrossVLANProb = prob
-		top, svc, peers := fixture(t, cfg)
-		var lone, ownVLAN, otherVLANs int
-		for _, p := range peers {
-			var same, other []netmodel.HostID
-			for _, q := range peers {
-				switch {
-				case q == p || !top.SameEN(p, q):
-				case top.Host(q).VLAN == top.Host(p).VLAN:
-					same = append(same, q)
-				default:
-					other = append(other, q)
-				}
-			}
-			reached := same
-			if len(same) == 0 && prob == 1 {
-				reached = other
-			}
-			want := netmodel.HostID(-1)
-			for _, q := range reached {
-				if want < 0 || top.RTTms(p, q) < top.RTTms(p, want) {
-					want = q
-				}
-			}
-			res := svc.FindNearest(p)
-			if res.Peer != want || res.Messages != int64(len(reached)) {
-				t.Fatalf("CrossVLANProb %v, peer %d (%d same-VLAN, %d other-VLAN partners): found %d with %d messages, want %d with %d",
-					prob, p, len(same), len(other), res.Peer, res.Messages, want, len(reached))
-			}
+// multicastCase is one peer's view of the in-network stage alone: its
+// partners in the same end-network, split by VLAN, and what the stage
+// answered.
+type multicastCase struct {
+	peer        netmodel.HostID
+	same, other []netmodel.HostID
+	res         Result
+}
+
+// multicastCases runs every peer through the in-network stage with the
+// other stages off. Round 0 reaches the searcher's same-VLAN partners and
+// round 1, only where the end-network routes multicast across VLANs, the
+// rest of its partners.
+func multicastCases(t *testing.T, crossVLANProb float64) (*netmodel.Topology, []multicastCase) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.UseUCL, cfg.UsePrefix, cfg.UseMeridian = false, false, false
+	cfg.CrossVLANProb = crossVLANProb
+	top, svc, peers := fixture(t, cfg)
+	cases := make([]multicastCase, 0, len(peers))
+	for _, p := range peers {
+		c := multicastCase{peer: p}
+		for _, q := range peers {
 			switch {
-			case len(same)+len(other) == 0:
-				lone++
-			case len(same) == 0:
-				otherVLANs++
+			case q == p || !top.SameEN(p, q):
+			case top.Host(q).VLAN == top.Host(p).VLAN:
+				c.same = append(c.same, q)
 			default:
-				ownVLAN++
+				c.other = append(c.other, q)
 			}
 		}
-		if lone == 0 || ownVLAN == 0 || otherVLANs == 0 {
-			t.Fatalf("fixture lacks a case: %d lone, %d with a same-VLAN partner, %d with partners only across VLANs", lone, ownVLAN, otherVLANs)
+		c.res = svc.FindNearest(p)
+		cases = append(cases, c)
+	}
+	return top, cases
+}
+
+// checkAnswer asserts that the stage answered with the nearest of reached
+// and spent one message per reached partner.
+func checkAnswer(t *testing.T, top *netmodel.Topology, c multicastCase, reached []netmodel.HostID) {
+	t.Helper()
+	want := netmodel.HostID(-1)
+	for _, q := range reached {
+		if want < 0 || top.RTTms(c.peer, q) < top.RTTms(c.peer, want) {
+			want = q
+		}
+	}
+	if c.res.Peer != want || c.res.Messages != int64(len(reached)) {
+		t.Fatalf("peer %d (%d same-VLAN, %d other-VLAN partners): found %d with %d messages, want %d with %d",
+			c.peer, len(c.same), len(c.other), c.res.Peer, c.res.Messages, want, len(reached))
+	}
+}
+
+// A peer with a same-VLAN partner is answered by round 0 with the nearest
+// of them, whether or not its end-network routes across VLANs.
+func TestMulticastStageFindsSameVLANPeer(t *testing.T) {
+	for _, prob := range []float64{0, 1} {
+		top, cases := multicastCases(t, prob)
+		n := 0
+		for _, c := range cases {
+			if len(c.same) > 0 {
+				checkAnswer(t, top, c, c.same)
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("CrossVLANProb %v: fixture has no peer with a same-VLAN partner", prob)
+		}
+	}
+}
+
+// Where multicast is routed across VLANs, a peer whose partners all sit on
+// other VLANs is answered by round 1.
+func TestMulticastStageCrossVLANSucceedsWhenRouted(t *testing.T) {
+	top, cases := multicastCases(t, 1)
+	n := 0
+	for _, c := range cases {
+		if len(c.same) == 0 && len(c.other) > 0 {
+			checkAnswer(t, top, c, c.other)
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("fixture has no peer with partners only across VLANs")
+	}
+}
+
+// Where multicast stops at the VLAN boundary, a peer whose partners all sit
+// on other VLANs finds nothing and spends nothing.
+func TestMulticastStageVLANBoundaryFailure(t *testing.T) {
+	top, cases := multicastCases(t, 0)
+	n := 0
+	for _, c := range cases {
+		if len(c.same) == 0 && len(c.other) > 0 {
+			checkAnswer(t, top, c, nil)
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("fixture has no peer with partners only across VLANs")
+	}
+}
+
+// A peer alone in its end-network finds nothing and spends nothing.
+func TestMulticastStageLonePeerFindsNothing(t *testing.T) {
+	for _, prob := range []float64{0, 1} {
+		top, cases := multicastCases(t, prob)
+		n := 0
+		for _, c := range cases {
+			if len(c.same)+len(c.other) == 0 {
+				checkAnswer(t, top, c, nil)
+				n++
+			}
+		}
+		if n == 0 {
+			t.Fatalf("CrossVLANProb %v: fixture has no lone peer", prob)
+		}
+	}
+}
+
+// The stage groups peers by end-network: no answer ever leaves the
+// searcher's end-network, and every peer with a partner there is answered
+// when multicast is routed across VLANs.
+func TestMulticastStageStaysInEndNetwork(t *testing.T) {
+	top, cases := multicastCases(t, 1)
+	for _, c := range cases {
+		if c.res.Peer >= 0 && !top.SameEN(c.peer, c.res.Peer) {
+			t.Fatalf("peer %d answered with %d from another end-network", c.peer, c.res.Peer)
+		}
+		if (c.res.Peer >= 0) != (len(c.same)+len(c.other) > 0) {
+			t.Fatalf("peer %d with %d partners in its end-network: found %d", c.peer, len(c.same)+len(c.other), c.res.Peer)
 		}
 	}
 }
