@@ -21,6 +21,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -58,9 +59,32 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	var fe flagError
+	if errors.As(err, &fe) {
+		fmt.Fprintf(os.Stderr, "npnode %s: %v\n", os.Args[1], fe.err)
+		os.Exit(2)
+	}
 	if err != nil {
 		log.Fatalf("npnode %s: %v", os.Args[1], err)
 	}
+}
+
+// flagError is a flag value the transport or the protocol would refuse:
+// main prints it as one line and exits 2, the way the flag package treats
+// a malformed flag, instead of letting a constructor panic on it.
+type flagError struct{ err error }
+
+func (e flagError) Error() string { return e.err.Error() }
+
+// checkFlags returns the first failed configuration check as a flagError.
+// Every verb runs its checks before it opens a socket.
+func checkFlags(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return flagError{err}
+		}
+	}
+	return nil
 }
 
 func usage() {
@@ -151,6 +175,11 @@ func (c *clusterFlags) register(fs *flag.FlagSet) {
 	fs.Int64Var(&c.seed, "seed", 1, "rng seed (loss model, protocol draws)")
 }
 
+// transportConfig is the UDP transport's configuration.
+func (c *clusterFlags) transportConfig() p2p.Config {
+	return p2p.Config{RPCTimeout: c.rpcTimeout}
+}
+
 // build resolves the shared flags: member list, population, and an
 // optional delay matrix.
 func (c *clusterFlags) build(extra ...p2p.NodeID) (members []p2p.NodeID, pop int, dm *latency.Dense, err error) {
@@ -198,7 +227,7 @@ func (c *clusterFlags) addrOf(id p2p.NodeID) string {
 // is the bind address of the (single) local ID — the docker deployment
 // binds 0.0.0.0 while peers reach it by service name.
 func (c *clusterFlags) newTransport(members, local []p2p.NodeID, pop int, dm *latency.Dense, listenOverride string) (*p2p.UDP, error) {
-	u := p2p.NewUDP(pop, p2p.Config{RPCTimeout: c.rpcTimeout}, c.seed)
+	u := p2p.NewUDP(pop, c.transportConfig(), c.seed)
 	if c.delay {
 		u.SetDelayMatrix(dm)
 	}
@@ -248,6 +277,10 @@ func cmdServe(args []string) error {
 	faultSpec := fs.String("faults", "", `deterministic fault plan over the UDP wire, e.g. "seed=7;burst:at=10s,for=30s,prob=0.3" (see internal/faults; time counts from transport start)`)
 	status := fs.Duration("status", 2*time.Second, "status log period (0 disables)")
 	fs.Parse(args)
+	chordCfg := chordConfig(*stabilize, cf.rpcTimeout)
+	if err := checkFlags(cf.transportConfig().Validate(), chordCfg.Validate()); err != nil {
+		return err
+	}
 
 	members, pop, dm, err := cf.build()
 	if err != nil {
@@ -277,7 +310,7 @@ func cmdServe(args []string) error {
 		log.Printf("fault plan armed: %s", plan)
 	}
 
-	ch := p2p.NewChord(u, chordConfig(*stabilize, cf.rpcTimeout), cf.seed)
+	ch := p2p.NewChord(u, chordCfg, cf.seed)
 	u.Do(func() {
 		localSet := make(map[p2p.NodeID]bool, len(local))
 		for _, id := range local {
@@ -391,6 +424,14 @@ func cmdClient(verb string, args []string) error {
 	as := fs.Int("as", -1, "client node ID (a matrix row when -delay is used)")
 	opTimeout := fs.Duration("op-timeout", 15*time.Second, "whole-operation deadline")
 	fs.Parse(args)
+	checks := []error{cf.transportConfig().Validate()}
+	chordCfg := chordConfig(time.Second, cf.rpcTimeout)
+	if verb != "nearest" {
+		checks = append(checks, chordCfg.Validate())
+	}
+	if err := checkFlags(checks...); err != nil {
+		return err
+	}
 	if *as < 0 {
 		return fmt.Errorf("-as is required")
 	}
@@ -424,7 +465,7 @@ func cmdClient(verb string, args []string) error {
 			return fmt.Errorf("usage: npnode put [flags] <key> <value>")
 		}
 		key, val := fs.Arg(0), fs.Arg(1)
-		ch := p2p.NewChord(u, chordConfig(time.Second, cf.rpcTimeout), cf.seed)
+		ch := p2p.NewChord(u, chordCfg, cf.seed)
 		u.Do(func() {
 			ch.Bootstrap(members...)
 			ch.Put(client, key, []byte(val), func(res p2p.OpResult) {
@@ -441,7 +482,7 @@ func cmdClient(verb string, args []string) error {
 			return fmt.Errorf("usage: npnode get [flags] <key>")
 		}
 		key := fs.Arg(0)
-		ch := p2p.NewChord(u, chordConfig(time.Second, cf.rpcTimeout), cf.seed)
+		ch := p2p.NewChord(u, chordCfg, cf.seed)
 		u.Do(func() {
 			ch.Bootstrap(members...)
 			ch.Get(client, key, func(res p2p.OpResult) {

@@ -1,9 +1,11 @@
 package p2p
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"nearestpeer/internal/dht"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/sim"
@@ -178,6 +180,41 @@ func BenchmarkChordLookup(b *testing.B) {
 		b.Fatalf("%d of %d lookups resolved", ok, b.N)
 	}
 }
+
+// BenchmarkChordLearn is the per-message routing-table update on a settled
+// 1k-member ring: one member folds in one peer, as on every reply and
+// notify. Member and peer rotate so every ordered pair comes up.
+func BenchmarkChordLearn(b *testing.B) {
+	const n = 1000
+	_, ch := settledRing(b, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		self := i % n
+		ch.learn(ch.states[self], NodeID((self+1+i/n%(n-1))%n))
+	}
+}
+
+// BenchmarkChordRouteStep is one routing decision on a settled 1k-member
+// ring — ownership tests, then the closest preceding candidates — without
+// the messages around it. Members and keys rotate over fixed lists.
+func BenchmarkChordRouteStep(b *testing.B) {
+	const n = 1000
+	_, ch := settledRing(b, n)
+	keys := make([]uint64, 64)
+	for i := range keys {
+		keys[i] = dht.HashKey(fmt.Sprintf("bench/%d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		self := NodeID(i * 37 % n)
+		routeStepSink = ch.routeStep(self, ch.states[self], keys[i%len(keys)])
+	}
+}
+
+// routeStepSink keeps BenchmarkChordRouteStep's result live.
+var routeStepSink cFindOKMsg
 
 // TestChordLookupAllocs holds one settled-ring lookup to its allocation
 // budget: the lookup state comes off the shard's free list, the hops

@@ -112,15 +112,33 @@ func DefaultChordConfig() ChordConfig {
 	}
 }
 
+// Validate reports a configuration NewChord cannot run, so a front end can
+// turn a bad flag into a message instead of NewChord's panic.
+func (c ChordConfig) Validate() error {
+	switch {
+	case c.SuccListLen <= 0:
+		return fmt.Errorf("p2p: chord SuccListLen %d must be positive", c.SuccListLen)
+	case c.StabilizeEvery <= 0:
+		return fmt.Errorf("p2p: chord StabilizeEvery %v must be positive", c.StabilizeEvery)
+	case c.Replicas <= 0:
+		return fmt.Errorf("p2p: chord Replicas %d must be positive", c.Replicas)
+	case c.RPCTimeout <= 0:
+		return fmt.Errorf("p2p: chord RPCTimeout %v must be positive", c.RPCTimeout)
+	case c.MaxHops <= 0:
+		return fmt.Errorf("p2p: chord MaxHops %d must be positive", c.MaxHops)
+	}
+	return c.Retry.Validate()
+}
+
 // chordState is one member's protocol state.
 type chordState struct {
 	ringID   uint64
 	succs    []NodeID // clockwise successor list; never contains self
 	pred     NodeID
 	predSeen time.Duration // when pred last notified us
-	fingers  []NodeID      // fingers[i] ≈ successor(ringID + 2^i); NoNode unknown
-	nextFin  int
-	round    int
+	fingerTable
+	nextFin int
+	round   int
 	// suspect tallies consecutive RPC timeouts per peer and data holds the
 	// stored values; both stay nil until first written (most members of a
 	// lossless ring never suspect anyone, and only owners and replicas
@@ -132,6 +150,62 @@ type chordState struct {
 	cp *chordScratch
 }
 
+// fingerTable is a member's 64 finger slots plus an index of their runs.
+// fingers[i] ≈ successor(ringID + 2^i), NoNode unknown. A settled ring of
+// N members holds only about log₂ N distinct values in the 64 slots, in
+// runs of equal neighbours, so runs marks where each run starts — bit i is
+// set iff i == 0 or fingers[i] != fingers[i-1] — and the hot loops visit
+// one slot per run instead of all 64. Every write goes through reset, set
+// and fill, which keep runs exact.
+type fingerTable struct {
+	fingers [64]NodeID
+	runs    uint64
+}
+
+// reset empties every slot: one run of NoNode.
+func (t *fingerTable) reset() {
+	for i := range t.fingers {
+		t.fingers[i] = NoNode
+	}
+	t.runs = 1
+}
+
+// set writes one slot.
+func (t *fingerTable) set(i int, id NodeID) { t.fill(i, i+1, id) }
+
+// fill writes id into slots [lo, hi), hi > lo: the range becomes one run,
+// and only the run boundaries at lo and hi need re-deciding.
+func (t *fingerTable) fill(lo, hi int, id NodeID) {
+	for i := lo; i < hi; i++ {
+		t.fingers[i] = id
+	}
+	t.runs &^= (uint64(1)<<hi - 1) &^ (uint64(1)<<(lo+1) - 1) // bits lo+1 .. hi-1
+	t.markBoundary(lo)
+	if hi < len(t.fingers) {
+		t.markBoundary(hi)
+	}
+}
+
+// markBoundary re-decides whether a run starts at slot i.
+func (t *fingerTable) markBoundary(i int) {
+	if i == 0 || t.fingers[i] != t.fingers[i-1] {
+		t.runs |= 1 << i
+	} else {
+		t.runs &^= 1 << i
+	}
+}
+
+// runEnd returns the slot after the run that starts at i: the next run
+// start, or 64. mask is the run index to read (the live one, or a snapshot
+// taken before a loop that rewrites runs).
+func runEnd(mask uint64, i int) int {
+	rest := mask >> (i + 1) << (i + 1) // a shift by 64 clears every bit
+	if rest == 0 {
+		return 64
+	}
+	return bits.TrailingZeros64(rest)
+}
+
 // Chord runs the protocol over a Runtime.
 //
 // Node IDs are dense matrix indices, so the per-node protocol state and
@@ -139,13 +213,15 @@ type chordState struct {
 // lookup run on every routed message, and at scale-study event counts the
 // map hashing alone dominated whole cells (28% of the s1 smoke).
 type Chord struct {
-	rt      Transport
-	cfg     ChordConfig
-	src     *rng.Source
-	states  []*chordState // states[id]; nil = not a member
-	order   []NodeID      // sorted live member list (bootstrap handout)
-	rings   []uint64      // rings[id]; valid iff ringSet[id]
-	ringSet []bool
+	rt     Transport
+	cfg    ChordConfig
+	src    *rng.Source
+	states []*chordState // states[id]; nil = not a member
+	order  []NodeID      // sorted live member list (bootstrap handout)
+	// rings[id] caches id's ring hash; 0 means not hashed yet. A hash
+	// that really is 0 is just recomputed on every call — the hash is
+	// pure, so the cache is only ever an optimisation.
+	rings []uint64
 
 	// cp holds the routing steps' reusable scratch buffers, one set per
 	// kernel shard (one on a serial runtime) so routing steps on different
@@ -170,21 +246,17 @@ type chordScratch struct {
 // the lazy first-touch write (a data race once shards run concurrently)
 // never happens.
 func NewChord(rt Transport, cfg ChordConfig, seed int64) *Chord {
-	if cfg.SuccListLen <= 0 || cfg.StabilizeEvery <= 0 || cfg.Replicas <= 0 || cfg.RPCTimeout <= 0 || cfg.MaxHops <= 0 {
-		panic(fmt.Sprintf("p2p: invalid chord config %+v", cfg))
-	}
-	if err := cfg.Retry.Validate(); err != nil {
-		panic(err)
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("p2p: invalid chord config %+v: %v", cfg, err))
 	}
 	n := rt.Population()
 	c := &Chord{
-		rt:      rt,
-		cfg:     cfg,
-		src:     rng.New(seed).Split("chord"),
-		states:  make([]*chordState, n),
-		rings:   make([]uint64, n),
-		ringSet: make([]bool, n),
-		cp:      make([]chordScratch, rt.Shards()),
+		rt:     rt,
+		cfg:    cfg,
+		src:    rng.New(seed).Split("chord"),
+		states: make([]*chordState, n),
+		rings:  make([]uint64, n),
+		cp:     make([]chordScratch, rt.Shards()),
 	}
 	if rt.Sharded() {
 		for id := 0; id < n; id++ {
@@ -216,8 +288,8 @@ func (c *Chord) Bootstrap(ids ...NodeID) {
 // enough to inline at every routing-step call site; the first-touch hash
 // lives in ringIDSlow to keep it that way.
 func (c *Chord) RingIDOf(id NodeID) uint64 {
-	if c.ringSet[id] {
-		return c.rings[id]
+	if v := c.rings[id]; v != 0 {
+		return v
 	}
 	return c.ringIDSlow(id)
 }
@@ -225,7 +297,6 @@ func (c *Chord) RingIDOf(id NodeID) uint64 {
 func (c *Chord) ringIDSlow(id NodeID) uint64 {
 	v := dht.HashKey(fmt.Sprintf("chord/%d", int(id)))
 	c.rings[id] = v
-	c.ringSet[id] = true
 	return v
 }
 
@@ -296,16 +367,13 @@ func (c *Chord) Join(id NodeID) {
 		n.Restart()
 	}
 	st := &chordState{
-		ringID:  c.RingIDOf(id),
-		succs:   make([]NodeID, 0, c.cfg.SuccListLen),
-		pred:    NoNode,
-		fingers: make([]NodeID, 64),
-		src:     c.src.SplitN("member", int(id)),
-		cp:      &c.cp[c.rt.ShardOf(id)],
+		ringID: c.RingIDOf(id),
+		succs:  make([]NodeID, 0, c.cfg.SuccListLen),
+		pred:   NoNode,
+		src:    c.src.SplitN("member", int(id)),
+		cp:     &c.cp[c.rt.ShardOf(id)],
 	}
-	for i := range st.fingers {
-		st.fingers[i] = NoNode
-	}
+	st.reset()
 	boot := c.randomMember(id)
 	c.states[id] = st
 	c.insertMember(id)
@@ -444,6 +512,7 @@ func (c *Chord) adoptSuccessors(st *chordState, self, head NodeID, tail []NodeID
 // the join ramp), so the draw comes from the member's own routing state —
 // successors then fingers, via its private stream — which keeps the choice
 // a pure function of node-local state, identical at every shard count.
+// One slot per finger run is enough: the rest of a run repeats it.
 func (c *Chord) pickBootstrap(id NodeID, st *chordState) NodeID {
 	if !c.rt.Sharded() {
 		return c.randomMember(id)
@@ -455,8 +524,8 @@ func (c *Chord) pickBootstrap(id NodeID, st *chordState) NodeID {
 			cand = append(cand, s)
 		}
 	}
-	for _, f := range st.fingers {
-		if f != NoNode && f != id && !containsNode(cand, f) {
+	for m := st.runs; m != 0; m &= m - 1 {
+		if f := st.fingers[bits.TrailingZeros64(m)]; f != NoNode && f != id && !containsNode(cand, f) {
 			cand = append(cand, f)
 		}
 	}
@@ -641,31 +710,45 @@ func (c *Chord) fixFinger(n *Node, st *chordState) {
 	if len(st.succs) == 0 {
 		return
 	}
-	succRing := c.RingIDOf(st.succs[0])
+	i := c.nextFingerSlot(st)
+	c.drive(n, st, NoNode, st.ringID+1<<uint(i), func(r LookupResult) {
+		if c.state(n.ID) != st {
+			return
+		}
+		if r.OK && r.Owner != NoNode && r.Owner != n.ID {
+			c.repairFinger(st, i, r.Owner)
+			c.learn(st, r.Owner)
+		}
+	})
+}
+
+// nextFingerSlot advances the repair cursor past the slots the successor
+// answers (filling them with it) and returns the slot to look up. st must
+// have a successor.
+func (c *Chord) nextFingerSlot(st *chordState) int {
+	succ := st.succs[0]
+	succRing := c.RingIDOf(succ)
 	i := st.nextFin
 	for skipped := 0; skipped < len(st.fingers); skipped++ {
 		if !dht.BetweenRightIncl(st.ringID+1<<uint(i), st.ringID, succRing) {
 			break
 		}
-		st.fingers[i] = st.succs[0]
+		st.set(i, succ)
 		i = (i + 1) % len(st.fingers)
 	}
 	st.nextFin = (i + 1) % len(st.fingers)
+	return i
+}
+
+// repairFinger installs a looked-up owner of slot i's target. The freshly
+// resolved owner replaces whatever the slot held — a stale entry would
+// otherwise survive as long as it looked "closer" than anything passively
+// learned — provided it lies in the slot's range.
+func (c *Chord) repairFinger(st *chordState, i int, owner NodeID) {
 	target := st.ringID + 1<<uint(i)
-	c.drive(n, st, NoNode, target, func(r LookupResult) {
-		if c.state(n.ID) != st {
-			return
-		}
-		if r.OK && r.Owner != NoNode && r.Owner != n.ID {
-			// The freshly resolved owner replaces whatever the slot held —
-			// a stale entry would otherwise survive as long as it looked
-			// "closer" than anything passively learned.
-			if dht.RingDist(st.ringID+1<<uint(i), c.RingIDOf(r.Owner)) < dht.RingDist(st.ringID+1<<uint(i), st.ringID) {
-				st.fingers[i] = r.Owner
-			}
-			c.learn(st, r.Owner)
-		}
-	})
+	if dht.RingDist(target, c.RingIDOf(owner)) < dht.RingDist(target, st.ringID) {
+		st.set(i, owner)
+	}
 }
 
 // learn folds an observed peer into the routing state: it repairs the
@@ -697,25 +780,20 @@ func (c *Chord) learn(st *chordState, peer NodeID) {
 	// comparing plain clockwise distances from self: D < dist(self, cur).
 	// This is the per-message hot loop — called for every reply and
 	// notify — and the reduced form does one load and one compare per
-	// slot instead of three ring-distance computations.
-	// Consecutive slots usually hold the same finger (a sparse ring fills
-	// many slots with one node), and the replace decision depends only on
-	// the occupant — memoise it across a run of equal occupants. Stored
-	// fingers always have their ring hash cached (they were RingIDOf'ed
-	// when learned), so c.rings is read directly.
+	// run instead of three ring-distance computations per slot.
+	// The replace decision depends only on the occupant, so it is made once
+	// per run of equal slots (runs are read from a snapshot: replacing one
+	// run may merge it with the next), and only a replaced run is written.
+	// Stored fingers always have their ring hash cached (they were
+	// RingIDOf'ed when learned), so c.rings is read directly.
 	D := dht.RingDist(st.ringID, pr)
 	maxI := bits.Len64(D)
 	rings := c.rings
-	prev := NodeID(-2) // never a valid finger value
-	replace := false
-	for i := 0; i < maxI; i++ {
-		cur := st.fingers[i]
-		if cur != prev {
-			prev = cur
-			replace = cur == NoNode || D < rings[cur]-st.ringID
-		}
-		if replace {
-			st.fingers[i] = peer
+	runs := st.runs
+	for m := runs & (uint64(1)<<maxI - 1); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		if cur := st.fingers[i]; cur == NoNode || D < rings[cur]-st.ringID {
+			st.fill(i, min(runEnd(runs, i), maxI), peer)
 		}
 	}
 }
@@ -748,9 +826,10 @@ func (c *Chord) evictPeer(st *chordState, peer NodeID) {
 			break
 		}
 	}
-	for i, f := range st.fingers {
-		if f == peer {
-			st.fingers[i] = NoNode
+	runs := st.runs
+	for m := runs; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); st.fingers[i] == peer {
+			st.fill(i, runEnd(runs, i), NoNode)
 		}
 	}
 	if st.pred == peer {
@@ -830,37 +909,18 @@ func (c *Chord) routeStep(self NodeID, st *chordState, key uint64) cFindOKMsg {
 // (routeStep) copies what it keeps. Candidate sets are small (≤ fingers +
 // successors, with heavy duplication), so dedup is a linear scan over the
 // accepted list and the ordering is an insertion sort on precomputed
-// distances — no map, no sort.Slice closure, no per-call allocation. A run
-// of equal consecutive entries (a sparse ring fills many finger slots with
-// one node) is decided once: the repeats would be rejected by the same
-// dedup or range test as their first occurrence.
+// distances — no map, no sort.Slice closure, no per-call allocation. The
+// fingers are read one slot per run (the run index): the rest of a run
+// would be rejected by the same dedup or range test as its first slot.
 func (c *Chord) closestPreceding(st *chordState, self NodeID, key uint64) []NodeID {
 	cp := st.cp
 	out := cp.out[:0]
 	dist := cp.dist[:0]
-	for pass := 0; pass < 2; pass++ {
-		list := st.fingers
-		if pass == 1 {
-			list = st.succs
-		}
-		prev := NodeID(-2) // never a valid entry
-	next:
-		for _, id := range list {
-			if id == prev || id == NoNode || id == self {
-				continue
-			}
-			prev = id
-			for _, x := range out {
-				if x == id {
-					continue next
-				}
-			}
-			r := c.RingIDOf(id)
-			if dht.Between(r, st.ringID, key) {
-				out = append(out, id)
-				dist = append(dist, dht.RingDist(r, key))
-			}
-		}
+	for m := st.runs; m != 0; m &= m - 1 {
+		out, dist = c.offerCandidate(st, self, key, st.fingers[bits.TrailingZeros64(m)], out, dist)
+	}
+	for _, id := range st.succs {
+		out, dist = c.offerCandidate(st, self, key, id, out, dist)
 	}
 	// Insertion sort by (distance-to-key, id): the same strict total order
 	// the previous sort.Slice used, so the result is identical.
@@ -875,6 +935,20 @@ func (c *Chord) closestPreceding(st *chordState, self NodeID, key uint64) []Node
 	}
 	cp.out, cp.dist = out, dist // retain grown capacity
 	return out
+}
+
+// offerCandidate appends id and its distance to the key when id is a real
+// node other than self, not yet accepted, and strictly between self and
+// the key.
+func (c *Chord) offerCandidate(st *chordState, self NodeID, key uint64, id NodeID, out []NodeID, dist []uint64) ([]NodeID, []uint64) {
+	if id == NoNode || id == self || containsNode(out, id) {
+		return out, dist
+	}
+	if r := c.RingIDOf(id); dht.Between(r, st.ringID, key) {
+		out = append(out, id)
+		dist = append(dist, dht.RingDist(r, key))
+	}
+	return out, dist
 }
 
 // handleFind answers one routing step. A node that is no longer a member

@@ -6,8 +6,10 @@ package p2p
 // de-mapping, and this target pins the two against each other over
 // arbitrary finger/successor contents — including the scan's skip over
 // runs of equal consecutive entries, which runs broken by NoNode or self
-// must not fool. The seed corpus under testdata/fuzz replays as ordinary
-// tests in every `go test` run.
+// must not fool. closestPreceding reads one slot per run through the
+// table's run index, so the state is built through the table's writers.
+// The seed corpus under testdata/fuzz replays as ordinary tests in every
+// `go test` run.
 
 import (
 	"sort"
@@ -46,7 +48,7 @@ func fuzzChordInstance() *Chord {
 func refClosestPreceding(c *Chord, st *chordState, self NodeID, key uint64) []NodeID {
 	var out []NodeID
 	seen := make(map[NodeID]bool)
-	for _, list := range [][]NodeID{st.fingers, st.succs} {
+	for _, list := range [][]NodeID{st.fingers[:], st.succs} {
 		for _, id := range list {
 			if id == NoNode || id == self || seen[id] {
 				continue
@@ -99,10 +101,15 @@ func FuzzClosestPreceding(f *testing.F) {
 		self := NodeID(int(selfRaw) % fuzzChordPop)
 		split := len(data) / 2
 		st := &chordState{
-			ringID:  c.RingIDOf(self),
-			fingers: decodeNodes(data[:split], 64),
-			succs:   decodeNodes(data[split:], 8),
-			cp:      &c.cp[0],
+			ringID: c.RingIDOf(self),
+			succs:  decodeNodes(data[split:], 8),
+			cp:     &c.cp[0],
+		}
+		// The table is filled through its writers, so closestPreceding reads
+		// the run index they keep; slots past the decoded ones stay NoNode.
+		st.reset()
+		for i, id := range decodeNodes(data[:split], 64) {
+			st.set(i, id)
 		}
 		got := c.closestPreceding(st, self, key)
 		want := refClosestPreceding(c, st, self, key)

@@ -25,7 +25,11 @@
 //     periodic cross-region self-lookups, passive finger learning,
 //     replicated stores, and key migration on join. The UCL and IP-prefix
 //     hint schemes (internal/ucl, internal/ipprefix) publish and resolve
-//     their mappings over it as wire messages.
+//     their mappings over it as wire messages. A member's 64 finger slots
+//     are an inline array with an index of runs of equal slots, so the
+//     per-message table work touches about log₂ N entries, not 64.
+//     ChordConfig.Validate lets a front end reject a bad configuration
+//     before NewChord would panic on it.
 //
 // Transport invariant: a request leg travels ⌊durOf(RTT)/2⌋ and a response
 // leg the remainder, so a ping measured over messages equals the matrix
