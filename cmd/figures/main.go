@@ -40,65 +40,12 @@ func main() {
 		scale = experiments.Full
 	}
 
-	type experiment struct {
-		name string
-		run  func() string
-	}
-	env := func() *experiments.Env { return experiments.SharedEnv(scale, *seed) }
-	// s1's and v1's wall-clock views are printed to the terminal but never
-	// written to the figure file: elapsed time is not deterministic, and
-	// figure files must be byte-identical across -workers.
-	var s1Timing, v1Timing, o1Timing, r1Timing, g1Timing string
-	list := []experiment{
-		{"table1", func() string { return experiments.Table1(env()).Render() }},
-		{"fig3", func() string { return experiments.Fig3(env()).Render() }},
-		{"fig4", func() string { return experiments.Fig4(env()).Render() }},
-		{"fig5", func() string { return experiments.Fig5(env()).Render() }},
-		{"fig6", func() string { return experiments.Fig6(env()).Render() }},
-		{"fig7", func() string { return experiments.Fig7(env()).Render() }},
-		{"fig8", func() string { return experiments.Fig8(scale, *seed).Render() }},
-		{"fig9", func() string { return experiments.Fig9(scale, *seed).Render() }},
-		{"fig10", func() string { return experiments.Fig10(env()).Render() }},
-		{"fig11", func() string { return experiments.Fig11(env()).Render() }},
-		{"a1", func() string { return experiments.AblationHypervolume(scale, *seed).Render() }},
-		{"a2", func() string { return experiments.AblationBetaSweep(scale, *seed).Render() }},
-		{"a3", func() string { return experiments.AblationAlgorithmComparison(scale, *seed).Render() }},
-		{"a4", func() string { return experiments.AblationUCLDepth(scale, *seed).Render() }},
-		{"a5", func() string { return experiments.AblationComposite(scale, *seed).Render() }},
-		{"a6", func() string { return experiments.AblationRingSize(scale, *seed).Render() }},
-		{"c1", func() string { return experiments.ChurnStudy(scale, *seed).Render() }},
-		{"c2", func() string { return experiments.MitigationStudy(scale, *seed).Render() }},
-		{"s1", func() string {
-			r := experiments.ScaleStudy(scale, *seed)
-			s1Timing = r.RenderTiming()
-			return r.Render()
-		}},
-		{"v1", func() string {
-			r := experiments.VivaldiStudy(scale, *seed)
-			v1Timing = r.RenderTiming()
-			return r.Render()
-		}},
-		{"o1", func() string {
-			r := experiments.ObsStudy(scale, *seed)
-			o1Timing = r.RenderTiming()
-			return r.Render()
-		}},
-		{"r1", func() string {
-			r := experiments.FaultStudy(scale, *seed)
-			r1Timing = r.RenderTiming()
-			return r.Render()
-		}},
-		{"g1", func() string {
-			r := experiments.GrandStudy(scale, *seed)
-			g1Timing = r.RenderTiming()
-			return r.Render()
-		}},
-	}
+	list := experiments.Figures(scale, *seed)
 
-	if *only != "" && !slices.ContainsFunc(list, func(e experiment) bool { return e.name == *only }) {
+	if *only != "" && !slices.ContainsFunc(list, func(f experiments.Figure) bool { return f.Name == *only }) {
 		names := make([]string, len(list))
-		for i, e := range list {
-			names[i] = e.name
+		for i, f := range list {
+			names[i] = f.Name
 		}
 		fmt.Fprintf(os.Stderr, "-only %q: no such experiment (experiments: %s)\n", *only, strings.Join(names, ", "))
 		os.Exit(2)
@@ -109,30 +56,21 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	for _, e := range list {
-		if *only != "" && e.name != *only {
+	for _, f := range list {
+		if *only != "" && f.Name != *only {
 			continue
 		}
 		start := time.Now()
-		text := e.run()
-		fmt.Printf("==== %s (scale=%s, %v) ====\n%s\n", e.name, scale, time.Since(start).Round(time.Millisecond), text)
-		if e.name == "s1" && s1Timing != "" {
-			fmt.Println(s1Timing)
-		}
-		if e.name == "v1" && v1Timing != "" {
-			fmt.Println(v1Timing)
-		}
-		if e.name == "o1" && o1Timing != "" {
-			fmt.Println(o1Timing)
-		}
-		if e.name == "r1" && r1Timing != "" {
-			fmt.Println(r1Timing)
-		}
-		if e.name == "g1" && g1Timing != "" {
-			fmt.Println(g1Timing)
+		text, timing := f.Run()
+		fmt.Printf("==== %s (scale=%s, %v) ====\n%s\n", f.Name, scale, time.Since(start).Round(time.Millisecond), text)
+		// A wall-clock view is printed to the terminal but never written to
+		// the figure file: elapsed time is not deterministic, and figure
+		// files must be byte-identical across -workers.
+		if timing != "" {
+			fmt.Println(timing)
 		}
 		if *outDir != "" {
-			path := filepath.Join(*outDir, e.name+".txt")
+			path := filepath.Join(*outDir, f.Name+".txt")
 			if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)

@@ -306,7 +306,9 @@ func cmdServe(args []string) error {
 		if perr != nil {
 			return perr
 		}
-		p2p.NewFaultTransport(u, plan)
+		if err := p2p.InstallFaults(u, plan); err != nil {
+			return err
+		}
 		log.Printf("fault plan armed: %s", plan)
 	}
 

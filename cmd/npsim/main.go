@@ -83,6 +83,14 @@ func main() {
 		os.Exit(2)
 	}
 	engine.SetShards(*shards)
+	if *scaleN < 0 {
+		fmt.Fprintf(os.Stderr, "-scale %d must not be negative (0 runs no scale study)\n", *scaleN)
+		os.Exit(2)
+	}
+	if *noise < 0 {
+		fmt.Fprintf(os.Stderr, "-noise %v must not be negative\n", *noise)
+		os.Exit(2)
+	}
 	if *tracePath != "" && !*runtime {
 		fmt.Fprintln(os.Stderr, "-trace requires -runtime (the flight recorder hooks the message runtime's lookup paths)")
 		os.Exit(2)
@@ -112,6 +120,15 @@ func main() {
 		}
 		runScaleStudy(*scaleN, *queries, *seed)
 		return
+	}
+
+	// -beta and -ring are npsim's own Meridian knobs, checked once for the
+	// static and the wire Meridian alike.
+	mc := meridian.DefaultConfig()
+	mc.Beta, mc.RingSize = *beta, *ringSize
+	if err := mc.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "npsim:", err)
+		os.Exit(2)
 	}
 
 	if *runtime {
@@ -189,14 +206,7 @@ func main() {
 	if *algo == "meridian" {
 		// -beta and -ring are npsim's own knobs, so its Meridian is built
 		// here; every other algorithm comes from the scheme registry.
-		mc := meridian.DefaultConfig()
-		mc.Beta = *beta
-		mc.RingSize = *ringSize
 		mc.CandidatesPerNode = len(members)
-		if err := mc.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "npsim:", err)
-			os.Exit(2)
-		}
 		finder = meridian.New(net, members, mc, *seed+2)
 	} else {
 		var err error

@@ -18,8 +18,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadPopulationFlagsExitTwo: a population flag no matrix or deployment
-// can be built from, a query count no mean can be taken over, or a shard
-// count outside [1, maxShards] is one line on stderr and exit status 2,
+// can be built from, a query count no mean can be taken over, a shard count
+// outside [1, maxShards] or a model flag outside its range (β, ring size, δ,
+// noise, -scale) is one line on stderr and exit status 2,
 // never a Go stack trace. `-peers 1` used to die
 // in latency.BuildClustered, `-runtime -algo guyton -peers 5` in beacon.New,
 // and the static `-queries 0` used to print four NaNs and exit 0.
@@ -46,6 +47,18 @@ func TestBadPopulationFlagsExitTwo(t *testing.T) {
 		{"-scale 1000 -queries 5 -shards 0", "-shards 0 outside [1, 256]"},
 		{"-scale 1000 -queries 5 -shards 257", "-shards 257 outside [1, 256]"},
 		{"-scale 1000 -queries 5 -shards 70000", "-shards 70000 outside [1, 256]"},
+		// Out-of-range model flags used to run on values nobody asked for:
+		// a negative β as 1.0 probe/query, -runtime's β and ring as the
+		// defaults, δ as clamped hub latencies, negative noise as none, and
+		// a negative -scale as the default static study.
+		{"-beta -1", "Beta -1 outside (0, 1)"},
+		{"-beta 1.5", "Beta 1.5 outside (0, 1)"},
+		{"-runtime -beta -1", "Beta -1 outside (0, 1)"},
+		{"-runtime -ring 0", "RingSize 0 must be positive"},
+		{"-delta -5", "Delta -5 outside [0, 1]"},
+		{"-delta 2", "Delta 2 outside [0, 1]"},
+		{"-noise -3", "-noise -3 must not be negative"},
+		{"-scale -5", "-scale -5 must not be negative"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], strings.Fields(tc.args)...)

@@ -6,7 +6,7 @@ package nearestpeer
 //   - every exported symbol in the packages listed below carries a doc
 //     comment (golint's rule, enforced only where this repository has
 //     committed to full coverage);
-//   - docs/REPRODUCTION.md names every experiment cmd/figures can run, so
+//   - docs/REPRODUCTION.md names every figure in experiments.Figures, so
 //     adding a figure without documenting how to reproduce it is an error.
 
 import (
@@ -17,6 +17,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"nearestpeer/internal/experiments"
 )
 
 // docCoveredPackages are the directories whose exported symbols must all be
@@ -105,28 +107,20 @@ func isExportedMethodOfUnexported(d *ast.FuncDecl) bool {
 	}
 }
 
-// TestReproductionDocCoversEveryFigure extracts the experiment names the
-// figures command registers and requires each to appear in
-// docs/REPRODUCTION.md.
+// TestReproductionDocCoversEveryFigure requires every figure in the roster
+// (experiments.Figures) to appear in docs/REPRODUCTION.md.
 func TestReproductionDocCoversEveryFigure(t *testing.T) {
-	src, err := os.ReadFile("cmd/figures/main.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Experiment registrations look like: {"fig8", func() string {...
-	re := regexp.MustCompile(`\{"([a-z0-9]+)",\s*func\(\)`)
-	matches := re.FindAllStringSubmatch(string(src), -1)
-	if len(matches) < 15 {
-		t.Fatalf("found only %d experiment registrations in cmd/figures; extraction regex drifted?", len(matches))
+	figures := experiments.Figures(experiments.Quick, 1)
+	if len(figures) < 23 {
+		t.Fatalf("the figure roster lists only %d figures; expected at least 23", len(figures))
 	}
 	doc, err := os.ReadFile("docs/REPRODUCTION.md")
 	if err != nil {
 		t.Fatalf("docs/REPRODUCTION.md missing: %v", err)
 	}
-	for _, m := range matches {
-		name := m[1]
-		if !strings.Contains(string(doc), "`"+name+"`") {
-			t.Errorf("docs/REPRODUCTION.md does not document experiment %q", name)
+	for _, f := range figures {
+		if !strings.Contains(string(doc), "`"+f.Name+"`") {
+			t.Errorf("docs/REPRODUCTION.md does not document experiment %q", f.Name)
 		}
 	}
 }

@@ -74,9 +74,6 @@ func (r *Ring) insertNode(addr string) *node {
 	return n
 }
 
-// NumNodes returns the ring size.
-func (r *Ring) NumNodes() int { return len(r.ids) }
-
 // successor returns the first node id at or after k on the ring.
 func (r *Ring) successor(k uint64) uint64 {
 	i := sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= k })

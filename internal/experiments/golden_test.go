@@ -4,18 +4,21 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"nearestpeer/internal/engine"
 )
 
-// The golden figure files pin the deterministic quick-scale output of the
-// wire studies, of the static held-out-target experiment (fig9, a1, a3) and
-// of the composite cascade (a5), byte for byte. They exist so that performance work on the
-// hot paths underneath them — the event representation in internal/sim,
-// the latency pricing in internal/netmodel, the send path and multicast
-// index in internal/p2p — cannot change a single figure byte without the
-// diff showing up here. Regenerate with
+// The golden figure files pin the deterministic quick-scale output of every
+// figure in the roster (Figures), byte for byte: Section 3's measurement
+// figures (table1, fig3–fig7, fig10, fig11), the static Meridian
+// simulations (fig8, fig9), the ablations (a1–a6) and the wire studies.
+// They exist so that work underneath them — the event representation in
+// internal/sim, the latency pricing in internal/netmodel, the send path in
+// internal/p2p, a rewrite of a study — cannot change a single figure byte
+// without the diff showing up here. Regenerate with
 //
 //	go test ./internal/experiments -run TestGoldenQuickFigures -update
 //
@@ -47,110 +50,38 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenQuickFigures asserts the quick-scale c1, c2 and s1 figures are
-// byte-identical to the goldens captured before the allocation-free wire
-// hot path landed: the typed-payload event representation, the SoA latency
-// table, the pair RTT cache and the multicast sender index must be
-// invisible in every figure byte. c1 additionally runs at two worker
-// counts, so the goldens also witness the engine's schedule-independence
-// contract end to end (s1 has its own cross-worker test).
+// TestGoldenQuickFigures pins every figure of the roster at quick scale,
+// seed 1, to testdata/golden_<name>_quick.txt. Each figure renders at
+// -workers 1 and at -workers 8 and must give the same bytes, so the goldens
+// also witness the engine's schedule-independence contract end to end. A
+// figure added to Figures without a golden fails here, and so does a golden
+// left behind by a figure that is no longer in the roster.
 func TestGoldenQuickFigures(t *testing.T) {
+	figures := Figures(Quick, 1)
+	goldens, err := filepath.Glob(goldenPath("golden_*_quick.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(g), "golden_"), "_quick.txt")
+		if !slices.ContainsFunc(figures, func(f Figure) bool { return f.Name == name }) {
+			t.Errorf("%s pins %q, which is not in the figure roster", g, name)
+		}
+	}
 	if testing.Short() {
 		t.Skip("quick-scale studies are too heavy for -short")
 	}
-	t.Run("c1", func(t *testing.T) {
-		prev := engine.SetWorkers(1)
-		defer engine.SetWorkers(prev)
-		serial := ChurnStudy(Quick, 1).Render()
-		engine.SetWorkers(8)
-		parallel := ChurnStudy(Quick, 1).Render()
-		if serial != parallel {
-			t.Fatalf("c1 differs between -workers=1 and -workers=8:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", serial, parallel)
-		}
-		checkGolden(t, "golden_c1_quick.txt", serial)
-	})
-	// fig9, a1 and a3 pin the static held-out-target experiment: fig9 the
-	// Section 4 Meridian simulation including its hub-latency column, a1 the
-	// ablation scorer, a3 the finder roster over a noisy network.
-	t.Run("fig9", func(t *testing.T) {
-		checkGolden(t, "golden_fig9_quick.txt", Fig9(Quick, 1).Render())
-	})
-	t.Run("a1", func(t *testing.T) {
-		checkGolden(t, "golden_a1_quick.txt", AblationHypervolume(Quick, 1).Render())
-	})
-	t.Run("a3", func(t *testing.T) {
-		checkGolden(t, "golden_a3_quick.txt", AblationAlgorithmComparison(Quick, 1).Render())
-	})
-	// a5 pins the composite cascade (core.Service): the in-network
-	// expanding search, the two DHT hint systems and the Meridian fallback
-	// composed in one loop.
-	t.Run("a5", func(t *testing.T) {
-		checkGolden(t, "golden_a5_quick.txt", AblationComposite(Quick, 1).Render())
-	})
-	t.Run("c2", func(t *testing.T) {
-		checkGolden(t, "golden_c2_quick.txt", MitigationStudy(Quick, 1).Render())
-	})
-	t.Run("s1", func(t *testing.T) {
-		checkGolden(t, "golden_s1_quick.txt", ScaleStudy(Quick, 1).Render())
-	})
-	// o1 runs at two worker counts like c1/v1: the observability layer
-	// must not perturb the schedule, so the figure it reads off the runs
-	// is held to the same byte-identical bar.
-	t.Run("o1", func(t *testing.T) {
-		prev := engine.SetWorkers(1)
-		defer engine.SetWorkers(prev)
-		serial := ObsStudy(Quick, 1).Render()
-		engine.SetWorkers(8)
-		parallel := ObsStudy(Quick, 1).Render()
-		if serial != parallel {
-			t.Fatalf("o1 differs between -workers=1 and -workers=8:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", serial, parallel)
-		}
-		checkGolden(t, "golden_o1_quick.txt", serial)
-	})
-	// r1 runs at two worker counts as well: the robustness figure is the
-	// acceptance artifact of the fault plane, and every fault decision is
-	// a stateless hash, so the figure must not move by a byte across
-	// -workers (each cell runs the wire cell on a serial kernel, which
-	// -shards does not touch).
-	t.Run("r1", func(t *testing.T) {
-		prev := engine.SetWorkers(1)
-		defer engine.SetWorkers(prev)
-		serial := FaultStudy(Quick, 1).Render()
-		engine.SetWorkers(8)
-		parallel := FaultStudy(Quick, 1).Render()
-		if serial != parallel {
-			t.Fatalf("r1 differs between -workers=1 and -workers=8:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", serial, parallel)
-		}
-		checkGolden(t, "golden_r1_quick.txt", serial)
-	})
-	// g1 runs at two worker counts as well: the grand table is the
-	// acceptance artifact of the scheme registry — every registered scheme
-	// through one methodology — and each row runs the wire cell on a serial
-	// kernel, so the figure must not move by a byte across -workers (or
-	// -shards, which only s1's wire cells take).
-	t.Run("g1", func(t *testing.T) {
-		prev := engine.SetWorkers(1)
-		defer engine.SetWorkers(prev)
-		serial := GrandStudy(Quick, 1).Render()
-		engine.SetWorkers(8)
-		parallel := GrandStudy(Quick, 1).Render()
-		if serial != parallel {
-			t.Fatalf("g1 differs between -workers=1 and -workers=8:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", serial, parallel)
-		}
-		checkGolden(t, "golden_g1_quick.txt", serial)
-	})
-	// v1 runs at two worker counts like c1: the acceptance bar for the
-	// Vivaldi study is byte-identical output across -workers, witnessed by
-	// the same golden.
-	t.Run("v1", func(t *testing.T) {
-		prev := engine.SetWorkers(1)
-		defer engine.SetWorkers(prev)
-		serial := VivaldiStudy(Quick, 1).Render()
-		engine.SetWorkers(8)
-		parallel := VivaldiStudy(Quick, 1).Render()
-		if serial != parallel {
-			t.Fatalf("v1 differs between -workers=1 and -workers=8:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", serial, parallel)
-		}
-		checkGolden(t, "golden_v1_quick.txt", serial)
-	})
+	for _, f := range figures {
+		t.Run(f.Name, func(t *testing.T) {
+			prev := engine.SetWorkers(1)
+			defer engine.SetWorkers(prev)
+			serial, _ := f.Run()
+			engine.SetWorkers(8)
+			parallel, _ := f.Run()
+			if serial != parallel {
+				t.Fatalf("%s differs between -workers=1 and -workers=8:\n--- w=1 ---\n%s\n--- w=8 ---\n%s", f.Name, serial, parallel)
+			}
+			checkGolden(t, "golden_"+f.Name+"_quick.txt", serial)
+		})
+	}
 }

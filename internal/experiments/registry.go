@@ -110,10 +110,17 @@ func StaticFinder(name string, net *overlay.Network, members []int, seed int64, 
 // must unwraps a registry dispatch inside a study whose scheme roster is a
 // package constant: an error there is a typo in the roster, not an input.
 func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// check panics on an error no input of a study can produce: a roster typo,
+// or a wire cell's runtime refusing its fault plan (the studies build their
+// plans from constants, and npsim's come through faults.Parse).
+func check(err error) {
 	if err != nil {
 		panic(err)
 	}
-	return v
 }
 
 // SchemeNames lists every registered scheme, sorted.

@@ -296,7 +296,7 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 	}
 	run.d = d
 	if cell.faults != nil {
-		p2p.NewFaultTransport(rt, cell.faults(d.mark))
+		check(p2p.InstallFaults(rt, cell.faults(d.mark)))
 	}
 	for i, id := range c.members {
 		run.ids[i] = p2p.NodeID(id)

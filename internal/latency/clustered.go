@@ -102,6 +102,8 @@ func (c ClusteredConfig) Validate() error {
 		return fmt.Errorf("latency: ENsPerCluster %d must be positive", c.ENsPerCluster)
 	case c.TotalPeers < c.PeersPerEN:
 		return fmt.Errorf("latency: TotalPeers %d must cover one end-network of %d peers", c.TotalPeers, c.PeersPerEN)
+	case !(c.Delta >= 0 && c.Delta <= 1):
+		return fmt.Errorf("latency: Delta %v outside [0, 1]", c.Delta)
 	}
 	return nil
 }

@@ -94,6 +94,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("meridian: NumRings %d must be positive", c.NumRings)
 	case c.RingSize <= 0:
 		return fmt.Errorf("meridian: RingSize %d must be positive", c.RingSize)
+	case !(c.Beta > 0 && c.Beta < 1):
+		return fmt.Errorf("meridian: Beta %v outside (0, 1)", c.Beta)
 	case c.CandidatesPerNode < 0:
 		return fmt.Errorf("meridian: CandidatesPerNode %d must not be negative", c.CandidatesPerNode)
 	}

@@ -531,6 +531,3 @@ func (t *Topology) DNSServers() []HostID {
 	}
 	return out
 }
-
-// HostsInEN returns the hosts of an end-network.
-func (t *Topology) HostsInEN(id ENID) []HostID { return t.ENs[id].Hosts }

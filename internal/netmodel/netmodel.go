@@ -252,9 +252,6 @@ func (t *Topology) HostByIP(ip IPv4) (HostID, bool) {
 // HostEN returns the end-network of a host.
 func (t *Topology) HostEN(id HostID) *EndNetwork { return &t.ENs[t.Hosts[id].EN] }
 
-// HostPoP returns the PoP a host attaches through.
-func (t *Topology) HostPoP(id HostID) *PoP { return &t.PoPs[t.HostEN(id).PoP] }
-
 // SameEN reports whether two hosts share an end-network. This is the ground
 // truth the paper itself could only observe in simulation: "exact closest
 // peer" means a peer in the target's end-network.

@@ -140,14 +140,8 @@ func (r *Registry) TopTypes(n int) []TypeTally {
 // latencies from the log-spaced histogram (resolution: one bin, ~15%).
 func (r *Registry) LookupQuantileMs(q float64) float64 { return r.lookupMs.Quantile(q) }
 
-// HopQuantileMs estimates the q-th quantile of the recorded per-hop RTTs.
-func (r *Registry) HopQuantileMs(q float64) float64 { return r.hopMs.Quantile(q) }
-
 // Lookups returns how many lookup latencies have been observed.
 func (r *Registry) Lookups() int { return r.lookupMs.Total() }
-
-// LookupHistogram returns the underlying lookup-latency histogram.
-func (r *Registry) LookupHistogram() *stats.Histogram { return r.lookupMs }
 
 // HopHistogram returns the underlying per-hop RTT histogram.
 func (r *Registry) HopHistogram() *stats.Histogram { return r.hopMs }

@@ -89,8 +89,8 @@ type digestRun struct {
 func newDigestSerial(seed int64, loss float64, plan *faults.Plan) *digestRun {
 	k := sim.New()
 	rt := New(k, digestMatrix(), Config{LossProb: loss, RPCTimeout: time.Second}, seed)
-	if plan != nil {
-		NewFaultTransport(rt, plan)
+	if err := InstallFaults(rt, plan); err != nil {
+		panic(err) // the digest's plans are fixed and valid
 	}
 	return &digestRun{
 		rt:     rt,

@@ -56,7 +56,9 @@ func fdProbeAt(i int) time.Duration { return time.Duration(i)*fdEvery + fdEvery/
 func fdRunSim() fdResult {
 	kernel := sim.New()
 	rt := p2p.New(kernel, diffMatrix(), p2p.Config{RPCTimeout: time.Second}, 1)
-	p2p.NewFaultTransport(rt, fdPlan())
+	if err := p2p.InstallFaults(rt, fdPlan()); err != nil {
+		panic(err) // fdPlan is fixed and valid
+	}
 	n0 := rt.AddNode(0)
 	rt.AddNode(1)
 	var res fdResult
@@ -76,7 +78,9 @@ func fdRunSim() fdResult {
 func fdRunLoopback() fdResult {
 	lb := p2p.NewLoopback(diffMatrix(), p2p.Config{RPCTimeout: time.Second}, 1)
 	defer lb.Close()
-	p2p.NewFaultTransport(lb, fdPlan())
+	if err := p2p.InstallFaults(lb, fdPlan()); err != nil {
+		panic(err) // fdPlan is fixed and valid
+	}
 	var n0 *p2p.Node
 	lb.Do(func() { n0 = lb.AddNode(0); lb.AddNode(1) })
 	var res fdResult

@@ -1,60 +1,43 @@
-// FaultTransport: one seam that puts any Transport under a deterministic
+// InstallFaults: one seam that puts any Transport under a deterministic
 // fault plan. The plan itself lives in internal/faults and is a pure
 // function of (seed, src, dst, time window), so the simulator prices
 // faults in virtual time and the live transports price the same plan in
 // wall-clock time — same seed, same fault sequence, which is what the
 // sim-vs-loopback differential test pins.
 //
-// The wrapper is deliberately thin: Node.rt binds to the inner transport
-// at AddNode time and multicast copies flow through the inner send path,
-// so interception by wrapping alone would miss most traffic. Instead the
-// constructor installs the plan *inside* the inner transport (a
-// nil-checked hook on each send path, exactly like the obs registry) and
-// the wrapper just carries the plan for introspection while forwarding
-// every Transport method to the inner value.
+// Interception by wrapping would miss most traffic: Node.rt binds to the
+// transport at AddNode time and multicast copies flow through its own send
+// path. So the plan is installed *inside* the transport, a nil-checked hook
+// on each send path exactly like the obs registry.
 
 package p2p
 
 import (
+	"errors"
 	"fmt"
 
 	"nearestpeer/internal/faults"
 )
 
-// FaultTransport wraps a Transport with a fault plan installed. All
-// Transport methods forward to the inner transport; the fault decisions
-// themselves fire inside the inner send paths.
-type FaultTransport struct {
-	Transport
-	plan *faults.Plan
-}
+// errSecondPlan is returned when a transport already carries a fault plan.
+var errSecondPlan = errors.New("p2p: transport already carries a fault plan")
 
-var _ Transport = (*FaultTransport)(nil)
-
-// NewFaultTransport installs plan into inner and returns the wrapped
-// transport. A nil plan is a no-op wrap: the inner transport behaves bit
-// for bit as if never wrapped (the goldens-preservation contract). The
-// plan must validate, must be installed before traffic flows, and a
-// transport can carry at most one plan.
-func NewFaultTransport(inner Transport, plan *faults.Plan) *FaultTransport {
-	switch t := inner.(type) {
-	case *Runtime:
-		t.installFaults(plan)
-	case *Loopback:
-		t.installFaults(plan)
-	case *UDP:
-		t.installFaults(plan)
-	case *FaultTransport:
-		panic("p2p: transport already carries a fault plan")
-	default:
-		panic(fmt.Sprintf("p2p: no fault seam for transport %T", inner))
+// InstallFaults puts tr under plan. A nil plan is a no-op: the transport
+// behaves bit for bit as if never touched (the goldens-preservation
+// contract). Install before traffic flows. It is an error for the plan not
+// to validate, for tr to carry a plan already, for a plan with crash rules
+// to meet a sharded runtime, and for tr to have no fault seam.
+func InstallFaults(tr Transport, plan *faults.Plan) error {
+	if plan == nil {
+		return nil
 	}
-	return &FaultTransport{Transport: inner, plan: plan}
+	if err := plan.Validate(); err != nil {
+		return fmt.Errorf("p2p: fault plan: %w", err)
+	}
+	// The seam: *Runtime, and *Loopback and *UDP through liveBase.
+	seam, ok := tr.(interface{ installFaults(*faults.Plan) error })
+	if !ok {
+		return fmt.Errorf("p2p: no fault seam for transport %T", tr)
+	}
+	return seam.installFaults(plan)
 }
-
-// Plan returns the installed fault plan (nil for a no-op wrap).
-func (f *FaultTransport) Plan() *faults.Plan { return f.plan }
-
-// Inner returns the wrapped transport, for callers that need the
-// concrete type (the npnode daemon reaches its *UDP this way).
-func (f *FaultTransport) Inner() Transport { return f.Transport }

@@ -37,9 +37,11 @@ func TestFaultTransportSim(t *testing.T) {
 	}}
 	k := sim.New()
 	r := New(k, faultTestMatrix(4), DefaultConfig(), 1)
-	ft := NewFaultTransport(r, plan)
-	if ft.Plan() != plan {
-		t.Fatal("Plan accessor lost the plan")
+	if err := InstallFaults(r, plan); err != nil {
+		t.Fatal(err)
+	}
+	if r.flt != plan {
+		t.Fatal("InstallFaults lost the plan")
 	}
 	n0 := r.AddNode(0)
 	r.AddNode(1)
@@ -97,7 +99,9 @@ func TestFaultTransportSimCrash(t *testing.T) {
 	}}
 	k := sim.New()
 	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
-	NewFaultTransport(r, plan)
+	if err := InstallFaults(r, plan); err != nil {
+		t.Fatal(err)
+	}
 	n0 := r.AddNode(0)
 	r.AddNode(1)
 
@@ -117,20 +121,56 @@ func TestFaultTransportSimCrash(t *testing.T) {
 	}
 }
 
-// TestFaultTransportShardedCrashPanics: crash rules are serial-only.
-func TestFaultTransportShardedCrashPanics(t *testing.T) {
+// TestFaultTransportShardedCrashErrors: crash rules are serial-only, and a
+// sharded runtime refuses them with an error.
+func TestFaultTransportShardedCrashErrors(t *testing.T) {
 	withCrash := &faults.Plan{Rules: []faults.Rule{
 		{Kind: faults.Crash, At: time.Second, For: time.Second, Nodes: faults.List(0)},
 	}}
 	shk := sim.NewSharded(2, 5*time.Millisecond)
 	ms := []latency.Matrix{faultTestMatrix(4), faultTestMatrix(4)}
 	r := NewSharded(shk, ms, DefaultConfig(), 1, []int32{0, 0, 1, 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("sharded runtime accepted a crash rule")
-		}
-	}()
-	NewFaultTransport(r, withCrash)
+	if err := InstallFaults(r, withCrash); err == nil {
+		t.Fatal("sharded runtime accepted a crash rule")
+	}
+	if r.flt != nil {
+		t.Fatal("a refused plan was installed")
+	}
+}
+
+// TestInstallFaultsErrors: a second plan on the same transport, a plan that
+// does not validate and a transport with no fault seam are errors, and
+// none of them disturbs the plan already installed.
+func TestInstallFaultsErrors(t *testing.T) {
+	plan := &faults.Plan{Seed: 3, Rules: []faults.Rule{
+		{Kind: faults.Blackhole, At: 0, For: time.Second, Src: faults.List(0), Dst: faults.List(1)},
+	}}
+	r := New(sim.New(), faultTestMatrix(2), DefaultConfig(), 1)
+	if err := InstallFaults(r, plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := InstallFaults(r, plan); err == nil {
+		t.Error("a second plan on the same runtime was accepted")
+	}
+	lb := NewLoopback(faultTestMatrix(2), DefaultConfig(), 1)
+	defer lb.Close()
+	if err := InstallFaults(lb, plan); err != nil {
+		t.Fatal(err)
+	}
+	if err := InstallFaults(lb, plan); err == nil {
+		t.Error("a second plan on the same loopback was accepted")
+	}
+	bad := &faults.Plan{Rules: []faults.Rule{{Kind: faults.Blackhole, At: 0, For: 0, Src: faults.List(0), Dst: faults.List(1)}}}
+	if err := InstallFaults(New(sim.New(), faultTestMatrix(2), DefaultConfig(), 1), bad); err == nil {
+		t.Error("a plan with an empty interval was accepted")
+	}
+	type wrapped struct{ Transport }
+	if err := InstallFaults(wrapped{r}, plan); err == nil {
+		t.Error("a transport with no fault seam was accepted")
+	}
+	if r.flt != plan {
+		t.Error("a refused install replaced the installed plan")
+	}
 }
 
 // TestFaultTransportLoopback: the same plan semantics hold on the
@@ -142,7 +182,9 @@ func TestFaultTransportLoopback(t *testing.T) {
 	}}
 	lb := NewLoopback(faultTestMatrix(3), DefaultConfig(), 1)
 	defer lb.Close()
-	NewFaultTransport(lb, plan)
+	if err := InstallFaults(lb, plan); err != nil {
+		t.Fatal(err)
+	}
 	var n0 *Node
 	lb.Do(func() {
 		n0 = lb.AddNode(0)
@@ -171,11 +213,13 @@ func TestFaultTransportLoopback(t *testing.T) {
 	})
 }
 
-// TestFaultTransportNilPlanNoOp: wrapping with a nil plan changes nothing.
+// TestFaultTransportNilPlanNoOp: installing a nil plan changes nothing.
 func TestFaultTransportNilPlanNoOp(t *testing.T) {
 	k := sim.New()
 	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
-	NewFaultTransport(r, nil)
+	if err := InstallFaults(r, nil); err != nil {
+		t.Fatal(err)
+	}
 	if r.flt != nil {
 		t.Fatal("nil plan installed a fault hook")
 	}

@@ -120,7 +120,7 @@ type liveBase struct {
 
 	obsRec *obs.Recorder
 
-	// flt is the optional fault plan (NewFaultTransport), nil by default.
+	// flt is the optional fault plan (InstallFaults), nil by default.
 	// Decisions are priced against wall-clock time since the transport
 	// started — the live zero matching the simulator's virtual zero — so
 	// the same plan seed produces the same per-window fault sequence on
@@ -328,16 +328,13 @@ func (b *liveBase) MetricsAt(NodeID) *Metrics { return &b.metrics }
 // noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 func (b *liveBase) noteLive(delta int) { b.live.Add(int64(delta)) }
 
-// installFaults attaches a fault plan (see NewFaultTransport): the
+// installFaults attaches a validated fault plan (see InstallFaults): the
 // medium's send hook reads b.flt, and the plan's crash/restart schedule
 // is armed as wall-clock timers measured from the transport's start.
 // Install before traffic flows.
-func (b *liveBase) installFaults(plan *faults.Plan) {
-	if plan == nil {
-		return
-	}
-	if err := plan.Validate(); err != nil {
-		panic(fmt.Sprintf("p2p: fault plan: %v", err))
+func (b *liveBase) installFaults(plan *faults.Plan) error {
+	if b.flt != nil {
+		return errSecondPlan
 	}
 	b.flt = plan
 	now := time.Since(b.start)
@@ -359,6 +356,7 @@ func (b *liveBase) installFaults(plan *faults.Plan) {
 			}
 		})
 	}
+	return nil
 }
 
 // faultNow is the plan clock of a live transport: wall time since start.

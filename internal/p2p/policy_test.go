@@ -38,7 +38,9 @@ func TestRequestPolicyRetriesThroughBurst(t *testing.T) {
 	}}
 	k := sim.New()
 	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
-	NewFaultTransport(r, plan)
+	if err := InstallFaults(r, plan); err != nil {
+		t.Fatal(err)
+	}
 	n0 := r.AddNode(0)
 	r.AddNode(1)
 	pol := Policy{Attempts: 4, BaseBackoff: 400 * time.Millisecond, Multiplier: 2}
@@ -69,7 +71,9 @@ func TestRequestPolicyExhaustion(t *testing.T) {
 	}}
 	k := sim.New()
 	r := New(k, faultTestMatrix(3), DefaultConfig(), 1)
-	NewFaultTransport(r, plan)
+	if err := InstallFaults(r, plan); err != nil {
+		t.Fatal(err)
+	}
 	n0 := r.AddNode(0)
 	r.AddNode(1)
 	r.AddNode(2)
@@ -114,7 +118,9 @@ func TestRequestPolicyChainDiesAcrossRestart(t *testing.T) {
 	}}
 	k := sim.New()
 	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
-	NewFaultTransport(r, plan)
+	if err := InstallFaults(r, plan); err != nil {
+		t.Fatal(err)
+	}
 	n0 := r.AddNode(0)
 	r.AddNode(1)
 	pol := Policy{Attempts: 5, BaseBackoff: 500 * time.Millisecond}

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -72,7 +73,7 @@ type Runtime struct {
 	obsReg *obs.Registry
 	obsRec *obs.Recorder
 
-	// flt is the optional fault plan (NewFaultTransport). Like the obs
+	// flt is the optional fault plan (InstallFaults). Like the obs
 	// hooks it is nil by default and costs one nil compare per message, so
 	// a runtime without faults reproduces the unfaulted figures bit for
 	// bit. Decisions are stateless per (src, dst, window) hashes, so they
@@ -620,9 +621,6 @@ func (r *Runtime) EnableObs(reg *obs.Registry) {
 	r.obsReg = reg
 }
 
-// Obs returns the attached metrics registry, or nil.
-func (r *Runtime) Obs() *obs.Registry { return r.obsReg }
-
 // AttachRecorder attaches a lookup flight recorder. The scheme wires
 // (chord, Meridian, the Vivaldi wire) record per-hop traces into it; pass
 // nil to detach. Like the registry, a recorder is purely passive.
@@ -865,22 +863,19 @@ func (r *Runtime) scheduleDelivery(ss int, oneWay time.Duration, env Envelope) {
 	r.cross[ss*len(r.sh)+ds] = append(r.cross[ss*len(r.sh)+ds], crossMsg{at: at, env: env})
 }
 
-// installFaults attaches a fault plan (see NewFaultTransport): link
+// installFaults attaches a validated fault plan (see InstallFaults): link
 // decisions hook the send path, and the plan's crash/restart schedule is
 // compiled to kernel events up front. Crash rules are serial-only: the
 // Stop/Restart bookkeeping touches the runtime-wide live count, which
 // shard goroutines must not race on (link faults are per-shard pure and
 // work at any shard count). Install before the run starts.
-func (r *Runtime) installFaults(plan *faults.Plan) {
-	if plan == nil {
-		return
-	}
-	if err := plan.Validate(); err != nil {
-		panic(fmt.Sprintf("p2p: fault plan: %v", err))
+func (r *Runtime) installFaults(plan *faults.Plan) error {
+	if r.flt != nil {
+		return errSecondPlan
 	}
 	evs := plan.NodeEvents(r.m.N())
 	if len(evs) > 0 && r.shk != nil {
-		panic("p2p: fault-plan crash rules require a serial runtime")
+		return errors.New("p2p: fault-plan crash rules require a serial runtime")
 	}
 	r.flt = plan
 	for _, ev := range evs {
@@ -901,6 +896,7 @@ func (r *Runtime) installFaults(plan *faults.Plan) {
 			}
 		})
 	}
+	return nil
 }
 
 // drainCross is the sharded kernel's between-windows hook: it moves every

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
@@ -58,48 +57,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Min returns the smallest element of xs, NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // CDF is an empirical cumulative distribution function over a sample.
 type CDF struct {
 	sorted []float64
@@ -144,33 +101,6 @@ func (c *CDF) FractionWithin(lo, hi float64) float64 {
 	loIdx := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] >= lo })
 	hiIdx := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] > hi })
 	return float64(hiIdx-loIdx) / float64(len(c.sorted))
-}
-
-// Points samples the CDF at n log-spaced x positions spanning the sample
-// range, returning (x, fraction<=x) pairs suitable for plotting.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo, hi := c.sorted[0], c.sorted[len(c.sorted)-1]
-	if lo <= 0 {
-		lo = math.SmallestNonzeroFloat64
-	}
-	if hi <= lo {
-		return []Point{{X: hi, Y: 1}}
-	}
-	pts := make([]Point, 0, n)
-	logLo, logHi := math.Log(lo), math.Log(hi)
-	for i := 0; i < n; i++ {
-		x := math.Exp(logLo + (logHi-logLo)*float64(i)/float64(n-1))
-		pts = append(pts, Point{X: x, Y: c.At(x)})
-	}
-	return pts
-}
-
-// Point is an (x, y) pair in a plotted series.
-type Point struct {
-	X, Y float64
 }
 
 // PercentileBin is one bin of a binned scatter plot: the representative x
@@ -363,51 +293,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += float64(c)
 	}
 	return h.Edges[len(h.Edges)-1]
-}
-
-// Series is a named sequence of points, the unit the figure harness prints.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// FormatTable renders one or more series that share x values as an aligned
-// text table. Series with differing x values are rendered by position.
-func FormatTable(header string, series ...Series) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", header)
-	if len(series) == 0 {
-		return b.String()
-	}
-	// Column headers.
-	fmt.Fprintf(&b, "%14s", "x")
-	for _, s := range series {
-		fmt.Fprintf(&b, " %20s", s.Name)
-	}
-	b.WriteByte('\n')
-	n := 0
-	for _, s := range series {
-		if len(s.Points) > n {
-			n = len(s.Points)
-		}
-	}
-	for i := 0; i < n; i++ {
-		var x float64 = math.NaN()
-		for _, s := range series {
-			if i < len(s.Points) {
-				x = s.Points[i].X
-				break
-			}
-		}
-		fmt.Fprintf(&b, "%14.4g", x)
-		for _, s := range series {
-			if i < len(s.Points) {
-				fmt.Fprintf(&b, " %20.6g", s.Points[i].Y)
-			} else {
-				fmt.Fprintf(&b, " %20s", "-")
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -7,7 +7,6 @@ package trace
 
 import (
 	"container/heap"
-	"math"
 
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/netmodel"
@@ -54,17 +53,8 @@ func (g *Graph) hostNode(h netmodel.HostID) nodeID {
 	return id
 }
 
-// HasHost reports whether the host ever appeared in the graph.
-func (g *Graph) HasHost(h netmodel.HostID) bool {
-	_, ok := g.hostIndex[h]
-	return ok
-}
-
 // NumHosts returns the number of host nodes.
 func (g *Graph) NumHosts() int { return len(g.hosts) }
-
-// NumEdges returns the number of distinct undirected edges.
-func (g *Graph) NumEdges() int { return len(g.edgeSeen) }
 
 // addEdge inserts an undirected edge, keeping the minimum weight seen.
 func (g *Graph) addEdge(a, b nodeID, w float64) {
@@ -99,16 +89,6 @@ func (g *Graph) addEdge(a, b nodeID, w float64) {
 	g.edgeSeen[key] = w
 	g.adj[a] = append(g.adj[a], edge{to: b, w: w})
 	g.adj[b] = append(g.adj[b], edge{to: a, w: w})
-}
-
-// AddRouterEdge exposes edge insertion between routers (used by tests).
-func (g *Graph) AddRouterEdge(a, b netmodel.RouterID, oneWayMs float64) {
-	g.addEdge(g.routerNode(a), g.routerNode(b), oneWayMs)
-}
-
-// AddHostEdge exposes edge insertion between a router and a host.
-func (g *Graph) AddHostEdge(r netmodel.RouterID, h netmodel.HostID, oneWayMs float64) {
-	g.addEdge(g.routerNode(r), g.hostNode(h), oneWayMs)
 }
 
 // Build runs traceroutes from every vantage point to every peer and
@@ -241,15 +221,4 @@ func (g *Graph) AllPairsWithin(maxRTTms float64) map[[2]netmodel.HostID]PeerDist
 		}
 	}
 	return out
-}
-
-// ShortestRTT returns the shortest-path RTT between two specific peers, or
-// +Inf when disconnected within the bound.
-func (g *Graph) ShortestRTT(a, b netmodel.HostID, maxRTTms float64) float64 {
-	for _, pd := range g.ClosestPeers(a, maxRTTms) {
-		if pd.Peer == b {
-			return pd.RTTms
-		}
-	}
-	return math.Inf(1)
 }

@@ -9,15 +9,45 @@ import (
 	"nearestpeer/internal/netmodel"
 )
 
+// addRouterEdge inserts an edge between two routers.
+func (g *Graph) addRouterEdge(a, b netmodel.RouterID, oneWayMs float64) {
+	g.addEdge(g.routerNode(a), g.routerNode(b), oneWayMs)
+}
+
+// addHostEdge inserts an edge between a router and a host.
+func (g *Graph) addHostEdge(r netmodel.RouterID, h netmodel.HostID, oneWayMs float64) {
+	g.addEdge(g.routerNode(r), g.hostNode(h), oneWayMs)
+}
+
+// hasHost reports whether the host ever appeared in the graph.
+func (g *Graph) hasHost(h netmodel.HostID) bool {
+	_, ok := g.hostIndex[h]
+	return ok
+}
+
+// numEdges returns the number of distinct undirected edges.
+func (g *Graph) numEdges() int { return len(g.edgeSeen) }
+
+// shortestRTT returns the shortest-path RTT between two specific peers, or
+// +Inf when disconnected within the bound.
+func (g *Graph) shortestRTT(a, b netmodel.HostID, maxRTTms float64) float64 {
+	for _, pd := range g.ClosestPeers(a, maxRTTms) {
+		if pd.Peer == b {
+			return pd.RTTms
+		}
+	}
+	return math.Inf(1)
+}
+
 func TestHandBuiltGraph(t *testing.T) {
 	// peer100 -- r0 -- r1 -- peer200, plus a shortcut r0 -- r2 -- r1 that
 	// is longer. One-way weights.
 	g := NewGraph(3)
-	g.AddHostEdge(0, 100, 1)
-	g.AddRouterEdge(0, 1, 2)
-	g.AddHostEdge(1, 200, 1)
-	g.AddRouterEdge(0, 2, 3)
-	g.AddRouterEdge(2, 1, 3)
+	g.addHostEdge(0, 100, 1)
+	g.addRouterEdge(0, 1, 2)
+	g.addHostEdge(1, 200, 1)
+	g.addRouterEdge(0, 2, 3)
+	g.addRouterEdge(2, 1, 3)
 
 	peers := g.ClosestPeers(100, 100)
 	if len(peers) != 1 {
@@ -37,9 +67,9 @@ func TestHandBuiltGraph(t *testing.T) {
 
 func TestBoundedSearch(t *testing.T) {
 	g := NewGraph(2)
-	g.AddHostEdge(0, 100, 1)
-	g.AddRouterEdge(0, 1, 50)
-	g.AddHostEdge(1, 200, 1)
+	g.addHostEdge(0, 100, 1)
+	g.addRouterEdge(0, 1, 50)
+	g.addHostEdge(1, 200, 1)
 	if peers := g.ClosestPeers(100, 10); len(peers) != 0 {
 		t.Fatalf("bound ignored: %v", peers)
 	}
@@ -50,26 +80,26 @@ func TestBoundedSearch(t *testing.T) {
 
 func TestEdgeDedupKeepsMinimum(t *testing.T) {
 	g := NewGraph(2)
-	g.AddRouterEdge(0, 1, 5)
-	g.AddRouterEdge(0, 1, 3)
-	g.AddRouterEdge(1, 0, 7)
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d", g.NumEdges())
+	g.addRouterEdge(0, 1, 5)
+	g.addRouterEdge(0, 1, 3)
+	g.addRouterEdge(1, 0, 7)
+	if g.numEdges() != 1 {
+		t.Fatalf("edges = %d", g.numEdges())
 	}
-	g.AddHostEdge(0, 100, 0.5)
-	g.AddHostEdge(1, 200, 0.5)
+	g.addHostEdge(0, 100, 0.5)
+	g.addHostEdge(1, 200, 0.5)
 	want := 2 * (0.5 + 3 + 0.5)
-	if got := g.ShortestRTT(100, 200, 100); math.Abs(got-want) > 1e-9 {
+	if got := g.shortestRTT(100, 200, 100); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("RTT = %v, want %v", got, want)
 	}
 }
 
 func TestWeightFloor(t *testing.T) {
 	g := NewGraph(2)
-	g.AddRouterEdge(0, 1, -5) // negative RTT subtraction artefact
-	g.AddHostEdge(0, 100, 0.5)
-	g.AddHostEdge(1, 200, 0.5)
-	got := g.ShortestRTT(100, 200, 100)
+	g.addRouterEdge(0, 1, -5) // negative RTT subtraction artefact
+	g.addHostEdge(0, 100, 0.5)
+	g.addHostEdge(1, 200, 0.5)
+	got := g.shortestRTT(100, 200, 100)
 	if got < 2*(0.5+0.01+0.5)-1e-9 {
 		t.Fatalf("negative weight not floored: %v", got)
 	}
@@ -107,14 +137,14 @@ func TestDijkstraAgainstFloydWarshall(t *testing.T) {
 				continue
 			}
 			w := 0.1 + r.Float64()*5
-			g.AddRouterEdge(netmodel.RouterID(a), netmodel.RouterID(b), w)
+			g.addRouterEdge(netmodel.RouterID(a), netmodel.RouterID(b), w)
 			addRef(a, b, w)
 		}
 		// Hosts hang off random routers.
 		for h := 0; h < nh; h++ {
 			a := r.Intn(nr)
 			w := 0.05 + r.Float64()
-			g.AddHostEdge(netmodel.RouterID(a), netmodel.HostID(1000+h), w)
+			g.addHostEdge(netmodel.RouterID(a), netmodel.HostID(1000+h), w)
 			addRef(a, nr+h, w)
 		}
 		// Floyd-Warshall.
@@ -176,7 +206,7 @@ func TestBuildFromTopology(t *testing.T) {
 		}
 	}
 	g := Build(tools, vhosts, peers)
-	if g.NumHosts() == 0 || g.NumEdges() == 0 {
+	if g.NumHosts() == 0 || g.numEdges() == 0 {
 		t.Fatal("empty graph from topology build")
 	}
 
@@ -185,14 +215,14 @@ func TestBuildFromTopology(t *testing.T) {
 	var sameEN, cross float64
 	var nSame, nCross int
 	for i, a := range peers {
-		if !g.HasHost(a) {
+		if !g.hasHost(a) {
 			continue
 		}
 		for _, b := range peers[i+1:] {
-			if !g.HasHost(b) {
+			if !g.hasHost(b) {
 				continue
 			}
-			rtt := g.ShortestRTT(a, b, 400)
+			rtt := g.shortestRTT(a, b, 400)
 			if math.IsInf(rtt, 1) {
 				continue
 			}
