@@ -501,13 +501,13 @@ func cmdClient(verb string, args []string) error {
 			return fmt.Errorf("usage: npnode nearest [flags]")
 		}
 		u.Do(func() {
-			n := u.Node(client)
-			n.SweepPing(members, cf.rpcTimeout, func(s p2p.PingSweep) {
-				if !s.Found {
-					done <- fmt.Errorf("nearest: no peer answered (%d probes, %d dead)", s.Probes, s.Dead)
+			q := p2p.NewQuery(u.Node(client), cf.rpcTimeout, p2p.Policy{})
+			q.Sweep(members, func(best p2p.NodeID, rtt float64, ok bool) {
+				if !ok {
+					done <- fmt.Errorf("nearest: no peer answered (%d probes, %d dead)", q.Res.Probes, q.Res.DeadProbes)
 					return
 				}
-				fmt.Printf("nearest %d rtt_ms %.3f probes %d dead %d\n", s.Best, s.BestRTT, s.Probes, s.Dead)
+				fmt.Printf("nearest %d rtt_ms %.3f probes %d dead %d\n", best, rtt, q.Res.Probes, q.Res.DeadProbes)
 				done <- nil
 			})
 		})

@@ -7,11 +7,7 @@
 
 package azureus
 
-import (
-	"time"
-
-	"nearestpeer/internal/p2p"
-)
+import "nearestpeer/internal/p2p"
 
 // Message types of the tracker wire protocol.
 const (
@@ -34,10 +30,6 @@ func init() {
 type Wire struct {
 	base *Finder
 	rt   p2p.Transport
-	// Timeout bounds each probe and RPC; 0 uses the runtime default.
-	Timeout time.Duration
-	// Retry is the per-RPC retry policy (announces).
-	Retry p2p.Policy
 }
 
 // NewWire creates the wire deployment over an existing runtime.
@@ -64,37 +56,27 @@ func (w *Wire) Join(id p2p.NodeID) {
 // tracker, sweep-ping the returned sample, repeat for the configured number
 // of rounds. done fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
+	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
 	var round func(r int)
 	round = func(r int) {
 		if r >= w.base.cfg.Rounds {
-			done(res)
+			done(q.Res)
 			return
 		}
-		res.RPCs++
-		n.RequestPolicy(w.Tracker(), MsgAnnounce, nil, w.Timeout, w.Retry,
+		q.Call(w.Tracker(), MsgAnnounce, nil,
 			func(env p2p.Envelope) {
 				sample := env.Payload.(announceOK).IDs
 				ids := make([]p2p.NodeID, len(sample))
 				for i, m := range sample {
 					ids[i] = p2p.NodeID(m)
 				}
-				n.SweepPing(ids, w.Timeout, func(s p2p.PingSweep) {
-					res.Probes += s.Probes
-					res.DeadProbes += s.Dead
-					res.Hops++
-					if s.Found && (!res.Found || s.BestRTT < res.RTTms) {
-						res.Peer, res.RTTms, res.Found = s.Best, s.BestRTT, true
-					}
+				q.Sweep(ids, func(p2p.NodeID, float64, bool) {
+					q.Res.Hops++
 					round(r + 1)
 				})
 			},
-			func() {
-				// The tracker is down: this round finds nobody.
-				res.RPCFails++
-				round(r + 1)
-			})
+			// The tracker is down: this round finds nobody.
+			func() { round(r + 1) })
 	}
 	round(0)
 }

@@ -13,7 +13,6 @@ package beacon
 import (
 	"math"
 	"sort"
-	"time"
 
 	"nearestpeer/internal/p2p"
 )
@@ -60,11 +59,6 @@ func init() {
 type Wire struct {
 	inf *Infrastructure
 	rt  p2p.Transport
-	// Timeout bounds each probe and RPC; 0 uses the runtime default.
-	Timeout time.Duration
-	// Retry is the per-RPC retry policy (pings stay single-shot, as in the
-	// other wire schemes).
-	Retry p2p.Policy
 	// beaconIdx maps a beacon node to its index in inf.beacons.
 	beaconIdx map[p2p.NodeID]int
 }
@@ -112,7 +106,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 
 // pingBeacons measures the querier's latency to every beacon sequentially
 // (NaN marks a beacon that never answered), then hands the vector on.
-func (w *Wire) pingBeacons(n *p2p.Node, res *p2p.FindResult, done func(toBeacon []float64)) {
+func (w *Wire) pingBeacons(q *p2p.Query, done func(toBeacon []float64)) {
 	toBeacon := make([]float64, len(w.inf.beacons))
 	var step func(i int)
 	step = func(i int) {
@@ -120,13 +114,8 @@ func (w *Wire) pingBeacons(n *p2p.Node, res *p2p.FindResult, done func(toBeacon 
 			done(toBeacon)
 			return
 		}
-		res.Probes++
-		n.Ping(p2p.NodeID(w.inf.beacons[i]), w.Timeout, false, func(rtt float64, ok bool) {
-			if !n.Alive() {
-				return
-			}
+		q.Ping(p2p.NodeID(w.inf.beacons[i]), func(rtt float64, ok bool) {
 			if !ok {
-				res.DeadProbes++
 				toBeacon[i] = math.NaN()
 			} else {
 				toBeacon[i] = rtt
@@ -141,34 +130,18 @@ func (w *Wire) pingBeacons(n *p2p.Node, res *p2p.FindResult, done func(toBeacon 
 // beacon, send the vector to the estimation server, verify its answer with
 // one probe. done fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearestGS(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
-	w.pingBeacons(n, &res, func(toBeacon []float64) {
-		res.RPCs++
-		n.RequestPolicy(p2p.NodeID(w.inf.beacons[0]), MsgGSBest, gsBestMsg{ToBeacon: toBeacon}, w.Timeout, w.Retry,
+	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
+	w.pingBeacons(q, func(toBeacon []float64) {
+		q.Call(p2p.NodeID(w.inf.beacons[0]), MsgGSBest, gsBestMsg{ToBeacon: toBeacon},
 			func(env p2p.Envelope) {
 				best := env.Payload.(gsBestOK).Best
 				if best < 0 {
-					done(res)
+					done(q.Res)
 					return
 				}
-				res.Probes++
-				n.Ping(p2p.NodeID(best), w.Timeout, false, func(rtt float64, ok bool) {
-					if !n.Alive() {
-						return
-					}
-					if !ok {
-						res.DeadProbes++
-					} else {
-						res.Peer, res.RTTms, res.Found = p2p.NodeID(best), rtt, true
-					}
-					done(res)
-				})
+				q.Sweep([]p2p.NodeID{p2p.NodeID(best)}, func(p2p.NodeID, float64, bool) { done(q.Res) })
 			},
-			func() {
-				res.RPCFails++
-				done(res)
-			})
+			func() { done(q.Res) })
 	})
 }
 
@@ -178,32 +151,27 @@ func (w *Wire) FindNearestGS(client p2p.NodeID, done func(p2p.FindResult)) {
 // ping the top candidates. done fires exactly once unless the client dies
 // mid-query.
 func (w *Wire) FindNearestBeaconing(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
-	w.pingBeacons(n, &res, func(toBeacon []float64) {
+	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
+	w.pingBeacons(q, func(toBeacon []float64) {
 		votes := make(map[int]int)
 		var bands func(i int)
 		bands = func(i int) {
 			if i >= len(w.inf.beacons) {
-				w.estimate(n, &res, toBeacon, votes, done)
+				w.estimate(q, toBeacon, votes, done)
 				return
 			}
 			if math.IsNaN(toBeacon[i]) {
 				bands(i + 1) // beacon unreachable: no band, no est row either
 				return
 			}
-			res.RPCs++
-			n.RequestPolicy(p2p.NodeID(w.inf.beacons[i]), MsgBand, bandMsg{ToBeacon: toBeacon[i]}, w.Timeout, w.Retry,
+			q.Call(p2p.NodeID(w.inf.beacons[i]), MsgBand, bandMsg{ToBeacon: toBeacon[i]},
 				func(env p2p.Envelope) {
 					for _, m := range env.Payload.(bandOK).IDs {
 						votes[m]++
 					}
 					bands(i + 1)
 				},
-				func() {
-					res.RPCFails++
-					bands(i + 1)
-				})
+				func() { bands(i + 1) })
 		}
 		bands(0)
 	})
@@ -212,23 +180,12 @@ func (w *Wire) FindNearestBeaconing(client p2p.NodeID, done func(p2p.FindResult)
 // estimate is the second phase of the Beaconing query: fetch each beacon's
 // standing latency to the vote union, compute the triangulation lower
 // bounds, rank, and probe.
-func (w *Wire) estimate(n *p2p.Node, res *p2p.FindResult, toBeacon []float64, votes map[int]int, done func(p2p.FindResult)) {
+func (w *Wire) estimate(q *p2p.Query, toBeacon []float64, votes map[int]int, done func(p2p.FindResult)) {
 	if len(votes) == 0 {
 		// Degenerate: fall back to probing a random member — the same draw
 		// the static finder makes from the shared structure stream.
 		m := w.inf.members[w.inf.src.Intn(len(w.inf.members))]
-		res.Probes++
-		n.Ping(p2p.NodeID(m), w.Timeout, false, func(rtt float64, ok bool) {
-			if !n.Alive() {
-				return
-			}
-			if !ok {
-				res.DeadProbes++
-			} else {
-				res.Peer, res.RTTms, res.Found = p2p.NodeID(m), rtt, true
-			}
-			done(*res)
-		})
+		q.Sweep([]p2p.NodeID{p2p.NodeID(m)}, func(p2p.NodeID, float64, bool) { done(q.Res) })
 		return
 	}
 	cands := make([]int, 0, len(votes))
@@ -260,30 +217,19 @@ func (w *Wire) estimate(n *p2p.Node, res *p2p.FindResult, toBeacon []float64, vo
 			for i, m := range ranked {
 				ids[i] = p2p.NodeID(m)
 			}
-			n.SweepPing(ids, w.Timeout, func(s p2p.PingSweep) {
-				res.Probes += s.Probes
-				res.DeadProbes += s.Dead
-				if s.Found {
-					res.Peer, res.RTTms, res.Found = s.Best, s.BestRTT, true
-				}
-				done(*res)
-			})
+			q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
 			return
 		}
 		if math.IsNaN(toBeacon[i]) {
 			fetch(i + 1)
 			return
 		}
-		res.RPCs++
-		n.RequestPolicy(p2p.NodeID(w.inf.beacons[i]), MsgEst, estMsg{IDs: cands}, w.Timeout, w.Retry,
+		q.Call(p2p.NodeID(w.inf.beacons[i]), MsgEst, estMsg{IDs: cands},
 			func(env p2p.Envelope) {
 				lats[i] = env.Payload.(estOK).Lats
 				fetch(i + 1)
 			},
-			func() {
-				res.RPCFails++
-				fetch(i + 1)
-			})
+			func() { fetch(i + 1) })
 	}
 	fetch(0)
 }

@@ -160,7 +160,11 @@ type schemeCtx struct {
 	// horizon caps the wire run's virtual time and bounds the protocols'
 	// own maintenance schedules (0 on the static leg).
 	horizon time.Duration
-	// retry is the per-RPC retry policy the wire legs arm (zero: none).
+	// retry is the per-RPC retry policy (zero: none). Only the chord ring
+	// (and with it the hint schemes' DHT operations), meridian and vivaldi
+	// legs arm it; the expanding-ring and finder-zoo legs run
+	// single-attempt, so a retry-on cell of one of those runs without
+	// retries.
 	retry p2p.Policy
 	// keyLabel namespaces the DHT keys a key-resolving leg looks up
 	// ("g1", "o1", "r1"); op is the number of the stream op being issued,

@@ -10,7 +10,6 @@ package ipprefix
 import (
 	"encoding/binary"
 	"sort"
-	"time"
 
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/netmodel"
@@ -25,8 +24,6 @@ type Wire struct {
 	tools *measure.Tools
 	chord *p2p.Chord
 	index map[netmodel.HostID]p2p.NodeID
-	// PingTimeout bounds each candidate probe; 0 uses the runtime default.
-	PingTimeout time.Duration
 }
 
 // NewWire creates the wire deployment over an existing Chord instance.
@@ -61,10 +58,11 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(ok bool)) {
 func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	ip := w.tools.Top.Host(peer).IP
 	node := w.NodeOf(peer)
-	res := p2p.FindResult{Peer: p2p.NoNode, RPCs: 1}
+	q := p2p.NewQuery(w.chord.Transport().Node(node), 0, p2p.Policy{})
+	q.Res.RPCs = 1
 	w.chord.Get(node, prefixKey(ip, w.cfg.PrefixBits), func(r p2p.OpResult) {
-		res.Hops += r.Hops
-		res.RPCFails += r.LookupFails
+		q.Res.Hops += r.Hops
+		q.Res.RPCFails += r.LookupFails
 		seen := make(map[netmodel.HostID]bool)
 		var cands []netmodel.HostID
 		if r.OK {
@@ -91,10 +89,6 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 		for i, c := range cands {
 			ids[i] = w.index[c]
 		}
-		w.chord.Transport().Node(node).SweepPing(ids, w.PingTimeout, func(s p2p.PingSweep) {
-			res.Probes, res.DeadProbes, res.Found = s.Probes, s.Dead, s.Found
-			res.Peer, res.RTTms = s.Best, s.BestRTT
-			done(res)
-		})
+		q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
 	})
 }

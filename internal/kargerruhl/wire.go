@@ -10,7 +10,6 @@ package kargerruhl
 import (
 	"math"
 	"sort"
-	"time"
 
 	"nearestpeer/internal/p2p"
 )
@@ -41,10 +40,6 @@ func init() {
 type Wire struct {
 	base *Overlay
 	rt   p2p.Transport
-	// Timeout bounds each probe and RPC; 0 uses the runtime default.
-	Timeout time.Duration
-	// Retry is the per-RPC retry policy.
-	Retry p2p.Policy
 }
 
 // NewWire creates the wire deployment over an existing runtime.
@@ -72,20 +67,18 @@ func (w *Wire) Join(id p2p.NodeID) {
 // FindNearest runs the Karger–Ruhl walk over the wire from client. done
 // fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
+	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
 	members := w.base.members
 	cur := members[w.base.src.Intn(len(members))]
 	visited := map[int]bool{cur: true, int(client): true}
 
 	var step func(cur int, d float64)
 	step = func(cur int, d float64) {
-		if res.Hops >= w.base.cfg.MaxHops {
-			done(res)
+		if q.Res.Hops >= w.base.cfg.MaxHops {
+			done(q.Res)
 			return
 		}
-		res.RPCs++
-		n.RequestPolicy(p2p.NodeID(cur), MsgBalls, ballsMsg{Scale: w.base.scaleFor(d)}, w.Timeout, w.Retry,
+		q.Call(p2p.NodeID(cur), MsgBalls, ballsMsg{Scale: w.base.scaleFor(d)},
 			func(env p2p.Envelope) {
 				bo := env.Payload.(ballsOK)
 				cands := make([]int, 0, len(bo.At)+len(bo.Next))
@@ -100,7 +93,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 					}
 				}
 				if len(cands) == 0 {
-					done(res)
+					done(q.Res)
 					return
 				}
 				sort.Ints(cands)
@@ -109,25 +102,17 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 					ids[i] = p2p.NodeID(c)
 					visited[c] = true
 				}
-				n.SweepPing(ids, w.Timeout, func(s p2p.PingSweep) {
-					res.Probes += s.Probes
-					res.DeadProbes += s.Dead
-					if s.Found && (!res.Found || s.BestRTT < res.RTTms) {
-						res.Peer, res.RTTms, res.Found = s.Best, s.BestRTT, true
-					}
-					if !s.Found || s.BestRTT >= d {
-						done(res) // no progress: done, as in the static walk
+				q.Sweep(ids, func(best p2p.NodeID, rtt float64, ok bool) {
+					if !ok || rtt >= d {
+						done(q.Res) // no progress: done, as in the static walk
 						return
 					}
-					res.Hops++
-					step(int(s.Best), s.BestRTT)
+					q.Res.Hops++
+					step(int(best), rtt)
 				})
 			},
-			func() {
-				// The walk node is dead: the walk ends where it stands.
-				res.RPCFails++
-				done(res)
-			})
+			// The walk node is dead: the walk ends where it stands.
+			func() { done(q.Res) })
 	}
 
 	// The walk can start at the searcher itself: no initial probe, widest
@@ -136,17 +121,11 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 		step(cur, math.Inf(1))
 		return
 	}
-	res.Probes++
-	n.Ping(p2p.NodeID(cur), w.Timeout, false, func(rtt float64, ok bool) {
-		if !n.Alive() {
-			return
-		}
+	q.Sweep([]p2p.NodeID{p2p.NodeID(cur)}, func(_ p2p.NodeID, rtt float64, ok bool) {
 		if !ok {
-			res.DeadProbes++
-			done(res) // the chosen start is dead: nothing to walk
+			done(q.Res) // the chosen start is dead: nothing to walk
 			return
 		}
-		res.Peer, res.RTTms, res.Found = p2p.NodeID(cur), rtt, true
 		step(cur, rtt)
 	})
 }

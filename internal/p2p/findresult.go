@@ -4,7 +4,8 @@
 // per-scheme Wire under internal/{ucl,ipprefix,vivaldi,beacon,tiers,pic,
 // tapestry,azureus,kargerruhl,rendezvous} — which is what lets the
 // experiments' scheme registry score all fourteen schemes with one harness
-// and one scorer.
+// and one scorer. Those Wires build it through Query, which holds the one
+// rule for charging a query's probes and RPCs and for keeping its answer.
 
 package p2p
 
@@ -36,4 +37,113 @@ type FindResult struct {
 	Elapsed time.Duration
 	// Found reports whether any candidate answered.
 	Found bool
+}
+
+// keep is the keep-best rule: a responder replaces the answer only when
+// nothing was found yet or it is strictly nearer (ties keep the earlier).
+func (r *FindResult) keep(peer NodeID, rttMs float64) {
+	if !r.Found || rttMs < r.RTTms {
+		r.Peer, r.RTTms, r.Found = peer, rttMs, true
+	}
+}
+
+// Query is one wire nearest-peer query's bill in the making: the issuing
+// node, the FindResult being built, and the timeout and retry policy its
+// requests go out with. Every scheme Wire charges through it:
+//
+//   - a probe (Ping, Probe, each ping of a Sweep) charges Probes at issue,
+//     paid whether or not it is answered, and DeadProbes when it times out;
+//   - a control request (Call) charges RPCs at issue, and RPCFails when
+//     every attempt expired unanswered;
+//   - a Sweep folds each responder into Res by the keep-best rule.
+//
+// Hops stay the scheme's own to count. Once the issuing node has stopped,
+// no callback fires: a dead client's query is abandoned, its done never
+// called.
+type Query struct {
+	// Res is the result being built; the scheme reports it when done.
+	Res FindResult
+
+	n       *Node
+	timeout time.Duration
+	pol     Policy
+}
+
+// NewQuery starts a query from n with nothing found. A non-positive
+// timeout uses the transport default; pol governs Calls and Probes (Pings
+// and Sweeps stay single-shot), the zero Policy sending one attempt.
+func NewQuery(n *Node, timeout time.Duration, pol Policy) *Query {
+	return &Query{Res: FindResult{Peer: NoNode}, n: n, timeout: timeout, pol: pol}
+}
+
+// Node returns the issuing node.
+func (q *Query) Node() *Node { return q.n }
+
+// request sends one request under pol, charging *bill at issue and *fails
+// on a timeout. Both callbacks pass the dead-client guard.
+func (q *Query) request(to NodeID, typ string, payload any, pol Policy, bill, fails *int, onReply func(Envelope), onFail func()) {
+	*bill++
+	q.n.RequestPolicy(to, typ, payload, q.timeout, pol,
+		func(env Envelope) {
+			if q.n.Alive() {
+				onReply(env)
+			}
+		},
+		func() {
+			if q.n.Alive() {
+				*fails++
+				onFail()
+			}
+		})
+}
+
+// Call sends one control request (a hint fetch, a walk handoff, a
+// directory read) under the query's policy: onReply gets the answer, onFail
+// runs once every attempt has expired.
+func (q *Query) Call(to NodeID, typ string, payload any, onReply func(Envelope), onFail func()) {
+	q.request(to, typ, payload, q.pol, &q.Res.RPCs, &q.Res.RPCFails, onReply, onFail)
+}
+
+// Probe measures the RTT to a peer with a typ request under the query's
+// policy, for a scheme whose probe answer carries state (Vivaldi's
+// coordinate probe). then gets the answer and the RTT, or ok false on a
+// timeout. The probe also counts in the node's QueryProbes metric.
+func (q *Query) Probe(to NodeID, typ string, then func(env Envelope, rttMs float64, ok bool)) {
+	q.probe(to, typ, q.pol, then)
+}
+
+func (q *Query) probe(to NodeID, typ string, pol Policy, then func(env Envelope, rttMs float64, ok bool)) {
+	q.n.rt.MetricsAt(q.n.ID).QueryProbes++
+	start := q.n.rt.Now(q.n.ID)
+	q.request(to, typ, nil, pol, &q.Res.Probes, &q.Res.DeadProbes,
+		func(env Envelope) { then(env, msOf(q.n.rt.Now(q.n.ID)-start), true) },
+		func() { then(Envelope{}, 0, false) })
+}
+
+// Ping is one single-shot ping probe (Node.Ping's message): then gets the
+// RTT, or ok false on a timeout.
+func (q *Query) Ping(to NodeID, then func(rttMs float64, ok bool)) {
+	q.probe(to, MsgPing, Policy{}, func(_ Envelope, rtt float64, ok bool) { then(rtt, ok) })
+}
+
+// Sweep pings the targets one after another, folds each responder into Res
+// by the keep-best rule, and hands on this sweep's own nearest responder
+// (NoNode, 0, false when nobody answered).
+func (q *Query) Sweep(targets []NodeID, then func(best NodeID, rttMs float64, ok bool)) {
+	own := FindResult{Peer: NoNode}
+	var step func(i int)
+	step = func(i int) {
+		if i == len(targets) {
+			then(own.Peer, own.RTTms, own.Found)
+			return
+		}
+		q.Ping(targets[i], func(rtt float64, ok bool) {
+			if ok {
+				own.keep(targets[i], rtt)
+				q.Res.keep(targets[i], rtt)
+			}
+			step(i + 1)
+		})
+	}
+	step(0)
 }

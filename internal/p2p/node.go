@@ -208,47 +208,6 @@ func (n *Node) expire(msgID uint64) {
 	}
 }
 
-// PingSweep is the outcome of sequentially probing a candidate list: the
-// nearest responder and the probe bill — the shared candidate-probing step
-// of the wire hint schemes (internal/ucl, internal/ipprefix).
-type PingSweep struct {
-	// Best is the nearest responder (NoNode when nobody answered).
-	Best NodeID
-	// BestRTT is the measured RTT to Best.
-	BestRTT float64
-	// Probes counts pings issued; Dead the ones that timed out (stale
-	// candidates, loss) — cost paid without an answer.
-	Probes int
-	Dead   int
-	// Found reports whether any candidate answered.
-	Found bool
-}
-
-// SweepPing pings the targets one after another (query probes) and calls
-// done with the nearest responder and the accounting. done fires exactly
-// once unless this node dies mid-sweep.
-func (n *Node) SweepPing(targets []NodeID, timeout time.Duration, done func(PingSweep)) {
-	res := PingSweep{Best: NoNode}
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(targets) {
-			done(res)
-			return
-		}
-		res.Probes++
-		n.Ping(targets[i], timeout, false, func(rtt float64, ok bool) {
-			if !ok {
-				res.Dead++
-			} else if !res.Found || rtt < res.BestRTT {
-				res.Found = true
-				res.Best, res.BestRTT = targets[i], rtt
-			}
-			step(i + 1)
-		})
-	}
-	step(0)
-}
-
 // Ping measures the RTT to a peer over the wire: a ping request whose
 // round-trip virtual time is the measurement. maint selects the probe
 // account (construction/repair vs query cost); the counter increments at

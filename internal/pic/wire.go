@@ -10,7 +10,6 @@ package pic
 
 import (
 	"sort"
-	"time"
 
 	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/vivaldi"
@@ -45,10 +44,6 @@ func init() {
 type Wire struct {
 	base *Finder
 	rt   p2p.Transport
-	// Timeout bounds each probe and RPC; 0 uses the runtime default.
-	Timeout time.Duration
-	// Retry is the per-RPC retry policy.
-	Retry p2p.Policy
 }
 
 // NewWire creates the wire deployment over an existing runtime.
@@ -82,8 +77,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 // sweep-ping the walk endpoints. done fires exactly once unless the client
 // dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
+	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
 	sample := w.base.sys.SamplePlacement(int(client), w.base.cfg.Landmarks)
 	var obs []vivaldi.PlacementObservation
 
@@ -91,17 +85,11 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	place = func(i int) {
 		if i >= len(sample) {
 			tc := w.base.sys.PlaceObservations(obs)
-			w.walk(n, &res, tc, 0, nil, done)
+			w.walk(q, tc, 0, nil, done)
 			return
 		}
-		res.Probes++
-		n.Ping(p2p.NodeID(sample[i]), w.Timeout, false, func(rtt float64, ok bool) {
-			if !n.Alive() {
-				return
-			}
-			if !ok {
-				res.DeadProbes++ // a dead landmark contributes no observation
-			} else {
+		q.Ping(p2p.NodeID(sample[i]), func(rtt float64, ok bool) {
+			if ok { // a dead landmark contributes no observation
 				obs = append(obs, vivaldi.PlacementObservation{Coord: w.base.sys.CoordOf(sample[i]), RTTms: rtt})
 			}
 			place(i + 1)
@@ -112,9 +100,9 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 
 // walk runs greedy walk number wi, then the next, accumulating endpoints;
 // after the last it sweeps the endpoint set.
-func (w *Wire) walk(n *p2p.Node, res *p2p.FindResult, tc *vivaldi.Coord, wi int, endpoints []int, done func(p2p.FindResult)) {
+func (w *Wire) walk(q *p2p.Query, tc *vivaldi.Coord, wi int, endpoints []int, done func(p2p.FindResult)) {
 	if wi >= w.base.cfg.Walks {
-		w.verify(n, res, endpoints, done)
+		w.verify(q, endpoints, done)
 		return
 	}
 	members := w.base.sys.Members()
@@ -122,46 +110,35 @@ func (w *Wire) walk(n *p2p.Node, res *p2p.FindResult, tc *vivaldi.Coord, wi int,
 	var hop func(cur, h int)
 	hop = func(cur, h int) {
 		if h >= w.base.cfg.MaxHops {
-			w.walk(n, res, tc, wi+1, appendUnique(endpoints, cur), done)
+			w.walk(q, tc, wi+1, appendUnique(endpoints, cur), done)
 			return
 		}
-		res.RPCs++
-		n.RequestPolicy(p2p.NodeID(cur), MsgStep, stepMsg{Vec: tc.Vec, Height: tc.Height}, w.Timeout, w.Retry,
+		q.Call(p2p.NodeID(cur), MsgStep, stepMsg{Vec: tc.Vec, Height: tc.Height},
 			func(env p2p.Envelope) {
 				next := env.Payload.(stepOK).Next
 				if next < 0 {
-					w.walk(n, res, tc, wi+1, appendUnique(endpoints, cur), done)
+					w.walk(q, tc, wi+1, appendUnique(endpoints, cur), done)
 					return
 				}
-				res.Hops++
+				q.Res.Hops++
 				hop(next, h+1)
 			},
-			func() {
-				// The current node is dead: the walk ends where it stands.
-				res.RPCFails++
-				w.walk(n, res, tc, wi+1, appendUnique(endpoints, cur), done)
-			})
+			// The current node is dead: the walk ends where it stands.
+			func() { w.walk(q, tc, wi+1, appendUnique(endpoints, cur), done) })
 	}
 	hop(cur, 0)
 }
 
 // verify sweep-pings the walk endpoints (sorted, the searcher excluded).
-func (w *Wire) verify(n *p2p.Node, res *p2p.FindResult, endpoints []int, done func(p2p.FindResult)) {
+func (w *Wire) verify(q *p2p.Query, endpoints []int, done func(p2p.FindResult)) {
 	sort.Ints(endpoints)
 	ids := make([]p2p.NodeID, 0, len(endpoints))
 	for _, id := range endpoints {
-		if p2p.NodeID(id) != n.ID {
+		if p2p.NodeID(id) != q.Node().ID {
 			ids = append(ids, p2p.NodeID(id))
 		}
 	}
-	n.SweepPing(ids, w.Timeout, func(s p2p.PingSweep) {
-		res.Probes += s.Probes
-		res.DeadProbes += s.Dead
-		if s.Found {
-			res.Peer, res.RTTms, res.Found = s.Best, s.BestRTT, true
-		}
-		done(*res)
-	})
+	q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
 }
 
 func appendUnique(xs []int, v int) []int {

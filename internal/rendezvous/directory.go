@@ -1,10 +1,13 @@
-// The matrix-index rendezvous legs used by the grand-table study: the same
-// per-end-network directory idea as Service, but over a noiseless
-// overlay.Network in matrix-index space (member i is row i of a latency
-// matrix and a runtime NodeID), so the static leg is an exact oracle for
-// the wire leg. Service stays as the Section-6 deployment-coverage study's
-// noisy-measurement view; Directory is the probe-priced finder.
-
+// Package rendezvous implements the paper's second mitigation (Section 5):
+// a membership-tracking server inside each end network. Peers register with
+// their local server on joining a P2P system; a joining peer asks the
+// server for the current members and probes them. Directory is the static
+// finder over a noiseless overlay.Network in matrix-index space (member i
+// is row i of a latency matrix and a runtime NodeID), so it is an exact
+// oracle for the message-level Wire. The paper's stated concern — the
+// server "needs a sufficiently large number of peers within each
+// end-network to justify the setup" — shows as the searchers whose end
+// network holds nobody else: they find nothing.
 package rendezvous
 
 import (

@@ -3,118 +3,61 @@ package rendezvous
 import (
 	"testing"
 
-	"nearestpeer/internal/measure"
-	"nearestpeer/internal/netmodel"
+	"nearestpeer/internal/overlay"
+	"nearestpeer/internal/testmat"
 )
 
-func fixture(t *testing.T) (*netmodel.Topology, *Service, []netmodel.HostID) {
-	t.Helper()
-	top := netmodel.Generate(netmodel.DefaultConfig(), 8)
-	tools := measure.NewTools(top, measure.DefaultConfig(), 9)
-	svc := New(top, tools)
-	var peers []netmodel.HostID
-	for i := range top.Hosts {
-		if top.Hosts[i].RespondsTCP && top.Hosts[i].DNS == nil {
-			peers = append(peers, netmodel.HostID(i))
-		}
-	}
-	for _, p := range peers {
-		svc.Register("swarm", p)
-	}
-	return top, svc, peers
-}
-
-func TestRegisterIdempotent(t *testing.T) {
-	top, svc, peers := fixture(t)
-	before := svc.Registrations
-	svc.Register("swarm", peers[0])
-	if svc.Registrations != before {
-		t.Fatal("duplicate registration counted")
-	}
-	_ = top
-}
-
 func TestFindNearestStaysInEN(t *testing.T) {
-	top, svc, peers := fixture(t)
+	m, gt := testmat.Clustered(5, 200, 3)
+	net := overlay.NewNetwork(m)
+	members := make([]int, m.N())
+	for i := range members {
+		members[i] = i
+	}
+	d := NewDirectory(net, members, func(i int) int { return gt.ENOf[i] })
 	found := 0
-	for _, p := range peers[:min(60, len(peers))] {
-		res := svc.FindNearest("swarm", p)
+	for _, p := range members {
+		before := net.QueryProbes()
+		res := d.FindNearest(p)
+		if probes := net.QueryProbes() - before; res.Probes != probes || int(probes) != len(d.Candidates(p)) {
+			t.Fatalf("member %d: result charges %d probes, network counted %d, %d candidates",
+				p, res.Probes, probes, len(d.Candidates(p)))
+		}
 		if res.Peer < 0 {
 			continue
 		}
 		found++
-		if !top.SameEN(p, res.Peer) {
-			t.Fatal("rendezvous returned a peer outside the end-network")
+		if !gt.SameEN(p, res.Peer) {
+			t.Fatalf("member %d: rendezvous returned %d from outside its end network", p, res.Peer)
 		}
-		if res.Probes != res.Candidates {
-			t.Fatalf("probes %d != candidates %d", res.Probes, res.Candidates)
+		for _, q := range gt.PeersInEN[gt.ENOf[p]] {
+			if q != p && m.LatencyMs(p, q) < res.LatencyMs {
+				t.Fatalf("member %d: returned %d at %.3f ms, but %d is %.3f ms away",
+					p, res.Peer, res.LatencyMs, q, m.LatencyMs(p, q))
+			}
 		}
 	}
 	if found == 0 {
-		t.Skip("no EN with multiple registered peers among sample")
+		t.Fatal("no member found an end-network peer")
 	}
 }
 
-func TestDeregister(t *testing.T) {
-	top, svc, peers := fixture(t)
-	// Find an EN with >= 2 peers.
-	var p, q netmodel.HostID = -1, -1
-	for i, a := range peers {
-		for _, b := range peers[i+1:] {
-			if top.SameEN(a, b) {
-				p, q = a, b
-				break
-			}
-		}
-		if p >= 0 {
-			break
+func TestFindNearestAloneInEN(t *testing.T) {
+	m, gt := testmat.Clustered(5, 200, 3)
+	net := overlay.NewNetwork(m)
+	// Register one peer of the first end network beside every peer of the
+	// others, so that peer is alone in its directory.
+	alone := gt.PeersInEN[gt.ENOf[0]][0]
+	members := []int{alone}
+	for i := 0; i < m.N(); i++ {
+		if !gt.SameEN(i, alone) {
+			members = append(members, i)
 		}
 	}
-	if p < 0 {
-		t.Skip("no same-EN pair")
+	d := NewDirectory(net, members, func(i int) int { return gt.ENOf[i] })
+	res := d.FindNearest(alone)
+	if res.Peer != -1 || res.Probes != 0 || net.QueryProbes() != 0 {
+		t.Fatalf("alone in its end network: got peer %d at %d probes (network counted %d), want -1 at 0",
+			res.Peer, res.Probes, net.QueryProbes())
 	}
-	if res := svc.FindNearest("swarm", p); res.Peer < 0 {
-		t.Fatal("pair not discoverable before deregister")
-	}
-	svc.Deregister("swarm", q)
-	res := svc.FindNearest("swarm", p)
-	if res.Peer == q {
-		t.Fatal("deregistered peer still returned")
-	}
-}
-
-func TestUnknownSystem(t *testing.T) {
-	_, svc, peers := fixture(t)
-	if res := svc.FindNearest("nope", peers[0]); res.Peer >= 0 {
-		t.Fatal("unknown system returned a peer")
-	}
-}
-
-func TestStats(t *testing.T) {
-	_, svc, _ := fixture(t)
-	st := svc.Stats("swarm")
-	if st.ServersNeeded == 0 {
-		t.Fatal("no servers counted")
-	}
-	if st.MaxPeers < st.MedianPeers {
-		t.Fatal("max < median")
-	}
-	if st.MeanPeers <= 0 {
-		t.Fatal("mean not positive")
-	}
-	if st.String() == "" {
-		t.Fatal("empty stats string")
-	}
-	// The paper's concern: most home-dominated deployments need lots of
-	// singleton servers.
-	if st.SingletonServers == 0 {
-		t.Fatal("expected singleton servers in a home-heavy population")
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,6 @@ package rendezvous
 
 import (
 	"sort"
-	"time"
 
 	"nearestpeer/internal/p2p"
 )
@@ -41,10 +40,6 @@ func init() {
 type Wire struct {
 	base *Directory
 	rt   p2p.Transport
-	// Timeout bounds each probe and RPC; 0 uses the runtime default.
-	Timeout time.Duration
-	// Retry is the per-RPC retry policy.
-	Retry p2p.Policy
 	// serverOf maps an end-network id to its server member.
 	serverOf map[int]int
 	// registered[server] is the server's registration set.
@@ -97,7 +92,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 // reports whether the server acknowledged.
 func (w *Wire) Register(id p2p.NodeID, done func(ok bool)) {
 	n := w.rt.AddNode(id)
-	n.RequestPolicy(w.ServerOf(id), MsgRegister, nil, w.Timeout, w.Retry,
+	n.Request(w.ServerOf(id), MsgRegister, nil, 0,
 		func(p2p.Envelope) {
 			if done != nil {
 				done(true)
@@ -114,28 +109,16 @@ func (w *Wire) Register(id p2p.NodeID, done func(ok bool)) {
 // directory read at the client's own server, then a ping sweep of the
 // list. done fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
-	res.RPCs++
-	n.RequestPolicy(w.ServerOf(client), MsgList, nil, w.Timeout, w.Retry,
+	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
+	q.Call(w.ServerOf(client), MsgList, nil,
 		func(env p2p.Envelope) {
 			list := env.Payload.(listOK).IDs
 			ids := make([]p2p.NodeID, len(list))
 			for i, m := range list {
 				ids[i] = p2p.NodeID(m)
 			}
-			n.SweepPing(ids, w.Timeout, func(s p2p.PingSweep) {
-				res.Probes += s.Probes
-				res.DeadProbes += s.Dead
-				if s.Found {
-					res.Peer, res.RTTms, res.Found = s.Best, s.BestRTT, true
-				}
-				done(res)
-			})
+			q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
 		},
-		func() {
-			// The end network's server is down: its directory is offline.
-			res.RPCFails++
-			done(res)
-		})
+		// The end network's server is down: its directory is offline.
+		func() { done(q.Res) })
 }

@@ -11,7 +11,6 @@ package tapestry
 import (
 	"math"
 	"sort"
-	"time"
 
 	"nearestpeer/internal/p2p"
 )
@@ -39,10 +38,6 @@ func init() {
 type Wire struct {
 	base *Overlay
 	rt   p2p.Transport
-	// Timeout bounds each probe and RPC; 0 uses the runtime default.
-	Timeout time.Duration
-	// Retry is the per-RPC retry policy.
-	Retry p2p.Policy
 }
 
 // NewWire creates the wire deployment over an existing runtime.
@@ -65,9 +60,8 @@ func (w *Wire) Join(id p2p.NodeID) {
 
 // wireQuery carries one in-flight query's client-side state.
 type wireQuery struct {
+	*p2p.Query
 	w      *Wire
-	n      *p2p.Node
-	res    p2p.FindResult
 	probed map[int]float64
 	done   func(p2p.FindResult)
 }
@@ -80,18 +74,13 @@ func (q *wireQuery) probe(id int, then func(float64)) {
 		then(l)
 		return
 	}
-	if id == int(q.n.ID) {
+	if id == int(q.Node().ID) {
 		q.probed[id] = math.Inf(1)
 		then(math.Inf(1))
 		return
 	}
-	q.res.Probes++
-	q.n.Ping(p2p.NodeID(id), q.w.Timeout, false, func(rtt float64, ok bool) {
-		if !q.n.Alive() {
-			return
-		}
+	q.Ping(p2p.NodeID(id), func(rtt float64, ok bool) {
 		if !ok {
-			q.res.DeadProbes++
 			rtt = math.Inf(1)
 		}
 		q.probed[id] = rtt
@@ -123,8 +112,7 @@ func (q *wireQuery) fetchLevels(contacts []int, level int, then func(union []int
 			then(union)
 			return
 		}
-		q.res.RPCs++
-		q.n.RequestPolicy(p2p.NodeID(contacts[i]), MsgLevels, levelsMsg{Level: level}, q.w.Timeout, q.w.Retry,
+		q.Call(p2p.NodeID(contacts[i]), MsgLevels, levelsMsg{Level: level},
 			func(env p2p.Envelope) {
 				for _, nb := range env.Payload.(levelsOK).IDs {
 					if !seen[nb] {
@@ -134,10 +122,7 @@ func (q *wireQuery) fetchLevels(contacts []int, level int, then func(union []int
 				}
 				step(i + 1)
 			},
-			func() {
-				q.res.RPCFails++
-				step(i + 1)
-			})
+			func() { step(i + 1) })
 	}
 	step(0)
 }
@@ -146,9 +131,8 @@ func (q *wireQuery) fetchLevels(contacts []int, level int, then func(union []int
 // exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := &wireQuery{
+		Query:  p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{}),
 		w:      w,
-		n:      w.rt.AddNode(client),
-		res:    p2p.FindResult{Peer: p2p.NoNode},
 		probed: map[int]float64{},
 		done:   done,
 	}
@@ -162,7 +146,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 // candidates as the next contact set — the static FindNearest loop with
 // probes and neighbour reads on the wire.
 func (q *wireQuery) descend(contacts []int, lvl int) {
-	if lvl < 0 || q.res.Hops >= q.w.base.cfg.MaxHops {
+	if lvl < 0 || q.Res.Hops >= q.w.base.cfg.MaxHops {
 		q.refine(contacts)
 		return
 	}
@@ -192,7 +176,7 @@ func (q *wireQuery) descend(contacts []int, lvl int) {
 			for i := 0; i < k; i++ {
 				next[i] = scoredCands[i].id
 			}
-			q.res.Hops++
+			q.Res.Hops++
 			q.descend(next, lvl-1)
 		})
 	})
@@ -200,7 +184,7 @@ func (q *wireQuery) descend(contacts []int, lvl int) {
 
 // refine is the level-0 expansion loop of the static walk.
 func (q *wireQuery) refine(contacts []int) {
-	if q.res.Hops >= q.w.base.cfg.MaxHops {
+	if q.Res.Hops >= q.w.base.cfg.MaxHops {
 		q.finish()
 		return
 	}
@@ -218,7 +202,7 @@ func (q *wireQuery) refine(contacts []int) {
 		}
 		sort.Ints(cands)
 		q.probeAll(cands, func() {
-			q.res.Hops++
+			q.Res.Hops++
 			nowBest := bestOf(q.probed)
 			// Same comparison as the static walk, missing-key zeros and all:
 			// with nothing responsive probed yet, both sides stop here.
@@ -235,7 +219,7 @@ func (q *wireQuery) refine(contacts []int) {
 func (q *wireQuery) finish() {
 	best := bestOf(q.probed)
 	if best >= 0 && !math.IsInf(q.probed[best], 1) {
-		q.res.Peer, q.res.RTTms, q.res.Found = p2p.NodeID(best), q.probed[best], true
+		q.Res.Peer, q.Res.RTTms, q.Res.Found = p2p.NodeID(best), q.probed[best], true
 	}
-	q.done(q.res)
+	q.done(q.Res)
 }

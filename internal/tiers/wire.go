@@ -9,7 +9,6 @@ package tiers
 
 import (
 	"sort"
-	"time"
 
 	"nearestpeer/internal/p2p"
 )
@@ -41,10 +40,6 @@ func init() {
 type Wire struct {
 	base *Hierarchy
 	rt   p2p.Transport
-	// Timeout bounds each probe and RPC; 0 uses the runtime default.
-	Timeout time.Duration
-	// Retry is the per-RPC retry policy.
-	Retry p2p.Policy
 	// repIdx[level][rep] is the cluster index the rep leads at that level.
 	repIdx []map[int]int
 }
@@ -88,19 +83,17 @@ func (w *Wire) Join(id p2p.NodeID) {
 // follow the closest into its own cluster one level down, repeat. done
 // fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
+	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
 	level := len(w.base.levels) - 1
 	rep := w.base.levels[level][0].rep
 
 	var descend func(level, rep int)
 	descend = func(level, rep int) {
-		res.RPCs++
-		n.RequestPolicy(p2p.NodeID(rep), MsgCluster, clusterMsg{Level: level}, w.Timeout, w.Retry,
+		q.Call(p2p.NodeID(rep), MsgCluster, clusterMsg{Level: level},
 			func(env p2p.Envelope) {
 				co := env.Payload.(clusterOK)
 				if !co.OK {
-					done(res)
+					done(q.Res)
 					return
 				}
 				ids := make([]p2p.NodeID, 0, len(co.IDs))
@@ -109,24 +102,17 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 						ids = append(ids, p2p.NodeID(m))
 					}
 				}
-				n.SweepPing(ids, w.Timeout, func(s p2p.PingSweep) {
-					res.Probes += s.Probes
-					res.DeadProbes += s.Dead
-					res.Hops++
-					if s.Found && (!res.Found || s.BestRTT < res.RTTms) {
-						res.Peer, res.RTTms, res.Found = s.Best, s.BestRTT, true
-					}
-					if level == 0 || !s.Found {
-						done(res)
+				q.Sweep(ids, func(best p2p.NodeID, _ float64, ok bool) {
+					q.Res.Hops++
+					if level == 0 || !ok {
+						done(q.Res)
 						return
 					}
-					descend(level-1, int(s.Best))
+					descend(level-1, int(best))
 				})
 			},
-			func() {
-				res.RPCFails++
-				done(res) // the subtree is unreachable: report the best so far
-			})
+			// The subtree is unreachable: report the best so far.
+			func() { done(q.Res) })
 	}
 	descend(level, rep)
 }

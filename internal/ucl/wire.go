@@ -10,7 +10,6 @@ package ucl
 
 import (
 	"sort"
-	"time"
 
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/netmodel"
@@ -27,8 +26,6 @@ type Wire struct {
 	chord   *p2p.Chord
 	index   map[netmodel.HostID]p2p.NodeID
 	anchors []netmodel.HostID
-	// PingTimeout bounds each candidate probe; 0 uses the runtime default.
-	PingTimeout time.Duration
 }
 
 // NewWire creates the wire deployment over an existing Chord instance.
@@ -82,7 +79,8 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(stored int)) {
 func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	own := ComputeUCL(w.tools, w.anchors, w.cfg, peer)
 	node := w.NodeOf(peer)
-	res := p2p.FindResult{Peer: p2p.NoNode}
+	q := p2p.NewQuery(w.chord.Transport().Node(node), 0, p2p.Policy{})
+	q.Res.RPCs = len(own) // one DHT Get per router of the UCL
 	best := make(map[netmodel.HostID]float64)
 
 	probe := func(cands []hintCand) {
@@ -90,11 +88,7 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 		for i, c := range cands {
 			ids[i] = w.index[c.peer]
 		}
-		w.chord.Transport().Node(node).SweepPing(ids, w.PingTimeout, func(s p2p.PingSweep) {
-			res.Probes, res.DeadProbes, res.Found = s.Probes, s.Dead, s.Found
-			res.Peer, res.RTTms = s.Best, s.BestRTT
-			done(res)
-		})
+		q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
 	}
 
 	var get func(i int)
@@ -108,10 +102,9 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 			return
 		}
 		p := own[i]
-		res.RPCs++
 		w.chord.Get(node, routerKey(p.Router), func(r p2p.OpResult) {
-			res.Hops += r.Hops
-			res.RPCFails += r.LookupFails
+			q.Res.Hops += r.Hops
+			q.Res.RPCFails += r.LookupFails
 			if r.OK {
 				for _, v := range r.Vals {
 					e, err := decodeEntry(v)

@@ -644,8 +644,7 @@ type walkCand struct {
 // plus verification pings), Hops the greedy-walk steps taken. done fires
 // exactly once (the issuing node is assumed to stay up for the query).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	n := w.rt.AddNode(client)
-	res := p2p.FindResult{Peer: p2p.NoNode}
+	q := p2p.NewQuery(w.rt.AddNode(client), w.cfg.RPCTimeout, w.cfg.Retry)
 	var lseq uint64
 	if rec := w.rt.FlightRecorder(); rec != nil {
 		lseq = rec.Begin()
@@ -653,16 +652,16 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	if st := w.state(client); st != nil {
 		// A member already has a coordinate; walk from itself.
 		tc := st.coord.Clone()
-		w.walk(n, client, lseq, tc, client, &res, done)
+		w.walk(q, client, lseq, tc, client, done)
 		return
 	}
-	w.place(n, client, lseq, &res, done)
+	w.place(q, client, lseq, done)
 }
 
 // place positions a non-member: sequential coordinate probes against
 // random members, then the static placement iteration over the collected
 // (coordinate, RTT) observations.
-func (w *Wire) place(n *p2p.Node, client p2p.NodeID, lseq uint64, res *p2p.FindResult, done func(p2p.FindResult)) {
+func (w *Wire) place(q *p2p.Query, client p2p.NodeID, lseq uint64, done func(p2p.FindResult)) {
 	type placeObs struct {
 		from  p2p.NodeID
 		coord *Coord
@@ -681,7 +680,7 @@ func (w *Wire) place(n *p2p.Node, client p2p.NodeID, lseq uint64, res *p2p.FindR
 	step = func(i int) {
 		if i >= len(targets) {
 			if len(observations) == 0 {
-				done(*res)
+				done(q.Res)
 				return
 			}
 			tc := NewCoord(w.cfg.Vivaldi.Dimensions)
@@ -698,33 +697,25 @@ func (w *Wire) place(n *p2p.Node, client p2p.NodeID, lseq uint64, res *p2p.FindR
 					best = o
 				}
 			}
-			w.walk(n, client, lseq, tc, best.from, res, done)
+			w.walk(q, client, lseq, tc, best.from, done)
 			return
 		}
-		w.rt.MetricsAt(n.ID).QueryProbes++
-		res.Probes++
-		start := w.rt.Now(n.ID)
-		n.RequestPolicy(targets[i], MsgProbe, nil, w.cfg.RPCTimeout, w.cfg.Retry,
-			func(env p2p.Envelope) {
-				rtt := float64(w.rt.Now(n.ID)-start) / float64(time.Millisecond)
-				if rec := w.rt.FlightRecorder(); rec != nil {
-					rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgProbe,
-						From: int(n.ID), To: int(targets[i]), At: start, RTTms: rtt, Outcome: obs.HopOK})
+		start := w.rt.Now(client)
+		q.Probe(targets[i], MsgProbe, func(env p2p.Envelope, rtt float64, answered bool) {
+			if rec := w.rt.FlightRecorder(); rec != nil {
+				outcome := obs.HopOK
+				if !answered {
+					outcome = obs.HopTimeout
 				}
-				if s, ok := env.Payload.(*gossipSnap); ok {
-					c := &Coord{Vec: append([]float64(nil), s.Vec...), Height: s.Height, Err: s.Err}
-					observations = append(observations, placeObs{from: targets[i], coord: c, rtt: rtt})
-				}
-				step(i + 1)
-			},
-			func() {
-				if rec := w.rt.FlightRecorder(); rec != nil {
-					rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgProbe,
-						From: int(n.ID), To: int(targets[i]), At: start, Outcome: obs.HopTimeout})
-				}
-				res.DeadProbes++
-				step(i + 1)
-			})
+				rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgProbe,
+					From: int(client), To: int(targets[i]), At: start, RTTms: rtt, Outcome: outcome})
+			}
+			if s, ok := env.Payload.(*gossipSnap); answered && ok {
+				c := &Coord{Vec: append([]float64(nil), s.Vec...), Height: s.Height, Err: s.Err}
+				observations = append(observations, placeObs{from: targets[i], coord: c, rtt: rtt})
+			}
+			step(i + 1)
+		})
 	}
 	step(0)
 }
@@ -741,7 +732,8 @@ func containsID(list []p2p.NodeID, id p2p.NodeID) bool {
 
 // walk runs the greedy descent from start toward the target coordinate tc,
 // collecting every answered candidate, then hands off to verification.
-func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, start p2p.NodeID, res *p2p.FindResult, done func(p2p.FindResult)) {
+func (w *Wire) walk(q *p2p.Query, client p2p.NodeID, lseq uint64, tc *Coord, start p2p.NodeID, done func(p2p.FindResult)) {
+	n := q.Node()
 	var cands []walkCand
 	addCand := func(id p2p.NodeID, pred float64) {
 		if id == client || id == p2p.NoNode {
@@ -762,8 +754,8 @@ func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, star
 	cur := start
 	var step func()
 	step = func() {
-		if res.Hops >= w.cfg.MaxWalkHops || visited[cur] {
-			w.verify(n, cands, res, done)
+		if q.Res.Hops >= w.cfg.MaxWalkHops || visited[cur] {
+			w.verify(q, cands, done)
 			return
 		}
 		visited[cur] = true
@@ -784,10 +776,10 @@ func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, star
 					addCand(alt, ok.AltPreds[i])
 				}
 				if ok.Best == env.From || ok.Best == client || ok.Best == p2p.NoNode || visited[ok.Best] {
-					w.verify(n, cands, res, done)
+					w.verify(q, cands, done)
 					return
 				}
-				res.Hops++
+				q.Res.Hops++
 				cur = ok.Best
 				step()
 			},
@@ -797,7 +789,7 @@ func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, star
 						From: int(n.ID), To: int(hopTo), At: hopStart, Outcome: obs.HopTimeout})
 				}
 				// Dead or lost hop: verify what the walk has so far.
-				w.verify(n, cands, res, done)
+				w.verify(q, cands, done)
 			})
 	}
 	step()
@@ -806,11 +798,12 @@ func (w *Wire) walk(n *p2p.Node, client p2p.NodeID, lseq uint64, tc *Coord, star
 // verify ranks the walk's candidates by predicted distance, RTT-verifies
 // the VerifyTop best with real pings, and answers with the closest
 // responder.
-func (w *Wire) verify(n *p2p.Node, cands []walkCand, res *p2p.FindResult, done func(p2p.FindResult)) {
+func (w *Wire) verify(q *p2p.Query, cands []walkCand, done func(p2p.FindResult)) {
 	if len(cands) == 0 && w.cfg.Retry.Enabled() && len(w.members) > 0 {
-		w.ringFallback(n, res, done)
+		w.ringFallback(q, done)
 		return
 	}
+	n := q.Node()
 	sortWalkCands(cands)
 	// Suspect candidates (repeated exhausted retries) verify last, so the
 	// ping budget goes to peers that have been answering. A no-op with
@@ -840,15 +833,7 @@ func (w *Wire) verify(n *p2p.Node, cands []walkCand, res *p2p.FindResult, done f
 	for i, c := range cands {
 		ids[i] = c.id
 	}
-	n.SweepPing(ids, w.cfg.RPCTimeout, func(s p2p.PingSweep) {
-		res.Probes += s.Probes
-		res.DeadProbes += s.Dead
-		if s.Found {
-			res.Found = true
-			res.Peer, res.RTTms = s.Best, s.BestRTT
-		}
-		done(*res)
-	})
+	q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
 }
 
 // ringFallback is the search's graceful degradation: when the greedy walk
@@ -856,7 +841,8 @@ func (w *Wire) verify(n *p2p.Node, cands []walkCand, res *p2p.FindResult, done f
 // ping a random sample of known members so the query still answers with
 // the best reachable peer instead of failing outright. Reached only with
 // a retry policy enabled; the probe budget is twice VerifyTop.
-func (w *Wire) ringFallback(n *p2p.Node, res *p2p.FindResult, done func(p2p.FindResult)) {
+func (w *Wire) ringFallback(q *p2p.Query, done func(p2p.FindResult)) {
+	n := q.Node()
 	budget := 2 * w.cfg.VerifyTop
 	if budget < 2 {
 		budget = 2
@@ -869,13 +855,5 @@ func (w *Wire) ringFallback(n *p2p.Node, res *p2p.FindResult, done func(p2p.Find
 		}
 		targets = append(targets, m)
 	}
-	n.SweepPing(targets, w.cfg.RPCTimeout, func(s p2p.PingSweep) {
-		res.Probes += s.Probes
-		res.DeadProbes += s.Dead
-		if s.Found {
-			res.Found = true
-			res.Peer, res.RTTms = s.Best, s.BestRTT
-		}
-		done(*res)
-	})
+	q.Sweep(targets, func(p2p.NodeID, float64, bool) { done(q.Res) })
 }
