@@ -56,7 +56,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 // tracker, sweep-ping the returned sample, repeat for the configured number
 // of rounds. done fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
+	q := p2p.NewQuery(w.rt.AddNode(client), 0)
 	var round func(r int)
 	round = func(r int) {
 		if r >= w.base.cfg.Rounds {

@@ -29,10 +29,8 @@ type RuntimeOpts struct {
 	Beta float64
 	// RingSize overrides the nodes-per-ring bound when > 0.
 	RingSize int
-	// Churn enables the membership process (with ChurnCfg, or the
-	// experiment default when zero).
-	Churn    bool
-	ChurnCfg p2p.ChurnConfig
+	// Churn enables the membership process (experimentChurnConfig).
+	Churn bool
 	// Queries is the number of sequential closest-peer queries.
 	Queries int
 	// Seed drives the whole run.
@@ -65,9 +63,9 @@ type ChurnRow struct {
 	Leaves, Joins int
 }
 
-// experimentChurnConfig is the churn used by the study: sessions short
-// enough that a meaningful slice of the overlay turns over while the
-// query batch runs.
+// experimentChurnConfig is the churn every churned wire cell runs:
+// sessions short enough that a meaningful slice of the overlay turns over
+// while the query batch runs.
 func experimentChurnConfig() p2p.ChurnConfig {
 	return p2p.ChurnConfig{
 		MeanSession:  90 * time.Second,
@@ -95,8 +93,8 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 	run := runWireCell(newSchemeCtx(m, members, opts.Seed, opts.Horizon), wireCell{
 		cfg: p2p.Config{LossProb: opts.Loss}, heldOut: targets,
 		recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
-		churn: opts.Churn, churnCfg: opts.ChurnCfg,
-		ops: opts.Queries,
+		churn: opts.Churn,
+		ops:   opts.Queries,
 	}, func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
 		var d wireDeployment
 		mer, d = meridianDeployment(c, rt, merCfg)

@@ -229,10 +229,11 @@ func FaultStudyAt(peers, nTargets, lookups int, seed int64) *FaultStudyResult {
 // issuer without an entry (a member) has no stretch to score.
 func faultCell(c *schemeCtx, deploy wireDeploy, cond faultCondition, retry bool,
 	targets []int, oracleMs map[int]float64, lookups int) FaultCell {
-	if retry {
-		c.retry = faultRetryPolicy()
-	}
 	c.keyLabel = "r1"
+	var cfg p2p.Config
+	if retry {
+		cfg.Retry = faultRetryPolicy()
+	}
 
 	// Each op reports exactly once: through the scheme callback, or not at
 	// all (an issuing node crashed by the plan takes its callbacks down with
@@ -246,7 +247,7 @@ func faultCell(c *schemeCtx, deploy wireDeploy, cond faultCondition, retry bool,
 	recs := make([]opRec, lookups)
 	span := time.Duration(lookups) * faultQueryEvery
 	run := runWireCell(c, wireCell{
-		heldOut: targets,
+		cfg: cfg, heldOut: targets,
 		faults: func(mark time.Duration) *faults.Plan {
 			return cond.plan(mark, span, c.m.N(), c.members)
 		},

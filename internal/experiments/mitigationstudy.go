@@ -37,10 +37,8 @@ type MitigationOpts struct {
 	Scheme string
 	// Loss is the one-way packet loss probability.
 	Loss float64
-	// Churn enables the membership process (with ChurnCfg, or the
-	// experiment default when zero).
-	Churn    bool
-	ChurnCfg p2p.ChurnConfig
+	// Churn enables the membership process (experimentChurnConfig).
+	Churn bool
 	// Queries is the number of sequential nearest-peer queries.
 	Queries int
 	// Seed drives the whole run.

@@ -51,8 +51,8 @@ type Scheme struct {
 	Static func(c *schemeCtx) func(idx int) p2p.FindResult
 	// Wire builds the message-level deployment runWireCell drives: real
 	// RPCs over rt under loss/churn/faults. It is the only way a scheme is
-	// deployed on the wire; retry policy, horizon and DHT key label come
-	// from the context.
+	// deployed on the wire; horizon and DHT key label come from the
+	// context, the retry policy from rt's Config.
 	Wire wireDeploy
 	// Scale runs one s1 cell over a (usually large) generated topology.
 	Scale func(top *netmodel.Topology, queries int, seed int64) ScaleCell
@@ -160,12 +160,6 @@ type schemeCtx struct {
 	// horizon caps the wire run's virtual time and bounds the protocols'
 	// own maintenance schedules (0 on the static leg).
 	horizon time.Duration
-	// retry is the per-RPC retry policy (zero: none). Only the chord ring
-	// (and with it the hint schemes' DHT operations), meridian and vivaldi
-	// legs arm it; the expanding-ring and finder-zoo legs run
-	// single-attempt, so a retry-on cell of one of those runs without
-	// retries.
-	retry p2p.Policy
 	// keyLabel namespaces the DHT keys a key-resolving leg looks up
 	// ("g1", "o1", "r1"); op is the number of the stream op being issued,
 	// set by the runner before each issue, which the key is named after.
@@ -280,7 +274,7 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}
 	run := runWireCell(c, wireCell{
 		cfg: p2p.Config{LossProb: opts.Loss}, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
-		churn: opts.Churn, churnCfg: opts.ChurnCfg, churnLead: 30 * time.Second,
+		churn: opts.Churn, churnLead: 30 * time.Second,
 		ops: opts.Queries,
 	}, deploy, func(run *wireRun, o *wireOp) {
 		target := int(o.client)
@@ -303,7 +297,6 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 // shard itself.
 func chordRing(c *schemeCtx, rt *p2p.Runtime, ccfg p2p.ChordConfig, spacing, settle time.Duration) (*p2p.Chord, wireDeployment) {
 	ccfg.Horizon = c.horizon
-	ccfg.Retry = c.retry
 	chord := p2p.NewChord(rt, ccfg, c.seed+1)
 	joined := 0
 	return chord, wireDeployment{
@@ -333,7 +326,6 @@ func expandingWire(_ *schemeCtx, rt *p2p.Runtime) wireDeployment {
 // meridianDeployment deploys the message-level Meridian walk; a query
 // searches for the peer nearest its own client.
 func meridianDeployment(c *schemeCtx, rt *p2p.Runtime, mcfg p2p.MeridianConfig) (*p2p.Meridian, wireDeployment) {
-	mcfg.Retry = c.retry
 	mer := p2p.NewMeridian(rt, mcfg, c.seed+1)
 	return mer, wireDeployment{
 		join:   mer.Join,
@@ -354,7 +346,6 @@ func meridianDeployment(c *schemeCtx, rt *p2p.Runtime, mcfg p2p.MeridianConfig) 
 func vivaldiDeployment(c *schemeCtx, rt *p2p.Runtime) (*vivaldi.Wire, wireDeployment) {
 	wcfg := vivaldi.DefaultWireConfig()
 	wcfg.Horizon = c.horizon
-	wcfg.Retry = c.retry
 	w := vivaldi.NewWire(rt, wcfg, c.seed+1)
 	return w, wireDeployment{
 		join:  w.Join,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"reflect"
 	"time"
 
 	"nearestpeer/internal/faults"
@@ -99,11 +98,10 @@ type wireCell struct {
 	recorder *obs.Recorder
 	registry *obs.Registry
 	faults   func(mark time.Duration) *faults.Plan
-	// churn drives the membership process over the members from the end of
-	// bring-up, with churnCfg (zero: experimentChurnConfig); the op stream
-	// starts churnLead later, so the process bites before measuring.
+	// churn drives the membership process (experimentChurnConfig) over the
+	// members from the end of bring-up; the op stream starts churnLead
+	// later, so the process bites before measuring.
 	churn     bool
-	churnCfg  p2p.ChurnConfig
 	churnLead time.Duration
 	// ops is the stream length. cadence 0 runs them sequentially (numbered
 	// from 1, the next wireOpGap after the previous ended, the kernel
@@ -311,10 +309,7 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 
 	var churn *p2p.Churn
 	if cell.churn {
-		ccfg := cell.churnCfg
-		if ccfg.MeanSession == 0 {
-			ccfg = experimentChurnConfig()
-		}
+		ccfg := experimentChurnConfig()
 		ccfg.Horizon = c.horizon
 		churn = p2p.NewChurn(rt, ccfg, c.seed+2)
 		churn.OnLeave = d.leave
@@ -402,7 +397,9 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		run.events = kernel.Executed
 	} else {
 		run.sharded.RunUntil(c.horizon)
-		run.atStart = sumMetrics(snaps)
+		for _, m := range snaps {
+			run.atStart.Add(m)
+		}
 		run.pubMsgs = run.atStart.MsgsSent
 		// The snapshots are measurement scaffolding, not model events:
 		// excluding them keeps the count what the model executed.
@@ -413,18 +410,4 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		run.leaves, run.joins = churn.Leaves, churn.Joins
 	}
 	return run
-}
-
-// sumMetrics adds per-shard counter snapshots up, field by field: every
-// p2p.Metrics field is an int64 counter.
-func sumMetrics(ms []p2p.Metrics) p2p.Metrics {
-	var sum p2p.Metrics
-	sv := reflect.ValueOf(&sum).Elem()
-	for _, m := range ms {
-		mv := reflect.ValueOf(m)
-		for f := range mv.NumField() {
-			sv.Field(f).SetInt(sv.Field(f).Int() + mv.Field(f).Int())
-		}
-	}
-	return sum
 }

@@ -227,16 +227,28 @@ func TestStudyCellsNormaliseByIssued(t *testing.T) {
 	}
 }
 
+// noRetryPath names the schemes whose queries send no request that retries
+// (no Node.RequestPolicy, Query.Call or Query.Probe), so an r1 retry-on
+// cell of theirs charges no retry, with the reason.
+var noRetryPath = map[string]string{
+	"expanding": "multicast finds and one-way found-reports only: no request/response RPC",
+}
+
 // TestLookupCellsRunEveryScheme is the capability the one deployment type
 // buys: r1's cadenced cell (no faults, and the burst-loss condition) and
 // o1's instrumented cell (registry and sampler attached) run every
 // registered scheme, not just the three whose figures they draw. Over the
 // Quick environment's peers at tiny sizing, every cell must issue every op
-// it was asked for, and every op must report exactly once.
+// it was asked for, and every op must report exactly once. The retry-on
+// burst cell must also retry: the policy is the transport's, so it reaches
+// every scheme with a request that retries (all but noRetryPath).
 func TestLookupCellsRunEveryScheme(t *testing.T) {
 	env := SharedEnv(Quick, 1)
 	peers := MitigationPeers(env, 40)
-	const lookups = 5
+	// lookups sizes every cell; the retry-on burst cell runs retryLookups,
+	// enough that each scheme with a retrying request sees one of them time
+	// out in the burst window.
+	const lookups, retryLookups = 5, 20
 	const seed = int64(1)
 	conds := faultStudyConditions()
 	noFaults, burst := conds[0], conds[1]
@@ -272,10 +284,10 @@ func TestLookupCellsRunEveryScheme(t *testing.T) {
 				tools := measure.NewTools(env.Top, measure.DefaultConfig(), seed+1)
 				return envSchemeCtx(env, tools, peers, m, seed, faultStudyHorizon)
 			}
-			check := func(cell string, issued int, done float64) {
+			check := func(cell string, asked, issued int, done float64) {
 				t.Helper()
-				if issued != lookups || len(reports) != lookups {
-					t.Fatalf("%s: issued %d ops through %d finds, asked for %d", cell, issued, len(reports), lookups)
+				if issued != asked || len(reports) != asked {
+					t.Fatalf("%s: issued %d ops through %d finds, asked for %d", cell, issued, len(reports), asked)
 				}
 				for call, n := range reports {
 					if n != 1 {
@@ -287,14 +299,21 @@ func TestLookupCellsRunEveryScheme(t *testing.T) {
 				}
 			}
 			for _, cond := range []faultCondition{noFaults, burst} {
-				fc := faultCell(ctx(), counted, cond, true, nil, nil, lookups)
-				check("r1 "+cond.name, fc.Lookups, fc.Done)
+				asked := lookups
+				if cond.name == burst.name {
+					asked = retryLookups
+				}
+				fc := faultCell(ctx(), counted, cond, true, nil, nil, asked)
+				check("r1 "+cond.name, asked, fc.Lookups, fc.Done)
 				if cond.name == burst.name && fc.Dropped == 0 {
 					t.Errorf("r1 %s: the burst window dropped nothing: %+v", cond.name, fc)
 				}
+				if _, exempt := noRetryPath[name]; cond.name == burst.name && !exempt && fc.Retries == 0 {
+					t.Errorf("r1 %s, retry on: no request was retried: %+v", cond.name, fc)
+				}
 			}
 			oc := obsCell(ctx(), counted, wireCondition{name: "messages, loss=0%"}, nil, lookups, false)
-			check("o1", oc.Lookups, oc.Done)
+			check("o1", lookups, oc.Lookups, oc.Done)
 			// (The sampler ticks every obsSampleEvery; a stream this short
 			// may end before its first tick.)
 			if oc.LoadMax == 0 || oc.MsgMix == "" || oc.P50 <= 0 {

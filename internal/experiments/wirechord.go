@@ -25,9 +25,8 @@ type WireChordOpts struct {
 	Ops int
 	// Loss is the one-way packet loss probability.
 	Loss float64
-	// Churn enables the membership process.
-	Churn    bool
-	ChurnCfg p2p.ChurnConfig
+	// Churn enables the membership process (experimentChurnConfig).
+	Churn bool
 	// Seed drives the whole run.
 	Seed int64
 	// Horizon caps virtual time as a watchdog (default 2 h).
@@ -123,7 +122,7 @@ func RunWireChord(m latency.Matrix, opts WireChordOpts) WireChordRow {
 	var chord *p2p.Chord
 	run := runWireCell(newSchemeCtx(m, firstN(n), opts.Seed, opts.Horizon), wireCell{
 		cfg: p2p.Config{LossProb: opts.Loss}, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
-		churn: opts.Churn, churnCfg: opts.ChurnCfg,
+		churn:  opts.Churn,
 		ops:    opts.Ops,
 		shards: opts.Shards, top: opts.Top,
 	}, func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {

@@ -67,7 +67,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 // FindNearest runs the Karger–Ruhl walk over the wire from client. done
 // fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
+	q := p2p.NewQuery(w.rt.AddNode(client), 0)
 	members := w.base.members
 	cur := members[w.base.src.Intn(len(members))]
 	visited := map[int]bool{cur: true, int(client): true}

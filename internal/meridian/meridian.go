@@ -34,6 +34,7 @@ const (
 	SelectRandom
 )
 
+// String names the strategy as the ablation tables print it.
 func (s RingSelection) String() string {
 	switch s {
 	case SelectHypervolume:

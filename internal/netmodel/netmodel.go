@@ -57,6 +57,7 @@ const (
 	KindBackbone
 )
 
+// String names the router kind ("core", "agg", "backbone").
 func (k RouterKind) String() string {
 	switch k {
 	case KindCore:

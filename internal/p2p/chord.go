@@ -93,10 +93,6 @@ type ChordConfig struct {
 	// virtual time so a test kernel's queue can drain. 0 stabilizes
 	// forever — drive the kernel with RunUntil or Stop in that case.
 	Horizon time.Duration
-	// Retry is the per-RPC retry policy applied to lookup hops and
-	// store/fetch operations. The zero value (the default) disables
-	// retries, reproducing the historical behavior bit for bit.
-	Retry Policy
 }
 
 // DefaultChordConfig returns the protocol defaults.
@@ -127,7 +123,7 @@ func (c ChordConfig) Validate() error {
 	case c.MaxHops <= 0:
 		return fmt.Errorf("p2p: chord MaxHops %d must be positive", c.MaxHops)
 	}
-	return c.Retry.Validate()
+	return nil
 }
 
 // chordState is one member's protocol state.
@@ -1364,7 +1360,7 @@ func (l *chordLookup) next() {
 	l.hopStart = c.rt.Now(l.n.ID)
 	l.wasRetry = l.afterTimeout
 	l.afterTimeout = false
-	l.n.RequestPolicy(l.cur, MsgChordFind, cFindMsg{Key: l.key}, c.cfg.RPCTimeout, c.cfg.Retry, l.onReply, l.onTimeout)
+	l.n.RequestPolicy(l.cur, MsgChordFind, cFindMsg{Key: l.key}, c.cfg.RPCTimeout, l.onReply, l.onTimeout)
 }
 
 // reply folds one routing answer in: learn from it, finish on ownership,
@@ -1491,7 +1487,7 @@ func (c *Chord) opAttempt(n *Node, key string, res *OpResult, attempts int, typ 
 				res.Retries++
 				tryNext(ts[1:])
 			}
-			n.RequestPolicy(ts[0], typ, payload, c.cfg.RPCTimeout, c.cfg.Retry,
+			n.RequestPolicy(ts[0], typ, payload, c.cfg.RPCTimeout,
 				func(env Envelope) {
 					if !onOK(env) {
 						c.dropDead(n)

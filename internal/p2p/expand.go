@@ -35,11 +35,6 @@ type ExpandConfig struct {
 	// exceed the largest scope or answers arrive after the round closed
 	// (they still count — a late answer resolves the search when it lands).
 	RoundTimeout time.Duration
-	// Retry re-runs the whole expansion (all rounds, after backoff) when
-	// the last round closes unanswered, up to the policy's attempt budget —
-	// the recovery for a burst that ate every found-report. The zero value
-	// (the default) disables it, reproducing the historical behavior.
-	Retry Policy
 }
 
 // DefaultExpandConfig starts at 1 ms and quadruples for five rounds
@@ -85,8 +80,8 @@ func ExpandRing(rounds, n int, reach func(round, j int) (rttMs float64, ok bool)
 	return r
 }
 
-// findMsg is the multicast query payload. Round identifies the expansion
-// round that sent this copy; responders echo it so the searcher can
+// findMsg is the multicast query payload. Round is the expansion round
+// that sent this copy; responders echo it so the searcher can
 // measure a late answer against the round that actually asked, not
 // whatever round happens to be open when the answer lands.
 type findMsg struct {
@@ -106,9 +101,8 @@ type expandSearch struct {
 	sid      uint64
 	client   NodeID
 	round    int
-	attempt  int // completed full sweeps (retry policy)
 	started  time.Duration
-	sentAt   []time.Duration // sentAt[tag] = virtual time the tagged multicast went out
+	sentAt   []time.Duration // sentAt[r] = virtual time round r's multicast went out
 	messages int
 	done     func(FindResult)
 }
@@ -135,9 +129,6 @@ type Expanding struct {
 func NewExpanding(rt Transport, cfg ExpandConfig) *Expanding {
 	if cfg.Rounds <= 0 || cfg.RoundTimeout <= 0 || cfg.InitialRadiusMs <= 0 || cfg.RadiusMult <= 1 {
 		panic(fmt.Sprintf("p2p: invalid expand config %+v", cfg))
-	}
-	if err := cfg.Retry.Validate(); err != nil {
-		panic(err)
 	}
 	return &Expanding{rt: rt, cfg: cfg, byClient: make([]expandSlot, rt.Population())}
 }
@@ -199,25 +190,13 @@ func (e *Expanding) runRound(s *expandSearch) {
 		return
 	}
 	if s.round >= e.cfg.Rounds {
-		if s.attempt+1 < e.cfg.Retry.Attempts {
-			// Every round of this sweep closed unanswered: back off and
-			// re-run the expansion from the smallest scope.
-			s.attempt++
-			s.round = 0
-			e.rt.MetricsAt(s.client).Retries++
-			e.rt.After(s.client, e.cfg.Retry.backoff(s.client, s.sid, s.attempt), func() { e.runRound(s) })
-			return
-		}
 		e.byClient[s.client].active = nil
 		s.done(FindResult{Peer: NoNode, Hops: e.cfg.Rounds, Probes: s.messages, Elapsed: e.rt.Now(s.client) - s.started})
 		return
 	}
 	radius := e.cfg.Radius(s.round)
-	// The answer echoes this tag to index sentAt; it is sweep-global (not
-	// the per-sweep round) so a retried sweep's rounds get fresh slots.
-	tag := len(s.sentAt)
 	s.sentAt = append(s.sentAt, e.rt.Now(s.client))
-	s.messages += e.rt.Multicast(s.client, ExpandGroup, MsgFind, findMsg{SID: s.sid, From: s.client, Round: tag}, radius)
+	s.messages += e.rt.Multicast(s.client, ExpandGroup, MsgFind, findMsg{SID: s.sid, From: s.client, Round: s.round}, radius)
 	s.round++
 	e.rt.After(s.client, e.cfg.RoundTimeout, func() { e.runRound(s) })
 }

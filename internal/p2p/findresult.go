@@ -48,8 +48,8 @@ func (r *FindResult) keep(peer NodeID, rttMs float64) {
 }
 
 // Query is one wire nearest-peer query's bill in the making: the issuing
-// node, the FindResult being built, and the timeout and retry policy its
-// requests go out with. Every scheme Wire charges through it:
+// node, the FindResult being built, and the timeout its requests go out
+// with. Every scheme Wire charges through it:
 //
 //   - a probe (Ping, Probe, each ping of a Sweep) charges Probes at issue,
 //     paid whether or not it is answered, and DeadProbes when it times out;
@@ -57,6 +57,8 @@ func (r *FindResult) keep(peer NodeID, rttMs float64) {
 //     every attempt expired unanswered;
 //   - a Sweep folds each responder into Res by the keep-best rule.
 //
+// Calls and Probes go out through Node.RequestPolicy, so they retry under
+// the transport's Config.Retry; Pings and Sweeps are always single-shot.
 // Hops stay the scheme's own to count. Once the issuing node has stopped,
 // no callback fires: a dead client's query is abandoned, its done never
 // called.
@@ -66,56 +68,59 @@ type Query struct {
 
 	n       *Node
 	timeout time.Duration
-	pol     Policy
 }
 
 // NewQuery starts a query from n with nothing found. A non-positive
-// timeout uses the transport default; pol governs Calls and Probes (Pings
-// and Sweeps stay single-shot), the zero Policy sending one attempt.
-func NewQuery(n *Node, timeout time.Duration, pol Policy) *Query {
-	return &Query{Res: FindResult{Peer: NoNode}, n: n, timeout: timeout, pol: pol}
+// timeout uses the transport default.
+func NewQuery(n *Node, timeout time.Duration) *Query {
+	return &Query{Res: FindResult{Peer: NoNode}, n: n, timeout: timeout}
 }
 
 // Node returns the issuing node.
 func (q *Query) Node() *Node { return q.n }
 
-// request sends one request under pol, charging *bill at issue and *fails
-// on a timeout. Both callbacks pass the dead-client guard.
-func (q *Query) request(to NodeID, typ string, payload any, pol Policy, bill, fails *int, onReply func(Envelope), onFail func()) {
+// request sends one request, through RequestPolicy when retry is set and
+// as a single-shot Request otherwise, charging *bill at issue and *fails on
+// a timeout. Both callbacks pass the dead-client guard.
+func (q *Query) request(to NodeID, typ string, payload any, retry bool, bill, fails *int, onReply func(Envelope), onFail func()) {
 	*bill++
-	q.n.RequestPolicy(to, typ, payload, q.timeout, pol,
-		func(env Envelope) {
-			if q.n.Alive() {
-				onReply(env)
-			}
-		},
-		func() {
-			if q.n.Alive() {
-				*fails++
-				onFail()
-			}
-		})
+	reply := func(env Envelope) {
+		if q.n.Alive() {
+			onReply(env)
+		}
+	}
+	fail := func() {
+		if q.n.Alive() {
+			*fails++
+			onFail()
+		}
+	}
+	if retry {
+		q.n.RequestPolicy(to, typ, payload, q.timeout, reply, fail)
+	} else {
+		q.n.Request(to, typ, payload, q.timeout, reply, fail)
+	}
 }
 
 // Call sends one control request (a hint fetch, a walk handoff, a
-// directory read) under the query's policy: onReply gets the answer, onFail
-// runs once every attempt has expired.
+// directory read) under the transport's retry policy: onReply gets the
+// answer, onFail runs once every attempt has expired.
 func (q *Query) Call(to NodeID, typ string, payload any, onReply func(Envelope), onFail func()) {
-	q.request(to, typ, payload, q.pol, &q.Res.RPCs, &q.Res.RPCFails, onReply, onFail)
+	q.request(to, typ, payload, true, &q.Res.RPCs, &q.Res.RPCFails, onReply, onFail)
 }
 
-// Probe measures the RTT to a peer with a typ request under the query's
-// policy, for a scheme whose probe answer carries state (Vivaldi's
+// Probe measures the RTT to a peer with a typ request under the transport's
+// retry policy, for a scheme whose probe answer carries state (Vivaldi's
 // coordinate probe). then gets the answer and the RTT, or ok false on a
 // timeout. The probe also counts in the node's QueryProbes metric.
 func (q *Query) Probe(to NodeID, typ string, then func(env Envelope, rttMs float64, ok bool)) {
-	q.probe(to, typ, q.pol, then)
+	q.probe(to, typ, true, then)
 }
 
-func (q *Query) probe(to NodeID, typ string, pol Policy, then func(env Envelope, rttMs float64, ok bool)) {
+func (q *Query) probe(to NodeID, typ string, retry bool, then func(env Envelope, rttMs float64, ok bool)) {
 	q.n.rt.MetricsAt(q.n.ID).QueryProbes++
 	start := q.n.rt.Now(q.n.ID)
-	q.request(to, typ, nil, pol, &q.Res.Probes, &q.Res.DeadProbes,
+	q.request(to, typ, nil, retry, &q.Res.Probes, &q.Res.DeadProbes,
 		func(env Envelope) { then(env, msOf(q.n.rt.Now(q.n.ID)-start), true) },
 		func() { then(Envelope{}, 0, false) })
 }
@@ -123,7 +128,7 @@ func (q *Query) probe(to NodeID, typ string, pol Policy, then func(env Envelope,
 // Ping is one single-shot ping probe (Node.Ping's message): then gets the
 // RTT, or ok false on a timeout.
 func (q *Query) Ping(to NodeID, then func(rttMs float64, ok bool)) {
-	q.probe(to, MsgPing, Policy{}, func(_ Envelope, rtt float64, ok bool) { then(rtt, ok) })
+	q.probe(to, MsgPing, false, func(_ Envelope, rtt float64, ok bool) { then(rtt, ok) })
 }
 
 // Sweep pings the targets one after another, folds each responder into Res

@@ -1,12 +1,15 @@
 package p2p
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // The query bill on a 4-node line (rtt(i,j) = 10·|i−j| ms), client node 0.
 
 func TestQueryPingToStoppedNodeChargesDeadProbe(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
-	q := NewQuery(rt.AddNode(0), 0, Policy{})
+	q := NewQuery(rt.AddNode(0), 0)
 	rt.AddNode(2).Stop()
 	fired := 0
 	q.Ping(2, func(rtt float64, ok bool) {
@@ -26,7 +29,7 @@ func TestQueryPingToStoppedNodeChargesDeadProbe(t *testing.T) {
 
 func TestQueryCallToStoppedNodeChargesRPCFail(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
-	q := NewQuery(rt.AddNode(0), 0, Policy{})
+	q := NewQuery(rt.AddNode(0), 0)
 	rt.AddNode(3).Stop()
 	failed := 0
 	q.Call(3, "list", nil, func(Envelope) { t.Error("a stopped node answered") }, func() { failed++ })
@@ -36,9 +39,44 @@ func TestQueryCallToStoppedNodeChargesRPCFail(t *testing.T) {
 	}
 }
 
+// TestQueryRetryScope: on a transport whose Config.Retry is armed, a Call
+// retries and a Ping does not. A Call to a stopped node is one RPC and one
+// RPC failure however many attempts it spent, each extra attempt charged to
+// the transport's Retries; a Ping to it is one probe, one dead probe and no
+// retry.
+func TestQueryRetryScope(t *testing.T) {
+	pol := Policy{Attempts: 3, BaseBackoff: 100 * time.Millisecond}
+	kernel, rt := newRetryRuntime(t, 4, pol, nil)
+	rt.AddNode(3).Stop()
+	call := NewQuery(rt.AddNode(0), 0)
+	failed := 0
+	call.Call(3, "list", nil, func(Envelope) { t.Error("a stopped node answered") }, func() { failed++ })
+	kernel.Run()
+	if failed != 1 || call.Res.RPCs != 1 || call.Res.RPCFails != 1 {
+		t.Fatalf("failed %d, bill %+v: want one RPC, one RPC failure", failed, call.Res)
+	}
+	if got, want := rt.Metrics.Retries, int64(pol.Attempts-1); got != want {
+		t.Fatalf("Call charged %d retries, want %d", got, want)
+	}
+
+	ping := NewQuery(rt.Node(0), 0)
+	ping.Ping(3, func(_ float64, ok bool) {
+		if ok {
+			t.Error("ping to a stopped node answered")
+		}
+	})
+	kernel.Run()
+	if ping.Res.Probes != 1 || ping.Res.DeadProbes != 1 {
+		t.Fatalf("ping bill %+v: want one probe, one dead probe", ping.Res)
+	}
+	if got := rt.Metrics.Retries - int64(pol.Attempts-1); got != 0 {
+		t.Errorf("Ping charged %d retries, want 0", got)
+	}
+}
+
 func TestQueryProbeCarriesAnswer(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
-	q := NewQuery(rt.AddNode(0), 0, Policy{})
+	q := NewQuery(rt.AddNode(0), 0)
 	rt.AddNode(1).Handle("coord", func(n *Node, env Envelope) { n.Reply(env, "coord_ok", "c1") })
 	var got any
 	var rtt float64
@@ -52,7 +90,7 @@ func TestQueryProbeCarriesAnswer(t *testing.T) {
 func TestQuerySweepsKeepBest(t *testing.T) {
 	// Client 2 on a 5-node line: 1 and 3 are both 10 ms away, 0 and 4 20 ms.
 	kernel, rt := newTestRuntime(t, 5, 0)
-	q := NewQuery(rt.AddNode(2), 0, Policy{})
+	q := NewQuery(rt.AddNode(2), 0)
 	for _, id := range []NodeID{0, 1, 3, 4} {
 		rt.AddNode(id)
 	}
@@ -96,7 +134,7 @@ func TestQuerySweepsKeepBest(t *testing.T) {
 func TestQueryCallbacksStopWithClient(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	client := rt.AddNode(0)
-	q := NewQuery(client, 0, Policy{})
+	q := NewQuery(client, 0)
 	rt.AddNode(1).Handle("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) })
 	rt.AddNode(2).Stop()
 	fired := 0

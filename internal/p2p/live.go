@@ -318,8 +318,8 @@ func (b *liveBase) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
 	})
 }
 
-// defaultRPCTimeout is the expiry used when a caller passes none.
-func (b *liveBase) defaultRPCTimeout() time.Duration { return b.cfg.RPCTimeout }
+// config is the validated Config, RPCTimeout defaulted.
+func (b *liveBase) config() *Config { return &b.cfg }
 
 // MetricsAt returns the transport-wide metrics (live transports keep one
 // account).

@@ -66,7 +66,7 @@ func TestLoopbackCloseDuringInflight(t *testing.T) {
 // restarted) node; the generation guard must keep the old life's
 // callbacks from resolving in the new one.
 func TestLoopbackStopWithParkedTimers(t *testing.T) {
-	lb := NewLoopback(lineMatrix(4), Config{RPCTimeout: time.Second}, 1)
+	lb := NewLoopback(lineMatrix(4), Config{RPCTimeout: time.Second, Retry: Policy{Attempts: 3, BaseBackoff: 30 * time.Millisecond}}, 1)
 	defer lb.Close()
 	var n0 *Node
 	lb.Do(func() {
@@ -75,7 +75,6 @@ func TestLoopbackStopWithParkedTimers(t *testing.T) {
 		lb.AddNode(3).Stop() // node 3 is a black hole: requests to it only expire
 	})
 	var oldLife atomic.Int64
-	pol := Policy{Attempts: 3, BaseBackoff: 30 * time.Millisecond}
 	lb.Do(func() {
 		// A reply that will arrive ~10 ms from now, after Stop.
 		n0.Request(1, MsgPing, nil, time.Second,
@@ -84,7 +83,7 @@ func TestLoopbackStopWithParkedTimers(t *testing.T) {
 		n0.Request(3, MsgPing, nil, 25*time.Millisecond,
 			func(Envelope) { oldLife.Add(1) }, func() { oldLife.Add(1) })
 		// A retry chain whose backoff timer will be parked at Stop time.
-		n0.RequestPolicy(3, MsgPing, nil, 5*time.Millisecond, pol,
+		n0.RequestPolicy(3, MsgPing, nil, 5*time.Millisecond,
 			func(Envelope) { oldLife.Add(1) }, func() { oldLife.Add(1) })
 	})
 	time.Sleep(2 * time.Millisecond)

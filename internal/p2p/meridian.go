@@ -56,10 +56,6 @@ type MeridianConfig struct {
 	QueryDeadline time.Duration
 	// MaxHops caps query forwarding, a loop backstop.
 	MaxHops int
-	// Retry is the per-RPC retry policy applied to query handoffs and
-	// ring-member probes. The zero value (the default) disables retries,
-	// reproducing the historical behavior bit for bit.
-	Retry Policy
 }
 
 // DefaultMeridianConfig mirrors the static paper parameters plus runtime
@@ -143,9 +139,6 @@ type Meridian struct {
 func NewMeridian(rt Transport, cfg MeridianConfig, seed int64) *Meridian {
 	if cfg.RingSize <= 0 || cfg.NumRings <= 0 || cfg.RingBase <= 0 || cfg.RingMult <= 1 || cfg.Beta <= 0 {
 		panic(fmt.Sprintf("p2p: invalid meridian config %+v", cfg))
-	}
-	if err := cfg.Retry.Validate(); err != nil {
-		panic(err)
 	}
 	return &Meridian{
 		rt:      rt,
@@ -394,7 +387,7 @@ func (m *Meridian) startQuery(n *Node, q queryMsg, attempts int) {
 		return
 	}
 	start := m.order[m.src.Intn(len(m.order))]
-	n.RequestPolicy(start, MsgQuery, q, m.cfg.RPCTimeout, m.cfg.Retry,
+	n.RequestPolicy(start, MsgQuery, q, m.cfg.RPCTimeout,
 		func(Envelope) {},
 		func() { m.startQuery(n, q, attempts-1) })
 }
@@ -495,7 +488,7 @@ func (m *Meridian) probePhase(n *Node, st *meridianState, q queryMsg) {
 		if c == q.Target {
 			continue
 		}
-		if l := st.ringLat[c]; (math.IsInf(q.D, 1) || (l >= lo && l <= hi)) && !visited[c] && !n.Suspect(c, m.cfg.Retry) {
+		if l := st.ringLat[c]; (math.IsInf(q.D, 1) || (l >= lo && l <= hi)) && !visited[c] && !n.Suspect(c) {
 			cands = append(cands, c)
 		}
 	}
@@ -525,7 +518,7 @@ func (m *Meridian) probePhase(n *Node, st *meridianState, q queryMsg) {
 	}
 	for _, c := range cands {
 		c := c
-		n.RequestPolicy(c, MsgProbe, probeMsg{Target: q.Target}, m.cfg.RPCTimeout, m.cfg.Retry,
+		n.RequestPolicy(c, MsgProbe, probeMsg{Target: q.Target}, m.cfg.RPCTimeout,
 			func(rep Envelope) {
 				pm := rep.Payload.(probeOKMsg)
 				if pm.OK {
@@ -564,7 +557,7 @@ func (m *Meridian) advanceFrom(n *Node, q queryMsg, reports []probeReport, alter
 	fwd.D = next.rtt
 	fwd.Hops++
 	hopStart := m.rt.Now(n.ID)
-	n.RequestPolicy(next.id, MsgQuery, fwd, m.cfg.RPCTimeout, m.cfg.Retry,
+	n.RequestPolicy(next.id, MsgQuery, fwd, m.cfg.RPCTimeout,
 		func(Envelope) {
 			if rec := m.rt.FlightRecorder(); rec != nil {
 				out := obs.HopOK

@@ -163,7 +163,7 @@ func (n *Node) Send(to NodeID, typ string, payload any) uint64 {
 // requests, and the expiry bookkeeping itself must not allocate.
 func (n *Node) Request(to NodeID, typ string, payload any, timeout time.Duration, onReply func(Envelope), onTimeout func()) uint64 {
 	if timeout <= 0 {
-		timeout = n.rt.defaultRPCTimeout()
+		timeout = n.rt.config().RPCTimeout
 	}
 	id := n.rt.allocMsgIDFor(n.ID)
 	n.park(call{id: id, onReply: onReply, onTimeout: onTimeout})

@@ -1,10 +1,12 @@
 // The retry policy layer: per-RPC retry-with-backoff on top of Node's
-// single-attempt Request. The zero Policy disables everything — a call
-// through RequestPolicy with a zero policy is bit-for-bit a plain Request,
-// which is what keeps the unfaulted goldens byte-identical — and an
-// enabled policy re-issues the request after deterministic backoff when an
-// attempt times out, so a loss burst costs one backoff instead of a failed
-// operation.
+// single-attempt Request. The policy is a transport setting (Config.Retry),
+// read by every RequestPolicy call on that transport; which requests retry
+// stays the caller's choice (RequestPolicy retries, Request never does).
+// The zero Policy disables everything — a RequestPolicy call on a transport
+// with no policy is bit-for-bit a plain Request, which is what keeps the
+// unfaulted goldens byte-identical — and an enabled policy re-issues the
+// request after deterministic backoff when an attempt times out, so a loss
+// burst costs one backoff instead of a failed operation.
 //
 // Determinism: the jitter draw is a stateless hash of (node, call
 // sequence, attempt) — no shared RNG stream — so retry timing is
@@ -19,9 +21,9 @@ import (
 	"time"
 )
 
-// Policy configures per-RPC retries. The zero value disables retries
-// (one attempt, caller's timeout), so embedding a Policy in a protocol
-// config never changes behavior until a caller opts in.
+// Policy configures per-RPC retries (Config.Retry). The zero value
+// disables retries (one attempt, caller's timeout), so a transport never
+// retries until its config opts in.
 type Policy struct {
 	// Attempts is the total number of tries; values below 2 mean a single
 	// attempt (retries disabled).
@@ -34,13 +36,11 @@ type Policy struct {
 	// JitterFrac spreads each backoff by ±JitterFrac of itself, drawn
 	// deterministically from (node, call, attempt).
 	JitterFrac float64
-	// PerTryTimeout bounds each attempt; 0 uses the caller's timeout
-	// (and, through it, the transport default).
-	PerTryTimeout time.Duration
-	// DemoteAfter is how many consecutive exhausted calls mark a peer
-	// suspect (Node.Suspicion); 0 means the default of 2.
-	DemoteAfter int
 }
+
+// demoteAfter is how many consecutive exhausted calls mark a peer suspect
+// (Node.Suspect).
+const demoteAfter = 2
 
 // Enabled reports whether the policy actually retries.
 func (p Policy) Enabled() bool { return p.Attempts > 1 }
@@ -50,9 +50,9 @@ func (p Policy) Enabled() bool { return p.Attempts > 1 }
 // with u in [0,1), so any larger fraction can price a negative delay —
 // a retry scheduled in the past. Durations must not be negative and a
 // set Multiplier must be at least 1 (zero means "use the default").
-// Protocol constructors reject an invalid embedded policy up front, so a
-// typo'd knob fails at construction instead of surfacing as a kernel
-// assert deep in a retry chain.
+// Config.Validate checks it, so every transport constructor rejects an
+// invalid policy up front: a typo'd knob fails at construction instead of
+// surfacing as a kernel assert deep in a retry chain.
 func (p Policy) Validate() error {
 	if p.JitterFrac < 0 || p.JitterFrac > 1 {
 		return fmt.Errorf("p2p: retry jitter fraction %v out of [0,1]", p.JitterFrac)
@@ -60,21 +60,10 @@ func (p Policy) Validate() error {
 	if p.BaseBackoff < 0 {
 		return fmt.Errorf("p2p: negative retry base backoff %v", p.BaseBackoff)
 	}
-	if p.PerTryTimeout < 0 {
-		return fmt.Errorf("p2p: negative retry per-try timeout %v", p.PerTryTimeout)
-	}
 	if p.Multiplier != 0 && p.Multiplier < 1 {
 		return fmt.Errorf("p2p: retry backoff multiplier %v below 1", p.Multiplier)
 	}
 	return nil
-}
-
-// demoteAfter is the suspicion threshold with the default applied.
-func (p Policy) demoteAfter() int {
-	if p.DemoteAfter > 0 {
-		return p.DemoteAfter
-	}
-	return 2
 }
 
 // retryMix hashes (node, call sequence, attempt) to [0, 1) — the same
@@ -117,22 +106,19 @@ func (p Policy) backoff(id NodeID, seq uint64, attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// RequestPolicy is Request with a retry policy: a disabled policy issues
-// exactly one attempt with the given timeout (or the policy's per-try
-// timeout when set); an enabled one re-issues the request after backoff
-// each time an attempt times out, up to the attempt budget. onReply fires
+// RequestPolicy is Request under the transport's retry policy
+// (Config.Retry): a disabled policy issues exactly one attempt with the
+// given timeout; an enabled one re-issues the request after backoff each
+// time an attempt times out, up to the attempt budget. onReply fires
 // on the first response; onTimeout fires once, after the last attempt
 // expires. A reply clears the peer's suspicion tally, a fully exhausted
 // call increments it (Suspicion). Retry timers die across Stop/Restart —
 // a node that crashed mid-backoff does not resurrect old request chains.
 // The returned MsgID is the first attempt's.
-func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Duration, pol Policy, onReply func(Envelope), onTimeout func()) uint64 {
-	perTry := timeout
-	if pol.PerTryTimeout > 0 {
-		perTry = pol.PerTryTimeout
-	}
+func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Duration, onReply func(Envelope), onTimeout func()) uint64 {
+	pol := n.rt.config().Retry
 	if !pol.Enabled() {
-		return n.Request(to, typ, payload, perTry, onReply, onTimeout)
+		return n.Request(to, typ, payload, timeout, onReply, onTimeout)
 	}
 	n.retrySeq++
 	seq := n.retrySeq
@@ -145,7 +131,7 @@ func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Du
 	}
 	var attempt func(k int) uint64
 	attempt = func(k int) uint64 {
-		return n.Request(to, typ, payload, perTry, wrapReply, func() {
+		return n.Request(to, typ, payload, timeout, wrapReply, func() {
 			if k+1 >= pol.Attempts {
 				n.noteSuspicion(to)
 				if onTimeout != nil {
@@ -185,8 +171,12 @@ func (n *Node) clearSuspicion(peer NodeID) {
 // repeatedly failing peers (try them last, or not at all).
 func (n *Node) Suspicion(peer NodeID) int { return n.suspicion[peer] }
 
-// Suspect reports whether peer has crossed the policy's demotion
-// threshold.
-func (n *Node) Suspect(peer NodeID, pol Policy) bool {
-	return pol.Enabled() && n.Suspicion(peer) >= pol.demoteAfter()
+// Retrying reports whether the node's transport retries RequestPolicy
+// calls (Config.Retry is enabled).
+func (n *Node) Retrying() bool { return n.rt.config().Retry.Enabled() }
+
+// Suspect reports whether peer has crossed the demotion threshold
+// (demoteAfter consecutive exhausted calls) on a transport that retries.
+func (n *Node) Suspect(peer NodeID) bool {
+	return n.Suspicion(peer) >= demoteAfter && n.Retrying()
 }

@@ -5,11 +5,13 @@ import (
 	"time"
 
 	"nearestpeer/internal/faults"
+	"nearestpeer/internal/latency"
 	"nearestpeer/internal/sim"
 )
 
-// TestRequestPolicyZeroIsPlainRequest: a zero policy is one attempt with
-// the caller's timeout — no retries charged, behavior identical to Request.
+// TestRequestPolicyZeroIsPlainRequest: on a transport with the zero policy
+// RequestPolicy is one attempt with the caller's timeout — no retries
+// charged, behavior identical to Request.
 func TestRequestPolicyZeroIsPlainRequest(t *testing.T) {
 	k := sim.New()
 	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
@@ -17,7 +19,7 @@ func TestRequestPolicyZeroIsPlainRequest(t *testing.T) {
 	r.AddNode(1)
 	replies := 0
 	k.At(0, func() {
-		n0.RequestPolicy(1, MsgPing, nil, 300*time.Millisecond, Policy{},
+		n0.RequestPolicy(1, MsgPing, nil, 300*time.Millisecond,
 			func(Envelope) { replies++ }, func() { t.Error("timeout on a healthy link") })
 	})
 	k.Run()
@@ -36,17 +38,12 @@ func TestRequestPolicyRetriesThroughBurst(t *testing.T) {
 	plan := &faults.Plan{Seed: 2, Rules: []faults.Rule{
 		{Kind: faults.Blackhole, At: 0, For: 1 * time.Second, Src: faults.List(0), Dst: faults.List(1)},
 	}}
-	k := sim.New()
-	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
-	if err := InstallFaults(r, plan); err != nil {
-		t.Fatal(err)
-	}
+	k, r := newRetryRuntime(t, 2, Policy{Attempts: 4, BaseBackoff: 400 * time.Millisecond, Multiplier: 2}, plan)
 	n0 := r.AddNode(0)
 	r.AddNode(1)
-	pol := Policy{Attempts: 4, BaseBackoff: 400 * time.Millisecond, Multiplier: 2}
 	var ok, timedOut bool
 	k.At(0, func() {
-		n0.RequestPolicy(1, MsgPing, nil, 200*time.Millisecond, pol,
+		n0.RequestPolicy(1, MsgPing, nil, 200*time.Millisecond,
 			func(Envelope) { ok = true }, func() { timedOut = true })
 	})
 	k.Run()
@@ -69,18 +66,13 @@ func TestRequestPolicyExhaustion(t *testing.T) {
 	plan := &faults.Plan{Seed: 2, Rules: []faults.Rule{
 		{Kind: faults.Blackhole, At: 0, For: 30 * time.Second, Src: faults.List(0), Dst: faults.List(1)},
 	}}
-	k := sim.New()
-	r := New(k, faultTestMatrix(3), DefaultConfig(), 1)
-	if err := InstallFaults(r, plan); err != nil {
-		t.Fatal(err)
-	}
+	k, r := newRetryRuntime(t, 3, Policy{Attempts: 3, BaseBackoff: 100 * time.Millisecond}, plan)
 	n0 := r.AddNode(0)
 	r.AddNode(1)
 	r.AddNode(2)
-	pol := Policy{Attempts: 3, BaseBackoff: 100 * time.Millisecond}
 	timeouts := 0
 	k.At(0, func() {
-		n0.RequestPolicy(1, MsgPing, nil, 100*time.Millisecond, pol,
+		n0.RequestPolicy(1, MsgPing, nil, 100*time.Millisecond,
 			func(Envelope) { t.Error("reply through a black-hole") }, func() { timeouts++ })
 	})
 	k.Run()
@@ -90,22 +82,27 @@ func TestRequestPolicyExhaustion(t *testing.T) {
 	if got := n0.Suspicion(1); got != 1 {
 		t.Errorf("Suspicion(1) = %d, want 1", got)
 	}
-	if n0.Suspect(1, pol) {
-		t.Error("one exhausted call should not cross the default threshold of 2")
+	if n0.Suspect(1) {
+		t.Error("one exhausted call should not cross the threshold of 2")
 	}
 	// A second exhausted call crosses it; an answered call to 2 clears 2.
 	k.After(0, func() {
-		n0.RequestPolicy(1, MsgPing, nil, 100*time.Millisecond, pol, nil, nil)
-		n0.RequestPolicy(2, MsgPing, nil, 100*time.Millisecond, pol, nil, nil)
+		n0.RequestPolicy(1, MsgPing, nil, 100*time.Millisecond, nil, nil)
+		n0.RequestPolicy(2, MsgPing, nil, 100*time.Millisecond, nil, nil)
 	})
 	k.Run()
-	if !n0.Suspect(1, pol) {
+	if !n0.Suspect(1) {
 		t.Errorf("Suspicion(1) = %d after two exhausted calls, want suspect", n0.Suspicion(1))
 	}
 	if n0.Suspicion(2) != 0 {
 		t.Errorf("Suspicion(2) = %d after an answered call, want 0", n0.Suspicion(2))
 	}
-	if n0.Suspect(1, Policy{}) {
+	// The same tally on a transport that does not retry names no suspect.
+	_, plain := newRetryRuntime(t, 3, Policy{}, nil)
+	p0 := plain.AddNode(0)
+	p0.noteSuspicion(1)
+	p0.noteSuspicion(1)
+	if p0.Suspect(1) {
 		t.Error("a disabled policy must never report suspects")
 	}
 }
@@ -116,16 +113,11 @@ func TestRequestPolicyChainDiesAcrossRestart(t *testing.T) {
 	plan := &faults.Plan{Seed: 2, Rules: []faults.Rule{
 		{Kind: faults.Blackhole, At: 0, For: 30 * time.Second, Src: faults.List(0), Dst: faults.List(1)},
 	}}
-	k := sim.New()
-	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
-	if err := InstallFaults(r, plan); err != nil {
-		t.Fatal(err)
-	}
+	k, r := newRetryRuntime(t, 2, Policy{Attempts: 5, BaseBackoff: 500 * time.Millisecond}, plan)
 	n0 := r.AddNode(0)
 	r.AddNode(1)
-	pol := Policy{Attempts: 5, BaseBackoff: 500 * time.Millisecond}
 	k.At(0, func() {
-		n0.RequestPolicy(1, MsgPing, nil, 200*time.Millisecond, pol, nil, nil)
+		n0.RequestPolicy(1, MsgPing, nil, 200*time.Millisecond, nil, nil)
 	})
 	// Restart lands inside the first backoff window (timeout 200 ms +
 	// backoff 500 ms): the chain must not continue into the new life.
@@ -193,7 +185,7 @@ func TestPolicyValidate(t *testing.T) {
 	valid := []Policy{
 		{},
 		{Attempts: 3, BaseBackoff: 300 * time.Millisecond, Multiplier: 2, JitterFrac: 0.2},
-		{Attempts: 2, JitterFrac: 1, PerTryTimeout: time.Second},
+		{Attempts: 2, JitterFrac: 1},
 	}
 	for _, p := range valid {
 		if err := p.Validate(); err != nil {
@@ -204,7 +196,6 @@ func TestPolicyValidate(t *testing.T) {
 		{JitterFrac: 1.5},
 		{JitterFrac: -0.1},
 		{BaseBackoff: -time.Millisecond},
-		{PerTryTimeout: -time.Millisecond},
 		{Multiplier: 0.5},
 	}
 	for _, p := range invalid {
@@ -214,18 +205,44 @@ func TestPolicyValidate(t *testing.T) {
 	}
 }
 
-// TestPolicyValidateAtConstruction: a protocol constructor rejects a config
-// whose embedded retry policy is invalid — the policy is checked where it
-// enters the runtime, not first used deep in a retry chain.
+// TestPolicyValidateAtConstruction: every transport constructor rejects a
+// Config whose retry policy is invalid — the policy is checked where it
+// enters the transport, not first used deep in a retry chain.
 func TestPolicyValidateAtConstruction(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMeridian accepted a config with JitterFrac 2")
-		}
-	}()
+	bad := Config{Retry: Policy{Attempts: 3, JitterFrac: 2}}
+	m := faultTestMatrix(2)
+	ctors := map[string]func(){
+		"New": func() { New(sim.New(), m, bad, 1) },
+		"NewSharded": func() {
+			NewSharded(sim.NewSharded(1, time.Millisecond), []latency.Matrix{m}, bad, 1, []int32{0, 0})
+		},
+		"NewLoopback": func() { NewLoopback(m, bad, 1).Close() },
+		"NewUDP":      func() { NewUDP(2, bad, 1).Close() },
+	}
+	for name, ctor := range ctors {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a retry policy with JitterFrac 2", name)
+				}
+			}()
+			ctor()
+		})
+	}
+}
+
+// newRetryRuntime is a serial runtime over an n-node fault-test matrix
+// whose transport retries under pol, with plan (when non-nil) installed.
+func newRetryRuntime(t *testing.T, n int, pol Policy, plan *faults.Plan) (*sim.Sim, *Runtime) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Retry = pol
 	k := sim.New()
-	r := New(k, faultTestMatrix(2), DefaultConfig(), 1)
-	cfg := DefaultMeridianConfig()
-	cfg.Retry = Policy{Attempts: 3, JitterFrac: 2}
-	NewMeridian(r, cfg, 1)
+	r := New(k, faultTestMatrix(n), cfg, 1)
+	if plan != nil {
+		if err := InstallFaults(r, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return k, r
 }

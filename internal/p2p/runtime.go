@@ -680,8 +680,8 @@ func (r *Runtime) AfterHandler(d time.Duration, h sim.HandlerID, arg uint64) {
 	r.Kernel.AfterHandler(d, h, arg)
 }
 
-// defaultRPCTimeout is the configured request expiry fallback.
-func (r *Runtime) defaultRPCTimeout() time.Duration { return r.cfg.RPCTimeout }
+// config is the validated Config, RPCTimeout defaulted.
+func (r *Runtime) config() *Config { return &r.cfg }
 
 // MetricsAt returns the metrics struct charged for activity at a node: its
 // home shard's — on a serial runtime, the Metrics field.
@@ -696,21 +696,7 @@ func (r *Runtime) noteLive(delta int) { r.liveCount += delta }
 func (r *Runtime) TotalMetrics() Metrics {
 	var t Metrics
 	for i := range r.sh {
-		m := r.sh[i].metrics
-		t.MsgsSent += m.MsgsSent
-		t.MsgsDelivered += m.MsgsDelivered
-		t.MsgsLost += m.MsgsLost
-		t.MsgsDead += m.MsgsDead
-		t.MsgsMulticast += m.MsgsMulticast
-		t.QueryProbes += m.QueryProbes
-		t.MaintProbes += m.MaintProbes
-		t.ExpiriesScheduled += m.ExpiriesScheduled
-		t.ExpiriesFired += m.ExpiriesFired
-		t.Timeouts += m.Timeouts
-		t.FaultDropped += m.FaultDropped
-		t.FaultDelayed += m.FaultDelayed
-		t.FaultDuplicated += m.FaultDuplicated
-		t.Retries += m.Retries
+		t.Add(*r.sh[i].metrics)
 	}
 	return t
 }

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -520,5 +521,24 @@ func TestSelfRequestReachesHandler(t *testing.T) {
 	}
 	if got != "self" {
 		t.Fatalf("reply payload = %v", got)
+	}
+}
+
+// TestMetricsAddCoversEveryField sets every Metrics counter to a distinct
+// value through reflection and checks that Add sums each one, so a counter
+// added to Metrics but not to Add fails here instead of vanishing from
+// TotalMetrics and the sharded cells' snapshots.
+func TestMetricsAddCoversEveryField(t *testing.T) {
+	var a, b Metrics
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for f := range av.NumField() {
+		av.Field(f).SetInt(int64(f + 1))
+		bv.Field(f).SetInt(int64(100 * (f + 1)))
+	}
+	a.Add(b)
+	for f := range av.NumField() {
+		if got, want := av.Field(f).Int(), int64(101*(f+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", av.Type().Field(f).Name, got, want)
+		}
 	}
 }

@@ -115,8 +115,10 @@ type Transport interface {
 	allocMsgIDFor(id NodeID) uint64
 	// timeoutAt schedules a request expiry for (node, msgID) after d.
 	timeoutAt(d time.Duration, node NodeID, msgID uint64)
-	// defaultRPCTimeout is the expiry used when a caller passes none.
-	defaultRPCTimeout() time.Duration
+	// config is the validated Config the transport was built with, its
+	// RPCTimeout defaulted: the expiry used when a caller passes none, and
+	// the retry policy RequestPolicy runs under.
+	config() *Config
 	// noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 	noteLive(delta int)
 }

@@ -82,6 +82,25 @@ type Metrics struct {
 	Retries int64
 }
 
+// Add adds o's counters into m, field by field (per-shard accounts summed
+// into one; TestMetricsAddCoversEveryField keeps the list complete).
+func (m *Metrics) Add(o Metrics) {
+	m.MsgsSent += o.MsgsSent
+	m.MsgsDelivered += o.MsgsDelivered
+	m.MsgsLost += o.MsgsLost
+	m.MsgsDead += o.MsgsDead
+	m.MsgsMulticast += o.MsgsMulticast
+	m.QueryProbes += o.QueryProbes
+	m.MaintProbes += o.MaintProbes
+	m.ExpiriesScheduled += o.ExpiriesScheduled
+	m.ExpiriesFired += o.ExpiriesFired
+	m.Timeouts += o.Timeouts
+	m.FaultDropped += o.FaultDropped
+	m.FaultDelayed += o.FaultDelayed
+	m.FaultDuplicated += o.FaultDuplicated
+	m.Retries += o.Retries
+}
+
 // Config parameterises a Runtime.
 type Config struct {
 	// LossProb is the independent drop probability of each one-way
@@ -90,13 +109,19 @@ type Config struct {
 	// RPCTimeout is the default request expiry used when a caller passes
 	// a non-positive timeout.
 	RPCTimeout time.Duration
+	// Retry is the retry policy every Node.RequestPolicy call on this
+	// transport runs under (and with it Query.Call and Query.Probe). The
+	// zero value disables retries. Requests sent any other way (Request,
+	// Ping, Sweep, Send, Multicast) are always single-shot.
+	Retry Policy
 }
 
 // Validate checks the configuration's knobs: the loss probability must be
-// a probability and the RPC timeout must not be negative (zero means "use
-// the default"). Every transport constructor rejects an invalid Config up
-// front, so a typo'd knob fails at construction instead of surfacing as a
-// nonsense loss draw or an RPC that expires before it is sent.
+// a probability, the RPC timeout must not be negative (zero means "use the
+// default") and the retry policy must pass Policy.Validate. Every transport
+// constructor rejects an invalid Config up front, so a typo'd knob fails at
+// construction instead of surfacing as a nonsense loss draw, an RPC that
+// expires before it is sent, or a retry scheduled in the past.
 func (c Config) Validate() error {
 	if math.IsNaN(c.LossProb) || c.LossProb < 0 || c.LossProb > 1 {
 		return fmt.Errorf("p2p: loss probability %v out of [0,1]", c.LossProb)
@@ -104,7 +129,7 @@ func (c Config) Validate() error {
 	if c.RPCTimeout < 0 {
 		return fmt.Errorf("p2p: negative RPC timeout %v", c.RPCTimeout)
 	}
-	return nil
+	return c.Retry.Validate()
 }
 
 // DefaultConfig returns a lossless runtime with a 2 s RPC timeout —

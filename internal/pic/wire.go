@@ -77,7 +77,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 // sweep-ping the walk endpoints. done fires exactly once unless the client
 // dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
+	q := p2p.NewQuery(w.rt.AddNode(client), 0)
 	sample := w.base.sys.SamplePlacement(int(client), w.base.cfg.Landmarks)
 	var obs []vivaldi.PlacementObservation
 

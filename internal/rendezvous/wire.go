@@ -109,7 +109,7 @@ func (w *Wire) Register(id p2p.NodeID, done func(ok bool)) {
 // directory read at the client's own server, then a ping sweep of the
 // list. done fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{})
+	q := p2p.NewQuery(w.rt.AddNode(client), 0)
 	q.Call(w.ServerOf(client), MsgList, nil,
 		func(env p2p.Envelope) {
 			list := env.Payload.(listOK).IDs

@@ -131,7 +131,7 @@ func (q *wireQuery) fetchLevels(contacts []int, level int, then func(union []int
 // exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := &wireQuery{
-		Query:  p2p.NewQuery(w.rt.AddNode(client), 0, p2p.Policy{}),
+		Query:  p2p.NewQuery(w.rt.AddNode(client), 0),
 		w:      w,
 		probed: map[int]float64{},
 		done:   done,

@@ -79,7 +79,7 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(stored int)) {
 func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	own := ComputeUCL(w.tools, w.anchors, w.cfg, peer)
 	node := w.NodeOf(peer)
-	q := p2p.NewQuery(w.chord.Transport().Node(node), 0, p2p.Policy{})
+	q := p2p.NewQuery(w.chord.Transport().Node(node), 0)
 	q.Res.RPCs = len(own) // one DHT Get per router of the UCL
 	best := make(map[netmodel.HostID]float64)
 

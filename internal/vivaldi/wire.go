@@ -102,13 +102,6 @@ type WireConfig struct {
 	// time so a test kernel's queue can drain. 0 gossips forever — drive
 	// the kernel with RunUntil or Stop in that case.
 	Horizon time.Duration
-	// Retry is the per-RPC retry policy applied to placement probes and
-	// walk hops; it also arms the search's graceful degradation (suspect
-	// candidates verify last, and a walk that collected no live candidate
-	// falls back to a ring search over known members). The zero value
-	// (the default) disables all of it, reproducing the historical
-	// behavior bit for bit.
-	Retry p2p.Policy
 }
 
 // DefaultWireConfig returns the wire protocol defaults: the paper's update
@@ -213,9 +206,6 @@ func NewWire(rt p2p.Transport, cfg WireConfig, seed int64) *Wire {
 		cfg.GossipEvery <= 0 || cfg.Neighbors <= 0 || cfg.SnapshotTTL <= 0 ||
 		cfg.PlacementProbes <= 0 || cfg.MaxWalkHops <= 0 {
 		panic(fmt.Sprintf("vivaldi: invalid wire config %+v", cfg))
-	}
-	if err := cfg.Retry.Validate(); err != nil {
-		panic(err)
 	}
 	n := rt.Population()
 	w := &Wire{
@@ -644,7 +634,7 @@ type walkCand struct {
 // plus verification pings), Hops the greedy-walk steps taken. done fires
 // exactly once (the issuing node is assumed to stay up for the query).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), w.cfg.RPCTimeout, w.cfg.Retry)
+	q := p2p.NewQuery(w.rt.AddNode(client), w.cfg.RPCTimeout)
 	var lseq uint64
 	if rec := w.rt.FlightRecorder(); rec != nil {
 		lseq = rec.Begin()
@@ -761,7 +751,7 @@ func (w *Wire) walk(q *p2p.Query, client p2p.NodeID, lseq uint64, tc *Coord, sta
 		visited[cur] = true
 		hopStart := w.rt.Now(n.ID)
 		hopTo := cur
-		n.RequestPolicy(cur, MsgWalk, payload, w.cfg.RPCTimeout, w.cfg.Retry,
+		n.RequestPolicy(cur, MsgWalk, payload, w.cfg.RPCTimeout,
 			func(env p2p.Envelope) {
 				if rec := w.rt.FlightRecorder(); rec != nil {
 					rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgWalk,
@@ -799,24 +789,24 @@ func (w *Wire) walk(q *p2p.Query, client p2p.NodeID, lseq uint64, tc *Coord, sta
 // the VerifyTop best with real pings, and answers with the closest
 // responder.
 func (w *Wire) verify(q *p2p.Query, cands []walkCand, done func(p2p.FindResult)) {
-	if len(cands) == 0 && w.cfg.Retry.Enabled() && len(w.members) > 0 {
+	n := q.Node()
+	if len(cands) == 0 && n.Retrying() && len(w.members) > 0 {
 		w.ringFallback(q, done)
 		return
 	}
-	n := q.Node()
 	sortWalkCands(cands)
 	// Suspect candidates (repeated exhausted retries) verify last, so the
 	// ping budget goes to peers that have been answering. A no-op with
 	// retries disabled: Suspect is then always false.
-	if w.cfg.Retry.Enabled() && len(cands) > 1 {
+	if n.Retrying() && len(cands) > 1 {
 		ordered := make([]walkCand, 0, len(cands))
 		for _, c := range cands {
-			if !n.Suspect(c.id, w.cfg.Retry) {
+			if !n.Suspect(c.id) {
 				ordered = append(ordered, c)
 			}
 		}
 		for _, c := range cands {
-			if n.Suspect(c.id, w.cfg.Retry) {
+			if n.Suspect(c.id) {
 				ordered = append(ordered, c)
 			}
 		}
@@ -840,7 +830,7 @@ func (w *Wire) verify(q *p2p.Query, cands []walkCand, done func(p2p.FindResult))
 // exhausted every alternate without collecting one live candidate, sweep-
 // ping a random sample of known members so the query still answers with
 // the best reachable peer instead of failing outright. Reached only with
-// a retry policy enabled; the probe budget is twice VerifyTop.
+// the transport's retry policy enabled; the probe budget is twice VerifyTop.
 func (w *Wire) ringFallback(q *p2p.Query, done func(p2p.FindResult)) {
 	n := q.Node()
 	budget := 2 * w.cfg.VerifyTop
@@ -850,7 +840,7 @@ func (w *Wire) ringFallback(q *p2p.Query, done func(p2p.FindResult)) {
 	var targets []p2p.NodeID
 	for tries := 0; tries < 4*budget && len(targets) < budget; tries++ {
 		m := w.members[w.qsrc.Intn(len(w.members))]
-		if m == n.ID || containsID(targets, m) || n.Suspect(m, w.cfg.Retry) {
+		if m == n.ID || containsID(targets, m) || n.Suspect(m) {
 			continue
 		}
 		targets = append(targets, m)
