@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nearestpeer/internal/cluster"
 	"nearestpeer/internal/stats"
@@ -13,22 +12,12 @@ import (
 // This file reproduces the Section 3.2 Azureus study behind Figures 6 and
 // 7: the vantage-point pipeline over the synthetic peer population.
 
-var (
-	azMu    sync.Mutex
-	azCache = map[*Env]*cluster.Result{}
-)
+var azStudies memo[*Env, *cluster.Result]
 
 // AzureusStudy runs (cached) the clustering pipeline over the environment's
 // population.
 func AzureusStudy(env *Env) *cluster.Result {
-	azMu.Lock()
-	defer azMu.Unlock()
-	if r, ok := azCache[env]; ok {
-		return r
-	}
-	r := cluster.Run(env.FreshTools(), env.Vantages, env.Population.Hosts, cluster.DefaultConfig())
-	azCache[env] = r
-	return r
+	return azStudies.get(env, func() *cluster.Result { return ComputeAzureusStudy(env) })
 }
 
 // ComputeAzureusStudy runs the pipeline without caching (benchmarks time it).

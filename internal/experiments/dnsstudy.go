@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/netmodel"
@@ -189,22 +188,12 @@ func runDNSStudy(env *Env) *DNSStudyResult {
 	return res
 }
 
-// dnsStudyCache shares the study across Figures 3-5 in one process.
-var (
-	dnsMu    sync.Mutex
-	dnsCache = map[*Env]*DNSStudyResult{}
-)
+// dnsStudies shares the study across Figures 3-5 in one process.
+var dnsStudies memo[*Env, *DNSStudyResult]
 
 // DNSStudy returns the (cached) Section 3.1 study for an environment.
 func DNSStudy(env *Env) *DNSStudyResult {
-	dnsMu.Lock()
-	defer dnsMu.Unlock()
-	if r, ok := dnsCache[env]; ok {
-		return r
-	}
-	r := runDNSStudy(env)
-	dnsCache[env] = r
-	return r
+	return dnsStudies.get(env, func() *DNSStudyResult { return runDNSStudy(env) })
 }
 
 // ComputeDNSStudy runs the study without caching (benchmarks time it).

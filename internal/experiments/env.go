@@ -125,23 +125,34 @@ func (e *Env) ResponsivePeers() []netmodel.HostID {
 	return out
 }
 
+// memo is a per-process get-or-build cache. get builds under the lock, so
+// figures running concurrently never build the same value twice.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// get returns the value cached under k, building it first if absent.
+func (c *memo[K, V]) get(k K, build func() V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.m[k]; ok {
+		return v
+	}
+	if c.m == nil {
+		c.m = make(map[K]V)
+	}
+	v := build()
+	c.m[k] = v
+	return v
+}
+
 // Shared environments are expensive (the Full topology alone is ~half a
 // million hosts), so experiments within one process share them per
 // (scale, seed).
-var (
-	envMu    sync.Mutex
-	envCache = map[[2]int64]*Env{}
-)
+var envs memo[[2]int64, *Env]
 
 // SharedEnv returns a cached environment for (scale, seed).
 func SharedEnv(scale Scale, seed int64) *Env {
-	envMu.Lock()
-	defer envMu.Unlock()
-	key := [2]int64{int64(scale), seed}
-	if e, ok := envCache[key]; ok {
-		return e
-	}
-	e := NewEnv(scale, seed)
-	envCache[key] = e
-	return e
+	return envs.get([2]int64{int64(scale), seed}, func() *Env { return NewEnv(scale, seed) })
 }

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nearestpeer/internal/latency"
@@ -11,6 +13,32 @@ import (
 func testEnv(t *testing.T) *Env {
 	t.Helper()
 	return SharedEnv(Quick, 1)
+}
+
+// TestMemoBuildsOnce: concurrent gets of one key build it once and all
+// see the same value; a second key builds separately.
+func TestMemoBuildsOnce(t *testing.T) {
+	var c memo[int, *int]
+	var builds atomic.Int32
+	build := func() *int { builds.Add(1); return new(int) }
+	got := make([]*int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = c.get(1, build)
+		}()
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v != got[0] {
+			t.Fatalf("get %d returned %p, get 0 returned %p", i, v, got[0])
+		}
+	}
+	if c.get(2, build) == got[0] || builds.Load() != 2 {
+		t.Errorf("%d builds for two keys, want 2", builds.Load())
+	}
 }
 
 func TestTable1(t *testing.T) {

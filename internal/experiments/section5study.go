@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/stats"
@@ -15,22 +14,14 @@ import (
 // the traceroute-derived adjacency graph over responsive peers, Dijkstra
 // closest-peer sets, UCL hop-length analysis and IP-prefix error rates.
 
-var (
-	graphMu    sync.Mutex
-	graphCache = map[*Env]*trace.Graph{}
-)
+var graphs memo[*Env, *trace.Graph]
 
 // TraceGraph builds (cached) the traceroute graph over the environment's
 // responsive peers.
 func TraceGraph(env *Env) *trace.Graph {
-	graphMu.Lock()
-	defer graphMu.Unlock()
-	if g, ok := graphCache[env]; ok {
-		return g
-	}
-	g := trace.Build(env.FreshTools(), env.VantageHosts(), env.ResponsivePeers())
-	graphCache[env] = g
-	return g
+	return graphs.get(env, func() *trace.Graph {
+		return trace.Build(env.FreshTools(), env.VantageHosts(), env.ResponsivePeers())
+	})
 }
 
 // Fig10Result reproduces Figure 10: inter-peer router hop-length as a

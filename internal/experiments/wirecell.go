@@ -236,16 +236,16 @@ func (r *wireRun) armDeadline(o *wireOp) {
 }
 
 // hop runs the op's next step at node to, from an event at the op's home:
-// inline on a serial kernel; on a sharded one after a Handoff of
-// HandoffDelay to to's shard, which becomes the op's home and takes its
-// deadline along (the old shard's deadline event stands down).
+// inline on a serial kernel; on a sharded one after a Handoff (one
+// lookahead window) to to's shard, which becomes the op's home and takes
+// its deadline along (the old shard's deadline event stands down).
 func (r *wireRun) hop(o *wireOp, to p2p.NodeID, step func()) {
 	if r.sharded == nil {
 		step()
 		return
 	}
 	*o.moved = true
-	r.rt.Handoff(r.rt.ShardOf(o.home), to, r.rt.HandoffDelay(), func() {
+	r.rt.Handoff(r.rt.ShardOf(o.home), to, 0, func() {
 		o.home = to
 		r.armDeadline(o)
 		step()
@@ -342,7 +342,7 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 			})
 			return
 		}
-		rt.Handoff(from, client, max(wireOpGap, rt.HandoffDelay()), func() {
+		rt.Handoff(from, client, wireOpGap, func() {
 			run.startOp(n, client, issue, func(home p2p.NodeID) { step(rt.ShardOf(home)) })
 		})
 	}

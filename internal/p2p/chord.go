@@ -209,11 +209,15 @@ func runEnd(mask uint64, i int) int {
 // lookup run on every routed message, and at scale-study event counts the
 // map hashing alone dominated whole cells (28% of the s1 smoke).
 type Chord struct {
-	rt     Transport
-	cfg    ChordConfig
-	src    *rng.Source
-	states []*chordState // states[id]; nil = not a member
-	order  []NodeID      // sorted live member list (bootstrap handout)
+	rt Transport
+	// sharded is rt when it is a sharded *Runtime, else nil: chord is the
+	// one protocol that shards, and the sharding contract (home shards,
+	// Handoff) is the simulator's alone.
+	sharded *Runtime
+	cfg     ChordConfig
+	src     *rng.Source
+	states  []*chordState // states[id]; nil = not a member
+	order   []NodeID      // sorted live member list (bootstrap handout)
 	// rings[id] caches id's ring hash; 0 means not hashed yet. A hash
 	// that really is 0 is just recomputed on every call — the hash is
 	// pure, so the cache is only ever an optimisation.
@@ -252,14 +256,25 @@ func NewChord(rt Transport, cfg ChordConfig, seed int64) *Chord {
 		src:    rng.New(seed).Split("chord"),
 		states: make([]*chordState, n),
 		rings:  make([]uint64, n),
-		cp:     make([]chordScratch, rt.Shards()),
+		cp:     make([]chordScratch, 1),
 	}
-	if rt.Sharded() {
+	if r, ok := rt.(*Runtime); ok && r.Sharded() {
+		c.sharded = r
+		c.cp = make([]chordScratch, r.Shards())
 		for id := 0; id < n; id++ {
 			c.ringIDSlow(NodeID(id))
 		}
 	}
 	return c
+}
+
+// scratch returns the scratch of id's home shard (the one set when not
+// sharded).
+func (c *Chord) scratch(id NodeID) *chordScratch {
+	if c.sharded == nil {
+		return &c.cp[0]
+	}
+	return &c.cp[c.sharded.ShardOf(id)]
 }
 
 // Transport returns the transport the protocol runs on.
@@ -367,7 +382,7 @@ func (c *Chord) Join(id NodeID) {
 		succs:  make([]NodeID, 0, c.cfg.SuccListLen),
 		pred:   NoNode,
 		src:    c.src.SplitN("member", int(id)),
-		cp:     &c.cp[c.rt.ShardOf(id)],
+		cp:     c.scratch(id),
 	}
 	st.reset()
 	boot := c.randomMember(id)
@@ -381,7 +396,7 @@ func (c *Chord) Join(id NodeID) {
 	n.Handle(MsgChordFetch, c.handleFetch)
 	n.Handle(MsgChordHandoff, c.handleHandoff)
 	n.Handle(MsgChordMigrate, c.handleMigrate)
-	if !c.rt.Sharded() {
+	if c.sharded == nil {
 		if boot != NoNode {
 			c.bootstrap(n, st, boot)
 		}
@@ -391,9 +406,9 @@ func (c *Chord) Join(id NodeID) {
 	// Sharded, Join runs on the driver shard (the join ramp is a driver
 	// chain): the membership bookkeeping above is driver-side state, but
 	// the bootstrap lookup and the stabilize chain are events at the node,
-	// so they hop to its home shard. The handoff delay is a topology
-	// constant, identical at every shard count.
-	c.rt.Handoff(DriverShard, id, c.rt.HandoffDelay(), func() {
+	// so they hop to its home shard, one lookahead window later (a topology
+	// constant, identical at every shard count).
+	c.sharded.Handoff(DriverShard, id, 0, func() {
 		if c.state(id) != st {
 			return
 		}
@@ -510,7 +525,7 @@ func (c *Chord) adoptSuccessors(st *chordState, self, head NodeID, tail []NodeID
 // a pure function of node-local state, identical at every shard count.
 // One slot per finger run is enough: the rest of a run repeats it.
 func (c *Chord) pickBootstrap(id NodeID, st *chordState) NodeID {
-	if !c.rt.Sharded() {
+	if c.sharded == nil {
 		return c.randomMember(id)
 	}
 	var buf [80]NodeID
@@ -1006,7 +1021,7 @@ func (c *Chord) validFindOK(m cFindOKMsg) bool {
 // dead count, where an undecodable frame goes, and the accounting
 // identity (sent = delivered + lost + dead) still holds.
 func (c *Chord) dropDead(n *Node) {
-	m := c.rt.MetricsAt(n.ID)
+	m := n.Metrics()
 	m.MsgsDelivered--
 	m.MsgsDead++
 }
@@ -1250,7 +1265,7 @@ type lookupCand struct {
 // alternates into the frontier and retrying through it when a hop times
 // out. st is n's member state (nil: seed from start, or a random member).
 func (c *Chord) drive(n *Node, st *chordState, start NodeID, key uint64, done func(LookupResult)) {
-	cp := &c.cp[c.rt.ShardOf(n.ID)]
+	cp := c.scratch(n.ID)
 	var l *chordLookup
 	if k := len(cp.lookups); k > 0 {
 		l = cp.lookups[k-1]
@@ -1262,7 +1277,7 @@ func (c *Chord) drive(n *Node, st *chordState, start NodeID, key uint64, done fu
 	l.n, l.key, l.res, l.done = n, key, LookupResult{Owner: NoNode}, done
 	l.seen = append(l.seen[:0], lookupCand{id: int32(n.ID), asked: true})
 	ost := st
-	if st != nil && len(st.succs) == 0 && (c.rt.Sharded() || len(c.order) > 1) {
+	if st != nil && len(st.succs) == 0 && (c.sharded != nil || len(c.order) > 1) {
 		// A member that has not (re)discovered its successor yet would
 		// answer every key with itself — route via the membership instead,
 		// like a non-member, until stabilize re-anchors it. (Sharded, the
@@ -1283,7 +1298,7 @@ func (c *Chord) drive(n *Node, st *chordState, start NodeID, key uint64, done fu
 		l.push(step.Alts...)
 	} else {
 		if start == NoNode {
-			if c.rt.Sharded() {
+			if c.sharded != nil {
 				if ost != nil {
 					start = c.pickBootstrap(n.ID, ost)
 				}

@@ -146,7 +146,7 @@ func (d *digestRun) drive(churn bool, seed int64) []string {
 		from := NodeID((i * 37) % digestNodes)
 		key := fmt.Sprintf("digest/%d", i-i%3+1)
 		d.at(digestOpStart+time.Duration(i)*digestOpGap, func() {
-			d.rt.Handoff(DriverShard, from, d.rt.HandoffDelay(), func() {
+			d.rt.Handoff(DriverShard, from, 0, func() {
 				switch i % 3 {
 				case 0:
 					d.ch.Lookup(from, key, func(r LookupResult) { results[i] = fmt.Sprintf("lookup %+v", r) })

@@ -14,10 +14,13 @@
 //
 //   - Meridian closest-node search (meridian.go): the Section 4 walk as
 //     RPCs, with incremental ring maintenance under churn.
+//     MeridianConfig.Validate rejects a configuration NewMeridian cannot
+//     run.
 //   - The Section 5 expanding multicast search (expand.go): latency-scoped
-//     multicast rounds standing in for TTL-scoped IP multicast. Its
-//     function-call form, ExpandRing, is the one expanding-ring rule the
-//     static legs share, each with its own reach predicate.
+//     multicast rounds standing in for TTL-scoped IP multicast, on the
+//     simulator only (the scope needs its link oracle). Its function-call
+//     form, ExpandRing, is the one expanding-ring rule the static legs
+//     share, each with its own reach predicate.
 //   - A Chord DHT (chord.go): the key-value substrate the Section 5 hint
 //     mitigations assume the peers can host themselves — iterative
 //     find-successor with per-hop timeouts and retry through alternate

@@ -118,15 +118,16 @@ type expandSlot struct {
 }
 
 // Expanding runs expanding-ring searches over a Runtime. Members must
-// Register; the searcher itself need not be a member.
+// Register; the searcher itself need not be a member. It is simulator-only:
+// a multicast scoped by a latency radius needs the simulator's link oracle.
 type Expanding struct {
-	rt       Transport
+	rt       *Runtime
 	cfg      ExpandConfig
 	byClient []expandSlot // indexed by NodeID
 }
 
 // NewExpanding creates the protocol instance.
-func NewExpanding(rt Transport, cfg ExpandConfig) *Expanding {
+func NewExpanding(rt *Runtime, cfg ExpandConfig) *Expanding {
 	if cfg.Rounds <= 0 || cfg.RoundTimeout <= 0 || cfg.InitialRadiusMs <= 0 || cfg.RadiusMult <= 1 {
 		panic(fmt.Sprintf("p2p: invalid expand config %+v", cfg))
 	}

@@ -118,7 +118,7 @@ func (q *Query) Probe(to NodeID, typ string, then func(env Envelope, rttMs float
 }
 
 func (q *Query) probe(to NodeID, typ string, retry bool, then func(env Envelope, rttMs float64, ok bool)) {
-	q.n.rt.MetricsAt(q.n.ID).QueryProbes++
+	q.n.metrics.QueryProbes++
 	start := q.n.rt.Now(q.n.ID)
 	q.request(to, typ, nil, retry, &q.Res.Probes, &q.Res.DeadProbes,
 		func(env Envelope) { then(env, msOf(q.n.rt.Now(q.n.ID)-start), true) },

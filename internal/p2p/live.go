@@ -1,8 +1,8 @@
 // Shared machinery of the live transports (Loopback, UDP): a single
 // serializing event loop standing in for the simulation kernel's
 // single-threaded event dispatch, wall-clock timers posting into it, and
-// the Transport bookkeeping (nodes, groups, metrics, typed handlers) that
-// does not depend on how envelopes travel.
+// the Transport bookkeeping (nodes, metrics, typed handlers) that does
+// not depend on how envelopes travel.
 //
 // The contract the loop preserves is the one every protocol in this
 // package was written against: all protocol callbacks — handlers, reply
@@ -92,10 +92,10 @@ func (l *liveLoop) close() {
 }
 
 // liveBase is the transport state shared by Loopback and UDP. It
-// implements every Transport method except send and Multicast, which
-// depend on the medium; the embedding type supplies those. self points
-// back at the embedding transport so nodes created here dispatch sends to
-// the right medium.
+// implements every Transport method except send, which depends on the
+// medium; the embedding type supplies it. self points back at the
+// embedding transport so nodes created here dispatch sends to the right
+// medium.
 type liveBase struct {
 	self  Transport
 	loop  *liveLoop
@@ -103,12 +103,10 @@ type liveBase struct {
 	cfg   Config
 	pop   int
 
-	// mu guards the registries (nodes, groups, typed handlers) so setup
-	// calls may run off-loop; once traffic flows, node internals are
-	// loop-confined.
+	// mu guards the registries (nodes, typed handlers) so setup calls may
+	// run off-loop; once traffic flows, node internals are loop-confined.
 	mu       sync.RWMutex
 	nodes    []*Node
-	groups   map[string]map[NodeID]struct{}
 	handlers []func(arg uint64)
 
 	msgID atomic.Uint64
@@ -144,7 +142,6 @@ func (b *liveBase) init(self Transport, pop int, cfg Config) {
 	b.cfg = cfg
 	b.pop = pop
 	b.nodes = make([]*Node, pop)
-	b.groups = make(map[string]map[NodeID]struct{})
 }
 
 // Do runs fn on the event loop and waits for it to finish: the way client
@@ -161,7 +158,8 @@ func (b *liveBase) Do(fn func()) {
 }
 
 // AddNode registers (or returns) the node for an ID, bringing it up
-// alive, exactly as Runtime.AddNode does on the simulator.
+// alive, exactly as Runtime.AddNode does on the simulator. Every node
+// charges the transport-wide account.
 func (b *liveBase) AddNode(id NodeID) *Node {
 	if int(id) < 0 || int(id) >= b.pop {
 		panic(fmt.Sprintf("p2p: node %d outside live population %d", id, b.pop))
@@ -172,9 +170,10 @@ func (b *liveBase) AddNode(id NodeID) *Node {
 		return n
 	}
 	n := &Node{
-		ID:    id,
-		rt:    b.self,
-		alive: true,
+		ID:      id,
+		rt:      b.self,
+		metrics: &b.metrics,
+		alive:   true,
 	}
 	n.Handle(MsgPing, func(n *Node, env Envelope) {
 		n.Reply(env, MsgPong, nil)
@@ -237,24 +236,6 @@ func (b *liveBase) AfterHandler(d time.Duration, h sim.HandlerID, arg uint64) {
 	time.AfterFunc(d, func() { b.loop.post(func() { fn(arg) }) })
 }
 
-// Sharded reports false: live transports run one event loop.
-func (b *liveBase) Sharded() bool { return false }
-
-// Shards returns 1 on a live transport.
-func (b *liveBase) Shards() int { return 1 }
-
-// ShardOf returns 0 on a live transport.
-func (b *liveBase) ShardOf(NodeID) int { return 0 }
-
-// Handoff on a live transport is After: there is no cross-shard fence to
-// respect.
-func (b *liveBase) Handoff(_ int, to NodeID, d time.Duration, fn func()) {
-	b.After(to, d, fn)
-}
-
-// HandoffDelay is 0 on a live transport (no lookahead window).
-func (b *liveBase) HandoffDelay() time.Duration { return 0 }
-
 // SerialMetrics returns the transport-wide metrics. Loop-confined: read
 // it via Do, or after Close.
 func (b *liveBase) SerialMetrics() *Metrics { return &b.metrics }
@@ -265,42 +246,6 @@ func (b *liveBase) AttachRecorder(rec *obs.Recorder) { b.obsRec = rec }
 
 // FlightRecorder returns the attached flight recorder, or nil.
 func (b *liveBase) FlightRecorder() *obs.Recorder { return b.obsRec }
-
-// JoinGroup subscribes a node to a named multicast group.
-func (b *liveBase) JoinGroup(gname string, id NodeID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	g := b.groups[gname]
-	if g == nil {
-		g = make(map[NodeID]struct{})
-		b.groups[gname] = g
-	}
-	g[id] = struct{}{}
-}
-
-// LeaveGroup removes a node from a multicast group.
-func (b *liveBase) LeaveGroup(gname string, id NodeID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.groups[gname], id)
-}
-
-// groupMembers snapshots a group's membership, sorted for determinism.
-func (b *liveBase) groupMembers(gname string) []NodeID {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	g := b.groups[gname]
-	out := make([]NodeID, 0, len(g))
-	for id := range g {
-		out = append(out, id)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
 
 // allocMsgIDFor hands out transport-unique correlation IDs.
 func (b *liveBase) allocMsgIDFor(NodeID) uint64 { return b.msgID.Add(1) }
@@ -320,10 +265,6 @@ func (b *liveBase) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
 
 // config is the validated Config, RPCTimeout defaulted.
 func (b *liveBase) config() *Config { return &b.cfg }
-
-// MetricsAt returns the transport-wide metrics (live transports keep one
-// account).
-func (b *liveBase) MetricsAt(NodeID) *Metrics { return &b.metrics }
 
 // noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 func (b *liveBase) noteLive(delta int) { b.live.Add(int64(delta)) }

@@ -82,19 +82,3 @@ func (lb *Loopback) send(env Envelope) {
 		time.AfterFunc(d, func() { deliver() })
 	}
 }
-
-// Multicast sends one-way copies of a message to every live group member
-// within radiusMs of the sender (per the matrix), returning the copy
-// count — the same latency-scoped semantics as the simulator's.
-func (lb *Loopback) Multicast(from NodeID, gname, typ string, payload any, radiusMs float64) int {
-	sent := 0
-	for _, id := range lb.groupMembers(gname) {
-		if id == from || lb.m.LatencyMs(int(from), int(id)) > radiusMs {
-			continue
-		}
-		lb.metrics.MsgsMulticast++
-		lb.send(Envelope{Type: typ, From: from, To: id, MsgID: lb.allocMsgIDFor(from), Payload: payload})
-		sent++
-	}
-	return sent
-}

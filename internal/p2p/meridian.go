@@ -74,6 +74,32 @@ func DefaultMeridianConfig() MeridianConfig {
 	}
 }
 
+// Validate reports a configuration NewMeridian cannot run: the static
+// implementation's ring geometry and β bounds (meridian.Config.Validate),
+// plus the runtime bounds — a query deadline that fires before any reply
+// can arrive, or a hop cap that stops every walk at its entry point.
+func (c MeridianConfig) Validate() error {
+	switch {
+	case !(c.RingBase > 0):
+		return fmt.Errorf("p2p: meridian RingBase %v must be positive", c.RingBase)
+	case !(c.RingMult > 1):
+		return fmt.Errorf("p2p: meridian RingMult %v must exceed 1", c.RingMult)
+	case c.NumRings <= 0:
+		return fmt.Errorf("p2p: meridian NumRings %d must be positive", c.NumRings)
+	case c.RingSize <= 0:
+		return fmt.Errorf("p2p: meridian RingSize %d must be positive", c.RingSize)
+	case !(c.Beta > 0 && c.Beta < 1):
+		return fmt.Errorf("p2p: meridian Beta %v outside (0, 1)", c.Beta)
+	case c.CandidatesPerNode < 0:
+		return fmt.Errorf("p2p: meridian CandidatesPerNode %d must not be negative", c.CandidatesPerNode)
+	case c.QueryDeadline <= 0:
+		return fmt.Errorf("p2p: meridian QueryDeadline %v must be positive", c.QueryDeadline)
+	case c.MaxHops <= 0:
+		return fmt.Errorf("p2p: meridian MaxHops %d must be positive", c.MaxHops)
+	}
+	return nil
+}
+
 // meridianState is one member's protocol state. Ring membership is a
 // uniform reservoir sample of the candidates the node has measured —
 // the static implementation's SelectRandom baseline, which is the honest
@@ -116,9 +142,11 @@ type doneMsg struct {
 	Hops    int
 }
 
-// pendingQuery is origin-side bookkeeping for one outstanding query.
+// pendingQuery is origin-side bookkeeping for one outstanding query: met
+// is the origin's account, whose query-probe delta is the query's bill.
 type pendingQuery struct {
 	started       time.Duration
+	met           *Metrics
 	probesAtStart int64
 	done          func(FindResult)
 }
@@ -137,8 +165,8 @@ type Meridian struct {
 
 // NewMeridian creates the protocol instance (with no members yet).
 func NewMeridian(rt Transport, cfg MeridianConfig, seed int64) *Meridian {
-	if cfg.RingSize <= 0 || cfg.NumRings <= 0 || cfg.RingBase <= 0 || cfg.RingMult <= 1 || cfg.Beta <= 0 {
-		panic(fmt.Sprintf("p2p: invalid meridian config %+v", cfg))
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("p2p: invalid meridian config %+v: %v", cfg, err))
 	}
 	return &Meridian{
 		rt:      rt,
@@ -357,7 +385,8 @@ func (m *Meridian) FindNearest(client, target NodeID, done func(FindResult)) {
 	qid := m.nextQID
 	m.queries[qid] = &pendingQuery{
 		started:       m.rt.Now(client),
-		probesAtStart: m.rt.MetricsAt(client).QueryProbes,
+		met:           n.Metrics(),
+		probesAtStart: n.Metrics().QueryProbes,
 		done:          done,
 	}
 	m.rt.After(client, m.cfg.QueryDeadline, func() {
@@ -368,7 +397,7 @@ func (m *Meridian) FindNearest(client, target NodeID, done func(FindResult)) {
 		delete(m.queries, qid)
 		pq.done(FindResult{
 			Peer:    NoNode,
-			Probes:  int(m.rt.MetricsAt(client).QueryProbes - pq.probesAtStart),
+			Probes:  int(pq.met.QueryProbes - pq.probesAtStart),
 			Elapsed: m.rt.Now(client) - pq.started,
 		})
 	})
@@ -406,7 +435,7 @@ func (m *Meridian) reportDone(qid uint64, dm doneMsg, origin NodeID) {
 	delete(m.queries, qid)
 	res := FindResult{
 		Peer:    NoNode,
-		Probes:  int(m.rt.MetricsAt(origin).QueryProbes - pq.probesAtStart),
+		Probes:  int(pq.met.QueryProbes - pq.probesAtStart),
 		Hops:    dm.Hops,
 		Elapsed: m.rt.Now(origin) - pq.started,
 	}

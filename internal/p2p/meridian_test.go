@@ -1,7 +1,9 @@
 package p2p
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -198,5 +200,49 @@ func TestMeridianUnderChurn(t *testing.T) {
 	}
 	if completed < 10 {
 		t.Fatalf("only %d/20 queries completed under churn", completed)
+	}
+}
+
+// TestMeridianConfigValidate: every field the protocol cannot run with is
+// rejected by Validate, and NewMeridian panics with the same reason — a β
+// of 1 or more, a zero query deadline or a zero hop cap used to be
+// accepted and break every query instead.
+func TestMeridianConfigValidate(t *testing.T) {
+	if err := DefaultMeridianConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	rt := New(sim.New(), lineMatrix(4), DefaultConfig(), 1)
+	NewMeridian(rt, DefaultMeridianConfig(), 1)
+	bad := []struct {
+		set  func(*MeridianConfig)
+		want string
+	}{
+		{func(c *MeridianConfig) { c.RingBase = 0 }, "RingBase 0 must be positive"},
+		{func(c *MeridianConfig) { c.RingBase = math.NaN() }, "RingBase NaN must be positive"},
+		{func(c *MeridianConfig) { c.RingMult = 1 }, "RingMult 1 must exceed 1"},
+		{func(c *MeridianConfig) { c.NumRings = 0 }, "NumRings 0 must be positive"},
+		{func(c *MeridianConfig) { c.RingSize = -1 }, "RingSize -1 must be positive"},
+		{func(c *MeridianConfig) { c.Beta = 0 }, "Beta 0 outside (0, 1)"},
+		{func(c *MeridianConfig) { c.Beta = 1 }, "Beta 1 outside (0, 1)"},
+		{func(c *MeridianConfig) { c.Beta = 1.5 }, "Beta 1.5 outside (0, 1)"},
+		{func(c *MeridianConfig) { c.CandidatesPerNode = -1 }, "CandidatesPerNode -1 must not be negative"},
+		{func(c *MeridianConfig) { c.QueryDeadline = 0 }, "QueryDeadline 0s must be positive"},
+		{func(c *MeridianConfig) { c.QueryDeadline = -time.Second }, "QueryDeadline -1s must be positive"},
+		{func(c *MeridianConfig) { c.MaxHops = 0 }, "MaxHops 0 must be positive"},
+	}
+	for _, tc := range bad {
+		cfg := DefaultMeridianConfig()
+		tc.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want an error containing %q", cfg, err, tc.want)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Errorf("NewMeridian(%+v) panicked with %v, want a panic containing %q", cfg, r, tc.want)
+				}
+			}()
+			NewMeridian(rt, cfg, 1)
+		}()
 	}
 }

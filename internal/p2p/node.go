@@ -46,7 +46,9 @@ type Node struct {
 	// ID is the node's matrix index.
 	ID NodeID
 
-	rt       Transport
+	rt Transport
+	// metrics is the node's home account (see Metrics), bound by AddNode.
+	metrics  *Metrics
 	alive    bool
 	handlers []route
 	inflight []call
@@ -66,6 +68,12 @@ func (n *Node) Alive() bool { return n.alive }
 
 // Transport returns the transport the node lives on.
 func (n *Node) Transport() Transport { return n.rt }
+
+// Metrics returns the account charged for activity at the node: its home
+// shard's on the simulator (Runtime.Metrics on a serial one), the single
+// transport-wide account on the live transports. Only events at the node
+// may write it.
+func (n *Node) Metrics() *Metrics { return n.metrics }
 
 // Handle installs the handler for a message type (replacing any previous
 // one). Messages with no handler and no inflight correlation are dropped,
@@ -202,7 +210,7 @@ func (n *Node) expire(msgID uint64) {
 	if !ok {
 		return // answered, or we restarted meanwhile
 	}
-	n.rt.MetricsAt(n.ID).Timeouts++
+	n.metrics.Timeouts++
 	if c.onTimeout != nil {
 		c.onTimeout()
 	}
@@ -215,11 +223,10 @@ func (n *Node) expire(msgID uint64) {
 // the static Network's accounting, which has no way to fail. done receives
 // (rtt, true) on a pong or (0, false) on timeout.
 func (n *Node) Ping(to NodeID, timeout time.Duration, maint bool, done func(rttMs float64, ok bool)) {
-	met := n.rt.MetricsAt(n.ID)
 	if maint {
-		met.MaintProbes++
+		n.metrics.MaintProbes++
 	} else {
-		met.QueryProbes++
+		n.metrics.QueryProbes++
 	}
 	start := n.rt.Now(n.ID)
 	n.Request(to, MsgPing, nil, timeout,

@@ -143,7 +143,7 @@ func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Du
 				if n.gen != gen || !n.alive {
 					return // crashed or restarted since: the chain dies here
 				}
-				n.rt.MetricsAt(n.ID).Retries++
+				n.metrics.Retries++
 				attempt(k + 1)
 			})
 		})

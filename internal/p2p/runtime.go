@@ -261,29 +261,22 @@ func (r *Runtime) After(id NodeID, d time.Duration, fn func()) {
 	r.sh[r.shardIdx(id)].sim.After(d, fn)
 }
 
-// HandoffDelay is the minimum delay of a Handoff: the sharded kernel's
-// lookahead window (0 for a serial runtime). Drivers add it wherever a
-// sequential chain hops between nodes; because the delay is a topology
-// constant — never a function of the shard count — the chain's virtual
-// times are identical at every K, the determinism contract's keystone.
-func (r *Runtime) HandoffDelay() time.Duration { return r.window }
-
 // Handoff schedules fn on node to's home shard at the source shard's
 // now+d, where from is the shard the caller is executing on (a node's
 // home shard, or DriverShard for setup/chain events). On a serial runtime
-// it is Kernel.After. Sharded, d must be at least HandoffDelay — that is
-// what makes a cross-shard insert legal mid-window — and the entry joins
-// the same deterministic mailbox order as cross-shard envelopes.
+// it is Kernel.After. Sharded, a d below the kernel's lookahead window is
+// raised to the window — the least delay at which a cross-shard insert is
+// legal mid-window — and the entry joins the same deterministic mailbox
+// order as cross-shard envelopes. The window is a topology constant, never
+// a function of the shard count, so a chain that hops with Handoff has
+// the same virtual times at every K: the determinism contract's keystone.
 func (r *Runtime) Handoff(from int, to NodeID, d time.Duration, fn func()) {
 	sc := &r.sh[from]
 	if r.shk == nil {
 		sc.sim.After(d, fn)
 		return
 	}
-	if d < r.window {
-		panic(fmt.Sprintf("p2p: Handoff delay %v below lookahead window %v", d, r.window))
-	}
-	at := sc.sim.Now() + d
+	at := sc.sim.Now() + max(d, r.window)
 	ds := r.shardIdx(to)
 	if ds == from {
 		sc.sim.At(at, fn)
@@ -345,7 +338,7 @@ func (r *Runtime) Population() int { return r.m.N() }
 // stopped node stays stopped. Resurrection is Restart's job — AddNode
 // silently reviving a churn-downed node would remove it from the churn
 // process (the pending rejoin would find it alive and stop driving it).
-// Every node answers pings.
+// Every node answers pings and charges its home shard's metrics account.
 func (r *Runtime) AddNode(id NodeID) *Node {
 	if int(id) < 0 || int(id) >= r.m.N() {
 		panic(fmt.Sprintf("p2p: node %d outside matrix population %d", id, r.m.N()))
@@ -354,9 +347,10 @@ func (r *Runtime) AddNode(id NodeID) *Node {
 		return n
 	}
 	n := &Node{
-		ID:    id,
-		rt:    r,
-		alive: true,
+		ID:      id,
+		rt:      r,
+		metrics: r.sh[r.shardIdx(id)].metrics,
+		alive:   true,
 	}
 	n.Handle(MsgPing, func(n *Node, env Envelope) {
 		n.Reply(env, MsgPong, nil)
@@ -682,10 +676,6 @@ func (r *Runtime) AfterHandler(d time.Duration, h sim.HandlerID, arg uint64) {
 
 // config is the validated Config, RPCTimeout defaulted.
 func (r *Runtime) config() *Config { return &r.cfg }
-
-// MetricsAt returns the metrics struct charged for activity at a node: its
-// home shard's — on a serial runtime, the Metrics field.
-func (r *Runtime) MetricsAt(id NodeID) *Metrics { return r.sh[r.shardIdx(id)].metrics }
 
 // noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 func (r *Runtime) noteLive(delta int) { r.liveCount += delta }

@@ -542,3 +542,98 @@ func TestMetricsAddCoversEveryField(t *testing.T) {
 		}
 	}
 }
+
+// twoShardRuntime is a 4-node sharded runtime over faultTestMatrix: nodes
+// 0 and 1 on shard 0 (the driver shard), 2 and 3 on shard 1, and a 5 ms
+// lookahead window.
+func twoShardRuntime() (*sim.Sharded, *Runtime) {
+	shk := sim.NewSharded(2, 5*time.Millisecond)
+	m := faultTestMatrix(4)
+	return shk, NewSharded(shk, []latency.Matrix{m, m}, DefaultConfig(), 1, []int32{0, 0, 1, 1})
+}
+
+// TestNodeChargesHomeAccount: AddNode binds each node to its home account
+// — its home shard's on a sharded runtime, the transport-wide one on a
+// live transport — and a probe at a node charges that account alone.
+func TestNodeChargesHomeAccount(t *testing.T) {
+	shk, rt := twoShardRuntime()
+	for id := range NodeID(4) {
+		if n := rt.AddNode(id); n.Metrics() != rt.ShardMetrics(rt.ShardOf(id)) {
+			t.Errorf("node %d charges %p, want shard %d's account %p", id, n.Metrics(), rt.ShardOf(id), rt.ShardMetrics(rt.ShardOf(id)))
+		}
+	}
+	pong := false
+	rt.Handoff(DriverShard, 2, 0, func() {
+		rt.Node(2).Ping(3, 0, false, func(_ float64, ok bool) { pong = ok })
+	})
+	shk.Run()
+	if !pong {
+		t.Fatal("ping from node 2 to node 3 got no pong")
+	}
+	if got := rt.ShardMetrics(1).QueryProbes; got != 1 {
+		t.Errorf("shard 1 QueryProbes = %d, want 1", got)
+	}
+	if got := *rt.ShardMetrics(0); got != (Metrics{}) {
+		t.Errorf("shard 0 account touched: %+v", got)
+	}
+
+	lb := NewLoopback(faultTestMatrix(2), DefaultConfig(), 1)
+	defer lb.Close()
+	if n := lb.AddNode(0); n.Metrics() != lb.SerialMetrics() {
+		t.Errorf("loopback node charges %p, want the transport-wide account %p", n.Metrics(), lb.SerialMetrics())
+	}
+}
+
+// TestHandoffRaisesDelayToWindow: a sharded Handoff below the lookahead
+// window W lands at W, whether the target shares the driver shard or not;
+// a longer delay lands as asked; a serial Handoff is After.
+func TestHandoffRaisesDelayToWindow(t *testing.T) {
+	shk, rt := twoShardRuntime()
+	const w = 5 * time.Millisecond
+	cases := []struct {
+		to      NodeID
+		d, want time.Duration
+	}{
+		{1, 0, w},         // the driver shard
+		{2, 0, w},         // the other shard
+		{3, w / 2, w},     // below the window
+		{2, 3 * w, 3 * w}, // past it, the other shard
+		{0, 3 * w, 3 * w}, // past it, the driver shard
+	}
+	ran := make([]time.Duration, len(cases)) // one slot per case: shards run concurrently
+	for i, c := range cases {
+		rt.Handoff(DriverShard, c.to, c.d, func() { ran[i] = rt.Now(c.to) })
+	}
+	shk.Run()
+	for i, c := range cases {
+		if ran[i] != c.want {
+			t.Errorf("Handoff(DriverShard, %d, %v) ran at %v, want %v", c.to, c.d, ran[i], c.want)
+		}
+	}
+
+	kernel := sim.New()
+	serial := New(kernel, faultTestMatrix(2), DefaultConfig(), 1)
+	at := time.Duration(-1)
+	serial.Handoff(DriverShard, 1, 0, func() { at = kernel.Now() })
+	kernel.Run()
+	if at != 0 {
+		t.Errorf("serial Handoff(DriverShard, 1, 0) ran at %v, want 0", at)
+	}
+}
+
+// TestTransportSeamMethods pins the seam to what all three transports
+// provide: simulator-only capabilities (sharding, multicast) belong on
+// *Runtime, not here.
+func TestTransportSeamMethods(t *testing.T) {
+	tt := reflect.TypeFor[Transport]()
+	var exported []string
+	for i := range tt.NumMethod() {
+		if m := tt.Method(i); m.IsExported() {
+			exported = append(exported, m.Name)
+		}
+	}
+	want := []string{"AddNode", "After", "AfterHandler", "Alive", "FlightRecorder", "Node", "Now", "Population", "RegisterHandler"}
+	if !slices.Equal(exported, want) || tt.NumMethod() != 14 {
+		t.Errorf("Transport has %d methods, exported %v; want 14, exported %v", tt.NumMethod(), exported, want)
+	}
+}

@@ -1,6 +1,6 @@
 // The Transport seam: the interface between protocol code (chord,
-// Meridian, the expanding search, and the coordinate/hint wires layered in
-// other packages) and the machinery that actually carries its messages.
+// Meridian, and the coordinate/hint wires layered in other packages) and
+// the machinery that actually carries its messages.
 //
 // Three implementations exist:
 //
@@ -19,10 +19,19 @@
 //     the same event loop serializing deliveries. cmd/npnode serves a node
 //     over it.
 //
-// Protocol code written against Transport runs unchanged on all three:
-// the inflight/MsgID correlation, timeout races, and handler dispatch live
-// in Node and are shared, so a protocol debugged in virtual time is the
-// protocol deployed on the wire.
+// What all three share is what the seam holds: a node registry, a clock
+// and timers per node, typed tick handlers, the lookup flight recorder,
+// and the unexported send/timeout core. Protocol code written against it
+// runs unchanged on all three: the inflight/MsgID correlation, timeout
+// races, and handler dispatch live in Node and are shared, so a protocol
+// debugged in virtual time is the protocol deployed on the wire.
+//
+// What only the simulator has stays on *Runtime: the sharded kernel
+// (Sharded, ShardOf, Handoff; chord, the one protocol that shards, takes
+// it from the *Runtime it was given) and latency-scoped multicast. The
+// Section 5 expanding-ring search (expand.go) is therefore simulator-only:
+// a multicast scoped by a latency radius needs the simulator's link oracle
+// to decide who is inside the radius.
 
 package p2p
 
@@ -34,22 +43,20 @@ import (
 )
 
 // Transport is what protocol code sees of the runtime carrying its
-// messages: node lifecycle, per-node clocks and timers, the sharding
-// contract, metrics accounting, and latency-scoped multicast. The
-// unexported core (sending, timeout parking, msg-id allocation) keeps the
-// set of implementations closed within this package — Node's hot path
-// calls it, and its invariants (exactly-once timeout/reply races,
-// allocation discipline) are only enforceable here.
+// messages: node lifecycle, per-node clocks and timers, typed tick
+// handlers and the flight recorder. A node's metrics account travels with
+// the node (Node.Metrics). The unexported core (sending, timeout parking,
+// msg-id allocation) keeps the set of implementations closed within this
+// package — Node's hot path calls it, and its invariants (exactly-once
+// timeout/reply races, allocation discipline) are only enforceable here.
 //
 // Implementations differ in what they can promise:
 //
 //   - *Runtime is single-threaded per shard and deterministic; every
 //     method maps to kernel events in virtual time.
 //   - The live transports (*Loopback, *UDP) run callbacks on one event
-//     loop goroutine with wall-clock timers. They are not sharded
-//     (Sharded() is false, Handoff degenerates to After) and not
-//     deterministic; protocol entry points must be invoked on the loop
-//     (see Loopback.Do).
+//     loop goroutine with wall-clock timers. They are not deterministic;
+//     protocol entry points must be invoked on the loop (see Loopback.Do).
 type Transport interface {
 	// AddNode registers (or returns) the node for an ID, bringing a new
 	// node up alive. See Runtime.AddNode for resurrection semantics.
@@ -77,37 +84,8 @@ type Transport interface {
 	// protocols (the Vivaldi wire) pace their tick chains with it.
 	AfterHandler(d time.Duration, h sim.HandlerID, arg uint64)
 
-	// Sharded reports whether the transport runs over a sharded kernel;
-	// live transports are never sharded.
-	Sharded() bool
-	// Shards returns the shard count (1 when not sharded).
-	Shards() int
-	// ShardOf returns a node's home shard (0 when not sharded).
-	ShardOf(id NodeID) int
-	// Handoff schedules fn at node to's home context at the caller's
-	// now+d, from shard `from` (see Runtime.Handoff). On an unsharded
-	// transport it is After.
-	Handoff(from int, to NodeID, d time.Duration, fn func())
-	// HandoffDelay is the minimum legal Handoff delay: the sharded
-	// kernel's lookahead window, 0 otherwise.
-	HandoffDelay() time.Duration
-
-	// MetricsAt returns the metrics account charged for activity at a node:
-	// its home shard's on the simulator (Runtime.Metrics on a serial one),
-	// the single transport-wide account on the live transports.
-	MetricsAt(id NodeID) *Metrics
 	// FlightRecorder returns the attached lookup flight recorder, or nil.
 	FlightRecorder() *obs.Recorder
-
-	// JoinGroup subscribes a node to a named multicast group.
-	JoinGroup(gname string, id NodeID)
-	// LeaveGroup removes a node from a multicast group.
-	LeaveGroup(gname string, id NodeID)
-	// Multicast sends one-way copies of a message to every live group
-	// member within radiusMs of the sender, returning the copy count.
-	// Requires a transport with a latency model (the simulator and the
-	// loopback); the UDP transport has no link oracle and returns 0.
-	Multicast(from NodeID, gname, typ string, payload any, radiusMs float64) int
 
 	// send prices, maybe drops, and schedules delivery of one envelope.
 	send(env Envelope)

@@ -236,10 +236,6 @@ func (u *UDP) send(env Envelope) {
 	write()
 }
 
-// Multicast is unsupported on UDP: with no link oracle there is no
-// latency scope to expand. It reports zero copies sent.
-func (u *UDP) Multicast(NodeID, string, string, any, float64) int { return 0 }
-
 // readLoop drains one local node's socket: decode, learn the sender's
 // address, price the artificial delay if a matrix is installed, and post
 // delivery to the event loop. It exits when the socket closes.

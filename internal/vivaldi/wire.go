@@ -441,7 +441,7 @@ func (w *Wire) gossipOnce(id p2p.NodeID, st *wireState) {
 	}
 	to := st.nbrs[st.src.Intn(st.nNbrs)].id
 	n := w.rt.Node(id)
-	w.rt.MetricsAt(id).MaintProbes++ // a gossip is a maintenance RTT measurement
+	n.Metrics().MaintProbes++ // a gossip is a maintenance RTT measurement
 	st.pendingMsgID = n.Send(to, MsgGossip, nil)
 	st.pendingTo = to
 	st.sentAt = w.rt.Now(id)
