@@ -15,11 +15,15 @@ import (
 )
 
 // This file re-measures the Section 4 cost claim with the network in the
-// way: the same clustered matrices and the same Meridian walk, but run as
-// a message protocol on internal/p2p — with packet loss, per-RPC timeouts
-// and churn — against the static function-call simulation as the baseline.
-// The paper's point is that the clustering condition already forces
-// brute-force probing; this study shows what the wire adds on top.
+// way: the same clustered matrix, the same Meridian overlay and the same
+// walk, but run as meridian.Wire over internal/p2p — ring reads and probes
+// as RPCs, with packet loss, per-RPC timeouts and churn — against the
+// static function-call walk as the baseline. Both legs search one overlay
+// (churnStudyOverlay), so the lossless wire row equals the static row in
+// answers, probes and hops; churn only takes members down and brings them
+// back, with their rings as the overlay built them. The paper's point is
+// that the clustering condition already forces brute-force probing; this
+// study shows what the wire adds on top.
 
 // RuntimeOpts configures one message-level Meridian run.
 type RuntimeOpts struct {
@@ -75,33 +79,30 @@ func experimentChurnConfig() p2p.ChurnConfig {
 	}
 }
 
-// RunMessageMeridian stands up the message-level overlay over the members,
-// drives the churn process if asked, runs the queries sequentially in
-// virtual time from the held-out targets, and scores each answer against
+// RunMessageMeridian deploys c1's Meridian overlay on the wire over the
+// members, drives the churn process if asked, runs the queries sequentially
+// in virtual time from the held-out targets, and scores each answer against
 // the true nearest *live* member at query issue. gt may be nil (no cluster
 // scoring).
 func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targets []int, opts RuntimeOpts) ChurnRow {
-	merCfg := p2p.DefaultMeridianConfig()
-	if opts.Beta > 0 {
-		merCfg.Beta = opts.Beta
-	}
-	if opts.RingSize > 0 {
-		merCfg.RingSize = opts.RingSize
-	}
-	var mer *p2p.Meridian
 	sc := targetScorer{gt: gt}
+	var live []int
 	run := runWireCell(newSchemeCtx(m, members, opts.Seed, opts.Horizon), wireCell{
 		cfg: p2p.Config{LossProb: opts.Loss}, heldOut: targets,
 		recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
 		churn: opts.Churn,
 		ops:   opts.Queries,
 	}, func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
-		var d wireDeployment
-		mer, d = meridianDeployment(c, rt, merCfg)
-		return d
+		return meridianWire(rt, churnStudyOverlay(c.net, members, opts))
 	}, func(run *wireRun, o *wireOp) {
 		tgt := int(o.client)
-		oracle := overlay.TrueNearest(m, tgt, mer.LiveMembers())
+		live = live[:0]
+		for _, id := range members {
+			if run.rt.Alive(p2p.NodeID(id)) {
+				live = append(live, id)
+			}
+		}
+		oracle := overlay.TrueNearest(m, tgt, live)
 		run.find(o, func(res p2p.FindResult) { sc.result(tgt, oracle, res) })
 	})
 
@@ -112,17 +113,28 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 	return row
 }
 
-// runStaticMeridian is the function-call baseline on the same matrix,
-// membership and query stream.
-func runStaticMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targets []int, queries int, seed int64) ChurnRow {
+// churnStudyOverlay is the Meridian overlay both c1 legs search: the
+// SelectRandom ring baseline (the comparison isolates the wire, not the
+// ring-selection heuristic) seeded seed+1, with the β and ring-size
+// overrides applied. The wire leg serves its rings over RPCs, so at 0%
+// loss the two legs walk identical paths.
+func churnStudyOverlay(net *overlay.Network, members []int, opts RuntimeOpts) *meridian.Overlay {
 	cfg := meridian.DefaultConfig()
-	// The message-level port fills rings by reservoir sampling (there is
-	// no stable candidate pool under churn), so the baseline uses the
-	// matching SelectRandom policy: the comparison isolates the wire,
-	// not the ring-selection heuristic.
 	cfg.Selection = meridian.SelectRandom
-	o := meridian.New(overlay.NewNetwork(m), members, cfg, seed+1)
-	return ChurnRow{TargetScore: must(RunStaticTargets(o, m, gt, members, targets, queries, seed+3))}
+	if opts.Beta > 0 {
+		cfg.Beta = opts.Beta
+	}
+	if opts.RingSize > 0 {
+		cfg.RingSize = opts.RingSize
+	}
+	return meridian.New(net, members, cfg, opts.Seed+1)
+}
+
+// runStaticMeridian is the function-call baseline on the same matrix,
+// membership, overlay and query stream.
+func runStaticMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targets []int, opts RuntimeOpts) ChurnRow {
+	o := churnStudyOverlay(overlay.NewNetwork(m), members, opts)
+	return ChurnRow{TargetScore: must(RunStaticTargets(o, m, gt, members, targets, opts.Queries, opts.Seed+3))}
 }
 
 // ChurnStudyResult compares static and message-level Meridian across wire
@@ -163,13 +175,12 @@ func ChurnStudy(scale Scale, seed int64) *ChurnStudyResult {
 	}
 	out.Rows = engine.Map(engine.Config{Seed: seed, Label: "churnstudy"}, wireConditions(),
 		func(_ *engine.Trial, c wireCondition) ChurnRow {
+			opts := RuntimeOpts{Loss: c.loss, Churn: c.churn, Queries: queries, Seed: seed}
 			var row ChurnRow
 			if c.static {
-				row = runStaticMeridian(m, gt, members, targets, queries, seed)
+				row = runStaticMeridian(m, gt, members, targets, opts)
 			} else {
-				row = RunMessageMeridian(m, gt, members, targets, RuntimeOpts{
-					Loss: c.loss, Churn: c.churn, Queries: queries, Seed: seed,
-				})
+				row = RunMessageMeridian(m, gt, members, targets, opts)
 			}
 			row.Name = c.name
 			return row
@@ -220,8 +231,9 @@ func (r *ChurnStudyResult) Render() string {
 			row.MeanProbes, row.MeanMsgs, row.MeanHops, row.MeanMs, row.Timeouts)
 		endChurnRow(&b, row.Leaves, row.Joins)
 	}
-	b.WriteString("\nreading: under the clustering condition the walk already probes brute-force;\n" +
-		"loss converts probes into timeouts and repeat work, and churn adds re-join\n" +
-		"maintenance — the wire raises the price of the same degenerate search\n")
+	b.WriteString("\nreading: lossless, the wire walk is the static walk — the same answers at the same\n" +
+		"probe bill, now paid in messages and virtual time; loss and churn cut walks short (a\n" +
+		"lost start ping or a dead start ends one empty-handed, a dead candidate is a timeout)\n" +
+		"— the wire raises the price of the same degenerate search\n")
 	return b.String()
 }

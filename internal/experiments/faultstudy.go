@@ -326,10 +326,11 @@ func (r *FaultStudyResult) Render() string {
 	}
 	b.WriteString("\nreading: the fault plane prices each failure mode differently, and retry is not a free\n" +
 		"lunch — it recovers success where a failed lookup is cheap to re-ask (chord and the\n" +
-		"vivaldi walk climb back toward their no-fault done rates, paying +p99 in backoff), but\n" +
-		"a deadline-bounded walk that already routes around loss (meridian) spends its time\n" +
-		"budget on retries instead; a delay spike that clears the RPC timeout behaves like\n" +
-		"loss no matter how often it is retried, and a partition only heals by healing\n")
+		"vivaldi walk climb back toward their no-fault done rates, paying +p99 in backoff); the\n" +
+		"meridian walk reads rings only from nodes whose ping just got through, so retry has\n" +
+		"nothing to recover, and it loses what its single-shot pings lose — a lost start ping\n" +
+		"ends the walk; a delay spike that clears the RPC timeout behaves like loss no matter\n" +
+		"how often it is retried, and a partition only heals by healing\n")
 	return b.String()
 }
 

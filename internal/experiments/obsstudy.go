@@ -254,9 +254,9 @@ func (r *ObsStudyResult) Render() string {
 		endChurnRow(&b, c.Leaves, c.Joins)
 	}
 	b.WriteString("\nreading: the median lookup hides what the registry's histogram shows — loss pushes the\n" +
-		"p99/p999 out by whole timeout periods, churn adds rejoin maintenance to every node's\n" +
-		"send bill, and the load tail (ld99/ldmax vs ld50) shows the brute-force probing the\n" +
-		"paper predicts concentrating on cluster gateways rather than spreading evenly\n")
+		"p99/p999 out by whole timeout periods, churn adds rejoin maintenance to the chord and\n" +
+		"vivaldi nodes' send bills, and the load tail (ld99/ldmax vs ld50) shows the brute-force\n" +
+		"probing the paper predicts concentrating on cluster gateways rather than spreading evenly\n")
 	return b.String()
 }
 

@@ -323,18 +323,11 @@ func expandingWire(_ *schemeCtx, rt *p2p.Runtime) wireDeployment {
 	return wireDeployment{join: ex.Register, find: ex.Search}
 }
 
-// meridianDeployment deploys the message-level Meridian walk; a query
-// searches for the peer nearest its own client.
-func meridianDeployment(c *schemeCtx, rt *p2p.Runtime, mcfg p2p.MeridianConfig) (*p2p.Meridian, wireDeployment) {
-	mer := p2p.NewMeridian(rt, mcfg, c.seed+1)
-	return mer, wireDeployment{
-		join:   mer.Join,
-		rejoin: mer.Join,
-		leave:  mer.Leave,
-		find: func(client p2p.NodeID, done func(p2p.FindResult)) {
-			mer.FindNearest(client, client, done)
-		},
-	}
+// meridianWire deploys a Meridian overlay's walk: every member serves its
+// rings, and a query searches for the peer nearest its own client.
+func meridianWire(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
+	w := meridian.NewWire(rt, base.(*meridian.Overlay))
+	return wireDeployment{join: w.Join, find: w.FindNearest}
 }
 
 // vivaldiDeployment deploys the gossip coordinate overlay. Members search
@@ -404,20 +397,19 @@ func finderScheme(build func(c *schemeCtx) overlay.Finder,
 // schemes is the registry. Studies enumerate their own scheme lists (the
 // golden figures pin row order); this map owns the bring-up.
 var schemes = map[string]Scheme{
-	"meridian": {
-		// Ring construction sees the full membership, as the Meridian
-		// simulator's gossip effectively does.
-		Finder: func(c *schemeCtx) overlay.Finder {
-			mc := meridian.DefaultConfig()
-			mc.CandidatesPerNode = len(c.members)
-			return meridian.New(c.net, c.members, mc, c.seed+1)
-		},
-		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
-			_, d := meridianDeployment(c, rt, p2p.DefaultMeridianConfig())
-			return d
-		},
-		Scale: scaleMeridianCell,
-	},
+	"meridian": func() Scheme {
+		s := finderScheme(
+			// Ring construction sees the full membership, as the Meridian
+			// simulator's gossip effectively does.
+			func(c *schemeCtx) overlay.Finder {
+				mc := meridian.DefaultConfig()
+				mc.CandidatesPerNode = len(c.members)
+				return meridian.New(c.net, c.members, mc, c.seed+1)
+			},
+			meridianWire)
+		s.Scale = scaleMeridianCell
+		return s
+	}(),
 	"expanding": {
 		// The expanding-ring rule over the matrix, with Runtime.Multicast's
 		// scope as its reach: round r reaches the members within RTT

@@ -11,9 +11,8 @@ import (
 // not answer-equal to its static leg at 0% loss — each with the reason.
 // Everything else in GrandSchemes() is held to per-query equality below.
 var wireDiffSkips = map[string]string{
-	"meridian": "p2p.Meridian is an independent wire reimplementation (reservoir-sampled rings filled by join pings), not a Wire over the static internal/meridian overlay",
-	"chord":    "the static dht.Ring hashes peer addresses, the wire ring hashes NodeIDs: the same key has different owners",
-	"vivaldi":  "the wire embedding is gossip-built, the static one matrix-fed: different coordinates, different walks",
+	"chord":   "the static dht.Ring hashes peer addresses, the wire ring hashes NodeIDs: the same key has different owners",
+	"vivaldi": "the wire embedding is gossip-built, the static one matrix-fed: different coordinates, different walks",
 }
 
 // wireDiffHopSkips names the un-waived schemes whose Hops count, by design,

@@ -1,6 +1,6 @@
 // Package obs is the simulation-native observability layer: a preallocated
-// metrics registry (per-node and per-message-type counters plus log-spaced
-// latency histograms), a fixed-capacity lookup flight recorder, and a
+// metrics registry (per-node and per-message-type counters plus a
+// log-spaced lookup-latency histogram), a fixed-capacity lookup flight recorder, and a
 // periodic health sampler driven by typed kernel events.
 //
 // The package deliberately depends only on internal/sim and internal/stats.
@@ -9,7 +9,7 @@
 // matrix index rather than p2p.NodeID to keep the import graph acyclic.
 //
 // The discipline matches the runtime's own: everything is sized up front,
-// the steady-state write paths (NoteSend, NoteRecv, Observe*, Record, one
+// the steady-state write paths (NoteSend, NoteRecv, ObserveLookupMs, Record, one
 // sampler tick) allocate nothing, and a runtime with no registry attached
 // pays exactly one nil compare per message.
 package obs
@@ -20,7 +20,7 @@ import (
 	"nearestpeer/internal/stats"
 )
 
-// Histogram bounds for the registry's latency histograms: 0.1 ms to two
+// Histogram bounds for the registry's lookup-latency histogram: 0.1 ms to two
 // virtual minutes spans everything from a single LAN hop to a lookup that
 // burned its whole deadline, at ~15% per-bin resolution.
 const (
@@ -30,11 +30,11 @@ const (
 )
 
 // Registry is the typed metrics registry for one runtime: dense per-node
-// send/receive counters, per-message-type counters, and incremental
-// log-spaced histograms of lookup and per-hop latency. All storage is
-// preallocated at construction (the per-type table grows only when a
-// message type is seen for the first time), so every note/observe call is
-// allocation-free in steady state.
+// send/receive counters, per-message-type counters, and an incremental
+// log-spaced histogram of lookup latency. All storage is preallocated at
+// construction (the per-type table grows only when a message type is seen
+// for the first time), so every note/observe call is allocation-free in
+// steady state.
 type Registry struct {
 	nodeSent   []int64
 	nodeRecv   []int64
@@ -42,7 +42,6 @@ type Registry struct {
 	typeNames  []string
 	typeCounts []int64
 	lookupMs   *stats.Histogram
-	hopMs      *stats.Histogram
 }
 
 // NewRegistry builds a registry for a population of nodes (ids must stay in
@@ -56,7 +55,6 @@ func NewRegistry(population int) *Registry {
 		nodeRecv: make([]int64, population),
 		typeIdx:  make(map[string]int, 32),
 		lookupMs: stats.NewEmptyLogHistogram(histLoMs, histHiMs, histNBins),
-		hopMs:    stats.NewEmptyLogHistogram(histLoMs, histHiMs, histNBins),
 	}
 }
 
@@ -87,10 +85,6 @@ func (r *Registry) NoteRecv(node int) {
 // ObserveLookupMs adds one end-to-end lookup latency (virtual milliseconds)
 // to the lookup histogram.
 func (r *Registry) ObserveLookupMs(ms float64) { r.lookupMs.Observe(ms) }
-
-// ObserveHopMs adds one per-hop RTT (virtual milliseconds) to the hop
-// histogram.
-func (r *Registry) ObserveHopMs(ms float64) { r.hopMs.Observe(ms) }
 
 // SentByNode returns the per-node sent-message counters, indexed by node
 // id. The slice is the registry's own storage: read-only for callers.
@@ -142,6 +136,3 @@ func (r *Registry) LookupQuantileMs(q float64) float64 { return r.lookupMs.Quant
 
 // Lookups returns how many lookup latencies have been observed.
 func (r *Registry) Lookups() int { return r.lookupMs.Total() }
-
-// HopHistogram returns the underlying per-hop RTT histogram.
-func (r *Registry) HopHistogram() *stats.Histogram { return r.hopMs }

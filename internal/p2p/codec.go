@@ -96,11 +96,6 @@ func init() {
 	RegisterPayload("c_fetch", cFetchMsg{})
 	RegisterPayload("c_fetch_ok", cFetchOKMsg{})
 	RegisterPayload("c_handoff", cHandoffMsg{})
-	// The Meridian payloads (meridian.go).
-	RegisterPayload("m_query", queryMsg{})
-	RegisterPayload("m_probe", probeMsg{})
-	RegisterPayload("m_probe_ok", probeOKMsg{})
-	RegisterPayload("m_done", doneMsg{})
 	// The expanding-search payloads (expand.go).
 	RegisterPayload("x_find", findMsg{})
 	RegisterPayload("x_found", foundMsg{})

@@ -1,6 +1,8 @@
 package p2p
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -21,11 +23,29 @@ func fuzzSeedEnvelopes() []Envelope {
 			Payload: cFetchOKMsg{Vals: [][]byte{[]byte("a"), nil, []byte("b")}}},
 		{Type: MsgChordHandoff, From: 1, To: 2, MsgID: 14,
 			Payload: cHandoffMsg{Data: map[string][][]byte{"x": {[]byte("y")}}}},
-		{Type: MsgQuery, From: 9, To: 10, MsgID: 15,
-			Payload: queryMsg{QID: 1, Origin: 9, Target: 11, D: 12.5, BestID: 10, BestLat: 3.25, Hops: 2, Visited: []NodeID{9, 10}}},
-		{Type: MsgProbeOK, From: 10, To: 9, MsgID: 16, Resp: true, Payload: probeOKMsg{RTTms: 1.5, OK: true}},
+		{Type: "m_rings", From: 9, To: 10, MsgID: 15, Payload: registeredPayload("m_rings", `{"D":12.5}`)},
+		{Type: "m_rings_ok", From: 10, To: 9, MsgID: 16, Resp: true,
+			Payload: registeredPayload("m_rings_ok", `{"IDs":[3,11,42]}`)},
 		{Type: MsgFind, From: 0, To: 1, MsgID: 17, Payload: findMsg{SID: 4, From: 0, Round: 2}},
 	}
+}
+
+// registeredPayload builds a payload of the type another package registered
+// under name, from its JSON body: the seeds' Meridian ring request and reply
+// are internal/meridian's types, which this package cannot name
+// (payloads_test.go links the package in).
+func registeredPayload(name, body string) any {
+	payloadRegistry.RLock()
+	t, ok := payloadRegistry.byName[name]
+	payloadRegistry.RUnlock()
+	if !ok {
+		panic(fmt.Sprintf("payload %q is not registered", name))
+	}
+	v := reflect.New(t)
+	if err := json.Unmarshal([]byte(body), v.Interface()); err != nil {
+		panic(err)
+	}
+	return v.Elem().Interface()
 }
 
 // TestEnvelopeCodecRoundTrip pins the codec's happy path: every seed
@@ -100,7 +120,9 @@ func TestEnvelopeCodecRejects(t *testing.T) {
 	if _, err := EncodeEnvelope(Envelope{Type: "x", Payload: struct{ X int }{1}}); err == nil {
 		t.Error("encode accepted an unregistered payload type")
 	}
-	if _, err := EncodeEnvelope(Envelope{Type: "x", Payload: probeOKMsg{RTTms: math.Inf(1)}}); err == nil {
+	type floatMsg struct{ X float64 }
+	RegisterPayload("t_float", floatMsg{})
+	if _, err := EncodeEnvelope(Envelope{Type: "x", Payload: floatMsg{X: math.Inf(1)}}); err == nil {
 		t.Error("encode accepted a non-JSON-encodable payload")
 	}
 	big := cStoreMsg{Key: "k", Val: make([]byte, MaxFrame)}

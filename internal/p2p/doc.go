@@ -10,12 +10,8 @@
 // already degenerates into brute-force probing, and loss, timeouts and
 // churn only raise the price of every probe.
 //
-// Three protocols run on the runtime:
+// Two protocols live in this package:
 //
-//   - Meridian closest-node search (meridian.go): the Section 4 walk as
-//     RPCs, with incremental ring maintenance under churn.
-//     MeridianConfig.Validate rejects a configuration NewMeridian cannot
-//     run.
 //   - The Section 5 expanding multicast search (expand.go): latency-scoped
 //     multicast rounds standing in for TTL-scoped IP multicast, on the
 //     simulator only (the scope needs its link oracle). Its function-call
@@ -33,6 +29,12 @@
 //     per-message table work touches about log₂ N entries, not 64.
 //     ChordConfig.Validate lets a front end reject a bad configuration
 //     before NewChord would panic on it.
+//
+// Every nearest-peer scheme's message-level leg is a Wire in the scheme's
+// own package, over its static structure — the Section 4 Meridian walk is
+// meridian.Wire, serving the static overlay's rings over RPCs, beside
+// vivaldi.Wire's gossip-built coordinates — and reports through Query and
+// FindResult (findresult.go).
 //
 // Transport invariant: a request leg travels ⌊durOf(RTT)/2⌋ and a response
 // leg the remainder, so a ping measured over messages equals the matrix

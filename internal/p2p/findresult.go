@@ -1,8 +1,8 @@
 // FindResult — the scheme-independent outcome of a wire nearest-peer
 // query, and the only nearest-peer result type on the wire. This package's
-// own Meridian walk and expanding-ring search report it, as does every
-// per-scheme Wire under internal/{ucl,ipprefix,vivaldi,beacon,tiers,pic,
-// tapestry,azureus,kargerruhl,rendezvous} — which is what lets the
+// own expanding-ring search reports it, as does every per-scheme Wire under
+// internal/{meridian,ucl,ipprefix,vivaldi,beacon,tiers,pic,tapestry,azureus,
+// kargerruhl,rendezvous} — which is what lets the
 // experiments' scheme registry score all fourteen schemes with one harness
 // and one scorer. Those Wires build it through Query, which holds the one
 // rule for charging a query's probes and RPCs and for keeping its answer.
@@ -33,7 +33,7 @@ type FindResult struct {
 	// static overlay.Result's Hops).
 	Hops int
 	// Elapsed is the virtual time from issue to report, for the schemes
-	// that time their queries (Meridian, expanding-ring); 0 elsewhere.
+	// that time their queries (meridian.Wire, expanding-ring); 0 elsewhere.
 	Elapsed time.Duration
 	// Found reports whether any candidate answered.
 	Found bool
@@ -124,6 +124,10 @@ func (q *Query) probe(to NodeID, typ string, retry bool, then func(env Envelope,
 		func(env Envelope) { then(env, msOf(q.n.rt.Now(q.n.ID)-start), true) },
 		func() { then(Envelope{}, 0, false) })
 }
+
+// Keep folds a responder into Res by the keep-best rule, for a scheme that
+// pings concurrently and folds the answers itself, in its own order.
+func (q *Query) Keep(peer NodeID, rttMs float64) { q.Res.keep(peer, rttMs) }
 
 // Ping is one single-shot ping probe (Node.Ping's message): then gets the
 // RTT, or ok false on a timeout.

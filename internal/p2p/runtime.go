@@ -616,7 +616,7 @@ func (r *Runtime) EnableObs(reg *obs.Registry) {
 }
 
 // AttachRecorder attaches a lookup flight recorder. The scheme wires
-// (chord, Meridian, the Vivaldi wire) record per-hop traces into it; pass
+// (chord, meridian.Wire, the Vivaldi wire) record per-hop traces into it; pass
 // nil to detach. Like the registry, a recorder is purely passive.
 // Serial-only: the recorder's ring is a single-writer structure.
 func (r *Runtime) AttachRecorder(rec *obs.Recorder) {

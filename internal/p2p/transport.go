@@ -1,5 +1,5 @@
-// The Transport seam: the interface between protocol code (chord,
-// Meridian, and the coordinate/hint wires layered in other packages) and
+// The Transport seam: the interface between protocol code (chord, and the
+// scheme wires layered in other packages) and
 // the machinery that actually carries its messages.
 //
 // Three implementations exist:

@@ -28,8 +28,8 @@ type Envelope struct {
 	Payload any
 }
 
-// Built-in message types. Protocol packages on top (Meridian, expanding
-// ring) define their own type tags; only ping/pong is wired into every
+// Built-in message types. Protocols on top (chord, expanding ring, the
+// scheme wires) define their own type tags; only ping/pong is wired into every
 // node, because RTT measurement is the primitive all of them share.
 const (
 	MsgPing = "ping"
