@@ -38,6 +38,28 @@ func (d *Dense) N() int { return d.n }
 // LatencyMs returns the RTT between i and j.
 func (d *Dense) LatencyMs(i, j int) float64 { return d.data[i*d.n+j] }
 
+// Row returns node i's latencies to every node, indexed by node; the slice
+// aliases the matrix and must not be written.
+func (d *Dense) Row(i int) []float64 { return d.data[i*d.n : (i+1)*d.n] }
+
+// GatherRow fills out[k] with m.LatencyMs(i, js[k]) for every k, reading
+// js in order. A *Dense is gathered straight from its row; any other
+// matrix gets the same values one LatencyMs call at a time, so a matrix
+// with per-call state (an RTT cache) sees exactly the per-pair sequence.
+func GatherRow(m Matrix, i int, js []int, out []float64) {
+	out = out[:len(js)]
+	if d, ok := m.(*Dense); ok {
+		row := d.Row(i)
+		for k, j := range js {
+			out[k] = row[j]
+		}
+		return
+	}
+	for k, j := range js {
+		out[k] = m.LatencyMs(i, j)
+	}
+}
+
 // Set assigns the symmetric pair (i, j).
 func (d *Dense) Set(i, j int, ms float64) {
 	if ms < 0 {

@@ -210,6 +210,33 @@ func TestTopologyMatrix(t *testing.T) {
 	}
 }
 
+// TestGatherRowMatchesLatencyMs: GatherRow is LatencyMs element for element,
+// on the Dense fast path and on the LatencyMs loop every other matrix takes
+// (js out of order, repeated, and naming the row itself).
+func TestGatherRowMatchesLatencyMs(t *testing.T) {
+	top := netmodel.Generate(netmodel.DefaultConfig(), 2)
+	hosts := make([]netmodel.HostID, 0, 40)
+	for i := 0; i < 40; i++ {
+		hosts = append(hosts, netmodel.HostID(i*11%top.NumHosts()))
+	}
+	js := []int{39, 0, 3, 3, 17, 8, 25, 1}
+	for name, m := range map[string]Matrix{
+		"Dense":              SyntheticMeridianDataset(40, 6),
+		"TopologyMatrix":     &TopologyMatrix{Top: top, Hosts: hosts},
+		"FullTopologyMatrix": &FullTopologyMatrix{Top: top},
+	} {
+		out := make([]float64, len(js))
+		for _, i := range []int{0, 3, 39} {
+			GatherRow(m, i, js, out)
+			for k, j := range js {
+				if want := m.LatencyMs(i, j); out[k] != want {
+					t.Errorf("%s: GatherRow(%d)[%d] = %v, LatencyMs(%d, %d) = %v", name, i, k, out[k], i, j, want)
+				}
+			}
+		}
+	}
+}
+
 // TestRTTCacheTransparent: a cache-enabled topology matrix must be
 // indistinguishable, value for value, from the uncached one.
 func TestRTTCacheTransparent(t *testing.T) {

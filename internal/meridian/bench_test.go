@@ -22,6 +22,20 @@ func BenchmarkOverlayBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkOverlayBuildClustered is construction on fig8 quick's 125-EN
+// point: 1,140 members of a 1,200-peer clustered matrix. At 11 MB the matrix
+// does not stay in cache the way BenchmarkHypervolumeSelection's does, so
+// this is where the farthest-pair sweep's matrix reads show.
+func BenchmarkOverlayBuildClustered(b *testing.B) {
+	m, _ := testmat.Clustered(125, 1200, 1)
+	members, _ := overlay.Split(m.N(), 60, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		meridian.New(overlay.NewNetwork(m), members, meridian.DefaultConfig(), int64(i))
+	}
+}
+
 // BenchmarkHypervolumeSelection is the hypervolume ring-selection kernel
 // with as little around it as the exported API allows: 65 members and a
 // single ring, so every node trims one over-full ring from a full

@@ -53,54 +53,121 @@ func diffNets() []diffNet {
 		{"euclidean", euclid, false},
 		{"clustered", clustered, false},
 		{"noisy", euclid, true},
+		// The sweep reads *Dense rows directly and every other matrix one
+		// LatencyMs at a time; this one takes the second path.
+		{"lattice-plain", plainMatrix{lattice}, false},
 	}
 }
+
+// plainMatrix hides a matrix's concrete type behind the Matrix interface.
+type plainMatrix struct{ latency.Matrix }
 
 func TestSelectionMatchesReference(t *testing.T) {
 	for _, d := range diffNets() {
 		for _, sel := range allSelections {
 			for _, k := range []int{2, 3, 16} {
-				for _, size := range []int{17, 40, 64, 65, 150} {
+				// Residuals are scored four candidates at a time; at k = 16
+				// these pools leave every remainder mod 4 of unused
+				// candidates in both the first and the last round.
+				for _, size := range []int{17, 18, 19, 40, 64, 65, 150} {
 					if size <= k {
 						continue
 					}
 					t.Run(fmt.Sprintf("%s/%v/k%d/pool%d", d.name, sel, k, size), func(t *testing.T) {
-						cfg := DefaultConfig()
-						cfg.Selection, cfg.RingSize = sel, k
-						liveNet, refNet := d.nets()
-						live := &Overlay{cfg: cfg, net: liveNet, src: rng.New(9)}
-						ref := &refOverlay{cfg: cfg, net: refNet, src: rng.New(9)}
-
-						// Node 0 owns the ring; nodes 1..size are its candidates.
-						owner := &refNode{ringLat: map[int]float64{}}
-						ids := make([]int, size)
-						cands := make([]ringEntry, size)
-						for i := range ids {
-							ids[i] = i + 1
-							cands[i] = ringEntry{ids[i], liveNet.MaintProbe(0, ids[i])}
-							owner.ringLat[ids[i]] = refNet.MaintProbe(0, ids[i])
-						}
-
-						want := ref.selectRing(owner, ids)
-						live.selectRing(cands)
-						var got []int
-						for _, e := range live.rings {
-							got = append(got, e.id)
-							if e.lat != owner.ringLat[e.id] {
-								t.Errorf("member %d carries latency %v, owner measured %v", e.id, e.lat, owner.ringLat[e.id])
-							}
-						}
-						if !slices.Equal(got, want) {
-							t.Errorf("selected\n got %v\nwant %v", got, want)
-						}
-						if g, w := liveNet.MaintProbes(), refNet.MaintProbes(); g != w {
-							t.Errorf("maintenance probes: got %d, want %d", g, w)
-						}
+						checkSelectRing(t, d, sel, k, size)
 					})
 				}
 			}
 		}
 	}
+}
+
+// checkSelectRing has node 0 trim a ring from candidates 1..size with the
+// live kernel and the reference, and fails unless both keep the same
+// members in the same order, carrying the owner's latencies, for the same
+// number of maintenance probes. It needs size > k >= 2 (the reference's
+// RingSize 1 keeps two members).
+func checkSelectRing(t *testing.T, d diffNet, sel RingSelection, k, size int) {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Selection, cfg.RingSize = sel, k
+	liveNet, refNet := d.nets()
+	live := &Overlay{cfg: cfg, net: liveNet, src: rng.New(9)}
+	ref := &refOverlay{cfg: cfg, net: refNet, src: rng.New(9)}
+
+	owner := &refNode{ringLat: map[int]float64{}}
+	ids := make([]int, size)
+	cands := make([]ringEntry, size)
+	for i := range ids {
+		ids[i] = i + 1
+		cands[i] = ringEntry{ids[i], liveNet.MaintProbe(0, ids[i])}
+		owner.ringLat[ids[i]] = refNet.MaintProbe(0, ids[i])
+	}
+
+	want := ref.selectRing(owner, ids)
+	live.selectRing(cands)
+	var got []int
+	for _, e := range live.rings {
+		got = append(got, e.id)
+		if e.lat != owner.ringLat[e.id] {
+			t.Errorf("member %d carries latency %v, owner measured %v", e.id, e.lat, owner.ringLat[e.id])
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("selected\n got %v\nwant %v", got, want)
+	}
+	if g, w := liveNet.MaintProbes(), refNet.MaintProbes(); g != w {
+		t.Errorf("maintenance probes: got %d, want %d", g, w)
+	}
+}
+
+// FuzzSelectRing holds selectRing to the reference on small spaces of
+// coarse latencies, where ties are the rule: lats, read cyclically, gives
+// pair (i, j) of a (pool+1)-node matrix one of eight levels 5 ms apart.
+// size picks a pool of 3 to 80 candidates (over the 64 cap too), k a ring
+// size in [2, min(pool, 64)), mode the selection, noisy the probe jitter.
+func FuzzSelectRing(f *testing.F) {
+	// A 5×5 Manhattan lattice with node 0 in a corner: mirror-image
+	// candidates whose residuals tie exactly, as in diffNets' lattice.
+	f.Add(manhattanLattice(5), uint8(24-3), uint8(16-2), uint8(SelectHypervolume), false)
+	// Irregular levels under jitter, over the pool cap.
+	f.Add([]byte("\x03\x07\x01\x04\x04\x00\x06\x02\x05"), uint8(70-3), uint8(16-2), uint8(SelectHypervolume), true)
+	// Every latency equal: the first in pool order wins every round.
+	f.Add([]byte{}, uint8(20-3), uint8(16-2), uint8(SelectHypervolume), false)
+	f.Add([]byte{1, 2}, uint8(19-3), uint8(5-2), uint8(SelectHypervolume), false)
+	f.Add(manhattanLattice(5), uint8(24-3), uint8(7-2), uint8(SelectMaxMin), false)
+	f.Add([]byte{5, 0, 7, 3}, uint8(66-3), uint8(16-2), uint8(SelectRandom), true)
+	f.Fuzz(func(t *testing.T, lats []byte, size, k, mode uint8, noisy bool) {
+		pool := 3 + int(size)%78
+		ringSize := 2 + int(k)%(min(pool, maxSelectionPool)-2)
+		sel := allSelections[int(mode)%len(allSelections)]
+		m := latency.NewDense(pool + 1)
+		x := 0
+		for i := 0; i <= pool; i++ {
+			for j := i + 1; j <= pool; j++ {
+				level := 0
+				if len(lats) > 0 {
+					level = int(lats[x%len(lats)] % 8)
+				}
+				x++
+				m.Set(i, j, 5*float64(1+level))
+			}
+		}
+		checkSelectRing(t, diffNet{"fuzz", m, noisy}, sel, ringSize, pool)
+	})
+}
+
+// manhattanLattice encodes a w×w grid's Manhattan distances (in 5 ms
+// levels, so w <= 5) in FuzzSelectRing's pair order.
+func manhattanLattice(w int) []byte {
+	var out []byte
+	for i := 0; i < w*w; i++ {
+		for j := i + 1; j < w*w; j++ {
+			dx, dy := i%w-j%w, i/w-j/w
+			out = append(out, byte(max(dx, -dx)+max(dy, -dy)-1))
+		}
+	}
+	return out
 }
 
 func TestOverlayMatchesReference(t *testing.T) {

@@ -11,6 +11,7 @@ package meridian
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nearestpeer/internal/overlay"
@@ -123,6 +124,8 @@ type Overlay struct {
 	rings   []ringEntry
 	ringOff []int
 	src     *rng.Source
+	// logMult is math.Log(cfg.RingMult), ringIndex's divisor.
+	logMult float64
 	// maxHops caps query forwarding as a loop backstop.
 	maxHops int
 	scratch
@@ -147,13 +150,13 @@ type scratch struct {
 	gen  uint32
 
 	pool   [maxSelectionPool]ringEntry                  // selectRing: the capped pool
+	ids    [maxSelectionPool]int                        // the pool's node ids
 	lat    [maxSelectionPool * maxSelectionPool]float64 // pool×pool pairwise latencies
 	basis  [maxSelectionPool * maxSelectionPool]float64 // orthonormal rows, back to back
 	origin [maxSelectionPool]float64                    // the first selected member's coordinates
-	v      [maxSelectionPool]float64                    // the candidate being scored
-	used   [maxSelectionPool]bool
-	sel    [maxSelectionPool]int // selected, in selection order
-	rest   [maxSelectionPool]int // maxMinSubset: not yet selected
+	v      [scoreBlock][maxSelectionPool]float64        // the candidates being scored
+	sel    [maxSelectionPool]int                        // selected, in selection order
+	rest   [maxSelectionPool]int                        // not yet selected, in pool order
 }
 
 // New builds a Meridian overlay: every member gossip-samples candidates,
@@ -170,6 +173,7 @@ func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
 		slot:    make([]int32, net.N()),
 		ringOff: make([]int, 0, len(members)*cfg.NumRings+1),
 		src:     rng.New(seed),
+		logMult: math.Log(cfg.RingMult),
 		maxHops: 64,
 		scratch: scratch{
 			byRing: make([][]ringEntry, cfg.NumRings),
@@ -194,7 +198,7 @@ func (o *Overlay) ringIndex(ms float64) int {
 	if ms < o.cfg.RingBase {
 		return 0
 	}
-	i := 1 + int(math.Log(ms/o.cfg.RingBase)/math.Log(o.cfg.RingMult))
+	i := 1 + int(math.Log(ms/o.cfg.RingBase)/o.logMult)
 	if i >= o.cfg.NumRings {
 		i = o.cfg.NumRings - 1
 	}
@@ -363,39 +367,50 @@ func (o *Overlay) maxMinSubset(pool []ringEntry, k int) []int {
 // That is also why the arithmetic is pinned: which of several near-tied
 // candidates wins hangs on the last bits of the residuals, so every sum,
 // product and difference keeps the operand order of the original kernel
-// that reference_test.go preserves.
+// that reference_test.go preserves. Candidates are scored scoreBlock at a
+// time (residuals), each in its own accumulators, and compared in pool
+// order, so the winner is the one the one-at-a-time loop picked.
 func (o *Overlay) hypervolumeSubset(pool []ringEntry, k int) []int {
 	n := len(pool)
 	lat := o.lat[:n*n]
+	ids := o.ids[:n]
+	for i, e := range pool {
+		ids[i] = e.id
+	}
 
 	// Start with the farthest pair (exact farthest pair costs O(c²)
 	// probes; Meridian's gossip budget is similar, and the pool is capped).
-	// The sweep measures every pair, so everything after it is a lookup.
+	// The sweep measures every pair, a row at a time in the same i<j order
+	// as one probe per pair, so everything after it is a lookup.
 	bestI, bestJ, bestD := 0, 1, -1.0
 	for i := 0; i < n; i++ {
 		lat[i*n+i] = 0
-		for j := i + 1; j < n; j++ {
-			d := o.net.MaintProbe(pool[i].id, pool[j].id)
-			lat[i*n+j], lat[j*n+i] = d, d
+		row := lat[i*n+i+1 : i*n+n]
+		o.net.MaintProbeRow(ids[i], ids[i+1:], row)
+		for x, d := range row {
+			j := i + 1 + x
+			lat[j*n+i] = d
 			if d > bestD {
 				bestI, bestJ, bestD = i, j, d
 			}
 		}
 	}
-	used := o.used[:n]
-	clear(used)
 	sel := append(o.sel[:0], bestI)
-	used[bestI] = true
 	if k > 1 {
 		sel = append(sel, bestJ)
-		used[bestJ] = true
+	}
+	rest := o.rest[:0]
+	for c := range pool {
+		if !slices.Contains(sel, c) {
+			rest = append(rest, c)
+		}
 	}
 
 	// Gram–Schmidt residual selection: coordinates of candidate c are its
 	// latencies to the selected members, taken relative to the first's.
-	for len(sel) < k {
+	for len(sel) < k && len(rest) > 0 {
 		dim := len(sel)
-		origin, v := o.origin[:dim], o.v[:dim]
+		origin := o.origin[:dim]
 		for j, s := range sel {
 			origin[j] = lat[sel[0]*n+s]
 		}
@@ -424,32 +439,79 @@ func (o *Overlay) hypervolumeSubset(pool []ringEntry, k int) []int {
 				basis = basis[:len(basis)+dim]
 			}
 		}
+		// A short last block repeats its last candidate, so a padded lane
+		// can only name a candidate already scored.
 		best, bestRes := -1, -1.0
-		for c := range pool {
-			if used[c] {
-				continue
+		for b := 0; b < len(rest); b += scoreBlock {
+			var blk [scoreBlock]int
+			for l := range blk {
+				blk[l] = min(b+l, len(rest)-1)
 			}
-			for j, s := range sel {
-				v[j] = lat[c*n+s] - origin[j]
-			}
-			for e := 0; e < len(basis); e += dim {
-				b := basis[e : e+dim]
-				p := dot(v, b)
-				for j := range v {
-					v[j] -= p * b[j]
+			res := o.residuals(lat, n, rest, blk, sel, origin, basis)
+			for l, r := range res {
+				if r > bestRes {
+					bestRes, best = r, blk[l]
 				}
-			}
-			if res := norm(v); res > bestRes {
-				bestRes, best = res, c
 			}
 		}
 		if best < 0 {
 			break
 		}
-		sel = append(sel, best)
-		used[best] = true
+		sel = append(sel, rest[best])
+		rest = append(rest[:best], rest[best+1:]...)
 	}
 	return sel
+}
+
+// scoreBlock is how many candidates residuals scores per pass.
+const scoreBlock = 4
+
+// residuals returns the Gram–Schmidt residual norms of the candidates
+// rest[blk[0]], ..., rest[blk[3]]: each one's latency vector to sel,
+// relative to origin, with its projection onto every basis row removed.
+// The lanes share no arithmetic; each is, operation for operation, the
+// one-candidate loop — v[j] = lat - origin[j], p += v[i]*b[i] left to
+// right, v[j] -= p*b[j], the root of a left-to-right sum of squares — so
+// four independent add chains overlap instead of running back to back.
+func (o *Overlay) residuals(lat []float64, n int, rest []int, blk [scoreBlock]int, sel []int, origin, basis []float64) [scoreBlock]float64 {
+	dim := len(sel)
+	r0 := lat[rest[blk[0]]*n:][:n]
+	r1 := lat[rest[blk[1]]*n:][:n]
+	r2 := lat[rest[blk[2]]*n:][:n]
+	r3 := lat[rest[blk[3]]*n:][:n]
+	v0, v1, v2, v3 := o.v[0][:dim], o.v[1][:dim], o.v[2][:dim], o.v[3][:dim]
+	for j, s := range sel {
+		org := origin[j]
+		v0[j] = r0[s] - org
+		v1[j] = r1[s] - org
+		v2[j] = r2[s] - org
+		v3[j] = r3[s] - org
+	}
+	for e := 0; e < len(basis); e += dim {
+		b := basis[e : e+dim]
+		var p0, p1, p2, p3 float64
+		for i, bi := range b {
+			p0 += v0[i] * bi
+			p1 += v1[i] * bi
+			p2 += v2[i] * bi
+			p3 += v3[i] * bi
+		}
+		for j, bj := range b {
+			v0[j] -= p0 * bj
+			v1[j] -= p1 * bj
+			v2[j] -= p2 * bj
+			v3[j] -= p3 * bj
+		}
+	}
+	var s0, s1, s2, s3 float64
+	for i, x0 := range v0 {
+		x1, x2, x3 := v1[i], v2[i], v3[i]
+		s0 += x0 * x0
+		s1 += x1 * x1
+		s2 += x2 * x2
+		s3 += x3 * x3
+	}
+	return [scoreBlock]float64{math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)}
 }
 
 func dot(a, b []float64) float64 {

@@ -28,7 +28,8 @@ func euclideanMatrix(n int, seed int64) *latency.Dense {
 }
 
 func TestRingIndex(t *testing.T) {
-	o := &Overlay{cfg: DefaultConfig()}
+	// Built by New, which computes ringIndex's divisor once.
+	o := New(overlay.NewNetwork(latency.NewDense(2)), []int{0, 1}, DefaultConfig(), 1)
 	cases := []struct {
 		ms   float64
 		want int

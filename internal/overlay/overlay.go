@@ -74,6 +74,20 @@ func (n *Network) MaintProbe(i, j int) float64 {
 	return n.observe(n.m.LatencyMs(i, j))
 }
 
+// MaintProbeRow measures i against every node of js as maintenance, into
+// row[:len(js)]: the same count, values and noise draws, in the same
+// order, as one MaintProbe(i, j) per element of js.
+func (n *Network) MaintProbeRow(i int, js []int, row []float64) {
+	n.maintProbes += int64(len(js))
+	row = row[:len(js)]
+	latency.GatherRow(n.m, i, js, row)
+	if n.noiseSrc != nil {
+		for k, ms := range row {
+			row[k] = n.observe(ms)
+		}
+	}
+}
+
 // QueryProbes returns the number of query-time probes issued so far.
 func (n *Network) QueryProbes() int64 { return n.queryProbes }
 

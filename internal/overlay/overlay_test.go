@@ -81,6 +81,38 @@ func TestProbeAccounting(t *testing.T) {
 	}
 }
 
+// TestMaintProbeRowIsPerPair: a row probe is one MaintProbe per element,
+// in order — the same values, the same count, and, under noise, the same
+// draws, so the two networks' streams stay in step afterwards.
+func TestMaintProbeRowIsPerPair(t *testing.T) {
+	m := latency.SyntheticMeridianDataset(12, 5)
+	js := []int{7, 2, 2, 11, 0, 5}
+	for _, noisy := range []bool{false, true} {
+		row, pair := NewNetwork(m), NewNetwork(m)
+		if noisy {
+			row.SetNoise(0.05, 0.3, 9)
+			pair.SetNoise(0.05, 0.3, 9)
+		}
+		got := make([]float64, len(js)+1)
+		got[len(js)] = -1
+		row.MaintProbeRow(3, js, got)
+		for k, j := range js {
+			if want := pair.MaintProbe(3, j); got[k] != want {
+				t.Errorf("noisy=%v: row[%d] = %v, MaintProbe(3, %d) = %v", noisy, k, got[k], j, want)
+			}
+		}
+		if got[len(js)] != -1 {
+			t.Errorf("noisy=%v: wrote past len(js)", noisy)
+		}
+		if row.MaintProbes() != pair.MaintProbes() || row.QueryProbes() != 0 {
+			t.Errorf("noisy=%v: counts maint %d vs %d, query %d", noisy, row.MaintProbes(), pair.MaintProbes(), row.QueryProbes())
+		}
+		if a, b := row.MaintProbe(1, 4), pair.MaintProbe(1, 4); a != b {
+			t.Errorf("noisy=%v: streams diverged after the row: %v vs %v", noisy, a, b)
+		}
+	}
+}
+
 func TestNoiseBoundedAndDeterministic(t *testing.T) {
 	m := latency.NewDense(2)
 	m.Set(0, 1, 100)
