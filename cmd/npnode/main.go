@@ -501,7 +501,7 @@ func cmdClient(verb string, args []string) error {
 			return fmt.Errorf("usage: npnode nearest [flags]")
 		}
 		u.Do(func() {
-			q := p2p.NewQuery(u.Node(client), cf.rpcTimeout)
+			q := p2p.NewQuery(u.Node(client), "sweep", cf.rpcTimeout)
 			q.Sweep(members, func(best p2p.NodeID, rtt float64, ok bool) {
 				if !ok {
 					done <- fmt.Errorf("nearest: no peer answered (%d probes, %d dead)", q.Res.Probes, q.Res.DeadProbes)

@@ -130,7 +130,7 @@ func (w *Wire) pingBeacons(q *p2p.Query, done func(toBeacon []float64)) {
 // beacon, send the vector to the estimation server, verify its answer with
 // one probe. done fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearestGS(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), 0)
+	q := p2p.NewQuery(w.rt.AddNode(client), "guyton", 0)
 	w.pingBeacons(q, func(toBeacon []float64) {
 		q.Call(p2p.NodeID(w.inf.beacons[0]), MsgGSBest, gsBestMsg{ToBeacon: toBeacon},
 			func(env p2p.Envelope) {
@@ -151,7 +151,7 @@ func (w *Wire) FindNearestGS(client p2p.NodeID, done func(p2p.FindResult)) {
 // ping the top candidates. done fires exactly once unless the client dies
 // mid-query.
 func (w *Wire) FindNearestBeaconing(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), 0)
+	q := p2p.NewQuery(w.rt.AddNode(client), "beaconing", 0)
 	w.pingBeacons(q, func(toBeacon []float64) {
 		votes := make(map[int]int)
 		var bands func(i int)

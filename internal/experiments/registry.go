@@ -334,8 +334,8 @@ func meridianWire(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 // from their own live coordinate, outsiders place themselves with probes
 // first. The warm-up gossip is the scheme's publish phase: coordinates are
 // the published (and continuously republished) state. Walk steps land in
-// the hops column and each search counts as one lookup, so a c2 row reads
-// like its ucl/ipprefix neighbors.
+// the hops column and each walk handoff is one lookup RPC, as the other
+// walk schemes' ring reads and handoffs are.
 func vivaldiDeployment(c *schemeCtx, rt *p2p.Runtime) (*vivaldi.Wire, wireDeployment) {
 	wcfg := vivaldi.DefaultWireConfig()
 	wcfg.Horizon = c.horizon
@@ -344,12 +344,7 @@ func vivaldiDeployment(c *schemeCtx, rt *p2p.Runtime) (*vivaldi.Wire, wireDeploy
 		join:  w.Join,
 		leave: w.Leave,
 		mark:  vivaldiWarmup,
-		find: func(client p2p.NodeID, done func(p2p.FindResult)) {
-			w.FindNearest(client, func(r p2p.FindResult) {
-				r.RPCs = 1
-				done(r)
-			})
-		},
+		find:  w.FindNearest,
 	}
 }
 

@@ -58,7 +58,7 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(ok bool)) {
 func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	ip := w.tools.Top.Host(peer).IP
 	node := w.NodeOf(peer)
-	q := p2p.NewQuery(w.chord.Transport().Node(node), 0)
+	q := p2p.NewQuery(w.chord.Transport().Node(node), "ipprefix", 0)
 	q.Res.RPCs = 1
 	w.chord.Get(node, prefixKey(ip, w.cfg.PrefixBits), func(r p2p.OpResult) {
 		q.Res.Hops += r.Hops

@@ -17,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"nearestpeer/internal/obs"
 	"nearestpeer/internal/p2p"
 )
 
@@ -84,7 +83,6 @@ type walk struct {
 	*p2p.Query
 	w       *Wire
 	visited map[int]bool
-	lookup  uint64 // flight-recorder lookup ID (0 without a recorder)
 	started time.Duration
 	done    func(p2p.FindResult)
 }
@@ -101,48 +99,40 @@ type report struct {
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	o := w.base
 	q := &walk{
-		Query:   p2p.NewQuery(w.rt.AddNode(client), 0),
+		Query:   p2p.NewQuery(w.rt.AddNode(client), "meridian", 0),
 		w:       w,
 		visited: map[int]bool{int(client): true},
 		started: w.rt.Now(client),
 		done:    done,
-	}
-	if rec := w.rt.FlightRecorder(); rec != nil {
-		q.lookup = rec.Begin()
 	}
 	start := o.members[o.src.Intn(len(o.members))]
 	q.visited[start] = true
 	// The walk can start at the searcher itself: its rings still steer the
 	// first hop, but it is no candidate and costs no probe.
 	if start == int(client) {
-		q.visit(start, math.Inf(1), false, q.finish)
+		q.visit(start, math.Inf(1), q.finish)
 		return
 	}
 	q.Ping(p2p.NodeID(start), func(rtt float64, ok bool) {
-		q.record(p2p.MsgPing, start, q.started, rtt, outcome(ok, false))
 		if !ok {
 			q.finish() // the chosen start is dead: nothing to walk
 			return
 		}
 		q.Keep(p2p.NodeID(start), rtt)
-		q.visit(start, rtt, false, q.finish)
+		q.visit(start, rtt, q.finish)
 	})
 }
 
 // visit fetches cur's ring entries at about distance d, pings the
 // candidates among them concurrently, and advances on the answers;
-// onFail runs instead when the fetch fails. alternate marks a node tried
-// only because the preferred one's fetch failed.
-func (q *walk) visit(cur int, d float64, alternate bool, onFail func()) {
-	client := q.Node().ID
+// onFail runs instead when the fetch fails.
+func (q *walk) visit(cur int, d float64, onFail func()) {
 	req := ringsMsg{D: d}
 	if math.IsInf(d, 1) {
 		req.D = -1
 	}
-	at := q.w.rt.Now(client)
 	q.Call(p2p.NodeID(cur), MsgRings, req,
 		func(env p2p.Envelope) {
-			q.record(MsgRings, cur, at, float64(q.w.rt.Now(client)-at)/float64(time.Millisecond), outcome(true, alternate))
 			rep, _ := env.Payload.(ringsOK)
 			var cands []int
 			for _, c := range rep.IDs {
@@ -176,21 +166,18 @@ func (q *walk) visit(cur int, d float64, alternate bool, onFail func()) {
 						}
 					}
 					sort.SliceStable(reports, func(a, b int) bool { return reports[a].rtt < reports[b].rtt })
-					q.advance(reports, d, false)
+					q.advance(reports, d)
 				})
 			}
 		},
-		func() {
-			q.record(MsgRings, cur, at, 0, obs.HopTimeout)
-			onFail()
-		})
+		onFail)
 }
 
 // advance forwards the walk to the nearest reporter if it beats β·d; if
 // that node's ring fetch fails, the next reporter that passes the same
 // test is tried. With none left, or at the hop cap, the walk ends with its
 // best.
-func (q *walk) advance(reports []report, d float64, alternate bool) {
+func (q *walk) advance(reports []report, d float64) {
 	o := q.w.base
 	if len(reports) == 0 || reports[0].rtt > o.cfg.Beta*d {
 		q.finish()
@@ -203,9 +190,9 @@ func (q *walk) advance(reports []report, d float64, alternate bool) {
 		q.finish() // the static loop stops here too, before the ring read
 		return
 	}
-	q.visit(next.id, next.rtt, alternate, func() {
+	q.visit(next.id, next.rtt, func() {
 		q.Res.Hops-- // a handoff that failed is no hop
-		q.advance(reports[1:], d, true)
+		q.advance(reports[1:], d)
 	})
 }
 
@@ -213,23 +200,4 @@ func (q *walk) advance(reports []report, d float64, alternate bool) {
 func (q *walk) finish() {
 	q.Res.Elapsed = q.w.rt.Now(q.Node().ID) - q.started
 	q.done(q.Res)
-}
-
-// record writes one hop to the flight recorder, if one is attached.
-func (q *walk) record(typ string, to int, at time.Duration, rttMs float64, out obs.Outcome) {
-	if rec := q.w.rt.FlightRecorder(); rec != nil {
-		rec.Record(obs.Hop{Lookup: q.lookup, Scheme: "meridian", Type: typ,
-			From: int(q.Node().ID), To: to, At: at, RTTms: rttMs, Outcome: out})
-	}
-}
-
-// outcome is the recorder outcome of an answered (or not) hop.
-func outcome(ok, alternate bool) obs.Outcome {
-	switch {
-	case !ok:
-		return obs.HopTimeout
-	case alternate:
-		return obs.HopAlternate
-	}
-	return obs.HopOK
 }

@@ -41,7 +41,9 @@ type Hop struct {
 	// Lookup groups the hops of one lookup (from Recorder.Begin, or a
 	// scheme-native query ID).
 	Lookup uint64
-	// Scheme names the lookup scheme ("chord", "meridian", "vivaldi").
+	// Scheme names the lookup scheme: the registry name a p2p.Query was
+	// opened under ("meridian", "vivaldi", "guyton", ...), or "chord" for
+	// a Chord lookup (the DHT Gets of ucl and ipprefix included).
 	Scheme string
 	// Type is the wire message type the hop used.
 	Type string

@@ -1316,7 +1316,7 @@ func (c *Chord) drive(n *Node, st *chordState, start NodeID, key uint64, done fu
 	// recorder-unique lookup ID. afterTimeout distinguishes a first-choice
 	// hop (HopOK) from one re-routed after a timeout (HopRetry).
 	l.afterTimeout = false
-	if l.rec = c.rt.FlightRecorder(); l.rec != nil {
+	if l.rec = c.rt.recorder(); l.rec != nil {
 		l.lseq = l.rec.Begin()
 	}
 	l.next()

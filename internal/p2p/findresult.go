@@ -5,11 +5,16 @@
 // kargerruhl,rendezvous} — which is what lets the
 // experiments' scheme registry score all fourteen schemes with one harness
 // and one scorer. Those Wires build it through Query, which holds the one
-// rule for charging a query's probes and RPCs and for keeping its answer.
+// rule for charging a query's probes and RPCs, for keeping its answer and
+// for recording its hops.
 
 package p2p
 
-import "time"
+import (
+	"time"
+
+	"nearestpeer/internal/obs"
+)
 
 // FindResult reports a wire nearest-peer query's outcome and cost. Counters
 // follow the overlay package's methodology: Probes is the cost the paper
@@ -25,8 +30,10 @@ type FindResult struct {
 	// DeadProbes the ones that timed out — stale candidates, loss, death.
 	Probes     int
 	DeadProbes int
-	// RPCs counts scheme control requests issued; RPCFails the ones whose
-	// every attempt expired unanswered.
+	// RPCs counts scheme control requests issued (every Query.Call: ring
+	// reads, walk handoffs, hint fetches, directory reads); RPCFails the
+	// ones whose every attempt expired unanswered. ucl and ipprefix, whose
+	// control traffic is a Chord Get, charge their DHT lookups here.
 	RPCs     int
 	RPCFails int
 	// Hops counts the scheme's descent/walk steps (same meaning as the
@@ -62,36 +69,73 @@ func (r *FindResult) keep(peer NodeID, rttMs float64) {
 // Hops stay the scheme's own to count. Once the issuing node has stopped,
 // no callback fires: a dead client's query is abandoned, its done never
 // called.
+//
+// Query is also the flight recorder's one choke point. With a recorder
+// attached to the transport, the query opens one lookup and every request
+// above writes one obs.Hop under the scheme's label when it settles (one
+// per request, however many retries it took): its issue time, the RTT on
+// a reply, and HopOK or HopTimeout. A Call issued while the query's
+// previous Call had failed is a fallback route and records HopAlternate.
 type Query struct {
 	// Res is the result being built; the scheme reports it when done.
 	Res FindResult
 
 	n       *Node
+	scheme  string
 	timeout time.Duration
+
+	rec        *obs.Recorder // nil without a recorder
+	lookup     uint64
+	callFailed bool // the last settled Call expired unanswered
 }
 
-// NewQuery starts a query from n with nothing found. A non-positive
+// NewQuery starts a query from n with nothing found. scheme labels its
+// flight-recorder hops (the scheme's registry name). A non-positive
 // timeout uses the transport default.
-func NewQuery(n *Node, timeout time.Duration) *Query {
-	return &Query{Res: FindResult{Peer: NoNode}, n: n, timeout: timeout}
+func NewQuery(n *Node, scheme string, timeout time.Duration) *Query {
+	q := &Query{Res: FindResult{Peer: NoNode}, n: n, scheme: scheme, timeout: timeout}
+	if q.rec = n.rt.recorder(); q.rec != nil {
+		q.lookup = q.rec.Begin()
+	}
+	return q
 }
 
 // Node returns the issuing node.
 func (q *Query) Node() *Node { return q.n }
 
 // request sends one request, through RequestPolicy when retry is set and
-// as a single-shot Request otherwise, charging *bill at issue and *fails on
-// a timeout. Both callbacks pass the dead-client guard.
-func (q *Query) request(to NodeID, typ string, payload any, retry bool, bill, fails *int, onReply func(Envelope), onFail func()) {
+// as a single-shot Request otherwise, and records its hop when it settles.
+// A call is charged to RPCs at issue and RPCFails on a timeout, a probe to
+// Probes and DeadProbes. onReply gets the answer and its RTT. Both
+// callbacks pass the dead-client guard.
+func (q *Query) request(to NodeID, typ string, payload any, retry, call bool, onReply func(Envelope, float64), onFail func()) {
+	bill, fails := &q.Res.Probes, &q.Res.DeadProbes
+	if call {
+		bill, fails = &q.Res.RPCs, &q.Res.RPCFails
+	}
 	*bill++
+	at := q.n.rt.Now(q.n.ID)
+	out := obs.HopOK
+	if call && q.callFailed {
+		out = obs.HopAlternate
+	}
 	reply := func(env Envelope) {
 		if q.n.Alive() {
-			onReply(env)
+			rtt := msOf(q.n.rt.Now(q.n.ID) - at)
+			if call {
+				q.callFailed = false
+			}
+			q.record(typ, to, at, rtt, out)
+			onReply(env, rtt)
 		}
 	}
 	fail := func() {
 		if q.n.Alive() {
 			*fails++
+			if call {
+				q.callFailed = true
+			}
+			q.record(typ, to, at, 0, obs.HopTimeout)
 			onFail()
 		}
 	}
@@ -102,11 +146,20 @@ func (q *Query) request(to NodeID, typ string, payload any, retry bool, bill, fa
 	}
 }
 
+// record writes one hop to the flight recorder, if one is attached.
+func (q *Query) record(typ string, to NodeID, at time.Duration, rttMs float64, out obs.Outcome) {
+	if q.rec != nil {
+		q.rec.Record(obs.Hop{Lookup: q.lookup, Scheme: q.scheme, Type: typ,
+			From: int(q.n.ID), To: int(to), At: at, RTTms: rttMs, Outcome: out})
+	}
+}
+
 // Call sends one control request (a hint fetch, a walk handoff, a
 // directory read) under the transport's retry policy: onReply gets the
 // answer, onFail runs once every attempt has expired.
 func (q *Query) Call(to NodeID, typ string, payload any, onReply func(Envelope), onFail func()) {
-	q.request(to, typ, payload, true, &q.Res.RPCs, &q.Res.RPCFails, onReply, onFail)
+	q.request(to, typ, payload, true, true,
+		func(env Envelope, _ float64) { onReply(env) }, onFail)
 }
 
 // Probe measures the RTT to a peer with a typ request under the transport's
@@ -119,9 +172,8 @@ func (q *Query) Probe(to NodeID, typ string, then func(env Envelope, rttMs float
 
 func (q *Query) probe(to NodeID, typ string, retry bool, then func(env Envelope, rttMs float64, ok bool)) {
 	q.n.metrics.QueryProbes++
-	start := q.n.rt.Now(q.n.ID)
-	q.request(to, typ, nil, retry, &q.Res.Probes, &q.Res.DeadProbes,
-		func(env Envelope) { then(env, msOf(q.n.rt.Now(q.n.ID)-start), true) },
+	q.request(to, typ, nil, retry, false,
+		func(env Envelope, rtt float64) { then(env, rtt, true) },
 		func() { then(Envelope{}, 0, false) })
 }
 

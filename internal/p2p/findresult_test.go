@@ -3,13 +3,15 @@ package p2p
 import (
 	"testing"
 	"time"
+
+	"nearestpeer/internal/obs"
 )
 
 // The query bill on a 4-node line (rtt(i,j) = 10·|i−j| ms), client node 0.
 
 func TestQueryPingToStoppedNodeChargesDeadProbe(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
-	q := NewQuery(rt.AddNode(0), 0)
+	q := NewQuery(rt.AddNode(0), "test", 0)
 	rt.AddNode(2).Stop()
 	fired := 0
 	q.Ping(2, func(rtt float64, ok bool) {
@@ -29,7 +31,7 @@ func TestQueryPingToStoppedNodeChargesDeadProbe(t *testing.T) {
 
 func TestQueryCallToStoppedNodeChargesRPCFail(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
-	q := NewQuery(rt.AddNode(0), 0)
+	q := NewQuery(rt.AddNode(0), "test", 0)
 	rt.AddNode(3).Stop()
 	failed := 0
 	q.Call(3, "list", nil, func(Envelope) { t.Error("a stopped node answered") }, func() { failed++ })
@@ -48,7 +50,7 @@ func TestQueryRetryScope(t *testing.T) {
 	pol := Policy{Attempts: 3, BaseBackoff: 100 * time.Millisecond}
 	kernel, rt := newRetryRuntime(t, 4, pol, nil)
 	rt.AddNode(3).Stop()
-	call := NewQuery(rt.AddNode(0), 0)
+	call := NewQuery(rt.AddNode(0), "test", 0)
 	failed := 0
 	call.Call(3, "list", nil, func(Envelope) { t.Error("a stopped node answered") }, func() { failed++ })
 	kernel.Run()
@@ -59,7 +61,7 @@ func TestQueryRetryScope(t *testing.T) {
 		t.Fatalf("Call charged %d retries, want %d", got, want)
 	}
 
-	ping := NewQuery(rt.Node(0), 0)
+	ping := NewQuery(rt.Node(0), "test", 0)
 	ping.Ping(3, func(_ float64, ok bool) {
 		if ok {
 			t.Error("ping to a stopped node answered")
@@ -76,7 +78,7 @@ func TestQueryRetryScope(t *testing.T) {
 
 func TestQueryProbeCarriesAnswer(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
-	q := NewQuery(rt.AddNode(0), 0)
+	q := NewQuery(rt.AddNode(0), "test", 0)
 	rt.AddNode(1).Handle("coord", func(n *Node, env Envelope) { n.Reply(env, "coord_ok", "c1") })
 	var got any
 	var rtt float64
@@ -90,7 +92,7 @@ func TestQueryProbeCarriesAnswer(t *testing.T) {
 func TestQuerySweepsKeepBest(t *testing.T) {
 	// Client 2 on a 5-node line: 1 and 3 are both 10 ms away, 0 and 4 20 ms.
 	kernel, rt := newTestRuntime(t, 5, 0)
-	q := NewQuery(rt.AddNode(2), 0)
+	q := NewQuery(rt.AddNode(2), "test", 0)
 	for _, id := range []NodeID{0, 1, 3, 4} {
 		rt.AddNode(id)
 	}
@@ -134,7 +136,7 @@ func TestQuerySweepsKeepBest(t *testing.T) {
 func TestQueryCallbacksStopWithClient(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	client := rt.AddNode(0)
-	q := NewQuery(client, 0)
+	q := NewQuery(client, "test", 0)
 	rt.AddNode(1).Handle("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) })
 	rt.AddNode(2).Stop()
 	fired := 0
@@ -149,5 +151,98 @@ func TestQueryCallbacksStopWithClient(t *testing.T) {
 	}
 	if q.Res.Probes != 3 || q.Res.DeadProbes != 0 || q.Res.RPCs != 1 || q.Res.RPCFails != 0 || q.Res.Found {
 		t.Fatalf("bill %+v: want the issued 3 probes and 1 RPC, nothing failed or found", q.Res)
+	}
+}
+
+// TestQueryRecordsHops: with a recorder attached, a query opens one lookup
+// and every request writes one hop under its label. A Call issued after a
+// failed Call records HopAlternate; a Call after an answered Call records
+// HopOK again, as does a Ping whatever the Calls did.
+func TestQueryRecordsHops(t *testing.T) {
+	kernel, rt := newTestRuntime(t, 4, 0)
+	rec := obs.NewRecorder(16)
+	rt.AttachRecorder(rec)
+	q := NewQuery(rt.AddNode(0), "test", 0)
+	rt.AddNode(1).Handle("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) })
+	rt.AddNode(3).Stop()
+	fail := func() { t.Error("a call to a live node failed") }
+	q.Call(3, "list", nil, func(Envelope) { t.Error("a stopped node answered") }, func() {
+		q.Call(1, "list", nil, func(Envelope) {
+			q.Call(1, "list", nil, func(Envelope) {
+				q.Ping(1, func(float64, bool) {})
+			}, fail)
+		}, fail)
+	})
+	kernel.Run()
+	at := func(ms int) time.Duration { return time.Duration(ms) * time.Millisecond }
+	want := []obs.Hop{
+		{Type: "list", To: 3, At: 0, RTTms: 0, Outcome: obs.HopTimeout},
+		{Type: "list", To: 1, At: at(1000), RTTms: 10, Outcome: obs.HopAlternate},
+		{Type: "list", To: 1, At: at(1010), RTTms: 10, Outcome: obs.HopOK},
+		{Type: MsgPing, To: 1, At: at(1020), RTTms: 10, Outcome: obs.HopOK},
+	}
+	got := rec.Snapshot()
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d hops %+v, want %d", len(got), got, len(want))
+	}
+	for i, w := range want {
+		w.Lookup, w.Scheme, w.From = 1, "test", 0
+		if got[i] != w {
+			t.Errorf("hop %d = %+v, want %+v", i, got[i], w)
+		}
+	}
+}
+
+// TestQueryRecorderAllocs: recording a hop costs no allocation, so a Ping
+// and a Call allocate exactly as often with a recorder attached as without.
+func TestQueryRecorderAllocs(t *testing.T) {
+	allocs := func(rec *obs.Recorder) float64 {
+		kernel, rt := newTestRuntime(t, 4, 0)
+		rt.AttachRecorder(rec)
+		rt.AddNode(1).Handle("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) })
+		q := NewQuery(rt.AddNode(0), "test", 0)
+		onPing := func(float64, bool) {}
+		onReply := func(Envelope) {}
+		onFail := func() {}
+		op := func() {
+			q.Ping(1, onPing)
+			q.Call(1, "list", nil, onReply, onFail)
+			kernel.Run()
+		}
+		for i := 0; i < 32; i++ { // past one wrap of the recorder's ring
+			op()
+		}
+		return testing.AllocsPerRun(200, op)
+	}
+	plain, traced := allocs(nil), allocs(obs.NewRecorder(16))
+	if plain != traced {
+		t.Fatalf("a Ping and a Call allocate %v times with a recorder, %v without", traced, plain)
+	}
+}
+
+// TestQueryRecordsOnLoopback: the live transports go through the same
+// choke point — a Query.Ping on a Loopback with a recorder attached
+// records one hop.
+func TestQueryRecordsOnLoopback(t *testing.T) {
+	lb := NewLoopback(lineMatrix(4), Config{RPCTimeout: time.Second}, 1)
+	rec := obs.NewRecorder(16)
+	lb.AttachRecorder(rec)
+	answered := make(chan bool, 1)
+	lb.Do(func() {
+		lb.AddNode(1)
+		NewQuery(lb.AddNode(0), "test", 0).Ping(1, func(_ float64, ok bool) { answered <- ok })
+	})
+	ok := <-answered
+	lb.Close()
+	if !ok {
+		t.Fatal("loopback ping went unanswered")
+	}
+	hops := rec.Snapshot()
+	if len(hops) != 1 {
+		t.Fatalf("recorded %d hops %+v, want 1", len(hops), hops)
+	}
+	if h := hops[0]; h.Lookup != 1 || h.Scheme != "test" || h.Type != MsgPing || h.From != 0 || h.To != 1 ||
+		h.Outcome != obs.HopOK || h.RTTms <= 0 {
+		t.Fatalf("hop %+v: want one answered ping 0 -> 1 under lookup 1", h)
 	}
 }

@@ -244,8 +244,8 @@ func (b *liveBase) SerialMetrics() *Metrics { return &b.metrics }
 // AttachRecorder does on the simulator. Attach before traffic flows.
 func (b *liveBase) AttachRecorder(rec *obs.Recorder) { b.obsRec = rec }
 
-// FlightRecorder returns the attached flight recorder, or nil.
-func (b *liveBase) FlightRecorder() *obs.Recorder { return b.obsRec }
+// recorder returns the attached flight recorder, or nil.
+func (b *liveBase) recorder() *obs.Recorder { return b.obsRec }
 
 // allocMsgIDFor hands out transport-unique correlation IDs.
 func (b *liveBase) allocMsgIDFor(NodeID) uint64 { return b.msgID.Add(1) }

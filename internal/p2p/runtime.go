@@ -615,9 +615,10 @@ func (r *Runtime) EnableObs(reg *obs.Registry) {
 	r.obsReg = reg
 }
 
-// AttachRecorder attaches a lookup flight recorder. The scheme wires
-// (chord, meridian.Wire, the Vivaldi wire) record per-hop traces into it; pass
-// nil to detach. Like the registry, a recorder is purely passive.
+// AttachRecorder attaches a lookup flight recorder. Every Query (so every
+// nearest-peer scheme's wire search) and chord's lookup driver record
+// per-hop traces into it; pass nil to detach. Like the registry, a
+// recorder is purely passive.
 // Serial-only: the recorder's ring is a single-writer structure.
 func (r *Runtime) AttachRecorder(rec *obs.Recorder) {
 	if r.shk != nil && rec != nil {
@@ -626,8 +627,8 @@ func (r *Runtime) AttachRecorder(rec *obs.Recorder) {
 	r.obsRec = rec
 }
 
-// FlightRecorder returns the attached flight recorder, or nil.
-func (r *Runtime) FlightRecorder() *obs.Recorder { return r.obsRec }
+// recorder returns the attached flight recorder, or nil.
+func (r *Runtime) recorder() *obs.Recorder { return r.obsRec }
 
 // LiveNodes returns the number of registered nodes currently up.
 func (r *Runtime) LiveNodes() int { return r.liveCount }

@@ -20,8 +20,9 @@
 //     over it.
 //
 // What all three share is what the seam holds: a node registry, a clock
-// and timers per node, typed tick handlers, the lookup flight recorder,
-// and the unexported send/timeout core. Protocol code written against it
+// and timers per node, typed tick handlers, and the unexported core
+// (send/timeout, and the lookup flight recorder that Query and chord's
+// lookup driver write into). Protocol code written against it
 // runs unchanged on all three: the inflight/MsgID correlation, timeout
 // races, and handler dispatch live in Node and are shared, so a protocol
 // debugged in virtual time is the protocol deployed on the wire.
@@ -43,10 +44,12 @@ import (
 )
 
 // Transport is what protocol code sees of the runtime carrying its
-// messages: node lifecycle, per-node clocks and timers, typed tick
-// handlers and the flight recorder. A node's metrics account travels with
-// the node (Node.Metrics). The unexported core (sending, timeout parking,
-// msg-id allocation) keeps the set of implementations closed within this
+// messages: node lifecycle, per-node clocks and timers, and typed tick
+// handlers. A node's metrics account travels with the node
+// (Node.Metrics); the flight recorder is attached per transport
+// (AttachRecorder) and written only by Query and chord's lookup driver.
+// The unexported core (sending, timeout parking, msg-id allocation, the
+// recorder) keeps the set of implementations closed within this
 // package — Node's hot path calls it, and its invariants (exactly-once
 // timeout/reply races, allocation discipline) are only enforceable here.
 //
@@ -84,9 +87,6 @@ type Transport interface {
 	// protocols (the Vivaldi wire) pace their tick chains with it.
 	AfterHandler(d time.Duration, h sim.HandlerID, arg uint64)
 
-	// FlightRecorder returns the attached lookup flight recorder, or nil.
-	FlightRecorder() *obs.Recorder
-
 	// send prices, maybe drops, and schedules delivery of one envelope.
 	send(env Envelope)
 	// allocMsgIDFor hands out transport-unique correlation IDs.
@@ -99,6 +99,9 @@ type Transport interface {
 	config() *Config
 	// noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 	noteLive(delta int)
+	// recorder returns the attached lookup flight recorder, or nil: Query
+	// and chord's lookup driver write their hops into it.
+	recorder() *obs.Recorder
 }
 
 // Compile-time checks: all three transports implement the seam.

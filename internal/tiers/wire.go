@@ -83,7 +83,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 // follow the closest into its own cluster one level down, repeat. done
 // fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), 0)
+	q := p2p.NewQuery(w.rt.AddNode(client), "tiers", 0)
 	level := len(w.base.levels) - 1
 	rep := w.base.levels[level][0].rep
 

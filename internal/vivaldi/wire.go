@@ -31,7 +31,6 @@ import (
 	"slices"
 	"time"
 
-	"nearestpeer/internal/obs"
 	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/rng"
 	"nearestpeer/internal/sim"
@@ -631,27 +630,25 @@ type walkCand struct {
 // advertised coordinates toward the client's coordinate, then RTT-verify
 // the VerifyTop best candidates with real pings and return the closest
 // responder. Probes counts query-time RTT measurements (placement probes
-// plus verification pings), Hops the greedy-walk steps taken. done fires
+// plus verification pings), RPCs the walk handoffs (RPCFails the ones
+// that went unanswered), Hops the greedy-walk steps taken. done fires
 // exactly once (the issuing node is assumed to stay up for the query).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
-	q := p2p.NewQuery(w.rt.AddNode(client), w.cfg.RPCTimeout)
-	var lseq uint64
-	if rec := w.rt.FlightRecorder(); rec != nil {
-		lseq = rec.Begin()
-	}
+	q := p2p.NewQuery(w.rt.AddNode(client), "vivaldi", w.cfg.RPCTimeout)
 	if st := w.state(client); st != nil {
 		// A member already has a coordinate; walk from itself.
 		tc := st.coord.Clone()
-		w.walk(q, client, lseq, tc, client, done)
+		w.walk(q, tc, client, done)
 		return
 	}
-	w.place(q, client, lseq, done)
+	w.place(q, done)
 }
 
 // place positions a non-member: sequential coordinate probes against
 // random members, then the static placement iteration over the collected
 // (coordinate, RTT) observations.
-func (w *Wire) place(q *p2p.Query, client p2p.NodeID, lseq uint64, done func(p2p.FindResult)) {
+func (w *Wire) place(q *p2p.Query, done func(p2p.FindResult)) {
+	client := q.Node().ID
 	type placeObs struct {
 		from  p2p.NodeID
 		coord *Coord
@@ -687,19 +684,10 @@ func (w *Wire) place(q *p2p.Query, client p2p.NodeID, lseq uint64, done func(p2p
 					best = o
 				}
 			}
-			w.walk(q, client, lseq, tc, best.from, done)
+			w.walk(q, tc, best.from, done)
 			return
 		}
-		start := w.rt.Now(client)
 		q.Probe(targets[i], MsgProbe, func(env p2p.Envelope, rtt float64, answered bool) {
-			if rec := w.rt.FlightRecorder(); rec != nil {
-				outcome := obs.HopOK
-				if !answered {
-					outcome = obs.HopTimeout
-				}
-				rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgProbe,
-					From: int(client), To: int(targets[i]), At: start, RTTms: rtt, Outcome: outcome})
-			}
 			if s, ok := env.Payload.(*gossipSnap); answered && ok {
 				c := &Coord{Vec: append([]float64(nil), s.Vec...), Height: s.Height, Err: s.Err}
 				observations = append(observations, placeObs{from: targets[i], coord: c, rtt: rtt})
@@ -722,8 +710,8 @@ func containsID(list []p2p.NodeID, id p2p.NodeID) bool {
 
 // walk runs the greedy descent from start toward the target coordinate tc,
 // collecting every answered candidate, then hands off to verification.
-func (w *Wire) walk(q *p2p.Query, client p2p.NodeID, lseq uint64, tc *Coord, start p2p.NodeID, done func(p2p.FindResult)) {
-	n := q.Node()
+func (w *Wire) walk(q *p2p.Query, tc *Coord, start p2p.NodeID, done func(p2p.FindResult)) {
+	client := q.Node().ID
 	var cands []walkCand
 	addCand := func(id p2p.NodeID, pred float64) {
 		if id == client || id == p2p.NoNode {
@@ -749,16 +737,8 @@ func (w *Wire) walk(q *p2p.Query, client p2p.NodeID, lseq uint64, tc *Coord, sta
 			return
 		}
 		visited[cur] = true
-		hopStart := w.rt.Now(n.ID)
-		hopTo := cur
-		n.RequestPolicy(cur, MsgWalk, payload, w.cfg.RPCTimeout,
+		q.Call(cur, MsgWalk, payload,
 			func(env p2p.Envelope) {
-				if rec := w.rt.FlightRecorder(); rec != nil {
-					rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgWalk,
-						From: int(n.ID), To: int(hopTo), At: hopStart,
-						RTTms:   float64(w.rt.Now(n.ID)-hopStart) / float64(time.Millisecond),
-						Outcome: obs.HopOK})
-				}
 				ok := env.Payload.(walkOKMsg)
 				addCand(env.From, ok.SelfPred)
 				addCand(ok.Best, ok.BestPred)
@@ -774,10 +754,6 @@ func (w *Wire) walk(q *p2p.Query, client p2p.NodeID, lseq uint64, tc *Coord, sta
 				step()
 			},
 			func() {
-				if rec := w.rt.FlightRecorder(); rec != nil {
-					rec.Record(obs.Hop{Lookup: lseq, Scheme: "vivaldi", Type: MsgWalk,
-						From: int(n.ID), To: int(hopTo), At: hopStart, Outcome: obs.HopTimeout})
-				}
 				// Dead or lost hop: verify what the walk has so far.
 				w.verify(q, cands, done)
 			})
