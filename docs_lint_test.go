@@ -148,3 +148,75 @@ func TestReadmeLinksResolve(t *testing.T) {
 		}
 	}
 }
+
+// configCensusFile is the checked-in list of every settable config field.
+const configCensusFile = "testdata/config_fields.txt"
+
+// TestConfigFieldCensus lists pkg.Type.Field for every exported field of
+// every exported struct type under internal/ whose name ends in Config, and
+// compares the list with testdata/config_fields.txt, so a knob added or
+// removed shows up as a reviewed diff of that file.
+func TestConfigFieldCensus(t *testing.T) {
+	var fields []string
+	for _, dir := range docCoveredPackages(t) {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				fields = append(fields, configFields(pkg.Name, file)...)
+			}
+		}
+	}
+	raw, err := os.ReadFile(configCensusFile)
+	if err != nil {
+		t.Fatalf("%s missing: %v", configCensusFile, err)
+	}
+	listed := strings.Fields(string(raw))
+	declared := map[string]bool{}
+	for _, f := range fields {
+		declared[f] = true
+	}
+	for _, f := range listed {
+		if !declared[f] {
+			t.Errorf("%s is listed in %s but no longer declared", f, configCensusFile)
+		}
+		delete(declared, f)
+	}
+	for _, f := range fields {
+		if declared[f] {
+			t.Errorf("%s is declared but not listed in %s", f, configCensusFile)
+		}
+	}
+}
+
+// configFields returns pkg.Type.Field for the exported fields of the
+// exported *Config struct types declared in file.
+func configFields(pkg string, file *ast.File) []string {
+	var out []string
+	for _, decl := range file.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			ts := spec.(*ast.TypeSpec)
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+				continue
+			}
+			for _, f := range st.Fields.List {
+				for _, name := range f.Names {
+					if name.IsExported() {
+						out = append(out, pkg+"."+ts.Name.Name+"."+name.Name)
+					}
+				}
+			}
+		}
+	}
+	return out
+}

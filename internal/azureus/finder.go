@@ -14,44 +14,34 @@ import (
 	"nearestpeer/internal/rng"
 )
 
-// FinderConfig parameterises the tracker-sample baseline.
-type FinderConfig struct {
-	// SampleSize is how many peers one tracker announce returns.
-	SampleSize int
-	// Rounds is how many announces a searching client issues.
-	Rounds int
-}
+// The baseline uses the classic announce size of 30 peers, twice.
+const (
+	// announceSize is how many peers one tracker announce returns.
+	announceSize = 30
+	// announceRounds is how many announces a searching client issues.
+	announceRounds = 2
+)
 
-// DefaultFinderConfig uses the classic announce size of 30 peers, twice.
-func DefaultFinderConfig() FinderConfig {
-	return FinderConfig{SampleSize: 30, Rounds: 2}
-}
-
-// Finder probes tracker samples: each round draws SampleSize distinct
+// Finder probes tracker samples: each round draws announceSize distinct
 // members uniformly (the requester excluded) and probes them all; the
 // closest responder over all rounds wins. The draw stream lives with the
 // tracker, so a Wire built from the same seed serves identical samples.
 type Finder struct {
-	cfg     FinderConfig
 	net     *overlay.Network
 	members []int
 	src     *rng.Source
 }
 
 // NewFinder creates the baseline over a member set.
-func NewFinder(net *overlay.Network, members []int, cfg FinderConfig, seed int64) *Finder {
-	if cfg.SampleSize <= 0 || cfg.Rounds <= 0 {
-		panic("azureus: invalid finder config")
-	}
+func NewFinder(net *overlay.Network, members []int, seed int64) *Finder {
 	return &Finder{
-		cfg:     cfg,
 		net:     net,
 		members: append([]int(nil), members...),
 		src:     rng.New(seed).Split("azureus"),
 	}
 }
 
-// sample draws one announce's peer list: SampleSize distinct members,
+// sample draws one announce's peer list: announceSize distinct members,
 // exclude left out, by partial Fisher–Yates over the eligible pool.
 func (f *Finder) sample(exclude int) []int {
 	pool := make([]int, 0, len(f.members))
@@ -60,7 +50,7 @@ func (f *Finder) sample(exclude int) []int {
 			pool = append(pool, m)
 		}
 	}
-	k := f.cfg.SampleSize
+	k := announceSize
 	if k > len(pool) {
 		k = len(pool)
 	}
@@ -75,7 +65,7 @@ func (f *Finder) sample(exclude int) []int {
 func (f *Finder) FindNearest(target int) overlay.Result {
 	best, bestLat := -1, math.Inf(1)
 	var probes int64
-	for r := 0; r < f.cfg.Rounds; r++ {
+	for r := 0; r < announceRounds; r++ {
 		for _, m := range f.sample(target) {
 			l := f.net.Probe(m, target)
 			probes++
@@ -84,5 +74,5 @@ func (f *Finder) FindNearest(target int) overlay.Result {
 			}
 		}
 	}
-	return overlay.Result{Peer: best, LatencyMs: bestLat, Probes: probes, Hops: f.cfg.Rounds}
+	return overlay.Result{Peer: best, LatencyMs: bestLat, Probes: probes, Hops: announceRounds}
 }

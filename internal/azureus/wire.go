@@ -53,13 +53,13 @@ func (w *Wire) Join(id p2p.NodeID) {
 }
 
 // FindNearest runs the baseline over the wire from client: announce to the
-// tracker, sweep-ping the returned sample, repeat for the configured number
-// of rounds. done fires exactly once unless the client dies mid-query.
+// tracker, sweep-ping the returned sample, repeat for announceRounds
+// rounds. done fires exactly once unless the client dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "azureus", 0)
 	var round func(r int)
 	round = func(r int) {
-		if r >= w.base.cfg.Rounds {
+		if r >= announceRounds {
 			done(q.Res)
 			return
 		}

@@ -11,7 +11,6 @@
 package beacon
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -19,29 +18,24 @@ import (
 	"nearestpeer/internal/rng"
 )
 
-// Config parameterises the beacon infrastructure.
-type Config struct {
-	// NumBeacons is the number of beacon servers (drawn from members).
-	NumBeacons int
-	// Tolerance is Beaconing's "about the same latency" band: a member
-	// qualifies if its beacon latency is within (1±Tolerance)× the
+// The infrastructure deploys 12 beacons and uses a ±15% band.
+const (
+	// maxBeacons is the number of beacon servers drawn from the members;
+	// a membership smaller than that makes every member a beacon.
+	maxBeacons = 12
+	// tolerance is Beaconing's "about the same latency" band: a member
+	// qualifies if its beacon latency is within (1±tolerance)× the
 	// querier's.
-	Tolerance float64
-	// MaxCandidates caps how many returned peers the querier probes
-	// (closest-estimate first); 0 means no cap.
-	MaxCandidates int
-}
-
-// DefaultConfig uses 12 beacons and a ±15% band.
-func DefaultConfig() Config {
-	return Config{NumBeacons: 12, Tolerance: 0.15, MaxCandidates: 64}
-}
+	tolerance = 0.15
+	// maxCandidates caps how many returned peers the querier probes
+	// (closest-estimate first).
+	maxCandidates = 64
+)
 
 // Infrastructure holds the beacon deployment: each beacon has measured its
 // latency to every member (maintenance, as these are standing measurements
 // the servers keep fresh).
 type Infrastructure struct {
-	cfg     Config
 	net     *overlay.Network
 	members []int
 	beacons []int
@@ -50,21 +44,20 @@ type Infrastructure struct {
 	src *rng.Source
 }
 
-// New deploys beacons on a random subset of members and takes the standing
-// measurements.
-func New(net *overlay.Network, members []int, cfg Config, seed int64) *Infrastructure {
-	if cfg.NumBeacons <= 0 || cfg.NumBeacons > len(members) {
-		panic(fmt.Sprintf("beacon: invalid beacon count %d for %d members", cfg.NumBeacons, len(members)))
+// New deploys beacons on a random subset of min(12, len(members)) members
+// and takes the standing measurements.
+func New(net *overlay.Network, members []int, seed int64) *Infrastructure {
+	if len(members) == 0 {
+		panic("beacon: no members to deploy beacons on")
 	}
 	src := rng.New(seed)
 	perm := src.Perm(len(members))
 	inf := &Infrastructure{
-		cfg:     cfg,
 		net:     net,
 		members: append([]int(nil), members...),
 		src:     src,
 	}
-	for i := 0; i < cfg.NumBeacons; i++ {
+	for i := 0; i < min(maxBeacons, len(members)); i++ {
 		inf.beacons = append(inf.beacons, members[perm[i]])
 	}
 	for _, b := range inf.beacons {
@@ -186,7 +179,7 @@ func (b *Beaconing) FindNearest(target int) overlay.Result {
 		}
 		return lo
 	}
-	ranked := rankBand(votes, lower, inf.cfg.MaxCandidates)
+	ranked := rankBand(votes, lower)
 	best, bestLat := -1, math.Inf(1)
 	for _, m := range ranked {
 		l := inf.net.Probe(target, m)
@@ -204,8 +197,8 @@ func (b *Beaconing) FindNearest(target int) overlay.Result {
 // scheme. Shared by the static finder and the wire deployment's per-beacon
 // band handler.
 func (inf *Infrastructure) bandMembers(b int, toBeacon float64, exclude int) []int {
-	lo := toBeacon * (1 - inf.cfg.Tolerance)
-	hi := toBeacon * (1 + inf.cfg.Tolerance)
+	lo := toBeacon * (1 - tolerance)
+	hi := toBeacon * (1 + tolerance)
 	var out []int
 	for _, m := range inf.members {
 		if m == exclude {
@@ -219,10 +212,10 @@ func (inf *Infrastructure) bandMembers(b int, toBeacon float64, exclude int) []i
 }
 
 // rankBand orders Beaconing's band candidates: most beacon votes first,
-// then smallest triangulation lower bound, then id, capped at max (≤ 0
-// means no cap). Shared by the static finder and the wire deployment so
+// then smallest triangulation lower bound, then id, capped at
+// maxCandidates. Shared by the static finder and the wire deployment so
 // both legs probe the identical candidate list.
-func rankBand(votes map[int]int, lower func(m int) float64, max int) []int {
+func rankBand(votes map[int]int, lower func(m int) float64) []int {
 	type cand struct {
 		id    int
 		votes int
@@ -241,11 +234,8 @@ func rankBand(votes map[int]int, lower func(m int) float64, max int) []int {
 		}
 		return cands[i].id < cands[j].id
 	})
-	if max <= 0 || max > len(cands) {
-		max = len(cands)
-	}
-	out := make([]int, max)
-	for i := 0; i < max; i++ {
+	out := make([]int, min(maxCandidates, len(cands)))
+	for i := range out {
 		out[i] = cands[i].id
 	}
 	return out

@@ -1,6 +1,7 @@
 package beacon
 
 import (
+	"slices"
 	"testing"
 
 	"nearestpeer/internal/overlay"
@@ -11,8 +12,8 @@ func TestInfrastructure(t *testing.T) {
 	m := testmat.Euclidean(200, 1)
 	net := overlay.NewNetwork(m)
 	members, _ := overlay.Split(200, 20, 2)
-	inf := New(net, members, DefaultConfig(), 3)
-	if len(inf.Beacons()) != DefaultConfig().NumBeacons {
+	inf := New(net, members, 3)
+	if len(inf.Beacons()) != maxBeacons {
 		t.Fatalf("beacons = %d", len(inf.Beacons()))
 	}
 	// Standing measurements exist for all members.
@@ -31,7 +32,7 @@ func TestGuytonSchwartzEuclidean(t *testing.T) {
 	m := testmat.Euclidean(n, 7)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(n, 30, 5)
-	inf := New(net, members, DefaultConfig(), 9)
+	inf := New(net, members, 9)
 	f := &GuytonSchwartz{Inf: inf}
 
 	good := 0
@@ -41,7 +42,7 @@ func TestGuytonSchwartzEuclidean(t *testing.T) {
 		if res.LatencyMs <= 3*oracle.LatencyMs+2 {
 			good++
 		}
-		wantProbes := int64(DefaultConfig().NumBeacons + 1)
+		wantProbes := int64(maxBeacons + 1)
 		if res.Probes != wantProbes {
 			t.Fatalf("probes = %d, want %d", res.Probes, wantProbes)
 		}
@@ -56,7 +57,7 @@ func TestBeaconingEuclidean(t *testing.T) {
 	m := testmat.Euclidean(n, 7)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(n, 30, 5)
-	inf := New(net, members, DefaultConfig(), 9)
+	inf := New(net, members, 9)
 	f := &Beaconing{Inf: inf}
 
 	good := 0
@@ -66,7 +67,7 @@ func TestBeaconingEuclidean(t *testing.T) {
 		if res.LatencyMs <= 3*oracle.LatencyMs+2 {
 			good++
 		}
-		if res.Probes <= int64(DefaultConfig().NumBeacons) {
+		if res.Probes <= int64(maxBeacons) {
 			t.Fatalf("probes = %d, expected beacon probes plus candidates", res.Probes)
 		}
 	}
@@ -86,7 +87,7 @@ func TestClusteringMakesPeersIndistinguishable(t *testing.T) {
 	net := overlay.NewNetwork(m)
 	net.SetNoise(0.05, 0.5, 77)
 	members, targets := overlay.Split(m.N(), 80, 3)
-	inf := New(net, members, DefaultConfig(), 5)
+	inf := New(net, members, 5)
 	// The two schemes share the network's single noise stream, so they
 	// must run in a fixed order: ranging over a map here made the draw
 	// sequence — and with it the exact rate — depend on Go's randomised
@@ -113,13 +114,24 @@ func TestClusteringMakesPeersIndistinguishable(t *testing.T) {
 	}
 }
 
+func TestSmallMembershipMakesEveryMemberABeacon(t *testing.T) {
+	m := testmat.Euclidean(5, 1)
+	members := []int{0, 1, 2, 3, 4}
+	inf := New(overlay.NewNetwork(m), members, 3)
+	got := append([]int(nil), inf.Beacons()...)
+	slices.Sort(got)
+	if !slices.Equal(got, members) {
+		t.Fatalf("beacons = %v, want one on every member %v", got, members)
+	}
+}
+
+// TestInvalidConfigPanics: an empty membership is the one input New
+// rejects.
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	cfg := DefaultConfig()
-	cfg.NumBeacons = 0
-	New(overlay.NewNetwork(testmat.Euclidean(10, 1)), []int{0, 1}, cfg, 1)
+	New(overlay.NewNetwork(testmat.Euclidean(10, 1)), nil, 1)
 }

@@ -212,7 +212,7 @@ func (w *Wire) estimate(q *p2p.Query, toBeacon []float64, votes map[int]int, don
 				}
 				return lo
 			}
-			ranked := rankBand(votes, lower, w.inf.cfg.MaxCandidates)
+			ranked := rankBand(votes, lower)
 			ids := make([]p2p.NodeID, len(ranked))
 			for i, m := range ranked {
 				ids[i] = p2p.NodeID(m)

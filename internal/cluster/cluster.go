@@ -15,20 +15,15 @@ import (
 	"nearestpeer/internal/netmodel"
 )
 
-// Config tunes the pipeline.
-type Config struct {
-	// PruneFactor is the maximum allowed ratio between the largest and
-	// smallest hub-to-peer latency within a pruned cluster (paper: 1.5).
-	PruneFactor float64
-	// MinClusterSize drops clusters smaller than this (paper plots
+// The pipeline's parameters match the paper.
+const (
+	// pruneFactor is the maximum allowed ratio between the largest and
+	// smallest hub-to-peer latency within a pruned cluster.
+	pruneFactor = 1.5
+	// minClusterSize drops clusters smaller than this (the paper plots
 	// clusters of size >= 2).
-	MinClusterSize int
-}
-
-// DefaultConfig matches the paper.
-func DefaultConfig() Config {
-	return Config{PruneFactor: 1.5, MinClusterSize: 2}
-}
+	minClusterSize = 2
+)
 
 // Peer is a pipeline survivor: a responsive peer with a unique upstream
 // router and an estimated latency to its cluster-hub.
@@ -58,10 +53,10 @@ type Result struct {
 	// UniqueUpstream peers additionally showed one and the same upstream
 	// router from every vantage point.
 	UniqueUpstream int
-	// Clusters of size >= MinClusterSize, unpruned.
+	// Clusters of size >= 2, unpruned.
 	Clusters []Cluster
 	// Pruned clusters: each is the largest subset of the corresponding
-	// cluster whose hub latencies fit within PruneFactor.
+	// cluster whose hub latencies fit within a factor of 1.5.
 	Pruned []Cluster
 }
 
@@ -75,7 +70,7 @@ func PeersIn(cs []Cluster) int {
 }
 
 // Run executes the pipeline.
-func Run(tools *measure.Tools, vantages []measure.Vantage, candidates []netmodel.HostID, cfg Config) *Result {
+func Run(tools *measure.Tools, vantages []measure.Vantage, candidates []netmodel.HostID) *Result {
 	res := &Result{Candidates: len(candidates)}
 
 	byHub := make(map[netmodel.RouterID][]Peer)
@@ -146,11 +141,11 @@ func Run(tools *measure.Tools, vantages []measure.Vantage, candidates []netmodel
 	sort.Slice(hubs, func(i, j int) bool { return hubs[i] < hubs[j] })
 	for _, hub := range hubs {
 		peers := byHub[hub]
-		if len(peers) < cfg.MinClusterSize {
+		if len(peers) < minClusterSize {
 			continue
 		}
 		res.Clusters = append(res.Clusters, Cluster{Hub: hub, Peers: peers})
-		if pruned := PruneCluster(peers, cfg.PruneFactor); len(pruned) >= cfg.MinClusterSize {
+		if pruned := PruneCluster(peers, pruneFactor); len(pruned) >= minClusterSize {
 			res.Pruned = append(res.Pruned, Cluster{Hub: hub, Peers: pruned})
 		}
 	}

@@ -82,7 +82,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pop := azureus.Sample(top, 3000, 0.5, 11)
-	res := Run(tools, vs, pop.Hosts, DefaultConfig())
+	res := Run(tools, vs, pop.Hosts)
 
 	if res.Candidates != len(pop.Hosts) {
 		t.Fatal("candidate accounting wrong")
@@ -99,7 +99,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	survivors := 0
 	for _, c := range res.Clusters {
-		if len(c.Peers) < DefaultConfig().MinClusterSize {
+		if len(c.Peers) < minClusterSize {
 			t.Fatal("undersized cluster emitted")
 		}
 		survivors += len(c.Peers)
@@ -175,7 +175,7 @@ func TestPipelineGroundTruth(t *testing.T) {
 	if candidates == nil {
 		t.Skip("no BRAS with 3+ responsive homes in fixture")
 	}
-	res := Run(tools, vs, candidates, DefaultConfig())
+	res := Run(tools, vs, candidates)
 	if len(res.Clusters) != 1 {
 		t.Fatalf("got %d clusters, want 1", len(res.Clusters))
 	}

@@ -55,10 +55,6 @@ type Config struct {
 	// multicast "may not reach any other host in large end-networks
 	// composed of multiple LANs or VLANs".
 	CrossVLANProb float64
-
-	UCL      ucl.Config
-	Prefix   ipprefix.Config
-	Meridian meridian.Config
 }
 
 // DefaultConfig enables the full cascade.
@@ -70,9 +66,6 @@ func DefaultConfig() Config {
 		UseMeridian:   true,
 		SatisfiedMs:   1.0,
 		CrossVLANProb: 0.4,
-		UCL:           ucl.DefaultConfig(),
-		Prefix:        ipprefix.DefaultConfig(),
-		Meridian:      meridian.DefaultConfig(),
 	}
 }
 
@@ -135,7 +128,7 @@ func NewService(top *netmodel.Topology, tools *measure.Tools, peers []netmodel.H
 		}
 		anchors := pickAnchors(top, s.peers, 5, src.Split("anchors"))
 		if cfg.UseUCL {
-			sys := ucl.New(tools, nodes, anchors, cfg.UCL)
+			sys := ucl.New(tools, nodes, anchors, ucl.DefaultConfig())
 			for _, p := range s.peers {
 				sys.Join(p)
 			}
@@ -145,7 +138,7 @@ func NewService(top *netmodel.Topology, tools *measure.Tools, peers []netmodel.H
 			}})
 		}
 		if cfg.UsePrefix {
-			sys := ipprefix.New(tools, nodes, cfg.Prefix)
+			sys := ipprefix.New(tools, nodes, ipprefix.DefaultConfig())
 			for _, p := range s.peers {
 				sys.Join(p)
 			}
@@ -160,7 +153,7 @@ func NewService(top *netmodel.Topology, tools *measure.Tools, peers []netmodel.H
 		for i, p := range s.peers {
 			members[i] = int(p)
 		}
-		mer := meridian.New(overlay.NewNetwork(&latency.FullTopologyMatrix{Top: top}), members, cfg.Meridian, src.Split("meridian").Seed())
+		mer := meridian.New(overlay.NewNetwork(&latency.FullTopologyMatrix{Top: top}), members, meridian.DefaultConfig(), src.Split("meridian").Seed())
 		s.stages = append(s.stages, stage{MethodMeridian, func(target netmodel.HostID) Result {
 			r := mer.FindNearest(int(target))
 			return Result{Peer: netmodel.HostID(r.Peer), RTTms: r.LatencyMs, Probes: r.Probes}

@@ -22,7 +22,7 @@ func AzureusStudy(env *Env) *cluster.Result {
 
 // ComputeAzureusStudy runs the pipeline without caching (benchmarks time it).
 func ComputeAzureusStudy(env *Env) *cluster.Result {
-	return cluster.Run(env.FreshTools(), env.Vantages, env.Population.Hosts, cluster.DefaultConfig())
+	return cluster.Run(env.FreshTools(), env.Vantages, env.Population.Hosts)
 }
 
 // Fig6Result is the Figure 6 reproduction: the distribution of cluster

@@ -115,8 +115,9 @@ func must[T any](v T, err error) T {
 }
 
 // check panics on an error no input of a study can produce: a roster typo,
-// or a wire cell's runtime refusing its fault plan (the studies build their
-// plans from constants, and npsim's come through faults.Parse).
+// a wire cell's runtime refusing its fault plan (the studies build their
+// plans from constants, and npsim's come through faults.Parse), or a wire
+// cell whose message accounting does not balance.
 func check(err error) {
 	if err != nil {
 		panic(err)
@@ -368,12 +369,10 @@ func hintDeployment(c *schemeCtx, ring wireDeployment,
 }
 
 // beaconInfrastructure deploys the standing beacons both beacon schemes
-// read: the default dozen, or every member when there are fewer (a -peers 5
-// run is a small deployment, not an invalid one).
+// read: a dozen, or every member when there are fewer (a -peers 5 run is a
+// small deployment, not an invalid one).
 func beaconInfrastructure(c *schemeCtx) *beacon.Infrastructure {
-	cfg := beacon.DefaultConfig()
-	cfg.NumBeacons = min(cfg.NumBeacons, len(c.members))
-	return beacon.New(c.net, c.members, cfg, c.seed+1)
+	return beacon.New(c.net, c.members, c.seed+1)
 }
 
 // finderScheme builds the common Finder+Wire pair for a scheme whose wire
@@ -517,8 +516,8 @@ var schemes = map[string]Scheme{
 		// The coordinate scheme has no DHT and no measurement toolkit — its
 		// baseline is a matrix-fed Build read off the noiseless overlay.
 		Finder: func(c *schemeCtx) overlay.Finder {
-			sys := vivaldi.Build(c.net, c.members, vivaldi.DefaultConfig(), c.seed+1)
-			return &vivaldi.Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8}
+			sys := vivaldi.Build(c.net, c.members, c.seed+1)
+			return &vivaldi.Finder{Sys: sys}
 		},
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
 			_, d := vivaldiDeployment(c, rt)
@@ -543,7 +542,7 @@ var schemes = map[string]Scheme{
 		}),
 	"tiers": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			return tiers.New(c.net, c.members, tiers.DefaultConfig(), c.seed+1)
+			return tiers.New(c.net, c.members, c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := tiers.NewWire(rt, base.(*tiers.Hierarchy))
@@ -551,8 +550,8 @@ var schemes = map[string]Scheme{
 		}),
 	"pic": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			sys := vivaldi.Build(c.net, c.members, vivaldi.DefaultConfig(), c.seed+1)
-			return pic.New(sys, pic.DefaultConfig(), c.seed+2)
+			sys := vivaldi.Build(c.net, c.members, c.seed+1)
+			return pic.New(sys, c.seed+2)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := pic.NewWire(rt, base.(*pic.Finder))
@@ -560,7 +559,7 @@ var schemes = map[string]Scheme{
 		}),
 	"tapestry": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			return tapestry.New(c.net, c.members, tapestry.DefaultConfig(), c.seed+1)
+			return tapestry.New(c.net, c.members, c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := tapestry.NewWire(rt, base.(*tapestry.Overlay))
@@ -568,7 +567,7 @@ var schemes = map[string]Scheme{
 		}),
 	"azureus": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			return azureus.NewFinder(c.net, c.members, azureus.DefaultFinderConfig(), c.seed+1)
+			return azureus.NewFinder(c.net, c.members, c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := azureus.NewWire(rt, base.(*azureus.Finder))
@@ -576,7 +575,7 @@ var schemes = map[string]Scheme{
 		}),
 	"kargerruhl": finderScheme(
 		func(c *schemeCtx) overlay.Finder {
-			return kargerruhl.New(c.net, c.members, kargerruhl.DefaultConfig(), c.seed+1)
+			return kargerruhl.New(c.net, c.members, c.seed+1)
 		},
 		func(rt *p2p.Runtime, base overlay.Finder) wireDeployment {
 			w := kargerruhl.NewWire(rt, base.(*kargerruhl.Overlay))

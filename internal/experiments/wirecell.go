@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"nearestpeer/internal/faults"
@@ -408,6 +409,13 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 
 	if churn != nil {
 		run.leaves, run.joins = churn.Leaves, churn.Joins
+	}
+	// Message conservation: every envelope sent was delivered, lost (fault
+	// drops included), dead-lettered at a down node, or is still in flight.
+	m := rt.TotalMetrics()
+	if inflight := int64(rt.InflightEnvelopes()); m.MsgsSent != m.MsgsDelivered+m.MsgsLost+m.MsgsDead+inflight {
+		check(fmt.Errorf("wire cell: %d messages sent, but %d delivered + %d lost + %d dead + %d in flight",
+			m.MsgsSent, m.MsgsDelivered, m.MsgsLost, m.MsgsDead, inflight))
 	}
 	return run
 }

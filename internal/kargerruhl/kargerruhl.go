@@ -11,7 +11,6 @@
 package kargerruhl
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -19,35 +18,24 @@ import (
 	"nearestpeer/internal/rng"
 )
 
-// Config parameterises the sampling scheme.
-type Config struct {
-	// BaseMs is the radius of the smallest ball (scale 0).
-	BaseMs float64
-	// Scales is the number of distance scales (ball i has radius
-	// BaseMs·2^i; the last ball covers everything).
-	Scales int
-	// SampleSize bounds each ball's sample.
-	SampleSize int
-	// CandidatesPerNode is the gossip view used to fill ball samples.
-	CandidatesPerNode int
-	// MaxHops caps a query walk.
-	MaxHops int
-}
-
-// DefaultConfig mirrors the Meridian-comparable configuration.
-func DefaultConfig() Config {
-	return Config{
-		BaseMs:            1,
-		Scales:            9,
-		SampleSize:        16,
-		CandidatesPerNode: 192,
-		MaxHops:           64,
-	}
-}
+// The scheme's parameters mirror the Meridian-comparable configuration.
+const (
+	// baseMs is the radius of the smallest ball (scale 0).
+	baseMs = 1.0
+	// scales is the number of distance scales (ball i has radius
+	// baseMs·2^i; the last ball covers everything).
+	scales = 9
+	// sampleSize bounds each ball's sample.
+	sampleSize = 16
+	// candidatesPerNode is the gossip view used to fill ball samples.
+	candidatesPerNode = 192
+	// maxHops caps a query walk.
+	maxHops = 64
+)
 
 type node struct {
 	id int
-	// balls[i] holds sampled node ids within radius BaseMs·2^i.
+	// balls[i] holds sampled node ids within radius baseMs·2^i.
 	balls [][]int
 	// seen[i] counts candidates eligible for ball i (reservoir sampling).
 	seen []int
@@ -57,7 +45,6 @@ type node struct {
 
 // Overlay is a Karger–Ruhl sampling overlay.
 type Overlay struct {
-	cfg     Config
 	net     *overlay.Network
 	members []int
 	nodes   map[int]*node
@@ -66,13 +53,9 @@ type Overlay struct {
 
 // New builds the overlay: every member samples candidates, measures them
 // (maintenance probes), and files them into every ball large enough to
-// contain them, trimming each ball to a random SampleSize subset.
-func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
-	if cfg.Scales <= 0 || cfg.SampleSize <= 0 || cfg.BaseMs <= 0 {
-		panic(fmt.Sprintf("kargerruhl: invalid config %+v", cfg))
-	}
+// contain them, trimming each ball to a random sampleSize subset.
+func New(net *overlay.Network, members []int, seed int64) *Overlay {
 	o := &Overlay{
-		cfg:     cfg,
 		net:     net,
 		members: append([]int(nil), members...),
 		nodes:   make(map[int]*node, len(members)),
@@ -81,8 +64,8 @@ func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
 	for _, id := range members {
 		o.nodes[id] = &node{
 			id:    id,
-			balls: make([][]int, cfg.Scales),
-			seen:  make([]int, cfg.Scales),
+			balls: make([][]int, scales),
+			seen:  make([]int, scales),
 			lat:   make(map[int]float64),
 		}
 	}
@@ -100,15 +83,15 @@ func (o *Overlay) fill(n *node) {
 		// Insert into every ball that contains it, reservoir-sampling
 		// (Algorithm R) so each ball is a uniform sample of eligible
 		// candidates despite the size bound.
-		for i := 0; i < o.cfg.Scales; i++ {
-			radius := o.cfg.BaseMs * math.Pow(2, float64(i))
-			if l > radius && i != o.cfg.Scales-1 {
+		for i := 0; i < scales; i++ {
+			radius := baseMs * math.Pow(2, float64(i))
+			if l > radius && i != scales-1 {
 				continue // outermost ball covers everything
 			}
 			n.seen[i]++
-			if len(n.balls[i]) < o.cfg.SampleSize {
+			if len(n.balls[i]) < sampleSize {
 				n.balls[i] = append(n.balls[i], c)
-			} else if j := o.src.Intn(n.seen[i]); j < o.cfg.SampleSize {
+			} else if j := o.src.Intn(n.seen[i]); j < sampleSize {
 				n.balls[i][j] = c
 			}
 		}
@@ -116,7 +99,7 @@ func (o *Overlay) fill(n *node) {
 }
 
 func (o *Overlay) sample(self int) []int {
-	if len(o.members)-1 <= o.cfg.CandidatesPerNode {
+	if len(o.members)-1 <= candidatesPerNode {
 		out := make([]int, 0, len(o.members)-1)
 		for _, m := range o.members {
 			if m != self {
@@ -126,8 +109,8 @@ func (o *Overlay) sample(self int) []int {
 		return out
 	}
 	seen := map[int]bool{self: true}
-	out := make([]int, 0, o.cfg.CandidatesPerNode)
-	for len(out) < o.cfg.CandidatesPerNode {
+	out := make([]int, 0, candidatesPerNode)
+	for len(out) < candidatesPerNode {
 		c := o.members[o.src.Intn(len(o.members))]
 		if seen[c] {
 			continue
@@ -140,18 +123,18 @@ func (o *Overlay) sample(self int) []int {
 
 // scaleFor returns the ball index whose radius just covers distance d.
 func (o *Overlay) scaleFor(d float64) int {
-	if d <= o.cfg.BaseMs {
+	if d <= baseMs {
 		return 0
 	}
 	if math.IsInf(d, 1) {
 		// No distance estimate yet (the walk started at the searcher
 		// itself): look in the widest balls. int(Ceil(Log2(+Inf))) would
 		// be garbage, not a clamp.
-		return o.cfg.Scales - 1
+		return scales - 1
 	}
-	i := int(math.Ceil(math.Log2(d / o.cfg.BaseMs)))
-	if i >= o.cfg.Scales {
-		i = o.cfg.Scales - 1
+	i := int(math.Ceil(math.Log2(d / baseMs)))
+	if i >= scales {
+		i = scales - 1
 	}
 	return i
 }
@@ -174,13 +157,13 @@ func (o *Overlay) FindNearest(target int) overlay.Result {
 		bestID, bestLat = cur, d
 	}
 
-	for hops < o.cfg.MaxHops {
+	for hops < maxHops {
 		n := o.nodes[cur]
 		// Probe the ball sample at the target's scale, plus the next
 		// scale up (the Karger-Ruhl walk looks within distance ~2d).
 		scale := o.scaleFor(d)
-		cands := make([]int, 0, 2*o.cfg.SampleSize)
-		for s := scale; s <= scale+1 && s < o.cfg.Scales; s++ {
+		cands := make([]int, 0, 2*sampleSize)
+		for s := scale; s <= scale+1 && s < scales; s++ {
 			for _, c := range n.balls[s] {
 				if !visited[c] {
 					cands = append(cands, c)

@@ -12,19 +12,18 @@ func TestBallInvariants(t *testing.T) {
 	m := testmat.Euclidean(250, 1)
 	net := overlay.NewNetwork(m)
 	members, _ := overlay.Split(250, 20, 2)
-	cfg := DefaultConfig()
-	o := New(net, members, cfg, 3)
+	o := New(net, members, 3)
 
 	for _, id := range members {
 		balls := o.BallsOf(id)
-		if len(balls) != cfg.Scales {
+		if len(balls) != scales {
 			t.Fatalf("node %d has %d scales", id, len(balls))
 		}
 		for i, ball := range balls {
-			if len(ball) > cfg.SampleSize {
-				t.Fatalf("ball %d holds %d > %d", i, len(ball), cfg.SampleSize)
+			if len(ball) > sampleSize {
+				t.Fatalf("ball %d holds %d > %d", i, len(ball), sampleSize)
 			}
-			radius := cfg.BaseMs * math.Pow(2, float64(i))
+			radius := baseMs * math.Pow(2, float64(i))
 			for _, c := range ball {
 				if c == id {
 					t.Fatal("node sampled itself")
@@ -33,7 +32,7 @@ func TestBallInvariants(t *testing.T) {
 				if !ok {
 					t.Fatal("no cached latency for ball member")
 				}
-				if i != cfg.Scales-1 && l > radius+1e-9 {
+				if i != scales-1 && l > radius+1e-9 {
 					t.Fatalf("ball %d (radius %v) contains node at %v", i, radius, l)
 				}
 			}
@@ -49,7 +48,7 @@ func TestBallsNest(t *testing.T) {
 	m := testmat.Euclidean(120, 5)
 	net := overlay.NewNetwork(m)
 	members, _ := overlay.Split(120, 10, 2)
-	o := New(net, members, DefaultConfig(), 3)
+	o := New(net, members, 3)
 	for _, id := range members {
 		n := o.nodes[id]
 		for i := 1; i < len(n.seen); i++ {
@@ -65,7 +64,7 @@ func TestFindNearestEuclidean(t *testing.T) {
 	m := testmat.Euclidean(n, 7)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(n, 40, 5)
-	o := New(net, members, DefaultConfig(), 9)
+	o := New(net, members, 9)
 
 	good := 0
 	for _, tgt := range targets {
@@ -87,7 +86,7 @@ func TestClusteringDefeatsWalk(t *testing.T) {
 	m, gt := testmat.Clustered(100, 1000, 11)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(m.N(), 80, 3)
-	o := New(net, members, DefaultConfig(), 5)
+	o := New(net, members, 5)
 	exact := 0
 	for _, tgt := range targets {
 		res := o.FindNearest(tgt)
@@ -104,25 +103,14 @@ func TestQueryTerminates(t *testing.T) {
 	m := testmat.Euclidean(150, 3)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(150, 10, 1)
-	o := New(net, members, DefaultConfig(), 2)
+	o := New(net, members, 2)
 	for _, tgt := range targets {
 		res := o.FindNearest(tgt)
-		if res.Hops >= DefaultConfig().MaxHops {
+		if res.Hops >= maxHops {
 			t.Fatalf("walk hit the hop cap")
 		}
 		if res.Peer < 0 {
 			t.Fatal("no peer")
 		}
 	}
-}
-
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.SampleSize = 0
-	New(overlay.NewNetwork(testmat.Euclidean(10, 1)), []int{0, 1}, cfg, 1)
 }

@@ -54,9 +54,9 @@ func (w *Wire) Join(id p2p.NodeID) {
 		bm := env.Payload.(ballsMsg)
 		node := w.base.nodes[int(n.ID)]
 		out := ballsOK{}
-		if bm.Scale >= 0 && bm.Scale < w.base.cfg.Scales {
+		if bm.Scale >= 0 && bm.Scale < scales {
 			out.At = node.balls[bm.Scale]
-			if bm.Scale+1 < w.base.cfg.Scales {
+			if bm.Scale+1 < scales {
 				out.Next = node.balls[bm.Scale+1]
 			}
 		}
@@ -74,7 +74,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 
 	var step func(cur int, d float64)
 	step = func(cur int, d float64) {
-		if q.Res.Hops >= w.base.cfg.MaxHops {
+		if q.Res.Hops >= maxHops {
 			done(q.Res)
 			return
 		}

@@ -64,31 +64,35 @@ const (
 // NoNode is the nil NodeID (unknown predecessor, empty finger slot).
 const NoNode NodeID = -1
 
+// The protocol's fixed parameters.
+const (
+	// succListLen bounds the successor list (Chord's r; resilience to r-1
+	// simultaneous failures).
+	succListLen = 8
+	// fingerEvery fixes one finger (a full iterative lookup) every
+	// fingerEvery stabilize rounds; between repairs fingers are also
+	// learned passively from replies.
+	fingerEvery = 2
+	// replicas is how many nodes hold each key: the owner plus
+	// replicas-1 of its successors.
+	replicas = 2
+	// maxHops caps one iterative lookup, a routing-loop backstop.
+	maxHops = 64
+	// maxLookupTimeouts fails a lookup after this many hop timeouts:
+	// under churn a frontier full of stale fingers would otherwise burn
+	// maxHops sequential timeouts before giving up, and a fast failure
+	// (retried by the operation layer, or reported) prices the outage
+	// honestly instead of stalling the caller for a virtual minute.
+	maxLookupTimeouts = 6
+)
+
 // ChordConfig parameterises the protocol.
 type ChordConfig struct {
-	// SuccListLen bounds the successor list (Chord's r; resilience to r-1
-	// simultaneous failures).
-	SuccListLen int
 	// StabilizeEvery is the stabilize period; each node adds up to 25%
 	// per-node jitter so rounds do not run in lockstep.
 	StabilizeEvery time.Duration
-	// FingerEvery fixes one finger (a full iterative lookup) every
-	// FingerEvery stabilize rounds; 0 disables active finger repair,
-	// leaving only passive learning from replies.
-	FingerEvery int
-	// Replicas is how many nodes hold each key: the owner plus
-	// Replicas-1 of its successors.
-	Replicas int
 	// RPCTimeout bounds each individual hop/store/fetch RPC.
 	RPCTimeout time.Duration
-	// MaxHops caps one iterative lookup, a routing-loop backstop.
-	MaxHops int
-	// MaxLookupTimeouts fails a lookup after this many hop timeouts:
-	// under churn a frontier full of stale fingers would otherwise burn
-	// MaxHops sequential timeouts before giving up, and a fast failure
-	// (retried by the operation layer, or reported) prices the outage
-	// honestly instead of stalling the caller for a virtual minute.
-	MaxLookupTimeouts int
 	// Horizon, when > 0, stops scheduling stabilize rounds past this
 	// virtual time so a test kernel's queue can drain. 0 stabilizes
 	// forever — drive the kernel with RunUntil or Stop in that case.
@@ -98,13 +102,8 @@ type ChordConfig struct {
 // DefaultChordConfig returns the protocol defaults.
 func DefaultChordConfig() ChordConfig {
 	return ChordConfig{
-		SuccListLen:       8,
-		StabilizeEvery:    time.Second,
-		FingerEvery:       2,
-		Replicas:          2,
-		RPCTimeout:        500 * time.Millisecond,
-		MaxHops:           64,
-		MaxLookupTimeouts: 6,
+		StabilizeEvery: time.Second,
+		RPCTimeout:     500 * time.Millisecond,
 	}
 }
 
@@ -112,16 +111,10 @@ func DefaultChordConfig() ChordConfig {
 // turn a bad flag into a message instead of NewChord's panic.
 func (c ChordConfig) Validate() error {
 	switch {
-	case c.SuccListLen <= 0:
-		return fmt.Errorf("p2p: chord SuccListLen %d must be positive", c.SuccListLen)
 	case c.StabilizeEvery <= 0:
 		return fmt.Errorf("p2p: chord StabilizeEvery %v must be positive", c.StabilizeEvery)
-	case c.Replicas <= 0:
-		return fmt.Errorf("p2p: chord Replicas %d must be positive", c.Replicas)
 	case c.RPCTimeout <= 0:
 		return fmt.Errorf("p2p: chord RPCTimeout %v must be positive", c.RPCTimeout)
-	case c.MaxHops <= 0:
-		return fmt.Errorf("p2p: chord MaxHops %d must be positive", c.MaxHops)
 	}
 	return nil
 }
@@ -379,7 +372,7 @@ func (c *Chord) Join(id NodeID) {
 	}
 	st := &chordState{
 		ringID: c.RingIDOf(id),
-		succs:  make([]NodeID, 0, c.cfg.SuccListLen),
+		succs:  make([]NodeID, 0, succListLen),
 		pred:   NoNode,
 		src:    c.src.SplitN("member", int(id)),
 		cp:     c.scratch(id),
@@ -510,8 +503,8 @@ func (c *Chord) adoptSuccessors(st *chordState, self, head NodeID, tail []NodeID
 			merged = append(merged, s)
 		}
 	}
-	if len(merged) > c.cfg.SuccListLen {
-		merged = merged[:c.cfg.SuccListLen]
+	if len(merged) > succListLen {
+		merged = merged[:succListLen]
 	}
 	st.succs = append(st.succs[:0], merged...)
 	st.cp.succs = merged // retain grown capacity
@@ -626,7 +619,7 @@ func (c *Chord) stabilizeOnce(id NodeID, st *chordState) {
 		return
 	}
 	c.stabilizeSucc(id, st, stabilizeBudget)
-	if c.cfg.FingerEvery > 0 && st.round%c.cfg.FingerEvery == 0 {
+	if st.round%fingerEvery == 0 {
 		c.fixFinger(n, st)
 	}
 	if st.round%selfLookupEvery == 0 {
@@ -1238,9 +1231,8 @@ type chordLookup struct {
 	// of cached distances.
 	seen []lookupCand
 
-	maxTimeouts int
-	rec         *obs.Recorder
-	lseq        uint64
+	rec  *obs.Recorder
+	lseq uint64
 	// afterTimeout marks the next hop as a re-route after a timeout.
 	afterTimeout bool
 
@@ -1308,10 +1300,6 @@ func (c *Chord) drive(n *Node, st *chordState, start NodeID, key uint64, done fu
 		}
 		l.push(start)
 	}
-	l.maxTimeouts = c.cfg.MaxLookupTimeouts
-	if l.maxTimeouts <= 0 {
-		l.maxTimeouts = c.cfg.MaxHops
-	}
 	// Flight recorder: one trace record per hop request, tagged with a
 	// recorder-unique lookup ID. afterTimeout distinguishes a first-choice
 	// hop (HopOK) from one re-routed after a timeout (HopRetry).
@@ -1365,7 +1353,7 @@ func (l *chordLookup) next() {
 			best = i
 		}
 	}
-	if best < 0 || l.res.Hops >= c.cfg.MaxHops || l.res.Retries >= l.maxTimeouts {
+	if best < 0 || l.res.Hops >= maxHops || l.res.Retries >= maxLookupTimeouts {
 		l.finish()
 		return
 	}
@@ -1443,7 +1431,7 @@ func (l *chordLookup) timeout() {
 func (c *Chord) Put(from NodeID, key string, val []byte, done func(OpResult)) {
 	res := &OpResult{}
 	c.opAttempt(c.rt.AddNode(from), key, res, 2,
-		MsgChordStore, cStoreMsg{Key: key, Val: val, Rep: c.cfg.Replicas - 1},
+		MsgChordStore, cStoreMsg{Key: key, Val: val, Rep: replicas - 1},
 		func(Envelope) bool {
 			res.OK = true
 			return true

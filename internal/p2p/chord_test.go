@@ -94,7 +94,7 @@ func TestChordLookupResolvesOwner(t *testing.T) {
 			if !got.OK || got.Owner != want {
 				t.Errorf("lookup %q from %d = %+v, want owner %d", key, from, got, want)
 			}
-			if got.Hops > ch.cfg.MaxHops {
+			if got.Hops > maxHops {
 				t.Errorf("lookup %q took %d hops", key, got.Hops)
 			}
 		}
@@ -126,8 +126,8 @@ func TestChordPutGetRoundTrip(t *testing.T) {
 			replicated++
 		}
 	}
-	if replicated != ch.cfg.Replicas-1 {
-		t.Fatalf("%d replicas besides the owner, want %d", replicated, ch.cfg.Replicas-1)
+	if replicated != replicas-1 {
+		t.Fatalf("%d replicas besides the owner, want %d", replicated, replicas-1)
 	}
 	var get OpResult
 	ch.Get(12, "shared/key", func(r OpResult) { get = r })

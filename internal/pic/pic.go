@@ -3,8 +3,8 @@
 // peer computes rough multidimensional coordinates from probes to a few
 // landmarks, then launches multiple greedy walks; each hop moves to the
 // neighbour whose coordinates predict the smallest distance to the target.
-// The paper also describes a variant that recomputes the target's
-// coordinates at each step of the walk; both are implemented.
+// (The paper also describes a variant that recomputes the target's
+// coordinates at each step of the walk; it is not implemented.)
 package pic
 
 import (
@@ -16,32 +16,17 @@ import (
 	"nearestpeer/internal/vivaldi"
 )
 
-// Config parameterises the PIC finder.
-type Config struct {
-	// Landmarks is the number of members probed to place a coordinate.
-	Landmarks int
-	// Walks is the number of parallel greedy walks.
-	Walks int
-	// NeighborsPerNode is each member's neighbour-list size.
-	NeighborsPerNode int
-	// Recompute enables the coordinate-recomputation variant: at every
-	// hop the target re-places itself against the current node's
-	// neighbourhood.
-	Recompute bool
-	// MaxHops bounds each walk.
-	MaxHops int
-}
-
-// DefaultConfig follows the PIC paper's modest settings.
-func DefaultConfig() Config {
-	return Config{
-		Landmarks:        16,
-		Walks:            4,
-		NeighborsPerNode: 16,
-		Recompute:        false,
-		MaxHops:          32,
-	}
-}
+// The PIC paper's modest settings.
+const (
+	// landmarks is the number of members probed to place a coordinate.
+	landmarks = 16
+	// walks is the number of parallel greedy walks.
+	walks = 4
+	// neighborsPerNode is each member's neighbour-list size.
+	neighborsPerNode = 16
+	// maxHops bounds each walk.
+	maxHops = 32
+)
 
 // Finder runs PIC greedy walks over a Vivaldi coordinate system (PIC's own
 // embedding is a Simplex-minimisation over probe constraints; the spring
@@ -49,7 +34,6 @@ func DefaultConfig() Config {
 // mode under the clustering condition: an impractical number of dimensions
 // would be needed to tell cluster peers apart).
 type Finder struct {
-	cfg       Config
 	sys       *vivaldi.System
 	neighbors map[int][]int
 	src       *rng.Source
@@ -58,15 +42,14 @@ type Finder struct {
 // New builds the finder: each member's neighbour list holds its
 // coordinate-space nearest members plus random entries (PIC maintains both
 // for greedy routing).
-func New(sys *vivaldi.System, cfg Config, seed int64) *Finder {
+func New(sys *vivaldi.System, seed int64) *Finder {
 	f := &Finder{
-		cfg:       cfg,
 		sys:       sys,
 		neighbors: make(map[int][]int),
 		src:       rng.New(seed),
 	}
 	members := sys.Members()
-	half := cfg.NeighborsPerNode / 2
+	half := neighborsPerNode / 2
 	for _, m := range members {
 		// Nearest half by coordinates.
 		type cand struct {
@@ -82,12 +65,12 @@ func New(sys *vivaldi.System, cfg Config, seed int64) *Finder {
 			cands = append(cands, cand{id: n, d: mc.DistanceMs(sys.CoordOf(n))})
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-		list := make([]int, 0, cfg.NeighborsPerNode)
+		list := make([]int, 0, neighborsPerNode)
 		for i := 0; i < half && i < len(cands); i++ {
 			list = append(list, cands[i].id)
 		}
 		// Random half for long-range jumps.
-		for len(list) < cfg.NeighborsPerNode && len(list) < len(cands) {
+		for len(list) < neighborsPerNode && len(list) < len(cands) {
 			c := members[f.src.Intn(len(members))]
 			if c == m || contains(list, c) {
 				continue
@@ -111,21 +94,14 @@ func contains(xs []int, v int) bool {
 // FindNearest implements overlay.Finder: place the target, run greedy
 // walks, verify walk endpoints with real probes, return the best.
 func (f *Finder) FindNearest(target int) overlay.Result {
-	tc, probes := f.sys.PlaceTarget(target, f.cfg.Landmarks)
+	tc, probes := f.sys.PlaceTarget(target, landmarks)
 	members := f.sys.Members()
 
 	endpoints := make(map[int]bool)
 	var hops int
-	for w := 0; w < f.cfg.Walks; w++ {
+	for w := 0; w < walks; w++ {
 		cur := members[f.src.Intn(len(members))]
-		for hop := 0; hop < f.cfg.MaxHops; hop++ {
-			if f.cfg.Recompute && hop > 0 {
-				// Recompute the target coordinate against the current
-				// neighbourhood (costs one probe per neighbour sample).
-				nc, p := f.sys.PlaceTarget(target, 4)
-				probes += p
-				tc = nc
-			}
+		for hop := 0; hop < maxHops; hop++ {
 			curDist := tc.DistanceMs(f.sys.CoordOf(cur))
 			next, nextDist := -1, curDist
 			for _, n := range f.neighbors[cur] {

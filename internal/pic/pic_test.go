@@ -14,19 +14,19 @@ func buildSys(t *testing.T, n int, seed int64) (*latency.Dense, *vivaldi.System,
 	m := testmat.Euclidean(n, seed)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(n, n/10, seed+1)
-	sys := vivaldi.Build(net, members, vivaldi.DefaultConfig(), seed+2)
+	sys := vivaldi.Build(net, members, seed+2)
 	return m, sys, members, targets
 }
 
 func TestNeighborListsWellFormed(t *testing.T) {
 	_, sys, members, _ := buildSys(t, 200, 1)
-	f := New(sys, DefaultConfig(), 3)
+	f := New(sys, 3)
 	for _, m := range members {
 		nb := f.neighbors[m]
 		if len(nb) == 0 {
 			t.Fatalf("member %d has no neighbours", m)
 		}
-		if len(nb) > DefaultConfig().NeighborsPerNode {
+		if len(nb) > neighborsPerNode {
 			t.Fatalf("member %d has %d neighbours", m, len(nb))
 		}
 		seen := map[int]bool{}
@@ -44,7 +44,7 @@ func TestNeighborListsWellFormed(t *testing.T) {
 
 func TestGreedyWalksFindNearPeers(t *testing.T) {
 	m, sys, members, targets := buildSys(t, 300, 5)
-	f := New(sys, DefaultConfig(), 7)
+	f := New(sys, 7)
 	good := 0
 	for _, tgt := range targets {
 		res := f.FindNearest(tgt)
@@ -64,23 +64,6 @@ func TestGreedyWalksFindNearPeers(t *testing.T) {
 	}
 }
 
-func TestRecomputeVariantCostsMore(t *testing.T) {
-	_, sys, _, targets := buildSys(t, 200, 9)
-	cfg := DefaultConfig()
-	cfg.Recompute = true
-	recompute := New(sys, cfg, 7)
-	plain := New(sys, DefaultConfig(), 7)
-
-	var rProbes, pProbes int64
-	for _, tgt := range targets {
-		rProbes += recompute.FindNearest(tgt).Probes
-		pProbes += plain.FindNearest(tgt).Probes
-	}
-	if rProbes < pProbes {
-		t.Fatalf("recompute variant cheaper than plain: %d vs %d", rProbes, pProbes)
-	}
-}
-
 func TestClusteredSpaceDefeatsWalks(t *testing.T) {
 	// Under the clustering condition coordinates collapse, so the greedy
 	// walk cannot single out the same-EN partner: exact-match rate stays
@@ -88,8 +71,8 @@ func TestClusteredSpaceDefeatsWalks(t *testing.T) {
 	m, gt := testmat.Clustered(100, 1000, 3)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(m.N(), 80, 1)
-	sys := vivaldi.Build(net, members, vivaldi.DefaultConfig(), 2)
-	f := New(sys, DefaultConfig(), 7)
+	sys := vivaldi.Build(net, members, 2)
+	f := New(sys, 7)
 
 	exact := 0
 	for _, tgt := range targets {

@@ -38,9 +38,6 @@ func init() {
 // NodeIDs (the underlying Vivaldi system is built over the runtime's
 // latency matrix). The Wire owns its Finder instance; build it with the
 // same seeds as a static leg's and the two walk identical paths at 0% loss.
-// The coordinate-recomputation variant is not wired (its per-hop
-// re-placement would need the walk to carry a probe budget); NewWire
-// rejects it.
 type Wire struct {
 	base *Finder
 	rt   p2p.Transport
@@ -48,9 +45,6 @@ type Wire struct {
 
 // NewWire creates the wire deployment over an existing runtime.
 func NewWire(rt p2p.Transport, base *Finder) *Wire {
-	if base.cfg.Recompute {
-		panic("pic: the recompute variant is not wired")
-	}
 	return &Wire{base: base, rt: rt}
 }
 
@@ -78,7 +72,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 // dies mid-query.
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "pic", 0)
-	sample := w.base.sys.SamplePlacement(int(client), w.base.cfg.Landmarks)
+	sample := w.base.sys.SamplePlacement(int(client), landmarks)
 	var obs []vivaldi.PlacementObservation
 
 	var place func(i int)
@@ -101,7 +95,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 // walk runs greedy walk number wi, then the next, accumulating endpoints;
 // after the last it sweeps the endpoint set.
 func (w *Wire) walk(q *p2p.Query, tc *vivaldi.Coord, wi int, endpoints []int, done func(p2p.FindResult)) {
-	if wi >= w.base.cfg.Walks {
+	if wi >= walks {
 		w.verify(q, endpoints, done)
 		return
 	}
@@ -109,7 +103,7 @@ func (w *Wire) walk(q *p2p.Query, tc *vivaldi.Coord, wi int, endpoints []int, do
 	cur := members[w.base.src.Intn(len(members))]
 	var hop func(cur, h int)
 	hop = func(cur, h int) {
-		if h >= w.base.cfg.MaxHops {
+		if h >= maxHops {
 			w.walk(q, tc, wi+1, appendUnique(endpoints, cur), done)
 			return
 		}

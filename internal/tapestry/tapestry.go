@@ -9,7 +9,6 @@
 package tapestry
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -17,26 +16,21 @@ import (
 	"nearestpeer/internal/rng"
 )
 
-// Config parameterises the Tapestry overlay.
-type Config struct {
-	// Digits is the identifier length in hex digits.
-	Digits int
-	// NeighborsPerLevel is the per-level routing-table width.
-	NeighborsPerLevel int
-	// MaxHops bounds the search descent.
-	MaxHops int
-}
-
-// DefaultConfig mirrors common Tapestry deployments (shortened IDs —
+// The overlay mirrors common Tapestry deployments (shortened IDs —
 // population sizes here never exceed a few thousand).
-func DefaultConfig() Config {
-	return Config{Digits: 8, NeighborsPerLevel: 8, MaxHops: 64}
-}
+const (
+	// digits is the identifier length in hex digits: a uint32 id.
+	digits = 8
+	// neighborsPerLevel is the per-level routing-table width.
+	neighborsPerLevel = 8
+	// maxHops bounds the search descent.
+	maxHops = 64
+)
 
 type node struct {
 	id    int
 	hexID uint32
-	// levels[l] holds the NeighborsPerLevel members closest to this node
+	// levels[l] holds the neighborsPerLevel members closest to this node
 	// among those sharing an l-digit prefix (level 0 = everyone).
 	levels [][]int
 	lat    map[int]float64
@@ -44,7 +38,6 @@ type node struct {
 
 // Overlay is a Tapestry-like overlay.
 type Overlay struct {
-	cfg     Config
 	net     *overlay.Network
 	members []int
 	nodes   map[int]*node
@@ -52,7 +45,7 @@ type Overlay struct {
 }
 
 // sharedPrefixDigits counts leading shared hex digits of two 8-digit ids.
-func sharedPrefixDigits(a, b uint32, digits int) int {
+func sharedPrefixDigits(a, b uint32) int {
 	for d := 0; d < digits; d++ {
 		shift := uint(4 * (digits - 1 - d))
 		if (a>>shift)&0xF != (b>>shift)&0xF {
@@ -68,12 +61,8 @@ func sharedPrefixDigits(a, b uint32, digits int) int {
 // closest-per-level table in a growth-restricted space; building it
 // directly keeps construction cost bounded while preserving the query-time
 // behaviour the paper analyses.)
-func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
-	if cfg.Digits <= 0 || cfg.Digits > 8 || cfg.NeighborsPerLevel <= 0 {
-		panic(fmt.Sprintf("tapestry: invalid config %+v", cfg))
-	}
+func New(net *overlay.Network, members []int, seed int64) *Overlay {
 	o := &Overlay{
-		cfg:     cfg,
 		net:     net,
 		members: append([]int(nil), members...),
 		nodes:   make(map[int]*node, len(members)),
@@ -82,8 +71,8 @@ func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
 	for _, m := range members {
 		o.nodes[m] = &node{
 			id:     m,
-			hexID:  uint32(o.src.Int63()) & idMask(cfg.Digits),
-			levels: make([][]int, cfg.Digits+1),
+			hexID:  uint32(o.src.Int63()),
+			levels: make([][]int, digits+1),
 			lat:    make(map[int]float64),
 		}
 	}
@@ -93,25 +82,18 @@ func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
 	return o
 }
 
-func idMask(digits int) uint32 {
-	if digits >= 8 {
-		return math.MaxUint32
-	}
-	return 1<<(4*digits) - 1
-}
-
 func (o *Overlay) fill(n *node) {
 	type cand struct {
 		id  int
 		lat float64
 	}
 	// Bucket members by shared-prefix length, measuring latency once.
-	byLevel := make([][]cand, o.cfg.Digits+1)
+	byLevel := make([][]cand, digits+1)
 	for _, m := range o.members {
 		if m == n.id {
 			continue
 		}
-		d := sharedPrefixDigits(n.hexID, o.nodes[m].hexID, o.cfg.Digits)
+		d := sharedPrefixDigits(n.hexID, o.nodes[m].hexID)
 		l := o.net.MaintProbe(n.id, m)
 		n.lat[m] = l
 		// A member sharing a d-digit prefix is eligible for every level
@@ -122,7 +104,7 @@ func (o *Overlay) fill(n *node) {
 	}
 	for lvl, cands := range byLevel {
 		sort.Slice(cands, func(i, j int) bool { return cands[i].lat < cands[j].lat })
-		k := o.cfg.NeighborsPerLevel
+		k := neighborsPerLevel
 		if k > len(cands) {
 			k = len(cands)
 		}
@@ -167,7 +149,7 @@ func (o *Overlay) FindNearest(target int) overlay.Result {
 	}
 	probe(gateway)
 
-	for lvl := o.cfg.Digits; lvl >= 0 && hops < o.cfg.MaxHops; lvl-- {
+	for lvl := digits; lvl >= 0 && hops < maxHops; lvl-- {
 		// Union of the contact set's neighbours at this level.
 		seen := map[int]bool{}
 		var cands []int
@@ -207,7 +189,7 @@ func (o *Overlay) FindNearest(target int) overlay.Result {
 	// Refine at level 0: repeatedly expand the closest contacts' nearest-
 	// neighbour lists while progress continues — the iterative step of the
 	// Hildrum et al. construction.
-	for hops < o.cfg.MaxHops {
+	for hops < maxHops {
 		improvedFrom := bestOf(probed)
 		seen := map[int]bool{}
 		var cands []int

@@ -18,7 +18,7 @@ func TestSharedPrefixDigits(t *testing.T) {
 		{0xABCD0000, 0xABCE0000, 3},
 	}
 	for _, c := range cases {
-		if got := sharedPrefixDigits(c.a, c.b, 8); got != c.want {
+		if got := sharedPrefixDigits(c.a, c.b); got != c.want {
 			t.Errorf("sharedPrefixDigits(%x, %x) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
@@ -28,24 +28,23 @@ func TestLevelTablesWellFormed(t *testing.T) {
 	m := testmat.Euclidean(200, 1)
 	net := overlay.NewNetwork(m)
 	members, _ := overlay.Split(200, 20, 2)
-	cfg := DefaultConfig()
-	o := New(net, members, cfg, 3)
+	o := New(net, members, 3)
 
 	for _, id := range members {
 		levels := o.LevelsOf(id)
-		if len(levels) != cfg.Digits+1 {
+		if len(levels) != digits+1 {
 			t.Fatalf("node %d has %d levels", id, len(levels))
 		}
 		selfID := o.HexID(id)
 		for lvl, tbl := range levels {
-			if len(tbl) > cfg.NeighborsPerLevel {
-				t.Fatalf("level %d holds %d > %d", lvl, len(tbl), cfg.NeighborsPerLevel)
+			if len(tbl) > neighborsPerLevel {
+				t.Fatalf("level %d holds %d > %d", lvl, len(tbl), neighborsPerLevel)
 			}
 			for _, nb := range tbl {
 				if nb == id {
 					t.Fatal("self in level table")
 				}
-				if got := sharedPrefixDigits(selfID, o.HexID(nb), cfg.Digits); got < lvl {
+				if got := sharedPrefixDigits(selfID, o.HexID(nb)); got < lvl {
 					t.Fatalf("level %d member shares only %d digits", lvl, got)
 				}
 			}
@@ -87,7 +86,7 @@ func TestFindNearestEuclidean(t *testing.T) {
 	m := testmat.Euclidean(n, 7)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(n, 30, 5)
-	o := New(net, members, DefaultConfig(), 9)
+	o := New(net, members, 9)
 
 	good := 0
 	for _, tgt := range targets {
@@ -106,7 +105,7 @@ func TestClusteringDefeatsSearch(t *testing.T) {
 	m, gt := testmat.Clustered(100, 1000, 11)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(m.N(), 80, 3)
-	o := New(net, members, DefaultConfig(), 5)
+	o := New(net, members, 5)
 	exact := 0
 	for _, tgt := range targets {
 		res := o.FindNearest(tgt)
@@ -117,15 +116,4 @@ func TestClusteringDefeatsSearch(t *testing.T) {
 	if frac := float64(exact) / float64(len(targets)); frac > 0.4 {
 		t.Fatalf("Tapestry exact rate %v under clustering; expected failure", frac)
 	}
-}
-
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.Digits = 0
-	New(overlay.NewNetwork(testmat.Euclidean(10, 1)), []int{0, 1}, cfg, 1)
 }

@@ -138,7 +138,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	}
 	gateway := w.base.members[w.base.src.Intn(len(w.base.members))]
 	q.probe(gateway, func(float64) {
-		q.descend([]int{gateway}, w.base.cfg.Digits)
+		q.descend([]int{gateway}, digits)
 	})
 }
 
@@ -146,7 +146,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 // candidates as the next contact set — the static FindNearest loop with
 // probes and neighbour reads on the wire.
 func (q *wireQuery) descend(contacts []int, lvl int) {
-	if lvl < 0 || q.Res.Hops >= q.w.base.cfg.MaxHops {
+	if lvl < 0 || q.Res.Hops >= maxHops {
 		q.refine(contacts)
 		return
 	}
@@ -184,7 +184,7 @@ func (q *wireQuery) descend(contacts []int, lvl int) {
 
 // refine is the level-0 expansion loop of the static walk.
 func (q *wireQuery) refine(contacts []int) {
-	if q.Res.Hops >= q.w.base.cfg.MaxHops {
+	if q.Res.Hops >= maxHops {
 		q.finish()
 		return
 	}

@@ -9,7 +9,6 @@
 package tiers
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -17,27 +16,22 @@ import (
 	"nearestpeer/internal/rng"
 )
 
-// Config parameterises hierarchy construction.
-type Config struct {
-	// Radius0Ms is the clustering radius at level 0 (members of a level-0
+// Hierarchy construction uses a 4 ms leaf radius doubling per level, with
+// the small bounded clusters of the Tiers paper.
+const (
+	// radius0Ms is the clustering radius at level 0 (members of a level-0
 	// cluster are within this latency of their representative).
-	Radius0Ms float64
-	// RadiusMult scales the radius per level.
-	RadiusMult float64
-	// MaxClusterSize bounds cluster membership — Tiers clusters are
+	radius0Ms = 4.0
+	// radiusMult scales the radius per level.
+	radiusMult = 2
+	// maxClusterSize bounds cluster membership — Tiers clusters are
 	// size-bounded, which is what keeps per-level probing (and therefore
 	// query cost) constant, and also what prevents the scheme from
 	// degenerating into an exhaustive sweep of a PoP cluster.
-	MaxClusterSize int
-	// MaxLevels bounds the hierarchy height.
-	MaxLevels int
-}
-
-// DefaultConfig uses a 4 ms leaf radius doubling per level, with the small
-// bounded clusters of the Tiers paper.
-func DefaultConfig() Config {
-	return Config{Radius0Ms: 4, RadiusMult: 2, MaxClusterSize: 8, MaxLevels: 16}
-}
+	maxClusterSize = 8
+	// maxLevels bounds the hierarchy height.
+	maxLevels = 16
+)
 
 // clusterT is one cluster in the hierarchy.
 type clusterT struct {
@@ -50,7 +44,6 @@ type clusterT struct {
 
 // Hierarchy is a built Tiers hierarchy.
 type Hierarchy struct {
-	cfg     Config
 	net     *overlay.Network
 	members []int
 	// levels[0] are the leaf clusters; the last level has one cluster.
@@ -63,27 +56,23 @@ type Hierarchy struct {
 // whose representative is within the level radius (measured — maintenance
 // probes), otherwise it founds a new cluster. Construction cost is the
 // O(n·clusters) probing the Tiers paper accepts.
-func New(net *overlay.Network, members []int, cfg Config, seed int64) *Hierarchy {
-	if cfg.Radius0Ms <= 0 || cfg.RadiusMult <= 1 || cfg.MaxLevels < 1 || cfg.MaxClusterSize < 2 {
-		panic(fmt.Sprintf("tiers: invalid config %+v", cfg))
-	}
+func New(net *overlay.Network, members []int, seed int64) *Hierarchy {
 	h := &Hierarchy{
-		cfg:     cfg,
 		net:     net,
 		members: append([]int(nil), members...),
 		src:     rng.New(seed),
 	}
 
 	current := append([]int(nil), members...)
-	radius := cfg.Radius0Ms
+	radius := radius0Ms
 	var prevLevel []clusterT
-	for level := 0; level < cfg.MaxLevels; level++ {
+	for level := 0; level < maxLevels; level++ {
 		h.src.Shuffle(len(current), func(i, j int) { current[i], current[j] = current[j], current[i] })
 		var clusters []clusterT
 		for _, p := range current {
 			placed := false
 			for ci := range clusters {
-				if len(clusters[ci].members) >= cfg.MaxClusterSize {
+				if len(clusters[ci].members) >= maxClusterSize {
 					continue
 				}
 				if h.net.MaintProbe(p, clusters[ci].rep) <= radius {
@@ -119,10 +108,10 @@ func New(net *overlay.Network, members []int, cfg Config, seed int64) *Hierarchy
 			next = append(next, c.rep)
 		}
 		current = next
-		radius *= cfg.RadiusMult
+		radius *= radiusMult
 		prevLevel = clusters
 	}
-	// Force a single top cluster if MaxLevels ran out: its members are the
+	// Force a single top cluster if maxLevels ran out: its members are the
 	// representatives of the previous top level, and its child links point
 	// back into that level.
 	top := h.levels[len(h.levels)-1]

@@ -11,7 +11,7 @@ func TestHierarchyShape(t *testing.T) {
 	m := testmat.Euclidean(300, 1)
 	net := overlay.NewNetwork(m)
 	members, _ := overlay.Split(300, 20, 2)
-	h := New(net, members, DefaultConfig(), 3)
+	h := New(net, members, 3)
 
 	if h.Levels() < 2 {
 		t.Fatalf("hierarchy has %d levels", h.Levels())
@@ -47,12 +47,11 @@ func TestLeafClusterRadius(t *testing.T) {
 	m := testmat.Euclidean(200, 5)
 	net := overlay.NewNetwork(m)
 	members, _ := overlay.Split(200, 10, 2)
-	cfg := DefaultConfig()
-	h := New(net, members, cfg, 3)
+	h := New(net, members, 3)
 	for _, c := range h.levels[0] {
 		for _, p := range c.members {
-			if l := m.LatencyMs(p, c.rep); l > cfg.Radius0Ms+1e-9 {
-				t.Fatalf("leaf member at %v from rep, radius %v", l, cfg.Radius0Ms)
+			if l := m.LatencyMs(p, c.rep); l > radius0Ms+1e-9 {
+				t.Fatalf("leaf member at %v from rep, radius %v", l, radius0Ms)
 			}
 		}
 	}
@@ -63,7 +62,7 @@ func TestFindNearestEuclidean(t *testing.T) {
 	m := testmat.Euclidean(n, 7)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(n, 30, 5)
-	h := New(net, members, DefaultConfig(), 9)
+	h := New(net, members, 9)
 
 	good := 0
 	for _, tgt := range targets {
@@ -85,7 +84,7 @@ func TestClusteringDefeatsDescent(t *testing.T) {
 	m, gt := testmat.Clustered(100, 1000, 11)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(m.N(), 80, 3)
-	h := New(net, members, DefaultConfig(), 5)
+	h := New(net, members, 5)
 	exact := 0
 	for _, tgt := range targets {
 		res := h.FindNearest(tgt)
@@ -96,15 +95,4 @@ func TestClusteringDefeatsDescent(t *testing.T) {
 	if frac := float64(exact) / float64(len(targets)); frac > 0.4 {
 		t.Fatalf("Tiers exact rate %v under clustering; expected failure", frac)
 	}
-}
-
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cfg := DefaultConfig()
-	cfg.RadiusMult = 1
-	New(overlay.NewNetwork(testmat.Euclidean(10, 1)), []int{0, 1}, cfg, 1)
 }

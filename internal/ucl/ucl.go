@@ -19,26 +19,30 @@ import (
 	"nearestpeer/internal/netmodel"
 )
 
+// The mechanism's fixed parameters.
+const (
+	// tracedAnchors is the number of distant destinations traced to
+	// discover the upstream chain ("running traceroutes to a few different
+	// locations in the Internet").
+	tracedAnchors = 3
+	// maxProbes caps how many retrieved candidates the querier probes.
+	maxProbes = 32
+)
+
 // Config tunes the UCL mechanism.
 type Config struct {
 	// TrackDepth is the number of closest upstream routers each peer
 	// tracks (the paper evaluates 3 for a 50% success rate at <5 ms, ~6
 	// for 75%).
 	TrackDepth int
-	// Anchors is the number of distant destinations traced to discover
-	// the upstream chain ("running traceroutes to a few different
-	// locations in the Internet").
-	Anchors int
 	// EstimateCutoffMs discards candidates whose estimated latency (sum
 	// of latencies to the shared router) exceeds this bound, unprobed.
 	EstimateCutoffMs float64
-	// MaxProbes caps how many retrieved candidates the querier probes.
-	MaxProbes int
 }
 
 // DefaultConfig tracks 3 routers, as in the paper's headline evaluation.
 func DefaultConfig() Config {
-	return Config{TrackDepth: 3, Anchors: 3, EstimateCutoffMs: 20, MaxProbes: 32}
+	return Config{TrackDepth: 3, EstimateCutoffMs: 20}
 }
 
 // Entry is one published mapping value: a peer and its RTT to the router.
@@ -88,7 +92,7 @@ type Published struct {
 // map (in a real deployment, the peers themselves); anchors are traceroute
 // destinations spread across the topology.
 func New(tools *measure.Tools, dhtNodes []string, anchors []netmodel.HostID, cfg Config) *System {
-	if cfg.TrackDepth <= 0 || cfg.Anchors <= 0 {
+	if cfg.TrackDepth <= 0 {
 		panic(fmt.Sprintf("ucl: invalid config %+v", cfg))
 	}
 	if len(anchors) == 0 {
@@ -113,7 +117,7 @@ func New(tools *measure.Tools, dhtNodes []string, anchors []netmodel.HostID, cfg
 func ComputeUCL(tools *measure.Tools, anchors []netmodel.HostID, cfg Config, peer netmodel.HostID) []Published {
 	var out []Published
 	seen := make(map[netmodel.RouterID]bool)
-	for i := 0; i < cfg.Anchors && i < len(anchors); i++ {
+	for i := 0; i < tracedAnchors && i < len(anchors); i++ {
 		anchor := anchors[i]
 		if anchor == peer {
 			continue
@@ -208,11 +212,7 @@ func (s *System) FindNearest(peer netmodel.HostID) Result {
 	cands := rankHintCands(best, s.cfg)
 	res.Discarded = res.Candidates - len(cands)
 
-	limit := s.cfg.MaxProbes
-	if limit <= 0 || limit > len(cands) {
-		limit = len(cands)
-	}
-	for _, c := range cands[:limit] {
+	for _, c := range cands[:min(maxProbes, len(cands))] {
 		d, err := s.tools.LatencyTo(peer, c.peer)
 		res.Probes++
 		if err != nil {

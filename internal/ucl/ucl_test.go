@@ -173,7 +173,7 @@ func TestEstimateDiscardsFarPeers(t *testing.T) {
 	for _, p := range f.peers[:30] {
 		res := f.sys.FindNearest(p)
 		discarded += res.Discarded
-		if res.Probes > cfg.MaxProbes {
+		if res.Probes > maxProbes {
 			t.Fatalf("probes %d exceed cap", res.Probes)
 		}
 	}

@@ -95,10 +95,7 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	get = func(i int) {
 		if i >= len(own) {
 			kept := rankHintCands(best, w.cfg)
-			if w.cfg.MaxProbes > 0 && len(kept) > w.cfg.MaxProbes {
-				kept = kept[:w.cfg.MaxProbes]
-			}
-			probe(kept)
+			probe(kept[:min(maxProbes, len(kept))])
 			return
 		}
 		p := own[i]

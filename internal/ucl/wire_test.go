@@ -95,7 +95,7 @@ func TestWireFindNearestMatchesStaticLossless(t *testing.T) {
 		f.wire.FindNearest(p, func(r p2p.FindResult) { got = r })
 		f.kernel.Run()
 		// Both legs probe every candidate that survives the estimate
-		// cutoff (up to MaxProbes), so equal probe counts mean the wire saw
+		// cutoff (up to maxProbes), so equal probe counts mean the wire saw
 		// and discarded what the static system did.
 		if got.Probes != static.Probes {
 			t.Errorf("peer %d: wire probed %d candidates, static %d (of %d, %d discarded)",

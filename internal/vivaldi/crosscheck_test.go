@@ -43,15 +43,13 @@ func crossCheckSchedule(nHosts, rounds, picks int, seed int64) (a, b []int) {
 // the given RTT samples and returns the median |pred-true|/true against the
 // matrix.
 func embedWithSamples(m latency.Matrix, obsA, obsB []int, rtts []float64, dims int, seed int64) float64 {
-	cfg := DefaultConfig()
-	cfg.Dimensions = dims
 	src := rng.New(seed)
 	coords := make([]*Coord, m.N())
 	for i := range coords {
 		coords[i] = NewCoord(dims)
 	}
 	for i := range obsA {
-		coords[obsA[i]].Update(coords[obsB[i]], rtts[i], cfg, src)
+		coords[obsA[i]].Update(coords[obsB[i]], rtts[i], src)
 	}
 	var errs []float64
 	esrc := rng.New(seed + 1)

@@ -12,47 +12,44 @@
 package vivaldi
 
 import (
-	"fmt"
 	"math"
 
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/rng"
 )
 
-// MaxDimensions bounds Config.Dimensions. The spring update keeps its
-// direction vector in a fixed-size stack buffer of this length so that one
-// update is allocation-free — the wire gossip protocol (wire.go) applies it
-// on every coordinate sample and must not allocate in steady state.
+// MaxDimensions bounds a coordinate's Euclidean dimensions. The spring
+// update keeps its direction vector in a fixed-size stack buffer of this
+// length so that one update is allocation-free — the wire gossip protocol
+// (wire.go) applies it on every coordinate sample and must not allocate in
+// steady state.
 const MaxDimensions = 16
 
-// Config holds the Vivaldi tuning constants from the paper.
-type Config struct {
-	// Dimensions of the Euclidean part of the coordinate.
-	Dimensions int
-	// CE is the adaptive-timestep constant c_e (paper: 0.25).
-	CE float64
-	// CC is the error-damping constant c_c (paper: 0.25).
-	CC float64
-	// Rounds is how many all-node update rounds the system runs.
-	Rounds int
-	// NeighborsPerRound is how many random neighbours each node samples
-	// per round.
-	NeighborsPerRound int
-	// HeightModel enables the height-vector variant.
-	HeightModel bool
-}
+// The Vivaldi paper's recommended constants, which every deployment here
+// uses (the height-vector model is always on).
+const (
+	// dimensions of the Euclidean part of a coordinate.
+	dimensions = 5
+	// ce is the adaptive-timestep constant c_e.
+	ce = 0.25
+	// cc is the error-damping constant c_c.
+	cc = 0.25
+	// rounds is how many all-node update rounds Build runs.
+	rounds = 60
+	// neighborsPerRound is how many random neighbours each node samples
+	// per round of Build.
+	neighborsPerRound = 4
+)
 
-// DefaultConfig matches the Vivaldi paper's recommended constants.
-func DefaultConfig() Config {
-	return Config{
-		Dimensions:        5,
-		CE:                0.25,
-		CC:                0.25,
-		Rounds:            60,
-		NeighborsPerRound: 4,
-		HeightModel:       true,
-	}
-}
+// The search budgets shared by the static Finder and the wire search.
+const (
+	// placementProbes is how many members a target probes to position
+	// itself.
+	placementProbes = 16
+	// verifyTop is how many of the best-predicted members the search
+	// RTT-verifies before answering.
+	verifyTop = 8
+)
 
 // Coord is a Vivaldi coordinate.
 type Coord struct {
@@ -90,7 +87,7 @@ func (c *Coord) DistanceMs(o *Coord) float64 {
 // apart. The update is allocation-free: the direction scratch lives on the
 // stack (see MaxDimensions), which is what lets the gossip hot path apply
 // it per sample without allocating.
-func (c *Coord) Update(other *Coord, rtt float64, cfg Config, src *rng.Source) {
+func (c *Coord) Update(other *Coord, rtt float64, src *rng.Source) {
 	if rtt <= 0 {
 		rtt = 0.01
 	}
@@ -98,14 +95,14 @@ func (c *Coord) Update(other *Coord, rtt float64, cfg Config, src *rng.Source) {
 	// Sample weight balances local and remote error.
 	w := c.Err / (c.Err + other.Err)
 	es := math.Abs(dist-rtt) / rtt
-	c.Err = es*cfg.CE*w + c.Err*(1-cfg.CE*w)
+	c.Err = es*ce*w + c.Err*(1-ce*w)
 	if c.Err > 1 {
 		c.Err = 1
 	}
 	if c.Err < 0.01 {
 		c.Err = 0.01
 	}
-	delta := cfg.CC * w * (rtt - dist)
+	delta := cc * w * (rtt - dist)
 
 	// Unit vector from other to c; random direction when coincident.
 	var dirBuf [MaxDimensions]float64
@@ -129,49 +126,42 @@ func (c *Coord) Update(other *Coord, rtt float64, cfg Config, src *rng.Source) {
 	for i := range c.Vec {
 		c.Vec[i] += delta * dir[i] / norm
 	}
-	if cfg.HeightModel {
-		c.Height += delta * 0.1
-		if c.Height < 0 {
-			c.Height = 0
-		}
+	c.Height += delta * 0.1
+	if c.Height < 0 {
+		c.Height = 0
 	}
 }
 
 // System is a converged (or converging) set of coordinates over members.
 type System struct {
-	cfg     Config
 	net     *overlay.Network
 	members []int
 	coords  map[int]*Coord
 	src     *rng.Source
 }
 
-// Build runs the Vivaldi protocol: Rounds rounds in which every member
-// samples NeighborsPerRound random peers, measures RTT (maintenance
-// probes), and applies the spring update.
-func Build(net *overlay.Network, members []int, cfg Config, seed int64) *System {
-	if cfg.Dimensions <= 0 || cfg.Dimensions > MaxDimensions || cfg.Rounds <= 0 {
-		panic(fmt.Sprintf("vivaldi: invalid config %+v", cfg))
-	}
+// Build runs the Vivaldi protocol: 60 rounds in which every member samples
+// 4 random peers, measures RTT (maintenance probes), and applies the spring
+// update.
+func Build(net *overlay.Network, members []int, seed int64) *System {
 	s := &System{
-		cfg:     cfg,
 		net:     net,
 		members: append([]int(nil), members...),
 		coords:  make(map[int]*Coord, len(members)),
 		src:     rng.New(seed),
 	}
 	for _, m := range members {
-		s.coords[m] = NewCoord(cfg.Dimensions)
+		s.coords[m] = NewCoord(dimensions)
 	}
-	for round := 0; round < cfg.Rounds; round++ {
+	for round := 0; round < rounds; round++ {
 		for _, m := range members {
-			for k := 0; k < cfg.NeighborsPerRound; k++ {
+			for k := 0; k < neighborsPerRound; k++ {
 				n := members[s.src.Intn(len(members))]
 				if n == m {
 					continue
 				}
 				rtt := s.net.MaintProbe(m, n)
-				s.coords[m].Update(s.coords[n], rtt, s.cfg, s.src)
+				s.coords[m].Update(s.coords[n], rtt, s.src)
 			}
 		}
 	}
@@ -227,10 +217,10 @@ func (s *System) SamplePlacement(target, nProbes int) []int {
 // PlaceObservations runs the placement iteration over a fixed observation
 // set — PlaceTarget's second half, consuming the stream identically.
 func (s *System) PlaceObservations(obs []PlacementObservation) *Coord {
-	c := NewCoord(s.cfg.Dimensions)
+	c := NewCoord(dimensions)
 	for iter := 0; iter < 30; iter++ {
 		for _, o := range obs {
-			c.Update(o.Coord, o.RTTms, s.cfg, s.src)
+			c.Update(o.Coord, o.RTTms, s.src)
 		}
 	}
 	return c
@@ -266,45 +256,32 @@ func (s *System) MedianAbsRelErr(samples int) float64 {
 	return errs[len(errs)/2]
 }
 
-// Finder is the coordinate-only nearest-peer baseline: place the target,
-// then return the member whose coordinate is closest to the target's. The
-// only network cost is placing the target; member selection is free — and
-// under the clustering condition, hopeless, because all cluster members
-// collapse to the same coordinates.
+// Finder is the coordinate-only nearest-peer baseline: place the target
+// with 16 probes, then RTT-verify the 8 members whose coordinates are
+// closest to the target's and return the nearest of those. The network
+// cost is placing the target and the verification pings — and under the
+// clustering condition the prediction is hopeless, because all cluster
+// members collapse to the same coordinates.
 type Finder struct {
 	Sys *System
-	// PlacementProbes is how many members the target probes to position
-	// itself (default 16).
-	PlacementProbes int
-	// VerifyTop probes the true latency of the k best members and returns
-	// the best of those (0 disables verification).
-	VerifyTop int
 }
 
 // FindNearest implements overlay.Finder.
 func (f *Finder) FindNearest(target int) overlay.Result {
-	nProbes := f.PlacementProbes
-	if nProbes <= 0 {
-		nProbes = 16
-	}
-	tc, probes := f.Sys.PlaceTarget(target, nProbes)
+	tc, probes := f.Sys.PlaceTarget(target, placementProbes)
 
 	type scored struct {
 		id   int
 		pred float64
 	}
-	best := make([]scored, 0, f.VerifyTop+1)
+	best := make([]scored, 0, verifyTop+1)
 	insert := func(sc scored) {
 		best = append(best, sc)
 		for i := len(best) - 1; i > 0 && best[i].pred < best[i-1].pred; i-- {
 			best[i], best[i-1] = best[i-1], best[i]
 		}
-		limit := f.VerifyTop
-		if limit < 1 {
-			limit = 1
-		}
-		if len(best) > limit {
-			best = best[:limit]
+		if len(best) > verifyTop {
+			best = best[:verifyTop]
 		}
 	}
 	for _, m := range f.Sys.members {
@@ -314,18 +291,12 @@ func (f *Finder) FindNearest(target int) overlay.Result {
 		insert(scored{id: m, pred: tc.DistanceMs(f.Sys.coords[m])})
 	}
 	choice, lat := -1, math.Inf(1)
-	if f.VerifyTop > 0 {
-		for _, sc := range best {
-			l := f.Sys.net.Probe(target, sc.id)
-			probes++
-			if l < lat {
-				choice, lat = sc.id, l
-			}
-		}
-	} else {
-		choice = best[0].id
-		lat = f.Sys.net.Probe(target, choice)
+	for _, sc := range best {
+		l := f.Sys.net.Probe(target, sc.id)
 		probes++
+		if l < lat {
+			choice, lat = sc.id, l
+		}
 	}
 	return overlay.Result{Peer: choice, LatencyMs: lat, Probes: probes, Hops: 0}
 }

@@ -42,7 +42,7 @@ func TestEmbeddingConvergesEuclidean(t *testing.T) {
 	for i := range members {
 		members[i] = i
 	}
-	sys := Build(net, members, DefaultConfig(), 7)
+	sys := Build(net, members, 7)
 	if err := sys.MedianAbsRelErr(400); err > 0.30 {
 		t.Fatalf("median relative error %v in Euclidean space", err)
 	}
@@ -62,7 +62,7 @@ func TestClusterPeersCollapse(t *testing.T) {
 	for i := range members {
 		members[i] = i
 	}
-	sys := Build(net, members, DefaultConfig(), 7)
+	sys := Build(net, members, 7)
 
 	// (a) Same-EN predicted distances are wild overestimates.
 	var ratioSum float64
@@ -114,7 +114,7 @@ func TestPlaceTargetProbes(t *testing.T) {
 	m := testmat.Euclidean(100, 2)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(100, 10, 1)
-	sys := Build(net, members, DefaultConfig(), 3)
+	sys := Build(net, members, 3)
 	net.ResetQueryProbes()
 	_, probes := sys.PlaceTarget(targets[0], 12)
 	if probes != 12 {
@@ -129,8 +129,8 @@ func TestFinderEuclidean(t *testing.T) {
 	m := testmat.Euclidean(300, 5)
 	net := overlay.NewNetwork(m)
 	members, targets := overlay.Split(300, 30, 2)
-	sys := Build(net, members, DefaultConfig(), 3)
-	f := &Finder{Sys: sys, PlacementProbes: 16, VerifyTop: 8}
+	sys := Build(net, members, 3)
+	f := &Finder{Sys: sys}
 
 	good := 0
 	for _, tgt := range targets {
@@ -148,18 +148,6 @@ func TestFinderEuclidean(t *testing.T) {
 	}
 }
 
-func TestFinderNoVerify(t *testing.T) {
-	m := testmat.Euclidean(120, 9)
-	net := overlay.NewNetwork(m)
-	members, targets := overlay.Split(120, 5, 2)
-	sys := Build(net, members, DefaultConfig(), 3)
-	f := &Finder{Sys: sys}
-	res := f.FindNearest(targets[0])
-	if res.Peer < 0 {
-		t.Fatal("no peer returned")
-	}
-}
-
 func TestErrStaysBounded(t *testing.T) {
 	m := testmat.Euclidean(80, 11)
 	net := overlay.NewNetwork(m)
@@ -167,7 +155,7 @@ func TestErrStaysBounded(t *testing.T) {
 	for i := range members {
 		members[i] = i
 	}
-	sys := Build(net, members, DefaultConfig(), 5)
+	sys := Build(net, members, 5)
 	for _, id := range members {
 		c := sys.CoordOf(id)
 		if c.Err < 0.01-1e-12 || c.Err > 1+1e-12 {

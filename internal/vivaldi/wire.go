@@ -69,18 +69,21 @@ func init() {
 // dead peer, mirroring the Chord port's suspicion rule.
 const nbrFailLimit = 2
 
+// The wire search's fixed parameters (placement and verification reuse the
+// static Finder's budgets, placementProbes and verifyTop).
+const (
+	// neighbors bounds the per-member neighbor set.
+	neighbors = 16
+	// maxWalkHops caps the greedy walk, a loop backstop.
+	maxWalkHops = 16
+)
+
 // WireConfig parameterises the gossip protocol and the coordinate-guided
 // search.
 type WireConfig struct {
-	// Vivaldi holds the spring-update constants (Dimensions, CE, CC,
-	// HeightModel). Rounds and NeighborsPerRound are the static build's
-	// schedule and are unused on the wire — pacing comes from GossipEvery.
-	Vivaldi Config
 	// GossipEvery is the per-member gossip period; each member adds up to
 	// 25% per-tick jitter so rounds do not run in lockstep.
 	GossipEvery time.Duration
-	// Neighbors bounds the per-member neighbor set.
-	Neighbors int
 	// SnapshotTTL is how long a coordinate snapshot buffer stays parked
 	// before its slot is reclaimed. It must exceed the largest one-way
 	// delay; a too-small TTL cannot corrupt memory, but a recycled slot's
@@ -89,34 +92,20 @@ type WireConfig struct {
 	// RPCTimeout bounds each query-time probe and walk RPC; 0 uses the
 	// runtime default.
 	RPCTimeout time.Duration
-	// PlacementProbes is how many members a non-member target probes to
-	// position itself before the walk.
-	PlacementProbes int
-	// VerifyTop is how many of the best candidates the search RTT-verifies
-	// with real pings before answering.
-	VerifyTop int
-	// MaxWalkHops caps the greedy walk, a loop backstop.
-	MaxWalkHops int
 	// Horizon, when > 0, stops scheduling gossip ticks past this virtual
 	// time so a test kernel's queue can drain. 0 gossips forever — drive
 	// the kernel with RunUntil or Stop in that case.
 	Horizon time.Duration
 }
 
-// DefaultWireConfig returns the wire protocol defaults: the paper's update
-// constants, a 2 s gossip period (240 samples per member over the studies'
-// 8-minute warm-up, matching the static build's 60×4 sample budget), and
-// the static Finder's placement/verification budgets.
+// DefaultWireConfig returns the wire protocol defaults: a 2 s gossip
+// period (240 samples per member over the studies' 8-minute warm-up,
+// matching the static build's 60×4 sample budget).
 func DefaultWireConfig() WireConfig {
 	return WireConfig{
-		Vivaldi:         DefaultConfig(),
-		GossipEvery:     2 * time.Second,
-		Neighbors:       16,
-		SnapshotTTL:     2 * time.Second,
-		RPCTimeout:      500 * time.Millisecond,
-		PlacementProbes: 16,
-		VerifyTop:       8,
-		MaxWalkHops:     16,
+		GossipEvery: 2 * time.Second,
+		SnapshotTTL: 2 * time.Second,
+		RPCTimeout:  500 * time.Millisecond,
 	}
 }
 
@@ -165,7 +154,7 @@ type wireState struct {
 	epoch uint32
 	coord Coord
 	src   *rng.Source
-	nbrs  []wireNeighbor // fixed length cfg.Neighbors; first nNbrs in use
+	nbrs  []wireNeighbor // fixed length neighbors; first nNbrs in use
 	nNbrs int
 	// pendingMsgID correlates the one outstanding gossip (0 = none).
 	pendingMsgID uint64
@@ -200,10 +189,7 @@ type Wire struct {
 
 // NewWire creates the protocol instance (with no members yet).
 func NewWire(rt p2p.Transport, cfg WireConfig, seed int64) *Wire {
-	v := cfg.Vivaldi
-	if v.Dimensions <= 0 || v.Dimensions > MaxDimensions || v.CE <= 0 || v.CC <= 0 ||
-		cfg.GossipEvery <= 0 || cfg.Neighbors <= 0 || cfg.SnapshotTTL <= 0 ||
-		cfg.PlacementProbes <= 0 || cfg.MaxWalkHops <= 0 {
+	if cfg.GossipEvery <= 0 || cfg.SnapshotTTL <= 0 {
 		panic(fmt.Sprintf("vivaldi: invalid wire config %+v", cfg))
 	}
 	n := rt.Population()
@@ -213,7 +199,7 @@ func NewWire(rt p2p.Transport, cfg WireConfig, seed int64) *Wire {
 		src:     rng.New(seed).Split("vivaldi"),
 		states:  make([]*wireState, n),
 		epochs:  make([]uint32, n),
-		scratch: Coord{Vec: make([]float64, v.Dimensions)},
+		scratch: Coord{Vec: make([]float64, dimensions)},
 	}
 	w.qsrc = w.src.Split("query")
 	w.tickH = rt.RegisterHandler(w.tick)
@@ -268,21 +254,20 @@ func (w *Wire) Join(id p2p.NodeID) {
 		n.Restart()
 	}
 	w.epochs[id]++
-	dims := w.cfg.Vivaldi.Dimensions
 	st := &wireState{
 		epoch:     w.epochs[id],
-		coord:     Coord{Vec: make([]float64, dims), Err: 1},
+		coord:     Coord{Vec: make([]float64, dimensions), Err: 1},
 		src:       w.src.SplitN("member", int(id)),
-		nbrs:      make([]wireNeighbor, w.cfg.Neighbors),
+		nbrs:      make([]wireNeighbor, neighbors),
 		pendingTo: p2p.NoNode,
 	}
 	for i := range st.nbrs {
-		st.nbrs[i].coord = Coord{Vec: make([]float64, dims), Err: 1}
+		st.nbrs[i].coord = Coord{Vec: make([]float64, dimensions), Err: 1}
 	}
 	// Bootstrap handout: a random sample of current members to start
 	// gossiping with. Discovery (the Sample field of gossip answers) and
 	// the per-tick top-up keep the set filled from here on.
-	for tries := 0; tries < 4*w.cfg.Neighbors && st.nNbrs < w.cfg.Neighbors && len(w.members) > 0; tries++ {
+	for tries := 0; tries < 4*neighbors && st.nNbrs < neighbors && len(w.members) > 0; tries++ {
 		m := w.members[st.src.Intn(len(w.members))]
 		if m != id && st.findNbr(m) < 0 {
 			st.addNbr(m)
@@ -328,7 +313,7 @@ func (w *Wire) removeMember(id p2p.NodeID) {
 // ---- neighbor-set bookkeeping (fixed slots, no steady-state allocation) ----
 
 // findNbr returns the index of id in the in-use neighbor slots, or -1. The
-// set is bounded (≤ Neighbors, default 16), so a linear scan beats any
+// set is bounded (≤ neighbors = 16), so a linear scan beats any
 // index structure and allocates nothing.
 func (st *wireState) findNbr(id p2p.NodeID) int {
 	for i := 0; i < st.nNbrs; i++ {
@@ -456,7 +441,7 @@ func (w *Wire) snapGet() *gossipSnap {
 		slot = w.snapFree[n-1]
 		w.snapFree = w.snapFree[:n-1]
 	} else {
-		w.snaps = append(w.snaps, &gossipSnap{Vec: make([]float64, w.cfg.Vivaldi.Dimensions)})
+		w.snaps = append(w.snaps, &gossipSnap{Vec: make([]float64, dimensions)})
 		slot = uint32(len(w.snaps) - 1)
 	}
 	w.rt.AfterHandler(w.cfg.SnapshotTTL, w.reclaimH, uint64(slot))
@@ -513,7 +498,7 @@ func (w *Wire) handleGossipOK(n *p2p.Node, env p2p.Envelope) {
 	rtt := float64(w.rt.Now(n.ID)-st.sentAt) / float64(time.Millisecond)
 	copy(w.scratch.Vec, s.Vec)
 	w.scratch.Height, w.scratch.Err = s.Height, s.Err
-	st.coord.Update(&w.scratch, rtt, w.cfg.Vivaldi, st.src)
+	st.coord.Update(&w.scratch, rtt, st.src)
 	w.metrics.Samples++
 	if i := st.findNbr(env.From); i >= 0 {
 		nb := &st.nbrs[i]
@@ -625,10 +610,10 @@ type walkCand struct {
 
 // FindNearest runs the coordinate-guided search from client: place the
 // client in coordinate space (members use their own live coordinate;
-// non-members probe PlacementProbes random members and iterate the update
+// non-members probe placementProbes random members and iterate the update
 // rule over the answers, as the static PlaceTarget does), greedy-walk over
 // advertised coordinates toward the client's coordinate, then RTT-verify
-// the VerifyTop best candidates with real pings and return the closest
+// the verifyTop best candidates with real pings and return the closest
 // responder. Probes counts query-time RTT measurements (placement probes
 // plus verification pings), RPCs the walk handoffs (RPCFails the ones
 // that went unanswered), Hops the greedy-walk steps taken. done fires
@@ -655,7 +640,7 @@ func (w *Wire) place(q *p2p.Query, done func(p2p.FindResult)) {
 		rtt   float64
 	}
 	var targets []p2p.NodeID
-	for tries := 0; tries < 4*w.cfg.PlacementProbes && len(targets) < w.cfg.PlacementProbes && len(w.members) > 0; tries++ {
+	for tries := 0; tries < 4*placementProbes && len(targets) < placementProbes && len(w.members) > 0; tries++ {
 		m := w.members[w.qsrc.Intn(len(w.members))]
 		if m == client || containsID(targets, m) {
 			continue
@@ -670,11 +655,11 @@ func (w *Wire) place(q *p2p.Query, done func(p2p.FindResult)) {
 				done(q.Res)
 				return
 			}
-			tc := NewCoord(w.cfg.Vivaldi.Dimensions)
+			tc := NewCoord(dimensions)
 			psrc := w.qsrc.Split("place")
 			for iter := 0; iter < 30; iter++ {
 				for _, o := range observations {
-					tc.Update(o.coord, o.rtt, w.cfg.Vivaldi, psrc)
+					tc.Update(o.coord, o.rtt, psrc)
 				}
 			}
 			// Walk from the closest-measured responder.
@@ -732,7 +717,7 @@ func (w *Wire) walk(q *p2p.Query, tc *Coord, start p2p.NodeID, done func(p2p.Fin
 	cur := start
 	var step func()
 	step = func() {
-		if q.Res.Hops >= w.cfg.MaxWalkHops || visited[cur] {
+		if q.Res.Hops >= maxWalkHops || visited[cur] {
 			w.verify(q, cands, done)
 			return
 		}
@@ -762,7 +747,7 @@ func (w *Wire) walk(q *p2p.Query, tc *Coord, start p2p.NodeID, done func(p2p.Fin
 }
 
 // verify ranks the walk's candidates by predicted distance, RTT-verifies
-// the VerifyTop best with real pings, and answers with the closest
+// the verifyTop best with real pings, and answers with the closest
 // responder.
 func (w *Wire) verify(q *p2p.Query, cands []walkCand, done func(p2p.FindResult)) {
 	n := q.Node()
@@ -788,12 +773,8 @@ func (w *Wire) verify(q *p2p.Query, cands []walkCand, done func(p2p.FindResult))
 		}
 		cands = ordered
 	}
-	limit := w.cfg.VerifyTop
-	if limit < 1 {
-		limit = 1
-	}
-	if len(cands) > limit {
-		cands = cands[:limit]
+	if len(cands) > verifyTop {
+		cands = cands[:verifyTop]
 	}
 	ids := make([]p2p.NodeID, len(cands))
 	for i, c := range cands {
@@ -806,13 +787,10 @@ func (w *Wire) verify(q *p2p.Query, cands []walkCand, done func(p2p.FindResult))
 // exhausted every alternate without collecting one live candidate, sweep-
 // ping a random sample of known members so the query still answers with
 // the best reachable peer instead of failing outright. Reached only with
-// the transport's retry policy enabled; the probe budget is twice VerifyTop.
+// the transport's retry policy enabled; the probe budget is twice verifyTop.
 func (w *Wire) ringFallback(q *p2p.Query, done func(p2p.FindResult)) {
 	n := q.Node()
-	budget := 2 * w.cfg.VerifyTop
-	if budget < 2 {
-		budget = 2
-	}
+	const budget = 2 * verifyTop
 	var targets []p2p.NodeID
 	for tries := 0; tries < 4*budget && len(targets) < budget; tries++ {
 		m := w.members[w.qsrc.Intn(len(w.members))]
