@@ -5,6 +5,8 @@ package p2p_test
 // test binary puts every payload type in the registry.
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -21,10 +23,14 @@ import (
 	"nearestpeer/internal/vivaldi"
 )
 
-// TestRegisteredPayloadsRoundTrip encodes and decodes the zero value of
-// every registered payload (for a pointer sample, a pointer to the zero
-// element) and expects it back exactly, with the same dynamic type: what
-// a handler's type assertion sees on the simulator it sees on UDP.
+// TestRegisteredPayloadsRoundTrip encodes and decodes samples of every
+// registered payload — its zero value (for a pointer sample, a pointer to
+// the zero element), a populated value built by fill, and for the beacon
+// payloads that mark an unknown latency with NaN (a lost beacon ping, a
+// member missing from a beacon's row) a vector with NaN entries, which the
+// codec's JSON cannot hold as such. Each must come back exactly, with the
+// same dynamic type: what a handler's type assertion sees on the simulator
+// it sees on UDP.
 func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 	names := p2p.RegisteredPayloads()
 	// One payload per registering package proves the package is linked.
@@ -35,25 +41,98 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 			t.Errorf("payload %q not registered; have %v", want, names)
 		}
 	}
+	nan := math.NaN()
+	unknown := map[string][]float64{
+		beacon.MsgGSBest: {12.5, nan, 3},
+		beacon.MsgEstOK:  {nan, 4.75, nan},
+	}
 	for _, name := range names {
 		typ := p2p.PayloadType(name)
 		zero := reflect.Zero(typ)
 		if typ.Kind() == reflect.Pointer {
 			zero = reflect.New(typ.Elem())
 		}
-		in := p2p.Envelope{Type: name, From: 1, To: 2, MsgID: 3, Resp: true, Payload: zero.Interface()}
-		frame, err := p2p.EncodeEnvelope(in)
-		if err != nil {
-			t.Errorf("%s: encode: %v", name, err)
-			continue
+		full := reflect.New(typ).Elem()
+		fill(full, new(int))
+		samples := []reflect.Value{zero, full}
+		if lats, ok := unknown[name]; ok {
+			v := reflect.New(typ).Elem()
+			v.Field(0).Set(reflect.ValueOf(lats).Convert(v.Field(0).Type()))
+			samples = append(samples, v)
 		}
-		out, err := p2p.DecodeEnvelope(frame)
-		if err != nil {
-			t.Errorf("%s: decode: %v", name, err)
-			continue
+		for _, sample := range samples {
+			in := p2p.Envelope{Type: name, From: 1, To: 2, MsgID: 3, Resp: true, Payload: sample.Interface()}
+			out, err := roundTrip(in)
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+				continue
+			}
+			// DeepEqual holds NaN unequal to itself; %#v prints it as NaN,
+			// and the NaN samples hold no pointer, so their printing is
+			// their value.
+			if !reflect.DeepEqual(out, in) && fmt.Sprintf("%#v", out) != fmt.Sprintf("%#v", in) {
+				t.Errorf("%s: round trip gave %#v, want %#v", name, out, in)
+			}
 		}
-		if !reflect.DeepEqual(out, in) {
-			t.Errorf("%s: round trip gave %#v, want %#v", name, out, in)
+	}
+}
+
+func roundTrip(in p2p.Envelope) (p2p.Envelope, error) {
+	frame, err := p2p.EncodeEnvelope(in)
+	if err != nil {
+		return p2p.Envelope{}, fmt.Errorf("encode: %w", err)
+	}
+	out, err := p2p.DecodeEnvelope(frame)
+	if err != nil {
+		return p2p.Envelope{}, fmt.Errorf("decode: %w", err)
+	}
+	return out, nil
+}
+
+// fill populates v and everything it reaches: two-element slices,
+// one-entry maps, negative ints (p2p.NoNode is −1), non-integral floats
+// and non-empty strings, every leaf a different value (n counts them) so
+// a codec that swaps or drops a field shows. Unexported fields and
+// interfaces stay zero: the codec carries neither.
+func fill(v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.25)
+	case reflect.String:
+		v.SetString(fmt.Sprint("s", *n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := 0; i < s.Len(); i++ {
+			fill(s.Index(i), n)
+		}
+		v.Set(s)
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fill(v.Index(i), n)
+		}
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fill(k, n)
+		fill(e, n)
+		m.SetMapIndex(k, e)
+		v.Set(m)
+	case reflect.Pointer:
+		p := reflect.New(v.Type().Elem())
+		fill(p.Elem(), n)
+		v.Set(p)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i), n)
+			}
 		}
 	}
 }

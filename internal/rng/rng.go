@@ -6,6 +6,11 @@
 // per-algorithm randomness) each derive an independent stream with Split, so
 // adding randomness to one component never perturbs another component's
 // stream. This is what makes `go test` and `cmd/figures` byte-reproducible.
+//
+// Every stream is math/rand's for its seed, draw for draw: New(seed) gives
+// exactly the values rand.New(rand.NewSource(seed)) gives. Only the cost
+// differs — a stream holds ~100 bytes until its 129th draw instead of
+// math/rand's 4.9 KB register (see source.go).
 package rng
 
 import (
@@ -19,11 +24,15 @@ import (
 type Source struct {
 	*rand.Rand
 	seed int64
+	gen  source // the generator behind Rand, in the same allocation
 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{Rand: rand.New(rand.NewSource(seed)), seed: seed}
+	s := &Source{seed: seed}
+	s.gen.Seed(seed)
+	s.Rand = rand.New(&s.gen)
+	return s
 }
 
 // Seed returns the seed the Source was created with.
