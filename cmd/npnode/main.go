@@ -110,13 +110,22 @@ func loadMatrix(path string) (*latency.Dense, error) {
 	if mf.N <= 0 || len(mf.RTT) != mf.N {
 		return nil, fmt.Errorf("%s: bad matrix dimensions", path)
 	}
+	for i, row := range mf.RTT {
+		if len(row) != mf.N {
+			return nil, fmt.Errorf("%s: row %d has %d entries, want %d", path, i, len(row), mf.N)
+		}
+	}
 	m := latency.NewDense(mf.N)
 	for i := 0; i < mf.N; i++ {
-		if len(mf.RTT[i]) != mf.N {
-			return nil, fmt.Errorf("%s: row %d has %d entries, want %d", path, i, len(mf.RTT[i]), mf.N)
-		}
 		for j := i + 1; j < mf.N; j++ {
-			m.Set(i, j, mf.RTT[i][j])
+			switch rtt := mf.RTT[i][j]; {
+			case rtt < 0:
+				return nil, fmt.Errorf("%s: rtt[%d][%d] = %v is negative", path, i, j, rtt)
+			case rtt != mf.RTT[j][i]:
+				return nil, fmt.Errorf("%s: rtt[%d][%d] = %v but rtt[%d][%d] = %v; RTTs must be symmetric", path, i, j, rtt, j, i, mf.RTT[j][i])
+			default:
+				m.Set(i, j, rtt)
+			}
 		}
 	}
 	return m, nil

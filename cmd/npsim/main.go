@@ -162,7 +162,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "npsim:", err)
 		os.Exit(2)
 	}
-	m, gt := latency.BuildClustered(cfg, *seed)
+	m, gt := latency.NewClustered(cfg, *seed)
 
 	if *runtime {
 		if *algo == "chord" {

@@ -22,7 +22,7 @@ func TestMain(m *testing.M) {
 // outside [1, maxShards] or a model flag outside its range (β, ring size, δ,
 // noise, -scale) is one line on stderr and exit status 2,
 // never a Go stack trace. `-peers 1` used to die
-// in latency.BuildClustered, `-runtime -algo guyton -peers 5` in beacon.New,
+// in latency.NewClustered, `-runtime -algo guyton -peers 5` in beacon.New,
 // and the static `-queries 0` used to print four NaNs and exit 0.
 func TestBadPopulationFlagsExitTwo(t *testing.T) {
 	for _, tc := range []struct {

@@ -48,7 +48,7 @@ func (r *AblationResult) Render() string {
 // clustering (the Figure 9 default, 125 end-networks per cluster), one member
 // split and the scale's query budget.
 type ablationCell struct {
-	m                *latency.Dense
+	m                *latency.Clustered
 	gt               *latency.GroundTruth
 	members, targets []int
 	queries          int
@@ -59,7 +59,7 @@ func newAblationCell(scale Scale, seed int64) ablationCell {
 	peers, _, queries, _ := scaleParams(scale)
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = peers
-	m, gt := latency.BuildClustered(cfg, seed)
+	m, gt := latency.NewClustered(cfg, seed)
 	members, targets := overlay.Split(m.N(), 60, seed+1)
 	return ablationCell{m: m, gt: gt, members: members, targets: targets, queries: queries, seed: seed}
 }

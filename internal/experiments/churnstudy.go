@@ -164,7 +164,7 @@ func ChurnStudy(scale Scale, seed int64) *ChurnStudyResult {
 	peers, nTargets, queries := churnStudyParams(scale)
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = peers
-	m, gt := latency.BuildClustered(cfg, seed)
+	m, gt := latency.NewClustered(cfg, seed)
 	members, targets := overlay.Split(m.N(), nTargets, seed+1)
 
 	out := &ChurnStudyResult{

@@ -304,7 +304,7 @@ func TestMitigationWireUnderLossAndChurn(t *testing.T) {
 func TestWireChordExercise(t *testing.T) {
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = 120
-	m, _ := latency.BuildClustered(cfg, 1)
+	m, _ := latency.NewClustered(cfg, 1)
 	row := RunWireChord(m, WireChordOpts{Nodes: 100, Ops: 20, Seed: 1})
 	if row.PutOK != 1 || row.GetOK != 1 {
 		t.Fatalf("lossless chord ops failed: %+v", row)

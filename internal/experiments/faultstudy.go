@@ -170,7 +170,7 @@ func FaultStudy(scale Scale, seed int64) *FaultStudyResult {
 func FaultStudyAt(peers, nTargets, lookups int, seed int64) *FaultStudyResult {
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = peers
-	m, _ := latency.BuildClustered(cfg, seed)
+	m, _ := latency.NewClustered(cfg, seed)
 	members, targets := overlay.Split(m.N(), nTargets, seed+1)
 
 	// The stretch oracle: each target's true RTT to the nearest member of

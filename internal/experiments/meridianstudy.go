@@ -18,7 +18,7 @@ import (
 // simulateMeridian runs one (matrix, overlay, queries) simulation of the
 // registry's Meridian through the held-out-target cell.
 func simulateMeridian(cfg latency.ClusteredConfig, nTargets, nQueries int, seed int64) TargetScore {
-	m, gt := latency.BuildClustered(cfg, seed)
+	m, gt := latency.NewClustered(cfg, seed)
 	members, targets := overlay.Split(m.N(), nTargets, seed+1)
 	o := must(StaticFinder("meridian", overlay.NewNetwork(m), members, seed+1, nil))
 	return must(RunStaticTargets(o, m, gt, members, targets, nQueries, seed+3))

@@ -127,7 +127,7 @@ func ObsStudy(scale Scale, seed int64) *ObsStudyResult {
 func ObsStudyAt(peers, nTargets, lookups int, seed int64, trace bool) *ObsStudyResult {
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = peers
-	m, _ := latency.BuildClustered(cfg, seed)
+	m, _ := latency.NewClustered(cfg, seed)
 	members, targets := overlay.Split(m.N(), nTargets, seed+1)
 
 	out := &ObsStudyResult{

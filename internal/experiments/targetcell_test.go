@@ -130,7 +130,7 @@ func TestStaticFinderRoster(t *testing.T) {
 	cfg := latency.DefaultClusteredConfig()
 	cfg.ENsPerCluster = 25
 	cfg.TotalPeers = 300
-	m, gt := latency.BuildClustered(cfg, 1)
+	m, gt := latency.NewClustered(cfg, 1)
 	members, targets := overlay.Split(m.N(), 20, 2)
 	isMember := make(map[int]bool, len(members))
 	for _, id := range members {

@@ -40,7 +40,7 @@ func TestWireChordGolden(t *testing.T) {
 
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = 120
-	m, _ := latency.BuildClustered(cfg, 1)
+	m, _ := latency.NewClustered(cfg, 1)
 	plan, err := faults.Parse("seed=7;burst:at=20s,for=2m,prob=0.4")
 	if err != nil {
 		t.Fatal(err)

@@ -91,9 +91,11 @@ func (g *GroundTruth) ClosestPeer(m Matrix, target int, candidates []int) (int, 
 	return best, bestLat
 }
 
-// Validate reports a configuration BuildClustered cannot build a matrix
+// Validate reports a configuration NewClustered cannot build a matrix
 // from, so a front end can turn a bad flag into a message instead of
-// BuildClustered's panic.
+// NewClustered's panic. Because the matrix is computed rather than filled
+// through Dense.Set, this is also the guard against negative latencies: a
+// negative or NaN IntraENMs or hub-mean bound would otherwise be priced.
 func (c ClusteredConfig) Validate() error {
 	switch {
 	case c.PeersPerEN < 1:
@@ -104,20 +106,39 @@ func (c ClusteredConfig) Validate() error {
 		return fmt.Errorf("latency: TotalPeers %d must cover one end-network of %d peers", c.TotalPeers, c.PeersPerEN)
 	case !(c.Delta >= 0 && c.Delta <= 1):
 		return fmt.Errorf("latency: Delta %v outside [0, 1]", c.Delta)
+	case !(c.IntraENMs >= 0):
+		return fmt.Errorf("latency: IntraENMs %v must be non-negative", c.IntraENMs)
+	case !(c.HubMeanMinMs >= 0):
+		return fmt.Errorf("latency: HubMeanMinMs %v must be non-negative", c.HubMeanMinMs)
+	case !(c.HubMeanMaxMs >= c.HubMeanMinMs):
+		return fmt.Errorf("latency: HubMeanMaxMs %v below HubMeanMinMs %v", c.HubMeanMaxMs, c.HubMeanMinMs)
 	}
 	return nil
 }
 
-// BuildClustered constructs the Section 4 latency matrix: clusters of
-// end-networks around hubs, hub-to-hub distances from a synthetic
-// Meridian-like dataset, two peers per end-network.
-//
-// Latency rules (paper, Section 4):
+// Clustered is the Section 4 latency matrix, computed entry by entry from
+// each peer's end-network, cluster and hub latency and the hub-to-hub
+// table, so it costs O(n + clusters²) memory instead of a dense table's
+// O(n²). Latency rules (paper, Section 4):
 //   - peers in one end-network: IntraENMs (100 µs), and identical latencies
 //     to everyone else;
 //   - peers in different end-networks of one cluster: hub(i) + hub(j);
 //   - peers in different clusters: hub(i) + hubDist(ci, cj) + hub(j).
-func BuildClustered(cfg ClusteredConfig, seed int64) (*Dense, *GroundTruth) {
+//
+// Its per-peer slices are the ones in the GroundTruth NewClustered returns,
+// which is therefore read-only.
+type Clustered struct {
+	en, cluster []int
+	hubLat      []float64
+	hubs        *Dense
+	intraEN     float64
+}
+
+// NewClustered builds the Section 4 model: clusters of end-networks around
+// hubs, hub-to-hub distances from a synthetic Meridian-like dataset,
+// PeersPerEN peers per end-network. It panics on a configuration Validate
+// rejects.
+func NewClustered(cfg ClusteredConfig, seed int64) (*Clustered, *GroundTruth) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -131,23 +152,29 @@ func BuildClustered(cfg ClusteredConfig, seed int64) (*Dense, *GroundTruth) {
 
 	hubs := SyntheticMeridianDataset(nClusters, src.Split("hubs").Seed())
 
-	gt := &GroundTruth{PeersInEN: make(map[int][]int), NumClusters: nClusters}
-	type peerInfo struct {
-		en, cluster int
-		hubLat      float64
+	// A cluster's end-network count is drawn from [lo, hi] when the spread
+	// leaves a range. Every per-peer slice is sized for hi, so building
+	// costs no append re-copies.
+	lo, hi := cfg.ENsPerCluster, cfg.ENsPerCluster
+	if cfg.ENSpread > 0 {
+		lo = int(float64(cfg.ENsPerCluster) * (1 - cfg.ENSpread))
+		hi = int(float64(cfg.ENsPerCluster) * (1 + cfg.ENSpread))
 	}
-	var peers []peerInfo
+	maxPeers := nClusters * hi * cfg.PeersPerEN
+	gt := &GroundTruth{
+		ENOf:        make([]int, 0, maxPeers),
+		ClusterOf:   make([]int, 0, maxPeers),
+		HubLatMs:    make([]float64, 0, maxPeers),
+		PeersInEN:   make(map[int][]int, nClusters*hi),
+		NumClusters: nClusters,
+	}
 	enIndex := 0
 	for c := 0; c < nClusters; c++ {
 		csrc := src.SplitN("cluster", c)
 		mean := csrc.Uniform(cfg.HubMeanMinMs, cfg.HubMeanMaxMs)
 		nENs := cfg.ENsPerCluster
-		if cfg.ENSpread > 0 {
-			lo := int(float64(cfg.ENsPerCluster) * (1 - cfg.ENSpread))
-			hi := int(float64(cfg.ENsPerCluster) * (1 + cfg.ENSpread))
-			if hi > lo {
-				nENs = lo + csrc.Intn(hi-lo+1)
-			}
+		if hi > lo {
+			nENs = lo + csrc.Intn(hi-lo+1)
 		}
 		if nENs < 1 {
 			nENs = 1
@@ -158,39 +185,85 @@ func BuildClustered(cfg ClusteredConfig, seed int64) (*Dense, *GroundTruth) {
 			if hubLat < 0.05 {
 				hubLat = 0.05
 			}
+			first := len(gt.ENOf)
 			for p := 0; p < cfg.PeersPerEN; p++ {
-				peers = append(peers, peerInfo{en: enIndex, cluster: c, hubLat: hubLat})
+				gt.ENOf = append(gt.ENOf, enIndex)
+				gt.ClusterOf = append(gt.ClusterOf, c)
+				gt.HubLatMs = append(gt.HubLatMs, hubLat)
 			}
+			members := make([]int, cfg.PeersPerEN)
+			for p := range members {
+				members[p] = first + p
+			}
+			gt.PeersInEN[enIndex] = members
 			enIndex++
 		}
 	}
 	gt.NumENs = enIndex
 
-	n := len(peers)
-	m := NewDense(n)
-	gt.ENOf = make([]int, n)
-	gt.ClusterOf = make([]int, n)
-	gt.HubLatMs = make([]float64, n)
-	for i, p := range peers {
-		gt.ENOf[i] = p.en
-		gt.ClusterOf[i] = p.cluster
-		gt.HubLatMs[i] = p.hubLat
-		gt.PeersInEN[p.en] = append(gt.PeersInEN[p.en], i)
+	m := &Clustered{en: gt.ENOf, cluster: gt.ClusterOf, hubLat: gt.HubLatMs, hubs: hubs, intraEN: cfg.IntraENMs}
+	return m, gt
+}
+
+// BuildClustered is NewClustered materialised as a *Dense: the same
+// entries, bit for bit, in an n×n table.
+func BuildClustered(cfg ClusteredConfig, seed int64) (*Dense, *GroundTruth) {
+	m, gt := NewClustered(cfg, seed)
+	return m.Dense(), gt
+}
+
+// N returns the peer count.
+func (m *Clustered) N() int { return len(m.en) }
+
+// LatencyMs returns the RTT between peers i and j. A cross-cluster sum is
+// taken from the lower index, the order the dense fill always used: the
+// rounding of a three-term float sum depends on its order.
+func (m *Clustered) LatencyMs(i, j int) float64 {
+	switch {
+	case i == j:
+		return 0
+	case m.en[i] == m.en[j]:
+		return m.intraEN
+	case m.cluster[i] == m.cluster[j]:
+		return m.hubLat[i] + m.hubLat[j]
+	case j < i:
+		i, j = j, i
+	}
+	return m.hubLat[i] + m.hubs.LatencyMs(m.cluster[i], m.cluster[j]) + m.hubLat[j]
+}
+
+// gatherRow is LatencyMs(i, js[k]) for every k, with peer i's end-network,
+// cluster, hub latency and hub-table row looked up once.
+func (m *Clustered) gatherRow(i int, js []int, out []float64) {
+	en, cl, hi := m.en[i], m.cluster[i], m.hubLat[i]
+	hubRow := m.hubs.Row(cl)
+	for k, j := range js {
+		var lat float64
+		switch {
+		case j == i:
+		case m.en[j] == en:
+			lat = m.intraEN
+		case m.cluster[j] == cl:
+			lat = hi + m.hubLat[j]
+		case i < j:
+			lat = hi + hubRow[m.cluster[j]] + m.hubLat[j]
+		default:
+			lat = m.hubLat[j] + hubRow[m.cluster[j]] + hi
+		}
+		out[k] = lat
+	}
+}
+
+// Dense materialises the matrix as an n×n table.
+func (m *Clustered) Dense() *Dense {
+	n := m.N()
+	d := NewDense(n)
+	js := make([]int, n)
+	for j := range js {
+		js[j] = j
 	}
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pi, pj := peers[i], peers[j]
-			var lat float64
-			switch {
-			case pi.en == pj.en:
-				lat = cfg.IntraENMs
-			case pi.cluster == pj.cluster:
-				lat = pi.hubLat + pj.hubLat
-			default:
-				lat = pi.hubLat + hubs.LatencyMs(pi.cluster, pj.cluster) + pj.hubLat
-			}
-			m.Set(i, j, lat)
-		}
+		m.gatherRow(i, js, d.Row(i))
 	}
-	return m, gt
+	return d
 }

@@ -43,20 +43,29 @@ func (d *Dense) LatencyMs(i, j int) float64 { return d.data[i*d.n+j] }
 func (d *Dense) Row(i int) []float64 { return d.data[i*d.n : (i+1)*d.n] }
 
 // GatherRow fills out[k] with m.LatencyMs(i, js[k]) for every k, reading
-// js in order. A *Dense is gathered straight from its row; any other
+// js in order. A *Dense or *Clustered gathers the row itself; any other
 // matrix gets the same values one LatencyMs call at a time, so a matrix
 // with per-call state (an RTT cache) sees exactly the per-pair sequence.
 func GatherRow(m Matrix, i int, js []int, out []float64) {
 	out = out[:len(js)]
-	if d, ok := m.(*Dense); ok {
-		row := d.Row(i)
-		for k, j := range js {
-			out[k] = row[j]
-		}
+	if g, ok := m.(rowGatherer); ok {
+		g.gatherRow(i, js, out)
 		return
 	}
 	for k, j := range js {
 		out[k] = m.LatencyMs(i, j)
+	}
+}
+
+// rowGatherer is a matrix with a faster row read than per-pair LatencyMs.
+type rowGatherer interface {
+	gatherRow(i int, js []int, out []float64)
+}
+
+func (d *Dense) gatherRow(i int, js []int, out []float64) {
+	row := d.Row(i)
+	for k, j := range js {
+		out[k] = row[j]
 	}
 }
 

@@ -264,32 +264,54 @@ func TestRTTCacheTransparent(t *testing.T) {
 	}
 }
 
-// TestClusteredConfigValidate: the configurations BuildClustered cannot
-// build from are errors a front end can print (npsim -peers 1 used to reach
-// BuildClustered's panic), and BuildClustered still refuses them itself.
+// TestClusteredConfigValidate: the configurations NewClustered cannot
+// build from, or would price a negative or NaN latency from, are errors a
+// front end can print (npsim -peers 1 used to reach the builder's panic),
+// and NewClustered and BuildClustered still refuse them themselves.
 func TestClusteredConfigValidate(t *testing.T) {
 	if err := DefaultClusteredConfig().Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
 	}
-	for name, mutate := range map[string]func(*ClusteredConfig){
-		"TotalPeers":    func(c *ClusteredConfig) { c.TotalPeers = 1 },
-		"ENsPerCluster": func(c *ClusteredConfig) { c.ENsPerCluster = 0 },
-		"PeersPerEN":    func(c *ClusteredConfig) { c.PeersPerEN = 0 },
+	for _, tc := range []struct {
+		field  string
+		mutate func(*ClusteredConfig)
+	}{
+		{"TotalPeers", func(c *ClusteredConfig) { c.TotalPeers = 1 }},
+		{"ENsPerCluster", func(c *ClusteredConfig) { c.ENsPerCluster = 0 }},
+		{"PeersPerEN", func(c *ClusteredConfig) { c.PeersPerEN = 0 }},
+		{"Delta", func(c *ClusteredConfig) { c.Delta = 1.5 }},
+		{"IntraENMs", func(c *ClusteredConfig) { c.IntraENMs = -0.1 }},
+		{"IntraENMs", func(c *ClusteredConfig) { c.IntraENMs = math.NaN() }},
+		{"HubMeanMinMs", func(c *ClusteredConfig) { c.HubMeanMinMs = -1 }},
+		{"HubMeanMinMs", func(c *ClusteredConfig) { c.HubMeanMinMs = math.NaN() }},
+		{"HubMeanMaxMs", func(c *ClusteredConfig) { c.HubMeanMinMs, c.HubMeanMaxMs = 6, 4 }},
+		{"HubMeanMaxMs", func(c *ClusteredConfig) { c.HubMeanMaxMs = math.NaN() }},
 	} {
 		cfg := DefaultClusteredConfig()
-		mutate(&cfg)
+		tc.mutate(&cfg)
 		err := cfg.Validate()
-		if err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("bad %s: Validate() = %v, want an error naming it", name, err)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("bad %s (%+v): Validate() = %v, want an error naming it", tc.field, cfg, err)
 			continue
 		}
-		func() {
-			defer func() {
-				if r := recover(); fmt.Sprint(r) != err.Error() {
-					t.Errorf("bad %s: BuildClustered panicked with %v, want %v", name, r, err)
-				}
+		for name, build := range map[string]func(){
+			"NewClustered":   func() { NewClustered(cfg, 1) },
+			"BuildClustered": func() { BuildClustered(cfg, 1) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); fmt.Sprint(r) != err.Error() {
+						t.Errorf("bad %s: %s panicked with %v, want %v", tc.field, name, r, err)
+					}
+				}()
+				build()
 			}()
-			BuildClustered(cfg, 1)
-		}()
+		}
+	}
+	// Equal hub-mean bounds are a point, not an inverted range.
+	cfg := DefaultClusteredConfig()
+	cfg.HubMeanMinMs, cfg.HubMeanMaxMs = 5, 5
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("HubMeanMinMs = HubMeanMaxMs rejected: %v", err)
 	}
 }

@@ -23,9 +23,9 @@ func BenchmarkOverlayBuild(b *testing.B) {
 }
 
 // BenchmarkOverlayBuildClustered is construction on fig8 quick's 125-EN
-// point: 1,140 members of a 1,200-peer clustered matrix. At 11 MB the matrix
-// does not stay in cache the way BenchmarkHypervolumeSelection's does, so
-// this is where the farthest-pair sweep's matrix reads show.
+// point: 1,140 members of a 1,200-peer clustered matrix, computed on demand
+// as Fig8's is, so this is where the farthest-pair sweep's row reads of the
+// Section 4 model show.
 func BenchmarkOverlayBuildClustered(b *testing.B) {
 	m, _ := testmat.Clustered(125, 1200, 1)
 	members, _ := overlay.Split(m.N(), 60, 2)

@@ -53,8 +53,9 @@ func diffNets() []diffNet {
 		{"euclidean", euclid, false},
 		{"clustered", clustered, false},
 		{"noisy", euclid, true},
-		// The sweep reads *Dense rows directly and every other matrix one
-		// LatencyMs at a time; this one takes the second path.
+		// The sweep gathers *Dense and *Clustered rows through their own
+		// row reads and every other matrix one LatencyMs at a time; this
+		// one takes the second path.
 		{"lattice-plain", plainMatrix{lattice}, false},
 	}
 }

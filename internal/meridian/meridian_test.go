@@ -127,7 +127,7 @@ func TestClusteringDegradesExactAccuracy(t *testing.T) {
 		cfg := latency.DefaultClusteredConfig()
 		cfg.ENsPerCluster = ens
 		cfg.TotalPeers = 1500
-		m, gt := latency.BuildClustered(cfg, 21)
+		m, gt := latency.NewClustered(cfg, 21)
 		net := overlay.NewNetwork(m)
 		members, targets := overlay.Split(m.N(), 60, 13)
 		o := New(net, members, DefaultConfig(), 17)

@@ -30,7 +30,7 @@ func newWireFixture(t *testing.T, peers int, loss float64, seed int64) *wireFixt
 	cfg := latency.DefaultClusteredConfig()
 	cfg.TotalPeers = peers
 	cfg.ENsPerCluster = 25
-	m, _ := latency.BuildClustered(cfg, seed)
+	m, _ := latency.NewClustered(cfg, seed)
 	members, targets := overlay.Split(m.N(), 20, seed+2)
 	return deployWire(m, members, targets, loss, seed)
 }

@@ -31,9 +31,9 @@ func Euclidean(n int, seed int64) *latency.Dense {
 
 // Clustered returns a Section 4 matrix with the given end-networks per
 // cluster and total peers, δ=0.2.
-func Clustered(ensPerCluster, totalPeers int, seed int64) (*latency.Dense, *latency.GroundTruth) {
+func Clustered(ensPerCluster, totalPeers int, seed int64) (*latency.Clustered, *latency.GroundTruth) {
 	cfg := latency.DefaultClusteredConfig()
 	cfg.ENsPerCluster = ensPerCluster
 	cfg.TotalPeers = totalPeers
-	return latency.BuildClustered(cfg, seed)
+	return latency.NewClustered(cfg, seed)
 }
