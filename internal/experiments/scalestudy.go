@@ -320,7 +320,9 @@ func (r *ScaleStudyResult) Render() string {
 // operation throughput, then the sharded kernel's self-telemetry for the
 // wire cells — how many windows the run took, how many needed the barrier,
 // how much work a window carries, how unevenly the shards were loaded
-// (busiest shard's events over the mean) and how often a waiter slept.
+// (busiest shard's events over the mean), how often a waiter slept and
+// what share of the events the shards' FIFO lanes served (request
+// expiries) instead of their heaps.
 // Non-deterministic by nature; cmd/figures prints it to the terminal but
 // never writes it into the figure file.
 func (r *ScaleStudyResult) RenderTiming() string {
@@ -332,8 +334,8 @@ func (r *ScaleStudyResult) RenderTiming() string {
 			c.Algo, c.Nominal, time.Duration(c.WallMs*float64(time.Millisecond)).Round(time.Millisecond), c.QPS)
 	}
 	b.WriteString("s1 sharded-kernel windows (wire cells):\n")
-	fmt.Fprintf(&b, "%10s %8s %7s %10s %10s %10s %10s %8s\n",
-		"algo", "N(req)", "shards", "windows", "multi", "events/win", "imbalance", "parks")
+	fmt.Fprintf(&b, "%10s %8s %7s %10s %10s %10s %10s %8s %6s\n",
+		"algo", "N(req)", "shards", "windows", "multi", "events/win", "imbalance", "parks", "lane")
 	for _, c := range r.Cells {
 		k := c.Kernel
 		if k == nil || k.Windows == 0 {
@@ -346,9 +348,9 @@ func (r *ScaleStudyResult) RenderTiming() string {
 		}
 		// A window executes at least one event, so total > 0 here.
 		imbalance := float64(busiest) * float64(len(k.ShardEvents)) / float64(total)
-		fmt.Fprintf(&b, "%10s %8d %7d %10d %10d %10.1f %10.2f %8d\n",
+		fmt.Fprintf(&b, "%10s %8d %7d %10d %10d %10.1f %10.2f %8d %6.2f\n",
 			c.Algo, c.Nominal, len(k.ShardEvents), k.Windows, k.MultiShardWindows,
-			float64(total)/float64(k.Windows), imbalance, k.Parks)
+			float64(total)/float64(k.Windows), imbalance, k.Parks, float64(k.LaneEvents)/float64(total))
 	}
 	return b.String()
 }

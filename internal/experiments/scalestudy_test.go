@@ -101,7 +101,7 @@ func TestScaleStudyCellsWellFormed(t *testing.T) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "wall") || strings.Contains(out, "windows") {
+	if strings.Contains(out, "wall") || strings.Contains(out, "windows") || strings.Contains(out, "lane") {
 		t.Fatal("Render leaked wall-clock or kernel-telemetry fields; they belong to RenderTiming only")
 	}
 	timing := r.RenderTiming()
@@ -113,10 +113,10 @@ func TestScaleStudyCellsWellFormed(t *testing.T) {
 	if static.Kernel != nil || expand.Kernel == nil || chord.Kernel == nil {
 		t.Fatalf("kernel telemetry on the wrong cells: static %v expanding %v chord %v", static.Kernel, expand.Kernel, chord.Kernel)
 	}
-	if k := chord.Kernel; k.Windows == 0 || len(k.ShardEvents) != engine.Shards() {
+	if k := chord.Kernel; k.Windows == 0 || len(k.ShardEvents) != engine.Shards() || k.LaneEvents == 0 {
 		t.Fatalf("chord kernel telemetry implausible: %+v", *k)
 	}
-	if !strings.Contains(timing, "events/win") {
+	if !strings.Contains(timing, "events/win") || !strings.Contains(timing, "lane") {
 		t.Fatalf("timing render missing the window telemetry:\n%s", timing)
 	}
 }

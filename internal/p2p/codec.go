@@ -212,7 +212,10 @@ func (r *frameReader) u64() uint64 {
 
 // DecodeEnvelope decodes one wire frame produced by EncodeEnvelope. Every
 // malformed input — truncated, oversized, version-skewed, unknown payload
-// name, bad JSON, trailing garbage — returns an error; none panics.
+// name, bad JSON, trailing garbage — returns an error; none panics. The
+// envelope shares no memory with b (strings are converted, the payload is
+// a fresh JSON decode), so the caller may reuse b as soon as it returns;
+// TestDecodeEnvelopeKeepsNoInput holds that for every registered payload.
 func DecodeEnvelope(b []byte) (Envelope, error) {
 	var env Envelope
 	if len(b) > MaxFrame {

@@ -57,19 +57,19 @@ func checkRuntimeInvariants(t *testing.T, rt *Runtime, stage string) {
 			}
 		}
 
-		freeT := make(map[uint32]bool, len(sc.tFree))
-		for _, slot := range sc.tFree {
-			if int(slot) >= len(sc.tSlab) {
-				t.Fatalf("%s: shard %d timeout free slot %d out of bounds (slab len %d)", stage, si, slot, len(sc.tSlab))
+		freeT := make(map[uint32]bool, len(sc.timeouts.free))
+		for _, slot := range sc.timeouts.free {
+			if int(slot) >= len(sc.timeouts.recs) {
+				t.Fatalf("%s: shard %d timeout free slot %d out of bounds (slab len %d)", stage, si, slot, len(sc.timeouts.recs))
 			}
 			if freeT[slot] {
 				t.Fatalf("%s: shard %d timeout free list holds slot %d twice", stage, si, slot)
 			}
 			freeT[slot] = true
 		}
-		for slot := range sc.tSlab {
+		for slot := range sc.timeouts.recs {
 			if !freeT[uint32(slot)] {
-				live[sc.tSlab[slot]]++
+				live[sc.timeouts.recs[slot]]++
 			}
 		}
 	}

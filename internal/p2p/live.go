@@ -1,8 +1,9 @@
 // Shared machinery of the live transports (Loopback, UDP): a single
 // serializing event loop standing in for the simulation kernel's
-// single-threaded event dispatch, wall-clock timers posting into it, and
-// the Transport bookkeeping (nodes, metrics, typed handlers) that does
-// not depend on how envelopes travel.
+// single-threaded event dispatch, wall-clock timers posting into it, one
+// deadline queue for request expiries, and the Transport bookkeeping
+// (nodes, metrics, typed handlers) that does not depend on how envelopes
+// travel.
 //
 // The contract the loop preserves is the one every protocol in this
 // package was written against: all protocol callbacks — handlers, reply
@@ -124,6 +125,23 @@ type liveBase struct {
 	// the same plan seed produces the same per-window fault sequence on
 	// both. Loop-confined once traffic flows (send runs on the loop).
 	flt *faults.Plan
+
+	// expQ is the loop-owned deadline queue of pending request expiries: a
+	// simulation kernel whose clock follows wall time since start, so
+	// expiries get the kernel's exact (deadline, seq) order and its FIFO
+	// lane (expH is a FIFO handler; nearly every request uses the one
+	// RPCTimeout). expiries holds each expiry's (node, msgID). expTimer is
+	// the one wall-clock timer behind the queue, armed for its head
+	// (deadline expAt while expArmed); it exists from init, stopped, so
+	// Close can stop it without racing the loop. Close stops it after the
+	// loop has drained, when nothing can re-arm it: no expiry fires, and no
+	// goroutine starts, after Close.
+	expQ     *sim.Sim
+	expH     sim.HandlerID
+	expiries expirySlab
+	expTimer *time.Timer
+	expAt    time.Duration
+	expArmed bool
 }
 
 func (b *liveBase) init(self Transport, pop int, cfg Config) {
@@ -142,6 +160,11 @@ func (b *liveBase) init(self Transport, pop int, cfg Config) {
 	b.cfg = cfg
 	b.pop = pop
 	b.nodes = make([]*Node, pop)
+	b.expQ = sim.New()
+	b.expH = b.expQ.RegisterFIFOHandler(b.expireSlot)
+	expire := b.expireDue
+	b.expTimer = time.AfterFunc(time.Hour, func() { b.loop.post(expire) })
+	b.expTimer.Stop()
 }
 
 // Do runs fn on the event loop and waits for it to finish: the way client
@@ -250,18 +273,54 @@ func (b *liveBase) recorder() *obs.Recorder { return b.obsRec }
 // allocMsgIDFor hands out transport-unique correlation IDs.
 func (b *liveBase) allocMsgIDFor(NodeID) uint64 { return b.msgID.Add(1) }
 
-// timeoutAt schedules a request expiry for (node, msgID) after d.
+// timeoutAt schedules a request expiry for (node, msgID) after d: an event
+// in the deadline queue, and a timer re-arm only when it becomes the new
+// head. Runs on the loop (Request runs there). The queue's clock is the
+// wall time of its last expireDue, and d is positive, so the deadline is
+// never in the queue's past.
 func (b *liveBase) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
-	b.metrics.ExpiriesScheduled++ // on loop: Request runs there
-	time.AfterFunc(d, func() {
-		b.loop.post(func() {
-			b.metrics.ExpiriesFired++
-			if n := b.Node(node); n != nil {
-				n.expire(msgID)
-			}
-		})
-	})
+	b.metrics.ExpiriesScheduled++
+	now := time.Since(b.start)
+	b.expQ.AtHandler(now+d, b.expH, b.expiries.put(node, msgID))
+	b.armExpiry(now)
 }
+
+// armExpiry points the timer at the queue head, unless it is already armed
+// for that deadline or an earlier one (an earlier wake-up finds nothing
+// due and re-arms).
+func (b *liveBase) armExpiry(now time.Duration) {
+	at, ok := b.expQ.Head()
+	if !ok || (b.expArmed && b.expAt <= at) {
+		return
+	}
+	b.expArmed, b.expAt = true, at
+	b.expTimer.Reset(at - now)
+}
+
+// expireDue is the timer's closure on the loop: every expiry whose
+// deadline has passed fires, in (deadline, seq) order, then the timer is
+// re-armed for the next head. A duplicate wake-up (the timer was re-armed
+// while its previous firing was already on its way to the loop) fires
+// nothing that is not due.
+func (b *liveBase) expireDue() {
+	b.expArmed = false
+	b.expQ.RunUntil(time.Since(b.start))
+	b.armExpiry(time.Since(b.start))
+}
+
+// expireSlot is the deadline queue's handler: one request expiry.
+func (b *liveBase) expireSlot(slot uint64) {
+	b.metrics.ExpiriesFired++
+	rec := b.expiries.take(slot)
+	if n := b.Node(rec.node); n != nil {
+		n.expire(rec.msgID)
+	}
+}
+
+// PendingExpiries returns the number of request expiries still queued
+// (ExpiriesScheduled - ExpiriesFired), as Runtime.PendingExpiries does on
+// the simulator. Loop-confined: read it via Do, or after Close.
+func (b *liveBase) PendingExpiries() int { return b.expiries.pending() }
 
 // config is the validated Config, RPCTimeout defaulted.
 func (b *liveBase) config() *Config { return &b.cfg }

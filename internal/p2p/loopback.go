@@ -30,9 +30,12 @@ func NewLoopback(m latency.Matrix, cfg Config, seed int64) *Loopback {
 	return lb
 }
 
-// Close stops the event loop. Timers and sends still in flight are
-// discarded; Close does not wait for protocol quiescence.
-func (lb *Loopback) Close() { lb.loop.close() }
+// Close stops the event loop and the expiry timer. Timers and sends still
+// in flight are discarded; Close does not wait for protocol quiescence.
+func (lb *Loopback) Close() {
+	lb.loop.close()
+	lb.expTimer.Stop()
+}
 
 // send prices the envelope's one-way delay from the matrix, applies the
 // loss model, and arms a wall-clock timer that posts delivery to the

@@ -77,6 +77,36 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeEnvelopeKeepsNoInput decodes a populated frame of every
+// registered payload, overwrites the frame, and checks the envelope did not
+// change: the UDP read loop decodes straight from its one read buffer and
+// reuses it for the next datagram, so a decoded envelope (its type tag, its
+// payload's strings, slices and maps) must alias none of the frame.
+func TestDecodeEnvelopeKeepsNoInput(t *testing.T) {
+	for _, name := range p2p.RegisteredPayloads() {
+		full := reflect.New(p2p.PayloadType(name)).Elem()
+		fill(full, new(int))
+		frame, err := p2p.EncodeEnvelope(p2p.Envelope{Type: name, From: 1, To: 2, MsgID: 3, Payload: full.Interface()})
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		want, err := p2p.DecodeEnvelope(slices.Clone(frame))
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		got, err := p2p.DecodeEnvelope(frame)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		for i := range frame {
+			frame[i] = 0xA5
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: overwriting the frame changed the decoded envelope to %#v, want %#v", name, got, want)
+		}
+	}
+}
+
 func roundTrip(in p2p.Envelope) (p2p.Envelope, error) {
 	frame, err := p2p.EncodeEnvelope(in)
 	if err != nil {

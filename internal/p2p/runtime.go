@@ -105,10 +105,9 @@ type shardCtx struct {
 	slab     []Envelope
 	slabFree []uint32
 
-	// timeoutH + tSlab do the same for request expiries.
+	// timeoutH + timeouts do the same for request expiries.
 	timeoutH sim.HandlerID
-	tSlab    []timeoutRec
-	tFree    []uint32
+	timeouts expirySlab
 
 	// mcScratch is Multicast's reusable recipient buffer.
 	mcScratch []NodeID
@@ -135,6 +134,37 @@ type timeoutRec struct {
 	msgID uint64
 }
 
+// expirySlab parks pending request expiries by value on a free list; the
+// slot index rides the expiry's typed kernel event, so scheduling an
+// expiry allocates nothing. Each simulator shard and each live transport
+// owns one.
+type expirySlab struct {
+	recs []timeoutRec
+	free []uint32
+}
+
+// put parks (node, msgID) and returns its slot.
+func (t *expirySlab) put(node NodeID, msgID uint64) uint64 {
+	rec := timeoutRec{node: node, msgID: msgID}
+	if n := len(t.free); n > 0 {
+		slot := t.free[n-1]
+		t.free = t.free[:n-1]
+		t.recs[slot] = rec
+		return uint64(slot)
+	}
+	t.recs = append(t.recs, rec)
+	return uint64(len(t.recs) - 1)
+}
+
+// take returns the record in slot and frees the slot.
+func (t *expirySlab) take(slot uint64) timeoutRec {
+	t.free = append(t.free, uint32(slot))
+	return t.recs[slot]
+}
+
+// pending is the number of parked expiries.
+func (t *expirySlab) pending() int { return len(t.recs) - len(t.free) }
+
 // initShard wires one shardCtx to its kernel: per-shard handler IDs over
 // per-shard slabs. Registration order is fixed (deliver, then timeout) on
 // every shard.
@@ -146,7 +176,7 @@ func (r *Runtime) initShard(s int, kernel *sim.Sim, m latency.Matrix, met *Metri
 	sc.idBrand = uint64(s) << 48
 	shard := s
 	sc.deliverH = kernel.RegisterHandler(func(arg uint64) { r.deliverSlot(shard, arg) })
-	sc.timeoutH = kernel.RegisterHandler(func(arg uint64) { r.expireSlot(shard, arg) })
+	sc.timeoutH = kernel.RegisterFIFOHandler(func(arg uint64) { r.expireSlot(shard, arg) })
 }
 
 // New creates a serial runtime over a latency matrix. The seed drives only
@@ -293,20 +323,13 @@ const DriverShard = 0
 // timeoutAt schedules a request expiry as a typed kernel event: the
 // (node, msgID) pair parks in the home shard's timeout slab and the slot
 // index rides the event — no closure per request. Expiries are always
-// shard-local: the request was issued by an event at the node.
+// shard-local: the request was issued by an event at the node. timeoutH is
+// a FIFO handler, so an expiry at now plus the usual RPC timeout parks in
+// the kernel's FIFO lane rather than the heap.
 func (r *Runtime) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
 	sc := &r.sh[r.shardIdx(node)]
 	sc.metrics.ExpiriesScheduled++
-	var slot uint32
-	if n := len(sc.tFree); n > 0 {
-		slot = sc.tFree[n-1]
-		sc.tFree = sc.tFree[:n-1]
-		sc.tSlab[slot] = timeoutRec{node: node, msgID: msgID}
-	} else {
-		sc.tSlab = append(sc.tSlab, timeoutRec{node: node, msgID: msgID})
-		slot = uint32(len(sc.tSlab) - 1)
-	}
-	sc.sim.AfterHandler(d, sc.timeoutH, uint64(slot))
+	sc.sim.AfterHandler(d, sc.timeoutH, sc.timeouts.put(node, msgID))
 }
 
 // expireSlot is the registered handler completing a timeout: the node
@@ -315,8 +338,7 @@ func (r *Runtime) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
 func (r *Runtime) expireSlot(shard int, arg uint64) {
 	sc := &r.sh[shard]
 	sc.metrics.ExpiriesFired++
-	rec := sc.tSlab[arg]
-	sc.tFree = append(sc.tFree, uint32(arg))
+	rec := sc.timeouts.take(arg)
 	if n := r.node(rec.node); n != nil {
 		n.expire(rec.msgID)
 	}
@@ -657,7 +679,7 @@ func (r *Runtime) InflightEnvelopes() int {
 func (r *Runtime) PendingExpiries() int {
 	n := 0
 	for i := range r.sh {
-		n += len(r.sh[i].tSlab) - len(r.sh[i].tFree)
+		n += r.sh[i].timeouts.pending()
 	}
 	return n
 }

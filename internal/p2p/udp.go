@@ -154,7 +154,7 @@ func (u *UDP) LocalAddr(id NodeID) string {
 }
 
 // Close shuts the transport down: sockets close, read loops drain, the
-// event loop stops. Safe to call twice.
+// event loop stops, the expiry timer stops. Safe to call twice.
 func (u *UDP) Close() error {
 	if !u.closed.CompareAndSwap(false, true) {
 		return nil
@@ -166,6 +166,7 @@ func (u *UDP) Close() error {
 	u.pmu.Unlock()
 	u.wg.Wait()
 	u.loop.close()
+	u.expTimer.Stop()
 	return nil
 }
 
@@ -247,7 +248,9 @@ func (u *UDP) readLoop(self NodeID, conn *net.UDPConn) {
 		if err != nil {
 			return // socket closed (or broken): this node is done receiving
 		}
-		env, err := DecodeEnvelope(append([]byte(nil), buf[:n]...))
+		// The decoded envelope keeps nothing of buf (strings and JSON
+		// values are fresh copies), so the next read may reuse it.
+		env, err := DecodeEnvelope(buf[:n])
 		if err != nil {
 			u.loop.post(func() { u.metrics.MsgsDead++ })
 			continue

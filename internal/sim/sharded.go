@@ -481,6 +481,10 @@ type ShardedStats struct {
 	Windows, MultiShardWindows uint64
 	// ShardEvents is each shard's executed-event count.
 	ShardEvents []uint64
+	// LaneEvents counts the executed events, over all shards, that were
+	// served from the shards' FIFO lanes (Sim.LaneExecuted) instead of
+	// their heaps.
+	LaneEvents uint64
 	// Parks counts waits that outlasted the spin budget and slept.
 	Parks uint64
 }
@@ -495,6 +499,7 @@ func (p *Sharded) Stats() ShardedStats {
 	}
 	for i, s := range p.shards {
 		st.ShardEvents[i] = s.Executed
+		st.LaneEvents += s.LaneExecuted()
 	}
 	p.mu.Lock()
 	st.Parks = p.parks

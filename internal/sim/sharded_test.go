@@ -441,15 +441,17 @@ func TestShardedParkAndWake(t *testing.T) {
 }
 
 // TestShardedStats pins the telemetry counters on a model small enough to
-// count by hand: one two-shard window, then one single-shard window.
+// count by hand: one two-shard window, then one single-shard window, with
+// one FIFO-handler event on shard 1 served from its lane.
 func TestShardedStats(t *testing.T) {
 	p := NewSharded(2, time.Millisecond)
 	p.Shard(0).At(0, func() {})
-	p.Shard(1).At(0, func() {})
+	fifo := p.Shard(1).RegisterFIFOHandler(func(uint64) {})
+	p.Shard(1).AtHandler(0, fifo, 0)
 	p.Shard(0).At(10*time.Millisecond, func() {})
 	p.Run()
 	st := p.Stats()
-	if st.Windows != 2 || st.MultiShardWindows != 1 || !reflect.DeepEqual(st.ShardEvents, []uint64{2, 1}) {
-		t.Fatalf("stats %+v, want 2 windows, 1 multi-shard, events [2 1]", st)
+	if st.Windows != 2 || st.MultiShardWindows != 1 || !reflect.DeepEqual(st.ShardEvents, []uint64{2, 1}) || st.LaneEvents != 1 {
+		t.Fatalf("stats %+v, want 2 windows, 1 multi-shard, events [2 1], 1 from a lane", st)
 	}
 }

@@ -92,6 +92,47 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// eventLane is the FIFO lane: a ring buffer of typed events that arrive
+// already in (at, seq) order, so they need no sorting at all. Request
+// expiries are the case it exists for — every one is scheduled at now plus
+// the same RPC timeout, and almost none of them fire before the reply wins
+// — and a ring push/pop is O(1) where the heap's is O(log n). len(buf) is
+// zero or a power of two.
+type eventLane struct {
+	buf  []event
+	head int
+	n    int
+}
+
+func (l *eventLane) push(e event) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = e
+	l.n++
+}
+
+// grow doubles the ring, unwrapping it so the oldest event lands at 0.
+func (l *eventLane) grow() {
+	nb := make([]event, max(16, 2*len(l.buf)))
+	k := copy(nb, l.buf[l.head:])
+	copy(nb[k:], l.buf[:l.head])
+	l.buf, l.head = nb, 0
+}
+
+// front is the lane's oldest event; back its newest. Both need n > 0.
+func (l *eventLane) front() *event { return &l.buf[l.head] }
+func (l *eventLane) back() *event  { return &l.buf[(l.head+l.n-1)&(len(l.buf)-1)] }
+
+// pop removes the oldest event. Lane events are typed (fn == nil), so the
+// vacated slot holds nothing the GC needs released.
+func (l *eventLane) pop() event {
+	e := l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return e
+}
+
 // Sim is a discrete-event simulator. It is not safe for concurrent use: all
 // scheduling happens from event callbacks or from the driving goroutine.
 // Concurrent experiments give every trial its own kernel (see
@@ -100,9 +141,14 @@ type Sim struct {
 	now      time.Duration
 	seq      uint64
 	queue    eventQueue
+	lane     eventLane
 	queueHW  int
 	stopped  bool
 	handlers []func(arg uint64)
+	// fifo[h] marks handler h as registered with RegisterFIFOHandler.
+	fifo []bool
+	// laneRun counts the executed events that were served from the lane.
+	laneRun uint64
 	// Executed counts events run, a cheap progress/cost metric.
 	Executed uint64
 }
@@ -128,8 +174,14 @@ func (s *Sim) At(t time.Duration, fn func()) {
 	}
 	s.seq++
 	s.queue.push(event{at: t, seq: s.seq, fn: fn})
-	if len(s.queue) > s.queueHW {
-		s.queueHW = len(s.queue)
+	s.noteDepth()
+}
+
+// noteDepth raises the high-water mark to the current queue depth, the
+// heap and the lane together.
+func (s *Sim) noteDepth() {
+	if n := len(s.queue) + s.lane.n; n > s.queueHW {
+		s.queueHW = n
 	}
 }
 
@@ -170,7 +222,21 @@ func (s *Sim) RegisterHandler(fn func(arg uint64)) HandlerID {
 		panic("sim: too many registered handlers")
 	}
 	s.handlers = append(s.handlers, fn)
+	s.fifo = append(s.fifo, false)
 	return HandlerID(len(s.handlers) - 1)
+}
+
+// RegisterFIFOHandler registers a typed-event handler whose events are
+// mostly scheduled in time order — a constant delay after now, as request
+// expiries are. AtHandler parks such an event in the kernel's FIFO lane
+// instead of the heap whenever that keeps the lane in (at, seq) order, and
+// falls back to the heap otherwise (a shorter delay following a longer
+// one), so the registration changes what the kernel pays per event, never
+// when an event runs.
+func (s *Sim) RegisterFIFOHandler(fn func(arg uint64)) HandlerID {
+	h := s.RegisterHandler(fn)
+	s.fifo[h] = true
+	return h
 }
 
 // AtHandler schedules handler h with arg at absolute virtual time t. It is
@@ -189,10 +255,15 @@ func (s *Sim) AtHandler(t time.Duration, h HandlerID, arg uint64) {
 		panic(fmt.Sprintf("sim: handler arg %d exceeds %d", arg, uint64(MaxHandlerArg)))
 	}
 	s.seq++
-	s.queue.push(event{at: t, seq: s.seq, hw: uint64(h)<<48 | arg})
-	if len(s.queue) > s.queueHW {
-		s.queueHW = len(s.queue)
+	e := event{at: t, seq: s.seq, hw: uint64(h)<<48 | arg}
+	// seq only grows, so an event no earlier than the lane's newest keeps
+	// the lane in (at, seq) order.
+	if s.fifo[h] && (s.lane.n == 0 || s.lane.back().at <= t) {
+		s.lane.push(e)
+	} else {
+		s.queue.push(e)
 	}
+	s.noteDepth()
 }
 
 // AfterHandler schedules handler h with arg after delay d.
@@ -206,12 +277,32 @@ func (s *Sim) AfterHandler(d time.Duration, h HandlerID, arg uint64) {
 // Stop makes Run return after the current event completes.
 func (s *Sim) Stop() { s.stopped = true }
 
-// step pops the queue head, advances the clock to it and dispatches it —
-// the one event-dispatch body Run and RunUntil share. Kept trivially
-// inlinable: the closure/typed-event discriminator and the handler unpack
-// live here and nowhere else.
-func (s *Sim) step() {
-	e := s.queue.pop()
+// next returns the earliest pending event and whether it is the lane's
+// front (else the heap's top), or nil when nothing is pending. Lane and
+// heap are each sorted by (at, seq), so the earlier of their heads is the
+// global (at, seq) minimum.
+func (s *Sim) next() (*event, bool) {
+	if s.lane.n > 0 && (len(s.queue) == 0 || s.lane.front().before(&s.queue[0])) {
+		return s.lane.front(), true
+	}
+	if len(s.queue) > 0 {
+		return &s.queue[0], false
+	}
+	return nil, false
+}
+
+// step pops the earliest pending event (from the lane when fromLane, as
+// next reported), advances the clock to it and dispatches it — the one
+// event-dispatch body Run and RunUntil share. The closure/typed-event
+// discriminator and the handler unpack live here and nowhere else.
+func (s *Sim) step(fromLane bool) {
+	var e event
+	if fromLane {
+		e = s.lane.pop()
+		s.laneRun++
+	} else {
+		e = s.queue.pop()
+	}
 	s.now = e.at
 	s.Executed++
 	if e.fn != nil {
@@ -225,8 +316,12 @@ func (s *Sim) step() {
 // the virtual time of the last executed event.
 func (s *Sim) Run() time.Duration {
 	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
-		s.step()
+	for !s.stopped {
+		e, fromLane := s.next()
+		if e == nil {
+			break
+		}
+		s.step(fromLane)
 	}
 	return s.now
 }
@@ -235,11 +330,12 @@ func (s *Sim) Run() time.Duration {
 // deadline even if the queue drained earlier.
 func (s *Sim) RunUntil(deadline time.Duration) {
 	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
-		if s.queue[0].at > deadline {
+	for !s.stopped {
+		e, fromLane := s.next()
+		if e == nil || e.at > deadline {
 			break
 		}
-		s.step()
+		s.step(fromLane)
 	}
 	if s.now < deadline {
 		s.now = deadline
@@ -250,17 +346,22 @@ func (s *Sim) RunUntil(deadline time.Duration) {
 // when the queue is empty. The sharded coordinator reads it between windows
 // to pick the next window start; single-kernel callers never need it.
 func (s *Sim) Head() (time.Duration, bool) {
-	if len(s.queue) == 0 {
-		return 0, false
+	if e, _ := s.next(); e != nil {
+		return e.at, true
 	}
-	return s.queue[0].at, true
+	return 0, false
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.queue) }
+// Pending returns the number of queued events, heap and lane together.
+func (s *Sim) Pending() int { return len(s.queue) + s.lane.n }
 
 // QueueHighWater returns the largest number of events that have ever been
-// queued at once — the kernel-side health stat the observability sampler
-// reads alongside Pending. Tracking it is one compare per push; the event
-// struct itself is untouched.
+// queued at once (heap and lane together) — the kernel-side health stat
+// the observability sampler reads alongside Pending. Tracking it is one
+// compare per push; the event struct itself is untouched.
 func (s *Sim) QueueHighWater() int { return s.queueHW }
+
+// LaneExecuted returns how many of the Executed events were served from
+// the FIFO lane (see RegisterFIFOHandler) rather than the heap: kernel
+// self-telemetry, a pure function of the event set like Executed itself.
+func (s *Sim) LaneExecuted() uint64 { return s.laneRun }
