@@ -11,9 +11,7 @@
 package beacon
 
 import (
-	"encoding/json"
 	"math"
-	"slices"
 	"sort"
 
 	"nearestpeer/internal/p2p"
@@ -36,48 +34,12 @@ const (
 	MsgEstOK = "b_est_ok"
 )
 
-type gsBestMsg struct{ ToBeacon latVec }
+type gsBestMsg struct{ ToBeacon []float64 } // NaN = unknown
 type gsBestOK struct{ Best int }
 type bandMsg struct{ ToBeacon float64 }
 type bandOK struct{ IDs []int }
 type estMsg struct{ IDs []int }
-type estOK struct{ Lats latVec } // aligned with estMsg.IDs; NaN = unknown
-
-// latVec is a latency vector whose NaN entries (unknown: a beacon that
-// never answered, a member missing from a beacon's row) travel as
-// unknownLat in the UDP codec's JSON, which has no NaN, and come back as
-// NaN on receipt — as meridian.Wire sends an unbounded radius as −1. No
-// latency is negative, so the sentinel cannot collide with a measurement.
-// The simulator and the loopback transport pass the vector in memory.
-type latVec []float64
-
-const unknownLat = -1
-
-// MarshalJSON encodes v with unknownLat for every NaN.
-func (v latVec) MarshalJSON() ([]byte, error) {
-	w := slices.Clone([]float64(v))
-	for i, x := range w {
-		if math.IsNaN(x) {
-			w[i] = unknownLat
-		}
-	}
-	return json.Marshal(w)
-}
-
-// UnmarshalJSON decodes a vector, mapping every negative entry to NaN.
-func (v *latVec) UnmarshalJSON(b []byte) error {
-	var w []float64
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	for i, x := range w {
-		if x < 0 {
-			w[i] = math.NaN()
-		}
-	}
-	*v = w
-	return nil
-}
+type estOK struct{ Lats []float64 } // aligned with estMsg.IDs; NaN = unknown
 
 func init() {
 	p2p.RegisterPayload(MsgGSBest, gsBestMsg{})

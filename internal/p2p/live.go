@@ -1,7 +1,8 @@
 // Shared machinery of the live transports (Loopback, UDP): a single
 // serializing event loop standing in for the simulation kernel's
 // single-threaded event dispatch, wall-clock timers posting into it, one
-// deadline queue for request expiries, and the Transport bookkeeping
+// deadline queue for request expiries — one timer per transport, and
+// memory bounded by the requests in flight — and the Transport bookkeeping
 // (nodes, metrics, typed handlers) that does not depend on how envelopes
 // travel.
 //
@@ -15,7 +16,9 @@
 package p2p
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -126,23 +129,38 @@ type liveBase struct {
 	// both. Loop-confined once traffic flows (send runs on the loop).
 	flt *faults.Plan
 
-	// expQ is the loop-owned deadline queue of pending request expiries: a
-	// simulation kernel whose clock follows wall time since start, so
-	// expiries get the kernel's exact (deadline, seq) order and its FIFO
-	// lane (expH is a FIFO handler; nearly every request uses the one
-	// RPCTimeout). expiries holds each expiry's (node, msgID). expTimer is
-	// the one wall-clock timer behind the queue, armed for its head
-	// (deadline expAt while expArmed); it exists from init, stopped, so
-	// Close can stop it without racing the loop. Close stops it after the
-	// loop has drained, when nothing can re-arm it: no expiry fires, and no
-	// goroutine starts, after Close.
-	expQ     *sim.Sim
-	expH     sim.HandlerID
-	expiries expirySlab
-	expTimer *time.Timer
-	expAt    time.Duration
-	expArmed bool
+	// expiries is the loop-owned deadline queue of request expiries, in
+	// MsgID order (an append: Request allocates and schedules on the loop).
+	// It holds O(requests in flight), not one record per request sent in
+	// the last RPCTimeout: an entry is settled — dropped unfired — once its
+	// request is no longer parked at its node (answered, or forgotten by
+	// Stop/Restart), and settled entries are swept out whenever the queue
+	// grows past twice its length after the last sweep (expBase), and at
+	// every wake-up. expTimer is the one wall-clock timer behind the queue,
+	// armed for the earliest deadline queued (expAt while expArmed); a
+	// wake-up fires every due entry in (deadline, MsgID) order. The timer
+	// exists from init, stopped, so Close can stop it without racing the
+	// loop. Close stops it after the loop has drained, when nothing can
+	// re-arm it: no expiry fires, and no goroutine starts, after Close.
+	expiries   []liveExpiry
+	expDue     []liveExpiry // one wake-up's due entries, reused
+	expBase    int
+	expSettled int64 // entries dropped unfired (SettledExpiries)
+	expTimer   *time.Timer
+	expAt      time.Duration
+	expArmed   bool
 }
+
+// liveExpiry is one queued request expiry: its deadline (wall time since
+// the transport started), the requesting node and the request's MsgID.
+type liveExpiry struct {
+	at    time.Duration
+	n     *Node
+	msgID uint64
+}
+
+// minExpirySweep is the queue length below which appends never sweep.
+const minExpirySweep = 64
 
 func (b *liveBase) init(self Transport, pop int, cfg Config) {
 	if pop <= 0 {
@@ -160,8 +178,6 @@ func (b *liveBase) init(self Transport, pop int, cfg Config) {
 	b.cfg = cfg
 	b.pop = pop
 	b.nodes = make([]*Node, pop)
-	b.expQ = sim.New()
-	b.expH = b.expQ.RegisterFIFOHandler(b.expireSlot)
 	expire := b.expireDue
 	b.expTimer = time.AfterFunc(time.Hour, func() { b.loop.post(expire) })
 	b.expTimer.Stop()
@@ -273,54 +289,92 @@ func (b *liveBase) recorder() *obs.Recorder { return b.obsRec }
 // allocMsgIDFor hands out transport-unique correlation IDs.
 func (b *liveBase) allocMsgIDFor(NodeID) uint64 { return b.msgID.Add(1) }
 
-// timeoutAt schedules a request expiry for (node, msgID) after d: an event
-// in the deadline queue, and a timer re-arm only when it becomes the new
-// head. Runs on the loop (Request runs there). The queue's clock is the
-// wall time of its last expireDue, and d is positive, so the deadline is
-// never in the queue's past.
-func (b *liveBase) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
+// timeoutAt queues a request expiry for (n, msgID) after d, and re-arms
+// the timer only when it becomes the earliest deadline. Runs on the loop
+// (Request runs there).
+func (b *liveBase) timeoutAt(d time.Duration, n *Node, msgID uint64) {
 	b.metrics.ExpiriesScheduled++
 	now := time.Since(b.start)
-	b.expQ.AtHandler(now+d, b.expH, b.expiries.put(node, msgID))
-	b.armExpiry(now)
+	i := len(b.expiries)
+	for i > 0 && b.expiries[i-1].msgID > msgID {
+		i--
+	}
+	b.expiries = slices.Insert(b.expiries, i, liveExpiry{at: now + d, n: n, msgID: msgID})
+	if len(b.expiries) > 2*max(b.expBase, minExpirySweep) {
+		b.sweepExpiries(-1)
+	}
+	b.armExpiry(now+d, now)
 }
 
-// armExpiry points the timer at the queue head, unless it is already armed
-// for that deadline or an earlier one (an earlier wake-up finds nothing
-// due and re-arms).
-func (b *liveBase) armExpiry(now time.Duration) {
-	at, ok := b.expQ.Head()
-	if !ok || (b.expArmed && b.expAt <= at) {
+// armExpiry points the timer at deadline at, unless it is already armed
+// for that deadline or an earlier one (an early wake-up finds nothing due
+// and re-arms).
+func (b *liveBase) armExpiry(at, now time.Duration) {
+	if b.expArmed && b.expAt <= at {
 		return
 	}
 	b.expArmed, b.expAt = true, at
 	b.expTimer.Reset(at - now)
 }
 
-// expireDue is the timer's closure on the loop: every expiry whose
-// deadline has passed fires, in (deadline, seq) order, then the timer is
-// re-armed for the next head. A duplicate wake-up (the timer was re-armed
-// while its previous firing was already on its way to the loop) fires
-// nothing that is not due.
-func (b *liveBase) expireDue() {
-	b.expArmed = false
-	b.expQ.RunUntil(time.Since(b.start))
-	b.armExpiry(time.Since(b.start))
+// sweepExpiries drops every settled entry and moves the entries due by
+// dueBy (none, for a negative dueBy) to expDue, keeping the rest in MsgID
+// order. It returns the earliest deadline left in the queue.
+func (b *liveBase) sweepExpiries(dueBy time.Duration) (next time.Duration, ok bool) {
+	kept := b.expiries[:0]
+	for _, e := range b.expiries {
+		switch {
+		case !e.n.parked(e.msgID):
+			b.expSettled++
+		case e.at <= dueBy:
+			b.expDue = append(b.expDue, e)
+		default:
+			if !ok || e.at < next {
+				next, ok = e.at, true
+			}
+			kept = append(kept, e)
+		}
+	}
+	clear(b.expiries[len(kept):])
+	b.expiries, b.expBase = kept, len(kept)
+	return next, ok
 }
 
-// expireSlot is the deadline queue's handler: one request expiry.
-func (b *liveBase) expireSlot(slot uint64) {
-	b.metrics.ExpiriesFired++
-	rec := b.expiries.take(slot)
-	if n := b.Node(rec.node); n != nil {
-		n.expire(rec.msgID)
+// expireDue is the timer's closure on the loop: settled entries go, every
+// due entry fires in (deadline, MsgID) order, and the timer is re-armed
+// for the earliest deadline left. A duplicate wake-up (the timer was
+// re-armed while its previous firing was already on its way to the loop)
+// fires nothing that is not due. A timeout callback that issues a new
+// request queues it as usual: it is never due in the wake-up that issued
+// it.
+func (b *liveBase) expireDue() {
+	b.expArmed = false
+	next, ok := b.sweepExpiries(time.Since(b.start))
+	due := b.expDue
+	slices.SortStableFunc(due, func(x, y liveExpiry) int { return cmp.Compare(x.at, y.at) })
+	for i, e := range due {
+		due[i] = liveExpiry{}
+		b.metrics.ExpiriesFired++
+		e.n.expire(e.msgID)
+	}
+	b.expDue = due[:0]
+	if ok {
+		b.armExpiry(next, time.Since(b.start))
 	}
 }
 
 // PendingExpiries returns the number of request expiries still queued
-// (ExpiriesScheduled - ExpiriesFired), as Runtime.PendingExpiries does on
-// the simulator. Loop-confined: read it via Do, or after Close.
-func (b *liveBase) PendingExpiries() int { return b.expiries.pending() }
+// (ExpiriesScheduled - ExpiriesFired - SettledExpiries): the requests in
+// flight, plus answered ones not yet swept. Loop-confined: read it via Do,
+// or after Close.
+func (b *liveBase) PendingExpiries() int { return len(b.expiries) }
+
+// SettledExpiries returns the number of request expiries the queue dropped
+// unfired because their request was no longer outstanding — answered, or
+// forgotten by Stop/Restart. The simulator has no counterpart: every one
+// of its expiry events runs and counts in ExpiriesFired. Loop-confined:
+// read it via Do, or after Close.
+func (b *liveBase) SettledExpiries() int64 { return b.expSettled }
 
 // config is the validated Config, RPCTimeout defaulted.
 func (b *liveBase) config() *Config { return &b.cfg }

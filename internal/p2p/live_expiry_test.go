@@ -1,11 +1,13 @@
 package p2p
 
-// The live transports' request-expiry queue: one deadline-ordered queue and
-// one wall-clock timer per transport instead of a timer per request. These
-// tests hold its ledger (every scheduled expiry has fired or is still
-// queued), its order (a short per-call timeout overtakes a long one queued
-// before it) and its shutdown (Close stops the timer: nothing fires and no
-// goroutine lingers afterwards).
+// The live transports' request-expiry queue: one queue and one wall-clock
+// timer per transport instead of a timer per request, holding the requests
+// in flight rather than every request of the last RPC timeout. These tests
+// hold its ledger (every scheduled expiry has fired, been settled by its
+// answer, or is still queued), its bound (answered requests leave the
+// queue without expiring), its order (a short per-call timeout overtakes a
+// long one queued before it) and its shutdown (Close stops the timer:
+// nothing fires and no goroutine lingers afterwards).
 
 import (
 	"fmt"
@@ -14,10 +16,10 @@ import (
 	"time"
 )
 
-// TestLoopbackChordExpiryLedger samples ExpiriesScheduled, ExpiriesFired
-// and PendingExpiries together on the loop while a ring stabilizes, serves
-// puts and gets, and loses a member (whose requests then really expire):
-// scheduled = fired + pending at every sample.
+// TestLoopbackChordExpiryLedger samples ExpiriesScheduled, ExpiriesFired,
+// SettledExpiries and PendingExpiries together on the loop while a ring
+// stabilizes, serves puts and gets, and loses a member (whose requests then
+// really expire): scheduled = fired + settled + pending at every sample.
 func TestLoopbackChordExpiryLedger(t *testing.T) {
 	const pop = 7 // members 0..5; node 6 stays free
 	lb := NewLoopback(lineMatrix(pop), Config{RPCTimeout: time.Second}, 1)
@@ -32,12 +34,15 @@ func TestLoopbackChordExpiryLedger(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	check := func(when string) (pending int, m Metrics) {
+		var settled int64
 		lb.Do(func() {
 			m = *lb.SerialMetrics()
 			pending = lb.PendingExpiries()
+			settled = lb.SettledExpiries()
 		})
-		if m.ExpiriesScheduled != m.ExpiriesFired+int64(pending) {
-			t.Fatalf("%s: scheduled %d != fired %d + pending %d", when, m.ExpiriesScheduled, m.ExpiriesFired, pending)
+		if m.ExpiriesScheduled != m.ExpiriesFired+settled+int64(pending) {
+			t.Fatalf("%s: scheduled %d != fired %d + settled %d + pending %d",
+				when, m.ExpiriesScheduled, m.ExpiriesFired, settled, pending)
 		}
 		return pending, m
 	}
@@ -68,6 +73,53 @@ func TestLoopbackChordExpiryLedger(t *testing.T) {
 	}
 	if m.ExpiriesFired == 0 || m.Timeouts == 0 {
 		t.Errorf("fired %d expiries, %d timeouts: the stopped member's requests never expired", m.ExpiriesFired, m.Timeouts)
+	}
+}
+
+// TestLiveExpiryQueueDrainsAnswered issues rounds of pings that are all
+// answered: no expiry fires, and the queue drops every answered request by
+// the first wake-up after the last one — PendingExpiries returns to 0 and
+// every scheduled expiry is settled, where a queue that kept each request
+// until its deadline would have fired them all.
+func TestLiveExpiryQueueDrainsAnswered(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	lb := NewLoopback(lineMatrix(2), Config{RPCTimeout: timeout}, 1)
+	defer lb.Close()
+	lb.AddNode(0)
+	lb.AddNode(1)
+	const rounds, perRound = 20, 50 // 1,000 requests: past every sweep threshold
+	for r := 0; r < rounds; r++ {
+		answered := make(chan bool, perRound)
+		lb.Do(func() {
+			for i := 0; i < perRound; i++ {
+				lb.Node(0).Ping(1, 0, false, func(_ float64, ok bool) { answered <- ok })
+			}
+		})
+		for i := 0; i < perRound; i++ {
+			if !<-answered {
+				t.Fatalf("round %d: a ping over a lossless loopback timed out", r)
+			}
+		}
+	}
+	var pending int
+	var settled int64
+	var m Metrics
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		lb.Do(func() {
+			pending, settled, m = lb.PendingExpiries(), lb.SettledExpiries(), *lb.SerialMetrics()
+		})
+		if pending == 0 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(timeout / 4)
+	}
+	if pending != 0 {
+		t.Fatalf("%d expiries still queued %v after every request was answered", pending, 5*time.Second)
+	}
+	if m.ExpiriesScheduled != rounds*perRound || settled != m.ExpiriesScheduled || m.ExpiriesFired != 0 || m.Timeouts != 0 {
+		t.Errorf("scheduled %d, settled %d, fired %d, timeouts %d: want %d settled and nothing fired",
+			m.ExpiriesScheduled, settled, m.ExpiriesFired, m.Timeouts, rounds*perRound)
 	}
 }
 

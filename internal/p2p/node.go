@@ -109,9 +109,19 @@ func (n *Node) park(c call) {
 	n.inflight = slices.Insert(n.inflight, i, c)
 }
 
+// callOrder orders the inflight table by MsgID, for binary search.
+func callOrder(c call, id uint64) int { return cmp.Compare(c.id, id) }
+
+// parked reports whether the request msgID still waits in the inflight
+// table (a live transport's expiry queue asks, to drop answered requests).
+func (n *Node) parked(msgID uint64) bool {
+	_, ok := slices.BinarySearchFunc(n.inflight, msgID, callOrder)
+	return ok
+}
+
 // unpark removes and returns the waiter for msgID, if it is inflight.
 func (n *Node) unpark(msgID uint64) (call, bool) {
-	i, ok := slices.BinarySearchFunc(n.inflight, msgID, func(c call, id uint64) int { return cmp.Compare(c.id, id) })
+	i, ok := slices.BinarySearchFunc(n.inflight, msgID, callOrder)
 	if !ok {
 		return call{}, false
 	}
@@ -176,7 +186,7 @@ func (n *Node) Request(to NodeID, typ string, payload any, timeout time.Duration
 	id := n.rt.allocMsgIDFor(n.ID)
 	n.park(call{id: id, onReply: onReply, onTimeout: onTimeout})
 	n.rt.send(Envelope{Type: typ, From: n.ID, To: to, MsgID: id, Payload: payload})
-	n.rt.timeoutAt(timeout, n.ID, id)
+	n.rt.timeoutAt(timeout, n, id)
 	return id
 }
 

@@ -25,12 +25,12 @@ import (
 
 // TestRegisteredPayloadsRoundTrip encodes and decodes samples of every
 // registered payload — its zero value (for a pointer sample, a pointer to
-// the zero element), a populated value built by fill, and for the beacon
-// payloads that mark an unknown latency with NaN (a lost beacon ping, a
-// member missing from a beacon's row) a vector with NaN entries, which the
-// codec's JSON cannot hold as such. Each must come back exactly, with the
-// same dynamic type: what a handler's type assertion sees on the simulator
-// it sees on UDP.
+// the zero element), a populated value built by p2p.Fill, and for the
+// beacon payloads that mark an unknown latency with NaN (a lost beacon
+// ping, a member missing from a beacon's row) a vector with NaN entries,
+// which the codec carries as their IEEE bits. Each must come back exactly,
+// with the same dynamic type: what a handler's type assertion sees on the
+// simulator it sees on UDP.
 func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 	names := p2p.RegisteredPayloads()
 	// One payload per registering package proves the package is linked.
@@ -53,7 +53,7 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 			zero = reflect.New(typ.Elem())
 		}
 		full := reflect.New(typ).Elem()
-		fill(full, new(int))
+		p2p.Fill(full, new(int))
 		samples := []reflect.Value{zero, full}
 		if lats, ok := unknown[name]; ok {
 			v := reflect.New(typ).Elem()
@@ -85,7 +85,7 @@ func TestRegisteredPayloadsRoundTrip(t *testing.T) {
 func TestDecodeEnvelopeKeepsNoInput(t *testing.T) {
 	for _, name := range p2p.RegisteredPayloads() {
 		full := reflect.New(p2p.PayloadType(name)).Elem()
-		fill(full, new(int))
+		p2p.Fill(full, new(int))
 		frame, err := p2p.EncodeEnvelope(p2p.Envelope{Type: name, From: 1, To: 2, MsgID: 3, Payload: full.Interface()})
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
@@ -117,52 +117,4 @@ func roundTrip(in p2p.Envelope) (p2p.Envelope, error) {
 		return p2p.Envelope{}, fmt.Errorf("decode: %w", err)
 	}
 	return out, nil
-}
-
-// fill populates v and everything it reaches: two-element slices,
-// one-entry maps, negative ints (p2p.NoNode is −1), non-integral floats
-// and non-empty strings, every leaf a different value (n counts them) so
-// a codec that swaps or drops a field shows. Unexported fields and
-// interfaces stay zero: the codec carries neither.
-func fill(v reflect.Value, n *int) {
-	*n++
-	switch v.Kind() {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(-int64(*n))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(uint64(*n))
-	case reflect.Float32, reflect.Float64:
-		v.SetFloat(float64(*n) + 0.25)
-	case reflect.String:
-		v.SetString(fmt.Sprint("s", *n))
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Slice:
-		s := reflect.MakeSlice(v.Type(), 2, 2)
-		for i := 0; i < s.Len(); i++ {
-			fill(s.Index(i), n)
-		}
-		v.Set(s)
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			fill(v.Index(i), n)
-		}
-	case reflect.Map:
-		m := reflect.MakeMap(v.Type())
-		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
-		fill(k, n)
-		fill(e, n)
-		m.SetMapIndex(k, e)
-		v.Set(m)
-	case reflect.Pointer:
-		p := reflect.New(v.Type().Elem())
-		fill(p.Elem(), n)
-		v.Set(p)
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).IsExported() {
-				fill(v.Field(i), n)
-			}
-		}
-	}
 }

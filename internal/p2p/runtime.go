@@ -136,8 +136,7 @@ type timeoutRec struct {
 
 // expirySlab parks pending request expiries by value on a free list; the
 // slot index rides the expiry's typed kernel event, so scheduling an
-// expiry allocates nothing. Each simulator shard and each live transport
-// owns one.
+// expiry allocates nothing. Each simulator shard owns one.
 type expirySlab struct {
 	recs []timeoutRec
 	free []uint32
@@ -326,10 +325,10 @@ const DriverShard = 0
 // shard-local: the request was issued by an event at the node. timeoutH is
 // a FIFO handler, so an expiry at now plus the usual RPC timeout parks in
 // the kernel's FIFO lane rather than the heap.
-func (r *Runtime) timeoutAt(d time.Duration, node NodeID, msgID uint64) {
-	sc := &r.sh[r.shardIdx(node)]
+func (r *Runtime) timeoutAt(d time.Duration, n *Node, msgID uint64) {
+	sc := &r.sh[r.shardIdx(n.ID)]
 	sc.metrics.ExpiriesScheduled++
-	sc.sim.AfterHandler(d, sc.timeoutH, sc.timeouts.put(node, msgID))
+	sc.sim.AfterHandler(d, sc.timeoutH, sc.timeouts.put(n.ID, msgID))
 }
 
 // expireSlot is the registered handler completing a timeout: the node

@@ -91,8 +91,8 @@ type Transport interface {
 	send(env Envelope)
 	// allocMsgIDFor hands out transport-unique correlation IDs.
 	allocMsgIDFor(id NodeID) uint64
-	// timeoutAt schedules a request expiry for (node, msgID) after d.
-	timeoutAt(d time.Duration, node NodeID, msgID uint64)
+	// timeoutAt schedules a request expiry for (n, msgID) after d.
+	timeoutAt(d time.Duration, n *Node, msgID uint64)
 	// config is the validated Config the transport was built with, its
 	// RPCTimeout defaulted: the expiry used when a caller passes none, and
 	// the retry policy RequestPolicy runs under.

@@ -18,6 +18,7 @@ package p2p
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,9 @@ type UDP struct {
 	// RTTs and a ping measures ≈ the matrix entry — the hook the CI smoke
 	// test uses to cross-check `nearest` against the static oracle.
 	delay atomic.Pointer[latency.Matrix]
+
+	// sendBuf is the loop-owned buffer send encodes frames into.
+	sendBuf []byte
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -170,12 +174,11 @@ func (u *UDP) Close() error {
 	return nil
 }
 
-// addrOf resolves a destination: local nodes by their own socket's bound
-// address (the datagram still crosses the stack — the codec and read loop
-// are exercised even in-process), then the peer table.
+// addrOf resolves a destination under pmu (held by the caller): local
+// nodes by their own socket's bound address (the datagram still crosses
+// the stack — the codec and read loop are exercised even in-process), then
+// the peer table.
 func (u *UDP) addrOf(to NodeID) *net.UDPAddr {
-	u.pmu.RLock()
-	defer u.pmu.RUnlock()
 	if c := u.conns[to]; c != nil {
 		return c.LocalAddr().(*net.UDPAddr)
 	}
@@ -185,7 +188,9 @@ func (u *UDP) addrOf(to NodeID) *net.UDPAddr {
 // send encodes the envelope and writes one datagram from the sender's own
 // socket. Unroutable destinations, encode failures, and write errors all
 // count as dead letters — UDP promises nothing, and the request timeout
-// is what surfaces the loss to the protocol.
+// is what surfaces the loss to the protocol. The frame is encoded into
+// sendBuf, which the write consumes before send returns; only a delayed
+// write keeps its own copy.
 func (u *UDP) send(env Envelope) {
 	u.metrics.MsgsSent++
 	if u.cfg.LossProb > 0 && u.loss.Float64() < u.cfg.LossProb {
@@ -202,44 +207,54 @@ func (u *UDP) send(env Envelope) {
 		}
 	}
 	u.pmu.RLock()
-	src := u.conns[env.From]
+	src, dst := u.conns[env.From], u.addrOf(env.To)
 	u.pmu.RUnlock()
-	dst := u.addrOf(env.To)
 	if src == nil || dst == nil {
 		u.metrics.MsgsDead++
 		return
 	}
-	frame, err := EncodeEnvelope(env)
+	frame, err := appendEnvelope(u.sendBuf[:0], env)
 	if err != nil {
 		u.metrics.MsgsDead++
 		return
 	}
+	u.sendBuf = frame
 	copies := 1
 	if fd.Dup {
 		copies = 2
 		u.metrics.MsgsSent++
 		u.metrics.FaultDuplicated++
 	}
-	// write may run off-loop (the delayed path), so error accounting posts
-	// back to the loop rather than touching loop-confined metrics directly.
-	write := func() {
-		for c := 0; c < copies; c++ {
-			if _, err := src.WriteToUDP(frame, dst); err != nil {
-				u.loop.post(func() { u.metrics.MsgsDead++ })
-			}
-		}
-	}
 	if fd.ExtraMs > 0 {
 		u.metrics.FaultDelayed++
-		time.AfterFunc(durOf(fd.ExtraMs), write)
+		frame = slices.Clone(frame)
+		// The delayed write runs off the loop, so its error accounting
+		// posts back rather than touching loop-confined metrics.
+		time.AfterFunc(durOf(fd.ExtraMs), func() {
+			if failed := writeCopies(src, dst, frame, copies); failed > 0 {
+				u.loop.post(func() { u.metrics.MsgsDead += failed })
+			}
+		})
 		return
 	}
-	write()
+	u.metrics.MsgsDead += writeCopies(src, dst, frame, copies)
+}
+
+// writeCopies writes frame from src to dst copies times and returns how
+// many writes failed.
+func writeCopies(src *net.UDPConn, dst *net.UDPAddr, frame []byte, copies int) (failed int64) {
+	for c := 0; c < copies; c++ {
+		if _, err := src.WriteToUDP(frame, dst); err != nil {
+			failed++
+		}
+	}
+	return failed
 }
 
 // readLoop drains one local node's socket: decode, learn the sender's
-// address, price the artificial delay if a matrix is installed, and post
-// delivery to the event loop. It exits when the socket closes.
+// address, and post delivery to the event loop — one closure per
+// datagram, handed to a timer first only when a delay matrix prices an
+// artificial delay. It exits when the socket closes.
 func (u *UDP) readLoop(self NodeID, conn *net.UDPConn) {
 	defer u.wg.Done()
 	buf := make([]byte, MaxFrame+1)
@@ -248,8 +263,8 @@ func (u *UDP) readLoop(self NodeID, conn *net.UDPConn) {
 		if err != nil {
 			return // socket closed (or broken): this node is done receiving
 		}
-		// The decoded envelope keeps nothing of buf (strings and JSON
-		// values are fresh copies), so the next read may reuse it.
+		// The decoded envelope keeps nothing of buf (strings and byte
+		// slices are fresh copies), so the next read may reuse it.
 		env, err := DecodeEnvelope(buf[:n])
 		if err != nil {
 			u.loop.post(func() { u.metrics.MsgsDead++ })
@@ -258,20 +273,18 @@ func (u *UDP) readLoop(self NodeID, conn *net.UDPConn) {
 		env.To = self // trust the socket, not the frame
 		u.learnPeer(env.From, raddr)
 		deliver := func() {
-			u.loop.post(func() {
-				node := u.Node(self)
-				if node == nil || !node.alive {
-					u.metrics.MsgsDead++
-					return
-				}
-				u.metrics.MsgsDelivered++
-				node.deliver(env)
-			})
+			node := u.Node(self)
+			if node == nil || !node.alive {
+				u.metrics.MsgsDead++
+				return
+			}
+			u.metrics.MsgsDelivered++
+			node.deliver(env)
 		}
 		if d := u.artificialDelay(env); d > 0 {
-			time.AfterFunc(d, func() { deliver() })
+			time.AfterFunc(d, func() { u.loop.post(deliver) })
 		} else {
-			deliver()
+			u.loop.post(deliver)
 		}
 	}
 }
