@@ -13,12 +13,16 @@
 //   - string: a uvarint length, then the bytes;
 //   - slice ([]byte included) and map: a uvarint of the length plus one
 //     (0 is nil, so nil and empty stay distinct), then the elements; map
-//     entries go key first, keys in ascending order;
-//   - array: its elements; struct: its exported fields, inline;
-//   - pointer: one byte, 0 for nil, or 1 followed by the element.
+//     keys are strings, and entries go key first, keys in ascending order;
+//   - struct: its exported fields, inline.
+//
+// A payload registered with a pointer sample has its element's body, with
+// no nil marker: it always decodes to a fresh non-nil pointer, and a nil
+// one is refused on encode. Pointers anywhere else inside a payload, and
+// arrays, are refused at registration.
 //
 // Decoding is canonical: it accepts only what the encoder writes (minimal
-// varints, 0/1 flag bytes, strictly ascending map keys, no trailing bytes),
+// varints, 0/1 bool bytes, strictly ascending map keys, no trailing bytes),
 // so an accepted frame re-encodes to exactly its own bytes.
 //
 // Frames must survive a hostile network: every decode error is an error
@@ -30,7 +34,6 @@
 package p2p
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -68,11 +71,14 @@ const frameHeader = 1 + 1 + 8 + 8 + 8
 type payloadCodec struct {
 	name string
 	typ  reflect.Type
+	// ptr marks a pointer sample: plan is then the element's, and every
+	// decode allocates a fresh element, so the payload is never nil.
+	ptr  bool
 	plan *codecPlan
-	// scratch recycles zeroed *typ values to decode into. The decoded value
-	// leaves by being boxed into the envelope's interface (the one
-	// allocation a value payload costs beyond its own slices), and the
-	// scratch goes back zeroed.
+	// scratch recycles zeroed *typ values to decode a value payload into.
+	// The decoded value leaves by being boxed into the envelope's interface
+	// (the one allocation a value payload costs beyond its own slices), and
+	// the scratch goes back zeroed.
 	scratch sync.Pool
 }
 
@@ -96,7 +102,8 @@ var payloadRegistry = struct {
 // types under one name, or one type under two names, panics — payload
 // identity must be unambiguous on the wire — and so does a type the codec
 // cannot carry (interfaces, channels, functions, complex numbers, float32,
-// recursive types, map keys other than strings and integers).
+// arrays, pointers below the top level, recursive types, map keys other
+// than strings).
 func RegisterPayload(name string, sample any) {
 	if err := registerPayload(name, sample); err != nil {
 		panic(err)
@@ -119,12 +126,16 @@ func registerPayload(name string, sample any) error {
 	if prev, ok := payloadRegistry.byType[t]; ok {
 		return fmt.Errorf("p2p: payload type %v registered as both %q and %q", t, prev.name, name)
 	}
-	plan, err := compilePlan(t, map[reflect.Type]bool{})
+	body, ptr := t, t.Kind() == reflect.Pointer
+	if ptr {
+		body = t.Elem()
+	}
+	plan, err := compilePlan(body, map[reflect.Type]bool{})
 	if err != nil {
 		return fmt.Errorf("p2p: payload %q: %w", name, err)
 	}
-	c := &payloadCodec{name: name, typ: t, plan: plan}
-	c.scratch.New = func() any { return reflect.New(t).Interface() }
+	c := &payloadCodec{name: name, typ: t, ptr: ptr, plan: plan}
+	c.scratch.New = func() any { return reflect.New(body).Interface() }
 	payloadRegistry.byName[name], payloadRegistry.byType[t] = c, c
 	return nil
 }
@@ -163,8 +174,8 @@ type codecPlan struct {
 	// min is the fewest bytes a value encodes to: a claimed element count
 	// is checked against the bytes left at this rate before allocating.
 	min    int
-	elem   *codecPlan  // slice, array and pointer element; map value
-	key    *codecPlan  // map key
+	elem   *codecPlan  // slice element; map value
+	key    *codecPlan  // map key (a string)
 	fields []planField // struct: the exported fields, in declaration order
 }
 
@@ -189,19 +200,13 @@ func compilePlan(t reflect.Type, open map[reflect.Type]bool) (*codecPlan, error)
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
 	case reflect.Float64:
 		p.min = 8
-	case reflect.Pointer:
-		p.elem, err = compilePlan(t.Elem(), open)
 	case reflect.Slice:
 		if p.elem, err = compilePlan(t.Elem(), open); err == nil && p.elem.min == 0 {
 			err = fmt.Errorf("%v: elements encode to no bytes", t)
 		}
-	case reflect.Array:
-		if p.elem, err = compilePlan(t.Elem(), open); err == nil {
-			p.min = t.Len() * p.elem.min
-		}
 	case reflect.Map:
-		if k := t.Key().Kind(); k != reflect.String && intKind(k) == 0 {
-			return nil, fmt.Errorf("%v: map keys must be strings or integers", t)
+		if t.Key().Kind() != reflect.String {
+			return nil, fmt.Errorf("%v: map keys must be strings", t)
 		}
 		if p.key, err = compilePlan(t.Key(), open); err == nil {
 			p.elem, err = compilePlan(t.Elem(), open)
@@ -229,28 +234,8 @@ func compilePlan(t reflect.Type, open map[reflect.Type]bool) (*codecPlan, error)
 	return p, nil
 }
 
-// intKind reports +1 for a signed integer kind, -1 for an unsigned one,
-// and 0 otherwise.
-func intKind(k reflect.Kind) int {
-	switch k {
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return 1
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		return -1
-	}
-	return 0
-}
-
-// compareKeys orders two map keys of one string or integer kind.
-func compareKeys(a, b reflect.Value) int {
-	switch intKind(a.Kind()) {
-	case 1:
-		return cmp.Compare(a.Int(), b.Int())
-	case -1:
-		return cmp.Compare(a.Uint(), b.Uint())
-	}
-	return strings.Compare(a.String(), b.String())
-}
+// compareKeys orders two string map keys.
+func compareKeys(a, b reflect.Value) int { return strings.Compare(a.String(), b.String()) }
 
 // appendValue appends the body encoding of v under p.
 func appendValue(b []byte, p *codecPlan, v reflect.Value) []byte {
@@ -282,10 +267,6 @@ func appendValue(b []byte, p *codecPlan, v reflect.Value) []byte {
 		for i := 0; i < n; i++ {
 			b = appendValue(b, p.elem, v.Index(i))
 		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			b = appendValue(b, p.elem, v.Index(i))
-		}
 	case reflect.Map:
 		if v.IsNil() {
 			return append(b, 0)
@@ -297,11 +278,6 @@ func appendValue(b []byte, p *codecPlan, v reflect.Value) []byte {
 			b = appendValue(b, p.key, k)
 			b = appendValue(b, p.elem, v.MapIndex(k))
 		}
-	case reflect.Pointer:
-		if v.IsNil() {
-			return append(b, 0)
-		}
-		return appendValue(append(b, 1), p.elem, v.Elem())
 	case reflect.Struct:
 		for _, f := range p.fields {
 			b = appendValue(b, f.plan, v.Field(f.index))
@@ -312,6 +288,13 @@ func appendValue(b []byte, p *codecPlan, v reflect.Value) []byte {
 
 // decode decodes one payload of c's type from the rest of r's frame.
 func (c *payloadCodec) decode(r *frameReader) any {
+	if c.ptr {
+		p := reflect.New(c.plan.typ)
+		if r.value(c.plan, p.Elem()); r.err != nil {
+			return nil
+		}
+		return p.Interface()
+	}
 	p := c.scratch.Get()
 	v := reflect.ValueOf(p).Elem()
 	r.value(c.plan, v)
@@ -331,7 +314,7 @@ func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16
 // (counting everything after itself), the fixed header, the type tag, and
 // — when env.Payload is non-nil — the payload's registered name and binary
 // body, which runs to the end of the frame. It fails on unregistered
-// payload types and frames over MaxFrame.
+// payload types, nil pointer payloads and frames over MaxFrame.
 func EncodeEnvelope(env Envelope) ([]byte, error) {
 	return appendEnvelope(make([]byte, 0, 4+frameHeader+2+len(env.Type)+64), env)
 }
@@ -347,12 +330,19 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 		flags |= flagResp
 	}
 	var c *payloadCodec
+	var pv reflect.Value
 	if env.Payload != nil {
 		payloadRegistry.RLock()
 		c = payloadRegistry.byType[reflect.TypeOf(env.Payload)]
 		payloadRegistry.RUnlock()
 		if c == nil {
 			return b, fmt.Errorf("p2p: payload type %T not registered with RegisterPayload", env.Payload)
+		}
+		if pv = reflect.ValueOf(env.Payload); c.ptr {
+			if pv.IsNil() {
+				return b, fmt.Errorf("p2p: nil %T payload", env.Payload)
+			}
+			pv = pv.Elem()
 		}
 		flags |= flagPayload
 	}
@@ -366,7 +356,7 @@ func appendEnvelope(b []byte, env Envelope) ([]byte, error) {
 	if c != nil {
 		b = appendU16(b, uint16(len(c.name)))
 		b = append(b, c.name...)
-		b = appendValue(b, c.plan, reflect.ValueOf(env.Payload))
+		b = appendValue(b, c.plan, pv)
 	}
 	if n := len(b) - start; n > MaxFrame {
 		return b[:start], fmt.Errorf("p2p: frame %d bytes exceeds cap %d", n, MaxFrame)
@@ -444,11 +434,11 @@ func (r *frameReader) uvarint() uint64 {
 	return x
 }
 
-// flag reads a byte that must be 0 or 1.
-func (r *frameReader) flag() bool {
+// bool reads a byte that must be 0 or 1.
+func (r *frameReader) bool() bool {
 	off, b := r.off, r.u8()
 	if b > 1 {
-		r.fail("flag byte %d at offset %d", b, off)
+		r.fail("bool byte %d at offset %d", b, off)
 	}
 	return b == 1
 }
@@ -471,7 +461,7 @@ func (r *frameReader) value(p *codecPlan, v reflect.Value) {
 	}
 	switch p.kind {
 	case reflect.Bool:
-		v.SetBool(r.flag())
+		v.SetBool(r.bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		u := r.uvarint()
 		x := int64(u>>1) ^ -int64(u&1)
@@ -510,10 +500,6 @@ func (r *frameReader) value(p *codecPlan, v reflect.Value) {
 				r.value(p.elem, v.Index(i))
 			}
 		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			r.value(p.elem, v.Index(i))
-		}
 	case reflect.Map:
 		c := r.uvarint()
 		if c == 0 {
@@ -525,7 +511,7 @@ func (r *frameReader) value(p *codecPlan, v reflect.Value) {
 		}
 		m := reflect.MakeMapWithSize(p.typ, n)
 		k, e := reflect.New(p.key.typ).Elem(), reflect.New(p.elem.typ).Elem()
-		prev := reflect.New(p.key.typ).Elem()
+		prev := ""
 		for i := 0; i < n; i++ {
 			k.SetZero()
 			e.SetZero()
@@ -534,20 +520,14 @@ func (r *frameReader) value(p *codecPlan, v reflect.Value) {
 			if r.err != nil {
 				return
 			}
-			if i > 0 && compareKeys(prev, k) >= 0 {
+			if i > 0 && k.String() <= prev {
 				r.fail("map keys out of order at offset %d", r.off)
 				return
 			}
 			m.SetMapIndex(k, e)
-			prev.Set(k)
+			prev = k.String()
 		}
 		v.Set(m)
-	case reflect.Pointer:
-		if r.flag() && r.err == nil {
-			e := reflect.New(p.elem.typ)
-			r.value(p.elem, e.Elem())
-			v.Set(e)
-		}
 	case reflect.Struct:
 		for _, f := range p.fields {
 			r.value(f.plan, v.Field(f.index))

@@ -100,7 +100,7 @@ func TestEnvelopeCodecRejects(t *testing.T) {
 			binary.BigEndian.PutUint32(b, uint32(len(b)-4))
 			return b
 		}(),
-		"garbage":             {0, 0, 0, 6, 1, 0, 0, 0, 0, 0},
+		"truncated header":    {0, 0, 0, 6, codecVersion, 0, 0, 0, 0, 0},
 		"all ones":            {255, 255, 255, 255, 255, 255, 255, 255},
 		"unknown payload":     withBody("no_such_payload"),
 		"empty body":          withBody("c_find"),
@@ -162,7 +162,7 @@ func TestEnvelopeCodecRejects(t *testing.T) {
 // registration fails with an error naming the payload, and leaves the
 // registry as it was.
 func TestRegisterPayloadRefuses(t *testing.T) {
-	type recursive struct{ Next *recursive }
+	type recursive struct{ Kids []recursive }
 	before := RegisteredPayloads()
 	for name, sample := range map[string]any{
 		"t_iface":     struct{ X any }{},
@@ -171,8 +171,12 @@ func TestRegisterPayloadRefuses(t *testing.T) {
 		"t_complex":   struct{ X complex128 }{},
 		"t_chan":      struct{ C chan int }{},
 		"t_recursive": recursive{},
+		"t_intkey":    struct{ M map[int]int }{},
 		"t_floatkey":  struct{ M map[float64]int }{},
 		"t_empty":     struct{ S []struct{} }{},
+		"t_array":     struct{ A [2]int }{},
+		"t_ptrfield":  struct{ P *int }{},
+		"t_ptrptr":    new(*struct{ X int }),
 	} {
 		if err := registerPayload(name, sample); err == nil {
 			t.Errorf("%s: registered %T", name, sample)
@@ -180,6 +184,38 @@ func TestRegisterPayloadRefuses(t *testing.T) {
 	}
 	if after := RegisteredPayloads(); !reflect.DeepEqual(before, after) {
 		t.Errorf("refused registrations changed the registry: %v → %v", before, after)
+	}
+}
+
+// TestPointerPayloadNeverNil holds a payload registered with a pointer
+// sample (vivaldi's v_snap) to a non-nil pointer on both ends: a typed nil
+// is refused on encode, and no body decodes to one — the body carries no
+// nil marker, so the one-byte body 0 is a truncated element, not a nil.
+func TestPointerPayloadNeverNil(t *testing.T) {
+	var ptrs []*payloadCodec
+	for _, name := range RegisteredPayloads() {
+		if c := payloadRegistry.byName[name]; c.ptr {
+			ptrs = append(ptrs, c)
+		}
+	}
+	if len(ptrs) == 0 {
+		t.Fatal("no payload registered with a pointer sample")
+	}
+	for _, c := range ptrs {
+		nilPayload := reflect.Zero(c.typ).Interface()
+		if _, err := EncodeEnvelope(Envelope{Type: c.name, Payload: nilPayload}); err == nil {
+			t.Errorf("%s: encode accepted a nil %v", c.name, c.typ)
+		}
+		if _, err := DecodeEnvelope(payloadFrame(c.name, []byte{0})); err == nil {
+			t.Errorf("%s: the body 0 decoded", c.name)
+		}
+		zero, err := roundTripEnvelope(Envelope{Type: c.name, Payload: reflect.New(c.plan.typ).Interface()})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if reflect.ValueOf(zero.Payload).IsNil() {
+			t.Errorf("%s: a zero element came back as a nil %v", c.name, c.typ)
+		}
 	}
 }
 
@@ -227,8 +263,9 @@ func splitPayload(frame []byte) (name string, body []byte, ok bool) {
 
 // checkExactRoundTrip is the codec's fuzz oracle: a frame DecodeEnvelope
 // accepts re-encodes to exactly its own bytes (decoding is canonical), and
-// its payload has the type registered under its name. Byte equality holds
-// NaN payloads to their bits, where DeepEqual would call them unequal.
+// its payload has the type registered under its name and is never a nil
+// pointer. Byte equality holds NaN payloads to their bits, where DeepEqual
+// would call them unequal.
 func checkExactRoundTrip(t *testing.T, frame []byte) {
 	env, err := DecodeEnvelope(frame)
 	if err != nil {
@@ -245,6 +282,9 @@ func checkExactRoundTrip(t *testing.T, frame []byte) {
 		name, _, _ := splitPayload(frame)
 		if c := payloadRegistry.byName[name]; c == nil || c.typ != reflect.TypeOf(env.Payload) {
 			t.Fatalf("payload %q decoded to a %T", name, env.Payload)
+		}
+		if v := reflect.ValueOf(env.Payload); v.Kind() == reflect.Pointer && v.IsNil() {
+			t.Fatalf("payload %q decoded to a nil %T", name, env.Payload)
 		}
 	}
 }
@@ -365,10 +405,6 @@ func fill(v reflect.Value, n *int) {
 			fill(s.Index(i), n)
 		}
 		v.Set(s)
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			fill(v.Index(i), n)
-		}
 	case reflect.Map:
 		m := reflect.MakeMap(v.Type())
 		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()

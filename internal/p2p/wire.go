@@ -57,10 +57,13 @@ type Metrics struct {
 	QueryProbes int64
 	// MaintProbes counts maintenance RTT measurements issued.
 	MaintProbes int64
-	// ExpiriesScheduled counts request-expiry events parked in the timeout
-	// slab; ExpiriesFired counts those that ran. The difference is the
-	// number of expiry records still pending — the accounting identity the
-	// invariants tests assert.
+	// ExpiriesScheduled counts request expiries scheduled; ExpiriesFired
+	// counts those that ran. On the simulator every expiry runs, so the
+	// difference is the number still parked in the timeout slab
+	// (Runtime.PendingExpiries). The live transports drop the expiry of an
+	// answered request unfired, so there scheduled = fired +
+	// SettledExpiries() + PendingExpiries(). The invariants tests assert
+	// both identities.
 	ExpiriesScheduled int64
 	ExpiriesFired     int64
 	// Timeouts counts RPCs that expired without a response (the subset of
