@@ -30,26 +30,32 @@ func init() {
 type Wire struct {
 	base *Finder
 	rt   p2p.Transport
+	// tracker is the tracker role's dispatch table.
+	tracker *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
 func NewWire(rt p2p.Transport, base *Finder) *Wire {
-	return &Wire{base: base, rt: rt}
+	w := &Wire{base: base, rt: rt}
+	w.tracker = p2p.NewTable().With(MsgAnnounce, w.handleAnnounce)
+	return w
 }
 
 // Tracker returns the tracker's node id (the first member).
 func (w *Wire) Tracker() p2p.NodeID { return p2p.NodeID(w.base.members[0]) }
 
-// Join brings a member up on the runtime; the tracker member gets the
-// announce handler installed.
+// Join brings a member up on the runtime; the tracker member serves the
+// tracker table.
 func (w *Wire) Join(id p2p.NodeID) {
 	n := w.rt.AddNode(id)
-	if id != w.Tracker() {
-		return
+	if id == w.Tracker() {
+		n.Serve(w.tracker)
 	}
-	n.Handle(MsgAnnounce, func(n *p2p.Node, env p2p.Envelope) {
-		n.Reply(env, MsgAnnounceOK, announceOK{IDs: w.base.sample(int(env.From))})
-	})
+}
+
+// handleAnnounce answers an announce with one peer-list sample.
+func (w *Wire) handleAnnounce(n *p2p.Node, env p2p.Envelope) {
+	n.Reply(env, MsgAnnounceOK, announceOK{IDs: w.base.sample(int(env.From))})
 }
 
 // FindNearest runs the baseline over the wire from client: announce to the

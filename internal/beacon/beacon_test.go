@@ -3,8 +3,11 @@ package beacon
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"nearestpeer/internal/overlay"
+	"nearestpeer/internal/p2p"
+	"nearestpeer/internal/sim"
 	"nearestpeer/internal/testmat"
 )
 
@@ -134,4 +137,51 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(overlay.NewNetwork(testmat.Euclidean(10, 1)), nil, 1)
+}
+
+// TestWireLeaderTable: every beacon serves the band and estimate
+// requests from one shared table, and beacon 0 — the leader — serves them
+// plus the estimation server's; a non-leader beacon drops a GS-best
+// request, so it expires.
+func TestWireLeaderTable(t *testing.T) {
+	const n = 40
+	m := testmat.Euclidean(n, 1)
+	members := make([]int, n)
+	for i := range members {
+		members[i] = i
+	}
+	inf := New(overlay.NewNetwork(m), members, 3)
+	kernel := sim.New()
+	rt := p2p.New(kernel, m, p2p.Config{RPCTimeout: time.Second}, 1)
+	w := NewWire(rt, inf)
+	for _, id := range members {
+		w.Join(p2p.NodeID(id))
+	}
+	isBeacon := make(map[int]bool)
+	for _, b := range inf.Beacons() {
+		isBeacon[b] = true
+	}
+	client := slices.IndexFunc(members, func(id int) bool { return !isBeacon[id] })
+	q := rt.AddNode(p2p.NodeID(client))
+	toBeacon := make([]float64, len(inf.Beacons()))
+	answered := map[string]int{}
+	expired := map[string]int{}
+	ask := func(b int, typ string, payload any) {
+		q.Request(p2p.NodeID(b), typ, payload, 0,
+			func(p2p.Envelope) { answered[typ]++ },
+			func() { expired[typ]++ })
+	}
+	for _, b := range inf.Beacons() {
+		ask(b, MsgBand, bandMsg{ToBeacon: 10})
+		ask(b, MsgEst, estMsg{IDs: []int{client}})
+		ask(b, MsgGSBest, gsBestMsg{ToBeacon: toBeacon})
+	}
+	kernel.Run()
+	nb := len(inf.Beacons())
+	if answered[MsgBand] != nb || answered[MsgEst] != nb {
+		t.Fatalf("band answered %d, est %d, want %d each", answered[MsgBand], answered[MsgEst], nb)
+	}
+	if answered[MsgGSBest] != 1 || expired[MsgGSBest] != nb-1 {
+		t.Fatalf("GS-best answered %d and expired %d, want the leader alone to answer", answered[MsgGSBest], expired[MsgGSBest])
+	}
 }

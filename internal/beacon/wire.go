@@ -52,8 +52,8 @@ func init() {
 
 // Wire is a deployed message-level beacon service. Member indices are
 // runtime NodeIDs (the infrastructure is built over the runtime's latency
-// matrix). The Wire owns its Infrastructure instance: handlers installed on
-// beacon nodes serve from its rows, the degenerate-fallback draw consumes
+// matrix). The Wire owns its Infrastructure instance: the beacon tables'
+// handlers serve from its rows, the degenerate-fallback draw consumes
 // its stream — build it with the same seed as a static leg's and the two
 // stay in lock-step.
 type Wire struct {
@@ -61,6 +61,9 @@ type Wire struct {
 	rt  p2p.Transport
 	// beaconIdx maps a beacon node to its index in inf.beacons.
 	beaconIdx map[p2p.NodeID]int
+	// beacon is the dispatch table of every beacon; leader, beacon 0's,
+	// adds the estimation server.
+	beacon, leader *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
@@ -69,39 +72,54 @@ func NewWire(rt p2p.Transport, inf *Infrastructure) *Wire {
 	for i, b := range inf.beacons {
 		w.beaconIdx[p2p.NodeID(b)] = i
 	}
+	w.beacon = p2p.NewTable().
+		With(MsgBand, w.handleBand).
+		With(MsgEst, w.handleEst)
+	w.leader = w.beacon.With(MsgGSBest, w.handleGSBest)
 	return w
 }
 
-// Join brings a member up on the runtime; beacon members get the server
-// handlers installed.
+// Join brings a member up on the runtime; beacon members serve the beacon
+// table, and beacon 0 the leader's.
 func (w *Wire) Join(id p2p.NodeID) {
 	n := w.rt.AddNode(id)
 	bi, isBeacon := w.beaconIdx[id]
-	if !isBeacon {
-		return
+	switch {
+	case !isBeacon:
+	case bi == 0:
+		n.Serve(w.leader)
+	default:
+		n.Serve(w.beacon)
 	}
-	n.Handle(MsgBand, func(n *p2p.Node, env p2p.Envelope) {
-		bm := env.Payload.(bandMsg)
-		n.Reply(env, MsgBandOK, bandOK{IDs: w.inf.bandMembers(bi, bm.ToBeacon, int(env.From))})
-	})
-	n.Handle(MsgEst, func(n *p2p.Node, env p2p.Envelope) {
-		em := env.Payload.(estMsg)
-		lats := make([]float64, len(em.IDs))
-		for i, id := range em.IDs {
-			if l, ok := w.inf.lat[bi][id]; ok {
-				lats[i] = l
-			} else {
-				lats[i] = math.NaN()
-			}
+}
+
+// handleBand answers with the members inside the tolerance band around
+// the querier's latency to this beacon.
+func (w *Wire) handleBand(n *p2p.Node, env p2p.Envelope) {
+	bm := env.Payload.(bandMsg)
+	n.Reply(env, MsgBandOK, bandOK{IDs: w.inf.bandMembers(w.beaconIdx[n.ID], bm.ToBeacon, int(env.From))})
+}
+
+// handleEst answers with this beacon's standing latency to each listed
+// candidate.
+func (w *Wire) handleEst(n *p2p.Node, env p2p.Envelope) {
+	em := env.Payload.(estMsg)
+	row := w.inf.lat[w.beaconIdx[n.ID]]
+	lats := make([]float64, len(em.IDs))
+	for i, id := range em.IDs {
+		if l, ok := row[id]; ok {
+			lats[i] = l
+		} else {
+			lats[i] = math.NaN()
 		}
-		n.Reply(env, MsgEstOK, estOK{Lats: lats})
-	})
-	if bi == 0 {
-		n.Handle(MsgGSBest, func(n *p2p.Node, env p2p.Envelope) {
-			gm := env.Payload.(gsBestMsg)
-			n.Reply(env, MsgGSBestOK, gsBestOK{Best: w.inf.gsBest(gm.ToBeacon, int(env.From))})
-		})
 	}
+	n.Reply(env, MsgEstOK, estOK{Lats: lats})
+}
+
+// handleGSBest answers the estimation request at the leader.
+func (w *Wire) handleGSBest(n *p2p.Node, env p2p.Envelope) {
+	gm := env.Payload.(gsBestMsg)
+	n.Reply(env, MsgGSBestOK, gsBestOK{Best: w.inf.gsBest(gm.ToBeacon, int(env.From))})
 }
 
 // pingBeacons measures the querier's latency to every beacon sequentially

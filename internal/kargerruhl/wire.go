@@ -40,28 +40,35 @@ func init() {
 type Wire struct {
 	base *Overlay
 	rt   p2p.Transport
+	// table is the member role's dispatch table, served by every member.
+	table *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
 func NewWire(rt p2p.Transport, base *Overlay) *Wire {
-	return &Wire{base: base, rt: rt}
+	w := &Wire{base: base, rt: rt}
+	w.table = p2p.NewTable().With(MsgBalls, w.handleBalls)
+	return w
 }
 
-// Join brings a member up on the runtime and installs its ball handler.
+// Join brings a member up on the runtime, serving the ball handler.
 func (w *Wire) Join(id p2p.NodeID) {
-	n := w.rt.AddNode(id)
-	n.Handle(MsgBalls, func(n *p2p.Node, env p2p.Envelope) {
-		bm := env.Payload.(ballsMsg)
-		node := w.base.nodes[int(n.ID)]
-		out := ballsOK{}
-		if bm.Scale >= 0 && bm.Scale < scales {
-			out.At = node.balls[bm.Scale]
-			if bm.Scale+1 < scales {
-				out.Next = node.balls[bm.Scale+1]
-			}
+	w.rt.AddNode(id).Serve(w.table)
+}
+
+// handleBalls answers with the member's balls at the asked scale and the
+// next one up.
+func (w *Wire) handleBalls(n *p2p.Node, env p2p.Envelope) {
+	bm := env.Payload.(ballsMsg)
+	node := w.base.nodes[int(n.ID)]
+	out := ballsOK{}
+	if bm.Scale >= 0 && bm.Scale < scales {
+		out.At = node.balls[bm.Scale]
+		if bm.Scale+1 < scales {
+			out.Next = node.balls[bm.Scale+1]
 		}
-		n.Reply(env, MsgBallsOK, out)
-	})
+	}
+	n.Reply(env, MsgBallsOK, out)
 }
 
 // FindNearest runs the Karger–Ruhl walk over the wire from client. done

@@ -46,16 +46,20 @@ func init() {
 type Wire struct {
 	base *Overlay
 	rt   p2p.Transport
+	// table is the member role's dispatch table, served by every member.
+	table *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
 func NewWire(rt p2p.Transport, base *Overlay) *Wire {
-	return &Wire{base: base, rt: rt}
+	w := &Wire{base: base, rt: rt}
+	w.table = p2p.NewTable().With(MsgRings, w.handleRings)
+	return w
 }
 
-// Join brings a member up on the runtime and installs its ring handler.
+// Join brings a member up on the runtime, serving the ring handler.
 func (w *Wire) Join(id p2p.NodeID) {
-	w.rt.AddNode(id).Handle(MsgRings, w.handleRings)
+	w.rt.AddNode(id).Serve(w.table)
 }
 
 // handleRings answers with the member's in-band ring entries, in ring

@@ -18,7 +18,7 @@ func BenchmarkSendDeliver(b *testing.B) {
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(4), Config{RPCTimeout: time.Second}, 1)
 	a := rt.AddNode(0)
-	rt.AddNode(1).Handle("noop", func(*Node, Envelope) {})
+	rt.AddNode(1).Serve(NewTable().With("noop", func(*Node, Envelope) {}))
 	a.Send(1, "noop", nil)
 	kernel.Run()
 	b.ReportAllocs()
@@ -43,7 +43,7 @@ func BenchmarkObsSendDeliver(b *testing.B) {
 	rec := obs.NewRecorder(64)
 	rt.AttachRecorder(rec)
 	a := rt.AddNode(0)
-	rt.AddNode(1).Handle("noop", func(*Node, Envelope) {})
+	rt.AddNode(1).Serve(NewTable().With("noop", func(*Node, Envelope) {}))
 	// Warm past one full recorder wrap so ring reuse, not growth, is
 	// what gets measured.
 	for i := 0; i < 128; i++ {
@@ -67,7 +67,7 @@ func BenchmarkRequestReply(b *testing.B) {
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(4), Config{RPCTimeout: time.Second}, 1)
 	a := rt.AddNode(0)
-	rt.AddNode(1).Handle("echo", func(n *Node, env Envelope) { n.Reply(env, "echo_ok", nil) })
+	rt.AddNode(1).Serve(NewTable().With("echo", func(n *Node, env Envelope) { n.Reply(env, "echo_ok", nil) }))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,10 +84,10 @@ func BenchmarkMulticastRound(b *testing.B) {
 	const members = 1024
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(members+1), Config{RPCTimeout: time.Second}, 1)
+	mc := NewTable().With("mc", func(*Node, Envelope) {})
 	for i := 1; i <= members; i++ {
-		rt.AddNode(NodeID(i))
+		rt.AddNode(NodeID(i)).Serve(mc)
 		rt.JoinGroup("g", NodeID(i))
-		rt.Node(NodeID(i)).Handle("mc", func(*Node, Envelope) {})
 	}
 	rt.AddNode(0)
 	rt.Multicast(0, "g", "mc", nil, 160)
@@ -107,10 +107,10 @@ func BenchmarkMulticastRoundCold(b *testing.B) {
 	const members = 1024
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(members+2), Config{RPCTimeout: time.Second}, 1)
+	mc := NewTable().With("mc", func(*Node, Envelope) {})
 	for i := 2; i < members+2; i++ {
-		rt.AddNode(NodeID(i))
+		rt.AddNode(NodeID(i)).Serve(mc)
 		rt.JoinGroup("g", NodeID(i))
-		rt.Node(NodeID(i)).Handle("mc", func(*Node, Envelope) {})
 	}
 	rt.AddNode(0)
 	b.ReportAllocs()

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"time"
@@ -140,21 +141,23 @@ type chordState struct {
 }
 
 // fingerTable is a member's 64 finger slots plus an index of their runs.
-// fingers[i] ≈ successor(ringID + 2^i), NoNode unknown. A settled ring of
+// fingers[i] ≈ successor(ringID + 2^i), NoNode unknown. A slot holds the
+// NodeID as an int32 (NewChord refuses larger populations), halving the
+// table to 256 bytes; readers convert back with NodeID(…). A settled ring of
 // N members holds only about log₂ N distinct values in the 64 slots, in
 // runs of equal neighbours, so runs marks where each run starts — bit i is
 // set iff i == 0 or fingers[i] != fingers[i-1] — and the hot loops visit
 // one slot per run instead of all 64. Every write goes through reset, set
 // and fill, which keep runs exact.
 type fingerTable struct {
-	fingers [64]NodeID
+	fingers [64]int32
 	runs    uint64
 }
 
 // reset empties every slot: one run of NoNode.
 func (t *fingerTable) reset() {
 	for i := range t.fingers {
-		t.fingers[i] = NoNode
+		t.fingers[i] = int32(NoNode)
 	}
 	t.runs = 1
 }
@@ -166,7 +169,7 @@ func (t *fingerTable) set(i int, id NodeID) { t.fill(i, i+1, id) }
 // and only the run boundaries at lo and hi need re-deciding.
 func (t *fingerTable) fill(lo, hi int, id NodeID) {
 	for i := lo; i < hi; i++ {
-		t.fingers[i] = id
+		t.fingers[i] = int32(id)
 	}
 	t.runs &^= (uint64(1)<<hi - 1) &^ (uint64(1)<<(lo+1) - 1) // bits lo+1 .. hi-1
 	t.markBoundary(lo)
@@ -220,6 +223,9 @@ type Chord struct {
 	// kernel shard (one on a serial runtime) so routing steps on different
 	// shards never share a buffer.
 	cp []chordScratch
+
+	// table is the member role's dispatch table, served by every member.
+	table *Table
 }
 
 // chordScratch is one shard's scratch: closestPreceding's candidate and
@@ -237,12 +243,17 @@ type chordScratch struct {
 // sharded runtime the ring-hash cache is pre-warmed for the whole
 // population — the hash is pure, so warming changes nothing except that
 // the lazy first-touch write (a data race once shards run concurrently)
-// never happens.
+// never happens. A population beyond math.MaxInt32 is refused: finger
+// slots hold 32-bit node IDs.
 func NewChord(rt Transport, cfg ChordConfig, seed int64) *Chord {
-	if err := cfg.Validate(); err != nil {
+	n := rt.Population()
+	err := cfg.Validate()
+	if err == nil && n > math.MaxInt32 {
+		err = fmt.Errorf("p2p: chord population %d exceeds the finger slots' int32 range", n)
+	}
+	if err != nil {
 		panic(fmt.Sprintf("p2p: invalid chord config %+v: %v", cfg, err))
 	}
-	n := rt.Population()
 	c := &Chord{
 		rt:     rt,
 		cfg:    cfg,
@@ -251,6 +262,15 @@ func NewChord(rt Transport, cfg ChordConfig, seed int64) *Chord {
 		rings:  make([]uint64, n),
 		cp:     make([]chordScratch, 1),
 	}
+	c.table = NewTable().
+		With(MsgChordFind, c.handleFind).
+		With(MsgChordState, c.handleState).
+		With(MsgChordNotify, c.handleNotify).
+		With(MsgChordStore, c.handleStore).
+		With(MsgChordStoreRep, c.handleStoreRep).
+		With(MsgChordFetch, c.handleFetch).
+		With(MsgChordHandoff, c.handleHandoff).
+		With(MsgChordMigrate, c.handleMigrate)
 	if r, ok := rt.(*Runtime); ok && r.Sharded() {
 		c.sharded = r
 		c.cp = make([]chordScratch, r.Shards())
@@ -353,11 +373,12 @@ func (c *Chord) StoredAt(id NodeID, key string) int {
 	return 0
 }
 
-// Join brings a node up as a ring member: it installs handlers, enters the
-// membership, and looks its own identifier up through a bootstrap member to
-// find its successor. The ring position is wrong until that lookup lands
-// and stabilize rounds rectify predecessor pointers — a freshly joined
-// node answers queries with whatever it knows so far, as a real node would.
+// Join brings a node up as a ring member: it serves the member table,
+// enters the membership, and looks its own identifier up through a
+// bootstrap member to find its successor. The ring position is wrong until
+// that lookup lands and stabilize rounds rectify predecessor pointers — a
+// freshly joined node answers queries with whatever it knows so far, as a
+// real node would.
 func (c *Chord) Join(id NodeID) {
 	if c.state(id) != nil {
 		return
@@ -381,14 +402,7 @@ func (c *Chord) Join(id NodeID) {
 	boot := c.randomMember(id)
 	c.states[id] = st
 	c.insertMember(id)
-	n.Handle(MsgChordFind, c.handleFind)
-	n.Handle(MsgChordState, c.handleState)
-	n.Handle(MsgChordNotify, c.handleNotify)
-	n.Handle(MsgChordStore, c.handleStore)
-	n.Handle(MsgChordStoreRep, c.handleStoreRep)
-	n.Handle(MsgChordFetch, c.handleFetch)
-	n.Handle(MsgChordHandoff, c.handleHandoff)
-	n.Handle(MsgChordMigrate, c.handleMigrate)
+	n.Serve(c.table)
 	if c.sharded == nil {
 		if boot != NoNode {
 			c.bootstrap(n, st, boot)
@@ -529,7 +543,7 @@ func (c *Chord) pickBootstrap(id NodeID, st *chordState) NodeID {
 		}
 	}
 	for m := st.runs; m != 0; m &= m - 1 {
-		if f := st.fingers[bits.TrailingZeros64(m)]; f != NoNode && f != id && !containsNode(cand, f) {
+		if f := NodeID(st.fingers[bits.TrailingZeros64(m)]); f != NoNode && f != id && !containsNode(cand, f) {
 			cand = append(cand, f)
 		}
 	}
@@ -796,7 +810,7 @@ func (c *Chord) learn(st *chordState, peer NodeID) {
 	runs := st.runs
 	for m := runs & (uint64(1)<<maxI - 1); m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if cur := st.fingers[i]; cur == NoNode || D < rings[cur]-st.ringID {
+		if cur := NodeID(st.fingers[i]); cur == NoNode || D < rings[cur]-st.ringID {
 			st.fill(i, min(runEnd(runs, i), maxI), peer)
 		}
 	}
@@ -832,7 +846,7 @@ func (c *Chord) evictPeer(st *chordState, peer NodeID) {
 	}
 	runs := st.runs
 	for m := runs; m != 0; m &= m - 1 {
-		if i := bits.TrailingZeros64(m); st.fingers[i] == peer {
+		if i := bits.TrailingZeros64(m); NodeID(st.fingers[i]) == peer {
 			st.fill(i, runEnd(runs, i), NoNode)
 		}
 	}
@@ -921,7 +935,7 @@ func (c *Chord) closestPreceding(st *chordState, self NodeID, key uint64) []Node
 	out := cp.out[:0]
 	dist := cp.dist[:0]
 	for m := st.runs; m != 0; m &= m - 1 {
-		out, dist = c.offerCandidate(st, self, key, st.fingers[bits.TrailingZeros64(m)], out, dist)
+		out, dist = c.offerCandidate(st, self, key, NodeID(st.fingers[bits.TrailingZeros64(m)]), out, dist)
 	}
 	for _, id := range st.succs {
 		out, dist = c.offerCandidate(st, self, key, id, out, dist)

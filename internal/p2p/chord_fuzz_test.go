@@ -48,7 +48,11 @@ func fuzzChordInstance() *Chord {
 func refClosestPreceding(c *Chord, st *chordState, self NodeID, key uint64) []NodeID {
 	var out []NodeID
 	seen := make(map[NodeID]bool)
-	for _, list := range [][]NodeID{st.fingers[:], st.succs} {
+	fingers := make([]NodeID, len(st.fingers))
+	for i, f := range st.fingers {
+		fingers[i] = NodeID(f)
+	}
+	for _, list := range [][]NodeID{fingers, st.succs} {
 		for _, id := range list {
 			if id == NoNode || id == self || seen[id] {
 				continue

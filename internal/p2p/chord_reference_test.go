@@ -181,7 +181,7 @@ func newTableState(c *Chord) *chordState {
 }
 
 // recomputeRuns derives the run index from the slots.
-func recomputeRuns(f *[64]NodeID) uint64 {
+func recomputeRuns(f *[64]int32) uint64 {
 	runs := uint64(1)
 	for i := 1; i < len(f); i++ {
 		if f[i] != f[i-1] {
@@ -195,7 +195,7 @@ func recomputeRuns(f *[64]NodeID) uint64 {
 // reference, or returns "".
 func tableMismatch(st *chordState, ref *refChordState) string {
 	for i := range st.fingers {
-		if st.fingers[i] != ref.fingers[i] {
+		if NodeID(st.fingers[i]) != ref.fingers[i] {
 			return fmt.Sprintf("slot %d = %d, reference %d\n  got %v\n want %v", i, st.fingers[i], ref.fingers[i], st.fingers, ref.fingers)
 		}
 	}
@@ -225,7 +225,7 @@ func TestChordFingerTableMatchesReference(t *testing.T) {
 				op.peer = NoNode
 			case op.kind == tableEvict && src.Intn(2) == 0:
 				// Evict a current finger, so holes actually open.
-				op.peer = st.fingers[src.Intn(64)]
+				op.peer = NodeID(st.fingers[src.Intn(64)])
 			}
 			applyTableOp(c, st, ref, op)
 			if msg := tableMismatch(st, ref); msg != "" {

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"bytes"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -248,5 +249,72 @@ func TestChordDeterministicReplay(t *testing.T) {
 	m2, n2 := run()
 	if m1 != m2 || n1 != n2 {
 		t.Fatalf("same seed diverged: %+v/%d vs %+v/%d", m1, n1, m2, n2)
+	}
+}
+
+// footprintMatrix is a computed all-pairs model for the footprint test:
+// 2–27 ms RTTs, symmetric, no n×n table on the heap being measured.
+type footprintMatrix int
+
+func (m footprintMatrix) N() int { return int(m) }
+
+func (m footprintMatrix) LatencyMs(i, j int) float64 {
+	if i == j {
+		return 0
+	}
+	return 2 + float64((i*j+i+j)%26)
+}
+
+// TestChordFootprintPerMember bounds what a ring member costs on the heap
+// once the ring has formed: its Node, its chord state (a 256-byte finger
+// table of int32 slots) and its share of the kernel's and runtime's
+// buffers. Dispatch tables are per protocol role, not per node, so a
+// per-node route slice or bound-method closure shows here as a few hundred
+// bytes a member over the bound. Serving a table allocates nothing, for a
+// first role or a second (the union is built once per pair of tables).
+func TestChordFootprintPerMember(t *testing.T) {
+	const members = 2000
+	// Measured at 750 B on go1.24 linux/amd64; the bound leaves a quarter
+	// of headroom. Per-node routes and method values and 64-bit finger
+	// slots put the same ring at 1,540 B.
+	const bound = 940
+	kernel := sim.New()
+	rt := New(kernel, footprintMatrix(members+1), Config{RPCTimeout: time.Second}, 1)
+	cfg := DefaultChordConfig()
+	cfg.StabilizeEvery = 2 * time.Second
+	cfg.Horizon = 20 * time.Second
+	ch := NewChord(rt, cfg, 1)
+	for i := 0; i < members; i++ {
+		id := NodeID(i)
+		kernel.After(time.Duration(i)*5*time.Millisecond, func() { ch.Join(id) })
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kernel.Run()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ch)
+	if ch.NumMembers() != members {
+		t.Fatalf("%d members joined, want %d", ch.NumMembers(), members)
+	}
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / members
+	t.Logf("live heap per member: %d B", per)
+	if per > bound {
+		t.Errorf("live heap per member %d B, want at most %d B", per, bound)
+	}
+
+	spare := rt.AddNode(members) // a non-member: it serves the ping table
+	second := NewTable().With("second", func(*Node, Envelope) {})
+	allocs := testing.AllocsPerRun(100, func() {
+		spare.table = pingTable
+		spare.Serve(ch.table)
+		spare.Serve(second)
+	})
+	if allocs != 0 {
+		t.Errorf("serving a table allocated %v times a call, want 0", allocs)
+	}
+	if spare.table.handler(MsgChordFind) == nil || spare.table.handler("second") == nil {
+		t.Error("the two-role node lost a role's handler")
 	}
 }

@@ -2,7 +2,8 @@
 // the repository's algorithms, which elsewhere run as synchronous function
 // calls against a probe-counting latency matrix, here run as protocols —
 // typed wire envelopes between per-node inboxes (dispatch by a linear scan
-// of a few (type, handler) routes), request/response correlation through a
+// of a few (type, handler) routes in a table each protocol role shares
+// across its nodes), request/response correlation through a
 // per-node inflight table kept in MsgID order, per-RPC timeouts, configurable
 // packet loss, and a churn generator that drives membership over virtual
 // time. The point is to re-measure the paper's cost claims under the

@@ -124,6 +124,10 @@ type Expanding struct {
 	rt       *Runtime
 	cfg      ExpandConfig
 	byClient []expandSlot // indexed by NodeID
+
+	// The dispatch tables of the responder and the client role. A node
+	// holding both serves their union (see Node.Serve).
+	responder, client *Table
 }
 
 // NewExpanding creates the protocol instance.
@@ -131,17 +135,46 @@ func NewExpanding(rt *Runtime, cfg ExpandConfig) *Expanding {
 	if cfg.Rounds <= 0 || cfg.RoundTimeout <= 0 || cfg.InitialRadiusMs <= 0 || cfg.RadiusMult <= 1 {
 		panic(fmt.Sprintf("p2p: invalid expand config %+v", cfg))
 	}
-	return &Expanding{rt: rt, cfg: cfg, byClient: make([]expandSlot, rt.Population())}
+	e := &Expanding{rt: rt, cfg: cfg, byClient: make([]expandSlot, rt.Population())}
+	e.responder = NewTable().With(MsgFind, handleExpandFind)
+	e.client = NewTable().With(MsgFound, e.handleFound)
+	return e
 }
 
-// Register subscribes a node to the search group and installs the
-// responder handler.
+// Register subscribes a node to the search group and serves it the
+// responder table.
 func (e *Expanding) Register(id NodeID) {
 	n := e.rt.AddNode(id)
 	e.rt.JoinGroup(ExpandGroup, id)
-	n.Handle(MsgFind, func(n *Node, env Envelope) {
-		fm := env.Payload.(findMsg)
-		n.Send(env.From, MsgFound, foundMsg{SID: fm.SID, Round: fm.Round})
+	n.Serve(e.responder)
+}
+
+// handleExpandFind answers a scoped find with a one-way report.
+func handleExpandFind(n *Node, env Envelope) {
+	fm := env.Payload.(findMsg)
+	n.Send(env.From, MsgFound, foundMsg{SID: fm.SID, Round: fm.Round})
+}
+
+// handleFound resolves the client's active search with the first report
+// that answers it.
+func (e *Expanding) handleFound(n *Node, env Envelope) {
+	fm := env.Payload.(foundMsg)
+	sr := e.byClient[n.ID].active
+	if sr == nil || sr.sid != fm.SID {
+		return // already resolved; later (= farther) answers lose
+	}
+	e.byClient[n.ID].active = nil
+	now := e.rt.Now(n.ID)
+	// Measure against the round that sent the find this answers — a
+	// late answer (allowed: "they still count") must not be timed
+	// against a newer round's start, which would under-report the RTT.
+	sr.done(FindResult{
+		Peer:    env.From,
+		RTTms:   msOf(now - sr.sentAt[fm.Round]),
+		Hops:    sr.round, // round counts multicasts already sent
+		Probes:  sr.messages,
+		Elapsed: now - sr.started,
+		Found:   true,
 	})
 }
 
@@ -162,26 +195,7 @@ func (e *Expanding) Search(client NodeID, done func(FindResult)) {
 	slot.nextSID++
 	s := &expandSearch{sid: slot.nextSID, client: client, started: e.rt.Now(client), done: done}
 	slot.active = s
-	n.Handle(MsgFound, func(n *Node, env Envelope) {
-		fm := env.Payload.(foundMsg)
-		sr := e.byClient[n.ID].active
-		if sr == nil || sr.sid != fm.SID {
-			return // already resolved; later (= farther) answers lose
-		}
-		e.byClient[n.ID].active = nil
-		now := e.rt.Now(n.ID)
-		// Measure against the round that sent the find this answers — a
-		// late answer (allowed: "they still count") must not be timed
-		// against a newer round's start, which would under-report the RTT.
-		sr.done(FindResult{
-			Peer:    env.From,
-			RTTms:   msOf(now - sr.sentAt[fm.Round]),
-			Hops:    sr.round, // round counts multicasts already sent
-			Probes:  sr.messages,
-			Elapsed: now - sr.started,
-			Found:   true,
-		})
-	})
+	n.Serve(e.client)
 	e.runRound(s)
 }
 

@@ -161,3 +161,33 @@ func TestExpandRingRule(t *testing.T) {
 		t.Fatalf("unreachable search got %+v", none)
 	}
 }
+
+// TestExpandingTableClientAndResponder: a responder that also searches
+// serves one table holding both roles — it still answers other clients'
+// finds and receives its own reports — and every node holding both roles
+// reads the same table.
+func TestExpandingTableClientAndResponder(t *testing.T) {
+	kernel := sim.New()
+	rt := New(kernel, lineMatrix(6), DefaultConfig(), 1)
+	e := NewExpanding(rt, ExpandConfig{InitialRadiusMs: 5, RadiusMult: 3, Rounds: 4, RoundTimeout: 300 * time.Millisecond})
+	for _, id := range []NodeID{2, 3, 5} {
+		e.Register(id)
+	}
+	var first, second, third FindResult
+	e.Search(3, func(r FindResult) { first = r }) // responder 3 searches: 2 is nearest
+	kernel.Run()
+	e.Search(2, func(r FindResult) { second = r }) // and responder 2
+	kernel.Run()
+	e.Search(0, func(r FindResult) { third = r }) // a client-only node still reaches 2
+	kernel.Run()
+	if first.Peer != 2 || second.Peer != 3 || third.Peer != 2 {
+		t.Fatalf("peers %d, %d, %d, want 2, 3, 2", first.Peer, second.Peer, third.Peer)
+	}
+	both := rt.Node(2).table
+	if rt.Node(3).table != both || both == e.responder || both == e.client {
+		t.Fatal("the two client-responders do not share one two-role table")
+	}
+	if rt.Node(0).table != e.client || rt.Node(5).table != e.responder {
+		t.Fatal("a one-role node does not serve its role's table")
+	}
+}

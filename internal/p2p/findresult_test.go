@@ -79,7 +79,7 @@ func TestQueryRetryScope(t *testing.T) {
 func TestQueryProbeCarriesAnswer(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	q := NewQuery(rt.AddNode(0), "test", 0)
-	rt.AddNode(1).Handle("coord", func(n *Node, env Envelope) { n.Reply(env, "coord_ok", "c1") })
+	rt.AddNode(1).Serve(NewTable().With("coord", func(n *Node, env Envelope) { n.Reply(env, "coord_ok", "c1") }))
 	var got any
 	var rtt float64
 	q.Probe(1, "coord", func(env Envelope, ms float64, ok bool) { got, rtt = env.Payload, ms })
@@ -137,7 +137,7 @@ func TestQueryCallbacksStopWithClient(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	client := rt.AddNode(0)
 	q := NewQuery(client, "test", 0)
-	rt.AddNode(1).Handle("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) })
+	rt.AddNode(1).Serve(NewTable().With("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) }))
 	rt.AddNode(2).Stop()
 	fired := 0
 	q.Ping(1, func(float64, bool) { fired++ })
@@ -163,7 +163,7 @@ func TestQueryRecordsHops(t *testing.T) {
 	rec := obs.NewRecorder(16)
 	rt.AttachRecorder(rec)
 	q := NewQuery(rt.AddNode(0), "test", 0)
-	rt.AddNode(1).Handle("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) })
+	rt.AddNode(1).Serve(NewTable().With("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) }))
 	rt.AddNode(3).Stop()
 	fail := func() { t.Error("a call to a live node failed") }
 	q.Call(3, "list", nil, func(Envelope) { t.Error("a stopped node answered") }, func() {
@@ -199,7 +199,7 @@ func TestQueryRecorderAllocs(t *testing.T) {
 	allocs := func(rec *obs.Recorder) float64 {
 		kernel, rt := newTestRuntime(t, 4, 0)
 		rt.AttachRecorder(rec)
-		rt.AddNode(1).Handle("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) })
+		rt.AddNode(1).Serve(NewTable().With("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) }))
 		q := NewQuery(rt.AddNode(0), "test", 0)
 		onPing := func(float64, bool) {}
 		onReply := func(Envelope) {}

@@ -104,8 +104,8 @@ func checkRuntimeInvariants(t *testing.T, rt *Runtime, stage string) {
 				t.Fatalf("%s: node %d has request %d inflight with no live expiry record", stage, n.ID, c.id)
 			}
 		}
-		for j, r := range n.handlers {
-			for _, prev := range n.handlers[:j] {
+		for j, r := range n.table.routes {
+			for _, prev := range n.table.routes[:j] {
 				if prev.typ == r.typ {
 					t.Fatalf("%s: node %d has two handlers for %q", stage, n.ID, r.typ)
 				}
@@ -205,10 +205,11 @@ func TestRuntimeInvariantsUnderRandomOps(t *testing.T) {
 	}
 	kernel := sim.New()
 	rt := New(kernel, m, Config{LossProb: 0.15, RPCTimeout: 250 * time.Millisecond}, 3)
+	table := NewTable().
+		With("mute", func(*Node, Envelope) {}). // never replies: requests always expire
+		With("mc", func(*Node, Envelope) {})
 	for i := 0; i < nNodes; i++ {
-		n := rt.AddNode(NodeID(i))
-		n.Handle("mute", func(*Node, Envelope) {}) // never replies: requests always expire
-		n.Handle("mc", func(*Node, Envelope) {})
+		rt.AddNode(NodeID(i)).Serve(table)
 	}
 	groups := []string{"g0", "g1", "g2"}
 	randNode := func() NodeID { return NodeID(src.Intn(nNodes)) }

@@ -208,15 +208,7 @@ func (b *liveBase) AddNode(id NodeID) *Node {
 	if n := b.nodes[id]; n != nil {
 		return n
 	}
-	n := &Node{
-		ID:      id,
-		rt:      b.self,
-		metrics: &b.metrics,
-		alive:   true,
-	}
-	n.Handle(MsgPing, func(n *Node, env Envelope) {
-		n.Reply(env, MsgPong, nil)
-	})
+	n := newNode(id, b.self, &b.metrics)
 	b.nodes[id] = n
 	b.live.Add(1)
 	return n

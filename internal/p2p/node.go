@@ -3,6 +3,7 @@ package p2p
 import (
 	"cmp"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -23,21 +24,112 @@ type call struct {
 	onTimeout func()
 }
 
-// route is one installed handler: a message type and what runs it.
+// route is one table entry: a message type and what runs it.
 type route struct {
 	typ string
 	h   Handler
 }
 
-// Node is one runtime endpoint: an inbox dispatching by message type, an
-// inflight table correlating responses to requests, and an up/down flag the
-// churn generator toggles.
+// Table is a dispatch table: the handler for each message type one
+// protocol role serves. A protocol builds its tables once per instance and
+// role, starting from NewTable, and every node in the role serves the same
+// table (Node.Serve). Routes are never written after a table is built —
+// With returns a new table — so the shards of a sharded runtime and the
+// live event loop read them with no synchronisation. A node given a second
+// role serves the union of the two tables, built once per pair of tables
+// and shared by every node holding both roles.
 //
-// Both tables are small per-node slices, not maps: dispatch runs once per
-// delivered message, and hashing the type string and the MsgID there was a
-// tenth of a chord trial's CPU. No protocol installs more than about ten
-// handlers, so dispatch is a linear scan (type constants share their
-// backing bytes, so a hit is a pointer compare). The inflight table is kept
+// Dispatch is a linear scan, not a map: dispatch runs once per delivered
+// message, no role serves more than about ten types, and type constants
+// share their backing bytes, so a hit is a pointer compare.
+type Table struct {
+	routes []route
+	// roles lists the tables a union was joined from; nil for a table
+	// built with With, which is one role.
+	roles []*Table
+
+	mu     sync.Mutex
+	unions map[*Table]*Table // joined tables by the other role, built on first use
+}
+
+// pingTable is the table every node serves from AddNode until a protocol
+// serves its own: ping alone.
+var pingTable = &Table{routes: []route{{typ: MsgPing, h: handlePing}}}
+
+func handlePing(n *Node, env Envelope) { n.Reply(env, MsgPong, nil) }
+
+// NewTable returns the base of every table: a table answering ping and
+// nothing else.
+func NewTable() *Table { return pingTable }
+
+// With returns a new table holding t's routes plus h for typ (replacing
+// t's handler for typ, if any). t is not modified.
+func (t *Table) With(typ string, h Handler) *Table {
+	routes := make([]route, 0, len(t.routes)+1)
+	for _, r := range t.routes {
+		if r.typ != typ {
+			routes = append(routes, r)
+		}
+	}
+	return &Table{routes: append(routes, route{typ: typ, h: h})}
+}
+
+// handler returns the handler t holds for typ, or nil.
+func (t *Table) handler(typ string) Handler {
+	for i := range t.routes {
+		if t.routes[i].typ == typ {
+			return t.routes[i].h
+		}
+	}
+	return nil
+}
+
+// roleList returns the roles t holds: its join roles, or t itself.
+func (t *Table) roleList() []*Table {
+	if t.roles != nil {
+		return t.roles
+	}
+	return []*Table{t}
+}
+
+// holds reports whether serving t already serves role (every table serves
+// ping's).
+func (t *Table) holds(role *Table) bool {
+	return role == t || role == pingTable || slices.Contains(t.roles, role)
+}
+
+// join returns the table serving t's roles and role's; for a type both
+// serve, role's handler wins. Built on the first call for a pair and
+// returned from then on; the lock makes that safe from any shard.
+func (t *Table) join(role *Table) *Table {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if u := t.unions[role]; u != nil {
+		return u
+	}
+	routes := slices.Clone(t.routes)
+	for _, r := range role.routes {
+		if i := slices.IndexFunc(routes, func(x route) bool { return x.typ == r.typ }); i >= 0 {
+			routes[i] = r
+		} else {
+			routes = append(routes, r)
+		}
+	}
+	u := &Table{routes: routes, roles: append(slices.Clone(t.roleList()), role.roleList()...)}
+	if t.unions == nil {
+		t.unions = make(map[*Table]*Table)
+	}
+	t.unions[role] = u
+	return u
+}
+
+// Node is one runtime endpoint: the dispatch table of its protocol role,
+// an inflight table correlating responses to requests, and an up/down flag
+// the churn generator toggles.
+//
+// The dispatch table is shared (see Table); the node holds one pointer to
+// it. The inflight table is the node's own: a slice, not a map, since
+// hashing the MsgID on every delivered response was measurable. It is kept
 // in MsgID order and binary-searched: a node's MsgIDs come from one
 // counter (its home shard's, or the live transport's) and are allocated in
 // increasing order, so parking a request is an append, while the fan-out
@@ -50,7 +142,7 @@ type Node struct {
 	// metrics is the node's home account (see Metrics), bound by AddNode.
 	metrics  *Metrics
 	alive    bool
-	handlers []route
+	table    *Table
 	inflight []call
 
 	// retrySeq numbers RequestPolicy calls for deterministic jitter; gen
@@ -61,6 +153,11 @@ type Node struct {
 	retrySeq  uint64
 	gen       uint64
 	suspicion map[NodeID]int
+}
+
+// newNode returns a node brought up alive, serving the ping table.
+func newNode(id NodeID, rt Transport, metrics *Metrics) *Node {
+	return &Node{ID: id, rt: rt, metrics: metrics, alive: true, table: pingTable}
 }
 
 // Alive reports whether the node is up.
@@ -75,28 +172,25 @@ func (n *Node) Transport() Transport { return n.rt }
 // may write it.
 func (n *Node) Metrics() *Metrics { return n.metrics }
 
-// Handle installs the handler for a message type (replacing any previous
-// one). Messages with no handler and no inflight correlation are dropped,
-// as an unknown UDP datagram would be.
-func (n *Node) Handle(typ string, h Handler) {
-	for i := range n.handlers {
-		if n.handlers[i].typ == typ {
-			n.handlers[i].h = h
-			return
-		}
+// Serve gives the node t's role. A node serving only ping takes t itself;
+// a node already serving another role takes the union of the two (see
+// Table), so one node can be, say, a chord member and a vivaldi member on
+// one transport. Messages with no handler in the node's table and no
+// inflight correlation are dropped, as an unknown UDP datagram would be.
+func (n *Node) Serve(t *Table) {
+	switch {
+	case n.table.holds(t):
+	case n.table == pingTable:
+		n.table = t
+	default:
+		n.table = n.table.join(t)
 	}
-	n.handlers = append(n.handlers, route{typ: typ, h: h})
 }
 
-// handler returns the handler installed for typ, or nil.
-func (n *Node) handler(typ string) Handler {
-	for i := range n.handlers {
-		if n.handlers[i].typ == typ {
-			return n.handlers[i].h
-		}
-	}
-	return nil
-}
+// Handle serves the node's current table extended With(typ, h): this node
+// alone gets a table of its own. Protocols build their tables once and Serve
+// them; Handle remains for the benchmark module's one-node probes.
+func (n *Node) Handle(typ string, h Handler) { n.table = n.table.With(typ, h) }
 
 // park inserts a waiter at its MsgID's place in the inflight table: an
 // append, unless a caller off the transport's event order allocated out of
@@ -205,7 +299,7 @@ func (n *Node) deliver(env Envelope) {
 		}
 		return
 	}
-	if h := n.handler(env.Type); h != nil {
+	if h := n.table.handler(env.Type); h != nil {
 		h(n, env)
 	}
 }

@@ -27,11 +27,11 @@ func TestObsZeroAlloc(t *testing.T) {
 
 	a := rt.AddNode(0)
 	b := rt.AddNode(1)
-	b.Handle("noop", func(*Node, Envelope) {})
+	b.Serve(NewTable().With("noop", func(*Node, Envelope) {}))
+	mc := NewTable().With("mc", func(*Node, Envelope) {})
 	for i := 2; i < 128; i++ {
-		rt.AddNode(NodeID(i))
+		rt.AddNode(NodeID(i)).Serve(mc)
 		rt.JoinGroup("g", NodeID(i))
-		rt.Node(NodeID(i)).Handle("mc", func(*Node, Envelope) {})
 	}
 	// Sampler every 5ms with a far horizon; the test drives the kernel
 	// with RunUntil, so the self-rescheduling tick cannot spin a drain

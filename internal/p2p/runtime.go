@@ -359,7 +359,8 @@ func (r *Runtime) Population() int { return r.m.N() }
 // stopped node stays stopped. Resurrection is Restart's job — AddNode
 // silently reviving a churn-downed node would remove it from the churn
 // process (the pending rejoin would find it alive and stop driving it).
-// Every node answers pings and charges its home shard's metrics account.
+// Every node serves the ping table (see NewTable) until its protocol
+// serves its own, and charges its home shard's metrics account.
 func (r *Runtime) AddNode(id NodeID) *Node {
 	if int(id) < 0 || int(id) >= r.m.N() {
 		panic(fmt.Sprintf("p2p: node %d outside matrix population %d", id, r.m.N()))
@@ -367,15 +368,7 @@ func (r *Runtime) AddNode(id NodeID) *Node {
 	if n := r.nodes[id]; n != nil {
 		return n
 	}
-	n := &Node{
-		ID:      id,
-		rt:      r,
-		metrics: r.sh[r.shardIdx(id)].metrics,
-		alive:   true,
-	}
-	n.Handle(MsgPing, func(n *Node, env Envelope) {
-		n.Reply(env, MsgPong, nil)
-	})
+	n := newNode(id, r, r.sh[r.shardIdx(id)].metrics)
 	r.nodes[id] = n
 	r.liveCount++
 	return n

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -32,9 +33,9 @@ func newTestRuntime(t *testing.T, n int, loss float64) (*sim.Sim, *Runtime) {
 func TestRequestReplyCorrelation(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	a, b := rt.AddNode(0), rt.AddNode(2)
-	b.Handle("echo", func(n *Node, env Envelope) {
+	b.Serve(NewTable().With("echo", func(n *Node, env Envelope) {
 		n.Reply(env, "echo_ok", env.Payload)
-	})
+	}))
 	var got any
 	var at time.Duration
 	a.Request(b.ID, "echo", "hello", 0, func(env Envelope) {
@@ -190,7 +191,7 @@ func TestStopClearsInflight(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 2, 0)
 	a, b := rt.AddNode(0), rt.AddNode(1)
 	// b never answers "mute" requests.
-	b.Handle("mute", func(*Node, Envelope) {})
+	b.Serve(NewTable().With("mute", func(*Node, Envelope) {}))
 	fired := false
 	a.Request(1, "mute", nil, time.Second, func(Envelope) { fired = true }, func() { fired = true })
 	a.Stop()
@@ -208,9 +209,9 @@ func TestMulticastScopesAndCounts(t *testing.T) {
 	}
 	rt.Node(2).Stop() // dead members receive nothing and cost nothing
 	var got []NodeID
+	hello := NewTable().With("hello", func(n *Node, env Envelope) { got = append(got, n.ID) })
 	for i := 1; i < 5; i++ {
-		id := NodeID(i)
-		rt.Node(id).Handle("hello", func(n *Node, env Envelope) { got = append(got, n.ID) })
+		rt.Node(NodeID(i)).Serve(hello)
 	}
 	// Radius 25 ms from node 0 covers nodes 1 and 2 (10, 20 ms); 2 is dead.
 	sent := rt.Multicast(0, "g", "hello", nil, 25)
@@ -336,10 +337,11 @@ func TestMulticastIndexMatchesLinearScan(t *testing.T) {
 			for _, radius := range []float64{0, 10, 37.5, 80, 1000} {
 				want := scan(from, radius)
 				var got []rcpt
+				mc := NewTable().With("mc", func(n *Node, env Envelope) {
+					got = append(got, rcpt{n.ID, env.MsgID})
+				})
 				for _, mm := range rt.groups["g"].members {
-					rt.Node(mm).Handle("mc", func(n *Node, env Envelope) {
-						got = append(got, rcpt{n.ID, env.MsgID})
-					})
+					rt.Node(mm).Serve(mc)
 				}
 				sent := rt.Multicast(from, "g", "mc", nil, radius)
 				kernel.Run()
@@ -400,10 +402,11 @@ func TestMulticastFallbackBeyondSenderCap(t *testing.T) {
 		msgID uint64
 	}
 	var got []rcpt
+	mc2 := NewTable().With("mc2", func(n *Node, env Envelope) {
+		got = append(got, rcpt{n.ID, env.MsgID})
+	})
 	for i := 0; i < 300; i++ {
-		rt.Node(NodeID(i)).Handle("mc2", func(n *Node, env Envelope) {
-			got = append(got, rcpt{n.ID, env.MsgID})
-		})
+		rt.Node(NodeID(i)).Serve(mc2)
 	}
 	sent := rt.Multicast(599, "g", "mc2", nil, 5990)
 	kernel.Run()
@@ -425,7 +428,7 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	a := rt.AddNode(0)
 	b := rt.AddNode(1)
-	b.Handle("noop", func(*Node, Envelope) {})
+	b.Serve(NewTable().With("noop", func(*Node, Envelope) {}))
 	// Warm the slab and the kernel queue.
 	for i := 0; i < 64; i++ {
 		a.Send(1, "noop", nil)
@@ -444,10 +447,10 @@ func TestSendDeliverZeroAlloc(t *testing.T) {
 // reuse their capacity).
 func TestMulticastRoundZeroAlloc(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 128, 0)
+	mc := NewTable().With("mc", func(*Node, Envelope) {})
 	for i := 1; i < 128; i++ {
-		rt.AddNode(NodeID(i))
+		rt.AddNode(NodeID(i)).Serve(mc)
 		rt.JoinGroup("g", NodeID(i))
-		rt.Node(NodeID(i)).Handle("mc", func(*Node, Envelope) {})
 	}
 	rt.AddNode(0)
 	rt.Multicast(0, "g", "mc", nil, 300) // builds the index, warms buffers
@@ -473,8 +476,9 @@ func TestMulticastDeliveryOrderStable(t *testing.T) {
 			rt.JoinGroup("g", id)
 		}
 		var got []NodeID
+		hello := NewTable().With("hello", func(n *Node, env Envelope) { got = append(got, n.ID) })
 		for _, id := range ids {
-			rt.Node(id).Handle("hello", func(n *Node, env Envelope) { got = append(got, n.ID) })
+			rt.Node(id).Serve(hello)
 		}
 		rt.Multicast(0, "g", "hello", nil, 1000)
 		kernel.Run()
@@ -508,10 +512,10 @@ func TestSelfRequestReachesHandler(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 2, 0)
 	a := rt.AddNode(0)
 	handled := false
-	a.Handle("echo", func(n *Node, env Envelope) {
+	a.Serve(NewTable().With("echo", func(n *Node, env Envelope) {
 		handled = true
 		n.Reply(env, "echo_ok", env.Payload)
-	})
+	}))
 	var got any
 	a.Request(0, "echo", "self", 0, func(env Envelope) { got = env.Payload },
 		func() { t.Error("self-request timed out") })
@@ -636,5 +640,134 @@ func TestTransportSeamMethods(t *testing.T) {
 	want := []string{"AddNode", "After", "AfterHandler", "Alive", "Node", "Now", "Population", "RegisterHandler"}
 	if !slices.Equal(exported, want) || tt.NumMethod() != 14 {
 		t.Errorf("Transport has %d methods, exported %v; want 14, exported %v", tt.NumMethod(), exported, want)
+	}
+}
+
+// TestTableDropsUnknownType: a message whose type the node's table does
+// not hold is dropped, one-way or request (the request expires), while
+// the table's own types and ping still dispatch.
+func TestTableDropsUnknownType(t *testing.T) {
+	kernel, rt := newTestRuntime(t, 2, 0)
+	a, b := rt.AddNode(0), rt.AddNode(1)
+	echoes := 0
+	b.Serve(NewTable().With("echo", func(n *Node, env Envelope) {
+		echoes++
+		n.Reply(env, "echo_ok", nil)
+	}))
+	a.Send(1, "nope", nil)
+	replied, expired, pong := 0, 0, false
+	a.Request(1, "nope", nil, time.Second, func(Envelope) { replied++ }, func() { expired++ })
+	a.Request(1, "echo", nil, time.Second, func(Envelope) { replied++ }, func() { expired++ })
+	a.Ping(1, time.Second, false, func(_ float64, ok bool) { pong = ok })
+	kernel.Run()
+	if echoes != 1 || replied != 1 || expired != 1 || !pong {
+		t.Fatalf("echoes=%d replied=%d expired=%d pong=%v, want 1, 1, 1, true", echoes, replied, expired, pong)
+	}
+	if rt.Metrics.MsgsDelivered != 6 { // nope, nope, echo, echo_ok, ping, pong
+		t.Fatalf("delivered %d, want 6", rt.Metrics.MsgsDelivered)
+	}
+}
+
+// TestTablesNeverCross: two roles on one transport, both serving type "x".
+// Every node in a role reads the one table of its role, and a message is
+// handled by the table of the node it reaches, never the other role's.
+func TestTablesNeverCross(t *testing.T) {
+	kernel, rt := newTestRuntime(t, 5, 0)
+	src := rt.AddNode(0)
+	type hit struct {
+		role string
+		at   NodeID
+	}
+	var hits []hit
+	roleA := NewTable().With("x", func(n *Node, _ Envelope) { hits = append(hits, hit{"A", n.ID}) })
+	roleB := NewTable().
+		With("x", func(n *Node, _ Envelope) { hits = append(hits, hit{"B", n.ID}) }).
+		With("y", func(n *Node, _ Envelope) { hits = append(hits, hit{"B:y", n.ID}) })
+	for id := NodeID(1); id <= 4; id++ {
+		if id%2 == 1 {
+			rt.AddNode(id).Serve(roleA)
+		} else {
+			rt.AddNode(id).Serve(roleB)
+		}
+	}
+	if rt.Node(1).table != rt.Node(3).table || rt.Node(2).table != rt.Node(4).table {
+		t.Fatal("nodes in one role serve different tables")
+	}
+	for id := NodeID(1); id <= 4; id++ {
+		src.Send(id, "x", nil)
+		src.Send(id, "y", nil)
+	}
+	kernel.Run()
+	want := []hit{{"A", 1}, {"B", 2}, {"B:y", 2}, {"A", 3}, {"B", 4}, {"B:y", 4}}
+	if !slices.Equal(hits, want) {
+		t.Fatalf("hits %v, want %v", hits, want)
+	}
+}
+
+// TestTableJoinServesBothRoles: a node given a second role serves both
+// roles' types, the later role winning a type both hold; every node with
+// the same two roles reads one union table, built once; serving a role the
+// node already holds changes nothing.
+func TestTableJoinServesBothRoles(t *testing.T) {
+	kernel, rt := newTestRuntime(t, 4, 0)
+	src := rt.AddNode(0)
+	var got []string
+	first := NewTable().
+		With("a", func(*Node, Envelope) { got = append(got, "first:a") }).
+		With("shared", func(*Node, Envelope) { got = append(got, "first:shared") })
+	second := NewTable().
+		With("b", func(*Node, Envelope) { got = append(got, "second:b") }).
+		With("shared", func(*Node, Envelope) { got = append(got, "second:shared") })
+	for _, id := range []NodeID{1, 2} {
+		n := rt.AddNode(id)
+		n.Serve(first)
+		n.Serve(second)
+	}
+	rt.AddNode(3).Serve(first)
+	both := rt.Node(1).table
+	if rt.Node(2).table != both || both == first || both == second {
+		t.Fatal("two nodes holding the same two roles serve different tables")
+	}
+	rt.Node(1).Serve(first)
+	rt.Node(1).Serve(second)
+	if rt.Node(1).table != both {
+		t.Fatal("serving a role the node holds replaced its table")
+	}
+	for _, typ := range []string{"a", "b", "shared"} {
+		src.Send(1, typ, nil)
+		src.Send(3, typ, nil)
+	}
+	pong := false
+	src.Ping(2, time.Second, false, func(_ float64, ok bool) { pong = ok })
+	kernel.Run()
+	// Node 1 (10 ms away) holds both roles, node 3 (30 ms) only the first.
+	want := []string{"first:a", "second:b", "second:shared", "first:a", "first:shared"}
+	if !slices.Equal(got, want) || !pong {
+		t.Fatalf("dispatched %v (pong %v), want %v and a pong", got, pong, want)
+	}
+}
+
+// TestTableShardedChordReadsOneTable: on a two-shard runtime every chord
+// member, whichever shard it lives on, serves the instance's one member
+// table, and the ring's lookups, puts and gets all complete through it.
+func TestTableShardedChordReadsOneTable(t *testing.T) {
+	d := newDigestSharded(1)
+	results := d.drive(false, 1)
+	for i, r := range results {
+		if r == "" || strings.Contains(r, "OK:false") {
+			t.Fatalf("op %d did not complete: %q", i, r)
+		}
+	}
+	perShard := make([]int, d.rt.Shards())
+	for _, id := range d.ch.LiveMembers() {
+		if n := d.rt.Node(NodeID(id)); n.table != d.ch.table {
+			t.Fatalf("member %d serves its own table", id)
+		}
+		perShard[d.rt.ShardOf(NodeID(id))]++
+	}
+	for s, count := range perShard {
+		if count == 0 || d.rt.ShardMetrics(s).MsgsDelivered == 0 {
+			t.Fatalf("shard %d: %d members, %d deliveries", s, count, d.rt.ShardMetrics(s).MsgsDelivered)
+		}
 	}
 }

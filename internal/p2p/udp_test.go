@@ -33,36 +33,35 @@ type udpSoakPayload struct {
 
 func init() { RegisterPayload("t_soak", udpSoakPayload{}) }
 
-// newUDPCluster brings up n local nodes with soak handlers installed.
+// newUDPCluster brings up n local nodes serving one soak table.
 func newUDPCluster(t *testing.T, n int, cfg Config, seed int64) *UDP {
 	t.Helper()
 	u := NewUDP(n+1, cfg, seed) // +1: one ID stays unbound as the dead peer
+	soak := NewTable().
+		With(udpEchoType, func(n *Node, env Envelope) {
+			n.Reply(env, udpEchoType, env.Payload)
+		}).
+		With(udpDupType, func(n *Node, env Envelope) {
+			n.Reply(env, udpDupType, env.Payload)
+			n.Reply(env, udpDupType, env.Payload)
+		}).
+		With(udpSlowType, func(n *Node, env Envelope) {
+			// Answer well after any requester timeout in the soak.
+			u.After(n.ID, 300*time.Millisecond, func() {
+				if n.Alive() {
+					n.Reply(env, udpSlowType, env.Payload)
+				}
+			})
+		})
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
 		if _, err := u.Listen(id, ""); err != nil {
 			u.Close()
 			t.Fatalf("listen %d: %v", id, err)
 		}
-		// Handlers install on the loop: the socket is live, so a datagram
-		// could already be in delivery.
-		u.Do(func() {
-			node := u.Node(id)
-			node.Handle(udpEchoType, func(n *Node, env Envelope) {
-				n.Reply(env, udpEchoType, env.Payload)
-			})
-			node.Handle(udpDupType, func(n *Node, env Envelope) {
-				n.Reply(env, udpDupType, env.Payload)
-				n.Reply(env, udpDupType, env.Payload)
-			})
-			node.Handle(udpSlowType, func(n *Node, env Envelope) {
-				// Answer well after any requester timeout in the soak.
-				u.After(n.ID, 300*time.Millisecond, func() {
-					if n.Alive() {
-						n.Reply(env, udpSlowType, env.Payload)
-					}
-				})
-			})
-		})
+		// The table is served on the loop: the socket is live, so a
+		// datagram could already be in delivery.
+		u.Do(func() { u.Node(id).Serve(soak) })
 	}
 	return u
 }
@@ -250,9 +249,9 @@ func TestUDPCrossProcessStyle(t *testing.T) {
 		t.Fatal(err)
 	}
 	server.Do(func() {
-		server.Node(0).Handle(udpEchoType, func(n *Node, env Envelope) {
+		server.Node(0).Serve(NewTable().With(udpEchoType, func(n *Node, env Envelope) {
 			n.Reply(env, udpEchoType, env.Payload)
-		})
+		}))
 	})
 
 	client := NewUDP(1024, Config{RPCTimeout: 2 * time.Second}, 2)

@@ -41,29 +41,36 @@ func init() {
 type Wire struct {
 	base *Finder
 	rt   p2p.Transport
+	// table is the member role's dispatch table, served by every member.
+	table *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
 func NewWire(rt p2p.Transport, base *Finder) *Wire {
-	return &Wire{base: base, rt: rt}
+	w := &Wire{base: base, rt: rt}
+	w.table = p2p.NewTable().With(MsgStep, w.handleStep)
+	return w
 }
 
-// Join brings a member up on the runtime and installs its next-hop handler.
+// Join brings a member up on the runtime, serving the next-hop handler.
 func (w *Wire) Join(id p2p.NodeID) {
-	n := w.rt.AddNode(id)
-	n.Handle(MsgStep, func(n *p2p.Node, env p2p.Envelope) {
-		sm := env.Payload.(stepMsg)
-		tc := &vivaldi.Coord{Vec: sm.Vec, Height: sm.Height}
-		cur := int(n.ID)
-		curDist := tc.DistanceMs(w.base.sys.CoordOf(cur))
-		next, nextDist := -1, curDist
-		for _, nb := range w.base.neighbors[cur] {
-			if d := tc.DistanceMs(w.base.sys.CoordOf(nb)); d < nextDist {
-				next, nextDist = nb, d
-			}
+	w.rt.AddNode(id).Serve(w.table)
+}
+
+// handleStep answers with the member's neighbour closest to the target
+// coordinate, or -1 when none is closer than the member itself.
+func (w *Wire) handleStep(n *p2p.Node, env p2p.Envelope) {
+	sm := env.Payload.(stepMsg)
+	tc := &vivaldi.Coord{Vec: sm.Vec, Height: sm.Height}
+	cur := int(n.ID)
+	curDist := tc.DistanceMs(w.base.sys.CoordOf(cur))
+	next, nextDist := -1, curDist
+	for _, nb := range w.base.neighbors[cur] {
+		if d := tc.DistanceMs(w.base.sys.CoordOf(nb)); d < nextDist {
+			next, nextDist = nb, d
 		}
-		n.Reply(env, MsgStepOK, stepOK{Next: next})
-	})
+	}
+	n.Reply(env, MsgStepOK, stepOK{Next: next})
 }
 
 // FindNearest runs the PIC query over the wire from client: ping the

@@ -44,6 +44,8 @@ type Wire struct {
 	serverOf map[int]int
 	// registered[server] is the server's registration set.
 	registered map[int]map[int]bool
+	// server is the server role's dispatch table.
+	server *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
@@ -52,6 +54,9 @@ func NewWire(rt p2p.Transport, base *Directory) *Wire {
 	for en, list := range base.byEN {
 		w.serverOf[en] = list[0] // sorted: the lowest-indexed member serves
 	}
+	w.server = p2p.NewTable().
+		With(MsgRegister, w.handleRegister).
+		With(MsgList, w.handleList)
 	return w
 }
 
@@ -60,32 +65,37 @@ func (w *Wire) ServerOf(m p2p.NodeID) p2p.NodeID {
 	return p2p.NodeID(w.serverOf[w.base.enOf[int(m)]])
 }
 
-// Join brings a member up on the runtime; servers get the directory
-// handlers installed.
+// Join brings a member up on the runtime; servers serve the directory
+// table.
 func (w *Wire) Join(id p2p.NodeID) {
 	n := w.rt.AddNode(id)
 	if w.ServerOf(id) != id {
 		return
 	}
-	set := w.registered[int(id)]
-	if set == nil {
-		set = make(map[int]bool)
-		w.registered[int(id)] = set
+	if w.registered[int(id)] == nil {
+		w.registered[int(id)] = make(map[int]bool)
 	}
-	n.Handle(MsgRegister, func(n *p2p.Node, env p2p.Envelope) {
-		set[int(env.From)] = true
-		n.Reply(env, MsgRegisterOK, nil)
-	})
-	n.Handle(MsgList, func(n *p2p.Node, env p2p.Envelope) {
-		ids := make([]int, 0, len(set))
-		for m := range set {
-			if m != int(env.From) {
-				ids = append(ids, m)
-			}
+	n.Serve(w.server)
+}
+
+// handleRegister records the sender in the server's registration set.
+func (w *Wire) handleRegister(n *p2p.Node, env p2p.Envelope) {
+	w.registered[int(n.ID)][int(env.From)] = true
+	n.Reply(env, MsgRegisterOK, nil)
+}
+
+// handleList answers with the server's registrations but the sender's,
+// in ascending order.
+func (w *Wire) handleList(n *p2p.Node, env p2p.Envelope) {
+	set := w.registered[int(n.ID)]
+	ids := make([]int, 0, len(set))
+	for m := range set {
+		if m != int(env.From) {
+			ids = append(ids, m)
 		}
-		sort.Ints(ids)
-		n.Reply(env, MsgListOK, listOK{IDs: ids})
-	})
+	}
+	sort.Ints(ids)
+	n.Reply(env, MsgListOK, listOK{IDs: ids})
 }
 
 // Register records a member in its end network's directory. done (optional)

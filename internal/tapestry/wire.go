@@ -38,24 +38,30 @@ func init() {
 type Wire struct {
 	base *Overlay
 	rt   p2p.Transport
+	// table is the member role's dispatch table, served by every member.
+	table *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
 func NewWire(rt p2p.Transport, base *Overlay) *Wire {
-	return &Wire{base: base, rt: rt}
+	w := &Wire{base: base, rt: rt}
+	w.table = p2p.NewTable().With(MsgLevels, w.handleLevels)
+	return w
 }
 
-// Join brings a member up on the runtime and installs its level handler.
+// Join brings a member up on the runtime, serving the level handler.
 func (w *Wire) Join(id p2p.NodeID) {
-	n := w.rt.AddNode(id)
-	n.Handle(MsgLevels, func(n *p2p.Node, env p2p.Envelope) {
-		lm := env.Payload.(levelsMsg)
-		var ids []int
-		if lm.Level >= 0 && lm.Level < len(w.base.nodes[int(n.ID)].levels) {
-			ids = w.base.nodes[int(n.ID)].levels[lm.Level]
-		}
-		n.Reply(env, MsgLevelsOK, levelsOK{IDs: ids})
-	})
+	w.rt.AddNode(id).Serve(w.table)
+}
+
+// handleLevels answers with the member's routing-table level.
+func (w *Wire) handleLevels(n *p2p.Node, env p2p.Envelope) {
+	lm := env.Payload.(levelsMsg)
+	var ids []int
+	if lm.Level >= 0 && lm.Level < len(w.base.nodes[int(n.ID)].levels) {
+		ids = w.base.nodes[int(n.ID)].levels[lm.Level]
+	}
+	n.Reply(env, MsgLevelsOK, levelsOK{IDs: ids})
 }
 
 // wireQuery carries one in-flight query's client-side state.

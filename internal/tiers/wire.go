@@ -42,6 +42,8 @@ type Wire struct {
 	rt   p2p.Transport
 	// repIdx[level][rep] is the cluster index the rep leads at that level.
 	repIdx []map[int]int
+	// table is the member role's dispatch table, served by every member.
+	table *p2p.Table
 }
 
 // NewWire creates the wire deployment over an existing runtime.
@@ -53,29 +55,33 @@ func NewWire(rt p2p.Transport, base *Hierarchy) *Wire {
 			w.repIdx[l][c.rep] = ci
 		}
 	}
+	w.table = p2p.NewTable().With(MsgCluster, w.handleCluster)
 	return w
 }
 
-// Join brings a member up on the runtime and installs its cluster handler
+// Join brings a member up on the runtime, serving the cluster handler
 // (every member leads its own singleton view at level 0 or better; non-reps
 // simply answer OK=false).
 func (w *Wire) Join(id p2p.NodeID) {
-	n := w.rt.AddNode(id)
-	n.Handle(MsgCluster, func(n *p2p.Node, env p2p.Envelope) {
-		cm := env.Payload.(clusterMsg)
-		if cm.Level < 0 || cm.Level >= len(w.base.levels) {
-			n.Reply(env, MsgClusterOK, clusterOK{})
-			return
-		}
-		ci, ok := w.repIdx[cm.Level][int(n.ID)]
-		if !ok {
-			n.Reply(env, MsgClusterOK, clusterOK{})
-			return
-		}
-		ids := append([]int(nil), w.base.levels[cm.Level][ci].members...)
-		sort.Ints(ids)
-		n.Reply(env, MsgClusterOK, clusterOK{OK: true, IDs: ids})
-	})
+	w.rt.AddNode(id).Serve(w.table)
+}
+
+// handleCluster answers with the cluster the member leads at the asked
+// level.
+func (w *Wire) handleCluster(n *p2p.Node, env p2p.Envelope) {
+	cm := env.Payload.(clusterMsg)
+	if cm.Level < 0 || cm.Level >= len(w.base.levels) {
+		n.Reply(env, MsgClusterOK, clusterOK{})
+		return
+	}
+	ci, ok := w.repIdx[cm.Level][int(n.ID)]
+	if !ok {
+		n.Reply(env, MsgClusterOK, clusterOK{})
+		return
+	}
+	ids := append([]int(nil), w.base.levels[cm.Level][ci].members...)
+	sort.Ints(ids)
+	n.Reply(env, MsgClusterOK, clusterOK{OK: true, IDs: ids})
 }
 
 // FindNearest descends the hierarchy over the wire from client: fetch the

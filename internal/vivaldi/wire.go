@@ -183,6 +183,8 @@ type Wire struct {
 	// scratch receives a reply's snapshot before the spring update reads
 	// it (the kernel is single-threaded, so one buffer serves all members).
 	scratch Coord
+	// table is the member role's dispatch table, served by every member.
+	table *p2p.Table
 
 	metrics WireMetrics
 }
@@ -204,6 +206,11 @@ func NewWire(rt p2p.Transport, cfg WireConfig, seed int64) *Wire {
 	w.qsrc = w.src.Split("query")
 	w.tickH = rt.RegisterHandler(w.tick)
 	w.reclaimH = rt.RegisterHandler(w.reclaimSnap)
+	w.table = p2p.NewTable().
+		With(MsgGossip, w.handleGossip).
+		With(MsgGossipOK, w.handleGossipOK).
+		With(MsgProbe, w.handleProbe).
+		With(MsgWalk, w.handleWalk)
 	return w
 }
 
@@ -275,10 +282,7 @@ func (w *Wire) Join(id p2p.NodeID) {
 	}
 	w.states[id] = st
 	w.insertMember(id)
-	n.Handle(MsgGossip, w.handleGossip)
-	n.Handle(MsgGossipOK, w.handleGossipOK)
-	n.Handle(MsgProbe, w.handleProbe)
-	n.Handle(MsgWalk, w.handleWalk)
+	n.Serve(w.table)
 	w.scheduleTick(id, st)
 }
 
