@@ -67,9 +67,10 @@ func TestSelectionMatchesReference(t *testing.T) {
 	for _, d := range diffNets() {
 		for _, sel := range allSelections {
 			for _, k := range []int{2, 3, 16} {
-				// Residuals are scored four candidates at a time; at k = 16
-				// these pools leave every remainder mod 4 of unused
-				// candidates in both the first and the last round.
+				// Residuals are scored sixteen candidates at a time (the
+				// portable kernel four at a time); at k = 16 these pools
+				// leave short last blocks of many lengths, in both the
+				// first and the last round.
 				for _, size := range []int{17, 18, 19, 40, 64, 65, 150} {
 					if size <= k {
 						continue
@@ -84,42 +85,46 @@ func TestSelectionMatchesReference(t *testing.T) {
 }
 
 // checkSelectRing has node 0 trim a ring from candidates 1..size with the
-// live kernel and the reference, and fails unless both keep the same
-// members in the same order, carrying the owner's latencies, for the same
-// number of maintenance probes. It needs size > k >= 2 (the reference's
-// RingSize 1 keeps two members).
+// live kernel, under each residual kernel this CPU has, and the reference,
+// and fails unless both keep the same members in the same order, carrying
+// the owner's latencies, for the same number of maintenance probes. It
+// needs size > k >= 2 (the reference's RingSize 1 keeps two members).
 func checkSelectRing(t *testing.T, d diffNet, sel RingSelection, k, size int) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Selection, cfg.RingSize = sel, k
-	liveNet, refNet := d.nets()
-	live := &Overlay{cfg: cfg, net: liveNet, src: rng.New(9)}
+	_, refNet := d.nets()
 	ref := &refOverlay{cfg: cfg, net: refNet, src: rng.New(9)}
-
 	owner := &refNode{ringLat: map[int]float64{}}
 	ids := make([]int, size)
-	cands := make([]ringEntry, size)
 	for i := range ids {
 		ids[i] = i + 1
-		cands[i] = ringEntry{ids[i], liveNet.MaintProbe(0, ids[i])}
 		owner.ringLat[ids[i]] = refNet.MaintProbe(0, ids[i])
 	}
-
 	want := ref.selectRing(owner, ids)
-	live.selectRing(cands)
-	var got []int
-	for _, e := range live.rings {
-		got = append(got, e.id)
-		if e.lat != owner.ringLat[e.id] {
-			t.Errorf("member %d carries latency %v, owner measured %v", e.id, e.lat, owner.ringLat[e.id])
+
+	eachKernel(func(kernel string) {
+		liveNet, _ := d.nets()
+		live := &Overlay{cfg: cfg, net: liveNet, src: rng.New(9)}
+		cands := make([]ringEntry, size)
+		for i, id := range ids {
+			cands[i] = ringEntry{id, liveNet.MaintProbe(0, id)}
 		}
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("selected\n got %v\nwant %v", got, want)
-	}
-	if g, w := liveNet.MaintProbes(), refNet.MaintProbes(); g != w {
-		t.Errorf("maintenance probes: got %d, want %d", g, w)
-	}
+		live.selectRing(cands)
+		var got []int
+		for _, e := range live.rings {
+			got = append(got, e.id)
+			if e.lat != owner.ringLat[e.id] {
+				t.Errorf("%s kernel: member %d carries latency %v, owner measured %v", kernel, e.id, e.lat, owner.ringLat[e.id])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s kernel: selected\n got %v\nwant %v", kernel, got, want)
+		}
+		if g, w := liveNet.MaintProbes(), refNet.MaintProbes(); g != w {
+			t.Errorf("%s kernel: maintenance probes: got %d, want %d", kernel, g, w)
+		}
+	})
 }
 
 // FuzzSelectRing holds selectRing to the reference on small spaces of
@@ -182,36 +187,51 @@ func TestOverlayMatchesReference(t *testing.T) {
 					cfg.Selection, cfg.CandidatesPerNode = sel, candidates
 					members, targets := overlay.Split(d.m.N(), 30, 3)
 					members = members[:140] // the reference build is slow, more so under -race
-					liveNet, refNet := d.nets()
-					live := New(liveNet, members, cfg, 11)
+					targets = append(targets, members[:5]...)
+					// The reference is built and walked once; each
+					// residual kernel's overlay is held to its record.
+					_, refNet := d.nets()
 					ref := newRefOverlay(refNet, members, cfg, 11)
-
-					if g, w := liveNet.MaintProbes(), refNet.MaintProbes(); g != w {
-						t.Fatalf("maintenance probes: got %d, want %d", g, w)
-					}
+					wantMaint := refNet.MaintProbes()
+					wantRings := make(map[int][][]int, len(members))
 					for _, id := range members {
-						got, want := live.RingsOf(id), ref.RingsOf(id)
-						for r := range want {
-							if !slices.Equal(got[r], want[r]) {
-								t.Fatalf("node %d ring %d\n got %v\nwant %v", id, r, got[r], want[r])
-							}
-							for _, mbr := range want[r] {
-								g, _ := live.RingLatOf(id, mbr)
-								if w, _ := ref.RingLatOf(id, mbr); g != w {
-									t.Fatalf("node %d -> %d latency: got %v, want %v", id, mbr, g, w)
+						wantRings[id] = ref.RingsOf(id)
+					}
+					wantWalks := make([]overlay.Result, len(targets))
+					for i, tgt := range targets {
+						wantWalks[i] = ref.FindNearest(tgt)
+					}
+
+					eachKernel(func(kernel string) {
+						liveNet, _ := d.nets()
+						live := New(liveNet, members, cfg, 11)
+						if g := liveNet.MaintProbes(); g != wantMaint {
+							t.Fatalf("%s kernel: maintenance probes: got %d, want %d", kernel, g, wantMaint)
+						}
+						for _, id := range members {
+							got, want := live.RingsOf(id), wantRings[id]
+							for r := range want {
+								if !slices.Equal(got[r], want[r]) {
+									t.Fatalf("%s kernel: node %d ring %d\n got %v\nwant %v", kernel, id, r, got[r], want[r])
+								}
+								for _, mbr := range want[r] {
+									g, _ := live.RingLatOf(id, mbr)
+									if w, _ := ref.RingLatOf(id, mbr); g != w {
+										t.Fatalf("%s kernel: node %d -> %d latency: got %v, want %v", kernel, id, mbr, g, w)
+									}
 								}
 							}
 						}
-					}
-					// The walk: same start draws, same probes, same answer.
-					for _, tgt := range append(targets, members[:5]...) {
-						if g, w := live.FindNearest(tgt), ref.FindNearest(tgt); g != w {
-							t.Fatalf("FindNearest(%d): got %+v, want %+v", tgt, g, w)
+						// The walk: same start draws, same probes, same answer.
+						for i, tgt := range targets {
+							if g, w := live.FindNearest(tgt), wantWalks[i]; g != w {
+								t.Fatalf("%s kernel: FindNearest(%d): got %+v, want %+v", kernel, tgt, g, w)
+							}
 						}
-					}
-					if g, w := liveNet.QueryProbes(), refNet.QueryProbes(); g != w {
-						t.Fatalf("query probes: got %d, want %d", g, w)
-					}
+						if g, w := liveNet.QueryProbes(), refNet.QueryProbes(); g != w {
+							t.Fatalf("%s kernel: query probes: got %d, want %d", kernel, g, w)
+						}
+					})
 				})
 			}
 		}

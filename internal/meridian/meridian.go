@@ -154,7 +154,9 @@ type scratch struct {
 	lat    [maxSelectionPool * maxSelectionPool]float64 // pool×pool pairwise latencies
 	basis  [maxSelectionPool * maxSelectionPool]float64 // orthonormal rows, back to back
 	origin [maxSelectionPool]float64                    // the first selected member's coordinates
-	v      [scoreBlock][maxSelectionPool]float64        // the candidates being scored
+	v      [4][maxSelectionPool]float64                 // residuals: four candidates, one per row
+	block  [maxSelectionPool][scoreBlock]float64        // residualsAVX: sixteen candidates, lane-major
+	res    [scoreBlock]float64                          // a score pass's residual norms
 	sel    [maxSelectionPool]int                        // selected, in selection order
 	rest   [maxSelectionPool]int                        // not yet selected, in pool order
 }
@@ -367,9 +369,10 @@ func (o *Overlay) maxMinSubset(pool []ringEntry, k int) []int {
 // That is also why the arithmetic is pinned: which of several near-tied
 // candidates wins hangs on the last bits of the residuals, so every sum,
 // product and difference keeps the operand order of the original kernel
-// that reference_test.go preserves. Candidates are scored scoreBlock at a
-// time (residuals), each in its own accumulators, and compared in pool
-// order, so the winner is the one the one-at-a-time loop picked.
+// that reference_test.go preserves, and no product is fused into the sum
+// or difference it feeds. Candidates are scored scoreBlock at a time
+// (score), each in its own lane, and compared in pool order with a
+// strict >, so the winner is the one the one-at-a-time loop picked.
 func (o *Overlay) hypervolumeSubset(pool []ringEntry, k int) []int {
 	n := len(pool)
 	lat := o.lat[:n*n]
@@ -409,51 +412,8 @@ func (o *Overlay) hypervolumeSubset(pool []ringEntry, k int) []int {
 	// Gram–Schmidt residual selection: coordinates of candidate c are its
 	// latencies to the selected members, taken relative to the first's.
 	for len(sel) < k && len(rest) > 0 {
-		dim := len(sel)
-		origin := o.origin[:dim]
-		for j, s := range sel {
-			origin[j] = lat[sel[0]*n+s]
-		}
-		// Orthonormal basis of the selected members' affine span.
-		basis := o.basis[:0]
-		for _, s := range sel[1:] {
-			b := basis[len(basis) : len(basis)+dim]
-			for j, t := range sel {
-				b[j] = lat[s*n+t] - origin[j]
-			}
-			for e := 0; e < len(basis); e += dim {
-				q := basis[e : e+dim]
-				p := dot(b, q)
-				for j := range b {
-					// The conversion rounds the product before the
-					// subtraction, as the original's intermediate
-					// slice did; without it an FMA target may fuse.
-					b[j] -= float64(q[j] * p)
-				}
-			}
-			if nrm := norm(b); nrm > 1e-9 {
-				inv := 1 / nrm
-				for j := range b {
-					b[j] *= inv
-				}
-				basis = basis[:len(basis)+dim]
-			}
-		}
-		// A short last block repeats its last candidate, so a padded lane
-		// can only name a candidate already scored.
-		best, bestRes := -1, -1.0
-		for b := 0; b < len(rest); b += scoreBlock {
-			var blk [scoreBlock]int
-			for l := range blk {
-				blk[l] = min(b+l, len(rest)-1)
-			}
-			res := o.residuals(lat, n, rest, blk, sel, origin, basis)
-			for l, r := range res {
-				if r > bestRes {
-					bestRes, best = r, blk[l]
-				}
-			}
-		}
+		origin, basis := o.span(lat, n, sel)
+		best := o.farthest(lat, n, rest, sel, origin, basis)
 		if best < 0 {
 			break
 		}
@@ -463,22 +423,96 @@ func (o *Overlay) hypervolumeSubset(pool []ringEntry, k int) []int {
 	return sel
 }
 
-// scoreBlock is how many candidates residuals scores per pass.
-const scoreBlock = 4
-
-// residuals returns the Gram–Schmidt residual norms of the candidates
-// rest[blk[0]], ..., rest[blk[3]]: each one's latency vector to sel,
-// relative to origin, with its projection onto every basis row removed.
-// The lanes share no arithmetic; each is, operation for operation, the
-// one-candidate loop — v[j] = lat - origin[j], p += v[i]*b[i] left to
-// right, v[j] -= p*b[j], the root of a left-to-right sum of squares — so
-// four independent add chains overlap instead of running back to back.
-func (o *Overlay) residuals(lat []float64, n int, rest []int, blk [scoreBlock]int, sel []int, origin, basis []float64) [scoreBlock]float64 {
+// span returns sel[0]'s coordinates — its latencies to sel — and an
+// orthonormal basis of the selected members' affine span through them,
+// rows of len(sel) back to back. A member (numerically) inside the span of
+// the ones before it adds no row.
+func (o *Overlay) span(lat []float64, n int, sel []int) (origin, basis []float64) {
 	dim := len(sel)
-	r0 := lat[rest[blk[0]]*n:][:n]
-	r1 := lat[rest[blk[1]]*n:][:n]
-	r2 := lat[rest[blk[2]]*n:][:n]
-	r3 := lat[rest[blk[3]]*n:][:n]
+	origin = o.origin[:dim]
+	for j, s := range sel {
+		origin[j] = lat[sel[0]*n+s]
+	}
+	basis = o.basis[:0]
+	for _, s := range sel[1:] {
+		b := basis[len(basis) : len(basis)+dim]
+		for j, t := range sel {
+			b[j] = lat[s*n+t] - origin[j]
+		}
+		for e := 0; e < len(basis); e += dim {
+			q := basis[e : e+dim]
+			p := dot(b, q)
+			for j := range b {
+				// The conversion rounds the product before the
+				// subtraction, as the original's intermediate slice did;
+				// without it an FMA target may fuse.
+				b[j] -= float64(q[j] * p)
+			}
+		}
+		if nrm := norm(b); nrm > 1e-9 {
+			inv := 1 / nrm
+			for j := range b {
+				b[j] *= inv
+			}
+			basis = basis[:len(basis)+dim]
+		}
+	}
+	return origin, basis
+}
+
+// farthest returns the index in rest of the candidate whose latency vector
+// to sel, relative to origin, has the largest residual against basis: the
+// first in pool order among equals, or -1 if no residual exceeds -1.
+func (o *Overlay) farthest(lat []float64, n int, rest, sel []int, origin, basis []float64) int {
+	best, bestRes := -1, -1.0
+	for b := 0; b < len(rest); b += scoreBlock {
+		// rows holds where each candidate's row starts in lat. A short
+		// last block repeats its last candidate, so every lane holds a
+		// real latency vector.
+		var rows [scoreBlock]int
+		for l := range rows {
+			rows[l] = rest[min(b+l, len(rest)-1)] * n
+		}
+		lanes := min(scoreBlock, len(rest)-b)
+		for l, r := range o.score(lat, n, rows, lanes, sel, origin, basis)[:lanes] {
+			if r > bestRes {
+				bestRes, best = r, b+l
+			}
+		}
+	}
+	return best
+}
+
+// scoreBlock is how many candidates one score pass takes.
+const scoreBlock = 16
+
+// scorePortable returns the Gram–Schmidt residual norms of the candidates
+// whose lat rows start at rows[0], ..., rows[lanes-1] (and of repeats of
+// the last up to a multiple of four), scored four at a time by residuals.
+func (o *Overlay) scorePortable(lat []float64, n int, rows [scoreBlock]int, lanes int, sel []int, origin, basis []float64) *[scoreBlock]float64 {
+	for q := 0; q < lanes; q += 4 {
+		r := o.residuals(lat, n, [4]int(rows[q:q+4]), sel, origin, basis)
+		copy(o.res[q:], r[:])
+	}
+	return &o.res
+}
+
+// residuals returns the Gram–Schmidt residual norms of the candidates whose
+// lat rows start at rows[0], ..., rows[3]: each one's latency vector to
+// sel, relative to origin, with its projection onto every basis row
+// removed. The lanes share no arithmetic; each is, operation for
+// operation, the one-candidate loop — v[j] = lat - origin[j], p +=
+// v[i]*b[i] left to right, v[j] -= p*b[j], the root of a left-to-right sum
+// of squares — so four independent add chains overlap instead of running
+// back to back. Every product is converted to float64, which rounds it
+// before the sum or difference it feeds: without that an FMA target
+// (arm64) may fuse the two and move the last bit a tie-break hangs on.
+func (o *Overlay) residuals(lat []float64, n int, rows [4]int, sel []int, origin, basis []float64) [4]float64 {
+	dim := len(sel)
+	r0 := lat[rows[0]:][:n]
+	r1 := lat[rows[1]:][:n]
+	r2 := lat[rows[2]:][:n]
+	r3 := lat[rows[3]:][:n]
 	v0, v1, v2, v3 := o.v[0][:dim], o.v[1][:dim], o.v[2][:dim], o.v[3][:dim]
 	for j, s := range sel {
 		org := origin[j]
@@ -491,33 +525,34 @@ func (o *Overlay) residuals(lat []float64, n int, rest []int, blk [scoreBlock]in
 		b := basis[e : e+dim]
 		var p0, p1, p2, p3 float64
 		for i, bi := range b {
-			p0 += v0[i] * bi
-			p1 += v1[i] * bi
-			p2 += v2[i] * bi
-			p3 += v3[i] * bi
+			p0 += float64(v0[i] * bi)
+			p1 += float64(v1[i] * bi)
+			p2 += float64(v2[i] * bi)
+			p3 += float64(v3[i] * bi)
 		}
 		for j, bj := range b {
-			v0[j] -= p0 * bj
-			v1[j] -= p1 * bj
-			v2[j] -= p2 * bj
-			v3[j] -= p3 * bj
+			v0[j] -= float64(p0 * bj)
+			v1[j] -= float64(p1 * bj)
+			v2[j] -= float64(p2 * bj)
+			v3[j] -= float64(p3 * bj)
 		}
 	}
 	var s0, s1, s2, s3 float64
 	for i, x0 := range v0 {
 		x1, x2, x3 := v1[i], v2[i], v3[i]
-		s0 += x0 * x0
-		s1 += x1 * x1
-		s2 += x2 * x2
-		s3 += x3 * x3
+		s0 += float64(x0 * x0)
+		s1 += float64(x1 * x1)
+		s2 += float64(x2 * x2)
+		s3 += float64(x3 * x3)
 	}
-	return [scoreBlock]float64{math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)}
+	return [4]float64{math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)}
 }
 
+// dot rounds each product before adding it, as residuals does.
 func dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

@@ -1,11 +1,14 @@
 package meridian
 
 // The construction and walk as they stood before the dense-storage rewrite,
-// kept verbatim (identifiers prefixed ref, nothing else changed) as the
-// reference the differential tests hold the live kernel to: per-node maps,
-// the id-keyed candCache, allocating Gram–Schmidt helpers. It also keeps the
-// old kernel's RingSize 1 defect (a two-member ring), so comparisons run at
-// RingSize >= 2.
+// kept verbatim (identifiers prefixed ref, nothing else changed but the
+// float64 conversions below) as the reference the differential tests hold
+// the live kernel to: per-node maps, the id-keyed candCache, allocating
+// Gram–Schmidt helpers. It also keeps the old kernel's RingSize 1 defect (a
+// two-member ring), so comparisons run at RingSize >= 2. refDot and
+// refResidualNormInto round every product before the sum or difference it
+// feeds, the rule the live kernel follows, so that an FMA target (arm64)
+// fuses neither side.
 
 import (
 	"fmt"
@@ -304,7 +307,7 @@ func refResidualNormInto(scratch, v, origin []float64, basis [][]float64) float6
 	for _, b := range basis {
 		p := refDot(scratch, b)
 		for i := range scratch {
-			scratch[i] -= p * b[i]
+			scratch[i] -= float64(p * b[i])
 		}
 	}
 	return refNorm(scratch)
@@ -329,7 +332,7 @@ func refScale(a []float64, s float64) []float64 {
 func refDot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }
