@@ -17,6 +17,7 @@ import (
 	"os"
 	goruntime "runtime"
 	"runtime/pprof"
+	"time"
 
 	"nearestpeer/internal/engine"
 	"nearestpeer/internal/experiments"
@@ -329,7 +330,7 @@ func runWireMitigation(scheme string, peers, queries int, loss float64, churn bo
 	fmt.Printf("mean probes per query   = %.1f (%d timed out: stale hints or loss)\n", row.MeanProbes, row.DeadProbes)
 	fmt.Printf("mean DHT lookups/query  = %.1f (%.1f routing hops/query, %d lookup failures)\n", row.MeanLookups, row.MeanHops, row.LookupFails)
 	fmt.Printf("mean messages per query = %.1f (maintenance included)\n", row.MeanMsgs)
-	fmt.Printf("publish cost            = %.1f msgs/peer\n", row.PubMsgsPerPeer)
+	fmt.Printf("publish cost            = %.1f msgs/peer (publish window %v)\n", row.PubMsgsPerPeer, row.PubWindow.Round(time.Millisecond))
 	fmt.Printf("RPC timeouts            = %d\n", row.Timeouts)
 	if churn {
 		fmt.Printf("churn                   = %d leaves, %d joins\n", row.Leaves, row.Joins)

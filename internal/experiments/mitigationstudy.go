@@ -86,6 +86,10 @@ type MitigationRow struct {
 	// wire: both are 0.
 	PubMsgsPerPeer float64
 	MeanMsgs       float64
+	// PubWindow is the virtual time from the mark to the bring-up's last
+	// registration settling (0 for a scheme without registrations, and for
+	// static rows). No figure renders it.
+	PubWindow time.Duration
 	// Timeouts is the total RPC timeouts across the run.
 	Timeouts int64
 	// Leaves and Joins count churn events during the run.

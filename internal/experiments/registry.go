@@ -285,6 +285,7 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	})
 	row := sc.row(run.issued, run.rt.Metrics.MsgsSent-run.atStart.MsgsSent)
 	row.PubMsgsPerPeer = float64(run.pubMsgs) / float64(len(peers))
+	row.PubWindow = run.pubWindow
 	row.Timeouts = run.rt.Metrics.Timeouts
 	row.Leaves, row.Joins = run.leaves, run.joins
 	return row
@@ -350,9 +351,11 @@ func vivaldiDeployment(c *schemeCtx, rt *p2p.Runtime) (*vivaldi.Wire, wireDeploy
 }
 
 // hintDeployment is the wire deployment of a DHT hint scheme: the Chord
-// ring of all peers (chordRing's deployment), hint publishing as a
-// sequential chain of wire Puts at the mark, then queries. Peers that churn back in republish their hints (soft
-// state); hints of departed peers stay behind and cost dead probes.
+// ring of all peers (chordRing's deployment), then at the mark every peer
+// publishes its hints at once (fanOut; a peer's own Puts stay in sequence
+// inside its Publish, which computes its hints before the first send, so
+// the toolkit draws in peer order), then queries. Peers that churn back in republish their hints (soft state);
+// hints of departed peers stay behind and cost dead probes.
 func hintDeployment(c *schemeCtx, ring wireDeployment,
 	publish func(h netmodel.HostID, done func()),
 	find func(h netmodel.HostID, done func(p2p.FindResult))) wireDeployment {
@@ -362,7 +365,7 @@ func hintDeployment(c *schemeCtx, ring wireDeployment,
 		publish(c.peers[id], func() {})
 	}
 	d.bringup = func(done func()) {
-		sequentialChain(len(c.peers), func(i int, next func()) { publish(c.peers[i], next) }, done)
+		fanOut(len(c.peers), func(i int, next func()) { publish(c.peers[i], next) }, done)
 	}
 	d.find = func(client p2p.NodeID, done func(p2p.FindResult)) { find(c.peers[client], done) }
 	return d
@@ -593,10 +596,10 @@ var schemes = map[string]Scheme{
 					w.Join(id)
 					w.Register(id, nil) // soft state: re-register on rejoin
 				},
-				// Sequential registration chain: every member records
-				// itself with its end network's server.
+				// Registration bring-up: every member records itself
+				// with its end network's server, all at the mark.
 				bringup: func(done func()) {
-					sequentialChain(rt.Population(), func(i int, next func()) {
+					fanOut(rt.Population(), func(i int, next func()) {
 						w.Register(p2p.NodeID(i), func(bool) { next() })
 					}, done)
 				},

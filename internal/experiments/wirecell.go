@@ -46,14 +46,14 @@ type wireDeployment struct {
 	join   func(id p2p.NodeID)
 	rejoin func(id p2p.NodeID)
 	leave  func(id p2p.NodeID, graceful bool)
-	// mark is the virtual time bring-up ends: the registration chain runs
+	// mark is the virtual time bring-up ends: the registrations run
 	// there, then churn starts and the op stream begins (0:
 	// wireFinderBringup).
 	mark time.Duration
-	// bringup runs the post-join registration chain (directory Registers,
-	// tracker announces, hint publishes, ...) and must call done exactly
-	// once; nil when the scheme has no standing state beyond what its joins
-	// and timers build by the mark.
+	// bringup runs the post-join registrations (directory Registers, hint
+	// publishes, ...; fanOut starts them all at once) and must call done
+	// exactly once; nil when the scheme has no standing state beyond what
+	// its joins and timers build by the mark.
 	bringup func(done func())
 	// find runs one nearest-peer query from client.
 	find func(client p2p.NodeID, done func(p2p.FindResult))
@@ -69,19 +69,24 @@ type wireDeploy func(c *schemeCtx, rt *p2p.Runtime) wireDeployment
 // itself (Peer set, Found false).
 func answered(r p2p.FindResult) bool { return r.Peer != p2p.NoNode }
 
-// sequentialChain runs step(0), step(1), ... step(n-1), each starting when
-// the previous one calls next, then done — the shape of every registration
-// chain (one publisher at a time, so the bill is contention-free).
-func sequentialChain(n int, step func(i int, next func()), done func()) {
-	var run func(i int)
-	run = func(i int) {
-		if i >= n {
+// fanOut starts step(0), ..., step(n-1) at once, in order, and calls done
+// exactly once, when the last of them has called its next (at once when n
+// is 0). It is the shape of every registration bring-up: every member
+// registers as the mark opens. The simulator models no per-node queueing,
+// so one member at a time would buy no cleaner bill, only a publish window
+// — and ring maintenance billed inside it — that grows with the
+// population. Each step calls its next once, synchronously or later.
+func fanOut(n int, step func(i int, next func()), done func()) {
+	pending := n + 1 // the extra one is released after the last step starts
+	next := func() {
+		if pending--; pending == 0 {
 			done()
-			return
 		}
-		step(i, func() { run(i + 1) })
 	}
-	run(0)
+	for i := 0; i < n; i++ {
+		step(i, next)
+	}
+	next()
 }
 
 // wireCell is the data of one cell: everything the studies vary beyond the
@@ -120,7 +125,7 @@ type wireCell struct {
 	// shard its own RTT-cached matrix. Rows are identical at every shards >=
 	// 1 but differ from serial ones: the sequential stream's hops between
 	// issuers take Handoff delays. A sharded cell runs the sequential stream
-	// with no bring-up chain; loss, churn, crash rules and the obs
+	// with no registrations; loss, churn, crash rules and the obs
 	// attachments are serial-only, and p2p rejects them.
 	shards int
 	top    *netmodel.Topology
@@ -145,13 +150,16 @@ type wireRun struct {
 	// normalised by when the horizon cuts the stream short.
 	issued        int
 	leaves, joins int
-	// pubMsgs is the publish bill: the bring-up chain's traffic, or without
-	// a chain everything sent before the mark (the joins and whatever the
-	// scheme's timers built — a chain scheme's pre-mark traffic is its
-	// substrate's). atStart snapshots the counters (summed over shards) as
-	// the op stream began.
-	pubMsgs int64
-	atStart p2p.Metrics
+	// pubMsgs is the publish bill: everything sent from the mark until the
+	// bring-up's last registration settled (the ring's own maintenance in
+	// that window included), or without a bringup everything sent before
+	// the mark (the joins and whatever the scheme's timers built — a
+	// bringup scheme's pre-mark traffic is its substrate's). pubWindow is
+	// the virtual time that bring-up took (0 without one). atStart
+	// snapshots the counters (summed over shards) as the op stream began.
+	pubMsgs   int64
+	pubWindow time.Duration
+	atStart   p2p.Metrics
 	// events is the kernel events the cell executed over every shard.
 	events uint64
 
@@ -256,7 +264,7 @@ func (r *wireRun) hop(o *wireOp, to p2p.NodeID, step func()) {
 // runWireCell runs one wire cell: a fresh kernel and runtime (see
 // wireCell.shards), the cell's attachments, deploy's deployment with every
 // member joined in order and the held-out issuers added, then — at the
-// deployment's mark — the bring-up chain, churn, and the op stream, issue
+// deployment's mark — the registrations, churn, and the op stream, issue
 // called once per op. Seeds: c.seed drives the runtime, +1 the protocol (the
 // Wire leg's business), +2 churn, +3 the issuer draws.
 //
@@ -378,6 +386,7 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		var pubStart int64
 		afterBringup := func() {
 			run.pubMsgs = rt.Metrics.MsgsSent - pubStart
+			run.pubWindow = kernel.Now() - d.mark
 			if churn == nil {
 				start()
 				return
@@ -393,7 +402,7 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		afterBringup()
 	})
 	if run.sharded == nil {
-		kernel.At(c.horizon, kernel.Stop) // watchdog against a stalled chain
+		kernel.At(c.horizon, kernel.Stop) // watchdog against a stalled bring-up
 		kernel.Run()
 		run.events = kernel.Executed
 	} else {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/netmodel"
 	"nearestpeer/internal/p2p"
+	"nearestpeer/internal/sim"
 )
 
 // silentDeployment is a deployment whose members join the runtime and whose
@@ -318,6 +320,80 @@ func TestLookupCellsRunEveryScheme(t *testing.T) {
 			// may end before its first tick.)
 			if oc.LoadMax == 0 || oc.MsgMix == "" || oc.P50 <= 0 {
 				t.Errorf("o1: the registry saw nothing: %+v", oc)
+			}
+		})
+	}
+}
+
+// TestFanOutSettlesOnce pins the bring-up's exactly-once contract: every
+// step starts in order, and done fires once, after the last step's next —
+// whether there are no steps, every step settles inside its own call (a
+// Publish with no hints), or the steps settle out of order on the kernel.
+// The trace logs each start ("s"), next ("n") and done.
+func TestFanOutSettlesOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		settle func(k *sim.Sim, i int, next func())
+		want   string
+	}{
+		{"no steps", 0, nil, "[done]"},
+		{"synchronous nexts", 4, func(_ *sim.Sim, _ int, next func()) { next() }, "[s0 n0 s1 n1 s2 n2 s3 n3 done]"},
+		// Step i settles 10-2i ms after it starts, step 3 synchronously:
+		// the steps settle in reverse, after every start.
+		{"out of order", 5, func(k *sim.Sim, i int, next func()) {
+			if i == 3 {
+				next()
+				return
+			}
+			k.After(time.Duration(10-2*i)*time.Millisecond, next)
+		}, "[s0 s1 s2 s3 n3 s4 n4 n2 n1 n0 done]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.New()
+			var trace []string
+			k.After(0, func() {
+				fanOut(tc.n, func(i int, next func()) {
+					trace = append(trace, fmt.Sprintf("s%d", i))
+					tc.settle(k, i, func() {
+						trace = append(trace, fmt.Sprintf("n%d", i))
+						next()
+					})
+				}, func() { trace = append(trace, "done") })
+			})
+			k.Run()
+			if got := fmt.Sprint(trace); got != tc.want {
+				t.Fatalf("trace %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestHintPublishBillScales guards the hint schemes' bring-up against the
+// bill that grows with the population: a peer's publish cost at 200 peers
+// may be at most twice its cost at 50. One peer's Puts cost O(log N) hops;
+// what grew before was the ring maintenance of a publish window that
+// serialized every peer behind the last (5.4x for ucl, 5.5x for ipprefix
+// from 50 to 200 peers).
+func TestHintPublishBillScales(t *testing.T) {
+	env := SharedEnv(Quick, 1)
+	for _, scheme := range []string{"ucl", "ipprefix"} {
+		t.Run(scheme, func(t *testing.T) {
+			rows := map[int]MitigationRow{}
+			for _, n := range []int{50, 200} {
+				row, err := RunWireMitigation(env, MitigationPeers(env, n), MitigationOpts{Scheme: scheme, Queries: 5, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row.PubMsgsPerPeer <= 0 || row.PubWindow <= 0 || row.Timeouts != 0 {
+					t.Fatalf("%d peers: lossless row with no publish bill, no window, or timeouts: %+v", n, row)
+				}
+				rows[n] = row
+			}
+			small, large := rows[50], rows[200]
+			if large.PubMsgsPerPeer > 2*small.PubMsgsPerPeer {
+				t.Fatalf("publish cost %.1f msgs/peer at 200 peers is more than twice %.1f at 50 (windows %v, %v)",
+					large.PubMsgsPerPeer, small.PubMsgsPerPeer, large.PubWindow, small.PubWindow)
 			}
 		})
 	}
