@@ -187,6 +187,7 @@ func main() {
 		fmt.Printf("mean hops per query     = %.1f\n", row.MeanHops)
 		fmt.Printf("mean virtual ms/query   = %.0f\n", row.MeanMs)
 		fmt.Printf("RPC timeouts            = %d\n", row.Timeouts)
+		fmt.Printf("ended by op deadline    = %d of %d queries\n", row.Backstopped, *queries)
 		if *churn {
 			fmt.Printf("churn                   = %d leaves, %d joins\n", row.Leaves, row.Joins)
 		}
@@ -332,6 +333,7 @@ func runWireMitigation(scheme string, peers, queries int, loss float64, churn bo
 	fmt.Printf("mean messages per query = %.1f (maintenance included)\n", row.MeanMsgs)
 	fmt.Printf("publish cost            = %.1f msgs/peer (publish window %v)\n", row.PubMsgsPerPeer, row.PubWindow.Round(time.Millisecond))
 	fmt.Printf("RPC timeouts            = %d\n", row.Timeouts)
+	fmt.Printf("ended by op deadline    = %d of %d queries\n", row.Backstopped, queries)
 	if churn {
 		fmt.Printf("churn                   = %d leaves, %d joins\n", row.Leaves, row.Joins)
 	}

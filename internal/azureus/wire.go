@@ -60,7 +60,8 @@ func (w *Wire) handleAnnounce(n *p2p.Node, env p2p.Envelope) {
 
 // FindNearest runs the baseline over the wire from client: announce to the
 // tracker, sweep-ping the returned sample, repeat for announceRounds
-// rounds. done fires exactly once unless the client dies mid-query.
+// rounds. done fires exactly once, also when the client stops mid-query (its
+// requests fail at the stop, and the rounds run down there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "azureus", 0)
 	var round func(r int)

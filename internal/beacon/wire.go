@@ -146,7 +146,8 @@ func (w *Wire) pingBeacons(q *p2p.Query, done func(toBeacon []float64)) {
 
 // FindNearestGS runs the Guyton–Schwartz query over the wire: ping every
 // beacon, send the vector to the estimation server, verify its answer with
-// one probe. done fires exactly once unless the client dies mid-query.
+// one probe. done fires exactly once, also when the client stops mid-query
+// (its requests fail at the stop, and the query runs down there).
 func (w *Wire) FindNearestGS(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "guyton", 0)
 	w.pingBeacons(q, func(toBeacon []float64) {
@@ -166,8 +167,9 @@ func (w *Wire) FindNearestGS(client p2p.NodeID, done func(p2p.FindResult)) {
 // FindNearestBeaconing runs the ICNP 2001 query over the wire: ping every
 // beacon, collect each live beacon's band (votes), fetch the triangulation
 // inputs for the union, rank exactly as the static finder does, and sweep-
-// ping the top candidates. done fires exactly once unless the client dies
-// mid-query.
+// ping the top candidates. done fires exactly once, also when the client
+// stops mid-query (its requests fail at the stop, and the query runs down
+// there).
 func (w *Wire) FindNearestBeaconing(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "beaconing", 0)
 	w.pingBeacons(q, func(toBeacon []float64) {

@@ -63,6 +63,10 @@ type ChurnRow struct {
 	MeanMsgs float64
 	// Timeouts is the total RPC timeouts across the run.
 	Timeouts int64
+	// Backstopped counts the wire queries the per-operation deadline
+	// ended, still running a virtual minute after issue (0 for the static
+	// baseline). They score as failed.
+	Backstopped int
 	// Leaves and Joins count churn events during the run.
 	Leaves, Joins int
 }
@@ -109,6 +113,7 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 	row := ChurnRow{TargetScore: sc.score(run.issued)}
 	row.MeanMsgs = float64(run.rt.Metrics.MsgsSent-run.atStart.MsgsSent) / float64(max(run.issued, 1))
 	row.Timeouts = run.rt.Metrics.Timeouts
+	row.Backstopped = run.backstopped
 	row.Leaves, row.Joins = run.leaves, run.joins
 	return row
 }

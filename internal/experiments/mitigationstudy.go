@@ -92,6 +92,10 @@ type MitigationRow struct {
 	PubWindow time.Duration
 	// Timeouts is the total RPC timeouts across the run.
 	Timeouts int64
+	// Backstopped counts the wire queries the per-operation deadline
+	// ended, still running a virtual minute after issue (0 for static
+	// rows). They score as failed.
+	Backstopped int
 	// Leaves and Joins count churn events during the run.
 	Leaves, Joins int
 }

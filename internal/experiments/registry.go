@@ -287,6 +287,7 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	row.PubMsgsPerPeer = float64(run.pubMsgs) / float64(len(peers))
 	row.PubWindow = run.pubWindow
 	row.Timeouts = run.rt.Metrics.Timeouts
+	row.Backstopped = run.backstopped
 	row.Leaves, row.Joins = run.leaves, run.joins
 	return row
 }

@@ -25,8 +25,11 @@ import (
 // rows stay comparable: chord joins staggered below the stabilize rate, a
 // settle window before traffic, a one-minute default mark (joins all land
 // at t=0 and their traffic drains within virtual seconds), and a
-// per-operation deadline that keeps the stream going when an issuing node
-// churns out or crashes mid-operation.
+// per-operation deadline. The deadline is a backstop, not the way an op
+// ends when its issuer goes down: the runtime fails a stopped node's
+// requests at the stop, so its op runs down then. An op the deadline
+// ends is one that hung for another reason, and the cell counts it
+// (wireRun.backstopped).
 const (
 	chordJoinSpacing  = 10 * time.Millisecond
 	chordSettle       = 20 * time.Second
@@ -162,6 +165,9 @@ type wireRun struct {
 	atStart   p2p.Metrics
 	// events is the kernel events the cell executed over every shard.
 	events uint64
+	// backstopped counts the ops wireOpDeadline ended: still running a
+	// virtual minute after issue.
+	backstopped int
 
 	c       *schemeCtx
 	ids     []p2p.NodeID
@@ -183,7 +189,7 @@ func (r *wireRun) issuer() p2p.NodeID {
 
 // wireOp is one op of the stream. It ends exactly once: through complete,
 // or at wireOpDeadline — the op then scores as failed (it is in issued, and
-// its complete is dead).
+// its complete is dead) and counts in wireRun.backstopped.
 type wireOp struct {
 	n      int
 	client p2p.NodeID
@@ -218,9 +224,19 @@ func (o *wireOp) complete(apply func()) {
 }
 
 // find runs the deployment's query from o's issuer; score sees the answer
-// unless the deadline got there first.
+// unless the deadline got there first or the issuer is down when the query
+// completes. A client that crashed mid-query has its requests failed at
+// the crash, so its query runs down at once; whatever it had found by then
+// is not credited, and the op scores as failed, as the deadline would
+// score it.
 func (r *wireRun) find(o *wireOp, score func(p2p.FindResult)) {
-	r.d.find(o.client, func(res p2p.FindResult) { o.complete(func() { score(res) }) })
+	r.d.find(o.client, func(res p2p.FindResult) {
+		o.complete(func() {
+			if r.rt.Alive(o.client) {
+				score(res)
+			}
+		})
+	})
 }
 
 // startOp issues op n from client, running as an event at client (or on
@@ -238,7 +254,8 @@ func (r *wireRun) armDeadline(o *wireOp) {
 	moved := new(bool)
 	o.moved = moved
 	r.rt.After(o.home, max(o.deadline-r.rt.Now(o.home), 0), func() {
-		if !*moved {
+		if !*moved && !o.ended {
+			r.backstopped++
 			o.complete(nil)
 		}
 	})

@@ -135,6 +135,9 @@ func TestWireCellDeadlineAndHorizon(t *testing.T) {
 				if applied != 0 {
 					t.Fatalf("%d completions applied after the deadline, want 0", applied)
 				}
+				if tc.wantIssued == tc.ops && run.backstopped != tc.ops {
+					t.Fatalf("%d ops ended by the deadline, want all %d", run.backstopped, tc.ops)
+				}
 			})
 		}
 
@@ -171,8 +174,32 @@ func TestWireCellDeadlineAndHorizon(t *testing.T) {
 				func(run *wireRun, o *wireOp) {
 					run.find(o, func(p2p.FindResult) { applied++ })
 				})
-			if run.issued != 2 || applied != 2 {
-				t.Fatalf("issued %d, applied %d completions, want 2 and 2", run.issued, applied)
+			if run.issued != 2 || applied != 2 || run.backstopped != 0 {
+				t.Fatalf("issued %d, applied %d completions, %d ended by the deadline; want 2, 2 and 0", run.issued, applied, run.backstopped)
+			}
+		})
+
+		// A client that goes down before its find completes is not
+		// credited: the op ends at once, scored as failed, as the deadline
+		// would score it — whatever the find had found.
+		t.Run(kern.prefix+"a find whose client went down scores failed", func(t *testing.T) {
+			applied := 0
+			run := runWireCell(kern.ctx(time.Hour), wireCell{ops: 2, shards: kern.shards, top: top},
+				func(_ *schemeCtx, rt *p2p.Runtime) wireDeployment {
+					return wireDeployment{
+						join: func(id p2p.NodeID) { rt.AddNode(id) },
+						find: func(client p2p.NodeID, done func(p2p.FindResult)) {
+							rt.Node(client).Stop()
+							done(p2p.FindResult{Peer: client, Found: true})
+							rt.Node(client).Restart()
+						},
+					}
+				},
+				func(run *wireRun, o *wireOp) {
+					run.find(o, func(p2p.FindResult) { applied++ })
+				})
+			if run.issued != 2 || applied != 0 || run.backstopped != 0 {
+				t.Fatalf("issued %d, applied %d completions, %d ended by the deadline; want 2, 0 and 0", run.issued, applied, run.backstopped)
 			}
 		})
 	}
@@ -369,6 +396,41 @@ func TestFanOutSettlesOnce(t *testing.T) {
 	}
 }
 
+// TestHintRowsNeverBackstopped: under 5% loss + churn, no chord, ucl or
+// ipprefix query of the c2 and g1 quick tables runs into the per-op
+// deadline. A client that crashes mid-query has its requests failed at the
+// crash, so its query ends there, and no other path of these three schemes
+// outlasts a virtual minute.
+func TestHintRowsNeverBackstopped(t *testing.T) {
+	env := SharedEnv(Quick, 1)
+	for _, tc := range []struct {
+		table   string
+		schemes []string
+		peers   func(Scale) (int, int)
+	}{
+		{"c2", []string{"ucl", "ipprefix"}, mitigationParams},
+		{"g1", []string{"chord", "ucl", "ipprefix"}, grandParams},
+	} {
+		nPeers, queries := tc.peers(Quick)
+		for _, scheme := range tc.schemes {
+			t.Run(tc.table+"/"+scheme, func(t *testing.T) {
+				row, err := RunWireMitigation(env, MitigationPeers(env, nPeers), MitigationOpts{
+					Scheme: scheme, Loss: 0.05, Churn: true, Queries: queries, Seed: 1, Tools: env.FreshTools(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if row.Leaves == 0 || row.Timeouts == 0 {
+					t.Fatalf("no adversity exercised: %+v", row)
+				}
+				if row.Backstopped != 0 {
+					t.Fatalf("%d of %d queries ended by the op deadline, want 0", row.Backstopped, queries)
+				}
+			})
+		}
+	}
+}
+
 // TestHintPublishBillScales guards the hint schemes' bring-up against the
 // bill that grows with the population: a peer's publish cost at 200 peers
 // may be at most twice its cost at 50. One peer's Puts cost O(log N) hops;
@@ -394,6 +456,47 @@ func TestHintPublishBillScales(t *testing.T) {
 			if large.PubMsgsPerPeer > 2*small.PubMsgsPerPeer {
 				t.Fatalf("publish cost %.1f msgs/peer at 200 peers is more than twice %.1f at 50 (windows %v, %v)",
 					large.PubMsgsPerPeer, small.PubMsgsPerPeer, large.PubWindow, small.PubWindow)
+			}
+		})
+	}
+}
+
+// TestFindEndsWhenClientStops: every scheme's wire find runs down when its
+// client stops mid-query. The client stops right after issuing; the
+// requests it has out fail at the stop, the ones it issues from then on
+// fail at once, and done fires at the stop instant (the expanding ring at
+// its next round boundary, the one timer it waits on) — never at the op
+// deadline.
+func TestFindEndsWhenClientStops(t *testing.T) {
+	env := SharedEnv(Quick, 1)
+	peers := MitigationPeers(env, 60)
+	for _, scheme := range GrandSchemes() {
+		t.Run(scheme, func(t *testing.T) {
+			var slowest time.Duration
+			finds := 0
+			deploy := must(wireLeg(scheme))
+			stopping := func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
+				d := deploy(c, rt)
+				find := d.find
+				d.find = func(client p2p.NodeID, done func(p2p.FindResult)) {
+					start := rt.Now(client)
+					find(client, func(r p2p.FindResult) {
+						finds++
+						slowest = max(slowest, rt.Now(client)-start)
+						done(r)
+					})
+					rt.Node(client).Stop()
+				}
+				return d
+			}
+			row := runWireFinderMitigation(env, peers, MitigationOpts{Scheme: scheme, Queries: 5, Seed: 1}, stopping)
+			limit := time.Duration(0)
+			if scheme == "expanding" {
+				limit = p2p.DefaultExpandConfig().RoundTimeout
+			}
+			if finds != 5 || row.Backstopped != 0 || slowest > limit || row.Found != 0 {
+				t.Fatalf("%d finds reported (slowest %v after its client stopped), %d ended by the deadline, found %v; want 5 within %v, 0, 0",
+					finds, slowest, row.Backstopped, row.Found, limit)
 			}
 		})
 	}

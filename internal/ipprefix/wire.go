@@ -53,8 +53,9 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(ok bool)) {
 // probes it, closest candidate id first (the static scheme's order),
 // returning the closest responder as its runtime node id (hosts[Peer] is
 // the host). RPCs counts the one DHT Get, RPCFails whether it failed, Hops
-// its routing cost. done fires exactly once (the issuing node is assumed to
-// stay up).
+// its routing cost. done fires exactly once, also when the issuing node
+// stops mid-query: its Get and pings fail at the stop, and the query runs
+// down there.
 func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	ip := w.tools.Top.Host(peer).IP
 	node := w.NodeOf(peer)

@@ -72,7 +72,8 @@ func (w *Wire) handleBalls(n *p2p.Node, env p2p.Envelope) {
 }
 
 // FindNearest runs the Karger–Ruhl walk over the wire from client. done
-// fires exactly once unless the client dies mid-query.
+// fires exactly once, also when the client stops mid-query (its requests
+// fail at the stop, and the walk ends there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "kargerruhl", 0)
 	members := w.base.members

@@ -99,7 +99,8 @@ type report struct {
 
 // FindNearest runs the Meridian walk over the wire for the peer nearest
 // client: the static findFrom with the ring reads and the probes on the
-// wire. done fires exactly once unless the client dies mid-query.
+// wire. done fires exactly once, also when the client stops mid-query (its
+// requests fail at the stop, and the walk ends there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	o := w.base
 	q := &walk{

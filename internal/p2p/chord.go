@@ -1214,8 +1214,10 @@ type OpResult struct {
 
 // Lookup resolves a key's owner iteratively from the given node. A member
 // starts from its own routing state (free); a non-member starts from a
-// random live member (the bootstrap handout). done fires exactly once
-// unless the issuing node dies mid-lookup.
+// random live member (the bootstrap handout). done fires exactly once: on
+// resolution, when the frontier or a budget runs out, or — OK false — when
+// the issuing node stops mid-lookup (at the stop instant) or is down when
+// the lookup starts.
 func (c *Chord) Lookup(from NodeID, key string, done func(LookupResult)) {
 	n := c.rt.AddNode(from)
 	c.drive(n, c.state(from), NoNode, dht.HashKey(key), done)
@@ -1228,8 +1230,9 @@ func (c *Chord) Lookup(from NodeID, key string, done func(LookupResult)) {
 // reply and timeout callbacks are bound once per struct. A finished lookup
 // goes back to its issuer's home-shard free list before done runs: no
 // callback of it is parked any more (its one hop was just answered or
-// expired), so the next lookup on the shard reuses it with no allocation.
-// A lookup whose issuer crashes mid-flight is simply never finished.
+// expired, or failed by the issuer's stop), so the next lookup on the shard
+// reuses it with no allocation. A lookup whose issuer stops mid-flight
+// finishes, unresolved, when its outstanding hop fails at the stop instant.
 type chordLookup struct {
 	c    *Chord
 	n    *Node
@@ -1281,6 +1284,10 @@ func (c *Chord) drive(n *Node, st *chordState, start NodeID, key uint64, done fu
 		l.onReply, l.onTimeout = l.reply, l.timeout
 	}
 	l.n, l.key, l.res, l.done = n, key, LookupResult{Owner: NoNode}, done
+	if !n.alive {
+		l.finish() // a stopped issuer resolves nothing and sends nothing
+		return
+	}
 	l.seen = append(l.seen[:0], lookupCand{id: int32(n.ID), asked: true})
 	ost := st
 	if st != nil && len(st.succs) == 0 && (c.sharded != nil || len(c.order) > 1) {
@@ -1384,9 +1391,6 @@ func (l *chordLookup) next() {
 // otherwise widen the frontier and ask the next candidate.
 func (l *chordLookup) reply(env Envelope) {
 	c, n := l.c, l.n
-	if !n.Alive() {
-		return
-	}
 	ok, valid := env.Payload.(cFindOKMsg)
 	if !valid || !c.validFindOK(ok) {
 		// A forged answer: dropped, and the hop fails as if it had been
@@ -1420,14 +1424,17 @@ func (l *chordLookup) reply(env Envelope) {
 	l.next()
 }
 
-// timeout charges a hop that went unanswered to its peer and re-routes.
+// timeout charges a hop that went unanswered to its peer and re-routes,
+// or — the hop failed by the issuer's stop — finishes the lookup
+// unresolved.
 func (l *chordLookup) timeout() {
-	if !l.n.Alive() {
-		return
-	}
 	if l.rec != nil {
 		l.rec.Record(obs.Hop{Lookup: l.lseq, Scheme: "chord", Type: MsgChordFind,
 			From: int(l.n.ID), To: int(l.cur), At: l.hopStart, Outcome: obs.HopTimeout})
+	}
+	if !l.n.alive {
+		l.finish()
+		return
 	}
 	l.res.Retries++
 	l.afterTimeout = true
@@ -1476,9 +1483,11 @@ func (c *Chord) Get(from NodeID, key string, done func(OpResult)) {
 // lookup included) when every target is exhausted, up to the attempt
 // budget. onOK consumes the first successful reply before done fires; a
 // reply it rejects as malformed is dropped, counted dead, and fails its
-// target as a timeout would.
+// target as a timeout would. An issuer that stops ends the operation with
+// what it has (OK false, unless a reply already made it) and no further
+// attempt or target.
 func (c *Chord) opAttempt(n *Node, key string, res *OpResult, attempts int, typ string, payload any, onOK func(Envelope) bool, done func(OpResult)) {
-	if attempts <= 0 {
+	if attempts <= 0 || !n.alive {
 		done(*res)
 		return
 	}
@@ -1501,6 +1510,10 @@ func (c *Chord) opAttempt(n *Node, key string, res *OpResult, attempts int, typ 
 				return
 			}
 			onTimeout := func() {
+				if !n.alive {
+					done(*res)
+					return
+				}
 				res.Retries++
 				tryNext(ts[1:])
 			}

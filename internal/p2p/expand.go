@@ -184,7 +184,8 @@ func (e *Expanding) handleFound(n *Node, env Envelope) {
 func (e *Expanding) Deregister(id NodeID) { e.rt.LeaveGroup(ExpandGroup, id) }
 
 // Search runs the expanding search from client. done fires exactly once:
-// with the earliest responder, or unfound after the last round times out.
+// with the earliest responder, unfound after the last round times out, or
+// unfound at the first round boundary after the client stops.
 // The result's Probes counts the multicast copies sent and Hops the rounds
 // that ran before the answer arrived; RTTms is request plus report travel.
 // Must run as an event at the client (or setup code): a client's slot is
@@ -199,14 +200,16 @@ func (e *Expanding) Search(client NodeID, done func(FindResult)) {
 	e.runRound(s)
 }
 
-// runRound multicasts one round's scope and schedules the next.
+// runRound multicasts one round's scope and schedules the next. A search
+// whose client has stopped sends nothing more: it ends, unfound, at the
+// round it reaches.
 func (e *Expanding) runRound(s *expandSearch) {
 	if e.byClient[s.client].active != s {
 		return
 	}
-	if s.round >= e.cfg.Rounds {
+	if s.round >= e.cfg.Rounds || !e.rt.Alive(s.client) {
 		e.byClient[s.client].active = nil
-		s.done(FindResult{Peer: NoNode, Hops: e.cfg.Rounds, Probes: s.messages, Elapsed: e.rt.Now(s.client) - s.started})
+		s.done(FindResult{Peer: NoNode, Hops: s.round, Probes: s.messages, Elapsed: e.rt.Now(s.client) - s.started})
 		return
 	}
 	radius := e.cfg.Radius(s.round)

@@ -66,9 +66,12 @@ func (r *FindResult) keep(peer NodeID, rttMs float64) {
 //
 // Calls and Probes go out through Node.RequestPolicy, so they retry under
 // the transport's Config.Retry; Pings and Sweeps are always single-shot.
-// Hops stay the scheme's own to count. Once the issuing node has stopped,
-// no callback fires: a dead client's query is abandoned, its done never
-// called.
+// Hops stay the scheme's own to count. Every request settles exactly once,
+// its stop included: when the issuing node stops, each request it has
+// outstanding fails at the stop instant, and each request it issues while
+// stopped fails at once and sends nothing — charged at issue and billed
+// as failed like any other — so the scheme runs down to its done. Whether
+// a stopped client's answer counts is the caller's to decide.
 //
 // Query is also the flight recorder's one choke point. With a recorder
 // attached to the transport, the query opens one lookup and every request
@@ -106,8 +109,7 @@ func (q *Query) Node() *Node { return q.n }
 // request sends one request, through RequestPolicy when retry is set and
 // as a single-shot Request otherwise, and records its hop when it settles.
 // A call is charged to RPCs at issue and RPCFails on a timeout, a probe to
-// Probes and DeadProbes. onReply gets the answer and its RTT. Both
-// callbacks pass the dead-client guard.
+// Probes and DeadProbes. onReply gets the answer and its RTT.
 func (q *Query) request(to NodeID, typ string, payload any, retry, call bool, onReply func(Envelope, float64), onFail func()) {
 	bill, fails := &q.Res.Probes, &q.Res.DeadProbes
 	if call {
@@ -120,24 +122,20 @@ func (q *Query) request(to NodeID, typ string, payload any, retry, call bool, on
 		out = obs.HopAlternate
 	}
 	reply := func(env Envelope) {
-		if q.n.Alive() {
-			rtt := msOf(q.n.rt.Now(q.n.ID) - at)
-			if call {
-				q.callFailed = false
-			}
-			q.record(typ, to, at, rtt, out)
-			onReply(env, rtt)
+		rtt := msOf(q.n.rt.Now(q.n.ID) - at)
+		if call {
+			q.callFailed = false
 		}
+		q.record(typ, to, at, rtt, out)
+		onReply(env, rtt)
 	}
 	fail := func() {
-		if q.n.Alive() {
-			*fails++
-			if call {
-				q.callFailed = true
-			}
-			q.record(typ, to, at, 0, obs.HopTimeout)
-			onFail()
+		*fails++
+		if call {
+			q.callFailed = true
 		}
+		q.record(typ, to, at, 0, obs.HopTimeout)
+		onFail()
 	}
 	if retry {
 		q.n.RequestPolicy(to, typ, payload, q.timeout, reply, fail)

@@ -133,24 +133,53 @@ func TestQuerySweepsKeepBest(t *testing.T) {
 	}
 }
 
+// TestQueryCallbacksStopWithClient: when the client stops, every request
+// it has out fails once, at the stop instant, and the bill charges each
+// failure. The Sweep runs down: its second ping, issued by the stopped
+// client, sends nothing and fails at once, and the Sweep reports nobody.
 func TestQueryCallbacksStopWithClient(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	client := rt.AddNode(0)
 	q := NewQuery(client, "test", 0)
 	rt.AddNode(1).Serve(NewTable().With("list", func(n *Node, env Envelope) { n.Reply(env, "list_ok", nil) }))
 	rt.AddNode(2).Stop()
-	fired := 0
-	q.Ping(1, func(float64, bool) { fired++ })
-	q.Ping(2, func(float64, bool) { fired++ })
-	q.Call(1, "list", nil, func(Envelope) { fired++ }, func() { fired++ })
-	q.Sweep([]NodeID{1, 2}, func(NodeID, float64, bool) { fired++ })
-	client.Stop()
-	kernel.Run()
-	if fired != 0 {
-		t.Fatalf("%d callbacks fired after the client stopped", fired)
+	replies, fails := 0, 0
+	var at []time.Duration
+	fail := func() { fails++; at = append(at, kernel.Now()) }
+	ping := func(_ float64, ok bool) {
+		if ok {
+			replies++
+			return
+		}
+		fail()
 	}
-	if q.Res.Probes != 3 || q.Res.DeadProbes != 0 || q.Res.RPCs != 1 || q.Res.RPCFails != 0 || q.Res.Found {
-		t.Fatalf("bill %+v: want the issued 3 probes and 1 RPC, nothing failed or found", q.Res)
+	q.Ping(1, ping)
+	q.Ping(2, ping)
+	q.Call(1, "list", nil, func(Envelope) { replies++ }, fail)
+	swept := false
+	q.Sweep([]NodeID{1, 2}, func(best NodeID, _ float64, ok bool) {
+		if swept || ok || best != NoNode {
+			t.Errorf("sweep reported (%d, %v) again=%v: want one report of nobody", best, ok, swept)
+		}
+		swept = true
+	})
+	kernel.At(5*time.Millisecond, client.Stop) // before any reply lands
+	kernel.Run()
+	if replies != 0 || fails != 3 || !swept {
+		t.Fatalf("%d replies, %d failures, swept %v: want 0, 3 and the sweep's one report", replies, fails, swept)
+	}
+	for _, a := range at {
+		if a != 5*time.Millisecond {
+			t.Fatalf("failures at %v: want all at the 5ms stop", at)
+		}
+	}
+	if q.Res.Probes != 4 || q.Res.DeadProbes != 4 || q.Res.RPCs != 1 || q.Res.RPCFails != 1 || q.Res.Found {
+		t.Fatalf("bill %+v: want 4 probes and 1 RPC, each failed, nothing found", q.Res)
+	}
+	// Sent: the 4 requests issued before the stop and node 1's 3 answers,
+	// which land at the stopped client; nothing from the stopped client.
+	if m := rt.Metrics; m.StopFailures != 5 || m.Timeouts != 0 || m.MsgsSent != 7 || m.MsgsDead != 4 {
+		t.Fatalf("metrics %+v: want 5 stop failures (4 parked, 1 issued stopped), 0 timeouts, 7 sends, 4 dead", m)
 	}
 }
 

@@ -10,12 +10,11 @@ package p2p
 //     zeroed (deliverSlot releases payloads for GC before freeing);
 //   - timeout slab: free list in bounds and duplicate-free, live records
 //     unique per (node, msgID);
-//   - inflight/expiry agreement: every parked request at a live node has
-//     exactly one live expiry record (the reverse need not hold — an
-//     answered request removes its inflight entry and lets the expiry fire
-//     into nothing; a crashed node's table is inert junk until Restart
-//     forgets it, so only live nodes are held to the invariant), and the
-//     table is in strictly increasing MsgID order;
+//   - inflight/expiry agreement: every parked request has exactly one live
+//     expiry record (the reverse need not hold — an answered request, or
+//     one its node's stop settled, removes its inflight entry and lets the
+//     expiry fire into nothing), a stopped node holds nothing parked, and
+//     the table is in strictly increasing MsgID order;
 //   - multicast sender indexes: (RTT, NodeID)-sorted and exactly equal to
 //     a from-scratch rebuild over the current membership;
 //   - dense node registry: slot i holds node i or nil.
@@ -89,12 +88,9 @@ func checkRuntimeInvariants(t *testing.T, rt *Runtime, stage string) {
 		if n.ID != NodeID(i) {
 			t.Fatalf("%s: registry slot %d holds node %d", stage, i, n.ID)
 		}
-		if !n.alive {
-			// A crashed node's inflight table is inert: the op sequence may
-			// have parked requests on it after the crash (their expiries
-			// fire into the !alive guard), and Restart forgets the table
-			// wholesale. Only live nodes carry the agreement invariant.
-			continue
+		if !n.alive && (len(n.inflight) != 0 || (n.retry != nil && len(n.retry.waits) != 0)) {
+			// Stop settles the table, and a stopped node parks nothing.
+			t.Fatalf("%s: stopped node %d still holds %d requests parked", stage, n.ID, len(n.inflight))
 		}
 		for j, c := range n.inflight {
 			if j > 0 && n.inflight[j-1].id >= c.id {
@@ -335,7 +331,8 @@ func TestMetricsAccountingUnderLossAndChurn(t *testing.T) {
 	pings, pongs, expires := 0, 0, 0
 	for round := 0; round < 60; round++ {
 		// Churn phase: crash a node mid-round so requests in flight to it
-		// die, restart another so stale expiries fire into the alive guard.
+		// die and its own fail at once, restart another so stale expiries
+		// find nothing parked.
 		rt.Node(randNode()).Stop()
 		rt.Node(randNode()).Restart()
 		for i := 0; i < 6; i++ {
@@ -376,15 +373,13 @@ func TestMetricsAccountingUnderLossAndChurn(t *testing.T) {
 	if int64(mcReturned) != mt.MsgsMulticast {
 		t.Fatalf("Multicast returned %d sends total, counter says %d", mcReturned, mt.MsgsMulticast)
 	}
-	// Every ping issued either answered or expired (the issuer stayed
-	// decided even when the responder died: Ping's callback runs exactly
-	// once unless the issuer itself crashes — crashed issuers' callbacks
-	// are the remainder).
-	if pongs+expires > pings {
+	// Every ping issued settled exactly once: answered, expired, or failed
+	// by its issuer's stop (parked at the stop, or issued while stopped).
+	if pongs+expires != pings {
 		t.Fatalf("pings=%d resolved=%d", pings, pongs+expires)
 	}
-	if mt.Timeouts < int64(expires) {
-		t.Fatalf("runtime counted %d timeouts, callbacks saw %d", mt.Timeouts, expires)
+	if mt.Timeouts+mt.StopFailures != int64(expires) || mt.StopFailures == 0 {
+		t.Fatalf("runtime counted %d timeouts + %d stop failures, callbacks saw %d", mt.Timeouts, mt.StopFailures, expires)
 	}
 
 	// Registry reconciliation: the per-node counters partition the global

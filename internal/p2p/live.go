@@ -133,8 +133,8 @@ type liveBase struct {
 	// MsgID order (an append: Request allocates and schedules on the loop).
 	// It holds O(requests in flight), not one record per request sent in
 	// the last RPCTimeout: an entry is settled — dropped unfired — once its
-	// request is no longer parked at its node (answered, or forgotten by
-	// Stop/Restart), and settled entries are swept out whenever the queue
+	// request is no longer parked at its node (answered, or settled by its
+	// node's Stop), and settled entries are swept out whenever the queue
 	// grows past twice its length after the last sweep (expBase), and at
 	// every wake-up. expTimer is the one wall-clock timer behind the queue,
 	// armed for the earliest deadline queued (expAt while expArmed); a
@@ -241,8 +241,14 @@ func (b *liveBase) LiveNodes() int { return int(b.live.Load()) }
 // per-shard clocks.
 func (b *liveBase) Now(NodeID) time.Duration { return time.Since(b.start) }
 
-// After schedules fn on the event loop after d of wall-clock time.
+// After schedules fn on the event loop after d of wall-clock time. A d of
+// zero or less posts fn at once: it runs after the closure the loop is
+// running now and before anything posted later, with no timer.
 func (b *liveBase) After(_ NodeID, d time.Duration, fn func()) {
+	if d <= 0 {
+		b.loop.post(fn)
+		return
+	}
 	time.AfterFunc(d, func() { b.loop.post(fn) })
 }
 
@@ -363,7 +369,7 @@ func (b *liveBase) PendingExpiries() int { return len(b.expiries) }
 
 // SettledExpiries returns the number of request expiries the queue dropped
 // unfired because their request was no longer outstanding — answered, or
-// forgotten by Stop/Restart. The simulator has no counterpart: every one
+// settled by its node's Stop. The simulator has no counterpart: every one
 // of its expiry events runs and counts in ExpiriesFired. Loop-confined:
 // read it via Do, or after Close.
 func (b *liveBase) SettledExpiries() int64 { return b.expSettled }

@@ -1,9 +1,9 @@
 // Shutdown-edge soaks for the loopback transport, run under -race in CI:
 // Close racing a storm of in-flight requests (delivery timers, expiry
 // timers, and requester goroutines all live at close time), and Stop with
-// parked timers (a stopped node's pending deliveries, expiries, and retry
-// backoffs must all land harmlessly, and must not leak into the node's
-// next life after Restart).
+// parked timers (a stopped node's requests settle once at the stop; its
+// pending deliveries, expiries, and retry backoffs then land harmlessly,
+// and do not leak into the node's next life after Restart).
 
 package p2p
 
@@ -60,35 +60,46 @@ func TestLoopbackCloseDuringInflight(t *testing.T) {
 	}
 }
 
-// TestLoopbackStopWithParkedTimers stops a node while its request
-// timeouts, inbound deliveries, and a retry chain's backoff timer are all
-// parked. Every one of those timers fires into the stopped (then
-// restarted) node; the generation guard must keep the old life's
-// callbacks from resolving in the new one.
+// TestLoopbackStopWithParkedTimers stops a node while a request waits on a
+// slow reply, a request waits on its expiry, and a retry chain waits out
+// its backoff. Each of the three settles once, as a failure, at the Stop:
+// the failures are posted to the loop behind Stop, so the next Do already
+// sees them. The late reply, the expiry and the backoff timer land later,
+// into the stopped and then the restarted node, and fire nothing.
 func TestLoopbackStopWithParkedTimers(t *testing.T) {
-	lb := NewLoopback(lineMatrix(4), Config{RPCTimeout: time.Second, Retry: Policy{Attempts: 3, BaseBackoff: 30 * time.Millisecond}}, 1)
+	const slowReply = 400 * time.Millisecond
+	lb := NewLoopback(lineMatrix(4), Config{RPCTimeout: time.Second, Retry: Policy{Attempts: 3, BaseBackoff: 400 * time.Millisecond}}, 1)
 	defer lb.Close()
 	var n0 *Node
 	lb.Do(func() {
 		n0 = lb.AddNode(0)
-		lb.AddNode(1)        // rtt(0,1) = 10 ms: replies park for 5 ms per leg
+		lb.AddNode(1).Serve(NewTable().With("slow", func(n *Node, env Envelope) {
+			lb.After(n.ID, slowReply, func() { n.Reply(env, "slow_ok", nil) })
+		}))
 		lb.AddNode(3).Stop() // node 3 is a black hole: requests to it only expire
 	})
-	var oldLife atomic.Int64
+	var replies, fails, failsUp atomic.Int64
+	onReply := func(Envelope) { replies.Add(1) }
+	onFail := func() {
+		fails.Add(1)
+		if n0.Alive() {
+			failsUp.Add(1)
+		}
+	}
 	lb.Do(func() {
-		// A reply that will arrive ~10 ms from now, after Stop.
-		n0.Request(1, MsgPing, nil, time.Second,
-			func(Envelope) { oldLife.Add(1) }, func() { oldLife.Add(1) })
-		// An expiry that will fire 25 ms from now, after Stop.
-		n0.Request(3, MsgPing, nil, 25*time.Millisecond,
-			func(Envelope) { oldLife.Add(1) }, func() { oldLife.Add(1) })
-		// A retry chain whose backoff timer will be parked at Stop time.
-		n0.RequestPolicy(3, MsgPing, nil, 5*time.Millisecond,
-			func(Envelope) { oldLife.Add(1) }, func() { oldLife.Add(1) })
+		n0.Request(1, "slow", nil, time.Second, onReply, onFail)           // reply due at ~400 ms
+		n0.Request(3, MsgPing, nil, 600*time.Millisecond, onReply, onFail) // expiry due at 600 ms
+		// Its first attempt expires at 5 ms; the backoff runs to ~405 ms.
+		n0.RequestPolicy(3, MsgPing, nil, 5*time.Millisecond, onReply, onFail)
 	})
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(30 * time.Millisecond)
 	lb.Do(func() { n0.Stop() })
-	time.Sleep(50 * time.Millisecond) // all three parked timers fire into the stopped node
+	var atStop int64
+	lb.Do(func() { atStop = fails.Load() })
+	if atStop != 3 || replies.Load() != 0 || failsUp.Load() != 0 {
+		t.Fatalf("after Stop: %d failures (%d while up), %d replies; want the 3 requests failed at the stop", atStop, failsUp.Load(), replies.Load())
+	}
+	time.Sleep(700 * time.Millisecond) // the late reply, the expiry and the backoff timer land
 	lb.Do(func() { n0.Restart() })
 	// The new life works: a fresh request to a live peer resolves.
 	done := make(chan bool, 1)
@@ -104,13 +115,12 @@ func TestLoopbackStopWithParkedTimers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("fresh request never resolved")
 	}
-	time.Sleep(100 * time.Millisecond) // let any straggling old-life timer fire
-	if got := oldLife.Load(); got != 0 {
-		t.Errorf("%d old-life callbacks resolved across Stop/Restart, want 0", got)
+	if got := fails.Load() + replies.Load(); got != 3 {
+		t.Errorf("%d old-life callbacks fired in all, want the 3 stop failures", got)
 	}
-	var retries int64
-	lb.Do(func() { retries = lb.SerialMetrics().Retries })
-	if retries != 0 {
-		t.Errorf("retry chain survived Stop: %d retries charged", retries)
+	var m Metrics
+	lb.Do(func() { m = *lb.SerialMetrics() })
+	if m.StopFailures != 3 || m.Timeouts != 1 || m.Retries != 0 {
+		t.Errorf("metrics %+v: want 3 stop failures, 1 timeout (the first attempt), 0 retries", m)
 	}
 }

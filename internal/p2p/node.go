@@ -145,14 +145,12 @@ type Node struct {
 	table    *Table
 	inflight []call
 
-	// retrySeq numbers RequestPolicy calls for deterministic jitter; gen
-	// counts Stop/Restart transitions so parked retry timers from a
-	// previous life abort instead of resurrecting stale request chains.
-	// suspicion tallies consecutive exhausted retry calls per peer (see
-	// policy.go); nil until the retry layer first needs it.
-	retrySeq  uint64
-	gen       uint64
-	suspicion map[NodeID]int
+	// gen counts Stop/Restart transitions, so a retry chain can tell a
+	// failure from its own life's timeout from one its node's stop dealt
+	// it. retry is the retry layer's state (see policy.go); nil until the
+	// layer first needs it.
+	gen   uint64
+	retry *retryState
 }
 
 // newNode returns a node brought up alive, serving the ping table.
@@ -224,34 +222,67 @@ func (n *Node) unpark(msgID uint64) (call, bool) {
 	return c, true
 }
 
-// forget drops every parked waiter (Stop/Restart), keeping the capacity.
-func (n *Node) forget() {
+// settle unparks every waiter at the node — its requests in flight and its
+// retry chains in backoff — and fails each once, in that order, from one
+// event at the node's home context at this instant (see fail): After(0),
+// a kernel event on the simulator and a loop post on the live transports.
+// The event runs after the caller's frame: Stop is called from handlers,
+// churn and fault events whose own state the failure callbacks may touch.
+func (n *Node) settle() {
+	var waits []call
+	if n.retry != nil {
+		waits, n.retry.waits = n.retry.waits, nil
+	}
+	if len(n.inflight) == 0 && len(waits) == 0 {
+		return
+	}
+	failed := append(slices.Clone(n.inflight), waits...)
 	clear(n.inflight)
-	n.inflight = n.inflight[:0]
+	n.inflight = n.inflight[:0] // keeps the capacity for the next life
+	n.rt.After(n.ID, 0, func() {
+		for _, c := range failed {
+			n.fail(c)
+		}
+	})
+}
+
+// fail settles one waiter its node's stop unparked, or a request issued at
+// a stopped node: its onTimeout runs, charged to StopFailures rather than
+// Timeouts.
+func (n *Node) fail(c call) {
+	n.metrics.StopFailures++
+	if c.onTimeout != nil {
+		c.onTimeout()
+	}
 }
 
 // Stop crashes the node: it stops receiving, and every outstanding request
-// it made is forgotten — their timeout events will find nothing to fire.
+// it made — and every retry chain waiting out a backoff — fails exactly
+// once, at the stop instant, from an event after Stop returns. A reply,
+// expiry or backoff timer from the stopped life that lands later finds
+// nothing parked and is dropped.
 func (n *Node) Stop() {
 	if n.alive {
 		n.rt.noteLive(-1)
 	}
 	n.alive = false
-	n.forget()
+	n.settle()
 	n.gen++
-	n.suspicion = nil
+	if n.retry != nil {
+		n.retry.suspicion = nil
+	}
 }
 
-// Restart brings a stopped node back up with its handlers intact and no
-// inflight state, as a process restart would.
+// Restart brings a stopped node back up with its handlers intact and
+// nothing parked, as a process restart would. Restarting a node that is up
+// crashes it first: its outstanding requests fail as at Stop.
 func (n *Node) Restart() {
-	if !n.alive {
-		n.rt.noteLive(1)
+	if n.alive {
+		n.Stop()
 	}
+	n.rt.noteLive(1)
 	n.alive = true
-	n.forget()
 	n.gen++
-	n.suspicion = nil
 }
 
 // Send transmits a one-way message (no correlation, no timeout) and
@@ -266,14 +297,22 @@ func (n *Node) Send(to NodeID, typ string, payload any) uint64 {
 }
 
 // Request transmits a request and parks a waiter in the inflight table.
-// Exactly one of onReply/onTimeout fires (neither, if this node dies
-// first). A non-positive timeout uses the runtime default. The MsgID is
-// returned for tests and tracing.
+// Exactly one of onReply/onTimeout fires, once: onReply on the response,
+// onTimeout when the request expires unanswered or when this node stops
+// first (at the stop instant; see Stop). A request issued at a stopped
+// node sends nothing and parks nothing: its onTimeout fires at once, from
+// an event after Request returns, and the MsgID returned is 0. A
+// non-positive timeout uses the runtime default. The MsgID is returned for
+// tests and tracing.
 //
 // The timeout is a typed kernel event carrying a slab slot (see
 // Runtime.timeoutAt), not a closure: protocol-heavy runs park millions of
 // requests, and the expiry bookkeeping itself must not allocate.
 func (n *Node) Request(to NodeID, typ string, payload any, timeout time.Duration, onReply func(Envelope), onTimeout func()) uint64 {
+	if !n.alive {
+		n.rt.After(n.ID, 0, func() { n.fail(call{onTimeout: onTimeout}) })
+		return 0
+	}
 	if timeout <= 0 {
 		timeout = n.rt.config().RPCTimeout
 	}
@@ -307,12 +346,9 @@ func (n *Node) deliver(env Envelope) {
 // expire fires a request timeout at this node: the mirror of the response
 // path in deliver, reached through the runtime's typed timeout event.
 func (n *Node) expire(msgID uint64) {
-	if !n.alive {
-		return // stopped: its table was forgotten, and stays inert until Restart
-	}
 	c, ok := n.unpark(msgID)
 	if !ok {
-		return // answered, or we restarted meanwhile
+		return // answered, or settled by a Stop meanwhile
 	}
 	n.metrics.Timeouts++
 	if c.onTimeout != nil {

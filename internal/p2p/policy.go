@@ -18,6 +18,7 @@ package p2p
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -106,22 +107,59 @@ func (p Policy) backoff(id NodeID, seq uint64, attempt int) time.Duration {
 	return time.Duration(d)
 }
 
+// retryState is a node's retry-layer state, allocated on its first
+// RequestPolicy call under an enabled policy.
+type retryState struct {
+	// seq numbers RequestPolicy calls for deterministic jitter; it runs on
+	// across Stop/Restart.
+	seq uint64
+	// suspicion tallies consecutive exhausted calls per peer; nil until a
+	// call first exhausts, and reset at Stop.
+	suspicion map[NodeID]int
+	// waits parks the calls waiting out a backoff, keyed by their seq, so
+	// Stop can fail them (Node.settle) like the requests in flight.
+	waits []call
+}
+
+// retryLayer returns the node's retry state, allocating it on first use.
+func (n *Node) retryLayer() *retryState {
+	if n.retry == nil {
+		n.retry = &retryState{}
+	}
+	return n.retry
+}
+
+// unwait removes the backoff waiter seq, reporting whether it was still
+// parked (a Stop settles it first otherwise).
+func (rs *retryState) unwait(seq uint64) bool {
+	for i, c := range rs.waits {
+		if c.id == seq {
+			rs.waits = slices.Delete(rs.waits, i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
 // RequestPolicy is Request under the transport's retry policy
 // (Config.Retry): a disabled policy issues exactly one attempt with the
 // given timeout; an enabled one re-issues the request after backoff each
 // time an attempt times out, up to the attempt budget. onReply fires
 // on the first response; onTimeout fires once, after the last attempt
 // expires. A reply clears the peer's suspicion tally, a fully exhausted
-// call increments it (Suspicion). Retry timers die across Stop/Restart —
-// a node that crashed mid-backoff does not resurrect old request chains.
-// The returned MsgID is the first attempt's.
+// call increments it (Suspicion). A stop of the node settles the call
+// whatever it was doing — an attempt in flight or a backoff — with one
+// onTimeout at the stop instant and no further attempt or suspicion; a
+// call made at a stopped node fails the same way. The returned MsgID is
+// the first attempt's.
 func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Duration, onReply func(Envelope), onTimeout func()) uint64 {
 	pol := n.rt.config().Retry
 	if !pol.Enabled() {
 		return n.Request(to, typ, payload, timeout, onReply, onTimeout)
 	}
-	n.retrySeq++
-	seq := n.retrySeq
+	rs := n.retryLayer()
+	rs.seq++
+	seq := rs.seq
 	gen := n.gen
 	wrapReply := func(env Envelope) {
 		n.clearSuspicion(to)
@@ -132,16 +170,19 @@ func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Du
 	var attempt func(k int) uint64
 	attempt = func(k int) uint64 {
 		return n.Request(to, typ, payload, timeout, wrapReply, func() {
-			if k+1 >= pol.Attempts {
-				n.noteSuspicion(to)
+			if stopped := !n.alive || n.gen != gen; stopped || k+1 >= pol.Attempts {
+				if !stopped {
+					n.noteSuspicion(to)
+				}
 				if onTimeout != nil {
 					onTimeout()
 				}
 				return
 			}
+			rs.waits = append(rs.waits, call{id: seq, onTimeout: onTimeout})
 			n.rt.After(n.ID, pol.backoff(n.ID, seq, k+1), func() {
-				if n.gen != gen || !n.alive {
-					return // crashed or restarted since: the chain dies here
+				if !rs.unwait(seq) {
+					return // settled by a Stop meanwhile: the chain ends here
 				}
 				n.metrics.Retries++
 				attempt(k + 1)
@@ -153,23 +194,29 @@ func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Du
 
 // noteSuspicion tallies one fully exhausted call against a peer.
 func (n *Node) noteSuspicion(peer NodeID) {
-	if n.suspicion == nil {
-		n.suspicion = make(map[NodeID]int)
+	rs := n.retryLayer()
+	if rs.suspicion == nil {
+		rs.suspicion = make(map[NodeID]int)
 	}
-	n.suspicion[peer]++
+	rs.suspicion[peer]++
 }
 
 // clearSuspicion resets a peer's tally (it answered).
 func (n *Node) clearSuspicion(peer NodeID) {
-	if n.suspicion != nil {
-		delete(n.suspicion, peer)
+	if n.retry != nil {
+		delete(n.retry.suspicion, peer)
 	}
 }
 
 // Suspicion returns how many consecutive RequestPolicy calls to peer
 // exhausted every attempt without an answer. Protocols use it to demote
 // repeatedly failing peers (try them last, or not at all).
-func (n *Node) Suspicion(peer NodeID) int { return n.suspicion[peer] }
+func (n *Node) Suspicion(peer NodeID) int {
+	if n.retry == nil {
+		return 0
+	}
+	return n.retry.suspicion[peer]
+}
 
 // Retrying reports whether the node's transport retries RequestPolicy
 // calls (Config.Retry is enabled).

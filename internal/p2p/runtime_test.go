@@ -187,17 +187,31 @@ func TestLossRateIsHonoured(t *testing.T) {
 	}
 }
 
+// TestStopClearsInflight: a request outstanding when its node stops is
+// unparked and fails once, as a failure, at the stop time — not at its
+// expiry, and not as a timeout — and its expiry then finds nothing.
 func TestStopClearsInflight(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 2, 0)
 	a, b := rt.AddNode(0), rt.AddNode(1)
 	// b never answers "mute" requests.
 	b.Serve(NewTable().With("mute", func(*Node, Envelope) {}))
-	fired := false
-	a.Request(1, "mute", nil, time.Second, func(Envelope) { fired = true }, func() { fired = true })
-	a.Stop()
+	replies, fails := 0, 0
+	var failAt time.Duration
+	a.Request(1, "mute", nil, time.Second, func(Envelope) { replies++ }, func() {
+		fails++
+		failAt = kernel.Now()
+	})
+	kernel.At(300*time.Millisecond, a.Stop)
 	kernel.Run()
-	if fired {
-		t.Fatal("callback fired on a crashed requester")
+	if replies != 0 || fails != 1 || failAt != 300*time.Millisecond {
+		t.Fatalf("%d replies, %d failures (last at %v); want 0 and 1, at the 300ms stop", replies, fails, failAt)
+	}
+	if len(a.inflight) != 0 {
+		t.Fatalf("%d requests still parked at the stopped node", len(a.inflight))
+	}
+	m := rt.Metrics
+	if m.StopFailures != 1 || m.Timeouts != 0 || m.ExpiriesScheduled != 1 || m.ExpiriesFired != 1 {
+		t.Fatalf("metrics %+v: want 1 stop failure, 0 timeouts, the one expiry scheduled and fired empty", m)
 	}
 }
 

@@ -69,6 +69,12 @@ type Metrics struct {
 	// Timeouts counts RPCs that expired without a response (the subset of
 	// ExpiriesFired whose request was still outstanding at a live node).
 	Timeouts int64
+	// StopFailures counts requests failed by their node's stop: each one
+	// parked at a node that stops (a retry chain waiting out a backoff
+	// included) fails once, at the stop instant, and so does each request
+	// issued at a stopped node. They are not Timeouts: the timeouts a
+	// node's callbacks see are Timeouts + StopFailures.
+	StopFailures int64
 	// FaultDropped counts envelopes discarded by the fault plane (bursts,
 	// black-holes, partitions). Each is also counted in MsgsLost, so the
 	// sent = delivered + lost + dead (+ inflight) accounting identity holds
@@ -98,6 +104,7 @@ func (m *Metrics) Add(o Metrics) {
 	m.ExpiriesScheduled += o.ExpiriesScheduled
 	m.ExpiriesFired += o.ExpiriesFired
 	m.Timeouts += o.Timeouts
+	m.StopFailures += o.StopFailures
 	m.FaultDropped += o.FaultDropped
 	m.FaultDelayed += o.FaultDelayed
 	m.FaultDuplicated += o.FaultDuplicated

@@ -75,8 +75,9 @@ func (w *Wire) handleStep(n *p2p.Node, env p2p.Envelope) {
 
 // FindNearest runs the PIC query over the wire from client: ping the
 // placement sample, embed locally, run the greedy walks as per-hop RPCs,
-// sweep-ping the walk endpoints. done fires exactly once unless the client
-// dies mid-query.
+// sweep-ping the walk endpoints. done fires exactly once, also when the
+// client stops mid-query (its requests fail at the stop, and the query runs
+// down there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "pic", 0)
 	sample := w.base.sys.SamplePlacement(int(client), landmarks)

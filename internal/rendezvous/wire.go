@@ -117,7 +117,8 @@ func (w *Wire) Register(id p2p.NodeID, done func(ok bool)) {
 
 // FindNearest runs the rendezvous query over the wire from client: one
 // directory read at the client's own server, then a ping sweep of the
-// list. done fires exactly once unless the client dies mid-query.
+// list. done fires exactly once, also when the client stops mid-query (its
+// requests fail at the stop, and the query runs down there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "rendezvous", 0)
 	q.Call(w.ServerOf(client), MsgList, nil,

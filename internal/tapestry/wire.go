@@ -134,7 +134,8 @@ func (q *wireQuery) fetchLevels(contacts []int, level int, then func(union []int
 }
 
 // FindNearest runs the Tapestry walk over the wire from client. done fires
-// exactly once unless the client dies mid-query.
+// exactly once, also when the client stops mid-query (its requests fail at
+// the stop, and the walk ends there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := &wireQuery{
 		Query:  p2p.NewQuery(w.rt.AddNode(client), "tapestry", 0),

@@ -87,7 +87,8 @@ func (w *Wire) handleCluster(n *p2p.Node, env p2p.Envelope) {
 // FindNearest descends the hierarchy over the wire from client: fetch the
 // top cluster from the (well-known) top representative, ping its members,
 // follow the closest into its own cluster one level down, repeat. done
-// fires exactly once unless the client dies mid-query.
+// fires exactly once, also when the client stops mid-query (its requests
+// fail at the stop, and the descent ends there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "tiers", 0)
 	level := len(w.base.levels) - 1

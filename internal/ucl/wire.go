@@ -74,8 +74,9 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(stored int)) {
 // ping the rest over the runtime, return the closest responder (as its
 // runtime node id: hosts[Peer] is the host). RPCs counts the DHT Gets
 // issued, RPCFails those that never resolved an owner, Hops their routing
-// cost. done fires exactly once (the issuing node is assumed to stay up
-// for the query).
+// cost. done fires exactly once, also when the issuing node stops
+// mid-query: its DHT Gets and pings fail at the stop, and the query runs
+// down there.
 func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	own := ComputeUCL(w.tools, w.anchors, w.cfg, peer)
 	node := w.NodeOf(peer)

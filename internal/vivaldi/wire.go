@@ -621,7 +621,8 @@ type walkCand struct {
 // responder. Probes counts query-time RTT measurements (placement probes
 // plus verification pings), RPCs the walk handoffs (RPCFails the ones
 // that went unanswered), Hops the greedy-walk steps taken. done fires
-// exactly once (the issuing node is assumed to stay up for the query).
+// exactly once, also when the client stops mid-query (its requests fail at
+// the stop, and the query runs down there).
 func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 	q := p2p.NewQuery(w.rt.AddNode(client), "vivaldi", w.cfg.RPCTimeout)
 	if st := w.state(client); st != nil {
