@@ -249,11 +249,15 @@ func (r *wireRun) startOp(n int, client p2p.NodeID, issue func(*wireRun, *wireOp
 	issue(r, o)
 }
 
-// armDeadline schedules the op's deadline on its home's shard.
+// armDeadline schedules the op's deadline on its home's shard kernel.
 func (r *wireRun) armDeadline(o *wireOp) {
 	moved := new(bool)
 	o.moved = moved
-	r.rt.After(o.home, max(o.deadline-r.rt.Now(o.home), 0), func() {
+	home := r.kernel
+	if r.sharded != nil {
+		home = r.sharded.Shard(r.rt.ShardOf(o.home))
+	}
+	home.After(max(o.deadline-home.Now(), 0), func() {
 		if !*moved && !o.ended {
 			r.backstopped++
 			o.complete(nil)

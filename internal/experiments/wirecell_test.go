@@ -19,12 +19,15 @@ import (
 // query whose issuer crashed. finds counts the find calls.
 func silentDeployment(finds *int, answer func(call int) bool) wireDeploy {
 	return func(_ *schemeCtx, rt *p2p.Runtime) wireDeployment {
+		var dones []func(p2p.FindResult)
+		answered := rt.RegisterHandler(p2p.TimerFunc(func(arg uint64) { dones[arg](p2p.FindResult{Peer: 0, Found: true}) }))
 		return wireDeployment{
 			join: func(id p2p.NodeID) { rt.AddNode(id) },
 			find: func(client p2p.NodeID, done func(p2p.FindResult)) {
 				*finds++
 				if answer(*finds) {
-					rt.After(client, time.Second, func() { done(p2p.FindResult{Peer: 0, Found: true}) })
+					dones = append(dones, done)
+					rt.After(client, time.Second, answered, uint64(len(dones)-1))
 				}
 			},
 		}

@@ -10,6 +10,7 @@ import (
 	"nearestpeer/internal/dht"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/rng"
+	"nearestpeer/internal/sim"
 )
 
 // This file ports the Chord DHT (internal/dht) from a synchronous ring over
@@ -213,6 +214,7 @@ type Chord struct {
 	cfg     ChordConfig
 	src     *rng.Source
 	states  []*chordState // states[id]; nil = not a member
+	epochs  []uint32      // epochs[id] counts id's joins: its incarnation
 	order   []NodeID      // sorted live member list (bootstrap handout)
 	// rings[id] caches id's ring hash; 0 means not hashed yet. A hash
 	// that really is 0 is just recomputed on every call — the hash is
@@ -226,6 +228,8 @@ type Chord struct {
 
 	// table is the member role's dispatch table, served by every member.
 	table *Table
+	// stabilizeH is the stabilize timer (stabilizeTick).
+	stabilizeH sim.HandlerID
 }
 
 // chordScratch is one shard's scratch: closestPreceding's candidate and
@@ -259,9 +263,11 @@ func NewChord(rt Transport, cfg ChordConfig, seed int64) *Chord {
 		cfg:    cfg,
 		src:    rng.New(seed).Split("chord"),
 		states: make([]*chordState, n),
+		epochs: make([]uint32, n),
 		rings:  make([]uint64, n),
 		cp:     make([]chordScratch, 1),
 	}
+	c.stabilizeH = rt.RegisterHandler(TimerFunc(c.stabilizeTick))
 	c.table = NewTable().
 		With(MsgChordFind, c.handleFind).
 		With(MsgChordState, c.handleState).
@@ -401,6 +407,7 @@ func (c *Chord) Join(id NodeID) {
 	st.reset()
 	boot := c.randomMember(id)
 	c.states[id] = st
+	c.epochs[id]++
 	c.insertMember(id)
 	n.Serve(c.table)
 	if c.sharded == nil {
@@ -600,24 +607,31 @@ func containsNode(list []NodeID, id NodeID) bool {
 
 // ---- maintenance: stabilize, notify, finger repair ----
 
-// scheduleStabilize runs the periodic maintenance chain for one member
-// incarnation. The chain dies when the state pointer changes (the node
-// left, or left and rejoined as a fresh incarnation) and pauses while the
-// node is down without having left (a crash the protocol has not seen).
+// scheduleStabilize arms the next tick of one member incarnation's
+// periodic maintenance chain: a typed timer whose argument is the
+// incarnation (TickArg of its epoch).
 func (c *Chord) scheduleStabilize(id NodeID, st *chordState) {
 	d := c.cfg.StabilizeEvery + time.Duration(st.src.Int63n(int64(c.cfg.StabilizeEvery)/4+1))
 	if h := c.cfg.Horizon; h > 0 && c.rt.Now(id)+d > h {
 		return
 	}
-	c.rt.After(id, d, func() {
-		if c.state(id) != st {
-			return
-		}
-		if c.rt.Alive(id) {
-			c.stabilizeOnce(id, st)
-		}
-		c.scheduleStabilize(id, st)
-	})
+	c.rt.After(id, d, c.stabilizeH, TickArg(c.epochs[id], id))
+}
+
+// stabilizeTick is the stabilize timer: one maintenance round and the next
+// tick. The chain dies when its incarnation is gone (the node left, or
+// left and rejoined as a fresh incarnation) and pauses while the node is
+// down without having left (a crash the protocol has not seen).
+func (c *Chord) stabilizeTick(arg uint64) {
+	id := TickNode(arg)
+	st := c.state(id)
+	if st == nil || TickArg(c.epochs[id], id) != arg {
+		return
+	}
+	if c.rt.Alive(id) {
+		c.stabilizeOnce(id, st)
+	}
+	c.scheduleStabilize(id, st)
 }
 
 // stabilizeOnce runs one maintenance round: verify the successor, notify

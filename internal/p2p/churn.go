@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nearestpeer/internal/rng"
+	"nearestpeer/internal/sim"
 )
 
 // ChurnConfig parameterises the membership process. Each driven node
@@ -58,6 +59,9 @@ type Churn struct {
 	rt  *Runtime
 	cfg ChurnConfig
 	src *rng.Source
+	// leaveH and joinH are the session and downtime timers (leave, join),
+	// their argument the node.
+	leaveH, joinH sim.HandlerID
 }
 
 // NewChurn creates a generator with its own random stream. Serial-only:
@@ -70,7 +74,10 @@ func NewChurn(rt *Runtime, cfg ChurnConfig, seed int64) *Churn {
 	if rt.Sharded() {
 		panic("p2p: churn is serial-only")
 	}
-	return &Churn{rt: rt, cfg: cfg, src: rng.New(seed).Split("churn")}
+	c := &Churn{rt: rt, cfg: cfg, src: rng.New(seed).Split("churn")}
+	c.leaveH = rt.RegisterHandler(TimerFunc(c.leave))
+	c.joinH = rt.RegisterHandler(TimerFunc(c.join))
+	return c
 }
 
 // session draws one online session length.
@@ -92,63 +99,68 @@ func (c *Churn) Drive(ids []NodeID) {
 	}
 }
 
-// after schedules fn unless the horizon cuts the chain.
-func (c *Churn) after(d time.Duration, fn func()) bool {
-	if h := c.cfg.Horizon; h > 0 && c.rt.Kernel.Now()+d > h {
-		return false
+// after schedules timer h at id unless the horizon cuts the chain.
+func (c *Churn) after(id NodeID, d time.Duration, h sim.HandlerID) {
+	if hz := c.cfg.Horizon; hz > 0 && c.rt.Now(id)+d > hz {
+		return
 	}
-	c.rt.Kernel.After(d, fn)
-	return true
+	c.rt.After(id, d, h, uint64(id))
 }
 
-func (c *Churn) scheduleLeave(id NodeID) {
-	c.after(c.session(), func() {
-		n := c.rt.Node(id)
-		if n == nil {
-			return
-		}
-		if !n.alive {
-			// Something else already took the node down (an experiment
-			// calling Stop or a protocol Leave mid-session): not a churn
-			// leave — nothing to count, no OnLeave — but the churn process
-			// keeps driving the node, or it would silently drop out of the
-			// membership process forever (the mirror of the rejoin case
-			// below).
-			c.scheduleJoin(id)
-			return
-		}
-		graceful := c.src.Bool(c.cfg.GracefulProb)
-		c.Leaves++
-		if !graceful {
-			c.Crashes++
-		}
-		if c.OnLeave != nil {
-			c.OnLeave(id, graceful)
-		}
-		n.Stop()
+func (c *Churn) scheduleLeave(id NodeID) { c.after(id, c.session(), c.leaveH) }
+
+// leave is the session timer: the node arg names goes down.
+func (c *Churn) leave(arg uint64) {
+	id := NodeID(arg)
+	n := c.rt.Node(id)
+	if n == nil {
+		return
+	}
+	if !n.alive {
+		// Something else already took the node down (an experiment
+		// calling Stop or a protocol Leave mid-session): not a churn
+		// leave — nothing to count, no OnLeave — but the churn process
+		// keeps driving the node, or it would silently drop out of the
+		// membership process forever (the mirror of the rejoin case
+		// in join).
 		c.scheduleJoin(id)
-	})
+		return
+	}
+	graceful := c.src.Bool(c.cfg.GracefulProb)
+	c.Leaves++
+	if !graceful {
+		c.Crashes++
+	}
+	if c.OnLeave != nil {
+		c.OnLeave(id, graceful)
+	}
+	n.Stop()
+	c.scheduleJoin(id)
 }
 
 func (c *Churn) scheduleJoin(id NodeID) {
-	c.after(time.Duration(c.src.Exponential(float64(c.cfg.MeanOffline))), func() {
-		n := c.rt.Node(id)
-		if n == nil {
-			return
+	c.after(id, time.Duration(c.src.Exponential(float64(c.cfg.MeanOffline))), c.joinH)
+}
+
+// join is the downtime timer: the node arg names comes back up.
+func (c *Churn) join(arg uint64) {
+	id := NodeID(arg)
+	n := c.rt.Node(id)
+	if n == nil {
+		return
+	}
+	// If something else already brought the node back up (an experiment
+	// Restart()ing it mid-gap), this is not a churn join — nothing to
+	// count, no OnJoin (whoever restarted it owns the protocol re-entry)
+	// — but the churn process keeps driving the node either way: the
+	// next leave must be scheduled, or the node would silently drop out
+	// of the membership process forever.
+	if !n.alive {
+		n.Restart()
+		c.Joins++
+		if c.OnJoin != nil {
+			c.OnJoin(id)
 		}
-		// If something else already brought the node back up (an experiment
-		// Restart()ing it mid-gap), this is not a churn join — nothing to
-		// count, no OnJoin (whoever restarted it owns the protocol re-entry)
-		// — but the churn process keeps driving the node either way: the
-		// next leave must be scheduled, or the node would silently drop out
-		// of the membership process forever.
-		if !n.alive {
-			n.Restart()
-			c.Joins++
-			if c.OnJoin != nil {
-				c.OnJoin(id)
-			}
-		}
-		c.scheduleLeave(id)
-	})
+	}
+	c.scheduleLeave(id)
 }

@@ -3,6 +3,8 @@ package p2p
 import (
 	"fmt"
 	"time"
+
+	"nearestpeer/internal/sim"
 )
 
 // This file ports the Section 5 expanding multicast search to the message
@@ -128,6 +130,8 @@ type Expanding struct {
 	// The dispatch tables of the responder and the client role. A node
 	// holding both serves their union (see Node.Serve).
 	responder, client *Table
+	// roundH is the round timer (roundDue).
+	roundH sim.HandlerID
 }
 
 // NewExpanding creates the protocol instance.
@@ -138,6 +142,7 @@ func NewExpanding(rt *Runtime, cfg ExpandConfig) *Expanding {
 	e := &Expanding{rt: rt, cfg: cfg, byClient: make([]expandSlot, rt.Population())}
 	e.responder = NewTable().With(MsgFind, handleExpandFind)
 	e.client = NewTable().With(MsgFound, e.handleFound)
+	e.roundH = rt.RegisterHandler(TimerFunc(e.roundDue))
 	return e
 }
 
@@ -216,5 +221,20 @@ func (e *Expanding) runRound(s *expandSearch) {
 	s.sentAt = append(s.sentAt, e.rt.Now(s.client))
 	s.messages += e.rt.Multicast(s.client, ExpandGroup, MsgFind, findMsg{SID: s.sid, From: s.client, Round: s.round}, radius)
 	s.round++
-	e.rt.After(s.client, e.cfg.RoundTimeout, func() { e.runRound(s) })
+	e.armRound(s)
+}
+
+// armRound schedules the search's next round boundary: a typed timer at
+// the client naming the search (TickArg of its SID).
+func (e *Expanding) armRound(s *expandSearch) {
+	e.rt.After(s.client, e.cfg.RoundTimeout, e.roundH, TickArg(uint32(s.sid), s.client))
+}
+
+// roundDue is the round timer: the next round of the search it names, if
+// that search is still the client's active one.
+func (e *Expanding) roundDue(arg uint64) {
+	client := TickNode(arg)
+	if s := e.byClient[client].active; s != nil && TickArg(uint32(s.sid), client) == arg {
+		e.runRound(s)
+	}
 }

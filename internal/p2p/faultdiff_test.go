@@ -86,12 +86,13 @@ func fdRunLoopback() fdResult {
 	var res fdResult
 	var wg sync.WaitGroup
 	wg.Add(fdProbes)
+	probe := lb.RegisterHandler(p2p.TimerFunc(func(arg uint64) {
+		i := int(arg)
+		n0.Request(1, p2p.MsgPing, nil, fdTimeout,
+			func(p2p.Envelope) { res.ok[i] = true; wg.Done() }, wg.Done)
+	}))
 	for i := 0; i < fdProbes; i++ {
-		i := i
-		lb.After(0, fdProbeAt(i), func() {
-			n0.Request(1, p2p.MsgPing, nil, fdTimeout,
-				func(p2p.Envelope) { res.ok[i] = true; wg.Done() }, wg.Done)
-		})
+		lb.After(0, fdProbeAt(i), probe, uint64(i))
 	}
 	wg.Wait() // every probe resolves exactly once: reply or expiry
 	lb.Do(func() {

@@ -35,9 +35,45 @@ func InstallFaults(tr Transport, plan *faults.Plan) error {
 		return fmt.Errorf("p2p: fault plan: %w", err)
 	}
 	// The seam: *Runtime, and *Loopback and *UDP through liveBase.
-	seam, ok := tr.(interface{ installFaults(*faults.Plan) error })
+	seam, ok := tr.(interface {
+		installFaults(plan *faults.Plan, crashes bool) error
+	})
 	if !ok {
 		return fmt.Errorf("p2p: no fault seam for transport %T", tr)
 	}
-	return seam.installFaults(plan)
+	evs := plan.NodeEvents(tr.Population())
+	if err := seam.installFaults(plan, len(evs) > 0); err != nil {
+		return err
+	}
+	scheduleNodeEvents(tr, evs)
+	return nil
+}
+
+// scheduleNodeEvents arms a plan's crash/restart schedule over the seam,
+// the same on every transport: one timer per transition at its node's
+// home context, measured on that node's clock (virtual time on the
+// simulator, wall time since start on the live transports). The argument
+// is the node ID with the transition's direction (Up) in the low bit.
+func scheduleNodeEvents(tr Transport, evs []faults.NodeEvent) {
+	if len(evs) == 0 {
+		return
+	}
+	h := tr.RegisterHandler(TimerFunc(func(arg uint64) {
+		n := tr.Node(NodeID(arg >> 1))
+		switch {
+		case n == nil:
+		case arg&1 == 1:
+			n.Restart()
+		default:
+			n.Stop()
+		}
+	}))
+	for _, ev := range evs {
+		id := NodeID(ev.Node)
+		arg := uint64(id) << 1
+		if ev.Up {
+			arg |= 1
+		}
+		tr.After(id, max(ev.At-tr.Now(id), 0), h, arg)
+	}
 }

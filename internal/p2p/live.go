@@ -3,15 +3,16 @@
 // single-threaded event dispatch, wall-clock timers posting into it, one
 // deadline queue for request expiries — one timer per transport, and
 // memory bounded by the requests in flight — and the Transport bookkeeping
-// (nodes, metrics, typed handlers) that does not depend on how envelopes
-// travel.
+// (nodes, metrics, registered timers) that does not depend on how
+// envelopes travel.
 //
 // The contract the loop preserves is the one every protocol in this
 // package was written against: all protocol callbacks — handlers, reply
-// and timeout closures, timers — run one at a time, in one goroutine, so
-// protocol state needs no locks. Sockets and timers run on their own
-// goroutines but only ever post closures into the loop; the loop is the
-// only place Node maps and Metrics are touched once traffic flows.
+// and timeout closures, registered timers — run one at a time, in one
+// goroutine, so protocol state needs no locks. Sockets and wall-clock
+// timers run on their own goroutines but only ever post closures into the
+// loop; the loop is the only place Node maps and Metrics are touched once
+// traffic flows.
 
 package p2p
 
@@ -104,11 +105,13 @@ type liveBase struct {
 	self  Transport
 	loop  *liveLoop
 	start time.Time
-	cfg   Config
 	pop   int
 
-	// mu guards the registries (nodes, typed handlers) so setup calls may
-	// run off-loop; once traffic flows, node internals are loop-confined.
+	// nodeCore holds the validated Config and Node's timers (see core).
+	nodeCore
+
+	// mu guards the registries (nodes, timers) so setup calls may run
+	// off-loop; once traffic flows, node internals are loop-confined.
 	mu       sync.RWMutex
 	nodes    []*Node
 	handlers []func(arg uint64)
@@ -175,9 +178,9 @@ func (b *liveBase) init(self Transport, pop int, cfg Config) {
 	b.self = self
 	b.loop = newLiveLoop()
 	b.start = time.Now()
-	b.cfg = cfg
 	b.pop = pop
 	b.nodes = make([]*Node, pop)
+	b.initCore(self, cfg)
 	expire := b.expireDue
 	b.expTimer = time.AfterFunc(time.Hour, func() { b.loop.post(expire) })
 	b.expTimer.Stop()
@@ -241,36 +244,30 @@ func (b *liveBase) LiveNodes() int { return int(b.live.Load()) }
 // per-shard clocks.
 func (b *liveBase) Now(NodeID) time.Duration { return time.Since(b.start) }
 
-// After schedules fn on the event loop after d of wall-clock time. A d of
-// zero or less posts fn at once: it runs after the closure the loop is
-// running now and before anything posted later, with no timer.
-func (b *liveBase) After(_ NodeID, d time.Duration, fn func()) {
+// After runs the registered timer h with arg on the event loop after d
+// of wall-clock time. A d of zero or less posts it at once: it runs after
+// the closure the loop is running now and before anything posted later,
+// with no timer.
+func (b *liveBase) After(_ NodeID, d time.Duration, h sim.HandlerID, arg uint64) {
+	b.mu.RLock()
+	fn := b.handlers[h]
+	b.mu.RUnlock()
+	fire := func() { fn(arg) }
 	if d <= 0 {
-		b.loop.post(fn)
+		b.loop.post(fire)
 		return
 	}
-	time.AfterFunc(d, func() { b.loop.post(fn) })
+	time.AfterFunc(d, func() { b.loop.post(fire) })
 }
 
-// RegisterHandler registers a typed-event handler, the live counterpart of
-// sim.Sim.RegisterHandler. Handlers run on the event loop.
-func (b *liveBase) RegisterHandler(fn func(arg uint64)) sim.HandlerID {
-	if fn == nil {
-		panic("p2p: RegisterHandler(nil)")
-	}
+// RegisterHandler registers a timer, the live counterpart of
+// Runtime.RegisterHandler. Timers run on the event loop.
+func (b *liveBase) RegisterHandler(t Timer) sim.HandlerID {
+	fn := t.Fire
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.handlers = append(b.handlers, fn)
 	return sim.HandlerID(len(b.handlers) - 1)
-}
-
-// AfterHandler schedules a registered typed handler after d of wall-clock
-// time, on the event loop.
-func (b *liveBase) AfterHandler(d time.Duration, h sim.HandlerID, arg uint64) {
-	b.mu.RLock()
-	fn := b.handlers[h]
-	b.mu.RUnlock()
-	time.AfterFunc(d, func() { b.loop.post(func() { fn(arg) }) })
 }
 
 // SerialMetrics returns the transport-wide metrics. Loop-confined: read
@@ -374,40 +371,21 @@ func (b *liveBase) PendingExpiries() int { return len(b.expiries) }
 // read it via Do, or after Close.
 func (b *liveBase) SettledExpiries() int64 { return b.expSettled }
 
-// config is the validated Config, RPCTimeout defaulted.
-func (b *liveBase) config() *Config { return &b.cfg }
+// core returns the validated Config and Node's timers.
+func (b *liveBase) core() *nodeCore { return &b.nodeCore }
 
 // noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 func (b *liveBase) noteLive(delta int) { b.live.Add(int64(delta)) }
 
 // installFaults attaches a validated fault plan (see InstallFaults): the
-// medium's send hook reads b.flt, and the plan's crash/restart schedule
-// is armed as wall-clock timers measured from the transport's start.
-// Install before traffic flows.
-func (b *liveBase) installFaults(plan *faults.Plan) error {
+// medium's send hook reads b.flt. Crash rules are armed over the seam
+// (scheduleNodeEvents), as wall-clock timers measured from the transport's
+// start. Install before traffic flows.
+func (b *liveBase) installFaults(plan *faults.Plan, _ bool) error {
 	if b.flt != nil {
 		return errSecondPlan
 	}
 	b.flt = plan
-	now := time.Since(b.start)
-	for _, ev := range plan.NodeEvents(b.pop) {
-		ev := ev
-		d := ev.At - now
-		if d < 0 {
-			d = 0
-		}
-		b.After(NodeID(ev.Node), d, func() {
-			n := b.Node(NodeID(ev.Node))
-			if n == nil {
-				return
-			}
-			if ev.Up {
-				n.Restart()
-			} else {
-				n.Stop()
-			}
-		})
-	}
 	return nil
 }
 

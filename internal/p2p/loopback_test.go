@@ -74,7 +74,7 @@ func TestLoopbackStopWithParkedTimers(t *testing.T) {
 	lb.Do(func() {
 		n0 = lb.AddNode(0)
 		lb.AddNode(1).Serve(NewTable().With("slow", func(n *Node, env Envelope) {
-			lb.After(n.ID, slowReply, func() { n.Reply(env, "slow_ok", nil) })
+			time.AfterFunc(slowReply, func() { lb.Do(func() { n.Reply(env, "slow_ok", nil) }) })
 		}))
 		lb.AddNode(3).Stop() // node 3 is a black hole: requests to it only expire
 	})

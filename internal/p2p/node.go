@@ -147,8 +147,9 @@ type Node struct {
 
 	// gen counts Stop/Restart transitions, so a retry chain can tell a
 	// failure from its own life's timeout from one its node's stop dealt
-	// it. retry is the retry layer's state (see policy.go); nil until the
-	// layer first needs it.
+	// it. retry holds what the node parks outside its inflight table —
+	// retry chains in backoff and stop batches awaiting their settle
+	// event (see policy.go); nil until first needed.
 	gen   uint64
 	retry *retryState
 }
@@ -223,27 +224,48 @@ func (n *Node) unpark(msgID uint64) (call, bool) {
 }
 
 // settle unparks every waiter at the node — its requests in flight and its
-// retry chains in backoff — and fails each once, in that order, from one
-// event at the node's home context at this instant (see fail): After(0),
-// a kernel event on the simulator and a loop post on the live transports.
-// The event runs after the caller's frame: Stop is called from handlers,
-// churn and fault events whose own state the failure callbacks may touch.
+// retry chains in backoff — and fails each once, in that order, as one
+// batch (see failLater): from an event at the node's home context at this
+// instant, after the caller's frame. Stop is called from handlers, churn
+// and fault events whose own state the failure callbacks may touch.
 func (n *Node) settle() {
-	var waits []call
+	var waits []retryWait
 	if n.retry != nil {
 		waits, n.retry.waits = n.retry.waits, nil
 	}
 	if len(n.inflight) == 0 && len(waits) == 0 {
 		return
 	}
-	failed := append(slices.Clone(n.inflight), waits...)
+	batch := slices.Clone(n.inflight)
+	for _, w := range waits {
+		batch = append(batch, call{id: w.seq, onTimeout: w.onTimeout})
+	}
 	clear(n.inflight)
 	n.inflight = n.inflight[:0] // keeps the capacity for the next life
-	n.rt.After(n.ID, 0, func() {
-		for _, c := range failed {
-			n.fail(c)
-		}
-	})
+	n.failLater(batch)
+}
+
+// failLater queues batch at the node and schedules the one timer that
+// fails it: After(0) with the settle timer, a kernel event on the
+// simulator and a loop post on the live transports. A node's settle events
+// all run at its home context in the order they were scheduled, so each
+// fails exactly the batch queued with it (failNext pops the oldest).
+func (n *Node) failLater(batch []call) {
+	rs := n.retryLayer()
+	rs.failing = append(rs.failing, batch)
+	n.rt.After(n.ID, 0, n.rt.core().settleH, uint64(n.ID))
+}
+
+// failNext is the settle timer at the node: it fails the oldest queued
+// batch, in order. A callback that queues another batch (a request issued
+// at the stopped node) schedules that batch's own event.
+func (n *Node) failNext() {
+	rs := n.retry
+	batch := rs.failing[0]
+	rs.failing = slices.Delete(rs.failing, 0, 1)
+	for _, c := range batch {
+		n.fail(c)
+	}
 }
 
 // fail settles one waiter its node's stop unparked, or a request issued at
@@ -310,11 +332,11 @@ func (n *Node) Send(to NodeID, typ string, payload any) uint64 {
 // requests, and the expiry bookkeeping itself must not allocate.
 func (n *Node) Request(to NodeID, typ string, payload any, timeout time.Duration, onReply func(Envelope), onTimeout func()) uint64 {
 	if !n.alive {
-		n.rt.After(n.ID, 0, func() { n.fail(call{onTimeout: onTimeout}) })
+		n.failLater([]call{{onTimeout: onTimeout}})
 		return 0
 	}
 	if timeout <= 0 {
-		timeout = n.rt.config().RPCTimeout
+		timeout = n.rt.core().cfg.RPCTimeout
 	}
 	id := n.rt.allocMsgIDFor(n.ID)
 	n.park(call{id: id, onReply: onReply, onTimeout: onTimeout})

@@ -107,8 +107,9 @@ func (p Policy) backoff(id NodeID, seq uint64, attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// retryState is a node's retry-layer state, allocated on its first
-// RequestPolicy call under an enabled policy.
+// retryState is what a node parks outside its inflight table, allocated
+// when first needed: the retry layer's state (on its first RequestPolicy
+// call under an enabled policy) and the batches its stops failed.
 type retryState struct {
 	// seq numbers RequestPolicy calls for deterministic jitter; it runs on
 	// across Stop/Restart.
@@ -116,9 +117,28 @@ type retryState struct {
 	// suspicion tallies consecutive exhausted calls per peer; nil until a
 	// call first exhausts, and reset at Stop.
 	suspicion map[NodeID]int
-	// waits parks the calls waiting out a backoff, keyed by their seq, so
-	// Stop can fail them (Node.settle) like the requests in flight.
-	waits []call
+	// waits parks the calls waiting out a backoff, so Stop can fail them
+	// (Node.settle) like the requests in flight.
+	waits []retryWait
+	// failing queues the batches settled by a stop (or a request issued at
+	// a stopped node), oldest first, each waiting for its settle event.
+	failing [][]call
+}
+
+// retryWait is one RequestPolicy call between attempts: everything its
+// next attempt needs. Parked by value in retryState.waits while the
+// backoff runs; the backoff timer's argument names it (TickArg of its seq
+// and node).
+type retryWait struct {
+	seq       uint64
+	gen       uint64 // the node's life the call was made in
+	tries     int    // attempts completed
+	to        NodeID
+	typ       string
+	payload   any
+	timeout   time.Duration
+	onReply   func(Envelope)
+	onTimeout func()
 }
 
 // retryLayer returns the node's retry state, allocating it on first use.
@@ -127,18 +147,6 @@ func (n *Node) retryLayer() *retryState {
 		n.retry = &retryState{}
 	}
 	return n.retry
-}
-
-// unwait removes the backoff waiter seq, reporting whether it was still
-// parked (a Stop settles it first otherwise).
-func (rs *retryState) unwait(seq uint64) bool {
-	for i, c := range rs.waits {
-		if c.id == seq {
-			rs.waits = slices.Delete(rs.waits, i, i+1)
-			return true
-		}
-	}
-	return false
 }
 
 // RequestPolicy is Request under the transport's retry policy
@@ -153,43 +161,61 @@ func (rs *retryState) unwait(seq uint64) bool {
 // call made at a stopped node fails the same way. The returned MsgID is
 // the first attempt's.
 func (n *Node) RequestPolicy(to NodeID, typ string, payload any, timeout time.Duration, onReply func(Envelope), onTimeout func()) uint64 {
-	pol := n.rt.config().Retry
-	if !pol.Enabled() {
+	if !n.rt.core().cfg.Retry.Enabled() {
 		return n.Request(to, typ, payload, timeout, onReply, onTimeout)
 	}
 	rs := n.retryLayer()
 	rs.seq++
-	seq := rs.seq
-	gen := n.gen
-	wrapReply := func(env Envelope) {
-		n.clearSuspicion(to)
-		if onReply != nil {
-			onReply(env)
+	return n.attempt(retryWait{seq: rs.seq, gen: n.gen, to: to, typ: typ, payload: payload,
+		timeout: timeout, onReply: onReply, onTimeout: onTimeout})
+}
+
+// attempt issues the call's next try. Its timeout either ends the call (an
+// exhausted budget, or a stop of the node since the call was made) or
+// parks the call for a backoff (scheduleBackoff).
+func (n *Node) attempt(w retryWait) uint64 {
+	return n.Request(w.to, w.typ, w.payload, w.timeout, func(env Envelope) {
+		n.clearSuspicion(w.to)
+		if w.onReply != nil {
+			w.onReply(env)
 		}
-	}
-	var attempt func(k int) uint64
-	attempt = func(k int) uint64 {
-		return n.Request(to, typ, payload, timeout, wrapReply, func() {
-			if stopped := !n.alive || n.gen != gen; stopped || k+1 >= pol.Attempts {
-				if !stopped {
-					n.noteSuspicion(to)
-				}
-				if onTimeout != nil {
-					onTimeout()
-				}
-				return
+	}, func() {
+		if stopped := !n.alive || n.gen != w.gen; stopped || w.tries+1 >= n.rt.core().cfg.Retry.Attempts {
+			if !stopped {
+				n.noteSuspicion(w.to)
 			}
-			rs.waits = append(rs.waits, call{id: seq, onTimeout: onTimeout})
-			n.rt.After(n.ID, pol.backoff(n.ID, seq, k+1), func() {
-				if !rs.unwait(seq) {
-					return // settled by a Stop meanwhile: the chain ends here
-				}
-				n.metrics.Retries++
-				attempt(k + 1)
-			})
-		})
+			if w.onTimeout != nil {
+				w.onTimeout()
+			}
+			return
+		}
+		w.tries++
+		n.scheduleBackoff(w)
+	})
+}
+
+// scheduleBackoff parks w and arms the typed timer that ends its backoff.
+func (n *Node) scheduleBackoff(w retryWait) {
+	rs := n.retry
+	rs.waits = append(rs.waits, w)
+	c := n.rt.core()
+	n.rt.After(n.ID, c.cfg.Retry.backoff(n.ID, w.seq, w.tries), c.backoffH, TickArg(uint32(w.seq), n.ID))
+}
+
+// backoffDone is the backoff timer: the parked call arg names takes its
+// next attempt, unless a Stop settled it meanwhile — then the chain ends
+// here. Two calls parked at once share an argument only if the node made
+// 65,536 calls between them; the older goes first.
+func (n *Node) backoffDone(arg uint64) {
+	rs := n.retry
+	i := slices.IndexFunc(rs.waits, func(w retryWait) bool { return TickArg(uint32(w.seq), n.ID) == arg })
+	if i < 0 {
+		return
 	}
-	return attempt(0)
+	w := rs.waits[i]
+	rs.waits = slices.Delete(rs.waits, i, i+1)
+	n.metrics.Retries++
+	n.attempt(w)
 }
 
 // noteSuspicion tallies one fully exhausted call against a peer.
@@ -220,7 +246,7 @@ func (n *Node) Suspicion(peer NodeID) int {
 
 // Retrying reports whether the node's transport retries RequestPolicy
 // calls (Config.Retry is enabled).
-func (n *Node) Retrying() bool { return n.rt.config().Retry.Enabled() }
+func (n *Node) Retrying() bool { return n.rt.core().cfg.Retry.Enabled() }
 
 // Suspect reports whether peer has crossed the demotion threshold
 // (demoteAfter consecutive exhausted calls) on a transport that retries.

@@ -49,7 +49,9 @@ type Runtime struct {
 	// read TotalMetrics instead.
 	Metrics Metrics
 
-	cfg     Config
+	// nodeCore holds the validated Config and Node's timers (see core).
+	nodeCore
+
 	m       latency.Matrix // shard 0's matrix; population/bounds authority
 	lossSrc *rng.Source
 	nodes   []*Node // dense: node IDs are matrix indices; nil = unregistered
@@ -190,7 +192,6 @@ func New(kernel *sim.Sim, m latency.Matrix, cfg Config, seed int64) *Runtime {
 	}
 	r := &Runtime{
 		Kernel:  kernel,
-		cfg:     cfg,
 		m:       m,
 		lossSrc: rng.New(seed).Split("loss"),
 		nodes:   make([]*Node, m.N()),
@@ -198,6 +199,7 @@ func New(kernel *sim.Sim, m latency.Matrix, cfg Config, seed int64) *Runtime {
 		sh:      make([]shardCtx, 1),
 	}
 	r.initShard(0, kernel, m, &r.Metrics)
+	r.initCore(r, cfg)
 	return r
 }
 
@@ -240,7 +242,6 @@ func NewSharded(shk *sim.Sharded, ms []latency.Matrix, cfg Config, seed int64, s
 	}
 	r := &Runtime{
 		Kernel:  shk.Shard(0),
-		cfg:     cfg,
 		m:       ms[0],
 		nodes:   make([]*Node, n),
 		groups:  make(map[string]*group),
@@ -254,6 +255,7 @@ func NewSharded(shk *sim.Sharded, ms []latency.Matrix, cfg Config, seed int64, s
 	for s := 0; s < k; s++ {
 		r.initShard(s, shk.Shard(s), ms[s], &mets[s])
 	}
+	r.initCore(r, cfg)
 	shk.OnDrain(r.drainCross)
 	return r
 }
@@ -282,12 +284,13 @@ func (r *Runtime) shardIdx(id NodeID) int {
 // the run starts.
 func (r *Runtime) Now(id NodeID) time.Duration { return r.sh[r.shardIdx(id)].sim.Now() }
 
-// After schedules fn on a node's home shard after d of that shard's
-// virtual time. It must be called from the node's home context (an event
-// executing on the same shard — every protocol callback at the node is);
-// for cross-shard routing use Handoff.
-func (r *Runtime) After(id NodeID, d time.Duration, fn func()) {
-	r.sh[r.shardIdx(id)].sim.After(d, fn)
+// After schedules the registered timer h with arg on a node's home shard
+// after d of that shard's virtual time: a typed kernel event, so it
+// allocates nothing. It must be called from the node's home context (an
+// event executing on the same shard — every protocol callback at the node
+// is); for cross-shard routing use Handoff.
+func (r *Runtime) After(id NodeID, d time.Duration, h sim.HandlerID, arg uint64) {
+	r.sh[r.shardIdx(id)].sim.AfterHandler(d, h, arg)
 }
 
 // Handoff schedules fn on node to's home shard at the source shard's
@@ -676,21 +679,24 @@ func (r *Runtime) PendingExpiries() int {
 	return n
 }
 
-// RegisterHandler registers a typed-event handler on the driver kernel
-// (the only kernel of a serial runtime) — the Transport seam's version of
-// sim.Sim.RegisterHandler for serial protocols pacing typed tick chains.
-func (r *Runtime) RegisterHandler(fn func(arg uint64)) sim.HandlerID {
-	return r.Kernel.RegisterHandler(fn)
+// RegisterHandler registers t on every shard kernel (the one kernel of a
+// serial runtime). The runtime registers its own handlers on every shard
+// in the same order, so the kernels hand out the same ID and After may use
+// it at any node; a typed handler registered on one shard kernel directly
+// would break that lockstep, and is refused here.
+func (r *Runtime) RegisterHandler(t Timer) sim.HandlerID {
+	fn := t.Fire
+	h := r.sh[0].sim.RegisterHandler(fn)
+	for s := 1; s < len(r.sh); s++ {
+		if r.sh[s].sim.RegisterHandler(fn) != h {
+			panic(fmt.Sprintf("p2p: shard %d kernel's handlers are out of lockstep with shard 0's", s))
+		}
+	}
+	return h
 }
 
-// AfterHandler schedules a registered typed handler after d of driver
-// virtual time (see RegisterHandler).
-func (r *Runtime) AfterHandler(d time.Duration, h sim.HandlerID, arg uint64) {
-	r.Kernel.AfterHandler(d, h, arg)
-}
-
-// config is the validated Config, RPCTimeout defaulted.
-func (r *Runtime) config() *Config { return &r.cfg }
+// core returns the validated Config and Node's timers.
+func (r *Runtime) core() *nodeCore { return &r.nodeCore }
 
 // noteLive adjusts the live-node count (Node.Stop/Restart bookkeeping).
 func (r *Runtime) noteLive(delta int) { r.liveCount += delta }
@@ -855,38 +861,18 @@ func (r *Runtime) scheduleDelivery(ss int, oneWay time.Duration, env Envelope) {
 }
 
 // installFaults attaches a validated fault plan (see InstallFaults): link
-// decisions hook the send path, and the plan's crash/restart schedule is
-// compiled to kernel events up front. Crash rules are serial-only: the
+// decisions hook the send path. Crash rules (crashes) are serial-only: the
 // Stop/Restart bookkeeping touches the runtime-wide live count, which
 // shard goroutines must not race on (link faults are per-shard pure and
 // work at any shard count). Install before the run starts.
-func (r *Runtime) installFaults(plan *faults.Plan) error {
+func (r *Runtime) installFaults(plan *faults.Plan, crashes bool) error {
 	if r.flt != nil {
 		return errSecondPlan
 	}
-	evs := plan.NodeEvents(r.m.N())
-	if len(evs) > 0 && r.shk != nil {
+	if crashes && r.shk != nil {
 		return errors.New("p2p: fault-plan crash rules require a serial runtime")
 	}
 	r.flt = plan
-	for _, ev := range evs {
-		ev := ev
-		d := ev.At - r.Kernel.Now()
-		if d < 0 {
-			d = 0
-		}
-		r.Kernel.After(d, func() {
-			n := r.node(NodeID(ev.Node))
-			if n == nil {
-				return
-			}
-			if ev.Up {
-				n.Restart()
-			} else {
-				n.Stop()
-			}
-		})
-	}
 	return nil
 }
 

@@ -642,18 +642,26 @@ func TestHandoffRaisesDelayToWindow(t *testing.T) {
 // TestTransportSeamMethods pins the seam to what all three transports
 // provide: simulator-only capabilities (sharding, multicast) belong on
 // *Runtime, not here, and the flight recorder is read only inside this
-// package (by Query and chord's lookup driver).
+// package (by Query and chord's lookup driver). There is one timer, After
+// with a registered handler and an argument, and no method takes a func:
+// nothing a protocol schedules through the seam can be a closure.
 func TestTransportSeamMethods(t *testing.T) {
 	tt := reflect.TypeFor[Transport]()
 	var exported []string
 	for i := range tt.NumMethod() {
-		if m := tt.Method(i); m.IsExported() {
+		m := tt.Method(i)
+		if m.IsExported() {
 			exported = append(exported, m.Name)
 		}
+		for j := range m.Type.NumIn() {
+			if in := m.Type.In(j); in.Kind() == reflect.Func {
+				t.Errorf("Transport.%s takes a %v", m.Name, in)
+			}
+		}
 	}
-	want := []string{"AddNode", "After", "AfterHandler", "Alive", "Node", "Now", "Population", "RegisterHandler"}
-	if !slices.Equal(exported, want) || tt.NumMethod() != 14 {
-		t.Errorf("Transport has %d methods, exported %v; want 14, exported %v", tt.NumMethod(), exported, want)
+	want := []string{"AddNode", "After", "Alive", "Node", "Now", "Population", "RegisterHandler"}
+	if !slices.Equal(exported, want) || tt.NumMethod() != 13 {
+		t.Errorf("Transport has %d methods, exported %v; want 13, exported %v", tt.NumMethod(), exported, want)
 	}
 }
 

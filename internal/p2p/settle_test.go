@@ -190,7 +190,7 @@ func runSettleProgram(t *testing.T, prog []byte) {
 	rt := New(kernel, lineMatrix(4), Config{RPCTimeout: time.Second, Retry: Policy{Attempts: 2, BaseBackoff: 20 * time.Millisecond}}, 1)
 	n := rt.AddNode(0)
 	rt.AddNode(1).Serve(NewTable().With("echo", func(m *Node, env Envelope) {
-		rt.After(m.ID, time.Duration(env.Payload.(int))*time.Millisecond, func() { m.Reply(env, "echo_ok", nil) })
+		kernel.After(time.Duration(env.Payload.(int))*time.Millisecond, func() { m.Reply(env, "echo_ok", nil) })
 	}))
 	rt.AddNode(2)
 	var reqs []*settleReq

@@ -47,10 +47,12 @@ func newUDPCluster(t *testing.T, n int, cfg Config, seed int64) *UDP {
 		}).
 		With(udpSlowType, func(n *Node, env Envelope) {
 			// Answer well after any requester timeout in the soak.
-			u.After(n.ID, 300*time.Millisecond, func() {
-				if n.Alive() {
-					n.Reply(env, udpSlowType, env.Payload)
-				}
+			time.AfterFunc(300*time.Millisecond, func() {
+				u.Do(func() {
+					if n.Alive() {
+						n.Reply(env, udpSlowType, env.Payload)
+					}
+				})
 			})
 		})
 	for i := 0; i < n; i++ {

@@ -204,8 +204,8 @@ func NewWire(rt p2p.Transport, cfg WireConfig, seed int64) *Wire {
 		scratch: Coord{Vec: make([]float64, dimensions)},
 	}
 	w.qsrc = w.src.Split("query")
-	w.tickH = rt.RegisterHandler(w.tick)
-	w.reclaimH = rt.RegisterHandler(w.reclaimSnap)
+	w.tickH = rt.RegisterHandler(p2p.TimerFunc(w.tick))
+	w.reclaimH = rt.RegisterHandler(p2p.TimerFunc(w.reclaimSnap))
 	w.table = p2p.NewTable().
 		With(MsgGossip, w.handleGossip).
 		With(MsgGossipOK, w.handleGossipOK).
@@ -364,13 +364,6 @@ func (st *wireState) sampleNbr() p2p.NodeID {
 
 // ---- gossip: ticks, requests, answers ----
 
-// packTick packs a member incarnation into a typed-event argument. sim
-// events carry 48 usable bits; 16 of epoch and 32 of node id fit with room
-// to spare (node ids are matrix indices, far below 2^32).
-func packTick(epoch uint32, id p2p.NodeID) uint64 {
-	return uint64(epoch&0xFFFF)<<32 | uint64(uint32(id))
-}
-
 // scheduleTick schedules the member's next gossip as a typed kernel event —
 // no closure per tick. The chain dies with the incarnation (epoch check in
 // tick) and at the configured horizon.
@@ -379,7 +372,7 @@ func (w *Wire) scheduleTick(id p2p.NodeID, st *wireState) {
 	if h := w.cfg.Horizon; h > 0 && w.rt.Now(id)+d > h {
 		return
 	}
-	w.rt.AfterHandler(d, w.tickH, packTick(st.epoch, id))
+	w.rt.After(id, d, w.tickH, p2p.TickArg(st.epoch, id))
 }
 
 // tick is the registered gossip-tick handler: one gossip for the member if
@@ -388,10 +381,9 @@ func (w *Wire) scheduleTick(id p2p.NodeID, st *wireState) {
 // is down without having left (a crash the protocol has not observed)
 // pauses but keeps its chain.
 func (w *Wire) tick(arg uint64) {
-	id := p2p.NodeID(uint32(arg))
-	epoch := uint32(arg>>32) & 0xFFFF
+	id := p2p.TickNode(arg)
 	st := w.state(id)
-	if st == nil || st.epoch&0xFFFF != epoch {
+	if st == nil || p2p.TickArg(st.epoch, id) != arg {
 		return
 	}
 	if w.rt.Alive(id) {
@@ -438,8 +430,8 @@ func (w *Wire) gossipOnce(id p2p.NodeID, st *wireState) {
 
 // snapGet pops a snapshot buffer from the pool (allocating a new slot only
 // until the pool reaches the workload's high-water mark) and schedules its
-// reclaim as a typed kernel event.
-func (w *Wire) snapGet() *gossipSnap {
+// reclaim as a typed timer at member id, the snapshot's sender.
+func (w *Wire) snapGet(id p2p.NodeID) *gossipSnap {
 	var slot uint32
 	if n := len(w.snapFree); n > 0 {
 		slot = w.snapFree[n-1]
@@ -448,7 +440,7 @@ func (w *Wire) snapGet() *gossipSnap {
 		w.snaps = append(w.snaps, &gossipSnap{Vec: make([]float64, dimensions)})
 		slot = uint32(len(w.snaps) - 1)
 	}
-	w.rt.AfterHandler(w.cfg.SnapshotTTL, w.reclaimH, uint64(slot))
+	w.rt.After(id, w.cfg.SnapshotTTL, w.reclaimH, uint64(slot))
 	return w.snaps[slot]
 }
 
@@ -459,9 +451,9 @@ func (w *Wire) reclaimSnap(arg uint64) {
 	w.snapFree = append(w.snapFree, uint32(arg))
 }
 
-// fillSnap copies a member's current coordinate into a pooled snapshot.
-func (w *Wire) fillSnap(st *wireState, echo uint64) *gossipSnap {
-	s := w.snapGet()
+// fillSnap copies member id's current coordinate into a pooled snapshot.
+func (w *Wire) fillSnap(id p2p.NodeID, st *wireState, echo uint64) *gossipSnap {
+	s := w.snapGet(id)
 	s.Echo = echo
 	copy(s.Vec, st.coord.Vec)
 	s.Height, s.Err = st.coord.Height, st.coord.Err
@@ -477,7 +469,7 @@ func (w *Wire) handleGossip(n *p2p.Node, env p2p.Envelope) {
 	if st == nil {
 		return
 	}
-	n.Send(env.From, MsgGossipOK, w.fillSnap(st, env.MsgID))
+	n.Send(env.From, MsgGossipOK, w.fillSnap(n.ID, st, env.MsgID))
 }
 
 // handleGossipOK applies a gossip answer: correlate by echoed MsgID (a
@@ -548,7 +540,7 @@ func (w *Wire) handleProbe(n *p2p.Node, env p2p.Envelope) {
 	if st == nil {
 		return
 	}
-	n.Reply(env, MsgProbeOK, w.fillSnap(st, 0))
+	n.Reply(env, MsgProbeOK, w.fillSnap(n.ID, st, 0))
 }
 
 // handleWalk answers one greedy-walk step against the member's local view:
