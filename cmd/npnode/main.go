@@ -181,7 +181,7 @@ func (c *clusterFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.matrixPath, "matrix", "", "latency matrix JSON (see genmatrix)")
 	fs.BoolVar(&c.delay, "delay", false, "price artificial receive delays from -matrix")
 	fs.DurationVar(&c.rpcTimeout, "rpc-timeout", 2*time.Second, "per-RPC timeout")
-	fs.Int64Var(&c.seed, "seed", 1, "rng seed (loss model, protocol draws)")
+	fs.Int64Var(&c.seed, "seed", 1, "rng seed (protocol draws; loss is a serve -faults rule)")
 }
 
 // transportConfig is the UDP transport's configuration.

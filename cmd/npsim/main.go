@@ -133,7 +133,7 @@ func main() {
 	}
 
 	if *runtime {
-		if *loss < 0 || *loss > 1 {
+		if !(*loss >= 0 && *loss <= 1) { // NaN too
 			fmt.Fprintf(os.Stderr, "-loss %v outside [0,1]\n", *loss)
 			os.Exit(2)
 		}

@@ -92,7 +92,7 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 	sc := targetScorer{gt: gt}
 	var live []int
 	run := runWireCell(newSchemeCtx(m, members, opts.Seed, opts.Horizon), wireCell{
-		cfg: p2p.Config{LossProb: opts.Loss}, heldOut: targets,
+		loss: opts.Loss, heldOut: targets,
 		recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
 		churn: opts.Churn,
 		ops:   opts.Queries,

@@ -171,7 +171,7 @@ func obsCell(c *schemeCtx, deploy wireDeploy, cond wireCondition, targets []int,
 	done := 0
 	var samp *obs.Sampler
 	run := runWireCell(c, wireCell{
-		cfg: p2p.Config{LossProb: cond.loss}, heldOut: targets,
+		loss: cond.loss, heldOut: targets,
 		registry: reg, recorder: rec,
 		// A minute of churn before measuring: the lookup stream is short,
 		// and an untouched overlay would make the churn rows read like the

@@ -274,7 +274,7 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	c.keyLabel = "g1"
 	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}
 	run := runWireCell(c, wireCell{
-		cfg: p2p.Config{LossProb: opts.Loss}, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
+		loss: opts.Loss, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
 		churn: opts.Churn, churnLead: 30 * time.Second,
 		ops: opts.Queries,
 	}, deploy, func(run *wireRun, o *wireOp) {

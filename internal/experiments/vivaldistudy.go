@@ -236,7 +236,7 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 	var w *vivaldi.Wire
 	sc := targetScorer{m: m}
 	run := runWireCell(newSchemeCtx(m, members, seed, vivaldiStudyHorizon), wireCell{
-		cfg: p2p.Config{LossProb: cond.loss}, heldOut: targets,
+		loss: cond.loss, heldOut: targets,
 		churn: cond.churn, churnLead: 30 * time.Second,
 		ops: queries,
 	}, func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {

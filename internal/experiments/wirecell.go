@@ -96,6 +96,9 @@ func fanOut(n int, step func(i int, next func()), done func()) {
 // scheme context (matrix, members, seeds, horizon — see schemeCtx).
 type wireCell struct {
 	cfg p2p.Config
+	// loss is every message's drop probability: a whole-run Loss rule in
+	// the cell's fault plan (0: none).
+	loss float64
 	// heldOut are matrix positions outside the overlay that issue the ops
 	// (AddNode'd, never churned). Empty: live members issue, a draw that is
 	// down redrawn up to 20 times (under heavy churn everyone may be down;
@@ -103,7 +106,8 @@ type wireCell struct {
 	heldOut []int
 	// recorder and registry, when non-nil, are attached before any traffic;
 	// both are passive. faults, when non-nil, builds the fault plan once the
-	// deployment's mark is known (a nil plan injects nothing).
+	// deployment's mark is known; the loss rule joins it (faults.Lossy), and
+	// a cell with neither installs no plan.
 	recorder *obs.Recorder
 	registry *obs.Registry
 	faults   func(mark time.Duration) *faults.Plan
@@ -128,8 +132,8 @@ type wireCell struct {
 	// shard its own RTT-cached matrix. Rows are identical at every shards >=
 	// 1 but differ from serial ones: the sequential stream's hops between
 	// issuers take Handoff delays. A sharded cell runs the sequential stream
-	// with no registrations; loss, churn, crash rules and the obs
-	// attachments are serial-only, and p2p rejects them.
+	// with no registrations; churn, crash rules and the obs attachments are
+	// serial-only, and p2p rejects them.
 	shards int
 	top    *netmodel.Topology
 }
@@ -166,8 +170,8 @@ type wireRun struct {
 	// events is the kernel events the cell executed over every shard.
 	events uint64
 	// backstopped counts the ops wireOpDeadline ended: still running a
-	// virtual minute after issue.
-	backstopped int
+	// virtual minute after issue; ended counts every op's end.
+	backstopped, ended int
 
 	c       *schemeCtx
 	ids     []p2p.NodeID
@@ -191,6 +195,7 @@ func (r *wireRun) issuer() p2p.NodeID {
 // or at wireOpDeadline — the op then scores as failed (it is in issued, and
 // its complete is dead) and counts in wireRun.backstopped.
 type wireOp struct {
+	run    *wireRun
 	n      int
 	client p2p.NodeID
 	ended  bool
@@ -215,6 +220,7 @@ func (o *wireOp) complete(apply func()) {
 		return
 	}
 	o.ended = true
+	o.run.ended++
 	if apply != nil {
 		apply()
 	}
@@ -244,7 +250,7 @@ func (r *wireRun) find(o *wireOp, score func(p2p.FindResult)) {
 // advance) runs when the op ends.
 func (r *wireRun) startOp(n int, client p2p.NodeID, issue func(*wireRun, *wireOp), after func(home p2p.NodeID)) {
 	r.c.op = n
-	o := &wireOp{n: n, client: client, home: client, deadline: r.rt.Now(client) + wireOpDeadline, after: after}
+	o := &wireOp{run: r, n: n, client: client, home: client, deadline: r.rt.Now(client) + wireOpDeadline, after: after}
 	r.armDeadline(o)
 	issue(r, o)
 }
@@ -286,8 +292,8 @@ func (r *wireRun) hop(o *wireOp, to p2p.NodeID, step func()) {
 // wireCell.shards), the cell's attachments, deploy's deployment with every
 // member joined in order and the held-out issuers added, then — at the
 // deployment's mark — the registrations, churn, and the op stream, issue
-// called once per op. Seeds: c.seed drives the runtime, +1 the protocol (the
-// Wire leg's business), +2 churn, +3 the issuer draws.
+// called once per op. Seeds: c.seed drives the loss rule, +1 the protocol
+// (the Wire leg's business), +2 churn, +3 the issuer draws.
 //
 // The sharded kernel's rules live here and nowhere else: every schedule
 // coordinate is a topology constant, never a function of the shard count
@@ -323,9 +329,11 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		d.mark = wireFinderBringup
 	}
 	run.d = d
+	var plan *faults.Plan
 	if cell.faults != nil {
-		check(p2p.InstallFaults(rt, cell.faults(d.mark)))
+		plan = cell.faults(d.mark)
 	}
+	check(p2p.InstallFaults(rt, faults.Lossy(plan, c.seed, cell.loss)))
 	for i, id := range c.members {
 		run.ids[i] = p2p.NodeID(id)
 		d.join(run.ids[i])
@@ -422,12 +430,13 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 		}
 		afterBringup()
 	})
+	var end time.Duration
 	if run.sharded == nil {
 		kernel.At(c.horizon, kernel.Stop) // watchdog against a stalled bring-up
 		kernel.Run()
-		run.events = kernel.Executed
+		end, run.events = kernel.Now(), kernel.Executed
 	} else {
-		run.sharded.RunUntil(c.horizon)
+		end = run.sharded.RunUntil(c.horizon)
 		for _, m := range snaps {
 			run.atStart.Add(m)
 		}
@@ -446,6 +455,11 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 	if inflight := int64(rt.InflightEnvelopes()); m.MsgsSent != m.MsgsDelivered+m.MsgsLost+m.MsgsDead+inflight {
 		check(fmt.Errorf("wire cell: %d messages sent, but %d delivered + %d lost + %d dead + %d in flight",
 			m.MsgsSent, m.MsgsDelivered, m.MsgsLost, m.MsgsDead, inflight))
+	}
+	// Operation conservation: every op issued ended exactly once, unless the
+	// horizon watchdog cut the stream.
+	if end < c.horizon && run.ended != run.issued {
+		check(fmt.Errorf("wire cell: %d ops issued, but %d ended", run.issued, run.ended))
 	}
 	return run
 }

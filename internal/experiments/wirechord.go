@@ -53,8 +53,8 @@ type WireChordOpts struct {
 	// too; crash rules are serial-only (the transport rejects them).
 	Faults *faults.Plan
 	// Shards, when >= 1, runs the ring on a sharded kernel with that many
-	// shards over Top's hosts (the matrix argument is ignored; loss, churn
-	// and the recorder are serial-only). Results are byte-identical at every
+	// shards over Top's hosts (the matrix argument is ignored; churn and the
+	// recorder are serial-only). Results are byte-identical at every
 	// shard count — including 1, which runs the same windowed path — but
 	// differ from the serial kernel's (Shards == 0), whose op stream has no
 	// handoff delays (see wireCell.shards).
@@ -121,7 +121,7 @@ func RunWireChord(m latency.Matrix, opts WireChordOpts) WireChordRow {
 	var hops, retries int64
 	var chord *p2p.Chord
 	run := runWireCell(newSchemeCtx(m, firstN(n), opts.Seed, opts.Horizon), wireCell{
-		cfg: p2p.Config{LossProb: opts.Loss}, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
+		loss: opts.Loss, recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
 		churn:  opts.Churn,
 		ops:    opts.Ops,
 		shards: opts.Shards, top: opts.Top,

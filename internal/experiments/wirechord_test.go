@@ -57,3 +57,34 @@ func TestWireChordGolden(t *testing.T) {
 	}
 	checkGolden(t, "golden_wirechord.txt", b.String())
 }
+
+// TestWireChordShardedLoss: loss is a fault-plane rule whose draw follows
+// each sender's send ordinal, so a lossy sharded ring gives the same row at
+// every shard count — and it does lose messages.
+func TestWireChordShardedLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three sharded rings are too heavy for -short")
+	}
+	top := shardTopo()
+	ccfg, spacing, settle := scaleChordConfig(top.NumHosts())
+	var base WireChordRow
+	for _, k := range []int{1, 2, 4} {
+		row := RunWireChord(nil, WireChordOpts{
+			Ops: 12, Loss: 0.05, Seed: 1,
+			Chord: ccfg, JoinSpacing: spacing, Settle: settle,
+			Horizon: 4 * time.Hour,
+			Shards:  k, Top: top,
+		})
+		if k == 1 {
+			base = row
+			if row.Timeouts == 0 {
+				t.Fatalf("a 5%% lossy ring timed out no request: %+v", row)
+			}
+			continue
+		}
+		if got, want := fmt.Sprintf("%+v", row), fmt.Sprintf("%+v", base); got != want {
+			t.Fatalf("lossy sharded row differs at %d shards:\n  k=1: %s\n  k=%d: %s", k, want, k, got)
+		}
+	}
+	t.Logf("k = 1, 2, 4: %+v", base)
+}

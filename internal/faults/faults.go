@@ -1,20 +1,22 @@
-// Package faults is the deterministic fault plane: a seeded Plan of
-// scheduled network and node faults (loss bursts, delay spikes,
-// duplication, reordering, asymmetric link black-holes, bidirectional
-// partitions, node crash/restart) that every transport in internal/p2p can
-// run under — the simulation kernel in virtual time, the loopback and UDP
-// transports in wall-clock time — with the identical fault sequence.
+// Package faults is the deterministic fault plane and the transports' only
+// loss model: a seeded Plan of scheduled network and node faults
+// (per-message loss, loss bursts, delay spikes, duplication, reordering,
+// asymmetric link black-holes, bidirectional partitions, node
+// crash/restart) that every transport in internal/p2p can run under — the
+// simulation kernel in virtual time, the loopback and UDP transports in
+// wall-clock time — with the identical fault sequence.
 //
-// Determinism rule: every probabilistic decision is a pure function of
-// (plan seed, rule index, src, dst, time window). Time is quantized into
+// Determinism rule: every probabilistic decision is a stateless hash mix of
+// (plan seed, rule index, src, dst, key) — no RNG state, no draw order.
+// The windowed kinds key on the time window: time is quantized into
 // Window-sized buckets counted from the transport's own zero (virtual zero
-// on the simulator, transport start on the live transports), and the draw
-// for a bucket is a stateless hash mix — no RNG state, no draw order. Two
+// on the simulator, transport start on the live transports), so a loss
+// burst drops a whole window's traffic on a link, the burstiness real
+// networks exhibit. Loss keys on the sender's send ordinal instead, so each
+// message gets its own coin, even among sends in one instant. Two
 // transports running the same plan therefore agree on every decision no
-// matter how their deliveries interleave, which is what the differential
-// sim-vs-loopback test pins. Decisions are per (src, dst, window): a loss
-// burst that afflicts a link drops the whole window's traffic on it, the
-// burstiness real networks exhibit and a flat per-message coin cannot.
+// matter how their deliveries interleave or their hosts are sharded, which
+// is what the differential sim-vs-loopback test pins.
 //
 // The package deliberately depends on nothing inside the repository, so
 // internal/p2p can import it without cycles.
@@ -22,6 +24,8 @@ package faults
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,6 +60,9 @@ const (
 	// Crash stops every node in Nodes at At and restarts it at At+For — a
 	// process crash with a later supervisor restart.
 	Crash
+	// Loss drops each message on an afflicted link with probability Prob,
+	// one independent coin per message (keyed on the send ordinal).
+	Loss
 )
 
 // String names a Kind the way Parse spells it.
@@ -75,6 +82,8 @@ func (k Kind) String() string {
 		return "partition"
 	case Crash:
 		return "crash"
+	case Loss:
+		return "loss"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
 }
@@ -145,9 +154,9 @@ type Rule struct {
 	// At is when the fault becomes active, measured from the transport's
 	// zero; For is how long it stays active.
 	At, For time.Duration
-	// Prob is the per-(src,dst,window) draw probability for the
-	// probabilistic kinds (LossBurst, DelaySpike, Duplicate, Reorder).
-	// 0 on DelaySpike/Duplicate/Reorder means "every window".
+	// Prob is the draw probability, per (src,dst,window) for LossBurst,
+	// DelaySpike, Duplicate and Reorder and per message for Loss. 0 on
+	// DelaySpike/Duplicate/Reorder means "every window".
 	Prob float64
 	// ExtraMs is the added one-way delay for DelaySpike and Reorder.
 	ExtraMs float64
@@ -159,9 +168,13 @@ type Rule struct {
 	Nodes Set
 }
 
-// active reports whether the rule's interval covers now.
+// forever is the For of a rule that stays active to the end of the run.
+const forever = time.Duration(math.MaxInt64)
+
+// active reports whether the rule's interval covers now (without forming
+// At+For, which overflows for a whole-run rule).
 func (r Rule) active(now time.Duration) bool {
-	return now >= r.At && now < r.At+r.For
+	return now >= r.At && now-r.At < r.For
 }
 
 // Plan is a seeded, scheduled set of fault rules. The zero Plan (or a nil
@@ -201,11 +214,19 @@ func (p *Plan) window() time.Duration {
 	return DefaultWindow
 }
 
-// Decide returns the fault verdict for a message src→dst sent at now
-// (time measured from the transport's zero). It is a pure function of the
-// plan and its arguments: no state, no draw order, identical in virtual
-// and wall-clock time.
+// Decide is DecideSend for a sender's first send (ordinal 0): the verdict
+// of a caller that keeps no send ordinals.
 func (p *Plan) Decide(src, dst int, now time.Duration) Decision {
+	return p.DecideSend(src, dst, now, 0)
+}
+
+// DecideSend returns the fault verdict for a message src→dst sent at now
+// (time measured from the transport's zero) as src's ord-th decided send.
+// It is a pure function of the plan and its arguments: no state, no draw
+// order, identical in virtual and wall-clock time. ord keys the Loss draw
+// alone; a transport counts it per sender, at the sender, so it is the
+// same on every transport and at every shard count.
+func (p *Plan) DecideSend(src, dst int, now time.Duration, ord uint32) Decision {
 	var d Decision
 	if p == nil {
 		return d
@@ -230,6 +251,10 @@ func (p *Plan) Decide(src, dst int, now time.Duration) Decision {
 			if r.Src.Contains(src) && r.Dst.Contains(dst) && p.draw(i, src, dst, win) < r.Prob {
 				d.Drop = true
 			}
+		case Loss:
+			if r.Src.Contains(src) && r.Dst.Contains(dst) && p.draw(i, src, dst, int64(ord)) < r.Prob {
+				d.Drop = true
+			}
 		case DelaySpike, Reorder:
 			if r.Src.Contains(src) && r.Dst.Contains(dst) &&
 				(r.Prob <= 0 || p.draw(i, src, dst, win) < r.Prob) {
@@ -248,13 +273,13 @@ func (p *Plan) Decide(src, dst int, now time.Duration) Decision {
 	return d
 }
 
-// draw is the stateless per-(rule, src, dst, window) uniform draw in
-// [0, 1): a splitmix64-style finalizer folded over the tuple, seeded by the
-// plan seed. The +1 offsets keep distinct zero-valued fields from
-// colliding.
-func (p *Plan) draw(rule, src, dst int, win int64) float64 {
+// draw is the stateless per-(rule, src, dst, key) uniform draw in [0, 1),
+// key being the window or, for Loss, the send ordinal: a splitmix64-style
+// finalizer folded over the tuple, seeded by the plan seed. The +1 offsets
+// keep distinct zero-valued fields from colliding.
+func (p *Plan) draw(rule, src, dst int, key int64) float64 {
 	x := uint64(p.Seed) ^ 0x9e3779b97f4a7c15
-	for _, v := range [4]uint64{uint64(rule) + 1, uint64(src) + 1, uint64(dst) + 1, uint64(win) + 1} {
+	for _, v := range [4]uint64{uint64(rule) + 1, uint64(src) + 1, uint64(dst) + 1, uint64(key) + 1} {
 		x ^= v * 0xbf58476d1ce4e5b9
 		x = (x ^ (x >> 30)) * 0x94d049bb133111eb
 		x ^= x >> 31
@@ -317,7 +342,7 @@ func (p *Plan) Validate() error {
 		if r.At < 0 || r.For <= 0 {
 			return fmt.Errorf("faults: rule %d (%s): interval at=%v for=%v", i, r.Kind, r.At, r.For)
 		}
-		if r.Prob < 0 || r.Prob > 1 {
+		if !(r.Prob >= 0 && r.Prob <= 1) { // NaN too
 			return fmt.Errorf("faults: rule %d (%s): probability %v out of [0,1]", i, r.Kind, r.Prob)
 		}
 		if r.ExtraMs < 0 {
@@ -328,7 +353,7 @@ func (p *Plan) Validate() error {
 			if r.Nodes.Empty() {
 				return fmt.Errorf("faults: rule %d (crash): empty node set", i)
 			}
-		case LossBurst, DelaySpike, Duplicate, Reorder, Blackhole, Partition:
+		case LossBurst, DelaySpike, Duplicate, Reorder, Blackhole, Partition, Loss:
 			if r.Src.Empty() || r.Dst.Empty() {
 				return fmt.Errorf("faults: rule %d (%s): empty src or dst set", i, r.Kind)
 			}
@@ -340,7 +365,8 @@ func (p *Plan) Validate() error {
 }
 
 // String renders the plan in Parse's syntax (a plan round-trips through
-// Parse(plan.String())).
+// Parse(plan.String())). It leaves out what Parse fills in: the interval
+// of a whole-run Loss rule, and link scopes of everyone.
 func (p *Plan) String() string {
 	if p == nil {
 		return ""
@@ -350,7 +376,10 @@ func (p *Plan) String() string {
 		parts = append(parts, fmt.Sprintf("window=%s", p.Window))
 	}
 	for _, r := range p.Rules {
-		kv := []string{fmt.Sprintf("at=%s", r.At), fmt.Sprintf("for=%s", r.For)}
+		var kv []string
+		if r.Kind != Loss || r.At != 0 || r.For != forever {
+			kv = append(kv, fmt.Sprintf("at=%s", r.At), fmt.Sprintf("for=%s", r.For))
+		}
 		if r.Prob > 0 {
 			kv = append(kv, fmt.Sprintf("prob=%v", r.Prob))
 		}
@@ -363,7 +392,9 @@ func (p *Plan) String() string {
 		case Partition:
 			kv = append(kv, "a="+r.Src.spec(), "b="+r.Dst.spec())
 		default:
-			kv = append(kv, "src="+r.Src.spec(), "dst="+r.Dst.spec())
+			if !r.Src.All || !r.Dst.All {
+				kv = append(kv, "src="+r.Src.spec(), "dst="+r.Dst.spec())
+			}
 		}
 		parts = append(parts, fmt.Sprintf("%s:%s", r.Kind, strings.Join(kv, ",")))
 	}
@@ -375,11 +406,12 @@ func (p *Plan) String() string {
 // "kind:key=val,key=val,...". Host sets are "*" (everyone), "lo-hi"
 // (inclusive range), a single ID, or a dot-separated list "1.3.5".
 //
-//	seed=7;burst:at=5s,for=3s,prob=0.5,src=*,dst=*;partition:at=10s,for=5s,a=0-4,b=5-9;crash:at=16s,for=4s,nodes=7
+//	seed=7;loss:prob=0.05;burst:at=5s,for=3s,prob=0.5,src=*,dst=*;partition:at=10s,for=5s,a=0-4,b=5-9;crash:at=16s,for=4s,nodes=7
 //
 // Rule keys: at, for (durations); prob (float); extra (ms, float);
 // src, dst (link scope); a, b (partition sides); nodes (crash scope).
-// Omitted src/dst default to "*".
+// Omitted src/dst default to "*"; a loss rule without at/for lasts the
+// whole run.
 func Parse(spec string) (*Plan, error) {
 	p := &Plan{}
 	for _, seg := range strings.Split(spec, ";") {
@@ -440,6 +472,8 @@ func parseRule(kind, body string) (Rule, error) {
 		r.Kind = Partition
 	case "crash":
 		r.Kind = Crash
+	case "loss":
+		r.Kind, r.For = Loss, forever
 	default:
 		return r, fmt.Errorf("faults: unknown rule kind %q", kind)
 	}
@@ -512,4 +546,19 @@ func parseSet(spec string) (Set, error) {
 		return Set{}, fmt.Errorf("bad id %q", spec)
 	}
 	return Range(v, v), nil
+}
+
+// Lossy returns p (nil: a plan seeded seed) plus a whole-run Loss rule of
+// probability prob on every link, last, so p's rules keep their draws; p
+// itself, unchanged, when prob is 0.
+func Lossy(p *Plan, seed int64, prob float64) *Plan {
+	if prob == 0 {
+		return p
+	}
+	out := Plan{Seed: seed}
+	if p != nil {
+		out = *p
+	}
+	out.Rules = append(slices.Clip(out.Rules), Rule{Kind: Loss, For: forever, Prob: prob, Src: Everyone(), Dst: Everyone()})
+	return &out
 }

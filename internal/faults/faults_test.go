@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -80,6 +81,60 @@ func TestDecideBurstRate(t *testing.T) {
 	}
 }
 
+// TestLossIsPerMessage: a Loss rule's coin is keyed on the sender's send
+// ordinal, not on the instant or the window, so sends in one instant get
+// independent draws at the configured rate, and the same ordinal gets the
+// same draw whenever it is sent.
+func TestLossIsPerMessage(t *testing.T) {
+	p := &Plan{Seed: 3, Rules: []Rule{{Kind: Loss, For: forever, Prob: 0.3, Src: Everyone(), Dst: Everyone()}}}
+	const sends = 20000
+	drops := 0
+	for ord := uint32(0); ord < sends; ord++ {
+		d := p.DecideSend(1, 2, time.Second, ord)
+		if d != p.DecideSend(1, 2, time.Hour, ord) {
+			t.Fatalf("ordinal %d decided differently at another instant", ord)
+		}
+		if d.Drop {
+			drops++
+		}
+	}
+	if rate := float64(drops) / sends; rate < 0.28 || rate > 0.32 {
+		t.Errorf("loss rate %.3f over %d same-instant sends, want ≈0.30", rate, sends)
+	}
+	// The interval still scopes the rule, without overflowing a late
+	// forever rule's end.
+	late := &Plan{Rules: []Rule{{Kind: Loss, At: time.Minute, For: forever, Prob: 1, Src: Everyone(), Dst: Everyone()}}}
+	if late.DecideSend(0, 1, time.Second, 0).Drop || !late.DecideSend(0, 1, 2*time.Minute, 0).Drop {
+		t.Error("a Loss rule from 1m dropped before it or spared a send after it")
+	}
+}
+
+// TestLossy: the lossy plan appends one whole-run Loss rule to the given
+// plan without touching it, takes its seed and window, and is the given
+// plan itself at probability 0.
+func TestLossy(t *testing.T) {
+	if Lossy(nil, 5, 0) != nil {
+		t.Error("a lossless run without faults got a plan")
+	}
+	base := &Plan{Seed: 7, Window: time.Second, Rules: []Rule{{Kind: Blackhole, For: time.Second, Src: List(0), Dst: List(1)}}}
+	if Lossy(base, 5, 0) != base {
+		t.Error("a lossless run did not keep its fault plan as is")
+	}
+	if p := Lossy(nil, 5, 0.1); p.Seed != 5 || len(p.Rules) != 1 || p.String() != "seed=5;loss:prob=0.1" {
+		t.Errorf("loss-only plan %q, want seed=5;loss:prob=0.1", p.String())
+	}
+	p := Lossy(base, 5, 0.1)
+	if p.Seed != 7 || p.Window != time.Second || len(p.Rules) != 2 || p.Rules[0].Kind != Blackhole || p.Rules[1].Kind != Loss {
+		t.Errorf("lossy plan over a fault plan: %q", p.String())
+	}
+	if len(base.Rules) != 1 {
+		t.Error("Lossy modified the plan it was given")
+	}
+	if err := p.Validate(); err != nil {
+		t.Errorf("lossy plan invalid: %v", err)
+	}
+}
+
 func TestDecideScopes(t *testing.T) {
 	p := &Plan{Seed: 1, Rules: []Rule{
 		{Kind: Blackhole, At: time.Second, For: time.Second, Src: List(1), Dst: List(2)},
@@ -147,12 +202,12 @@ func TestNodeEvents(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	spec := "seed=7;window=250ms;burst:at=5s,for=3s,prob=0.5,src=*,dst=*;partition:at=10s,for=5s,a=0-4,b=5-9;crash:at=16s,for=4s,nodes=7;spike:at=1s,for=2s,extra=80,src=1.3.5,dst=0-9"
+	spec := "seed=7;window=250ms;burst:at=5s,for=3s,prob=0.5,src=*,dst=*;partition:at=10s,for=5s,a=0-4,b=5-9;crash:at=16s,for=4s,nodes=7;spike:at=1s,for=2s,extra=80,src=1.3.5,dst=0-9;loss:prob=0.05;loss:at=2s,for=1s,prob=0.5,dst=3"
 	p, err := Parse(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 7 || p.Window != 250*time.Millisecond || len(p.Rules) != 4 {
+	if p.Seed != 7 || p.Window != 250*time.Millisecond || len(p.Rules) != 6 {
 		t.Fatalf("parsed %+v", p)
 	}
 	if p.Rules[1].Kind != Partition || !p.Rules[1].Src.Contains(4) || p.Rules[1].Src.Contains(5) {
@@ -160,6 +215,15 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if p.Rules[3].Kind != DelaySpike || p.Rules[3].ExtraMs != 80 || !p.Rules[3].Src.Contains(3) || p.Rules[3].Src.Contains(2) {
 		t.Errorf("spike rule parsed wrong: %+v", p.Rules[3])
+	}
+	if r := p.Rules[4]; r.Kind != Loss || r.At != 0 || r.For != forever || r.Prob != 0.05 || !r.Src.All || !r.Dst.All {
+		t.Errorf("whole-run loss rule parsed wrong: %+v", r)
+	}
+	if r := p.Rules[5]; r.Kind != Loss || r.At != 2*time.Second || r.For != time.Second || !r.Dst.Contains(3) || r.Dst.Contains(4) {
+		t.Errorf("scoped loss rule parsed wrong: %+v", r)
+	}
+	if !strings.Contains(p.String(), ";loss:prob=0.05;") {
+		t.Errorf("whole-run loss rule not rendered as loss:prob=0.05: %s", p.String())
 	}
 	rt, err := Parse(p.String())
 	if err != nil {
@@ -171,7 +235,7 @@ func TestParseRoundTrip(t *testing.T) {
 	// Round-tripped plans decide identically.
 	for w := 0; w < 100; w++ {
 		now := time.Duration(w) * 100 * time.Millisecond
-		if p.Decide(1, 6, now) != rt.Decide(1, 6, now) {
+		if p.DecideSend(1, 3, now, uint32(w)) != rt.DecideSend(1, 3, now, uint32(w)) {
 			t.Fatalf("round-tripped plan disagrees at %v", now)
 		}
 	}
@@ -188,6 +252,9 @@ func TestParseErrors(t *testing.T) {
 		"partition:at=1s,for=1s,a=0-4", // empty side b
 		"spike:at=1s,for=1s,extra=-3",
 		"burst:at=1s,for=1s,src=9-2",
+		"loss:prob=1.5",
+		"loss:prob=NaN",
+		"loss:at=1s,for=0s,prob=0.1",
 	}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/obs"
 	"nearestpeer/internal/overlay"
@@ -39,7 +40,10 @@ func newWireFixture(t *testing.T, peers int, loss float64, seed int64) *wireFixt
 // over m: a static New over the same members and seed is its twin.
 func deployWire(m latency.Matrix, members, targets []int, loss float64, seed int64) *wireFixture {
 	kernel := sim.New()
-	rt := p2p.New(kernel, m, p2p.Config{LossProb: loss}, seed)
+	rt := p2p.New(kernel, m, p2p.Config{}, seed)
+	if err := p2p.InstallFaults(rt, faults.Lossy(nil, seed, loss)); err != nil {
+		panic(err) // a loss probability in [0, 1] always installs
+	}
 	w := NewWire(rt, New(overlay.NewNetwork(m), members, DefaultConfig(), seed+1))
 	for _, id := range members {
 		w.Join(p2p.NodeID(id))

@@ -88,8 +88,8 @@ type digestRun struct {
 
 func newDigestSerial(seed int64, loss float64, plan *faults.Plan) *digestRun {
 	k := sim.New()
-	rt := New(k, digestMatrix(), Config{LossProb: loss, RPCTimeout: time.Second}, seed)
-	if err := InstallFaults(rt, plan); err != nil {
+	rt := New(k, digestMatrix(), Config{RPCTimeout: time.Second}, seed)
+	if err := InstallFaults(rt, faults.Lossy(plan, seed, loss)); err != nil {
 		panic(err) // the digest's plans are fixed and valid
 	}
 	return &digestRun{

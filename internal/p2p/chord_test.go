@@ -24,7 +24,8 @@ func chordTestConfig(horizon time.Duration) ChordConfig {
 func standUpRing(t *testing.T, n int, loss float64, horizon time.Duration) (*sim.Sim, *Runtime, *Chord) {
 	t.Helper()
 	kernel := sim.New()
-	rt := New(kernel, lineMatrix(n), Config{LossProb: loss, RPCTimeout: time.Second}, 1)
+	rt := New(kernel, lineMatrix(n), Config{RPCTimeout: time.Second}, 1)
+	withLoss(t, rt, 1, loss)
 	ch := NewChord(rt, chordTestConfig(horizon), 7)
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
@@ -158,7 +159,7 @@ func TestChordLookupUnderLoss(t *testing.T) {
 		t.Fatalf("only %d/%d lookups resolved under 5%% loss", okCount, lookups)
 	}
 	if rt.Metrics.Timeouts == 0 {
-		t.Fatal("no RPC timeouts under 5% loss — the loss model is not in the path")
+		t.Fatal("no RPC timeouts under 5% loss — the loss rule is not in the path")
 	}
 }
 

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -14,9 +13,9 @@ import (
 // everything the constructors have historically defaulted.
 func TestConfigValidate(t *testing.T) {
 	good := []Config{
-		{},              // all-zero: loss off, timeout defaults
-		DefaultConfig(), // the documented baseline
-		{LossProb: 1, RPCTimeout: time.Nanosecond}, // extreme but legal
+		{},                            // all-zero: timeout defaults, no retry
+		DefaultConfig(),               // the documented baseline
+		{RPCTimeout: time.Nanosecond}, // extreme but legal
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -27,9 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{Config{LossProb: -0.1}, "out of [0,1]"},
-		{Config{LossProb: 1.1}, "out of [0,1]"},
-		{Config{LossProb: math.NaN()}, "out of [0,1]"},
 		{Config{RPCTimeout: -time.Second}, "negative RPC timeout"},
 	}
 	for _, tc := range bad {
@@ -41,16 +37,14 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestConfigConstructorsReject: every transport constructor — serial,
-// sharded, and live — refuses an invalid Config at construction time. The
-// live path used to accept any LossProb silently (the loss model is
-// sim-only, so a typo'd knob just vanished); now it fails loudly too.
+// sharded, and live — refuses an invalid Config at construction time.
 func TestConfigConstructorsReject(t *testing.T) {
-	bad := Config{LossProb: 1.5}
+	bad := Config{RPCTimeout: -time.Second}
 	mustPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s accepted LossProb=1.5", name)
+				t.Errorf("%s accepted a negative RPC timeout", name)
 			}
 		}()
 		f()
@@ -62,10 +56,6 @@ func TestConfigConstructorsReject(t *testing.T) {
 		NewSharded(shk, []latency.Matrix{m, m}, bad, 1, []int32{0, 1})
 	})
 	mustPanic("NewLoopback", func() { NewLoopback(m, bad, 1) })
-
-	mustPanic("New negative timeout", func() {
-		New(sim.New(), m, Config{RPCTimeout: -time.Second}, 1)
-	})
 
 	// Zero timeout still means "default", not an error.
 	r := New(sim.New(), m, Config{}, 1)

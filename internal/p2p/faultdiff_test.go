@@ -1,9 +1,11 @@
 // Fault-plane differential conformance: one seeded fault plan, one probe
 // schedule, two transports. The plan's decisions are a pure function of
-// (seed, src, dst, window), and both transports price the plan clock from
-// their own zero — virtual time on the simulator, wall time since start on
-// loopback — so a probe fired at the midpoint of each decision window must
-// see the identical fault fate on both: same probes answered, same probes
+// (seed, src, dst, window) — or, for the per-message Loss rule, of the
+// sender's send ordinal in place of the window — and both transports price
+// the plan clock from their own zero (virtual time on the simulator, wall
+// time since start on loopback) and count each sender's sends the same
+// way, so a probe fired at the midpoint of each decision window must see
+// the identical fault fate on both: same probes answered, same probes
 // black-holed, same drop/delay/duplicate counts. This is the gate that
 // keeps "debug a live fault in the simulator" honest.
 
@@ -24,14 +26,16 @@ import (
 // on both flanks. rtt(0,1) is 10 ms and the per-probe timeout 100 ms, so
 // each probe resolves well inside its own window.
 const (
-	fdProbes  = 28
+	fdProbes  = 36
 	fdEvery   = 250 * time.Millisecond // == faults.DefaultWindow
 	fdTimeout = 100 * time.Millisecond
 )
 
 // fdPlan exercises every link-fault kind plus a crash/restart cycle, each
 // window-aligned with 125 ms of margin to the probe times so wall-clock
-// timer jitter cannot move a probe across a decision boundary.
+// timer jitter cannot move a probe across a decision boundary. The last
+// rule, per-message loss, spans eight probes whose pings and pongs draw
+// from their senders' ordinals.
 func fdPlan() *faults.Plan {
 	return &faults.Plan{Seed: 7, Rules: []faults.Rule{
 		{Kind: faults.LossBurst, At: 500 * time.Millisecond, For: 1500 * time.Millisecond, Prob: 0.5,
@@ -41,6 +45,8 @@ func fdPlan() *faults.Plan {
 		{Kind: faults.Duplicate, At: 4 * time.Second, For: time.Second,
 			Src: faults.Everyone(), Dst: faults.Everyone()},
 		{Kind: faults.Crash, At: 5500 * time.Millisecond, For: time.Second, Nodes: faults.List(1)},
+		{Kind: faults.Loss, At: 6750 * time.Millisecond, For: 2 * time.Second, Prob: 0.5,
+			Src: faults.Everyone(), Dst: faults.Everyone()},
 	}}
 }
 
@@ -52,6 +58,9 @@ type fdResult struct {
 }
 
 func fdProbeAt(i int) time.Duration { return time.Duration(i)*fdEvery + fdEvery/2 }
+
+// fdLossFirst is the first probe inside the loss rule's span.
+const fdLossFirst = int(6750 * time.Millisecond / fdEvery)
 
 func fdRunSim() fdResult {
 	kernel := sim.New()
@@ -128,11 +137,21 @@ func TestFaultDifferentialSimVsLoopback(t *testing.T) {
 	}
 
 	// The plan was no no-op: the burst dropped something, the spike priced
-	// something, the duplicate window injected something, and the crash
-	// black-holed the probes inside it — yet healthy flanks answered.
+	// something, the duplicate window injected something, the crash
+	// black-holed the probes inside it, and the loss span both answered and
+	// lost probes — yet healthy flanks answered.
 	if simRes.dropped == 0 || simRes.delayed == 0 || simRes.duplicated == 0 {
 		t.Errorf("plan under-exercised: dropped=%d delayed=%d duplicated=%d",
 			simRes.dropped, simRes.delayed, simRes.duplicated)
+	}
+	lossOK := 0
+	for i := fdLossFirst; i < fdLossFirst+8; i++ {
+		if simRes.ok[i] {
+			lossOK++
+		}
+	}
+	if lossOK == 0 || lossOK == 8 {
+		t.Errorf("%d of the 8 probes in the loss span answered, want some but not all", lossOK)
 	}
 	if !simRes.ok[0] || !simRes.ok[fdProbes-1] {
 		t.Error("healthy flank probes failed")

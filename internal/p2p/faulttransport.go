@@ -1,9 +1,9 @@
 // InstallFaults: one seam that puts any Transport under a deterministic
 // fault plan. The plan itself lives in internal/faults and is a pure
-// function of (seed, src, dst, time window), so the simulator prices
-// faults in virtual time and the live transports price the same plan in
-// wall-clock time — same seed, same fault sequence, which is what the
-// sim-vs-loopback differential test pins.
+// function of (seed, src, dst, time window or send ordinal), so the
+// simulator prices faults in virtual time and the live transports price
+// the same plan in wall-clock time — same seed, same fault sequence, which
+// is what the sim-vs-loopback differential test pins.
 //
 // Interception by wrapping would miss most traffic: Node.rt binds to the
 // transport at AddNode time and multicast copies flow through its own send

@@ -200,7 +200,8 @@ func TestRuntimeInvariantsUnderRandomOps(t *testing.T) {
 		}
 	}
 	kernel := sim.New()
-	rt := New(kernel, m, Config{LossProb: 0.15, RPCTimeout: 250 * time.Millisecond}, 3)
+	rt := New(kernel, m, Config{RPCTimeout: 250 * time.Millisecond}, 3)
+	withLoss(t, rt, 3, 0.15)
 	table := NewTable().
 		With("mute", func(*Node, Envelope) {}). // never replies: requests always expire
 		With("mc", func(*Node, Envelope) {})
@@ -267,7 +268,8 @@ func checkDrained(t *testing.T, rt *Runtime) {
 func TestInvariantsChordUnderLossAndChurn(t *testing.T) {
 	const n = 60
 	kernel := sim.New()
-	rt := New(kernel, lineMatrix(n), Config{LossProb: 0.05, RPCTimeout: time.Second}, 5)
+	rt := New(kernel, lineMatrix(n), Config{RPCTimeout: time.Second}, 5)
+	withLoss(t, rt, 5, 0.05)
 	ch := NewChord(rt, chordTestConfig(90*time.Second), 5)
 	ids := make([]NodeID, n)
 	for i := range ids {
@@ -317,7 +319,8 @@ func TestMetricsAccountingUnderLossAndChurn(t *testing.T) {
 		}
 	}
 	kernel := sim.New()
-	rt := New(kernel, m, Config{LossProb: 0.25, RPCTimeout: 200 * time.Millisecond}, 9)
+	rt := New(kernel, m, Config{RPCTimeout: 200 * time.Millisecond}, 9)
+	withLoss(t, rt, 9, 0.25)
 	reg := obs.NewRegistry(nNodes)
 	rt.EnableObs(reg)
 	for i := 0; i < nNodes; i++ {

@@ -5,7 +5,6 @@ import (
 
 	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
-	"nearestpeer/internal/rng"
 )
 
 // Loopback is the in-process live transport: real goroutines and
@@ -18,14 +17,13 @@ import (
 // and check the results against the simulated oracle.
 type Loopback struct {
 	liveBase
-	m    latency.Matrix
-	loss *rng.Source
+	m latency.Matrix
 }
 
-// NewLoopback creates a loopback transport over a latency matrix. seed
-// drives the loss model draws (unused when cfg.LossProb is 0).
+// NewLoopback creates a loopback transport over a latency matrix. seed is
+// unused: loss is a fault-plan rule (InstallFaults).
 func NewLoopback(m latency.Matrix, cfg Config, seed int64) *Loopback {
-	lb := &Loopback{m: m, loss: rng.New(seed).Split("loss")}
+	lb := &Loopback{m: m}
 	lb.init(lb, m.N(), cfg)
 	return lb
 }
@@ -38,17 +36,13 @@ func (lb *Loopback) Close() {
 }
 
 // send prices the envelope's one-way delay from the matrix, applies the
-// loss model, and arms a wall-clock timer that posts delivery to the
+// fault plan, and arms a wall-clock timer that posts delivery to the
 // event loop. Runs on the loop (all sends originate in Node methods).
 func (lb *Loopback) send(env Envelope) {
 	lb.metrics.MsgsSent++
-	if lb.cfg.LossProb > 0 && lb.loss.Float64() < lb.cfg.LossProb {
-		lb.metrics.MsgsLost++
-		return
-	}
 	var fd faults.Decision
 	if lb.flt != nil {
-		fd = lb.flt.Decide(int(env.From), int(env.To), lb.faultNow())
+		fd = lb.flt.DecideSend(int(env.From), int(env.To), lb.faultNow(), lb.Node(env.From).nextSend())
 		if fd.Drop {
 			lb.metrics.MsgsLost++
 			lb.metrics.FaultDropped++

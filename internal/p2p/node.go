@@ -140,8 +140,11 @@ type Node struct {
 
 	rt Transport
 	// metrics is the node's home account (see Metrics), bound by AddNode.
-	metrics  *Metrics
-	alive    bool
+	metrics *Metrics
+	alive   bool
+	// sends counts the node's sends a fault plan decided, at its home
+	// context: the key of the plan's Loss draw (see nextSend).
+	sends    uint32
 	table    *Table
 	inflight []call
 
@@ -157,6 +160,15 @@ type Node struct {
 // newNode returns a node brought up alive, serving the ping table.
 func newNode(id NodeID, rt Transport, metrics *Metrics) *Node {
 	return &Node{ID: id, rt: rt, metrics: metrics, alive: true, table: pingTable}
+}
+
+// nextSend returns and advances the send ordinal. Only the transport calls
+// it, at the node's home shard or event loop, so the ordinals are the same
+// at every shard count and on every transport.
+func (n *Node) nextSend() uint32 {
+	o := n.sends
+	n.sends++
+	return o
 }
 
 // Alive reports whether the node is up.

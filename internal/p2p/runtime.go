@@ -10,17 +10,16 @@ import (
 	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/obs"
-	"nearestpeer/internal/rng"
 	"nearestpeer/internal/sim"
 )
 
 // Runtime is the message transport: it owns the kernel, the latency matrix
-// that prices every link, the loss model, the node registry and the global
-// metrics. A request leg travels ⌊durOf(RTT)/2⌋ and a response leg the
-// remaining durOf(RTT)-⌊durOf(RTT)/2⌋, so a request/response round trip
-// measured in virtual time equals the matrix entry exactly (at nanosecond
-// resolution) — which is what makes ping-over-messages interchangeable
-// with the static simulator's Probe.
+// that prices every link, the node registry, the global metrics and the
+// fault plan, if any (loss included). A request leg travels ⌊durOf(RTT)/2⌋
+// and a response leg the remaining durOf(RTT)-⌊durOf(RTT)/2⌋, so a
+// request/response round trip measured in virtual time equals the matrix
+// entry exactly (at nanosecond resolution) — which is what makes
+// ping-over-messages interchangeable with the static simulator's Probe.
 //
 // The send path is allocation-free in steady state: an envelope in flight
 // is parked by value in a free-list slab and delivery is scheduled as a
@@ -52,10 +51,9 @@ type Runtime struct {
 	// nodeCore holds the validated Config and Node's timers (see core).
 	nodeCore
 
-	m       latency.Matrix // shard 0's matrix; population/bounds authority
-	lossSrc *rng.Source
-	nodes   []*Node // dense: node IDs are matrix indices; nil = unregistered
-	groups  map[string]*group
+	m      latency.Matrix // shard 0's matrix; population/bounds authority
+	nodes  []*Node        // dense: node IDs are matrix indices; nil = unregistered
+	groups map[string]*group
 
 	// sh is the per-shard hot-path state; length 1 for a serial runtime.
 	sh []shardCtx
@@ -78,8 +76,8 @@ type Runtime struct {
 	// flt is the optional fault plan (InstallFaults). Like the obs
 	// hooks it is nil by default and costs one nil compare per message, so
 	// a runtime without faults reproduces the unfaulted figures bit for
-	// bit. Decisions are stateless per (src, dst, window) hashes, so they
-	// are identical at every shard count.
+	// bit. Decisions are stateless hashes of (src, dst, window or the
+	// sender's send ordinal), so they are identical at every shard count.
 	flt *faults.Plan
 
 	// liveCount tracks the live node population for the health sampler.
@@ -180,9 +178,9 @@ func (r *Runtime) initShard(s int, kernel *sim.Sim, m latency.Matrix, met *Metri
 	sc.timeoutH = kernel.RegisterFIFOHandler(func(arg uint64) { r.expireSlot(shard, arg) })
 }
 
-// New creates a serial runtime over a latency matrix. The seed drives only
-// the loss model; protocol randomness comes from the protocols' own
-// streams.
+// New creates a serial runtime over a latency matrix. seed is unused: loss
+// is a fault-plan rule (InstallFaults), and protocol randomness comes from
+// the protocols' own streams.
 func New(kernel *sim.Sim, m latency.Matrix, cfg Config, seed int64) *Runtime {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -191,12 +189,11 @@ func New(kernel *sim.Sim, m latency.Matrix, cfg Config, seed int64) *Runtime {
 		cfg.RPCTimeout = DefaultConfig().RPCTimeout
 	}
 	r := &Runtime{
-		Kernel:  kernel,
-		m:       m,
-		lossSrc: rng.New(seed).Split("loss"),
-		nodes:   make([]*Node, m.N()),
-		groups:  make(map[string]*group),
-		sh:      make([]shardCtx, 1),
+		Kernel: kernel,
+		m:      m,
+		nodes:  make([]*Node, m.N()),
+		groups: make(map[string]*group),
+		sh:     make([]shardCtx, 1),
 	}
 	r.initShard(0, kernel, m, &r.Metrics)
 	r.initCore(r, cfg)
@@ -207,17 +204,12 @@ func New(kernel *sim.Sim, m latency.Matrix, cfg Config, seed int64) *Runtime {
 // partitioned across shk's shards by shardOf (a PoP-aligned assignment
 // from netmodel.Topology.ShardByPoP), each shard prices through its own
 // matrix view ms[s] (so no RTT cache is shared between running shards), and
-// shk's window must be the matching cross-partition latency floor. The
-// loss model is not supported sharded: a single loss stream cannot draw in
-// a K-invariant order, and the scale trials this kernel exists for are
-// lossless. Observability hooks (EnableObs, AttachRecorder,
-// StartHealthSampler) are likewise serial-only.
+// shk's window must be the matching cross-partition latency floor. seed is
+// unused, as in New. Observability hooks (EnableObs, AttachRecorder,
+// StartHealthSampler) are serial-only.
 func NewSharded(shk *sim.Sharded, ms []latency.Matrix, cfg Config, seed int64, shardOf []int32) *Runtime {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if cfg.LossProb != 0 {
-		panic("p2p: sharded runtime does not support the loss model")
 	}
 	if cfg.RPCTimeout == 0 {
 		cfg.RPCTimeout = DefaultConfig().RPCTimeout
@@ -564,15 +556,16 @@ func (s *senderIndexSort) Swap(i, j int) {
 
 // Multicast sends one-way copies of a message to every live group member
 // within radiusMs of the sender (a latency-scoped delivery standing in for
-// TTL-scoped IP multicast). Each copy is priced and lossy like a unicast.
+// TTL-scoped IP multicast). Each copy is priced and faulted like a unicast.
 // It returns the number of copies handed to the transport.
 //
 // The recipient set comes from the sender's latency index: a binary-
 // searched RTT prefix, re-sorted ascending by NodeID into a reusable
 // scratch buffer. That recovers exactly the linear scan's recipient set
-// AND its send order, so the loss model's draw sequence — and with it
-// every figure byte — is unchanged; each expanding-ring round just stops
-// pricing the 99% of a 100k-host population its radius can never reach.
+// AND its send order, so the sender's send ordinals — and with them its
+// loss draws and every figure byte — are unchanged; each expanding-ring
+// round just stops pricing the 99% of a 100k-host population its radius
+// can never reach.
 func (r *Runtime) Multicast(from NodeID, gname, typ string, payload any, radiusMs float64) int {
 	g := r.groups[gname]
 	if g == nil {
@@ -780,9 +773,11 @@ func (r *Runtime) deliverSlot(shard int, arg uint64) {
 }
 
 // send prices, maybe drops, and schedules delivery of one envelope. The
-// loss draw happens at send time; aliveness of the destination is checked
-// at delivery time, so a message in flight to a node that crashes meanwhile
-// is silently swallowed — exactly the failure a timeout exists to cover.
+// fault plan decides at send time, at the sender's home shard, where the
+// sender's send ordinal keys its Loss draw; aliveness of the destination is
+// checked at delivery time, so a message in flight to a node that crashes
+// meanwhile is silently swallowed — exactly the failure a timeout exists to
+// cover.
 //
 // One-way delay splits the link RTT so the two legs of a request/response
 // pair sum to durOf(RTT) exactly: requests (and plain one-way sends)
@@ -805,13 +800,9 @@ func (r *Runtime) send(env Envelope) {
 	if r.obsReg != nil {
 		r.obsReg.NoteSend(int(env.From), env.Type)
 	}
-	if r.cfg.LossProb > 0 && r.lossSrc.Bool(r.cfg.LossProb) {
-		sc.metrics.MsgsLost++
-		return
-	}
 	var fd faults.Decision
 	if r.flt != nil {
-		fd = r.flt.Decide(int(env.From), int(env.To), sc.sim.Now())
+		fd = r.flt.DecideSend(int(env.From), int(env.To), sc.sim.Now(), r.nodes[env.From].nextSend())
 		if fd.Drop {
 			sc.metrics.MsgsLost++
 			sc.metrics.FaultDropped++

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/rng"
 	"nearestpeer/internal/sim"
@@ -27,7 +28,18 @@ func lineMatrix(n int) *latency.Dense {
 func newTestRuntime(t *testing.T, n int, loss float64) (*sim.Sim, *Runtime) {
 	t.Helper()
 	kernel := sim.New()
-	return kernel, New(kernel, lineMatrix(n), Config{LossProb: loss, RPCTimeout: time.Second}, 1)
+	rt := New(kernel, lineMatrix(n), Config{RPCTimeout: time.Second}, 1)
+	withLoss(t, rt, 1, loss)
+	return kernel, rt
+}
+
+// withLoss puts tr under a whole-run loss plan of probability loss seeded
+// by seed; at loss 0 it installs nothing.
+func withLoss(t testing.TB, tr Transport, seed int64, loss float64) {
+	t.Helper()
+	if err := InstallFaults(tr, faults.Lossy(nil, seed, loss)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRequestReplyCorrelation(t *testing.T) {
@@ -185,6 +197,29 @@ func TestLossRateIsHonoured(t *testing.T) {
 	if frac < 0.25 || frac > 0.35 {
 		t.Fatalf("loss fraction %v, want ~0.3", frac)
 	}
+	if rt.Metrics.FaultDropped != rt.Metrics.MsgsLost {
+		t.Fatalf("%d fault drops of %d lost: a loss drop is a fault-plane drop", rt.Metrics.FaultDropped, rt.Metrics.MsgsLost)
+	}
+}
+
+// TestShardedCrossDeliveryLookaheadPanics: a cross-shard delivery that
+// would land inside the window being executed breaks the sharded kernel's
+// determinism, so the runtime refuses it with a panic rather than deliver
+// it late.
+func TestShardedCrossDeliveryLookaheadPanics(t *testing.T) {
+	m := latency.NewDense(2)
+	m.Set(0, 1, 2) // a 1 ms one-way leg, inside the 5 ms window
+	shk := sim.NewSharded(2, 5*time.Millisecond)
+	rt := NewSharded(shk, []latency.Matrix{m, m}, Config{RPCTimeout: time.Second}, 1, []int32{0, 1})
+	a := rt.AddNode(0)
+	rt.AddNode(1)
+	shk.Shard(0).At(0, func() { a.Send(1, "noop", nil) })
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "violates lookahead window") {
+			t.Fatalf("recovered %q, want the lookahead panic", r)
+		}
+	}()
+	shk.Run()
 }
 
 // TestStopClearsInflight: a request outstanding when its node stops is
@@ -363,7 +398,7 @@ func TestMulticastIndexMatchesLinearScan(t *testing.T) {
 					t.Fatalf("%s: from=%d radius=%v sent %d, scan wants %d", stage, from, radius, sent, len(want))
 				}
 				// Deliveries land in arrival-time order; the invariant the
-				// loss model (and the figures) depend on is the SEND order,
+				// loss draws (and the figures) depend on is the SEND order,
 				// recovered by sorting on the monotonic MsgID.
 				slices.SortFunc(got, func(a, b rcpt) int { return int(a.msgID) - int(b.msgID) })
 				ids := make([]NodeID, len(got))

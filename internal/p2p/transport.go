@@ -6,7 +6,7 @@
 //
 //   - *Runtime (runtime.go): the virtual-time simulation transport — a
 //     discrete-event kernel (serial or sharded), a latency matrix pricing
-//     every link, a loss model, and the zero-alloc envelope slabs. All
+//     every link, the fault-plan hook, and the zero-alloc envelope slabs. All
 //     figures run here; its behavior is pinned byte-for-byte by the golden
 //     tests.
 //   - *Loopback (loopback.go): an in-process live transport — real

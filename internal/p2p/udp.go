@@ -25,7 +25,6 @@ import (
 
 	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
-	"nearestpeer/internal/rng"
 )
 
 // UDP is the datagram live transport. Create with NewUDP, bring local
@@ -33,7 +32,6 @@ import (
 // done.
 type UDP struct {
 	liveBase
-	loss *rng.Source
 
 	pmu   sync.RWMutex
 	conns map[NodeID]*net.UDPConn
@@ -54,11 +52,10 @@ type UDP struct {
 }
 
 // NewUDP creates a UDP transport with the given ID-space bound (NodeIDs
-// live in [0, pop)). seed drives the loss-model draws (unused when
-// cfg.LossProb is 0 — real networks bring their own loss).
+// live in [0, pop)). seed is unused: loss is a fault-plan rule
+// (InstallFaults), and real networks bring their own.
 func NewUDP(pop int, cfg Config, seed int64) *UDP {
 	u := &UDP{
-		loss:  rng.New(seed).Split("loss"),
 		conns: make(map[NodeID]*net.UDPConn),
 		peers: make(map[NodeID]*net.UDPAddr),
 	}
@@ -193,13 +190,9 @@ func (u *UDP) addrOf(to NodeID) *net.UDPAddr {
 // write keeps its own copy.
 func (u *UDP) send(env Envelope) {
 	u.metrics.MsgsSent++
-	if u.cfg.LossProb > 0 && u.loss.Float64() < u.cfg.LossProb {
-		u.metrics.MsgsLost++
-		return
-	}
 	var fd faults.Decision
 	if u.flt != nil {
-		fd = u.flt.Decide(int(env.From), int(env.To), u.faultNow())
+		fd = u.flt.DecideSend(int(env.From), int(env.To), u.faultNow(), u.Node(env.From).nextSend())
 		if fd.Drop {
 			u.metrics.MsgsLost++
 			u.metrics.FaultDropped++

@@ -129,8 +129,9 @@ func TestUDPSoakInflight(t *testing.T) {
 		goroutines = 4
 		opsPerG    = 120
 	)
-	u := newUDPCluster(t, nodes, Config{RPCTimeout: time.Second, LossProb: 0.05}, 42)
+	u := newUDPCluster(t, nodes, Config{RPCTimeout: time.Second}, 42)
 	defer u.Close()
+	withLoss(t, u, 42, 0.05)
 
 	dead := NodeID(nodes) // registered ID space, but never bound: always times out
 	types := []string{udpEchoType, udpDupType, udpSlowType, udpEchoType}

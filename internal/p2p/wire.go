@@ -46,7 +46,7 @@ type Metrics struct {
 	MsgsSent int64
 	// MsgsDelivered counts envelopes that reached a live inbox.
 	MsgsDelivered int64
-	// MsgsLost counts envelopes dropped by the loss model.
+	// MsgsLost counts envelopes the fault plan dropped (see FaultDropped).
 	MsgsLost int64
 	// MsgsDead counts envelopes that arrived at a crashed or absent node.
 	MsgsDead int64
@@ -75,10 +75,10 @@ type Metrics struct {
 	// issued at a stopped node. They are not Timeouts: the timeouts a
 	// node's callbacks see are Timeouts + StopFailures.
 	StopFailures int64
-	// FaultDropped counts envelopes discarded by the fault plane (bursts,
-	// black-holes, partitions). Each is also counted in MsgsLost, so the
-	// sent = delivered + lost + dead (+ inflight) accounting identity holds
-	// with faults injected.
+	// FaultDropped counts envelopes discarded by the fault plane (loss,
+	// bursts, black-holes, partitions). Each is also counted in MsgsLost,
+	// so the sent = delivered + lost + dead (+ inflight) accounting
+	// identity holds with faults injected.
 	FaultDropped int64
 	// FaultDelayed counts envelopes whose one-way delay the fault plane
 	// stretched (delay spikes, reordering holds).
@@ -113,9 +113,6 @@ func (m *Metrics) Add(o Metrics) {
 
 // Config parameterises a Runtime.
 type Config struct {
-	// LossProb is the independent drop probability of each one-way
-	// message. 0 reproduces the static simulator's lossless world.
-	LossProb float64
 	// RPCTimeout is the default request expiry used when a caller passes
 	// a non-positive timeout.
 	RPCTimeout time.Duration
@@ -126,27 +123,23 @@ type Config struct {
 	Retry Policy
 }
 
-// Validate checks the configuration's knobs: the loss probability must be
-// a probability, the RPC timeout must not be negative (zero means "use the
-// default") and the retry policy must pass Policy.Validate. Every transport
-// constructor rejects an invalid Config up front, so a typo'd knob fails at
-// construction instead of surfacing as a nonsense loss draw, an RPC that
-// expires before it is sent, or a retry scheduled in the past.
+// Validate checks the configuration's knobs: the RPC timeout must not be
+// negative (zero means "use the default") and the retry policy must pass
+// Policy.Validate. Every transport constructor rejects an invalid Config up
+// front, so a typo'd knob fails at construction instead of surfacing as an
+// RPC that expires before it is sent, or a retry scheduled in the past.
 func (c Config) Validate() error {
-	if math.IsNaN(c.LossProb) || c.LossProb < 0 || c.LossProb > 1 {
-		return fmt.Errorf("p2p: loss probability %v out of [0,1]", c.LossProb)
-	}
 	if c.RPCTimeout < 0 {
 		return fmt.Errorf("p2p: negative RPC timeout %v", c.RPCTimeout)
 	}
 	return c.Retry.Validate()
 }
 
-// DefaultConfig returns a lossless runtime with a 2 s RPC timeout —
+// DefaultConfig returns a runtime with a 2 s RPC timeout —
 // generous against the ≤ ~400 ms RTTs the latency models produce, so a
 // timeout always means loss or death, never a slow link.
 func DefaultConfig() Config {
-	return Config{LossProb: 0, RPCTimeout: 2 * time.Second}
+	return Config{RPCTimeout: 2 * time.Second}
 }
 
 // durOf converts float64 milliseconds to a virtual-time duration, rounding

@@ -23,27 +23,23 @@ import (
 //
 // Determinism contract (the same one internal/engine makes for -workers):
 // results are byte-identical at any shard count. Cross-shard events are
-// never applied in goroutine-arrival order; they park in per-(source,
-// destination) mailboxes during the window and are drained between windows
-// by the coordinator alone, ordered by (virtual time, source shard,
-// per-source sequence). Window boundaries themselves are a pure function
-// of the event set (next window starts at the globally earliest pending
-// event), so the boundary sequence — and with it the executed-event set —
-// does not depend on K.
+// never applied in goroutine-arrival order; they park in the layer's
+// per-(source, destination) mailboxes during the window and are drained
+// between windows by the coordinator alone (OnDrain), ordered by (virtual
+// time, source shard, per-source sequence). Window boundaries themselves
+// are a pure function of the event set (next window starts at the globally
+// earliest pending event), so the boundary sequence — and with it the
+// executed-event set — does not depend on K.
 type Sharded struct {
 	shards []*Sim
 	window time.Duration
 
-	// mail[src*K+dst] is the closure mailbox src fills during a window for
-	// dst; only the goroutine running src writes it, only the coordinator
-	// (between windows) reads it. Higher layers with typed payloads (the p2p
-	// runtime's envelope handoff) keep their own mailboxes and drain them
-	// from the onDrain hook under the same ordering rules.
-	mail    [][]crossEntry
+	// onDrain applies the layer's cross-shard mailboxes between windows
+	// (see OnDrain); the kernel keeps none of its own.
 	onDrain func()
 
 	// windowEnd is the exclusive end of the window being executed, 0 when
-	// no window is in flight. Defer validates lookahead against it.
+	// no window is in flight (WindowEnd).
 	windowEnd atomic.Int64
 	// stopAt is the dynamic deadline: no new window starts after it.
 	// Events lower it via StopAt (the wire studies stop when their last
@@ -83,11 +79,6 @@ type Sharded struct {
 	wg      sync.WaitGroup
 
 	windows, multiWindows uint64
-}
-
-type crossEntry struct {
-	at time.Duration
-	fn func()
 }
 
 const (
@@ -135,7 +126,6 @@ func NewSharded(k int, window time.Duration) *Sharded {
 	p := &Sharded{
 		shards: make([]*Sim, k),
 		window: window,
-		mail:   make([][]crossEntry, k*k),
 		active: make([]int32, 0, k),
 		panics: make([]any, k),
 	}
@@ -157,31 +147,17 @@ func (p *Sharded) Window() time.Duration { return p.window }
 // kernel must only be touched by events executing on that shard.
 func (p *Sharded) Shard(i int) *Sim { return p.shards[i] }
 
-// OnDrain registers a hook the coordinator calls between windows, after
-// the built-in closure mailboxes are drained. The p2p runtime drains its
-// envelope mailboxes here. The hook runs with no window in flight, so it
+// OnDrain registers the hook the coordinator calls between windows, the
+// only way events cross shards: the layer above parks them in mailboxes of
+// its own during a window and applies them here, in (virtual time, source
+// shard, per-source order) — the p2p runtime drains its envelope and
+// Handoff mailboxes this way. The hook runs with no window in flight, so it
 // may schedule onto any shard (at or after the next window's events).
 func (p *Sharded) OnDrain(fn func()) { p.onDrain = fn }
 
-// Defer parks a closure event for another shard: it is applied to dst's
-// queue at the next window boundary, ordered by (at, src, call order
-// within src). at must respect the lookahead window — at or after the end
-// of the window currently executing — which holds by construction when at
-// is the current event's time plus at least Window.
-func (p *Sharded) Defer(src, dst int, at time.Duration, fn func()) {
-	if fn == nil {
-		panic("sim: Defer(nil)")
-	}
-	if end := time.Duration(p.windowEnd.Load()); end > 0 && at < end {
-		panic(fmt.Sprintf("sim: Defer at %v violates lookahead window ending %v", at, end))
-	}
-	k := len(p.shards)
-	p.mail[src*k+dst] = append(p.mail[src*k+dst], crossEntry{at: at, fn: fn})
-}
-
 // WindowEnd returns the exclusive end of the window currently executing,
-// or 0 between windows. Layered mailboxes (the p2p runtime) use it for
-// the same lookahead validation Defer performs.
+// or 0 between windows. A layer's mailbox refuses a cross-shard event
+// before it (at < WindowEnd): the lookahead every window relies on.
 func (p *Sharded) WindowEnd() time.Duration {
 	return time.Duration(p.windowEnd.Load())
 }
@@ -222,7 +198,9 @@ func (p *Sharded) RunUntil(deadline time.Duration) time.Duration {
 	p.stopAt.Store(int64(maxDeadline))
 	defer p.stopWorkers()
 	for {
-		p.drainAll()
+		if p.onDrain != nil {
+			p.onDrain()
+		}
 		t0, ok := p.head()
 		if !ok || t0 > deadline || int64(t0) > p.stopAt.Load() {
 			break
@@ -444,31 +422,6 @@ func (p *Sharded) stopWorkers() {
 	p.publish(claimStop)
 	p.wg.Wait()
 	p.started = false
-}
-
-// drainAll moves every parked cross-shard event into its destination
-// queue: first the built-in closure mailboxes, then the layered hook.
-// Runs on the coordinator only, between windows — the single-threaded
-// moment that turns goroutine-arrival nondeterminism back into the
-// deterministic (at, source shard, per-source seq) order. No sorting is
-// needed to get it: each destination's event heap already orders by
-// (at, insertion seq), so inserting mailbox entries in (src, call order)
-// sequence makes the heap's tie-break exactly the source order.
-func (p *Sharded) drainAll() {
-	k := len(p.shards)
-	for dst := 0; dst < k; dst++ {
-		for src := 0; src < k; src++ {
-			box := p.mail[src*k+dst]
-			for i := range box {
-				p.shards[dst].At(box[i].at, box[i].fn)
-				box[i].fn = nil // release for GC; capacity is reused
-			}
-			p.mail[src*k+dst] = box[:0]
-		}
-	}
-	if p.onDrain != nil {
-		p.onDrain()
-	}
 }
 
 // ShardedStats is the kernel's self-telemetry: how the run decomposed into

@@ -52,6 +52,48 @@ func awaitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// testMail is the tests' cross-shard mailbox, built the way the p2p
+// runtime builds its own: per-(source, destination) boxes a shard fills
+// during a window, a lookahead check against WindowEnd, and a drain through
+// OnDrain in (destination, source, call order).
+type testMail struct {
+	p     *Sharded
+	boxes [][]testCross
+}
+
+type testCross struct {
+	at time.Duration
+	fn func()
+}
+
+func newTestMail(p *Sharded) *testMail {
+	m := &testMail{p: p, boxes: make([][]testCross, p.K()*p.K())}
+	p.OnDrain(m.drain)
+	return m
+}
+
+// send parks fn for shard dst at virtual time at, from an event on shard
+// src (or from setup).
+func (m *testMail) send(src, dst int, at time.Duration, fn func()) {
+	if end := m.p.WindowEnd(); end > 0 && at < end {
+		panic(fmt.Sprintf("cross-shard event at %v inside the window ending %v", at, end))
+	}
+	k := m.p.K()
+	m.boxes[src*k+dst] = append(m.boxes[src*k+dst], testCross{at: at, fn: fn})
+}
+
+func (m *testMail) drain() {
+	k := m.p.K()
+	for dst := 0; dst < k; dst++ {
+		for src := 0; src < k; src++ {
+			for _, e := range m.boxes[src*k+dst] {
+				m.p.Shard(dst).At(e.at, e.fn)
+			}
+			m.boxes[src*k+dst] = m.boxes[src*k+dst][:0]
+		}
+	}
+}
+
 // shardedHostModel runs a fixed message-passing model over H logical hosts
 // partitioned contiguously across k shards, and returns each host's event
 // log. Every send — same-shard or cross — is delayed by at least the window
@@ -72,6 +114,7 @@ func shardedHostModelRun(t *testing.T, k int, run func(p *Sharded)) [][]string {
 		ttl0   = 40
 	)
 	p := NewSharded(k, window)
+	mail := newTestMail(p)
 	shardOf := func(h int) int { return h * k / hosts }
 	logs := make([][]string, hosts)
 
@@ -82,7 +125,7 @@ func shardedHostModelRun(t *testing.T, k int, run func(p *Sharded)) [][]string {
 		if dst == src {
 			p.Shard(dst).At(at, fn)
 		} else {
-			p.Defer(src, dst, at, fn)
+			mail.send(src, dst, at, fn)
 		}
 	}
 	arrive = func(h, from, ttl int) {
@@ -227,22 +270,6 @@ func TestShardedStopAtCutsInVirtualTime(t *testing.T) {
 	}
 }
 
-// TestShardedDeferLookaheadPanics checks the window invariant is enforced:
-// a cross-shard event scheduled inside the executing window is a model bug
-// and must panic rather than silently corrupt determinism.
-func TestShardedDeferLookaheadPanics(t *testing.T) {
-	p := NewSharded(2, 5*time.Millisecond)
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("Defer inside the lookahead window did not panic")
-		}
-	}()
-	p.Shard(0).At(0, func() {
-		p.Defer(0, 1, 2*time.Millisecond, func() {}) // window end is 5ms
-	})
-	p.Run()
-}
-
 // TestShardedRunUntilClipsLikeSim checks the horizon semantics match the
 // serial kernel's: events past the deadline stay queued, clocks land on it.
 func TestShardedRunUntilClipsLikeSim(t *testing.T) {
@@ -280,6 +307,7 @@ func shardedBarrierStress(t *testing.T, k int) {
 		horiz  = 50 * time.Millisecond
 	)
 	p := NewSharded(k, window)
+	mail := newTestMail(p)
 	crossed := make([]int, k)
 	for s := 0; s < k; s++ {
 		s := s
@@ -293,7 +321,7 @@ func shardedBarrierStress(t *testing.T, k int) {
 			n++
 			if n%3 == 0 {
 				dst := (s + 1 + n%(k-1)) % k
-				p.Defer(s, dst, now+window+time.Duration(s)*time.Nanosecond, func() { crossed[dst]++ })
+				mail.send(s, dst, now+window+time.Duration(s)*time.Nanosecond, func() { crossed[dst]++ })
 			}
 			// Half the window keeps every shard's heap non-empty at every
 			// boundary: all k shards are active in every window.
@@ -375,9 +403,10 @@ func TestShardedPanicLowestShardWins(t *testing.T) {
 // TestShardedInlinePanicResetsWindow is the regression test for the inline
 // single-active-shard path: a handler's panic used to leave the window end
 // set, so a caller that recovered got a spurious lookahead panic from its
-// next Defer.
+// next cross-shard send.
 func TestShardedInlinePanicResetsWindow(t *testing.T) {
 	p := NewSharded(2, 5*time.Millisecond)
+	mail := newTestMail(p)
 	p.Shard(0).At(0, func() { panic("boom") })
 	func() {
 		defer func() {
@@ -391,7 +420,7 @@ func TestShardedInlinePanicResetsWindow(t *testing.T) {
 		t.Fatalf("window end %v after the panic, want 0 (no window in flight)", end)
 	}
 	ran := false
-	p.Defer(0, 1, 2*time.Millisecond, func() { ran = true }) // inside the dead window's extent
+	mail.send(0, 1, 2*time.Millisecond, func() { ran = true }) // inside the dead window's extent
 	p.Run()
 	if !ran {
 		t.Fatal("event deferred after the recovered panic never ran")
@@ -407,6 +436,7 @@ func TestShardedParkAndWake(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // one worker beside the coordinator
 	run := func(k int) ([]string, ShardedStats) {
 		p := NewSharded(k, time.Millisecond)
+		mail := newTestMail(p)
 		var log []string
 		for w := 0; w < 6; w++ {
 			at := time.Duration(3*w) * time.Millisecond
@@ -416,7 +446,7 @@ func TestShardedParkAndWake(t *testing.T) {
 				}
 				// Cross to the other shard one window later, where it is
 				// the only event: a single-shard window between barriers.
-				p.Defer(0, k-1, at+time.Millisecond, func() {
+				mail.send(0, k-1, at+time.Millisecond, func() {
 					log = append(log, fmt.Sprintf("%v crossed", p.Shard(k-1).Now()))
 				})
 			})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/measure"
 	"nearestpeer/internal/netmodel"
@@ -63,7 +64,10 @@ func newWireFixture(t *testing.T, loss float64) *wireFixture {
 
 	// Message-level deployment over the same hosts.
 	kernel := sim.New()
-	rt := p2p.New(kernel, &latency.TopologyMatrix{Top: top, Hosts: peers}, p2p.Config{LossProb: loss, RPCTimeout: time.Second}, 1)
+	rt := p2p.New(kernel, &latency.TopologyMatrix{Top: top, Hosts: peers}, p2p.Config{RPCTimeout: time.Second}, 1)
+	if err := p2p.InstallFaults(rt, faults.Lossy(nil, 1, loss)); err != nil {
+		panic(err) // a loss probability in [0, 1] always installs
+	}
 	ccfg := p2p.DefaultChordConfig()
 	ccfg.StabilizeEvery = 500 * time.Millisecond
 	ccfg.Horizon = 30 * time.Second

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"nearestpeer/internal/faults"
 	"nearestpeer/internal/latency"
 	"nearestpeer/internal/p2p"
 	"nearestpeer/internal/sim"
@@ -26,7 +27,10 @@ func wireLineMatrix(n int) *latency.Dense {
 // is left free as a non-member client).
 func newTestWire(n int, loss float64, seed int64) (*sim.Sim, *p2p.Runtime, *Wire) {
 	kernel := sim.New()
-	rt := p2p.New(kernel, wireLineMatrix(n), p2p.Config{LossProb: loss, RPCTimeout: time.Second}, seed)
+	rt := p2p.New(kernel, wireLineMatrix(n), p2p.Config{RPCTimeout: time.Second}, seed)
+	if err := p2p.InstallFaults(rt, faults.Lossy(nil, seed, loss)); err != nil {
+		panic(err) // a loss probability in [0, 1] always installs
+	}
 	w := NewWire(rt, DefaultWireConfig(), seed)
 	for i := 1; i < n; i++ {
 		w.Join(p2p.NodeID(i))
