@@ -511,12 +511,12 @@ func cmdClient(verb string, args []string) error {
 		}
 		u.Do(func() {
 			q := p2p.NewQuery(u.Node(client), "sweep", cf.rpcTimeout)
-			q.Sweep(members, func(best p2p.NodeID, rtt float64, ok bool) {
-				if !ok {
+			q.Sweep(members, func(s p2p.Swept) {
+				if !s.Found {
 					done <- fmt.Errorf("nearest: no peer answered (%d probes, %d dead)", q.Res.Probes, q.Res.DeadProbes)
 					return
 				}
-				fmt.Printf("nearest %d rtt_ms %.3f probes %d dead %d\n", best, rtt, q.Res.Probes, q.Res.DeadProbes)
+				fmt.Printf("nearest %d rtt_ms %.3f probes %d dead %d\n", s.Peer, s.RTTms, q.Res.Probes, q.Res.DeadProbes)
 				done <- nil
 			})
 		})

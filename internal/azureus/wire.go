@@ -77,7 +77,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 				for i, m := range sample {
 					ids[i] = p2p.NodeID(m)
 				}
-				q.Sweep(ids, func(p2p.NodeID, float64, bool) {
+				q.Sweep(ids, func(p2p.Swept) {
 					q.Res.Hops++
 					round(r + 1)
 				})

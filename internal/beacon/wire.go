@@ -158,7 +158,7 @@ func (w *Wire) FindNearestGS(client p2p.NodeID, done func(p2p.FindResult)) {
 					done(q.Res)
 					return
 				}
-				q.Sweep([]p2p.NodeID{p2p.NodeID(best)}, func(p2p.NodeID, float64, bool) { done(q.Res) })
+				q.Sweep([]p2p.NodeID{p2p.NodeID(best)}, func(p2p.Swept) { done(q.Res) })
 			},
 			func() { done(q.Res) })
 	})
@@ -205,7 +205,7 @@ func (w *Wire) estimate(q *p2p.Query, toBeacon []float64, votes map[int]int, don
 		// Degenerate: fall back to probing a random member — the same draw
 		// the static finder makes from the shared structure stream.
 		m := w.inf.members[w.inf.src.Intn(len(w.inf.members))]
-		q.Sweep([]p2p.NodeID{p2p.NodeID(m)}, func(p2p.NodeID, float64, bool) { done(q.Res) })
+		q.Sweep([]p2p.NodeID{p2p.NodeID(m)}, func(p2p.Swept) { done(q.Res) })
 		return
 	}
 	cands := make([]int, 0, len(votes))
@@ -237,7 +237,7 @@ func (w *Wire) estimate(q *p2p.Query, toBeacon []float64, votes map[int]int, don
 			for i, m := range ranked {
 				ids[i] = p2p.NodeID(m)
 			}
-			q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
+			q.Sweep(ids, func(p2p.Swept) { done(q.Res) })
 			return
 		}
 		if math.IsNaN(toBeacon[i]) {

@@ -291,7 +291,7 @@ func faultCell(c *schemeCtx, deploy wireDeploy, cond faultCondition, retry bool,
 
 	tm := run.rt.TotalMetrics()
 	cell.Retries = tm.Retries
-	cell.Dropped = tm.FaultDropped
+	cell.Dropped = tm.MsgsLost
 	cell.Delayed = tm.FaultDelayed
 	cell.Duplicated = tm.FaultDuplicated
 	cell.Timeouts = tm.Timeouts

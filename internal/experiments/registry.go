@@ -208,7 +208,7 @@ func (c *schemeCtx) addrs() []string {
 // two legs share structure at 0% loss.
 func runStaticFinderMitigation(env *Env, tools *measure.Tools, name string, peers []netmodel.HostID, queries int, seed int64,
 	build func(c *schemeCtx) func(idx int) p2p.FindResult) MitigationRow {
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
+	m := &latency.TopologyMatrix{Top: env.Top, Hosts: peers}
 	find := build(envSchemeCtx(env, tools, peers, m, seed, 0))
 	src := rng.New(seed + 3)
 	alive := func(int) bool { return true }
@@ -266,10 +266,10 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	if tools == nil {
 		tools = env.FreshTools()
 	}
-	// The run owns its matrix, so the RTT cache is private to this kernel;
-	// chord stabilize re-prices the same successor pairs every round and
-	// hits it almost always.
-	m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
+	// The run owns its matrix, so its pair memo is private to this kernel;
+	// chord stabilize re-prices the same successor pairs every round, and
+	// each pair of the subset walks the topology at most once.
+	m := &latency.TopologyMatrix{Top: env.Top, Hosts: peers}
 	c := envSchemeCtx(env, tools, peers, m, opts.Seed, opts.Horizon)
 	c.keyLabel = "g1"
 	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}

@@ -312,7 +312,7 @@ func TestLookupCellsRunEveryScheme(t *testing.T) {
 			}
 			ctx := func() *schemeCtx {
 				reports = nil
-				m := (&latency.TopologyMatrix{Top: env.Top, Hosts: peers}).EnableRTTCache(0)
+				m := &latency.TopologyMatrix{Top: env.Top, Hosts: peers}
 				tools := measure.NewTools(env.Top, measure.DefaultConfig(), seed+1)
 				return envSchemeCtx(env, tools, peers, m, seed, faultStudyHorizon)
 			}
@@ -399,23 +399,23 @@ func TestFanOutSettlesOnce(t *testing.T) {
 	}
 }
 
-// TestHintRowsNeverBackstopped: under 5% loss + churn, no chord, ucl or
-// ipprefix query of the c2 and g1 quick tables runs into the per-op
-// deadline. A client that crashes mid-query has its requests failed at the
-// crash, so its query ends there, and no other path of these three schemes
+// TestHintRowsNeverBackstopped: under 5% loss + churn, no query of any
+// scheme at the c2 and g1 quick scales runs into the per-op deadline. A
+// client that crashes mid-query has its requests failed at the crash, so
+// its query ends there; a sweep's and a UCL lookup's requests go out at
+// once, so dead candidates cost one RPC timeout between them, and no query
 // outlasts a virtual minute.
 func TestHintRowsNeverBackstopped(t *testing.T) {
 	env := SharedEnv(Quick, 1)
 	for _, tc := range []struct {
-		table   string
-		schemes []string
-		peers   func(Scale) (int, int)
+		table string
+		peers func(Scale) (int, int)
 	}{
-		{"c2", []string{"ucl", "ipprefix"}, mitigationParams},
-		{"g1", []string{"chord", "ucl", "ipprefix"}, grandParams},
+		{"c2", mitigationParams},
+		{"g1", grandParams},
 	} {
 		nPeers, queries := tc.peers(Quick)
-		for _, scheme := range tc.schemes {
+		for _, scheme := range GrandSchemes() {
 			t.Run(tc.table+"/"+scheme, func(t *testing.T) {
 				row, err := RunWireMitigation(env, MitigationPeers(env, nPeers), MitigationOpts{
 					Scheme: scheme, Loss: 0.05, Churn: true, Queries: queries, Seed: 1, Tools: env.FreshTools(),
@@ -423,7 +423,9 @@ func TestHintRowsNeverBackstopped(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if row.Leaves == 0 || row.Timeouts == 0 {
+				// The expanding ring waits on its round timer, never on
+				// an RPC timeout.
+				if row.Leaves == 0 || row.Timeouts == 0 && scheme != "expanding" {
 					t.Fatalf("no adversity exercised: %+v", row)
 				}
 				if row.Backstopped != 0 {

@@ -90,6 +90,6 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 		for i, c := range cands {
 			ids[i] = w.index[c]
 		}
-		q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
+		q.Sweep(ids, func(p2p.Swept) { done(q.Res) })
 	})
 }

@@ -110,13 +110,13 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 					ids[i] = p2p.NodeID(c)
 					visited[c] = true
 				}
-				q.Sweep(ids, func(best p2p.NodeID, rtt float64, ok bool) {
-					if !ok || rtt >= d {
+				q.Sweep(ids, func(s p2p.Swept) {
+					if !s.Found || s.RTTms >= d {
 						done(q.Res) // no progress: done, as in the static walk
 						return
 					}
 					q.Res.Hops++
-					step(int(best), rtt)
+					step(int(s.Peer), s.RTTms)
 				})
 			},
 			// The walk node is dead: the walk ends where it stands.
@@ -129,11 +129,11 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 		step(cur, math.Inf(1))
 		return
 	}
-	q.Sweep([]p2p.NodeID{p2p.NodeID(cur)}, func(_ p2p.NodeID, rtt float64, ok bool) {
-		if !ok {
+	q.Sweep([]p2p.NodeID{p2p.NodeID(cur)}, func(s p2p.Swept) {
+		if !s.Found {
 			done(q.Res) // the chosen start is dead: nothing to walk
 			return
 		}
-		step(cur, rtt)
+		step(cur, s.RTTms)
 	})
 }

@@ -115,32 +115,36 @@ func (m *FullTopologyMatrix) LatencyMs(i, j int) float64 {
 }
 
 // TopologyMatrix adapts a netmodel topology restricted to a host subset.
+// It prices each pair once: the first read of (i, j) or (j, i) walks the
+// topology, smaller HostID first as netmodel.RTTCache does, and later
+// reads come from a triangle of n(n−1)/2 float64 allocated on the first
+// read (0.64 MB at 400 hosts, 16 MB at 2,000). Values are bit-identical to
+// the topology's, so the memo cannot change a figure; it does make the
+// matrix single-goroutine, so each run builds its own.
 type TopologyMatrix struct {
 	Top   *netmodel.Topology
 	Hosts []netmodel.HostID
 
-	cache *netmodel.RTTCache
+	memo []float64 // pair i < j at j(j−1)/2 + i; 0 marks one not yet priced
 }
 
 // N returns the host-subset size.
 func (m *TopologyMatrix) N() int { return len(m.Hosts) }
-
-// EnableRTTCache attaches a direct-mapped unordered-pair cache and returns
-// m for chaining; see FullTopologyMatrix.EnableRTTCache for the contract.
-func (m *TopologyMatrix) EnableRTTCache(slots int) *TopologyMatrix {
-	m.cache = netmodel.NewRTTCache(m.Top, slots)
-	return m
-}
 
 // LatencyMs returns the true RTT between the i-th and j-th selected hosts.
 func (m *TopologyMatrix) LatencyMs(i, j int) float64 {
 	if i == j {
 		return 0
 	}
-	if m.cache != nil {
-		return m.cache.RTTms(m.Hosts[i], m.Hosts[j])
+	if m.memo == nil {
+		m.memo = make([]float64, len(m.Hosts)*(len(m.Hosts)-1)/2)
 	}
-	return m.Top.RTTms(m.Hosts[i], m.Hosts[j])
+	i, j = min(i, j), max(i, j)
+	v := &m.memo[j*(j-1)/2+i]
+	if *v == 0 {
+		*v = m.Top.RTTms(min(m.Hosts[i], m.Hosts[j]), max(m.Hosts[i], m.Hosts[j]))
+	}
+	return *v
 }
 
 // SyntheticMeridianDataset generates pairwise RTTs among n "DNS servers"

@@ -118,13 +118,12 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 		q.visit(start, math.Inf(1), q.finish)
 		return
 	}
-	q.Ping(p2p.NodeID(start), func(rtt float64, ok bool) {
-		if !ok {
+	q.Sweep([]p2p.NodeID{p2p.NodeID(start)}, func(s p2p.Swept) {
+		if !s.Found {
 			q.finish() // the chosen start is dead: nothing to walk
 			return
 		}
-		q.Keep(p2p.NodeID(start), rtt)
-		q.visit(start, rtt, q.finish)
+		q.visit(start, s.RTTms, q.finish)
 	})
 }
 
@@ -150,30 +149,22 @@ func (q *walk) visit(cur int, d float64, onFail func()) {
 				return
 			}
 			sort.Ints(cands) // the static walk's probe order
-			rtts := make([]float64, len(cands))
-			pending := len(cands)
+			ids := make([]p2p.NodeID, len(cands))
 			for i, c := range cands {
-				q.Ping(p2p.NodeID(c), func(rtt float64, ok bool) {
-					if !ok {
-						rtt = math.Inf(1)
-					}
-					rtts[i] = rtt
-					if pending--; pending > 0 {
-						return
-					}
-					// Fold in probe order, so ties keep the earlier
-					// candidate as the static walk's strict < does.
-					var reports []report
-					for j, c := range cands {
-						if !math.IsInf(rtts[j], 1) {
-							q.Keep(p2p.NodeID(c), rtts[j])
-							reports = append(reports, report{c, rtts[j]})
-						}
-					}
-					sort.SliceStable(reports, func(a, b int) bool { return reports[a].rtt < reports[b].rtt })
-					q.advance(reports, d)
-				})
+				ids[i] = p2p.NodeID(c)
 			}
+			// The sweep folds in probe order, so ties keep the earlier
+			// candidate as the static walk's strict < does.
+			q.Sweep(ids, func(s p2p.Swept) {
+				var reports []report
+				for i, c := range cands {
+					if !math.IsInf(s.RTTs[i], 1) {
+						reports = append(reports, report{c, s.RTTs[i]})
+					}
+				}
+				sort.SliceStable(reports, func(a, b int) bool { return reports[a].rtt < reports[b].rtt })
+				q.advance(reports, d)
+			})
 		},
 		onFail)
 }

@@ -129,6 +129,3 @@ func (c *RTTCache) RTTms(a, b HostID) float64 {
 	c.vals[slot] = v
 	return v
 }
-
-// Topology returns the topology the cache prices.
-func (c *RTTCache) Topology() *Topology { return c.top }

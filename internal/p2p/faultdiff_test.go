@@ -80,7 +80,7 @@ func fdRunSim() fdResult {
 	}
 	kernel.Run()
 	m := rt.TotalMetrics()
-	res.dropped, res.delayed, res.duplicated = m.FaultDropped, m.FaultDelayed, m.FaultDuplicated
+	res.dropped, res.delayed, res.duplicated = m.MsgsLost, m.FaultDelayed, m.FaultDuplicated
 	return res
 }
 
@@ -106,7 +106,7 @@ func fdRunLoopback() fdResult {
 	wg.Wait() // every probe resolves exactly once: reply or expiry
 	lb.Do(func() {
 		m := lb.SerialMetrics()
-		res.dropped, res.delayed, res.duplicated = m.FaultDropped, m.FaultDelayed, m.FaultDuplicated
+		res.dropped, res.delayed, res.duplicated = m.MsgsLost, m.FaultDelayed, m.FaultDuplicated
 	})
 	return res
 }
@@ -127,7 +127,7 @@ func TestFaultDifferentialSimVsLoopback(t *testing.T) {
 		}
 	}
 	if simRes.dropped != liveRes.dropped {
-		t.Errorf("FaultDropped: sim %d live %d", simRes.dropped, liveRes.dropped)
+		t.Errorf("MsgsLost: sim %d live %d", simRes.dropped, liveRes.dropped)
 	}
 	if simRes.delayed != liveRes.delayed {
 		t.Errorf("FaultDelayed: sim %d live %d", simRes.delayed, liveRes.delayed)

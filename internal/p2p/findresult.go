@@ -11,6 +11,7 @@
 package p2p
 
 import (
+	"math"
 	"time"
 
 	"nearestpeer/internal/obs"
@@ -62,7 +63,8 @@ func (r *FindResult) keep(peer NodeID, rttMs float64) {
 //     paid whether or not it is answered, and DeadProbes when it times out;
 //   - a control request (Call) charges RPCs at issue, and RPCFails when
 //     every attempt expired unanswered;
-//   - a Sweep folds each responder into Res by the keep-best rule.
+//   - a Sweep pings its targets at once and, once every ping has settled,
+//     folds the responders into Res in target order by the keep-best rule.
 //
 // Calls and Probes go out through Node.RequestPolicy, so they retry under
 // the transport's Config.Retry; Pings and Sweeps are always single-shot.
@@ -175,34 +177,47 @@ func (q *Query) probe(to NodeID, typ string, retry bool, then func(env Envelope,
 		func() { then(Envelope{}, 0, false) })
 }
 
-// Keep folds a responder into Res by the keep-best rule, for a scheme that
-// pings concurrently and folds the answers itself, in its own order.
-func (q *Query) Keep(peer NodeID, rttMs float64) { q.Res.keep(peer, rttMs) }
-
 // Ping is one single-shot ping probe (Node.Ping's message): then gets the
 // RTT, or ok false on a timeout.
 func (q *Query) Ping(to NodeID, then func(rttMs float64, ok bool)) {
 	q.probe(to, MsgPing, false, func(_ Envelope, rtt float64, ok bool) { then(rtt, ok) })
 }
 
-// Sweep pings the targets one after another, folds each responder into Res
-// by the keep-best rule, and hands on this sweep's own nearest responder
-// (NoNode, 0, false when nobody answered).
-func (q *Query) Sweep(targets []NodeID, then func(best NodeID, rttMs float64, ok bool)) {
-	own := FindResult{Peer: NoNode}
-	var step func(i int)
-	step = func(i int) {
-		if i == len(targets) {
-			then(own.Peer, own.RTTms, own.Found)
+// Swept is one Sweep's outcome: each target's RTT in target order (+Inf
+// where its ping failed), and in Peer, RTTms and Found the sweep's own
+// nearest responder (NoNode, 0, false when nobody answered).
+type Swept struct {
+	FindResult
+	RTTs []float64
+}
+
+// Sweep pings every target at once and waits until each ping has settled.
+// It then folds the responders into Res in target order by the keep-best
+// rule, so the answer does not depend on which reply landed first, and
+// hands on the sweep's outcome. An empty sweep reports nobody at once.
+func (q *Query) Sweep(targets []NodeID, then func(Swept)) {
+	s := Swept{FindResult{Peer: NoNode}, make([]float64, len(targets))}
+	pending := len(targets) + 1 // the issuing loop holds one share
+	settle := func() {
+		if pending--; pending > 0 {
 			return
 		}
-		q.Ping(targets[i], func(rtt float64, ok bool) {
-			if ok {
-				own.keep(targets[i], rtt)
+		for i, rtt := range s.RTTs {
+			if !math.IsInf(rtt, 1) {
+				s.keep(targets[i], rtt)
 				q.Res.keep(targets[i], rtt)
 			}
-			step(i + 1)
+		}
+		then(s)
+	}
+	for i, to := range targets {
+		q.Ping(to, func(rtt float64, ok bool) {
+			if !ok {
+				rtt = math.Inf(1)
+			}
+			s.RTTs[i] = rtt
+			settle()
 		})
 	}
-	step(0)
+	settle()
 }

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -111,8 +112,8 @@ func TestQuerySweepsKeepBest(t *testing.T) {
 	var next func(i int)
 	next = func(i int) {
 		if i < len(sweeps) {
-			q.Sweep(sweeps[i], func(b NodeID, r float64, ok bool) {
-				owns = append(owns, own{b, r, ok})
+			q.Sweep(sweeps[i], func(s Swept) {
+				owns = append(owns, own{s.Peer, s.RTTms, s.Found})
 				next(i + 1)
 			})
 		}
@@ -133,10 +134,134 @@ func TestQuerySweepsKeepBest(t *testing.T) {
 	}
 }
 
+// TestQuerySweepTieKeepsTargetOrder: two targets at equal RTT, whichever
+// comes first in the target list is the answer, and RTTs reports each
+// target in target order.
+func TestQuerySweepTieKeepsTargetOrder(t *testing.T) {
+	for _, targets := range [][]NodeID{{1, 3}, {3, 1}} {
+		kernel, rt := newTestRuntime(t, 5, 0)
+		q := NewQuery(rt.AddNode(2), "test", 0)
+		for _, id := range []NodeID{0, 1, 3, 4} {
+			rt.AddNode(id)
+		}
+		var got Swept
+		q.Sweep(append([]NodeID{4}, targets...), func(s Swept) { got = s })
+		kernel.Run()
+		if got.Peer != targets[0] || q.Res.Peer != targets[0] || got.RTTms != 10 {
+			t.Errorf("sweep of 4 then %v answered %d (Res %d) at %v ms, want %d at 10", targets, got.Peer, q.Res.Peer, got.RTTms, targets[0])
+		}
+		if len(got.RTTs) != 3 || got.RTTs[0] != 20 || got.RTTs[1] != 10 || got.RTTs[2] != 10 {
+			t.Errorf("RTTs %v, want [20 10 10]", got.RTTs)
+		}
+	}
+}
+
+// sweepDeadAndLive sweeps from node 0 of a line over the dead nodes
+// 2..n-1 and the live node 1, dead targets first, and hands on the
+// sweep's outcome.
+func sweepDeadAndLive(tr Transport, n int, then func(Swept)) *Query {
+	q := NewQuery(tr.AddNode(0), "test", 0)
+	tr.AddNode(1)
+	var targets []NodeID
+	for id := NodeID(2); id < NodeID(n); id++ {
+		tr.AddNode(id).Stop()
+		targets = append(targets, id)
+	}
+	q.Sweep(append(targets, 1), then)
+	return q
+}
+
+// TestQuerySweepSettlesInOneTimeout: the pings of a sweep go out at once,
+// so k dead targets cost one RPC timeout between them, not k; the live
+// target still answers and is the sweep's answer.
+func TestQuerySweepSettlesInOneTimeout(t *testing.T) {
+	const n = 7 // five dead targets
+	kernel, rt := newTestRuntime(t, n, 0)
+	reports := 0
+	var at time.Duration
+	var got Swept
+	q := sweepDeadAndLive(rt, n, func(s Swept) { reports++; at, got = kernel.Now(), s })
+	kernel.Run()
+	if reports != 1 || at != time.Second {
+		t.Fatalf("%d reports, the last at %v: want one, one 1s timeout after issue", reports, at)
+	}
+	if !got.Found || got.Peer != 1 || got.RTTms != 10 || q.Res.Probes != n-1 || q.Res.DeadProbes != n-2 {
+		t.Fatalf("sweep %+v, bill %+v: want node 1 at 10 ms, %d probes, %d dead", got, q.Res, n-1, n-2)
+	}
+}
+
+const liveSweepN, liveSweepTimeout = 7, 200 * time.Millisecond
+
+// liveSweep is TestQuerySweepSettlesInOneTimeout on a live transport's
+// wall-clock timers. A sequential sweep would take five timeouts; the
+// bound allows three, for a loaded machine.
+func liveSweep(t *testing.T, tr Transport, do func(func())) {
+	t.Helper()
+	const n, timeout = liveSweepN, liveSweepTimeout
+	done := make(chan Swept, 2)
+	start := time.Now()
+	do(func() { sweepDeadAndLive(tr, n, func(s Swept) { done <- s }) })
+	got := <-done
+	took := time.Since(start)
+	if took < timeout || took >= 3*timeout {
+		t.Fatalf("sweep settled after %v: want one %v timeout, not %d", took, timeout, n-2)
+	}
+	if !got.Found || got.Peer != 1 {
+		t.Fatalf("sweep %+v: want node 1", got)
+	}
+	select {
+	case again := <-done:
+		t.Fatalf("sweep reported twice (second %+v)", again)
+	case <-time.After(timeout):
+	}
+}
+
+func TestQuerySweepSettlesInOneTimeoutLoopback(t *testing.T) {
+	lb := NewLoopback(lineMatrix(liveSweepN), Config{RPCTimeout: liveSweepTimeout}, 1)
+	defer lb.Close()
+	liveSweep(t, lb, lb.Do)
+}
+
+func TestQuerySweepSettlesInOneTimeoutUDP(t *testing.T) {
+	u := NewUDP(liveSweepN, Config{RPCTimeout: liveSweepTimeout}, 1)
+	defer u.Close()
+	for i := range liveSweepN {
+		if _, err := u.Listen(NodeID(i), ""); err != nil {
+			t.Fatalf("listen %d: %v", i, err)
+		}
+	}
+	liveSweep(t, u, u.Do)
+}
+
+// TestQuerySweepSettlesAtStop: a client that stops mid-sweep settles the
+// sweep once, at the stop, with every ping billed dead.
+func TestQuerySweepSettlesAtStop(t *testing.T) {
+	kernel, rt := newTestRuntime(t, 4, 0)
+	client := rt.AddNode(0)
+	q := NewQuery(client, "test", 0)
+	rt.AddNode(2)
+	rt.AddNode(3)
+	var at []time.Duration
+	q.Sweep([]NodeID{3, 2}, func(s Swept) {
+		at = append(at, kernel.Now())
+		if s.Found || !math.IsInf(s.RTTs[0], 1) || !math.IsInf(s.RTTs[1], 1) {
+			t.Errorf("sweep at a stopped client reported %+v, want nobody", s)
+		}
+	})
+	kernel.At(15*time.Millisecond, client.Stop) // 2's reply is in flight
+	kernel.Run()
+	if len(at) != 1 || at[0] != 15*time.Millisecond {
+		t.Fatalf("sweep reported at %v: want once, at the 15ms stop", at)
+	}
+	if q.Res.Probes != 2 || q.Res.DeadProbes != 2 || q.Res.Found {
+		t.Fatalf("bill %+v: want 2 probes, both dead, nothing found", q.Res)
+	}
+}
+
 // TestQueryCallbacksStopWithClient: when the client stops, every request
 // it has out fails once, at the stop instant, and the bill charges each
-// failure. The Sweep runs down: its second ping, issued by the stopped
-// client, sends nothing and fails at once, and the Sweep reports nobody.
+// failure. Both of the Sweep's pings left before the stop; they fail with
+// the rest, and the Sweep reports nobody.
 func TestQueryCallbacksStopWithClient(t *testing.T) {
 	kernel, rt := newTestRuntime(t, 4, 0)
 	client := rt.AddNode(0)
@@ -157,9 +282,9 @@ func TestQueryCallbacksStopWithClient(t *testing.T) {
 	q.Ping(2, ping)
 	q.Call(1, "list", nil, func(Envelope) { replies++ }, fail)
 	swept := false
-	q.Sweep([]NodeID{1, 2}, func(best NodeID, _ float64, ok bool) {
-		if swept || ok || best != NoNode {
-			t.Errorf("sweep reported (%d, %v) again=%v: want one report of nobody", best, ok, swept)
+	q.Sweep([]NodeID{1, 2}, func(s Swept) {
+		if swept || s.Found || s.Peer != NoNode {
+			t.Errorf("sweep reported %+v again=%v: want one report of nobody", s, swept)
 		}
 		swept = true
 	})
@@ -176,10 +301,11 @@ func TestQueryCallbacksStopWithClient(t *testing.T) {
 	if q.Res.Probes != 4 || q.Res.DeadProbes != 4 || q.Res.RPCs != 1 || q.Res.RPCFails != 1 || q.Res.Found {
 		t.Fatalf("bill %+v: want 4 probes and 1 RPC, each failed, nothing found", q.Res)
 	}
-	// Sent: the 4 requests issued before the stop and node 1's 3 answers,
+	// Sent: the 5 requests issued before the stop and node 1's 3 answers,
 	// which land at the stopped client; nothing from the stopped client.
-	if m := rt.Metrics; m.StopFailures != 5 || m.Timeouts != 0 || m.MsgsSent != 7 || m.MsgsDead != 4 {
-		t.Fatalf("metrics %+v: want 5 stop failures (4 parked, 1 issued stopped), 0 timeouts, 7 sends, 4 dead", m)
+	// Dead: those 3 answers and the 2 pings at the stopped node 2.
+	if m := rt.Metrics; m.StopFailures != 5 || m.Timeouts != 0 || m.MsgsSent != 8 || m.MsgsDead != 5 {
+		t.Fatalf("metrics %+v: want 5 stop failures (all parked), 0 timeouts, 8 sends, 5 dead", m)
 	}
 }
 

@@ -45,7 +45,6 @@ func (lb *Loopback) send(env Envelope) {
 		fd = lb.flt.DecideSend(int(env.From), int(env.To), lb.faultNow(), lb.Node(env.From).nextSend())
 		if fd.Drop {
 			lb.metrics.MsgsLost++
-			lb.metrics.FaultDropped++
 			return
 		}
 	}

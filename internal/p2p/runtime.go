@@ -805,7 +805,6 @@ func (r *Runtime) send(env Envelope) {
 		fd = r.flt.DecideSend(int(env.From), int(env.To), sc.sim.Now(), r.nodes[env.From].nextSend())
 		if fd.Drop {
 			sc.metrics.MsgsLost++
-			sc.metrics.FaultDropped++
 			return
 		}
 	}

@@ -195,7 +195,6 @@ func (u *UDP) send(env Envelope) {
 		fd = u.flt.DecideSend(int(env.From), int(env.To), u.faultNow(), u.Node(env.From).nextSend())
 		if fd.Drop {
 			u.metrics.MsgsLost++
-			u.metrics.FaultDropped++
 			return
 		}
 	}

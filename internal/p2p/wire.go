@@ -46,7 +46,8 @@ type Metrics struct {
 	MsgsSent int64
 	// MsgsDelivered counts envelopes that reached a live inbox.
 	MsgsDelivered int64
-	// MsgsLost counts envelopes the fault plan dropped (see FaultDropped).
+	// MsgsLost counts envelopes the fault plane dropped (loss, bursts,
+	// black-holes, partitions), the only drops any transport makes.
 	MsgsLost int64
 	// MsgsDead counts envelopes that arrived at a crashed or absent node.
 	MsgsDead int64
@@ -75,11 +76,6 @@ type Metrics struct {
 	// issued at a stopped node. They are not Timeouts: the timeouts a
 	// node's callbacks see are Timeouts + StopFailures.
 	StopFailures int64
-	// FaultDropped counts envelopes discarded by the fault plane (loss,
-	// bursts, black-holes, partitions). Each is also counted in MsgsLost,
-	// so the sent = delivered + lost + dead (+ inflight) accounting
-	// identity holds with faults injected.
-	FaultDropped int64
 	// FaultDelayed counts envelopes whose one-way delay the fault plane
 	// stretched (delay spikes, reordering holds).
 	FaultDelayed int64
@@ -105,7 +101,6 @@ func (m *Metrics) Add(o Metrics) {
 	m.ExpiriesFired += o.ExpiriesFired
 	m.Timeouts += o.Timeouts
 	m.StopFailures += o.StopFailures
-	m.FaultDropped += o.FaultDropped
 	m.FaultDelayed += o.FaultDelayed
 	m.FaultDuplicated += o.FaultDuplicated
 	m.Retries += o.Retries

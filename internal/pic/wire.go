@@ -140,7 +140,7 @@ func (w *Wire) verify(q *p2p.Query, endpoints []int, done func(p2p.FindResult)) 
 			ids = append(ids, p2p.NodeID(id))
 		}
 	}
-	q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
+	q.Sweep(ids, func(p2p.Swept) { done(q.Res) })
 }
 
 func appendUnique(xs []int, v int) []int {

@@ -128,7 +128,7 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 			for i, m := range list {
 				ids[i] = p2p.NodeID(m)
 			}
-			q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
+			q.Sweep(ids, func(p2p.Swept) { done(q.Res) })
 		},
 		// The end network's server is down: its directory is offline.
 		func() { done(q.Res) })

@@ -109,13 +109,13 @@ func (w *Wire) FindNearest(client p2p.NodeID, done func(p2p.FindResult)) {
 						ids = append(ids, p2p.NodeID(m))
 					}
 				}
-				q.Sweep(ids, func(best p2p.NodeID, _ float64, ok bool) {
+				q.Sweep(ids, func(s p2p.Swept) {
 					q.Res.Hops++
-					if level == 0 || !ok {
+					if level == 0 || !s.Found {
 						done(q.Res)
 						return
 					}
-					descend(level-1, int(best))
+					descend(level-1, int(s.Peer))
 				})
 			},
 			// The subtree is unreachable: report the best so far.

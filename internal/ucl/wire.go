@@ -69,14 +69,14 @@ func (w *Wire) Publish(peer netmodel.HostID, done func(stored int)) {
 }
 
 // FindNearest runs the UCL query for peer over the wire: compute its UCL
-// locally, fetch the peers sharing each of those routers from the DHT,
-// estimate latencies via the shared router, discard the certainly-far,
-// ping the rest over the runtime, return the closest responder (as its
-// runtime node id: hosts[Peer] is the host). RPCs counts the DHT Gets
-// issued, RPCFails those that never resolved an owner, Hops their routing
-// cost. done fires exactly once, also when the issuing node stops
-// mid-query: its DHT Gets and pings fail at the stop, and the query runs
-// down there.
+// locally, fetch the peers sharing each of those routers from the DHT (one
+// Get per router, all at once), estimate latencies via the shared router,
+// discard the certainly-far, ping the rest over the runtime, return the
+// closest responder (as its runtime node id: hosts[Peer] is the host).
+// RPCs counts the DHT Gets issued, RPCFails those that never resolved an
+// owner, Hops their routing cost. done fires exactly once, also when the
+// issuing node stops mid-query: its DHT Gets and pings fail at the stop,
+// and the query runs down there.
 func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	own := ComputeUCL(w.tools, w.anchors, w.cfg, peer)
 	node := w.NodeOf(peer)
@@ -84,22 +84,22 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	q.Res.RPCs = len(own) // one DHT Get per router of the UCL
 	best := make(map[netmodel.HostID]float64)
 
-	probe := func(cands []hintCand) {
-		ids := make([]p2p.NodeID, len(cands))
-		for i, c := range cands {
-			ids[i] = w.index[c.peer]
-		}
-		q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
-	}
-
-	var get func(i int)
-	get = func(i int) {
-		if i >= len(own) {
-			kept := rankHintCands(best, w.cfg)
-			probe(kept[:min(maxProbes, len(kept))])
+	// The Gets go out at once; best is a min per peer, so the merge does
+	// not depend on the order they settle in. Once every Get has settled,
+	// the best-estimated candidates are swept.
+	pending := len(own) + 1 // the issuing loop holds one share
+	settle := func() {
+		if pending--; pending > 0 {
 			return
 		}
-		p := own[i]
+		kept := rankHintCands(best, w.cfg)
+		ids := make([]p2p.NodeID, min(maxProbes, len(kept)))
+		for i := range ids {
+			ids[i] = w.index[kept[i].peer]
+		}
+		q.Sweep(ids, func(p2p.Swept) { done(q.Res) })
+	}
+	for _, p := range own {
 		w.chord.Get(node, routerKey(p.Router), func(r p2p.OpResult) {
 			q.Res.Hops += r.Hops
 			q.Res.RPCFails += r.LookupFails
@@ -118,10 +118,10 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 					}
 				}
 			}
-			get(i + 1)
+			settle()
 		})
 	}
-	get(0)
+	settle()
 }
 
 // hintCand is one retrieved candidate with its router-sum latency estimate.

@@ -83,7 +83,7 @@ func TestWireSamplesMatchMatrixEmbedding(t *testing.T) {
 	for i := range hosts {
 		hosts[i] = netmodel.HostID(i * 7) // spread across the topology
 	}
-	m := (&latency.TopologyMatrix{Top: top, Hosts: hosts}).EnableRTTCache(0)
+	m := &latency.TopologyMatrix{Top: top, Hosts: hosts}
 
 	obsA, obsB := crossCheckSchedule(nHosts, 40, 3, 11)
 

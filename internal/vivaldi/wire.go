@@ -777,7 +777,7 @@ func (w *Wire) verify(q *p2p.Query, cands []walkCand, done func(p2p.FindResult))
 	for i, c := range cands {
 		ids[i] = c.id
 	}
-	q.Sweep(ids, func(p2p.NodeID, float64, bool) { done(q.Res) })
+	q.Sweep(ids, func(p2p.Swept) { done(q.Res) })
 }
 
 // ringFallback is the search's graceful degradation: when the greedy walk
@@ -796,5 +796,5 @@ func (w *Wire) ringFallback(q *p2p.Query, done func(p2p.FindResult)) {
 		}
 		targets = append(targets, m)
 	}
-	q.Sweep(targets, func(p2p.NodeID, float64, bool) { done(q.Res) })
+	q.Sweep(targets, func(p2p.Swept) { done(q.Res) })
 }
