@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -153,9 +154,9 @@ func TestReadmeLinksResolve(t *testing.T) {
 const configCensusFile = "testdata/config_fields.txt"
 
 // TestConfigFieldCensus lists pkg.Type.Field for every exported field of
-// every exported struct type under internal/ whose name ends in Config, and
-// compares the list with testdata/config_fields.txt, so a knob added or
-// removed shows up as a reviewed diff of that file.
+// every census type (isCensusType) under internal/, and compares the list
+// with testdata/config_fields.txt, so a knob added or removed shows up as a
+// reviewed diff of that file.
 func TestConfigFieldCensus(t *testing.T) {
 	var fields []string
 	for _, dir := range docCoveredPackages(t) {
@@ -194,8 +195,14 @@ func TestConfigFieldCensus(t *testing.T) {
 	}
 }
 
+// isCensusType reports whether the exported struct type pkg.name holds
+// knobs: a *Config, a study's *Opts, or the retry Policy (p2p.Config.Retry).
+func isCensusType(pkg, name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Opts") || pkg+"."+name == "p2p.Policy"
+}
+
 // configFields returns pkg.Type.Field for the exported fields of the
-// exported *Config struct types declared in file.
+// census types declared in file.
 func configFields(pkg string, file *ast.File) []string {
 	var out []string
 	for _, decl := range file.Decls {
@@ -206,7 +213,7 @@ func configFields(pkg string, file *ast.File) []string {
 		for _, spec := range gd.Specs {
 			ts := spec.(*ast.TypeSpec)
 			st, ok := ts.Type.(*ast.StructType)
-			if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+			if !ok || !ts.Name.IsExported() || !isCensusType(pkg, ts.Name.Name) {
 				continue
 			}
 			for _, f := range st.Fields.List {
@@ -219,4 +226,140 @@ func configFields(pkg string, file *ast.File) []string {
 		}
 	}
 	return out
+}
+
+// TestConfigFieldCensusSet fails for a census field that no file sets
+// outside the field's own Default* constructor: a knob only its default
+// ever writes has one value, and belongs beside its reader as a constant.
+// Every Go file in the module tree counts as a setter (tests, examples/
+// and bench/ included). A field is set by a keyed composite literal, by
+// assignment or increment through a selector, or by taking its address
+// (flag.IntVar(&cfg.F, …)); a typed zero literal T{} sets every field of
+// T. Selectors carry no type, so they match any census field of that name.
+func TestConfigFieldCensusSet(t *testing.T) {
+	type typeKey struct{ pkg, typ string }
+	fields := map[string][]typeKey{} // field name → census types declaring it
+	for _, dir := range docCoveredPackages(t) {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, pkg := range pkgs {
+			for _, file := range pkg.Files {
+				for _, f := range configFields(pkg.Name, file) {
+					p := strings.SplitN(f, ".", 3)
+					fields[p[2]] = append(fields[p[2]], typeKey{p[0], p[1]})
+				}
+			}
+		}
+	}
+	set := map[string]bool{} // pkg.Type.Field
+	mark := func(field string, tk *typeKey, skip map[typeKey]bool) {
+		for _, k := range fields[field] {
+			if (tk == nil || *tk == k) && !skip[k] {
+				set[k.pkg+"."+k.typ+"."+field] = true
+			}
+		}
+	}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimSuffix(file.Name.Name, "_test")
+		// litType names the census type a composite literal builds, or nil
+		// when the literal's type is elided or not a plain named type.
+		litType := func(e ast.Expr) *typeKey {
+			switch x := e.(type) {
+			case *ast.Ident:
+				return &typeKey{pkg, x.Name}
+			case *ast.SelectorExpr:
+				if q, ok := x.X.(*ast.Ident); ok {
+					return &typeKey{q.Name, x.Sel.Name}
+				}
+			}
+			return nil
+		}
+		for _, decl := range file.Decls {
+			// A Default* constructor's writes to the types it returns are
+			// the defaults themselves, not a setter.
+			skip := map[typeKey]bool{}
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Default") && fd.Type.Results != nil {
+				for _, r := range fd.Type.Results.List {
+					if id, ok := r.Type.(*ast.Ident); ok {
+						skip[typeKey{pkg, id.Name}] = true
+					}
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CompositeLit:
+					tk := litType(x.Type)
+					if tk != nil && len(x.Elts) == 0 {
+						for field, keys := range fields {
+							for _, k := range keys {
+								if k == *tk && !skip[k] {
+									set[k.pkg+"."+k.typ+"."+field] = true
+								}
+							}
+						}
+					}
+					for _, e := range x.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								mark(id.Name, tk, skip)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, l := range x.Lhs {
+						if sel, ok := l.(*ast.SelectorExpr); ok {
+							mark(sel.Sel.Name, nil, skip)
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := x.X.(*ast.SelectorExpr); ok {
+						mark(sel.Sel.Name, nil, skip)
+					}
+				case *ast.UnaryExpr:
+					if sel, ok := x.X.(*ast.SelectorExpr); ok && x.Op == token.AND {
+						mark(sel.Sel.Name, nil, skip)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unset []string
+	for field, keys := range fields {
+		for _, k := range keys {
+			if f := k.pkg + "." + k.typ + "." + field; !set[f] {
+				unset = append(unset, f)
+			}
+		}
+	}
+	sort.Strings(unset)
+	for _, f := range unset {
+		t.Errorf("%s is set by no file outside its Default* constructor: make it a constant beside its reader", f)
+	}
 }

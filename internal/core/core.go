@@ -138,7 +138,7 @@ func NewService(top *netmodel.Topology, tools *measure.Tools, peers []netmodel.H
 			}})
 		}
 		if cfg.UsePrefix {
-			sys := ipprefix.New(tools, nodes, ipprefix.DefaultConfig())
+			sys := ipprefix.New(tools, nodes)
 			for _, p := range s.peers {
 				sys.Join(p)
 			}

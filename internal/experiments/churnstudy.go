@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"nearestpeer/internal/engine"
 	"nearestpeer/internal/faults"
@@ -39,8 +38,6 @@ type RuntimeOpts struct {
 	Queries int
 	// Seed drives the whole run.
 	Seed int64
-	// Horizon caps virtual time as a watchdog (default 2 h).
-	Horizon time.Duration
 	// Recorder, when non-nil, is attached to the runtime as the lookup
 	// flight recorder (npsim -trace). It is passive: results are
 	// byte-identical with or without it.
@@ -72,15 +69,10 @@ type ChurnRow struct {
 }
 
 // experimentChurnConfig is the churn every churned wire cell runs:
-// sessions short enough that a meaningful slice of the overlay turns over
-// while the query batch runs.
+// heavy-tailed (log-normal) sessions, short enough on average that a
+// meaningful slice of the overlay turns over while the query batch runs.
 func experimentChurnConfig() p2p.ChurnConfig {
-	return p2p.ChurnConfig{
-		MeanSession:  90 * time.Second,
-		SessionSigma: 1,
-		MeanOffline:  20 * time.Second,
-		GracefulProb: 0.5,
-	}
+	return p2p.ChurnConfig{SessionSigma: 1}
 }
 
 // RunMessageMeridian deploys c1's Meridian overlay on the wire over the
@@ -91,7 +83,7 @@ func experimentChurnConfig() p2p.ChurnConfig {
 func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targets []int, opts RuntimeOpts) ChurnRow {
 	sc := targetScorer{gt: gt}
 	var live []int
-	run := runWireCell(newSchemeCtx(m, members, opts.Seed, opts.Horizon), wireCell{
+	run := runWireCell(newSchemeCtx(m, members, opts.Seed, wireHorizon), wireCell{
 		loss: opts.Loss, heldOut: targets,
 		recorder: opts.Recorder, faults: fixedFaults(opts.Faults),
 		churn: opts.Churn,
@@ -111,8 +103,9 @@ func RunMessageMeridian(m latency.Matrix, gt *latency.GroundTruth, members, targ
 	})
 
 	row := ChurnRow{TargetScore: sc.score(run.issued)}
-	row.MeanMsgs = float64(run.rt.Metrics.MsgsSent-run.atStart.MsgsSent) / float64(max(run.issued, 1))
-	row.Timeouts = run.rt.Metrics.Timeouts
+	total := run.rt.TotalMetrics()
+	row.MeanMsgs = float64(total.MsgsSent-run.atStart.MsgsSent) / float64(max(run.issued, 1))
+	row.Timeouts = total.Timeouts
 	row.Backstopped = run.backstopped
 	row.Leaves, row.Joins = run.leaves, run.joins
 	return row

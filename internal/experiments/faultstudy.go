@@ -43,7 +43,7 @@ const faultQueryEvery = 10 * time.Second
 // the plan's decision window, so a retried attempt lands in a fresh
 // window and gets a fresh loss draw — the recovery the figure measures.
 func faultRetryPolicy() p2p.Policy {
-	return p2p.Policy{Attempts: 3, BaseBackoff: 300 * time.Millisecond, Multiplier: 2, JitterFrac: 0.2}
+	return p2p.Policy{Attempts: 3, BaseBackoff: 300 * time.Millisecond, JitterFrac: 0.2}
 }
 
 // FaultCell is one (scheme, condition, retry) cell of the r1 figure.

@@ -43,8 +43,6 @@ type MitigationOpts struct {
 	Queries int
 	// Seed drives the whole run.
 	Seed int64
-	// Horizon caps virtual time as a watchdog (default 2 h).
-	Horizon time.Duration
 	// Tools overrides the measurement toolkit (probe noise stream). Leave
 	// nil for a fresh one (Env.FreshTools). Every row owning its toolkit is
 	// what lets MitigationStudy run rows as parallel engine trials.

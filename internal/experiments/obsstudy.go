@@ -231,7 +231,7 @@ func obsCell(c *schemeCtx, deploy wireDeploy, cond wireCondition, targets []int,
 		}
 	}
 	cell.QueueHW = run.kernel.QueueHighWater()
-	cell.Timeouts = run.rt.Metrics.Timeouts
+	cell.Timeouts = run.rt.TotalMetrics().Timeouts
 	cell.Leaves, cell.Joins = run.leaves, run.joins
 	return cell
 }

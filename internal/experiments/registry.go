@@ -270,7 +270,7 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 	// chord stabilize re-prices the same successor pairs every round, and
 	// each pair of the subset walks the topology at most once.
 	m := &latency.TopologyMatrix{Top: env.Top, Hosts: peers}
-	c := envSchemeCtx(env, tools, peers, m, opts.Seed, opts.Horizon)
+	c := envSchemeCtx(env, tools, peers, m, opts.Seed, wireHorizon)
 	c.keyLabel = "g1"
 	sc := mitigationScorer{rttMs: env.Top.RTTms, peers: peers}
 	run := runWireCell(c, wireCell{
@@ -283,10 +283,11 @@ func runWireFinderMitigation(env *Env, peers []netmodel.HostID, opts MitigationO
 		sc.issue(oracleMs)
 		run.find(o, func(r p2p.FindResult) { sc.result(target, oracleMs, r) })
 	})
-	row := sc.row(run.issued, run.rt.Metrics.MsgsSent-run.atStart.MsgsSent)
+	total := run.rt.TotalMetrics()
+	row := sc.row(run.issued, total.MsgsSent-run.atStart.MsgsSent)
 	row.PubMsgsPerPeer = float64(run.pubMsgs) / float64(len(peers))
 	row.PubWindow = run.pubWindow
-	row.Timeouts = run.rt.Metrics.Timeouts
+	row.Timeouts = total.Timeouts
 	row.Backstopped = run.backstopped
 	row.Leaves, row.Joins = run.leaves, run.joins
 	return row
@@ -411,17 +412,16 @@ var schemes = map[string]Scheme{
 	"expanding": {
 		// The expanding-ring rule over the matrix, with Runtime.Multicast's
 		// scope as its reach: round r reaches the members within RTT
-		// Radius(r) of the target, self excluded. Copies land in the probes
+		// ExpandRadius(r) of the target, self excluded. Copies land in the probes
 		// column, rounds in hops, as the wire search reports them.
 		Static: func(c *schemeCtx) func(int) p2p.FindResult {
-			cfg := p2p.DefaultExpandConfig()
 			return func(idx int) p2p.FindResult {
-				return p2p.ExpandRing(cfg.Rounds, len(c.peers), func(round, j int) (float64, bool) {
+				return p2p.ExpandRing(p2p.ExpandRounds, len(c.peers), func(round, j int) (float64, bool) {
 					if j == idx {
 						return 0, false
 					}
 					d := c.m.LatencyMs(idx, j)
-					return d, d <= cfg.Radius(round)
+					return d, d <= p2p.ExpandRadius(round)
 				})
 			}
 		},
@@ -499,7 +499,7 @@ var schemes = map[string]Scheme{
 	},
 	"ipprefix": {
 		Static: func(c *schemeCtx) func(int) p2p.FindResult {
-			sys := ipprefix.New(c.tools, c.addrs(), ipprefix.DefaultConfig())
+			sys := ipprefix.New(c.tools, c.addrs())
 			for _, p := range c.peers {
 				sys.Join(p)
 			}
@@ -510,7 +510,7 @@ var schemes = map[string]Scheme{
 		},
 		Wire: func(c *schemeCtx, rt *p2p.Runtime) wireDeployment {
 			chord, d := defaultChordRing(c, rt)
-			w := ipprefix.NewWire(c.tools, chord, c.peers, ipprefix.DefaultConfig())
+			w := ipprefix.NewWire(c.tools, chord, c.peers)
 			return hintDeployment(c, d,
 				func(h netmodel.HostID, done func()) { w.Publish(h, func(bool) { done() }) },
 				w.FindNearest)

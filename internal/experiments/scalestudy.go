@@ -115,7 +115,7 @@ func scaleTopoConfig(target int) netmodel.Config {
 	// undershoot the target.
 	perPoP := 1.1 * float64(target) / pops
 	// 60% broadband homes, 40% corporate end-network hosts (≈7 hosts/EN
-	// with the default Min/MaxHostsPerEN of 2..12). The generator draws
+	// with the default 2..12 hosts per end-network). The generator draws
 	// per-PoP homes from a capped Pareto; a tighter cap than the
 	// measurement default keeps one tail draw from inflating a whole
 	// size class, and the realised mean (~1.25× the parameter under this

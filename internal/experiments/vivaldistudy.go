@@ -251,7 +251,7 @@ func vivaldiWireCell(m latency.Matrix, cond wireCondition, queries int, seed int
 
 	score := sc.score(run.issued)
 	n := float64(max(run.issued, 1))
-	end := run.rt.Metrics
+	end := run.rt.TotalMetrics()
 	cell := VivaldiCell{
 		Members:       len(members),
 		Queries:       run.issued,

@@ -384,8 +384,18 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 			run.startOp(n, client, issue, func(home p2p.NodeID) { step(rt.ShardOf(home)) })
 		})
 	}
+	// counters reads the metrics mid-run: a serial runtime's account, or
+	// zero on a sharded one, whose shards snapshot their own accounts at
+	// the mark (snaps, summed after the run) because no event may read
+	// another running shard's counters.
+	counters := func() p2p.Metrics {
+		if run.sharded != nil {
+			return p2p.Metrics{}
+		}
+		return rt.TotalMetrics()
+	}
 	start := func() {
-		run.atStart = rt.Metrics
+		run.atStart = counters()
 		if cell.onStart != nil {
 			cell.onStart(run)
 		}
@@ -414,7 +424,7 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 	kernel.At(d.mark, func() {
 		var pubStart int64
 		afterBringup := func() {
-			run.pubMsgs = rt.Metrics.MsgsSent - pubStart
+			run.pubMsgs = counters().MsgsSent - pubStart
 			run.pubWindow = kernel.Now() - d.mark
 			if churn == nil {
 				start()
@@ -424,7 +434,7 @@ func runWireCell(c *schemeCtx, cell wireCell, deploy wireDeploy, issue func(run 
 			kernel.After(cell.churnLead, start)
 		}
 		if d.bringup != nil {
-			pubStart = rt.Metrics.MsgsSent
+			pubStart = counters().MsgsSent
 			d.bringup(afterBringup)
 			return
 		}

@@ -18,35 +18,29 @@ import (
 	"nearestpeer/internal/netmodel"
 )
 
-// Config tunes the prefix scheme.
-type Config struct {
-	// PrefixBits is the fixed prefix length used as the DHT key (the
-	// paper sweeps 8–24; /24 is the running example).
-	PrefixBits int
-	// MaxProbes caps how many retrieved candidates the querier probes.
-	MaxProbes int
-}
+// The scheme's fixed parameters.
+const (
+	// prefixBits is the fixed prefix length used as the DHT key (the paper
+	// sweeps 8–24; /24 is the running example).
+	prefixBits int = 24
+	// maxProbes caps how many retrieved candidates the querier probes.
+	maxProbes int = 64
+)
 
-// DefaultConfig uses /24 keys.
-func DefaultConfig() Config { return Config{PrefixBits: 24, MaxProbes: 64} }
-
-func prefixKey(ip netmodel.IPv4, bits int) string {
-	return fmt.Sprintf("prefix/%d/%08x", bits, uint32(ip.Prefix(bits)))
+// prefixKey is the DHT key a peer at ip publishes under.
+func prefixKey(ip netmodel.IPv4) string {
+	return fmt.Sprintf("prefix/%d/%08x", prefixBits, uint32(ip.Prefix(prefixBits)))
 }
 
 // System is a deployed IP-prefix service.
 type System struct {
-	cfg   Config
 	tools *measure.Tools
 	ring  *dht.Ring
 }
 
 // New creates the system over the given DHT hosting nodes.
-func New(tools *measure.Tools, dhtNodes []string, cfg Config) *System {
-	if cfg.PrefixBits < 1 || cfg.PrefixBits > 32 {
-		panic(fmt.Sprintf("ipprefix: invalid prefix length %d", cfg.PrefixBits))
-	}
-	return &System{cfg: cfg, tools: tools, ring: dht.New(dhtNodes)}
+func New(tools *measure.Tools, dhtNodes []string) *System {
+	return &System{tools: tools, ring: dht.New(dhtNodes)}
 }
 
 func encodePeer(p netmodel.HostID) []byte {
@@ -58,13 +52,13 @@ func encodePeer(p netmodel.HostID) []byte {
 // Join publishes a peer under its prefix key.
 func (s *System) Join(peer netmodel.HostID) {
 	ip := s.tools.Top.Host(peer).IP
-	s.ring.Put(prefixKey(ip, s.cfg.PrefixBits), encodePeer(peer))
+	s.ring.Put(prefixKey(ip), encodePeer(peer))
 }
 
 // Leave withdraws a peer's mapping.
 func (s *System) Leave(peer netmodel.HostID) {
 	ip := s.tools.Top.Host(peer).IP
-	s.ring.Remove(prefixKey(ip, s.cfg.PrefixBits), encodePeer(peer))
+	s.ring.Remove(prefixKey(ip), encodePeer(peer))
 }
 
 // Result reports a prefix query's outcome and cost.
@@ -79,7 +73,7 @@ type Result struct {
 // FindNearest retrieves the querier's prefix bucket and probes it.
 func (s *System) FindNearest(peer netmodel.HostID) Result {
 	ip := s.tools.Top.Host(peer).IP
-	vals := s.ring.Get(prefixKey(ip, s.cfg.PrefixBits))
+	vals := s.ring.Get(prefixKey(ip))
 	res := Result{Peer: -1, RTTms: math.Inf(1), Lookups: 1}
 
 	var cands []netmodel.HostID
@@ -94,11 +88,7 @@ func (s *System) FindNearest(peer netmodel.HostID) Result {
 	}
 	res.Candidates = len(cands)
 	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	limit := s.cfg.MaxProbes
-	if limit <= 0 || limit > len(cands) {
-		limit = len(cands)
-	}
-	for _, c := range cands[:limit] {
+	for _, c := range cands[:min(maxProbes, len(cands))] {
 		d, err := s.tools.LatencyTo(peer, c)
 		res.Probes++
 		if err != nil {

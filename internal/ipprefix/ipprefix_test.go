@@ -8,7 +8,7 @@ import (
 	"nearestpeer/internal/netmodel"
 )
 
-func newFixture(t *testing.T, cfg Config) (*netmodel.Topology, *System, []netmodel.HostID) {
+func newFixture(t *testing.T) (*netmodel.Topology, *System, []netmodel.HostID) {
 	t.Helper()
 	top := netmodel.Generate(netmodel.DefaultConfig(), 4)
 	tools := measure.NewTools(top, measure.DefaultConfig(), 9)
@@ -22,7 +22,7 @@ func newFixture(t *testing.T, cfg Config) (*netmodel.Topology, *System, []netmod
 	for i, p := range peers {
 		nodes[i] = top.Host(p).IP.String()
 	}
-	sys := New(tools, nodes, cfg)
+	sys := New(tools, nodes)
 	for _, p := range peers {
 		sys.Join(p)
 	}
@@ -30,7 +30,7 @@ func newFixture(t *testing.T, cfg Config) (*netmodel.Topology, *System, []netmod
 }
 
 func TestPrefixKeyGrouping(t *testing.T) {
-	top, sys, peers := newFixture(t, DefaultConfig())
+	top, sys, peers := newFixture(t)
 	// A query returns exactly the other peers sharing the /24.
 	p := peers[0]
 	res := sys.FindNearest(p)
@@ -46,7 +46,7 @@ func TestPrefixKeyGrouping(t *testing.T) {
 }
 
 func TestSameENPeersFound(t *testing.T) {
-	top, sys, peers := newFixture(t, DefaultConfig())
+	top, sys, peers := newFixture(t)
 	attempts, hits := 0, 0
 	for _, p := range peers {
 		hasPartner := false
@@ -79,7 +79,7 @@ func TestSameENPeersFound(t *testing.T) {
 }
 
 func TestLeaveShrinksBucket(t *testing.T) {
-	top, sys, peers := newFixture(t, DefaultConfig())
+	top, sys, peers := newFixture(t)
 	// Find two peers sharing a /24.
 	var p, q netmodel.HostID = -1, -1
 	for i, a := range peers {
@@ -105,7 +105,7 @@ func TestLeaveShrinksBucket(t *testing.T) {
 }
 
 func TestErrorRatesMonotoneTrend(t *testing.T) {
-	top, _, peers := newFixture(t, DefaultConfig())
+	top, _, peers := newFixture(t)
 	if len(peers) > 400 {
 		peers = peers[:400]
 	}
@@ -125,13 +125,4 @@ func TestErrorRatesMonotoneTrend(t *testing.T) {
 	if fp8 < 0 || fp8 > 1 || fn24 < 0 || fn24 > 1 {
 		t.Fatal("rates out of [0,1]")
 	}
-}
-
-func TestInvalidConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(nil, []string{"a"}, Config{PrefixBits: 0})
 }

@@ -20,19 +20,18 @@ import (
 // HostID ↔ runtime NodeID mapping: node i of the runtime's latency matrix
 // is hosts[i].
 type Wire struct {
-	cfg   Config
 	tools *measure.Tools
 	chord *p2p.Chord
 	index map[netmodel.HostID]p2p.NodeID
 }
 
 // NewWire creates the wire deployment over an existing Chord instance.
-func NewWire(tools *measure.Tools, chord *p2p.Chord, hosts []netmodel.HostID, cfg Config) *Wire {
+func NewWire(tools *measure.Tools, chord *p2p.Chord, hosts []netmodel.HostID) *Wire {
 	index := make(map[netmodel.HostID]p2p.NodeID, len(hosts))
 	for i, h := range hosts {
 		index[h] = p2p.NodeID(i)
 	}
-	return &Wire{cfg: cfg, tools: tools, chord: chord, index: index}
+	return &Wire{tools: tools, chord: chord, index: index}
 }
 
 // NodeOf maps a host to its runtime node id.
@@ -42,7 +41,7 @@ func (w *Wire) NodeOf(peer netmodel.HostID) p2p.NodeID { return w.index[peer] }
 // receives whether the store was acknowledged.
 func (w *Wire) Publish(peer netmodel.HostID, done func(ok bool)) {
 	ip := w.tools.Top.Host(peer).IP
-	w.chord.Put(w.NodeOf(peer), prefixKey(ip, w.cfg.PrefixBits), encodePeer(peer), func(r p2p.OpResult) {
+	w.chord.Put(w.NodeOf(peer), prefixKey(ip), encodePeer(peer), func(r p2p.OpResult) {
 		if done != nil {
 			done(r.OK)
 		}
@@ -61,7 +60,7 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 	node := w.NodeOf(peer)
 	q := p2p.NewQuery(w.chord.Transport().Node(node), "ipprefix", 0)
 	q.Res.RPCs = 1
-	w.chord.Get(node, prefixKey(ip, w.cfg.PrefixBits), func(r p2p.OpResult) {
+	w.chord.Get(node, prefixKey(ip), func(r p2p.OpResult) {
 		q.Res.Hops += r.Hops
 		q.Res.RPCFails += r.LookupFails
 		seen := make(map[netmodel.HostID]bool)
@@ -83,8 +82,8 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		if w.cfg.MaxProbes > 0 && len(cands) > w.cfg.MaxProbes {
-			cands = cands[:w.cfg.MaxProbes]
+		if len(cands) > maxProbes {
+			cands = cands[:maxProbes]
 		}
 		ids := make([]p2p.NodeID, len(cands))
 		for i, c := range cands {

@@ -31,13 +31,11 @@ func TestWirePrefixMatchesStaticLossless(t *testing.T) {
 	if len(peers) < 40 {
 		t.Fatalf("fixture has only %d responsive peers", len(peers))
 	}
-	cfg := Config{PrefixBits: 16, MaxProbes: 64} // wide buckets so candidates exist
-
 	addrs := make([]string, len(peers))
 	for i, p := range peers {
 		addrs[i] = top.Host(p).IP.String()
 	}
-	sys := New(tools, addrs, cfg)
+	sys := New(tools, addrs)
 	for _, p := range peers {
 		sys.Join(p)
 	}
@@ -53,7 +51,7 @@ func TestWirePrefixMatchesStaticLossless(t *testing.T) {
 		kernel.After(time.Duration(i)*10*time.Millisecond, func() { chord.Join(id) })
 	}
 	kernel.Run()
-	wire := NewWire(tools, chord, peers, cfg)
+	wire := NewWire(tools, chord, peers)
 	var publish func(i int)
 	publish = func(i int) {
 		if i >= len(peers) {
@@ -70,7 +68,7 @@ func TestWirePrefixMatchesStaticLossless(t *testing.T) {
 		var got p2p.FindResult
 		wire.FindNearest(p, func(r p2p.FindResult) { got = r })
 		kernel.Run()
-		// MaxProbes exceeds the population, so every bucket candidate is
+		// maxProbes covers every other peer, so every bucket candidate is
 		// probed: the probe count is the bucket's candidate count.
 		if got.Probes != static.Candidates {
 			t.Errorf("peer %d: wire probed %d bucket candidates, static bucket has %d", p, got.Probes, static.Candidates)

@@ -3,6 +3,7 @@ package meridian_test
 import (
 	"testing"
 
+	"nearestpeer/internal/latency"
 	"nearestpeer/internal/meridian"
 	"nearestpeer/internal/overlay"
 	"nearestpeer/internal/testmat"
@@ -37,23 +38,32 @@ func BenchmarkOverlayBuildClustered(b *testing.B) {
 }
 
 // BenchmarkHypervolumeSelection is the hypervolume ring-selection kernel
-// with as little around it as the exported API allows: 65 members and a
-// single ring, so every node trims one over-full ring from a full
-// 64-candidate pool. One op is 65 selections (2,016 pairwise probes and 14
-// Gram–Schmidt rounds each).
+// with as little around it as the exported API allows: 65 members whose
+// pairwise RTTs all lie past the outermost ring's inner radius (256 ms), so
+// every node trims one over-full ring from a full 64-candidate pool. One op
+// is 65 selections (2,016 pairwise probes and 14 Gram–Schmidt rounds each).
 func BenchmarkHypervolumeSelection(b *testing.B) {
-	m := testmat.Euclidean(65, 1)
+	m := outerRing{testmat.Euclidean(65, 1)}
 	members := make([]int, 65)
 	for i := range members {
 		members[i] = i
 	}
-	cfg := meridian.DefaultConfig()
-	cfg.NumRings = 1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		meridian.New(overlay.NewNetwork(m), members, cfg, int64(i))
+		meridian.New(overlay.NewNetwork(m), members, meridian.DefaultConfig(), int64(i))
 	}
+}
+
+// outerRing shifts every distinct pair's RTT by 256 ms, into Meridian's
+// outermost ring.
+type outerRing struct{ latency.Matrix }
+
+func (m outerRing) LatencyMs(i, j int) float64 {
+	if i == j {
+		return 0
+	}
+	return 256 + m.Matrix.LatencyMs(i, j)
 }
 
 func BenchmarkFindNearest(b *testing.B) {

@@ -306,9 +306,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("default config rejected: %v", err)
 	}
 	bad := map[string]func(*Config){
-		"RingBase":          func(c *Config) { c.RingBase = 0 },
-		"RingMult":          func(c *Config) { c.RingMult = 1 },
-		"NumRings":          func(c *Config) { c.NumRings = 0 },
 		"RingSize":          func(c *Config) { c.RingSize = -1 },
 		"CandidatesPerNode": func(c *Config) { c.CandidatesPerNode = -1 },
 	}

@@ -52,13 +52,6 @@ func (s RingSelection) String() string {
 // Config parameterises a Meridian overlay. Defaults (DefaultConfig) follow
 // the paper: 16 nodes per ring, β = 0.5.
 type Config struct {
-	// RingBase is the inner radius of ring 1 in milliseconds (ring 0
-	// covers [0, RingBase)).
-	RingBase float64
-	// RingMult is the radius multiplier between consecutive rings.
-	RingMult float64
-	// NumRings bounds the ring count; the outermost ring extends to ∞.
-	NumRings int
 	// RingSize is the maximum number of members per ring (paper: 16).
 	RingSize int
 	// Beta is the query reduction threshold β (paper: 0.5): a query is
@@ -74,9 +67,6 @@ type Config struct {
 // DefaultConfig returns the Section 4 simulation parameters.
 func DefaultConfig() Config {
 	return Config{
-		RingBase:          1,
-		RingMult:          2,
-		NumRings:          9,
 		RingSize:          16,
 		Beta:              0.5,
 		CandidatesPerNode: 192,
@@ -88,12 +78,6 @@ func DefaultConfig() Config {
 // front end can turn a bad flag into a message instead of New's panic.
 func (c Config) Validate() error {
 	switch {
-	case !(c.RingBase > 0):
-		return fmt.Errorf("meridian: RingBase %v must be positive", c.RingBase)
-	case !(c.RingMult > 1):
-		return fmt.Errorf("meridian: RingMult %v must exceed 1", c.RingMult)
-	case c.NumRings <= 0:
-		return fmt.Errorf("meridian: NumRings %d must be positive", c.NumRings)
 	case c.RingSize <= 0:
 		return fmt.Errorf("meridian: RingSize %d must be positive", c.RingSize)
 	case !(c.Beta > 0 && c.Beta < 1):
@@ -103,6 +87,15 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// The ring geometry of the Section 4 simulation: ring 0 covers [0,
+// ringBase) ms, each later ring's radii are ringMult times the last's, and
+// the outermost of numRings rings extends to ∞.
+const (
+	ringBase float64 = 1
+	ringMult float64 = 2
+	numRings int     = 9
+)
 
 // ringEntry is one ring member as its owner measured it.
 type ringEntry struct {
@@ -119,12 +112,12 @@ type Overlay struct {
 	// slot maps a node id to its index in members (-1: not a member).
 	slot []int32
 	// rings holds every member's ring entries back to back: node by node in
-	// members order, ring by ring within a node. ringOff[slot*NumRings+r] is
+	// members order, ring by ring within a node. ringOff[slot*numRings+r] is
 	// where ring r of that node starts; the next offset is where it ends.
 	rings   []ringEntry
 	ringOff []int
 	src     *rng.Source
-	// logMult is math.Log(cfg.RingMult), ringIndex's divisor.
+	// logMult is math.Log(ringMult), ringIndex's divisor.
 	logMult float64
 	// maxHops caps query forwarding as a loop backstop.
 	maxHops int
@@ -173,12 +166,12 @@ func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
 		net:     net,
 		members: append([]int(nil), members...),
 		slot:    make([]int32, net.N()),
-		ringOff: make([]int, 0, len(members)*cfg.NumRings+1),
+		ringOff: make([]int, 0, len(members)*numRings+1),
 		src:     rng.New(seed),
-		logMult: math.Log(cfg.RingMult),
+		logMult: math.Log(ringMult),
 		maxHops: 64,
 		scratch: scratch{
-			byRing: make([][]ringEntry, cfg.NumRings),
+			byRing: make([][]ringEntry, numRings),
 			seen:   make([]uint32, net.N()),
 		},
 	}
@@ -197,21 +190,21 @@ func New(net *overlay.Network, members []int, cfg Config, seed int64) *Overlay {
 
 // ringIndex maps a latency to its ring.
 func (o *Overlay) ringIndex(ms float64) int {
-	if ms < o.cfg.RingBase {
+	if ms < ringBase {
 		return 0
 	}
-	i := 1 + int(math.Log(ms/o.cfg.RingBase)/o.logMult)
-	if i >= o.cfg.NumRings {
-		i = o.cfg.NumRings - 1
+	i := 1 + int(math.Log(ms/ringBase)/o.logMult)
+	if i >= numRings {
+		i = numRings - 1
 	}
 	return i
 }
 
-// ringOffsets returns a member's NumRings+1 offsets into o.rings: ring r is
+// ringOffsets returns a member's numRings+1 offsets into o.rings: ring r is
 // o.rings[off[r]:off[r+1]].
 func (o *Overlay) ringOffsets(id int) []int {
-	s := int(o.slot[id]) * o.cfg.NumRings
-	return o.ringOff[s : s+o.cfg.NumRings+1]
+	s := int(o.slot[id]) * numRings
+	return o.ringOff[s : s+numRings+1]
 }
 
 // fillRings appends one node's rings, built from a gossip sample of
@@ -637,7 +630,7 @@ func (o *Overlay) Members() []int { return o.members }
 // (for tests).
 func (o *Overlay) RingsOf(id int) [][]int {
 	off := o.ringOffsets(id)
-	rings := make([][]int, o.cfg.NumRings)
+	rings := make([][]int, numRings)
 	for r := range rings {
 		for _, e := range o.rings[off[r]:off[r+1]] {
 			rings[r] = append(rings[r], e.id)

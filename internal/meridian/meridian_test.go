@@ -64,7 +64,7 @@ func TestRingInvariants(t *testing.T) {
 
 	for _, id := range members {
 		rings := o.RingsOf(id)
-		if len(rings) != cfg.NumRings {
+		if len(rings) != numRings {
 			t.Fatalf("node %d has %d rings", id, len(rings))
 		}
 		for r, ring := range rings {

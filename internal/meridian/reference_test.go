@@ -43,7 +43,7 @@ type refOverlay struct {
 // measures them, and installs them into rings with the configured
 // membership selection. Construction probes are accounted as maintenance.
 func newRefOverlay(net *overlay.Network, members []int, cfg Config, seed int64) *refOverlay {
-	if cfg.RingSize <= 0 || cfg.NumRings <= 0 || cfg.RingBase <= 0 || cfg.RingMult <= 1 {
+	if cfg.RingSize <= 0 {
 		panic(fmt.Sprintf("meridian: invalid config %+v", cfg))
 	}
 	o := &refOverlay{
@@ -57,7 +57,7 @@ func newRefOverlay(net *overlay.Network, members []int, cfg Config, seed int64) 
 	for _, id := range members {
 		o.nodes[id] = &refNode{
 			id:      id,
-			rings:   make([][]int, cfg.NumRings),
+			rings:   make([][]int, numRings),
 			ringLat: make(map[int]float64),
 		}
 	}
@@ -69,12 +69,12 @@ func newRefOverlay(net *overlay.Network, members []int, cfg Config, seed int64) 
 
 // ringIndex maps a latency to its ring.
 func (o *refOverlay) ringIndex(ms float64) int {
-	if ms < o.cfg.RingBase {
+	if ms < ringBase {
 		return 0
 	}
-	i := 1 + int(math.Log(ms/o.cfg.RingBase)/math.Log(o.cfg.RingMult))
-	if i >= o.cfg.NumRings {
-		i = o.cfg.NumRings - 1
+	i := 1 + int(math.Log(ms/ringBase)/math.Log(ringMult))
+	if i >= numRings {
+		i = numRings - 1
 	}
 	return i
 }
@@ -82,7 +82,7 @@ func (o *refOverlay) ringIndex(ms float64) int {
 // fillRings populates one refNode's rings from a gossip sample of members.
 func (o *refOverlay) fillRings(n *refNode) {
 	sample := o.gossipSample(n.id)
-	byRing := make([][]int, o.cfg.NumRings)
+	byRing := make([][]int, numRings)
 	for _, c := range sample {
 		l := o.net.MaintProbe(n.id, c)
 		n.ringLat[c] = l

@@ -156,8 +156,8 @@ func (f *wireFixture) matchStatic(t *testing.T, n int, seed int64) (exact int) {
 			t.Errorf("query %d: %d ring reads over %d hops in %v, want hops+1 reads in positive time", i, res.RPCs, res.Hops, res.Elapsed)
 		}
 	}
-	if f.rt.Metrics.Timeouts != 0 {
-		t.Fatalf("%d timeouts in a lossless static network", f.rt.Metrics.Timeouts)
+	if f.rt.TotalMetrics().Timeouts != 0 {
+		t.Fatalf("%d timeouts in a lossless static network", f.rt.TotalMetrics().Timeouts)
 	}
 	return exact
 }
@@ -175,7 +175,7 @@ func TestWireQueryUnderLoss(t *testing.T) {
 	if completed < 20 {
 		t.Fatalf("only %d/25 queries found a peer under 5%% loss", completed)
 	}
-	if f.rt.Metrics.Timeouts == 0 {
+	if f.rt.TotalMetrics().Timeouts == 0 {
 		t.Fatal("5% loss produced no timeouts")
 	}
 }
@@ -186,7 +186,7 @@ func TestWireDeterministicReplay(t *testing.T) {
 	run := func() (p2p.Metrics, []p2p.FindResult) {
 		f := newWireFixture(t, 200, 0.1, 11)
 		res := f.run(t, 10)
-		return f.rt.Metrics, res
+		return f.rt.TotalMetrics(), res
 	}
 	m1, r1 := run()
 	m2, r2 := run()
@@ -207,10 +207,7 @@ func TestWireDeterministicReplay(t *testing.T) {
 func TestWireUnderChurn(t *testing.T) {
 	f := newWireFixture(t, 200, 0.02, 13)
 	churn := p2p.NewChurn(f.rt, p2p.ChurnConfig{
-		MeanSession:  20 * time.Second,
-		MeanOffline:  5 * time.Second,
-		GracefulProb: 0.5,
-		Horizon:      2 * time.Minute,
+		Horizon: 2 * time.Minute,
 	}, 99)
 	churn.OnJoin = f.w.Join
 	ids := make([]p2p.NodeID, len(f.members))

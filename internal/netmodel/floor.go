@@ -14,8 +14,8 @@ import "sort"
 //
 // Both floors follow the TreeOneWayMs pricing decomposition exactly
 // (routing.go) and then account for the shortcut model: OneWayMs is the
-// tree latency times a factor that is either 1 or in [minFact, maxFact],
-// so multiplying a tree-latency lower bound by min(1, minFact) bounds the
+// tree latency times a factor that is either 1 or in [shortcutMinFact, shortcutMaxFact),
+// so multiplying a tree-latency lower bound by shortcutMinFact (< 1) bounds the
 // true latency from below. A further 0.1% shave absorbs floating-point
 // rounding between the bound's summation order and the priced path's, plus
 // the sub-nanosecond truncation of the wire layer's duration split.
@@ -99,11 +99,8 @@ func computeLatencyFloors(t *Topology) {
 			}
 		}
 	}
-	// Shortcut factor: 1 below 1 ms of tree latency, else >= minFact.
-	fact := 1.0
-	if (t.shortcuts.maxProb > 0 || t.shortcuts.baseProb > 0) && t.shortcuts.minFact < 1 {
-		fact = t.shortcuts.minFact
-	}
+	// Shortcut factor: 1 below 1 ms of tree latency, else >= shortcutMinFact.
+	fact := shortcutMinFact
 	global := 2 * minLan
 	if minSameEN < global {
 		global = minSameEN

@@ -18,104 +18,93 @@ type Config struct {
 	// ASCityCoverage is the fraction of cities in which a given AS deploys
 	// a PoP.
 	ASCityCoverage float64
-	PlaneWidth     float64 // synthetic plane, units convert via MsPerUnit
-	PlaneHeight    float64
-	MsPerUnit      float64 // one-way ms of backbone latency per unit distance
-	// Inter-AS peering penalty (one-way ms), fixed per AS pair.
-	InterASPenaltyMinMs float64
-	InterASPenaltyMaxMs float64
 
 	// End-networks (campus / corporate networks) per PoP.
 	MinENsPerPoP  int
 	MaxENsPerPoP  int
-	MinHostsPerEN int
 	MaxHostsPerEN int
-	MaxVLANs      int
-	// DirectAttachProb is the probability an end-network attaches straight
-	// to the PoP core rather than through a shared aggregation router.
-	DirectAttachProb float64
 	// Dedicated access routers per end-network (campus border etc.).
 	MinDedicatedRouters int
 	MaxDedicatedRouters int
 
 	// Home (broadband) hosts.
 	MeanHomesPerPoP float64
-	HomesPareto     float64 // Pareto shape for per-PoP home counts
 	HomesCapMult    float64 // cap per-PoP homes at HomesCapMult×mean
 	BRASCapacity    int     // homes per BRAS aggregation router
-	DSLMedianMs     float64 // median one-way access latency of a home host
-	DSLSigma        float64 // log-normal sigma
-	DSLMinMs        float64
-	DSLMaxMs        float64
-
-	// Cluster-hub latencies: per-PoP mean one-way latency between its
-	// end-networks' edges and the core, and the per-EN spread around it.
-	// Tight spreads are exactly the paper's clustering condition.
-	ClusterHubLatMinMs float64
-	ClusterHubLatMaxMs float64
-	HubLatSpread       float64
-	// Corporate host LAN latencies (one-way ms).
-	LANLatMinMs float64
-	LANLatMaxMs float64
-	VLANCrossMs float64
+	DSLSigma        float64 // log-normal sigma of a home host's access latency
 
 	// Measurement-visibility model.
-	AnonymousRouterProb   float64
-	MisconfiguredNameProb float64
-	MultihomedProbHome    float64
-	MultihomedProbCorp    float64
-	PingRespProbHome      float64
-	PingRespProbCorp      float64
-	TCPRespProbHome       float64
-	TCPRespProbCorp       float64
-	// DNS deployment.
-	DNSServerENProb float64 // fraction of corporate ENs hosting DNS servers
-	DNSGeoSplitProb float64 // P(second server of a domain lives elsewhere)
-
-	// Address plan.
-	ScatterCorp float64 // P(an EN /24 is allocated out of sequence)
-	ScatterHome float64 // P(a home address is allocated out of sequence)
-
-	// Alternate-path model.
-	ShortcutOnsetMs  float64
-	ShortcutFullMs   float64
-	ShortcutMaxProb  float64
-	ShortcutBaseProb float64 // distance-independent local shortcuts
-	ShortcutMinFact  float64
-	ShortcutMaxFact  float64
+	AnonymousRouterProb float64
+	MultihomedProbHome  float64
+	MultihomedProbCorp  float64
+	PingRespProbHome    float64
+	PingRespProbCorp    float64
+	TCPRespProbHome     float64
+	TCPRespProbCorp     float64
+	// DNSServerENProb is the fraction of corporate ENs hosting DNS servers.
+	DNSServerENProb float64
 }
+
+// The generator's fixed parameters: every topology draws them alike.
+const (
+	// planeWidth and planeHeight bound the synthetic plane cities sit on.
+	planeWidth  float64 = 4200
+	planeHeight float64 = 2600
+
+	// minHostsPerEN is the smallest corporate end-network.
+	minHostsPerEN int = 2
+	// maxVLANs bounds an end-network's VLAN count.
+	maxVLANs int = 4
+	// directAttachProb is the probability an end-network attaches straight
+	// to the PoP core rather than through a shared aggregation router.
+	directAttachProb float64 = 0.3
+
+	// homesPareto is the Pareto shape of per-PoP home counts.
+	homesPareto float64 = 1.3
+	// A home host's one-way access latency is log-normal around
+	// dslMedianMs, clamped to [dslMinMs, dslMaxMs].
+	dslMedianMs float64 = 9
+	dslMinMs    float64 = 2
+	dslMaxMs    float64 = 45
+
+	// Cluster-hub latencies: per-PoP mean one-way latency between its
+	// end-networks' edges and the core, drawn in [clusterHubLatMinMs,
+	// clusterHubLatMaxMs], and the per-EN spread around it. Tight spreads
+	// are exactly the paper's clustering condition.
+	clusterHubLatMinMs float64 = 1.5
+	clusterHubLatMaxMs float64 = 10
+	hubLatSpread       float64 = 0.25
+	// Corporate host LAN latencies (one-way ms).
+	lanLatMinMs float64 = 0.02
+	lanLatMaxMs float64 = 0.1
+
+	// misconfiguredNameProb is the probability a router's name claims the
+	// wrong city.
+	misconfiguredNameProb float64 = 0.08
+	// dnsGeoSplitProb is P(second server of a domain lives elsewhere).
+	dnsGeoSplitProb float64 = 0.03
+
+	// Address plan: P(an EN /24 is allocated out of sequence), and P(a
+	// home address block is).
+	scatterCorp float64 = 0.35
+	scatterHome float64 = 0.12
+)
 
 // DefaultConfig returns a small topology configuration: a few thousand
 // hosts, fast enough for unit tests and examples.
 func DefaultConfig() Config {
 	return Config{
 		NCities: 12, NASes: 5, ASCityCoverage: 0.45,
-		PlaneWidth: 4200, PlaneHeight: 2600, MsPerUnit: 0.0075,
-		InterASPenaltyMinMs: 1, InterASPenaltyMaxMs: 6,
 
-		MinENsPerPoP: 4, MaxENsPerPoP: 14,
-		MinHostsPerEN: 2, MaxHostsPerEN: 12,
-		MaxVLANs: 4, DirectAttachProb: 0.3,
+		MinENsPerPoP: 4, MaxENsPerPoP: 14, MaxHostsPerEN: 12,
 		MinDedicatedRouters: 1, MaxDedicatedRouters: 3,
 
-		MeanHomesPerPoP: 60, HomesPareto: 1.3, HomesCapMult: 12, BRASCapacity: 64,
-		DSLMedianMs: 9, DSLSigma: 0.55, DSLMinMs: 2, DSLMaxMs: 45,
+		MeanHomesPerPoP: 60, HomesCapMult: 12, BRASCapacity: 64, DSLSigma: 0.55,
 
-		ClusterHubLatMinMs: 1.5, ClusterHubLatMaxMs: 10,
-		HubLatSpread: 0.25,
-		LANLatMinMs:  0.02, LANLatMaxMs: 0.1, VLANCrossMs: 0.15,
-
-		AnonymousRouterProb: 0.08, MisconfiguredNameProb: 0.08,
+		AnonymousRouterProb: 0.08, DNSServerENProb: 0.5,
 		MultihomedProbHome: 0.02, MultihomedProbCorp: 0.12,
 		PingRespProbHome: 0.3, PingRespProbCorp: 0.55,
 		TCPRespProbHome: 0.25, TCPRespProbCorp: 0.4,
-		DNSServerENProb: 0.5, DNSGeoSplitProb: 0.03,
-
-		ScatterCorp: 0.35, ScatterHome: 0.12,
-
-		ShortcutOnsetMs: 6, ShortcutFullMs: 55,
-		ShortcutMaxProb: 0.5, ShortcutBaseProb: 0.12,
-		ShortcutMinFact: 0.25, ShortcutMaxFact: 0.9,
 	}
 }
 
@@ -128,7 +117,7 @@ func MeasurementConfig() Config {
 	c.NASes = 14
 	c.ASCityCoverage = 0.5
 	c.MinENsPerPoP, c.MaxENsPerPoP = 10, 80
-	c.MinHostsPerEN, c.MaxHostsPerEN = 2, 24
+	c.MaxHostsPerEN = 24
 	// Real campus access paths run deeper than the toy default.
 	c.MinDedicatedRouters, c.MaxDedicatedRouters = 2, 5
 	c.MeanHomesPerPoP = 700
@@ -164,12 +153,7 @@ func Generate(cfg Config, seed int64) *Topology {
 
 	t.hubLat = buildHubLatencies(t, seed)
 	buildHostFlat(t)
-	t.shortcuts = shortcutModel{
-		seed:    seed ^ 0x51C0_1D5E,
-		onsetMs: cfg.ShortcutOnsetMs, fullMs: cfg.ShortcutFullMs,
-		maxProb: cfg.ShortcutMaxProb, baseProb: cfg.ShortcutBaseProb,
-		minFact: cfg.ShortcutMinFact, maxFact: cfg.ShortcutMaxFact,
-	}
+	t.shortcuts = shortcutModel{seed: seed ^ 0x51C0_1D5E}
 	computeLatencyFloors(t)
 	return t
 }
@@ -185,8 +169,8 @@ func genCities(t *Topology, src *rng.Source) {
 			ID:   CityID(i),
 			Name: cityNames[pi][0],
 			Code: cityNames[pi][1],
-			X:    src.Uniform(0, t.cfg.PlaneWidth),
-			Y:    src.Uniform(0, t.cfg.PlaneHeight),
+			X:    src.Uniform(0, planeWidth),
+			Y:    src.Uniform(0, planeHeight),
 		})
 	}
 }
@@ -238,7 +222,7 @@ func genPoPs(t *Topology, src *rng.Source) {
 func (t *Topology) addRouter(src *rng.Source, as ASID, city CityID, pop PoPID, kind RouterKind, coreLatMs float64) RouterID {
 	id := RouterID(len(t.Routers))
 	nameCity := city
-	if src.Bool(t.cfg.MisconfiguredNameProb) && len(t.Cities) > 1 {
+	if src.Bool(misconfiguredNameProb) && len(t.Cities) > 1 {
 		for {
 			nameCity = CityID(src.Intn(len(t.Cities)))
 			if nameCity != city {
@@ -344,7 +328,7 @@ func genAccess(t *Topology, src *rng.Source, alloc *addressPlan) {
 
 		// Per-PoP mean hub latency: the paper's clustering condition is
 		// that the PoP's end-networks share approximately this latency.
-		clusterMean := psrc.Uniform(t.cfg.ClusterHubLatMinMs, t.cfg.ClusterHubLatMaxMs)
+		clusterMean := psrc.Uniform(clusterHubLatMinMs, clusterHubLatMaxMs)
 
 		// Shared aggregation routers (the funnel of Figure 1).
 		nENs := t.cfg.MinENsPerPoP
@@ -366,12 +350,12 @@ func genAccess(t *Topology, src *rng.Source, alloc *addressPlan) {
 		for e := 0; e < nENs; e++ {
 			esrc := psrc.SplitN("en", e)
 			enID := ENID(len(t.ENs))
-			hubLat := clusterMean * esrc.Uniform(1-t.cfg.HubLatSpread, 1+t.cfg.HubLatSpread)
+			hubLat := clusterMean * esrc.Uniform(1-hubLatSpread, 1+hubLatSpread)
 
 			var chain []RouterID
 			var chainLat []float64
 			cum := 0.0
-			if !esrc.Bool(t.cfg.DirectAttachProb) {
+			if !esrc.Bool(directAttachProb) {
 				// Attach through a shared aggregation router, at the
 				// router's own fixed position.
 				k := esrc.Intn(len(aggs))
@@ -402,22 +386,22 @@ func genAccess(t *Topology, src *rng.Source, alloc *addressPlan) {
 
 			en := EndNetwork{
 				ID: enID, PoP: pop.ID,
-				Prefix: alloc.next24(esrc, as, false, t.cfg.ScatterCorp),
+				Prefix: alloc.next24(esrc, as, false, scatterCorp),
 				Domain: domainName(int(enID)),
 				Chain:  chain, ChainLatMs: chainLat, HubLatMs: hubLat,
-				VLANs: 1 + esrc.Intn(t.cfg.MaxVLANs),
+				VLANs: 1 + esrc.Intn(maxVLANs),
 			}
 			t.ENs = append(t.ENs, en)
 			pop.ENs = append(pop.ENs, enID)
 
-			nHosts := t.cfg.MinHostsPerEN
+			nHosts := minHostsPerEN
 			if t.cfg.MaxHostsPerEN > nHosts {
-				nHosts += esrc.Intn(t.cfg.MaxHostsPerEN - t.cfg.MinHostsPerEN + 1)
+				nHosts += esrc.Intn(t.cfg.MaxHostsPerEN - minHostsPerEN + 1)
 			}
 			for hI := 0; hI < nHosts; hI++ {
 				vlan := esrc.Intn(t.ENs[enID].VLANs)
 				hid := t.addHost(esrc, enID, t.ENs[enID].Prefix,
-					esrc.Uniform(t.cfg.LANLatMinMs, t.cfg.LANLatMaxMs), vlan, false)
+					esrc.Uniform(lanLatMinMs, lanLatMaxMs), vlan, false)
 				if t.Hosts[hid].Multihomed {
 					t.Hosts[hid].AltUpstream = aggs[esrc.Intn(len(aggs))]
 				}
@@ -425,7 +409,7 @@ func genAccess(t *Topology, src *rng.Source, alloc *addressPlan) {
 		}
 
 		// Home subscribers, behind BRAS aggregation routers.
-		nHomes := int(psrc.Pareto(t.cfg.MeanHomesPerPoP*0.45, t.cfg.HomesPareto))
+		nHomes := int(psrc.Pareto(t.cfg.MeanHomesPerPoP*0.45, homesPareto))
 		maxHomes := int(t.cfg.MeanHomesPerPoP * t.cfg.HomesCapMult)
 		if nHomes > maxHomes {
 			nHomes = maxHomes
@@ -444,18 +428,18 @@ func genAccess(t *Topology, src *rng.Source, alloc *addressPlan) {
 			hsrc := psrc.SplitN("home", hI)
 			brasIdx := hI * nBRAS / nHomes
 			if homeInBlock == 0 || homeInBlock >= 220 {
-				homeBlock = alloc.next24(hsrc, as, true, t.cfg.ScatterHome)
+				homeBlock = alloc.next24(hsrc, as, true, scatterHome)
 				homeInBlock = 0
 			}
 			homeInBlock++
 
 			enID := ENID(len(t.ENs))
-			dsl := math.Exp(math.Log(t.cfg.DSLMedianMs) + t.cfg.DSLSigma*hsrc.NormFloat64())
-			if dsl < t.cfg.DSLMinMs {
-				dsl = t.cfg.DSLMinMs
+			dsl := math.Exp(math.Log(dslMedianMs) + t.cfg.DSLSigma*hsrc.NormFloat64())
+			if dsl < dslMinMs {
+				dsl = dslMinMs
 			}
-			if dsl > t.cfg.DSLMaxMs {
-				dsl = t.cfg.DSLMaxMs
+			if dsl > dslMaxMs {
+				dsl = dslMaxMs
 			}
 			en := EndNetwork{
 				ID: enID, PoP: pop.ID,
@@ -506,11 +490,11 @@ func genDNS(t *Topology, src *rng.Source) {
 		nServers := 1 + esrc.Intn(3)
 		for s := 0; s < nServers; s++ {
 			hostEN := enID
-			if s > 0 && esrc.Bool(t.cfg.DNSGeoSplitProb) && len(corpENs) > 1 {
+			if s > 0 && esrc.Bool(dnsGeoSplitProb) && len(corpENs) > 1 {
 				hostEN = corpENs[esrc.Intn(len(corpENs))]
 			}
 			hid := t.addHost(esrc, hostEN, t.ENs[hostEN].Prefix,
-				esrc.Uniform(t.cfg.LANLatMinMs, t.cfg.LANLatMaxMs),
+				esrc.Uniform(lanLatMinMs, lanLatMaxMs),
 				esrc.Intn(t.ENs[hostEN].VLANs), false)
 			h := &t.Hosts[hid]
 			h.DNS = &DNSServer{Recursive: true, Domains: []string{domain}}

@@ -21,7 +21,7 @@ func treeOneWayMsReference(t *Topology, a, b HostID) float64 {
 	if ha.EN == hb.EN {
 		lat := ha.LANLatMs + hb.LANLatMs
 		if ha.VLAN != hb.VLAN {
-			lat += t.cfg.VLANCrossMs
+			lat += vlanCrossMs
 		}
 		return lat
 	}

@@ -286,7 +286,7 @@ func median(xs []float64) float64 {
 // latencies from the hub.
 func TestClusteringCondition(t *testing.T) {
 	top := testTopology(t)
-	spread := top.Config().HubLatSpread
+	spread := hubLatSpread
 	for pi := range top.PoPs {
 		p := &top.PoPs[pi]
 		var lats []float64

@@ -40,27 +40,37 @@ func (h *hubLatencies) oneWay(a, b PoPID) float64 {
 // validated assumption), while distant, well-connected pairs often have
 // shorter alternatives.
 type shortcutModel struct {
-	seed     int64
-	onsetMs  float64 // below this tree one-way latency no distance-driven shortcuts exist
-	fullMs   float64 // latency at which the shortcut probability saturates
-	maxProb  float64
-	baseProb float64 // distance-independent local shortcuts (peering, IXPs)
-	minFact  float64
-	maxFact  float64
+	seed int64
 }
+
+// The alternate-path model's shape.
+const (
+	// shortcutOnsetMs is the tree one-way latency below which no
+	// distance-driven shortcuts exist; the shortcut probability grows from
+	// there to shortcutMaxProb at shortcutFullMs.
+	shortcutOnsetMs float64 = 6
+	shortcutFullMs  float64 = 55
+	shortcutMaxProb float64 = 0.5
+	// shortcutBaseProb is the distance-independent share of local
+	// shortcuts (peering, IXPs).
+	shortcutBaseProb float64 = 0.12
+	// A shortcut's factor is uniform in [shortcutMinFact, shortcutMaxFact).
+	shortcutMinFact float64 = 0.25
+	shortcutMaxFact float64 = 0.9
+)
 
 // factor returns the multiplicative factor (<= 1) the true latency bears to
 // the tree latency for the pair (a, b) whose tree one-way latency is trMs.
 func (s *shortcutModel) factor(a, b HostID, trMs float64) float64 {
-	if trMs <= 1 || (s.maxProb <= 0 && s.baseProb <= 0) {
+	if trMs <= 1 {
 		return 1
 	}
-	p := s.baseProb
-	if trMs > s.onsetMs {
-		p += s.maxProb * (trMs - s.onsetMs) / (s.fullMs - s.onsetMs)
+	p := shortcutBaseProb
+	if trMs > shortcutOnsetMs {
+		p += shortcutMaxProb * (trMs - shortcutOnsetMs) / (shortcutFullMs - shortcutOnsetMs)
 	}
-	if p > s.maxProb+s.baseProb {
-		p = s.maxProb + s.baseProb
+	if p > shortcutMaxProb+shortcutBaseProb {
+		p = shortcutMaxProb + shortcutBaseProb
 	}
 	if a > b {
 		a, b = b, a
@@ -71,7 +81,7 @@ func (s *shortcutModel) factor(a, b HostID, trMs float64) float64 {
 		return 1
 	}
 	u := float64((h>>32)&0xFFFFFF) / float64(1<<24)
-	return s.minFact + (s.maxFact-s.minFact)*u
+	return shortcutMinFact + (shortcutMaxFact-shortcutMinFact)*u
 }
 
 // pairHash is splitmix64 over a seed and two IDs.
@@ -100,6 +110,10 @@ func commonChainDepth(a, b *EndNetwork) int {
 	return i
 }
 
+// vlanCrossMs is the one-way cost of crossing between two VLANs of one
+// end-network.
+const vlanCrossMs float64 = 0.15
+
 // TreeOneWayMs returns the one-way latency in milliseconds between two hosts
 // along the routing tree (always via the deepest common router / the PoP
 // hub / the backbone), ignoring alternate paths.
@@ -124,7 +138,7 @@ func (t *Topology) TreeOneWayMs(a, b HostID) float64 {
 	if ea == eb {
 		lat := f.lan[a] + f.lan[b]
 		if f.vlan[a] != f.vlan[b] {
-			lat += t.cfg.VLANCrossMs
+			lat += vlanCrossMs
 		}
 		return lat
 	}
@@ -294,6 +308,17 @@ func (t *Topology) LastValidRouter(from, to HostID) RouterID {
 	return NoRouter
 }
 
+// The backbone's latency model.
+const (
+	// msPerUnit is one-way ms of backbone latency per unit of plane
+	// distance.
+	msPerUnit float64 = 0.0075
+	// An inter-AS peering penalty (one-way ms), fixed per AS pair, is
+	// drawn in [interASPenaltyMinMs, interASPenaltyMaxMs).
+	interASPenaltyMinMs float64 = 1
+	interASPenaltyMaxMs float64 = 6
+)
+
 // buildHubLatencies computes PoP-pair one-way latencies from city geometry,
 // intra-city and inter-AS penalties, and deterministic per-pair noise.
 func buildHubLatencies(t *Topology, seed int64) *hubLatencies {
@@ -304,7 +329,7 @@ func buildHubLatencies(t *Topology, seed int64) *hubLatencies {
 			pi, pj := &t.PoPs[i], &t.PoPs[j]
 			ci, cj := &t.Cities[pi.City], &t.Cities[pj.City]
 			dx, dy := ci.X-cj.X, ci.Y-cj.Y
-			oneWay := math.Hypot(dx, dy) * t.cfg.MsPerUnit
+			oneWay := math.Hypot(dx, dy) * msPerUnit
 			if pi.City == pj.City {
 				// Same metro: short dark-fibre distance.
 				oneWay = 0.3
@@ -312,7 +337,7 @@ func buildHubLatencies(t *Topology, seed int64) *hubLatencies {
 			if pi.AS != pj.AS {
 				// Peering detour, fixed per AS pair.
 				u := float64(pairHash(seed^0x0BADF00D, int64(pi.AS), int64(pj.AS))&0xFFFF) / 65536.0
-				oneWay += t.cfg.InterASPenaltyMinMs + u*(t.cfg.InterASPenaltyMaxMs-t.cfg.InterASPenaltyMinMs)
+				oneWay += interASPenaltyMinMs + u*(interASPenaltyMaxMs-interASPenaltyMinMs)
 			}
 			// +-12% path irregularity, fixed per PoP pair.
 			u := float64(pairHash(seed^0x00C0FFEE, int64(i), int64(j))&0xFFFF)/65536.0*0.24 - 0.12

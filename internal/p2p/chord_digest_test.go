@@ -130,12 +130,8 @@ func (d *digestRun) drive(churn bool, seed int64) []string {
 		d.at(time.Duration(i)*20*time.Millisecond, func() { d.ch.Join(id) })
 	}
 	if churn {
-		c := NewChurn(d.rt, ChurnConfig{
-			MeanSession:  90 * time.Second,
-			MeanOffline:  20 * time.Second,
-			GracefulProb: 0.5,
-			Horizon:      digestHorizon,
-		}, seed)
+		// Exponential sessions (SessionSigma 0), as pinned in the golden.
+		c := NewChurn(d.rt, ChurnConfig{Horizon: digestHorizon}, seed)
 		c.OnLeave = func(id NodeID, graceful bool) { d.ch.Leave(id, graceful) }
 		c.OnJoin = func(id NodeID) { d.ch.Join(id) }
 		d.at(10*time.Second, func() { c.Drive(ids[1:]) })

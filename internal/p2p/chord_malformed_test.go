@@ -188,14 +188,14 @@ func FuzzChordDeliver(f *testing.F) {
 		}
 		// As the read loop does: the frame arrives, counted delivered.
 		env.To = to.ID
-		rt.Metrics.MsgsDelivered++
+		to.Metrics().MsgsDelivered++
 		to.deliver(env)
 		kernel.Run()
 		if rt.InflightEnvelopes() != 0 {
 			t.Fatalf("%d envelopes still parked after the drain", rt.InflightEnvelopes())
 		}
 		// The injected frame is the one arrival nobody sent.
-		m := rt.Metrics
+		m := rt.TotalMetrics()
 		if m.MsgsSent+1 != m.MsgsDelivered+m.MsgsLost+m.MsgsDead {
 			t.Fatalf("accounting identity: sent=%d delivered=%d lost=%d dead=%d", m.MsgsSent, m.MsgsDelivered, m.MsgsLost, m.MsgsDead)
 		}

@@ -158,7 +158,7 @@ func TestChordLookupUnderLoss(t *testing.T) {
 	if okCount < lookups*9/10 {
 		t.Fatalf("only %d/%d lookups resolved under 5%% loss", okCount, lookups)
 	}
-	if rt.Metrics.Timeouts == 0 {
+	if rt.TotalMetrics().Timeouts == 0 {
 		t.Fatal("no RPC timeouts under 5% loss — the loss rule is not in the path")
 	}
 }
@@ -203,10 +203,7 @@ func TestChordSurvivesChurn(t *testing.T) {
 		kernel.After(time.Duration(i)*10*time.Millisecond, func() { ch.Join(id) })
 	}
 	ccfg := ChurnConfig{
-		MeanSession:  60 * time.Second,
-		MeanOffline:  15 * time.Second,
-		GracefulProb: 0.5,
-		Horizon:      3 * time.Minute,
+		Horizon: 3 * time.Minute,
 	}
 	churn := NewChurn(rt, ccfg, 11)
 	churn.OnLeave = func(id NodeID, graceful bool) { ch.Leave(id, graceful) }
@@ -244,7 +241,7 @@ func TestChordDeterministicReplay(t *testing.T) {
 	run := func() (Metrics, int) {
 		kernel, rt, ch := standUpRing(t, 16, 0.1, 15*time.Second)
 		_ = kernel
-		return rt.Metrics, ch.NumMembers()
+		return rt.TotalMetrics(), ch.NumMembers()
 	}
 	m1, n1 := run()
 	m2, n2 := run()

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -9,37 +8,29 @@ import (
 	"nearestpeer/internal/sim"
 )
 
-// ChurnConfig parameterises the membership process. Each driven node
-// alternates online sessions and offline gaps; with exponential gaps the
-// rejoin stream is a Poisson process, the standard churn model.
+// The membership process's rates: each driven node alternates online
+// sessions (mean churnMeanSession) and exponential offline gaps (mean
+// churnMeanOffline), so the rejoin stream is a Poisson process, the
+// standard churn model; a departure is graceful (the node tells its
+// neighbours) with probability churnGracefulProb, else a crash (it just
+// goes silent).
+const (
+	churnMeanSession  time.Duration = 90 * time.Second
+	churnMeanOffline  time.Duration = 20 * time.Second
+	churnGracefulProb float64       = 0.5
+)
+
+// ChurnConfig parameterises the membership process.
 type ChurnConfig struct {
-	// MeanSession is the mean online session length.
-	MeanSession time.Duration
 	// SessionSigma, when > 0, draws sessions from a log-normal with this
 	// sigma (heavy-tailed session times, as measured p2p systems show)
-	// with the mean matched to MeanSession; 0 keeps sessions exponential.
+	// with the mean matched to churnMeanSession; 0 keeps sessions
+	// exponential.
 	SessionSigma float64
-	// MeanOffline is the mean downtime before a node rejoins.
-	MeanOffline time.Duration
-	// GracefulProb is the probability a departure is graceful (the node
-	// tells its neighbours) rather than a crash (it just goes silent).
-	GracefulProb float64
 	// Horizon, when > 0, stops scheduling churn events past this virtual
 	// time, letting the kernel's event queue drain. 0 churns forever —
 	// drive the kernel with RunUntil or Stop in that case.
 	Horizon time.Duration
-}
-
-// DefaultChurnConfig returns a moderately harsh process: 2-minute mean
-// sessions (log-normal, sigma 1 — most sessions short, a heavy tail long),
-// 30 s mean downtime, and half of all departures are crashes.
-func DefaultChurnConfig() ChurnConfig {
-	return ChurnConfig{
-		MeanSession:  2 * time.Minute,
-		SessionSigma: 1,
-		MeanOffline:  30 * time.Second,
-		GracefulProb: 0.5,
-	}
 }
 
 // Churn drives nodes up and down over virtual time. The protocol layered
@@ -68,9 +59,6 @@ type Churn struct {
 // churn toggles liveness and live-count state every shard reads, and its
 // single random stream has no K-invariant draw order.
 func NewChurn(rt *Runtime, cfg ChurnConfig, seed int64) *Churn {
-	if cfg.MeanSession <= 0 || cfg.MeanOffline <= 0 {
-		panic(fmt.Sprintf("p2p: invalid churn config %+v", cfg))
-	}
 	if rt.Sharded() {
 		panic("p2p: churn is serial-only")
 	}
@@ -82,9 +70,9 @@ func NewChurn(rt *Runtime, cfg ChurnConfig, seed int64) *Churn {
 
 // session draws one online session length.
 func (c *Churn) session() time.Duration {
-	mean := float64(c.cfg.MeanSession)
+	mean := float64(churnMeanSession)
 	if s := c.cfg.SessionSigma; s > 0 {
-		// Match the log-normal mean exp(mu + s²/2) to MeanSession.
+		// Match the log-normal mean exp(mu + s²/2) to churnMeanSession.
 		mu := math.Log(mean) - s*s/2
 		return time.Duration(c.src.LogNormal(mu, s))
 	}
@@ -126,7 +114,7 @@ func (c *Churn) leave(arg uint64) {
 		c.scheduleJoin(id)
 		return
 	}
-	graceful := c.src.Bool(c.cfg.GracefulProb)
+	graceful := c.src.Bool(churnGracefulProb)
 	c.Leaves++
 	if !graceful {
 		c.Crashes++
@@ -139,7 +127,7 @@ func (c *Churn) leave(arg uint64) {
 }
 
 func (c *Churn) scheduleJoin(id NodeID) {
-	c.after(id, time.Duration(c.src.Exponential(float64(c.cfg.MeanOffline))), c.joinH)
+	c.after(id, time.Duration(c.src.Exponential(float64(churnMeanOffline))), c.joinH)
 }
 
 // join is the downtime timer: the node arg names comes back up.

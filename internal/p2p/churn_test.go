@@ -16,10 +16,7 @@ func TestChurnTogglesLiveness(t *testing.T) {
 		rt.AddNode(ids[i])
 	}
 	cfg := ChurnConfig{
-		MeanSession:  10 * time.Second,
-		MeanOffline:  5 * time.Second,
-		GracefulProb: 0.5,
-		Horizon:      5 * time.Minute,
+		Horizon: 5 * time.Minute,
 	}
 	churn := NewChurn(rt, cfg, 42)
 	var joins, leaves, graceful int
@@ -53,7 +50,7 @@ func TestChurnTogglesLiveness(t *testing.T) {
 	if churn.Crashes != leaves-graceful {
 		t.Fatalf("crashes %d, want %d", churn.Crashes, leaves-graceful)
 	}
-	// With a 5-minute horizon, ~15 s cycles and 20 nodes, dozens of
+	// With a 5-minute horizon, ~110 s cycles and 20 nodes, dozens of
 	// sessions must have ended.
 	if leaves < 20 {
 		t.Fatalf("suspiciously little churn: %d leaves", leaves)
@@ -67,8 +64,7 @@ func TestChurnHorizonDrainsQueue(t *testing.T) {
 	for _, id := range ids {
 		rt.AddNode(id)
 	}
-	cfg := DefaultChurnConfig()
-	cfg.Horizon = 10 * time.Minute
+	cfg := ChurnConfig{SessionSigma: 1, Horizon: 10 * time.Minute}
 	churn := NewChurn(rt, cfg, 7)
 	churn.Drive(ids)
 	end := kernel.Run()
@@ -91,10 +87,7 @@ func TestAddNodeDuringChurnKeepsNodeInChurnProcess(t *testing.T) {
 	id := NodeID(0)
 	rt.AddNode(id)
 	cfg := ChurnConfig{
-		MeanSession:  10 * time.Second,
-		MeanOffline:  10 * time.Second,
-		GracefulProb: 0.5,
-		Horizon:      10 * time.Minute,
+		Horizon: 10 * time.Minute,
 	}
 	churn := NewChurn(rt, cfg, 9)
 	churn.OnLeave = func(NodeID, bool) {
@@ -127,10 +120,7 @@ func TestExternalRestartDuringGapRestartsChurnCycle(t *testing.T) {
 	id := NodeID(0)
 	rt.AddNode(id)
 	cfg := ChurnConfig{
-		MeanSession:  10 * time.Second,
-		MeanOffline:  20 * time.Second,
-		GracefulProb: 1,
-		Horizon:      10 * time.Minute,
+		Horizon: 10 * time.Minute,
 	}
 	churn := NewChurn(rt, cfg, 3)
 	joins := 0
@@ -165,10 +155,7 @@ func TestExternalStopMidSessionKeepsNodeInChurnProcess(t *testing.T) {
 	id := NodeID(0)
 	rt.AddNode(id)
 	cfg := ChurnConfig{
-		MeanSession:  10 * time.Second,
-		MeanOffline:  10 * time.Second,
-		GracefulProb: 1,
-		Horizon:      10 * time.Minute,
+		Horizon: 10 * time.Minute,
 	}
 	churn := NewChurn(rt, cfg, 3)
 	churn.Drive([]NodeID{id})
@@ -192,8 +179,7 @@ func TestChurnDeterministic(t *testing.T) {
 			ids[i] = NodeID(i)
 			rt.AddNode(ids[i])
 		}
-		cfg := DefaultChurnConfig()
-		cfg.Horizon = 20 * time.Minute
+		cfg := ChurnConfig{SessionSigma: 1, Horizon: 20 * time.Minute}
 		churn := NewChurn(rt, cfg, 5)
 		churn.Drive(ids)
 		kernel.Run()

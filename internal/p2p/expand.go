@@ -25,34 +25,37 @@ const (
 // ExpandGroup is the well-known multicast group the search uses.
 const ExpandGroup = "nearest-peer"
 
+// The expanding search's scopes: round r reaches RTT ExpandRadius(r),
+// starting at expandInitialRadiusMs and quadrupling for ExpandRounds rounds
+// (1, 4, 16, 64, 256 ms).
+const (
+	expandInitialRadiusMs float64 = 1
+	expandRadiusMult      float64 = 4
+	// ExpandRounds bounds the expansion.
+	ExpandRounds int = 5
+)
+
+// ExpandRadius is a round's latency scope: expandInitialRadiusMs grown
+// expandRadiusMult-fold per earlier round.
+func ExpandRadius(round int) float64 {
+	radius := expandInitialRadiusMs
+	for i := 0; i < round; i++ {
+		radius *= expandRadiusMult
+	}
+	return radius
+}
+
 // ExpandConfig tunes the expanding search.
 type ExpandConfig struct {
-	// InitialRadiusMs is round 0's latency scope.
-	InitialRadiusMs float64
-	// RadiusMult grows the scope per round.
-	RadiusMult float64
-	// Rounds bounds the expansion.
-	Rounds int
 	// RoundTimeout is how long the searcher waits out each round; it must
 	// exceed the largest scope or answers arrive after the round closed
 	// (they still count — a late answer resolves the search when it lands).
 	RoundTimeout time.Duration
 }
 
-// DefaultExpandConfig starts at 1 ms and quadruples for five rounds
-// (1, 4, 16, 64, 256 ms scopes), waiting 400 ms per round.
+// DefaultExpandConfig waits 400 ms per round.
 func DefaultExpandConfig() ExpandConfig {
-	return ExpandConfig{InitialRadiusMs: 1, RadiusMult: 4, Rounds: 5, RoundTimeout: 400 * time.Millisecond}
-}
-
-// Radius is a round's latency scope: InitialRadiusMs grown RadiusMult-fold
-// per earlier round.
-func (c ExpandConfig) Radius(round int) float64 {
-	radius := c.InitialRadiusMs
-	for i := 0; i < round; i++ {
-		radius *= c.RadiusMult
-	}
-	return radius
+	return ExpandConfig{RoundTimeout: 400 * time.Millisecond}
 }
 
 // ExpandRing is the expanding-ring rule as function calls, the one every
@@ -136,8 +139,8 @@ type Expanding struct {
 
 // NewExpanding creates the protocol instance.
 func NewExpanding(rt *Runtime, cfg ExpandConfig) *Expanding {
-	if cfg.Rounds <= 0 || cfg.RoundTimeout <= 0 || cfg.InitialRadiusMs <= 0 || cfg.RadiusMult <= 1 {
-		panic(fmt.Sprintf("p2p: invalid expand config %+v", cfg))
+	if cfg.RoundTimeout <= 0 {
+		panic(fmt.Sprintf("p2p: expand round timeout %v must be positive", cfg.RoundTimeout))
 	}
 	e := &Expanding{rt: rt, cfg: cfg, byClient: make([]expandSlot, rt.Population())}
 	e.responder = NewTable().With(MsgFind, handleExpandFind)
@@ -212,12 +215,12 @@ func (e *Expanding) runRound(s *expandSearch) {
 	if e.byClient[s.client].active != s {
 		return
 	}
-	if s.round >= e.cfg.Rounds || !e.rt.Alive(s.client) {
+	if s.round >= ExpandRounds || !e.rt.Alive(s.client) {
 		e.byClient[s.client].active = nil
 		s.done(FindResult{Peer: NoNode, Hops: s.round, Probes: s.messages, Elapsed: e.rt.Now(s.client) - s.started})
 		return
 	}
-	radius := e.cfg.Radius(s.round)
+	radius := ExpandRadius(s.round)
 	s.sentAt = append(s.sentAt, e.rt.Now(s.client))
 	s.messages += e.rt.Multicast(s.client, ExpandGroup, MsgFind, findMsg{SID: s.sid, From: s.client, Round: s.round}, radius)
 	s.round++

@@ -10,12 +10,7 @@ import (
 func TestExpandingFindsNearestRegistered(t *testing.T) {
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(6), DefaultConfig(), 1)
-	e := NewExpanding(rt, ExpandConfig{
-		InitialRadiusMs: 5,
-		RadiusMult:      3,
-		Rounds:          4,
-		RoundTimeout:    300 * time.Millisecond,
-	})
+	e := NewExpanding(rt, ExpandConfig{RoundTimeout: 300 * time.Millisecond})
 	// Members at 20, 30, 50 ms from searcher 0; node 1 (10 ms) not a member.
 	for _, id := range []NodeID{2, 3, 5} {
 		e.Register(id)
@@ -29,9 +24,9 @@ func TestExpandingFindsNearestRegistered(t *testing.T) {
 	if res.RTTms != 20 {
 		t.Fatalf("measured %v ms, want 20", res.RTTms)
 	}
-	// Scopes 5, 15, 45: node 2 first reachable in round 3.
-	if res.Hops != 3 {
-		t.Fatalf("resolved in round %d, want 3", res.Hops)
+	// Scopes 1, 4, 16, 64: node 2 first reachable in round 4.
+	if res.Hops != 4 {
+		t.Fatalf("resolved in round %d, want 4", res.Hops)
 	}
 	if res.Probes == 0 {
 		t.Fatal("no multicast copies counted")
@@ -40,12 +35,9 @@ func TestExpandingFindsNearestRegistered(t *testing.T) {
 
 func TestExpandingUnfoundAfterAllRounds(t *testing.T) {
 	kernel := sim.New()
-	rt := New(kernel, lineMatrix(6), DefaultConfig(), 1)
-	cfg := DefaultExpandConfig()
-	cfg.Rounds = 2
-	cfg.InitialRadiusMs = 1 // scopes 1, 4 ms: nobody is that close
-	e := NewExpanding(rt, cfg)
-	e.Register(5)
+	rt := New(kernel, lineMatrix(30), DefaultConfig(), 1)
+	e := NewExpanding(rt, DefaultExpandConfig())
+	e.Register(29) // 290 ms away, past the last scope (256 ms)
 	var res FindResult
 	called := 0
 	e.Search(0, func(r FindResult) { res = r; called++ })
@@ -53,7 +45,7 @@ func TestExpandingUnfoundAfterAllRounds(t *testing.T) {
 	if called != 1 {
 		t.Fatalf("done fired %d times", called)
 	}
-	if res.Found || res.Peer != NoNode || res.Hops != 2 {
+	if res.Found || res.Peer != NoNode || res.Hops != ExpandRounds {
 		t.Fatalf("unexpected result %+v", res)
 	}
 }
@@ -66,23 +58,20 @@ func TestExpandingUnfoundAfterAllRounds(t *testing.T) {
 func TestExpandingLateAnswerMeasuredAgainstItsRound(t *testing.T) {
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(6), DefaultConfig(), 1)
-	e := NewExpanding(rt, ExpandConfig{
-		InitialRadiusMs: 100, // round 0 already reaches the only member
-		RadiusMult:      2,
-		Rounds:          6,
-		RoundTimeout:    10 * time.Millisecond, // rounds close long before the answer returns
-	})
-	e.Register(5) // 50 ms from searcher 0: the answer lands in round 5
+	// Rounds close every 4 ms, long before an answer returns.
+	e := NewExpanding(rt, ExpandConfig{RoundTimeout: 4 * time.Millisecond})
+	e.Register(1) // 10 ms from searcher 0: round 2 (16 ms scope) first reaches it
 	var res FindResult
 	e.Search(0, func(r FindResult) { res = r })
 	kernel.Run()
-	if !res.Found || res.Peer != 5 {
-		t.Fatalf("found=%v peer=%d, want member 5", res.Found, res.Peer)
+	if !res.Found || res.Peer != 1 {
+		t.Fatalf("found=%v peer=%d, want member 1", res.Found, res.Peer)
 	}
-	// Round 0 sent the find at t=0; the answer arrives at t=50 ms. With the
-	// bug the RTT was measured against round 5's start (t=40 ms) as 10 ms.
-	if res.RTTms != 50 {
-		t.Fatalf("late answer measured as %v ms, want 50 (its own round's send time)", res.RTTms)
+	// Round 2 sent the find at t=8 ms; the answer arrives at t=18 ms, in
+	// round 4. With the bug the RTT was measured against round 4's start
+	// (t=16 ms) as 2 ms.
+	if res.RTTms != 10 {
+		t.Fatalf("late answer measured as %v ms, want 10 (its own round's send time)", res.RTTms)
 	}
 	if res.Hops != 5 {
 		t.Fatalf("resolved after %d rounds, want 5", res.Hops)
@@ -92,12 +81,7 @@ func TestExpandingLateAnswerMeasuredAgainstItsRound(t *testing.T) {
 func TestExpandingSkipsCrashedAndDeregistered(t *testing.T) {
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(6), DefaultConfig(), 1)
-	e := NewExpanding(rt, ExpandConfig{
-		InitialRadiusMs: 100,
-		RadiusMult:      2,
-		Rounds:          1,
-		RoundTimeout:    500 * time.Millisecond,
-	})
+	e := NewExpanding(rt, ExpandConfig{RoundTimeout: 500 * time.Millisecond})
 	for _, id := range []NodeID{1, 2, 3} {
 		e.Register(id)
 	}
@@ -116,11 +100,10 @@ func TestExpandingSkipsCrashedAndDeregistered(t *testing.T) {
 // multicast scope as its reach returns the wire's peer, RTT, rounds and
 // copies.
 func TestExpandRingMatchesWire(t *testing.T) {
-	cfg := ExpandConfig{InitialRadiusMs: 5, RadiusMult: 3, Rounds: 4, RoundTimeout: 300 * time.Millisecond}
 	m := lineMatrix(6)
 	kernel := sim.New()
 	rt := New(kernel, m, DefaultConfig(), 1)
-	e := NewExpanding(rt, cfg)
+	e := NewExpanding(rt, ExpandConfig{RoundTimeout: 300 * time.Millisecond})
 	members := []NodeID{5, 3, 2} // at 50, 30, 20 ms from searcher 0
 	for _, id := range members {
 		e.Register(id)
@@ -129,9 +112,9 @@ func TestExpandRingMatchesWire(t *testing.T) {
 	e.Search(0, func(r FindResult) { wire = r })
 	kernel.Run()
 
-	static := ExpandRing(cfg.Rounds, len(members), func(round, j int) (float64, bool) {
+	static := ExpandRing(ExpandRounds, len(members), func(round, j int) (float64, bool) {
 		d := m.LatencyMs(0, int(members[j]))
-		return d, d <= cfg.Radius(round)
+		return d, d <= ExpandRadius(round)
 	})
 	if !static.Found || members[static.Peer] != wire.Peer || static.RTTms != wire.RTTms ||
 		static.Hops != wire.Hops || static.Probes != wire.Probes {
@@ -169,7 +152,7 @@ func TestExpandRingRule(t *testing.T) {
 func TestExpandingTableClientAndResponder(t *testing.T) {
 	kernel := sim.New()
 	rt := New(kernel, lineMatrix(6), DefaultConfig(), 1)
-	e := NewExpanding(rt, ExpandConfig{InitialRadiusMs: 5, RadiusMult: 3, Rounds: 4, RoundTimeout: 300 * time.Millisecond})
+	e := NewExpanding(rt, ExpandConfig{RoundTimeout: 300 * time.Millisecond})
 	for _, id := range []NodeID{2, 3, 5} {
 		e.Register(id)
 	}

@@ -25,8 +25,8 @@ func TestQueryPingToStoppedNodeChargesDeadProbe(t *testing.T) {
 	if fired != 1 || q.Res.Probes != 1 || q.Res.DeadProbes != 1 || q.Res.RPCs != 0 {
 		t.Fatalf("fired %d, bill %+v: want one probe, one dead probe", fired, q.Res)
 	}
-	if rt.Metrics.QueryProbes != 1 {
-		t.Fatalf("node metrics count %d query probes, want 1", rt.Metrics.QueryProbes)
+	if rt.TotalMetrics().QueryProbes != 1 {
+		t.Fatalf("node metrics count %d query probes, want 1", rt.TotalMetrics().QueryProbes)
 	}
 }
 
@@ -58,7 +58,7 @@ func TestQueryRetryScope(t *testing.T) {
 	if failed != 1 || call.Res.RPCs != 1 || call.Res.RPCFails != 1 {
 		t.Fatalf("failed %d, bill %+v: want one RPC, one RPC failure", failed, call.Res)
 	}
-	if got, want := rt.Metrics.Retries, int64(pol.Attempts-1); got != want {
+	if got, want := rt.TotalMetrics().Retries, int64(pol.Attempts-1); got != want {
 		t.Fatalf("Call charged %d retries, want %d", got, want)
 	}
 
@@ -72,7 +72,7 @@ func TestQueryRetryScope(t *testing.T) {
 	if ping.Res.Probes != 1 || ping.Res.DeadProbes != 1 {
 		t.Fatalf("ping bill %+v: want one probe, one dead probe", ping.Res)
 	}
-	if got := rt.Metrics.Retries - int64(pol.Attempts-1); got != 0 {
+	if got := rt.TotalMetrics().Retries - int64(pol.Attempts-1); got != 0 {
 		t.Errorf("Ping charged %d retries, want 0", got)
 	}
 }
@@ -304,7 +304,7 @@ func TestQueryCallbacksStopWithClient(t *testing.T) {
 	// Sent: the 5 requests issued before the stop and node 1's 3 answers,
 	// which land at the stopped client; nothing from the stopped client.
 	// Dead: those 3 answers and the 2 pings at the stopped node 2.
-	if m := rt.Metrics; m.StopFailures != 5 || m.Timeouts != 0 || m.MsgsSent != 8 || m.MsgsDead != 5 {
+	if m := rt.TotalMetrics(); m.StopFailures != 5 || m.Timeouts != 0 || m.MsgsSent != 8 || m.MsgsDead != 5 {
 		t.Fatalf("metrics %+v: want 5 stop failures (all parked), 0 timeouts, 8 sends, 5 dead", m)
 	}
 }

@@ -113,19 +113,19 @@ func checkRuntimeInvariants(t *testing.T, rt *Runtime, stage string) {
 	// transport is delivered, lost, dead, or still parked in the slab —
 	// and the expiry ledger balances the same way.
 	inflightEnv := int64(rt.InflightEnvelopes())
-	if rt.Metrics.MsgsSent != rt.Metrics.MsgsDelivered+rt.Metrics.MsgsLost+rt.Metrics.MsgsDead+inflightEnv {
+	if rt.TotalMetrics().MsgsSent != rt.TotalMetrics().MsgsDelivered+rt.TotalMetrics().MsgsLost+rt.TotalMetrics().MsgsDead+inflightEnv {
 		t.Fatalf("%s: accounting identity broken: sent=%d != delivered=%d + lost=%d + dead=%d + inflight=%d",
-			stage, rt.Metrics.MsgsSent, rt.Metrics.MsgsDelivered, rt.Metrics.MsgsLost, rt.Metrics.MsgsDead, inflightEnv)
+			stage, rt.TotalMetrics().MsgsSent, rt.TotalMetrics().MsgsDelivered, rt.TotalMetrics().MsgsLost, rt.TotalMetrics().MsgsDead, inflightEnv)
 	}
-	if pend := int64(rt.PendingExpiries()); rt.Metrics.ExpiriesScheduled != rt.Metrics.ExpiriesFired+pend {
+	if pend := int64(rt.PendingExpiries()); rt.TotalMetrics().ExpiriesScheduled != rt.TotalMetrics().ExpiriesFired+pend {
 		t.Fatalf("%s: expiry ledger broken: scheduled=%d != fired=%d + pending=%d",
-			stage, rt.Metrics.ExpiriesScheduled, rt.Metrics.ExpiriesFired, pend)
+			stage, rt.TotalMetrics().ExpiriesScheduled, rt.TotalMetrics().ExpiriesFired, pend)
 	}
-	if rt.Metrics.Timeouts > rt.Metrics.ExpiriesFired {
-		t.Fatalf("%s: %d timeouts exceed %d fired expiries", stage, rt.Metrics.Timeouts, rt.Metrics.ExpiriesFired)
+	if rt.TotalMetrics().Timeouts > rt.TotalMetrics().ExpiriesFired {
+		t.Fatalf("%s: %d timeouts exceed %d fired expiries", stage, rt.TotalMetrics().Timeouts, rt.TotalMetrics().ExpiriesFired)
 	}
-	if rt.Metrics.MsgsMulticast > rt.Metrics.MsgsSent {
-		t.Fatalf("%s: %d multicast sends exceed %d total sends", stage, rt.Metrics.MsgsMulticast, rt.Metrics.MsgsSent)
+	if rt.TotalMetrics().MsgsMulticast > rt.TotalMetrics().MsgsSent {
+		t.Fatalf("%s: %d multicast sends exceed %d total sends", stage, rt.TotalMetrics().MsgsMulticast, rt.TotalMetrics().MsgsSent)
 	}
 
 	// The live counter agrees with a registry scan.
@@ -278,10 +278,7 @@ func TestInvariantsChordUnderLossAndChurn(t *testing.T) {
 		kernel.After(time.Duration(i)*20*time.Millisecond, func() { ch.Join(id) })
 	}
 	churn := NewChurn(rt, ChurnConfig{
-		MeanSession:  40 * time.Second,
-		MeanOffline:  10 * time.Second,
-		GracefulProb: 0.5,
-		Horizon:      80 * time.Second,
+		Horizon: 80 * time.Second,
 	}, 5)
 	churn.OnLeave = func(id NodeID, graceful bool) { ch.Leave(id, graceful) }
 	churn.OnJoin = func(id NodeID) { ch.Join(id) }
@@ -297,8 +294,8 @@ func TestInvariantsChordUnderLossAndChurn(t *testing.T) {
 		kernel.RunUntil(time.Duration(s) * time.Second)
 		checkRuntimeInvariants(t, rt, fmt.Sprintf("t=%ds", s))
 	}
-	if churn.Leaves == 0 || rt.Metrics.Timeouts == 0 {
-		t.Fatalf("no adversity exercised: %d leaves, %d timeouts", churn.Leaves, rt.Metrics.Timeouts)
+	if churn.Leaves == 0 || rt.TotalMetrics().Timeouts == 0 {
+		t.Fatalf("no adversity exercised: %d leaves, %d timeouts", churn.Leaves, rt.TotalMetrics().Timeouts)
 	}
 	kernel.Run()
 	checkDrained(t, rt)
@@ -355,7 +352,7 @@ func TestMetricsAccountingUnderLossAndChurn(t *testing.T) {
 	kernel.Run()
 	checkRuntimeInvariants(t, rt, "drained")
 
-	mt := rt.Metrics
+	mt := rt.TotalMetrics()
 	if mt.MsgsLost == 0 {
 		t.Fatal("25% loss produced no lost messages")
 	}

@@ -178,7 +178,7 @@ func (n *Node) Alive() bool { return n.alive }
 func (n *Node) Transport() Transport { return n.rt }
 
 // Metrics returns the account charged for activity at the node: its home
-// shard's on the simulator (Runtime.Metrics on a serial one), the single
+// shard's on the simulator (the only shard's on a serial one), the single
 // transport-wide account on the live transports. Only events at the node
 // may write it.
 func (n *Node) Metrics() *Metrics { return n.metrics }

@@ -30,14 +30,16 @@ type Policy struct {
 	// attempt (retries disabled).
 	Attempts int
 	// BaseBackoff is the wait before the second attempt (default 50 ms
-	// when enabled with none set).
+	// when enabled with none set); each later wait is backoffMultiplier
+	// times the last.
 	BaseBackoff time.Duration
-	// Multiplier grows the backoff per attempt (default 2 when < 1).
-	Multiplier float64
 	// JitterFrac spreads each backoff by ±JitterFrac of itself, drawn
 	// deterministically from (node, call, attempt).
 	JitterFrac float64
 }
+
+// backoffMultiplier grows the backoff per attempt.
+const backoffMultiplier float64 = 2
 
 // demoteAfter is how many consecutive exhausted calls mark a peer suspect
 // (Node.Suspect).
@@ -49,8 +51,7 @@ func (p Policy) Enabled() bool { return p.Attempts > 1 }
 // Validate checks the policy's knobs. JitterFrac must be a fraction in
 // [0,1]: the jitter draw multiplies the backoff by 1 + JitterFrac*(2u-1)
 // with u in [0,1), so any larger fraction can price a negative delay —
-// a retry scheduled in the past. Durations must not be negative and a
-// set Multiplier must be at least 1 (zero means "use the default").
+// a retry scheduled in the past. The base backoff must not be negative.
 // Config.Validate checks it, so every transport constructor rejects an
 // invalid policy up front: a typo'd knob fails at construction instead of
 // surfacing as a kernel assert deep in a retry chain.
@@ -60,9 +61,6 @@ func (p Policy) Validate() error {
 	}
 	if p.BaseBackoff < 0 {
 		return fmt.Errorf("p2p: negative retry base backoff %v", p.BaseBackoff)
-	}
-	if p.Multiplier != 0 && p.Multiplier < 1 {
-		return fmt.Errorf("p2p: retry backoff multiplier %v below 1", p.Multiplier)
 	}
 	return nil
 }
@@ -87,13 +85,9 @@ func (p Policy) backoff(id NodeID, seq uint64, attempt int) time.Duration {
 	if b <= 0 {
 		b = 50 * time.Millisecond
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(b)
 	for i := 1; i < attempt; i++ {
-		d *= mult
+		d *= backoffMultiplier
 	}
 	if p.JitterFrac > 0 {
 		u := retryMix(uint64(id), seq, uint64(attempt))

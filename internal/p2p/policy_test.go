@@ -38,7 +38,7 @@ func TestRequestPolicyRetriesThroughBurst(t *testing.T) {
 	plan := &faults.Plan{Seed: 2, Rules: []faults.Rule{
 		{Kind: faults.Blackhole, At: 0, For: 1 * time.Second, Src: faults.List(0), Dst: faults.List(1)},
 	}}
-	k, r := newRetryRuntime(t, 2, Policy{Attempts: 4, BaseBackoff: 400 * time.Millisecond, Multiplier: 2}, plan)
+	k, r := newRetryRuntime(t, 2, Policy{Attempts: 4, BaseBackoff: 400 * time.Millisecond}, plan)
 	n0 := r.AddNode(0)
 	r.AddNode(1)
 	var ok, timedOut bool
@@ -133,7 +133,7 @@ func TestRequestPolicyChainDiesAcrossRestart(t *testing.T) {
 // TestPolicyBackoffDeterminism: the backoff schedule is a pure function
 // of (policy, node, sequence, attempt) — and jitter actually spreads it.
 func TestPolicyBackoffDeterminism(t *testing.T) {
-	pol := Policy{Attempts: 4, BaseBackoff: 100 * time.Millisecond, Multiplier: 2, JitterFrac: 0.2}
+	pol := Policy{Attempts: 4, BaseBackoff: 100 * time.Millisecond, JitterFrac: 0.2}
 	for attempt := 1; attempt <= 3; attempt++ {
 		a := pol.backoff(7, 42, attempt)
 		b := pol.backoff(7, 42, attempt)
@@ -184,7 +184,7 @@ func TestPolicyBackoffNeverNegative(t *testing.T) {
 func TestPolicyValidate(t *testing.T) {
 	valid := []Policy{
 		{},
-		{Attempts: 3, BaseBackoff: 300 * time.Millisecond, Multiplier: 2, JitterFrac: 0.2},
+		{Attempts: 3, BaseBackoff: 300 * time.Millisecond, JitterFrac: 0.2},
 		{Attempts: 2, JitterFrac: 1},
 	}
 	for _, p := range valid {
@@ -196,7 +196,6 @@ func TestPolicyValidate(t *testing.T) {
 		{JitterFrac: 1.5},
 		{JitterFrac: -0.1},
 		{BaseBackoff: -time.Millisecond},
-		{Multiplier: 0.5},
 	}
 	for _, p := range invalid {
 		if err := p.Validate(); err == nil {

@@ -32,8 +32,8 @@ import (
 // All hot-path state — event clock, latency matrix + RTT cache, envelope
 // and timeout slabs, metrics, multicast scratch, msg-id counter — lives
 // per shard in a shardCtx, so the zero-alloc send discipline holds within
-// each shard with no locks; a serial runtime is simply the one-shard case
-// writing its metrics straight into the public Metrics field. Cross-shard
+// each shard with no locks; a serial runtime is simply the one-shard case,
+// and TotalMetrics sums the shards' accounts. Cross-shard
 // sends park in per-(source, destination) mailboxes and are applied by the
 // coordinator between windows in (virtual time, source shard, per-source
 // order) — see send and drainCross.
@@ -42,11 +42,6 @@ type Runtime struct {
 	// kernel of a serial runtime, shard 0's kernel (the driver shard,
 	// where setup and chain events run) of a sharded one.
 	Kernel *sim.Sim
-	// Metrics aggregates wire- and probe-level costs. On a serial runtime
-	// the hot path writes here directly, as it always has; on a sharded
-	// runtime each shard accumulates privately and this field stays zero —
-	// read TotalMetrics instead.
-	Metrics Metrics
 
 	// nodeCore holds the validated Config and Node's timers (see core).
 	nodeCore
@@ -88,9 +83,8 @@ type Runtime struct {
 // the shard (and the coordinator, between windows) touch it.
 type shardCtx struct {
 	sim *sim.Sim
-	// metrics points at Runtime.Metrics for a serial runtime and at a
-	// shard-private struct for a sharded one, so legacy serial readers and
-	// the lock-free sharded hot path share one increment site.
+	// metrics is the shard's private account (TotalMetrics sums them), so
+	// the hot path increments it with no lock.
 	metrics *Metrics
 	// m is the shard's own matrix view. Matrices with an RTT cache are not
 	// safe for concurrent use; each shard pricing through its own cache is
@@ -195,7 +189,7 @@ func New(kernel *sim.Sim, m latency.Matrix, cfg Config, seed int64) *Runtime {
 		groups: make(map[string]*group),
 		sh:     make([]shardCtx, 1),
 	}
-	r.initShard(0, kernel, m, &r.Metrics)
+	r.initShard(0, kernel, m, new(Metrics))
 	r.initCore(r, cfg)
 	return r
 }

@@ -62,8 +62,8 @@ func TestRequestReplyCorrelation(t *testing.T) {
 	if want := durOf(20); at != want {
 		t.Fatalf("reply at %v, want %v", at, want)
 	}
-	if rt.Metrics.MsgsSent != 2 || rt.Metrics.MsgsDelivered != 2 {
-		t.Fatalf("metrics %+v", rt.Metrics)
+	if rt.TotalMetrics().MsgsSent != 2 || rt.TotalMetrics().MsgsDelivered != 2 {
+		t.Fatalf("metrics %+v", rt.TotalMetrics())
 	}
 }
 
@@ -78,8 +78,8 @@ func TestPingMeasuresMatrixRTT(t *testing.T) {
 	if !ok || rtt != 30 {
 		t.Fatalf("ping = (%v, %v), want (30, true)", rtt, ok)
 	}
-	if rt.Metrics.QueryProbes != 1 || rt.Metrics.MaintProbes != 0 {
-		t.Fatalf("probe accounting %+v", rt.Metrics)
+	if rt.TotalMetrics().QueryProbes != 1 || rt.TotalMetrics().MaintProbes != 0 {
+		t.Fatalf("probe accounting %+v", rt.TotalMetrics())
 	}
 }
 
@@ -155,8 +155,8 @@ func TestTimeoutUnderTotalLoss(t *testing.T) {
 		func(Envelope) { t.Error("reply through 100% loss") },
 		func() { timedOut = true })
 	kernel.Run()
-	if !timedOut || rt.Metrics.Timeouts != 1 || rt.Metrics.MsgsLost != 1 {
-		t.Fatalf("timedOut=%v metrics %+v", timedOut, rt.Metrics)
+	if !timedOut || rt.TotalMetrics().Timeouts != 1 || rt.TotalMetrics().MsgsLost != 1 {
+		t.Fatalf("timedOut=%v metrics %+v", timedOut, rt.TotalMetrics())
 	}
 }
 
@@ -170,8 +170,8 @@ func TestCrashedNodeIsSilent(t *testing.T) {
 	if !timedOut {
 		t.Fatal("ping to a crashed node did not time out")
 	}
-	if rt.Metrics.MsgsDead != 1 {
-		t.Fatalf("metrics %+v", rt.Metrics)
+	if rt.TotalMetrics().MsgsDead != 1 {
+		t.Fatalf("metrics %+v", rt.TotalMetrics())
 	}
 
 	// Restart: the node answers again with handlers intact.
@@ -193,7 +193,7 @@ func TestLossRateIsHonoured(t *testing.T) {
 		a.Send(1, "noop", nil)
 	}
 	kernel.Run()
-	frac := float64(rt.Metrics.MsgsLost) / float64(sends)
+	frac := float64(rt.TotalMetrics().MsgsLost) / float64(sends)
 	if frac < 0.25 || frac > 0.35 {
 		t.Fatalf("loss fraction %v, want ~0.3", frac)
 	}
@@ -241,7 +241,7 @@ func TestStopClearsInflight(t *testing.T) {
 	if len(a.inflight) != 0 {
 		t.Fatalf("%d requests still parked at the stopped node", len(a.inflight))
 	}
-	m := rt.Metrics
+	m := rt.TotalMetrics()
 	if m.StopFailures != 1 || m.Timeouts != 0 || m.ExpiriesScheduled != 1 || m.ExpiriesFired != 1 {
 		t.Fatalf("metrics %+v: want 1 stop failure, 0 timeouts, the one expiry scheduled and fired empty", m)
 	}
@@ -547,7 +547,7 @@ func TestDeterministicReplay(t *testing.T) {
 			rt.Node(0).Ping(NodeID(i), 300*time.Millisecond, false, func(float64, bool) {})
 		}
 		kernel.Run()
-		return rt.Metrics
+		return rt.TotalMetrics()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
@@ -717,8 +717,8 @@ func TestTableDropsUnknownType(t *testing.T) {
 	if echoes != 1 || replied != 1 || expired != 1 || !pong {
 		t.Fatalf("echoes=%d replied=%d expired=%d pong=%v, want 1, 1, 1, true", echoes, replied, expired, pong)
 	}
-	if rt.Metrics.MsgsDelivered != 6 { // nope, nope, echo, echo_ok, ping, pong
-		t.Fatalf("delivered %d, want 6", rt.Metrics.MsgsDelivered)
+	if rt.TotalMetrics().MsgsDelivered != 6 { // nope, nope, echo, echo_ok, ping, pong
+		t.Fatalf("delivered %d, want 6", rt.TotalMetrics().MsgsDelivered)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestSettleRequestAtStoppedNode(t *testing.T) {
 	if fails != 2 || at[0] != time.Second || at[1] != time.Second {
 		t.Fatalf("%d failures at %v: want 2, both at the 1s issue", fails, at)
 	}
-	m := rt.Metrics
+	m := rt.TotalMetrics()
 	if m.MsgsSent != 0 || m.ExpiriesScheduled != 0 || m.StopFailures != 2 || m.Timeouts != 0 || m.Retries != 0 {
 		t.Fatalf("metrics %+v: want nothing sent or scheduled, 2 stop failures, no retry", m)
 	}
@@ -229,14 +229,14 @@ func runSettleProgram(t *testing.T, prog []byte) {
 			onReply, onFail := func(Envelope) { fire(false) }, func() { fire(true) }
 			timeout := time.Duration(5+5*(arg&15)) * time.Millisecond
 			delay := 5 * (arg >> 4)
-			sent := rt.Metrics.MsgsSent
+			sent := rt.TotalMetrics().MsgsSent
 			if op == settleIssueRetry || op == settleIssueMuteRe {
 				n.RequestPolicy(to, "echo", delay, timeout, onReply, onFail)
 			} else {
 				n.Request(to, "echo", delay, timeout, onReply, onFail)
 			}
-			if r.stopped && rt.Metrics.MsgsSent != sent {
-				t.Fatalf("request %d: issued at a stopped node, it sent %d messages", len(reqs)-1, rt.Metrics.MsgsSent-sent)
+			if r.stopped && rt.TotalMetrics().MsgsSent != sent {
+				t.Fatalf("request %d: issued at a stopped node, it sent %d messages", len(reqs)-1, rt.TotalMetrics().MsgsSent-sent)
 			}
 			if r.fires != 0 {
 				t.Fatalf("request %d: a callback ran inside the issuing call", len(reqs)-1)
@@ -264,7 +264,7 @@ func runSettleProgram(t *testing.T, prog []byte) {
 			stopFailed++
 		}
 	}
-	m := rt.Metrics
+	m := rt.TotalMetrics()
 	if m.StopFailures != stopFailed {
 		t.Fatalf("StopFailures = %d, but %d requests failed by a stop", m.StopFailures, stopFailed)
 	}

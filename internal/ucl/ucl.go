@@ -29,20 +29,21 @@ const (
 	maxProbes = 32
 )
 
+// estimateCutoffMs discards candidates whose estimated latency (sum of
+// latencies to the shared router) exceeds this bound, unprobed.
+const estimateCutoffMs float64 = 20
+
 // Config tunes the UCL mechanism.
 type Config struct {
 	// TrackDepth is the number of closest upstream routers each peer
 	// tracks (the paper evaluates 3 for a 50% success rate at <5 ms, ~6
 	// for 75%).
 	TrackDepth int
-	// EstimateCutoffMs discards candidates whose estimated latency (sum
-	// of latencies to the shared router) exceeds this bound, unprobed.
-	EstimateCutoffMs float64
 }
 
 // DefaultConfig tracks 3 routers, as in the paper's headline evaluation.
 func DefaultConfig() Config {
-	return Config{TrackDepth: 3, EstimateCutoffMs: 20}
+	return Config{TrackDepth: 3}
 }
 
 // Entry is one published mapping value: a peer and its RTT to the router.
@@ -209,7 +210,7 @@ func (s *System) FindNearest(peer netmodel.HostID) Result {
 	// rankHintCands (shared with the wire deployment) applies the cutoff
 	// and the est-then-peer order, so the static baseline and the
 	// message-level run probe the same candidates in the same order.
-	cands := rankHintCands(best, s.cfg)
+	cands := rankHintCands(best)
 	res.Discarded = res.Candidates - len(cands)
 
 	for _, c := range cands[:min(maxProbes, len(cands))] {

@@ -166,9 +166,7 @@ func TestFindNearestDiscoversSameENPeer(t *testing.T) {
 }
 
 func TestEstimateDiscardsFarPeers(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.EstimateCutoffMs = 5
-	f := newFixture(t, cfg)
+	f := newFixture(t, DefaultConfig())
 	discarded := 0
 	for _, p := range f.peers[:30] {
 		res := f.sys.FindNearest(p)
@@ -178,7 +176,7 @@ func TestEstimateDiscardsFarPeers(t *testing.T) {
 		}
 	}
 	if discarded == 0 {
-		t.Fatal("estimate-based discarding never triggered with 5ms cutoff")
+		t.Fatal("estimate-based discarding never triggered")
 	}
 }
 

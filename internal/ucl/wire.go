@@ -92,7 +92,7 @@ func (w *Wire) FindNearest(peer netmodel.HostID, done func(p2p.FindResult)) {
 		if pending--; pending > 0 {
 			return
 		}
-		kept := rankHintCands(best, w.cfg)
+		kept := rankHintCands(best)
 		ids := make([]p2p.NodeID, min(maxProbes, len(kept)))
 		for i := range ids {
 			ids[i] = w.index[kept[i].peer]
@@ -132,10 +132,10 @@ type hintCand struct {
 
 // rankHintCands applies the estimate cutoff, closest estimate first (the
 // probe cap is applied by the caller so it can count the cutoff discards).
-func rankHintCands(best map[netmodel.HostID]float64, cfg Config) []hintCand {
+func rankHintCands(best map[netmodel.HostID]float64) []hintCand {
 	cands := make([]hintCand, 0, len(best))
 	for p, est := range best {
-		if est > cfg.EstimateCutoffMs {
+		if est > estimateCutoffMs {
 			continue
 		}
 		cands = append(cands, hintCand{peer: p, est: est})

@@ -74,9 +74,9 @@ func TestWireGossipConverges(t *testing.T) {
 	if m.Gossips == 0 || m.Samples == 0 || m.Samples > m.Gossips {
 		t.Fatalf("metrics %+v: want 0 < Samples <= Gossips", m)
 	}
-	if rt.Metrics.MaintProbes != m.Gossips {
+	if rt.TotalMetrics().MaintProbes != m.Gossips {
 		t.Fatalf("MaintProbes %d != Gossips %d: gossip cost not accounted as maintenance",
-			rt.Metrics.MaintProbes, m.Gossips)
+			rt.TotalMetrics().MaintProbes, m.Gossips)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestWireGossipDeterministic(t *testing.T) {
 		for _, id := range w.LiveMembers() {
 			coords = append(coords, *w.CoordOf(id).Clone())
 		}
-		return coords, w.Metrics(), rt.Metrics
+		return coords, w.Metrics(), rt.TotalMetrics()
 	}
 	c1, wm1, rm1 := run()
 	c2, wm2, rm2 := run()
